@@ -421,22 +421,6 @@ func BenchmarkWorkloadClone(b *testing.B) {
 
 // --- benchmarks for the extension substrates ---
 
-// BenchmarkInteriorPoint times the paper's cited Simplex alternative on the
-// relaxed worth bound of a reduced scenario-1 instance.
-func BenchmarkInteriorPoint(b *testing.B) {
-	cfg := workload.ScenarioConfig(workload.HighlyLoaded)
-	cfg.Strings = 40
-	sys := workload.MustGenerate(cfg, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bound, err := lp.UpperBound(sys, lp.Config{
-			Formulation: lp.Relaxed, Objective: lp.MaximizeWorth, Solver: lp.InteriorPoint})
-		if err != nil || bound.Status != simplex.Optimal {
-			b.Fatalf("%v %v", err, bound)
-		}
-	}
-}
-
 // BenchmarkDynamicRepair times the migrate/evict repair loop after a 2.5x
 // workload surge.
 func BenchmarkDynamicRepair(b *testing.B) {

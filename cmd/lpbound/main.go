@@ -96,13 +96,9 @@ func main() {
 		}
 	}
 	if *shadow {
-		if b.MachineShadowPrice == nil {
-			fmt.Println("no shadow prices available (interior-point solver does not produce duals)")
-		} else {
-			fmt.Println("machine capacity shadow prices (objective gain per unit capacity):")
-			for j, sp := range b.MachineShadowPrice {
-				fmt.Printf("  machine %-3d %.4f\n", j, sp)
-			}
+		fmt.Println("machine capacity shadow prices (objective gain per unit capacity):")
+		for j, sp := range b.MachineShadowPrice {
+			fmt.Printf("  machine %-3d %.4f\n", j, sp)
 		}
 	}
 

@@ -78,7 +78,6 @@ func main() {
 		repairIt    = flag.Int("max-repair-iters", 0, "bound fault-repair eviction iterations (0 = unbounded)")
 		reclaimPs   = flag.Int("max-reclaim-passes", 0, "bound fault-repair reclaim passes (0 = unbounded)")
 		lpBound     = flag.Bool("lp-bound", false, "maintain the relaxed-LP worth upper bound (warm-started re-solves on rescale)")
-		fullAna     = flag.Bool("full-analysis", false, "evaluate every operation with the full two-stage analysis instead of the delta path (benchmark fallback)")
 		snapPath    = flag.String("snapshot", "shipd-snapshot.json", "default path for POST /v1/snapshot")
 		restore     = flag.String("restore", "", "resume from a snapshot file written by POST /v1/snapshot")
 		journalPath = flag.String("journal", "", "write-ahead op journal path; recovers automatically when the journal already has history")
@@ -99,7 +98,6 @@ func main() {
 			MaxReclaimPasses:    *reclaimPs,
 		},
 		LPBound:      *lpBound,
-		FullAnalysis: *fullAna,
 		SnapshotPath: *snapPath,
 		Seed:         *seed,
 		Journal:      *journalPath,

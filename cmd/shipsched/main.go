@@ -33,7 +33,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,7 +51,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/overload"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -85,7 +83,6 @@ func main() {
 		ckptFile  = flag.String("checkpoint", "", "write an interrupted search's full state to this JSON file (resume with -resume)")
 		resume    = flag.String("resume", "", "resume an interrupted search from a checkpoint file; the system and search configuration come from the file")
 		deadline  = flag.Duration("trial-deadline", 0, "wall-clock budget per GENITOR trial (e.g. 30s); expired trials stop resumably — combine with -checkpoint")
-		verifyDel = flag.Bool("verify-delta", false, "cross-check the incremental delta analyzer against the full two-stage analysis on randomized perturbations of the final mapping")
 	)
 	flag.Parse()
 
@@ -173,9 +170,6 @@ func main() {
 		os.Exit(1)
 	}
 	printUtilization(r.Alloc)
-	if *verifyDel {
-		runDeltaVerify(r, *seed)
-	}
 	if *dump {
 		fmt.Println()
 		report.Write(os.Stdout, r.Alloc)
@@ -309,63 +303,6 @@ func loadFaults(faultFile, failMach string, machines int) (*faults.Scenario, err
 		}
 	}
 	return sc, nil
-}
-
-// runDeltaVerify drives randomized assign/unassign windows over a clone of
-// the final mapping through a DeltaAnalyzer and cross-checks every window
-// against the full two-stage analysis, plus Undo against a bit-exact state
-// fingerprint. The windows are keyed by the delta subsystem stream, so a
-// failing seed is replayable.
-func runDeltaVerify(r *heuristics.Result, seed int64) {
-	a := r.Alloc.Clone()
-	da := feasibility.Track(a)
-	defer da.Close()
-	rnd := rng.NewRand(seed, rng.SubsystemDelta, 0)
-	sys := a.System()
-	n := len(sys.Strings)
-	const windows = 200
-	var before, after bytes.Buffer
-	maxDirty, undos := 0, 0
-	for w := 0; w < windows; w++ {
-		da.Commit()
-		before.Reset()
-		a.WriteState(&before)
-		for op := 0; op < 1+rnd.Intn(3); op++ {
-			k := rnd.Intn(n)
-			if a.Complete(k) {
-				a.UnassignString(k)
-				continue
-			}
-			a.UnassignString(k) // clear any partial residue first
-			machines := make([]int, len(sys.Strings[k].Apps))
-			for i := range machines {
-				machines[i] = rnd.Intn(sys.Machines)
-			}
-			a.AssignString(k, machines)
-		}
-		feas := da.FeasibleAfterDelta()
-		if full := a.TwoStageFeasible(); feas != full {
-			fmt.Printf("WARNING: delta analyzer diverged from the full analysis at window %d (delta %v, full %v; key %v)\n",
-				w, feas, full, rng.Key(seed, rng.SubsystemDelta, 0))
-			os.Exit(1)
-		}
-		if ds, _, _ := da.Dirty(); ds > maxDirty {
-			maxDirty = ds
-		}
-		if rnd.Intn(2) == 0 {
-			da.Undo()
-			undos++
-			after.Reset()
-			a.WriteState(&after)
-			if !bytes.Equal(before.Bytes(), after.Bytes()) {
-				fmt.Printf("WARNING: delta Undo failed to restore the committed state bit-identically at window %d (key %v)\n",
-					w, rng.Key(seed, rng.SubsystemDelta, 0))
-				os.Exit(1)
-			}
-		}
-	}
-	fmt.Printf("delta verification: %d randomized windows (%d undone) agreed with the full analysis; max %d/%d dirty strings per window\n",
-		windows, undos, maxDirty, n)
 }
 
 // runFailover reports the Survive controller's repair of the mapping against

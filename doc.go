@@ -14,13 +14,14 @@
 //	internal/genitor      GENITOR steady-state genetic search substrate
 //	internal/workload     Section 6 / Table 1 scenario generator
 //	internal/lp           Section 7 fractional-mapping upper-bound LPs
-//	internal/simplex      two-phase simplex solvers (dense and revised)
+//	internal/simplex      two-phase revised simplex; dense and interior references
 //	internal/transport    transportation plans for fractional transfers
 //	internal/sim          discrete-event simulator of the shipboard runtime
 //	internal/stats        Student-t confidence intervals
 //	internal/dynamic      dynamic reallocation (migrate/evict repair, rebalance)
 //	internal/dag          DAG-of-applications extension (footnote 2)
 //	internal/pool         resource-pool generalization (footnote 1)
+//	internal/workers      worker-goroutine fan-out for the parallel search
 //	internal/experiments  regeneration harness for every table and figure
 //
 // Executables: cmd/shipsched (run heuristics on a scenario), cmd/lpbound

@@ -301,9 +301,17 @@ func movedApps(before, after []int) int {
 // maxMoves times, it re-places one string that uses the bottleneck resource
 // and keeps the move only if system slackness strictly improves and the
 // mapping stays feasible. It returns the accepted move count and the final
-// slackness. The allocation must be two-stage feasible on entry.
+// slackness. The allocation must be two-stage feasible on entry. Each trial
+// move is one analyzer window, so a rejected move is undone bit-identically;
+// an analyzer the caller already attached is reused and left attached.
 func Rebalance(alloc *feasibility.Allocation, mapped []bool, maxMoves int) (moves int, slackness float64) {
 	sys := alloc.System()
+	da := alloc.Tracker()
+	if da == nil {
+		da = feasibility.Track(alloc)
+		defer da.Close()
+	}
+	da.Commit()
 	for moves < maxMoves {
 		improved := false
 		base := alloc.Slackness()
@@ -318,16 +326,15 @@ func Rebalance(alloc *feasibility.Allocation, mapped []bool, maxMoves int) (move
 			return cands[a] < cands[b]
 		})
 		for _, k := range cands {
-			saved := alloc.StringMachines(k)
 			alloc.UnassignString(k)
 			heuristics.MapStringIMR(alloc, k)
-			if alloc.FeasibleAfterAdding(k) && alloc.Slackness() > base+1e-12 {
+			if da.FeasibleAfterDelta() && alloc.Slackness() > base+1e-12 {
+				da.Commit()
 				moves++
 				improved = true
 				break
 			}
-			alloc.UnassignString(k)
-			alloc.AssignString(k, saved)
+			da.Undo()
 		}
 		if !improved {
 			break

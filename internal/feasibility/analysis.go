@@ -243,6 +243,12 @@ func (a *Allocation) Violations() []Violation {
 //
 // The result equals TwoStageFeasible given the precondition; a property test
 // (including forced-tie workloads) enforces that equivalence.
+//
+// This is a neighbourhood check, not the global verdict: its one shipped
+// caller is the overload controller's shed loop, which asks "did placing k
+// introduce a violation of its own?" on a state that is globally infeasible
+// by definition. Callers that want "is this allocation feasible" use a
+// DeltaAnalyzer window (Track → FeasibleAfterDelta → Commit/Undo).
 func (a *Allocation) FeasibleAfterAdding(k int) bool {
 	if !a.Complete(k) {
 		panic(fmt.Sprintf("feasibility: FeasibleAfterAdding on incompletely mapped string %d", k))

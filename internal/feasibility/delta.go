@@ -465,17 +465,6 @@ func (da *DeltaAnalyzer) ViolationsAfterDelta() []Violation {
 	return out
 }
 
-// MetricAfterDelta returns the allocation's performance metric under the
-// current state. The worth term is summed over complete strings in canonical
-// (ascending) order so the result is bit-identical to Metric — float64
-// addition is not associative, so folding per-string worth deltas into a
-// running committed total would drift in the last bits and break the digest
-// equivalences the soak harness pins. The sum is O(K) trivial adds; the
-// expensive component, slackness, runs in O(M + active routes).
-func (da *DeltaAnalyzer) MetricAfterDelta() Metric {
-	return da.a.Metric()
-}
-
 // Commit makes the current state the committed state: the dirty results are
 // folded into the committed violation and over-capacity sets and the window
 // is cleared. A clean window commits in O(1).

@@ -14,8 +14,7 @@ import (
 // The digest is the one durability anchors are built on: service snapshots
 // record it and refuse to restore a state that cannot reproduce it, and the
 // write-ahead journal embeds it periodically so recovery replay is verified
-// against the exact bits the live daemon held. soak.AllocationDigest is a
-// byte-compatible alias kept for the soak pipeline's stage digests.
+// against the exact bits the live daemon held.
 func StateDigest(a *Allocation) string {
 	var buf bytes.Buffer
 	a.WriteState(&buf)

@@ -9,13 +9,12 @@
 // FromSnapshot restores an allocation whose WriteState fingerprint is
 // byte-identical to the original's.
 //
-// The format is versioned. Version 1 (files with no version field) lists
-// every machine densely and positionally; version 2 lists machines sparsely —
-// only machines carrying state, each tagged with its index — so a fleet-scale
-// snapshot is O(loaded) rather than O(M). Both versions restore to identical
-// allocations; the digest-relevant content (assignments, bit patterns, roster
-// order) is the same either way. Unknown future versions are rejected with a
-// typed SnapshotVersionError before any content is interpreted.
+// The format is versioned. Version 2, the only one read or written, lists
+// machines sparsely — only machines carrying state, each tagged with its
+// index — so a fleet-scale snapshot is O(loaded) rather than O(M). Any other
+// version (including the unversioned dense files of the format's first
+// release) is rejected with a typed SnapshotVersionError before any content
+// is interpreted.
 
 package feasibility
 
@@ -27,8 +26,8 @@ import (
 	"repro/internal/model"
 )
 
-// SnapshotVersion is the format version Snapshot writes. FromSnapshot reads
-// every version up to and including it.
+// SnapshotVersion is the format version Snapshot writes and the only one
+// FromSnapshot reads.
 const SnapshotVersion = 2
 
 // SnapshotVersionError reports a snapshot written in a format this build does
@@ -36,12 +35,12 @@ const SnapshotVersion = 2
 // Callers match it with errors.As to distinguish "wrong version" from a
 // corrupt or inconsistent snapshot.
 type SnapshotVersionError struct {
-	Version   int // version recorded in the snapshot
-	Supported int // newest version this build reads
+	Version   int // version recorded in the snapshot (0 when absent)
+	Supported int // the version this build reads
 }
 
 func (e *SnapshotVersionError) Error() string {
-	return fmt.Sprintf("feasibility: snapshot version %d, this build reads versions up to %d",
+	return fmt.Sprintf("feasibility: snapshot version %d, this build reads version %d",
 		e.Version, e.Supported)
 }
 
@@ -56,9 +55,7 @@ type StringState struct {
 
 // MachineState is the per-machine part of an AllocationSnapshot.
 type MachineState struct {
-	// Machine is the machine index. Version ≥ 2 snapshots list machines
-	// sparsely and rely on it; version-1 snapshots list machines densely in
-	// index order and omit it.
+	// Machine is the machine index; snapshots list machines sparsely.
 	Machine int `json:"machine,omitempty"`
 	// Util is the hex-encoded bit pattern of U_machine[j] (equation (2)).
 	Util string `json:"util"`
@@ -84,8 +81,7 @@ type RouteState struct {
 // system; FromSnapshot revalidates the snapshot against the system it is
 // restored onto.
 type AllocationSnapshot struct {
-	// Version is the format version (see SnapshotVersion). Absent in files
-	// written before the format was versioned, which decode as version 1.
+	// Version is the format version (see SnapshotVersion).
 	Version  int            `json:"version,omitempty"`
 	Strings  []StringState  `json:"strings"`
 	Machines []MachineState `json:"machines"`
@@ -117,10 +113,9 @@ func rosterPairs(refs []appRef) [][2]int {
 	return out
 }
 
-// Snapshot captures the allocation's observable state exactly, in the current
-// (sparse, version-2) format. The attached DeltaAnalyzer (if any) is not part
-// of the snapshot; callers should Commit any pending window first so the
-// snapshot is of a settled state.
+// Snapshot captures the allocation's observable state exactly. The attached
+// DeltaAnalyzer (if any) is not part of the snapshot; callers should Commit
+// any pending window first so the snapshot is of a settled state.
 func (a *Allocation) Snapshot() *AllocationSnapshot {
 	snap := &AllocationSnapshot{
 		Version: SnapshotVersion,
@@ -164,12 +159,12 @@ func (a *Allocation) Snapshot() *AllocationSnapshot {
 }
 
 // FromSnapshot restores an allocation over sys from a snapshot previously
-// produced by Snapshot (any version up to SnapshotVersion), reproducing the
-// original's WriteState fingerprint byte for byte. The snapshot is validated
-// against the system: shape mismatches, out-of-range references, and rosters
-// inconsistent with the assignment vectors are rejected rather than restored.
+// produced by Snapshot, reproducing the original's WriteState fingerprint
+// byte for byte. The snapshot is validated against the system: shape
+// mismatches, out-of-range references, and rosters inconsistent with the
+// assignment vectors are rejected rather than restored.
 func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, error) {
-	if snap.Version < 0 || snap.Version > SnapshotVersion {
+	if snap.Version != SnapshotVersion {
 		return nil, &SnapshotVersionError{Version: snap.Version, Supported: SnapshotVersion}
 	}
 	if len(snap.Strings) != len(sys.Strings) {
@@ -205,56 +200,38 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 	}
 	rostered := 0
 	seen := make(map[appRef]bool, totalAssigned)
-	loadMachine := func(j int, ms *MachineState) error {
+	// Sparse machine entries: strictly ascending indices, each in range;
+	// machines not listed keep the fresh allocation's exact zero.
+	prev := -1
+	for idx := range snap.Machines {
+		ms := &snap.Machines[idx]
+		j := ms.Machine
+		if j <= prev || j >= sys.Machines {
+			return nil, fmt.Errorf("feasibility: snapshot machine entry %d (machine %d) out of order or out of range [0,%d)",
+				idx, j, sys.Machines)
+		}
+		prev = j
 		u, err := decBits(ms.Util)
 		if err != nil {
-			return fmt.Errorf("feasibility: snapshot machine %d util: %w", j, err)
+			return nil, fmt.Errorf("feasibility: snapshot machine %d util: %w", j, err)
 		}
 		a.machineUtil[j] = u
 		for _, ref := range ms.Roster {
 			k, i := ref[0], ref[1]
 			if k < 0 || k >= len(sys.Strings) || i < 0 || i >= len(sys.Strings[k].Apps) {
-				return fmt.Errorf("feasibility: snapshot machine %d roster names unknown application (%d,%d)", j, k, i)
+				return nil, fmt.Errorf("feasibility: snapshot machine %d roster names unknown application (%d,%d)", j, k, i)
 			}
 			if a.machineOf[k][i] != j {
-				return fmt.Errorf("feasibility: snapshot machine %d roster lists application (%d,%d), assigned to machine %d",
+				return nil, fmt.Errorf("feasibility: snapshot machine %d roster lists application (%d,%d), assigned to machine %d",
 					j, k, i, a.machineOf[k][i])
 			}
 			if seen[appRef{k, i}] {
-				return fmt.Errorf("feasibility: snapshot machine rosters list application (%d,%d) twice", k, i)
+				return nil, fmt.Errorf("feasibility: snapshot machine rosters list application (%d,%d) twice", k, i)
 			}
 			seen[appRef{k, i}] = true
 			a.perMachine[j] = append(a.perMachine[j], appRef{k, i})
 		}
 		rostered += len(ms.Roster)
-		return nil
-	}
-	if snap.Version >= 2 {
-		// Sparse machine entries: strictly ascending indices, each in range;
-		// machines not listed keep the fresh allocation's exact zero.
-		prev := -1
-		for idx := range snap.Machines {
-			ms := &snap.Machines[idx]
-			if ms.Machine <= prev || ms.Machine >= sys.Machines {
-				return nil, fmt.Errorf("feasibility: snapshot machine entry %d (machine %d) out of order or out of range [0,%d)",
-					idx, ms.Machine, sys.Machines)
-			}
-			prev = ms.Machine
-			if err := loadMachine(ms.Machine, ms); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Version 1: one entry per machine, positional.
-		if len(snap.Machines) != sys.Machines {
-			return nil, fmt.Errorf("feasibility: snapshot has %d machines, system has %d",
-				len(snap.Machines), sys.Machines)
-		}
-		for j := range snap.Machines {
-			if err := loadMachine(j, &snap.Machines[j]); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if rostered != totalAssigned {
 		return nil, fmt.Errorf("feasibility: snapshot rosters hold %d applications, assignment vectors hold %d",

@@ -90,24 +90,6 @@ func TestSnapshotRestoredAllocationIsLive(t *testing.T) {
 	}
 }
 
-// denseV1 rewrites a current snapshot into the version-1 shape: no version
-// field, one positional machine entry per machine (omitted machines carried
-// exactly-zero accumulators, which is why sparse omission is lossless).
-func denseV1(a *Allocation, snap *AllocationSnapshot) *AllocationSnapshot {
-	dense := make([]MachineState, a.sys.Machines)
-	for j := range dense {
-		dense[j] = MachineState{Util: encBits(0)}
-	}
-	for _, ms := range snap.Machines {
-		j := ms.Machine
-		ms.Machine = 0
-		dense[j] = ms
-	}
-	snap.Version = 0
-	snap.Machines = dense
-	return snap
-}
-
 func TestSnapshotVersioning(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sys := randomSystem(rng, 4, 5, 4)
@@ -130,41 +112,35 @@ func TestSnapshotVersioning(t *testing.T) {
 		return &cp
 	}
 
-	// An unknown future version is rejected with the typed error before any
-	// content is interpreted, not as a downstream shape or digest failure.
-	future := reload()
-	future.Version = SnapshotVersion + 1
-	_, err := FromSnapshot(sys, future)
-	var verr *SnapshotVersionError
-	if !errors.As(err, &verr) {
-		t.Fatalf("future version error = %v, want *SnapshotVersionError", err)
-	}
-	if verr.Version != SnapshotVersion+1 || verr.Supported != SnapshotVersion {
-		t.Errorf("SnapshotVersionError = %+v, want Version %d Supported %d",
-			verr, SnapshotVersion+1, SnapshotVersion)
+	// Every version but the current one — the unversioned and version-1 dense
+	// files of earlier builds, an unknown future version — is rejected with
+	// the typed error before any content is interpreted, not as a downstream
+	// shape or digest failure.
+	for _, v := range []int{-1, 0, 1, SnapshotVersion + 1} {
+		other := reload()
+		other.Version = v
+		_, err := FromSnapshot(sys, other)
+		var verr *SnapshotVersionError
+		if !errors.As(err, &verr) {
+			t.Fatalf("version %d error = %v, want *SnapshotVersionError", v, err)
+		}
+		if verr.Version != v || verr.Supported != SnapshotVersion {
+			t.Errorf("SnapshotVersionError = %+v, want Version %d Supported %d", verr, v, SnapshotVersion)
+		}
 	}
 
-	// Version-2 machine entries must be strictly ascending and in range.
+	// Machine entries must be strictly ascending and in range.
 	if len(snap.Machines) >= 2 {
 		swapped := reload()
 		swapped.Machines[0], swapped.Machines[1] = swapped.Machines[1], swapped.Machines[0]
 		if _, err := FromSnapshot(sys, swapped); err == nil {
-			t.Error("out-of-order v2 machine entries accepted")
+			t.Error("out-of-order machine entries accepted")
 		}
 	}
 	oob := reload()
 	oob.Machines[len(oob.Machines)-1].Machine = sys.Machines
 	if _, err := FromSnapshot(sys, oob); err == nil {
-		t.Error("out-of-range v2 machine entry accepted")
-	}
-
-	// The version-1 dense shape restores to the same fingerprint as v2.
-	restored, err := FromSnapshot(sys, denseV1(a, reload()))
-	if err != nil {
-		t.Fatalf("FromSnapshot(v1): %v", err)
-	}
-	if !bytes.Equal(fingerprint(t, a), fingerprint(t, restored)) {
-		t.Error("v1-shaped snapshot restored to a different fingerprint")
+		t.Error("out-of-range machine entry accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
 // BenchmarkSparseScale measures what the sparse route-state refactor is for:
 // the cost of owning, copying, and mutating an Allocation as the machine
 // count grows past the paper's Table 1 sizes while route usage stays sparse.
-// Recorded dense-vs-sparse in BENCH_sparse.json; the CI benchmark smoke runs
-// every case once to keep it compiling and honest.
+// The dense-vs-sparse numbers are quoted in DESIGN.md §13; the CI benchmark
+// smoke runs every case once to keep it compiling and honest.
 package feasibility_test
 
 import (

@@ -3,7 +3,7 @@
 // keyed op sequences before the refactor and its observable output captured
 // as digests below. The sparse per-machine adjacency must reproduce every one
 // of them bitwise — violations, metric, tightness caches, Stage1Feasible, and
-// the full soak.AllocationDigest state fingerprint after every round. The
+// the full feasibility.StateDigest state fingerprint after every round. The
 // test lives in the external test package so it sees exactly the exported
 // surface consumers see.
 package feasibility_test
@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
@@ -22,7 +23,6 @@ import (
 
 	"repro/internal/feasibility"
 	"repro/internal/rng"
-	"repro/internal/soak"
 	"repro/internal/workload"
 )
 
@@ -78,8 +78,8 @@ func replaySparseOps(t *testing.T, cfg workload.Config, seed int64, rounds int) 
 		applySparseOps(r, a)
 		digestObservable(h, a, round)
 		if round%8 == 0 {
-			want := soak.AllocationDigest(a)
-			if got := soak.AllocationDigest(a.Clone()); got != want {
+			want := feasibility.StateDigest(a)
+			if got := feasibility.StateDigest(a.Clone()); got != want {
 				t.Fatalf("round %d: Clone digest %s, original %s", round, got, want)
 			}
 		}
@@ -142,7 +142,7 @@ func digestObservable(h hash.Hash, a *feasibility.Allocation, round int) {
 			fmt.Fprintf(h, "t%d,%016x|", k, math.Float64bits(a.Tightness(k)))
 		}
 	}
-	fmt.Fprintf(h, "%s|", soak.AllocationDigest(a))
+	fmt.Fprintf(h, "%s|", feasibility.StateDigest(a))
 }
 
 // TestSparseMatchesDenseGolden replays each keyed op sequence and requires
@@ -178,29 +178,14 @@ func snapshotGoldenSystem() *feasibility.Allocation {
 	return a
 }
 
-// TestSnapshotV1Golden restores the version-1 snapshot file captured from the
-// dense implementation and requires the exact recorded state digest — the
-// compatibility contract for shipd -restore across the representation change.
-// Set UPDATE_SPARSE_TESTDATA=1 to (re)write the file; this must only ever be
-// done from the dense implementation, or the file stops being a v1 witness.
+// TestSnapshotV1Golden feeds FromSnapshot the version-1 snapshot file captured
+// from the dense implementation (no version field, positional machines): the
+// format is no longer read, so it must be refused with the typed version
+// error rather than misread as sparse — as must a future version. The digest
+// the dense implementation recorded beside it still pins the live replay of
+// the same deterministic state, through a current-format round trip.
 func TestSnapshotV1Golden(t *testing.T) {
-	path := filepath.Join("testdata", "snapshot_v1.json")
-	live := snapshotGoldenSystem()
-	if os.Getenv("UPDATE_SPARSE_TESTDATA") == "1" {
-		out := snapshotGoldenFile{Digest: soak.AllocationDigest(live), Snap: live.Snapshot()}
-		data, err := json.MarshalIndent(&out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (digest %s)", path, out.Digest)
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,24 +193,26 @@ func TestSnapshotV1Golden(t *testing.T) {
 	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := feasibility.FromSnapshot(live.System(), file.Snap)
-	if err != nil {
-		t.Fatalf("FromSnapshot(v1): %v", err)
+	live := snapshotGoldenSystem()
+	for _, version := range []int{0, 3} {
+		file.Snap.Version = version // 0 is the file as written
+		_, err := feasibility.FromSnapshot(live.System(), file.Snap)
+		var verr *feasibility.SnapshotVersionError
+		if !errors.As(err, &verr) {
+			t.Fatalf("FromSnapshot(version %d) error = %v, want *SnapshotVersionError", version, err)
+		}
+		if verr.Version != version || verr.Supported != 2 {
+			t.Errorf("SnapshotVersionError = %+v, want Version %d Supported 2", verr, version)
+		}
 	}
-	if got := soak.AllocationDigest(restored); got != file.Digest {
-		t.Errorf("restored digest %s, recorded %s", got, file.Digest)
-	}
-	// The live replay and the snapshot witness the same deterministic state.
-	if got := soak.AllocationDigest(live); got != file.Digest {
+	if got := feasibility.StateDigest(live); got != file.Digest {
 		t.Errorf("live replay digest %s, recorded %s", got, file.Digest)
 	}
-	// Round-trip through the current writer: snapshotting the restored
-	// allocation and restoring again must preserve the digest bit-for-bit.
-	again, err := feasibility.FromSnapshot(live.System(), restored.Snapshot())
+	again, err := feasibility.FromSnapshot(live.System(), live.Snapshot())
 	if err != nil {
 		t.Fatalf("FromSnapshot(round trip): %v", err)
 	}
-	if got := soak.AllocationDigest(again); got != file.Digest {
+	if got := feasibility.StateDigest(again); got != file.Digest {
 		t.Errorf("round-trip digest %s, recorded %s", got, file.Digest)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/feasibility"
 	"repro/internal/rng"
-	"repro/internal/soak"
 )
 
 // heapAllocNow returns the live heap after a forced collection, so two
@@ -79,7 +78,7 @@ func TestFleetScaleSmoke(t *testing.T) {
 		t.Fatal("no admission succeeded; the loop exercised nothing")
 	}
 	cp := a.Clone()
-	if got, want := soak.AllocationDigest(cp), soak.AllocationDigest(a); got != want {
+	if got, want := feasibility.StateDigest(cp), feasibility.StateDigest(a); got != want {
 		t.Fatalf("clone digest %s, original %s", got, want)
 	}
 	after := heapAllocNow()

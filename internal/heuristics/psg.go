@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/genitor"
 	"repro/internal/model"
-	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
+	"repro/internal/workers"
 )
 
 // ErrCanceled is returned by the ...Context search variants when their
@@ -29,7 +29,7 @@ type PSGConfig struct {
 	// trials run concurrently, and when workers outnumber trials the surplus
 	// is spent on batched candidate evaluation inside each trial (up to the
 	// three candidates a GENITOR step produces). Zero or negative means all
-	// available cores (pool.Workers). The result is bit-identical for every
+	// available cores (workers.Workers). The result is bit-identical for every
 	// value: trials have independent seeded RNG streams, decoding is a pure
 	// function of the chromosome, and the best trial is chosen in trial
 	// order.
@@ -147,8 +147,8 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, s
 	if cfg.Trials < 1 {
 		cfg.Trials = 1
 	}
-	workers := pool.Workers(cfg.Workers)
-	lanes := lanesPerTrial(workers, cfg.Trials)
+	n := workers.Workers(cfg.Workers)
+	lanes := lanesPerTrial(n, cfg.Trials)
 	tel := newPSGTelemetry()
 	runSpan := telemetry.BeginSpan("psg.run")
 	type trialOut struct {
@@ -158,7 +158,7 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, s
 		cp    *genitor.Checkpoint // non-nil when the trial stopped resumably
 	}
 	outs := make([]trialOut, cfg.Trials)
-	mapErr := pool.Map(workers, cfg.Trials, func(trial int) {
+	mapErr := workers.Map(n, cfg.Trials, func(trial int) {
 		if prior != nil && trial < len(prior.Trials) && prior.Trials[trial].Done {
 			t := prior.Trials[trial]
 			outs[trial] = trialOut{perm: t.Perm, fit: t.Fitness, stats: t.Stats}

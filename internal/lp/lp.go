@@ -83,14 +83,6 @@ type Config struct {
 	// quantity directly comparable to the heuristics' total-worth metric.
 	// Ignored for MaximizeSlackness.
 	LiteralObjective bool
-	// Solver selects the LP algorithm: the revised simplex (default), the
-	// dense-tableau reference simplex, or the interior-point method the
-	// paper cites as the Simplex alternative. The interior-point method
-	// cannot report Infeasible (it errors instead), so the slackness bound
-	// on overloaded systems should use a simplex solver.
-	Solver Solver
-	// UseDense is a deprecated alias for Solver = DenseSimplex.
-	UseDense bool
 	// MaxVariables guards against accidentally building an intractable LP;
 	// 0 means the default of 400,000.
 	MaxVariables int
@@ -99,32 +91,8 @@ type Config struct {
 	// identical shape (same machine count and the same strings with the same
 	// application counts — only parameter values may differ, e.g. a surge
 	// rescale). An unusable basis silently falls back to the cold solve;
-	// Bound.WarmStarted reports the path taken. Ignored by the dense and
-	// interior solvers.
+	// Bound.WarmStarted reports the path taken.
 	WarmBasis []int
-}
-
-// Solver selects the LP algorithm for UpperBound.
-type Solver int
-
-const (
-	// RevisedSimplex is the production solver (two-phase revised simplex).
-	RevisedSimplex Solver = iota
-	// DenseSimplex is the dense-tableau reference implementation.
-	DenseSimplex
-	// InteriorPoint is the primal-dual path-following method.
-	InteriorPoint
-)
-
-func (s Solver) String() string {
-	switch s {
-	case DenseSimplex:
-		return "dense-simplex"
-	case InteriorPoint:
-		return "interior-point"
-	default:
-		return "revised-simplex"
-	}
 }
 
 // Bound is the result of an upper-bound computation.
@@ -146,12 +114,11 @@ type Bound struct {
 	// MachineShadowPrice[j] is the dual value of machine j's capacity row:
 	// the rate of objective improvement per unit of added CPU capacity — the
 	// capacity-planning signal identifying bottleneck machines. Nil when the
-	// solver does not produce duals (interior point) or the LP is not
-	// optimal.
+	// LP is not optimal.
 	MachineShadowPrice []float64
 	// Basis is the optimal simplex basis, usable as Config.WarmBasis for a
 	// re-solve after a parameter change on the same system shape. Nil unless
-	// the revised simplex found an optimum.
+	// the LP is optimal.
 	Basis []int
 	// WarmStarted reports that a supplied Config.WarmBasis was actually used
 	// (false when it was absent or the solver fell back to the cold path).
@@ -173,8 +140,34 @@ type builder struct {
 	machineRow []int
 }
 
-// UpperBound builds and solves the configured LP for the system.
+// UpperBound builds the configured LP for the system and solves it with the
+// revised simplex, warm-started from cfg.WarmBasis when one is supplied.
 func UpperBound(sys *model.System, cfg Config) (*Bound, error) {
+	b, err := build(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var sol *simplex.Solution
+	if cfg.WarmBasis != nil {
+		sol, err = b.prob.SolveWithBasis(cfg.WarmBasis)
+		if sol != nil && telemetry.Enabled() {
+			if sol.Warm {
+				telemetry.C("lp.warm_used").Inc()
+			} else {
+				telemetry.C("lp.warm_fallback").Inc()
+			}
+		}
+	} else {
+		sol, err = b.prob.Solve()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lp: %w", err)
+	}
+	return b.bound(sol), nil
+}
+
+// build assembles the LP: objective plus constraint families (a)-(g).
+func build(sys *model.System, cfg Config) (*builder, error) {
 	b, err := newBuilder(sys, cfg)
 	if err != nil {
 		return nil, err
@@ -185,34 +178,13 @@ func UpperBound(sys *model.System, cfg Config) (*Bound, error) {
 	if cfg.Formulation == Full {
 		b.addTransferConstraints()
 	}
+	return b, nil
+}
 
-	solver := cfg.Solver
-	if cfg.UseDense {
-		solver = DenseSimplex
-	}
-	var sol *simplex.Solution
-	switch solver {
-	case DenseSimplex:
-		sol, err = b.prob.SolveDense()
-	case InteriorPoint:
-		sol, err = b.prob.SolveInterior()
-	default:
-		if cfg.WarmBasis != nil {
-			sol, err = b.prob.SolveWithBasis(cfg.WarmBasis)
-			if sol != nil && telemetry.Enabled() {
-				if sol.Warm {
-					telemetry.C("lp.warm_used").Inc()
-				} else {
-					telemetry.C("lp.warm_fallback").Inc()
-				}
-			}
-		} else {
-			sol, err = b.prob.Solve()
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lp: %w", err)
-	}
+// bound maps a solution of b.prob back onto the system. It is solver-agnostic
+// so the tests can cross-check the reference solvers on the same built LP.
+func (b *builder) bound(sol *simplex.Solution) *Bound {
+	sys := b.sys
 	out := &Bound{
 		Status:      sol.Status,
 		Iterations:  sol.Iterations,
@@ -222,7 +194,7 @@ func UpperBound(sys *model.System, cfg Config) (*Bound, error) {
 		WarmStarted: sol.Warm,
 	}
 	if sol.Status != simplex.Optimal {
-		return out, nil
+		return out
 	}
 	out.Objective = sol.Objective
 	if sol.Duals != nil {
@@ -246,7 +218,7 @@ func UpperBound(sys *model.System, cfg Config) (*Bound, error) {
 			out.StringFraction[k] += out.X[k][0][j]
 		}
 	}
-	return out, nil
+	return out
 }
 
 func newBuilder(sys *model.System, cfg Config) (*builder, error) {

@@ -302,18 +302,25 @@ func TestFullSolutionRealizable(t *testing.T) {
 	}
 }
 
-// TestDenseSolverOption cross-checks the dense solver path on a small bound.
+// TestDenseSolverOption: the dense-tableau reference solver agrees with
+// the shipped revised simplex on the built LP of a small bound.
 func TestDenseSolverOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	sys := randomSmallSystem(rng, 2, 3, 2)
-	fast, err := UpperBound(sys, Config{Formulation: Full, Objective: MaximizeWorth})
+	cfg := Config{Formulation: Full, Objective: MaximizeWorth}
+	fast, err := UpperBound(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := UpperBound(sys, Config{Formulation: Full, Objective: MaximizeWorth, UseDense: true})
+	b, err := build(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sol, err := b.prob.SolveDense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := b.bound(sol)
 	if !approx(fast.Objective, slow.Objective, 1e-6*(1+fast.Objective)) {
 		t.Errorf("revised %v vs dense %v", fast.Objective, slow.Objective)
 	}
@@ -322,26 +329,26 @@ func TestDenseSolverOption(t *testing.T) {
 	}
 }
 
-// TestInteriorPointSolverOption: the interior-point path must agree with the
+// TestInteriorPointSolverOption: the interior-point method must agree with the
 // simplex on the worth bound of a generated instance.
 func TestInteriorPointSolverOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	sys := randomSmallSystem(rng, 3, 5, 3)
-	want, err := UpperBound(sys, Config{Formulation: Relaxed, Objective: MaximizeWorth})
+	cfg := Config{Formulation: Relaxed, Objective: MaximizeWorth}
+	want, err := UpperBound(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UpperBound(sys, Config{Formulation: Relaxed, Objective: MaximizeWorth, Solver: InteriorPoint})
+	b, err := build(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(got.Objective, want.Objective, 1e-4*(1+want.Objective)) {
+	sol, err := b.prob.SolveInterior()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.bound(sol); !approx(got.Objective, want.Objective, 1e-4*(1+want.Objective)) {
 		t.Errorf("interior %v vs simplex %v", got.Objective, want.Objective)
-	}
-	for _, s := range []Solver{RevisedSimplex, DenseSimplex, InteriorPoint} {
-		if s.String() == "" {
-			t.Error("empty solver name")
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ package pool
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/feasibility"
 	"repro/internal/model"
@@ -245,34 +244,27 @@ type Result struct {
 }
 
 // MapSequencePooled maps strings in order with the paper's stop-on-failure
-// semantics, at pool granularity.
+// semantics, at pool granularity. Like heuristics.MapSequence, each placement
+// is evaluated in one analyzer window and a failed one is undone
+// bit-identically.
 func MapSequencePooled(sys *model.System, part *Partition, order []int) (*Result, error) {
 	a, err := NewAllocator(sys, part)
 	if err != nil {
 		return nil, err
 	}
+	da := feasibility.Track(a.Alloc)
+	defer da.Close()
 	mapped := make([]bool, len(sys.Strings))
 	num := 0
 	for _, k := range order {
 		a.MapStringPooled(k)
-		if !a.Alloc.FeasibleAfterAdding(k) {
-			a.Alloc.UnassignString(k)
+		if !da.FeasibleAfterDelta() {
+			da.Undo()
 			break
 		}
+		da.Commit()
 		mapped[k] = true
 		num++
 	}
 	return &Result{Alloc: a.Alloc, Mapped: mapped, NumMapped: num, Metric: a.Alloc.Metric()}, nil
-}
-
-// MWFOrder re-exports the worth ordering for pooled mapping convenience.
-func MWFOrder(sys *model.System) []int {
-	order := make([]int, len(sys.Strings))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return sys.Strings[order[x]].Worth > sys.Strings[order[y]].Worth
-	})
-	return order
 }

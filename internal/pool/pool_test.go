@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/heuristics"
 	"repro/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func TestPooledMappingFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := MapSequencePooled(sys, part, MWFOrder(sys))
+	r, err := MapSequencePooled(sys, part, heuristics.MWFOrder(sys))
 	if err != nil {
 		t.Fatal(err)
 	}

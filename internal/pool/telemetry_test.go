@@ -1,9 +1,13 @@
+// The worker fan-out lives in internal/workers but still reports under the
+// pool.* metric names of DESIGN.md §8; these tests pin those names.
+
 package pool
 
 import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/workers"
 )
 
 // TestMapTelemetry: with a registry enabled, Map reports its shape (workers,
@@ -15,7 +19,7 @@ func TestMapTelemetry(t *testing.T) {
 	t.Cleanup(func() { telemetry.EnableRegistry(prev) })
 	const tasks = 64
 	got := make([]int, tasks)
-	Map(4, tasks, func(i int) { got[i] = i * i })
+	workers.Map(4, tasks, func(i int) { got[i] = i * i })
 	for i := range got {
 		if got[i] != i*i {
 			t.Fatalf("task %d ran wrong: %d", i, got[i])
@@ -48,7 +52,7 @@ func TestMapWithTelemetryMatchesDisabled(t *testing.T) {
 	const tasks = 32
 	run := func() []int {
 		out := make([]int, tasks)
-		Map(3, tasks, func(i int) { out[i] = 3*i + 1 })
+		workers.Map(3, tasks, func(i int) { out[i] = 3*i + 1 })
 		return out
 	}
 	telemetry.Disable()

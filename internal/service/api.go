@@ -194,12 +194,9 @@ type StateResponse struct {
 	WorthBound float64 `json:"worthBound,omitempty"`
 	// Digest is the feasibility.StateDigest fingerprint of the live
 	// allocation; bit-identical states have equal digests.
-	Digest       string `json:"digest"`
-	MachinesDown int    `json:"machinesDown"`
-	RoutesDown   int    `json:"routesDown"`
-	// FullAnalysis reports the evaluation mode (true only under the
-	// benchmark/verification fallback that re-runs the full analysis).
-	FullAnalysis bool           `json:"fullAnalysis,omitempty"`
+	Digest       string         `json:"digest"`
+	MachinesDown int            `json:"machinesDown"`
+	RoutesDown   int            `json:"routesDown"`
 	StringStates []StringStatus `json:"stringStates"`
 }
 

@@ -31,60 +31,54 @@ func benchSystem(m int) *model.System {
 	return sys
 }
 
-// BenchmarkServiceAdmit measures served admission throughput on a loaded
-// M-machine, 2M-string system: each iteration admits one held-out string and
-// removes it again through the full service path (request channel, masked IMR
-// placement, evaluation, commit, decision assembly). The delta arm evaluates
-// with FeasibleAfterDelta; the full arm is the FullAnalysis fallback a daemon
-// without the incremental analyzer would run, re-analyzing both state
-// changes. Results are recorded in BENCH_service.json; the acceptance target
-// is delta >= 5x full at M=512.
-func BenchmarkServiceAdmit(b *testing.B) {
-	for _, m := range []int{64, 512} {
-		for _, arm := range []struct {
-			name string
-			full bool
-		}{
-			{"delta", false},
-			{"full", true},
-		} {
-			b.Run(fmt.Sprintf("%s/M=%d", arm.name, m), func(b *testing.B) {
-				svc, err := New(Config{System: benchSystem(m), FullAnalysis: arm.full})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				for k := 0; k < 2*m; k++ {
-					if d, err := svc.Admit(k); err != nil || !d.Accepted {
-						b.Fatalf("admit %d: %v %+v", k, err, d)
-					}
-				}
-				if _, err := svc.Remove(0); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					d, err := svc.Admit(0)
-					if err != nil || !d.Accepted {
-						b.Fatalf("admit: %v %+v", err, d)
-					}
-					if _, err := svc.Remove(0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+// benchAdmitRemove loads all 2M strings, frees string 0, and times admitting
+// and removing it again.
+func benchAdmitRemove(b *testing.B, svc *Service, m int) {
+	for k := 0; k < 2*m; k++ {
+		if d, err := svc.Admit(k); err != nil || !d.Accepted {
+			b.Fatalf("admit %d: %v %+v", k, err, d)
+		}
+	}
+	if _, err := svc.Remove(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		d, err := svc.Admit(0)
+		if err != nil || !d.Accepted {
+			b.Fatalf("admit: %v %+v", err, d)
+		}
+		if _, err := svc.Remove(0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkServiceAdmitJournaled is BenchmarkServiceAdmit's delta arm with the
+// BenchmarkServiceAdmit measures served admission throughput on a loaded
+// M-machine, 2M-string system: each iteration admits one held-out string and
+// removes it again through the full service path (request channel, masked IMR
+// placement, delta evaluation, commit, decision assembly). The full-analysis
+// baseline for the same evaluation is cmd/shipbench's feasibility.full_eval_us.
+func BenchmarkServiceAdmit(b *testing.B) {
+	for _, m := range []int{64, 512} {
+		b.Run(fmt.Sprintf("delta/M=%d", m), func(b *testing.B) {
+			svc, err := New(Config{System: benchSystem(m)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			benchAdmitRemove(b, svc, m)
+		})
+	}
+}
+
+// BenchmarkServiceAdmitJournaled is BenchmarkServiceAdmit with the
 // write-ahead journal on, one sub-benchmark per fsync policy. The difference
 // against BenchmarkServiceAdmit delta/M=512 is the full durability overhead on
 // the serve path — record marshal, chained check, append, and (policy-
-// dependent) fsync. Results are recorded in BENCH_journal.json; the acceptance
-// target is batch <= 2x the unjournaled path at M=512. Compaction is disabled
-// so the numbers isolate the append path.
+// dependent) fsync. The acceptance target is batch <= 2x the unjournaled path
+// at M=512. Compaction is disabled so the numbers isolate the append path.
 func BenchmarkServiceAdmitJournaled(b *testing.B) {
 	for _, m := range []int{64, 512} {
 		for _, policy := range []journal.FsyncPolicy{journal.FsyncAlways, journal.FsyncBatch, journal.FsyncNone} {
@@ -100,25 +94,7 @@ func BenchmarkServiceAdmitJournaled(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer svc.Close()
-				for k := 0; k < 2*m; k++ {
-					if d, err := svc.Admit(k); err != nil || !d.Accepted {
-						b.Fatalf("admit %d: %v %+v", k, err, d)
-					}
-				}
-				if _, err := svc.Remove(0); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					d, err := svc.Admit(0)
-					if err != nil || !d.Accepted {
-						b.Fatalf("admit: %v %+v", err, d)
-					}
-					if _, err := svc.Remove(0); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchAdmitRemove(b, svc, m)
 			})
 		}
 	}

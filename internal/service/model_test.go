@@ -1,0 +1,205 @@
+package service
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/feasibility"
+	"repro/internal/heuristics"
+	"repro/internal/model"
+	"repro/internal/rng"
+	"repro/internal/workload"
+)
+
+// refService is the oracle the real service is driven beside: no analyzer, no
+// window, no journal, no incremental mirrors. Every op is tried on a Clone of
+// the reference allocation (a bit-exact copy, so an accepted trial simply
+// replaces it and a rejected one is dropped — the plain counterpart of
+// Commit/Undo), placed with the unmasked IMR, and judged by the full two-stage
+// analysis run from scratch. It owns its own copy of the catalog because
+// rescale edits demand floats in place.
+type refService struct {
+	sys    *model.System
+	alloc  *feasibility.Allocation
+	mapped map[int]bool
+}
+
+// refOutcome is what one op must agree on with the real Decision.
+type refOutcome struct {
+	conflict   bool // the real service must answer with an error envelope
+	accepted   bool
+	violations []feasibility.Violation
+}
+
+func newRefService(sys *model.System) *refService {
+	sys = sys.Clone()
+	return &refService{sys: sys, alloc: feasibility.New(sys), mapped: map[int]bool{}}
+}
+
+// place tries string k on a clone and keeps the clone iff the whole
+// allocation passes the full analysis.
+func (r *refService) place(k int, base *feasibility.Allocation) refOutcome {
+	trial := base.Clone()
+	heuristics.MapStringIMR(trial, k)
+	if !trial.TwoStageFeasible() {
+		return refOutcome{violations: trial.Violations()}
+	}
+	r.alloc = trial
+	return refOutcome{accepted: true}
+}
+
+func (r *refService) admit(k int) refOutcome {
+	if r.mapped[k] {
+		return refOutcome{conflict: true}
+	}
+	out := r.place(k, r.alloc)
+	if out.accepted {
+		r.mapped[k] = true
+	}
+	return out
+}
+
+func (r *refService) remove(k int) refOutcome {
+	if !r.mapped[k] {
+		return refOutcome{conflict: true}
+	}
+	r.alloc.UnassignString(k)
+	delete(r.mapped, k)
+	return refOutcome{accepted: true}
+}
+
+func (r *refService) scaleString(k int, factor float64) {
+	apps := r.sys.Strings[k].Apps
+	for i := range apps {
+		for j := range apps[i].NominalTime {
+			apps[i].NominalTime[j] *= factor
+		}
+		apps[i].OutputKB *= factor
+	}
+}
+
+func (r *refService) rescale(k int, factor float64) refOutcome {
+	if !r.mapped[k] {
+		r.scaleString(k, factor)
+		return refOutcome{accepted: true}
+	}
+	apps := r.sys.Strings[k].Apps
+	saved := make([]model.Application, len(apps))
+	for i := range apps {
+		saved[i] = apps[i]
+		saved[i].NominalTime = append([]float64(nil), apps[i].NominalTime...)
+	}
+	without := r.alloc.Clone()
+	without.UnassignString(k) // demand leaves the accumulators at the old scale
+	r.scaleString(k, factor)
+	out := r.place(k, without)
+	if !out.accepted {
+		copy(apps, saved)
+	}
+	return out
+}
+
+// modelOp draws the next op of the keyed stream. The string and the op kind
+// are independent, so a share of ops lands on the wrong half of the catalog
+// (conflicts, catalog-only rescales); rescale factors lean upward so load
+// compounds until placements start being rejected.
+func modelOp(r *rand.Rand, n int) (op string, k int, factor float64) {
+	k = r.Intn(n)
+	switch p := r.Intn(10); {
+	case p < 5:
+		return opAdmit, k, 0
+	case p < 7:
+		return opRemove, k, 0
+	default:
+		return opRescale, k, 0.7 + 2.3*r.Float64()
+	}
+}
+
+// TestLockstepAgainstReferenceModel drives the real service and the
+// reference side by side over one keyed admit/remove/rescale stream and
+// requires, after every op, the same verdict, the same violation list and the
+// same bit-exact state digest. This is the cross-check the delta serve path
+// is held to: the full analysis lives here, as the oracle, and nowhere in the
+// shipped daemon.
+func TestLockstepAgainstReferenceModel(t *testing.T) {
+	paper := workload.ScenarioConfig(workload.HighlyLoaded)
+	for _, tc := range []struct {
+		name     string
+		cfg      workload.Config
+		machines int
+	}{
+		{"paper-m12", paper, 12},
+		{"fleet-m64", workload.FleetConfig(64, 2), 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed, ops = 17, 600
+			sys := workload.MustGenerate(tc.cfg, seed)
+			if sys.Machines != tc.machines {
+				t.Fatalf("workload has %d machines, want %d", sys.Machines, tc.machines)
+			}
+			ref := newRefService(sys)
+			svc, err := New(Config{System: sys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			r := rng.NewRand(seed, "service/model", 0)
+			var accepted, rejected, conflicts int
+			for step := 0; step < ops; step++ {
+				op, k, factor := modelOp(r, len(sys.Strings))
+				var want refOutcome
+				var got Decision
+				switch op {
+				case opAdmit:
+					want = ref.admit(k)
+					got, err = svc.Admit(k)
+				case opRemove:
+					want = ref.remove(k)
+					got, err = svc.Remove(k)
+				case opRescale:
+					want = ref.rescale(k, factor)
+					got, err = svc.Rescale(k, factor)
+				}
+				label := fmt.Sprintf("step %d %s(%d, %.3f)", step, op, k, factor)
+				if want.conflict {
+					conflicts++
+					if err == nil {
+						t.Fatalf("%s: accepted as %+v, reference says conflict", label, got)
+					}
+				} else {
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Accepted != want.accepted {
+						t.Fatalf("%s: Accepted = %v, full analysis says %v", label, got.Accepted, want.accepted)
+					}
+					if !reflect.DeepEqual(got.Violations, fromViolations(want.violations)) {
+						t.Fatalf("%s: Violations = %+v, full analysis says %+v", label, got.Violations, want.violations)
+					}
+					if got.Accepted {
+						accepted++
+					} else {
+						rejected++
+					}
+				}
+				state, err := svc.State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := feasibility.StateDigest(ref.alloc); state.Digest != want {
+					t.Fatalf("%s: digest %s, reference %s", label, state.Digest, want)
+				}
+				if want := ref.alloc.TwoStageFeasible(); state.Feasible != want {
+					t.Fatalf("%s: Feasible = %v, full analysis says %v", label, state.Feasible, want)
+				}
+			}
+			// The stream must actually reach every branch it claims to check.
+			t.Logf("%d accepted, %d rejected, %d conflicts", accepted, rejected, conflicts)
+			if accepted == 0 || rejected == 0 || conflicts == 0 {
+				t.Error("weak stream: a verdict kind never occurred")
+			}
+		})
+	}
+}

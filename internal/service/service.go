@@ -5,8 +5,8 @@
 // window and then either Commits (accepted) or Undoes (rejected,
 // bit-identical rollback), so the next operation always starts from a settled
 // base. The serve path never runs a full two-stage re-analysis and never
-// rebases the analyzer; full analysis exists only behind the FullAnalysis
-// fallback used to benchmark and cross-check the delta path.
+// rebases the analyzer; the full analysis is the oracle the lockstep test in
+// model_test.go re-runs from scratch beside it.
 package service
 
 import (
@@ -48,10 +48,6 @@ type Config struct {
 	// LPBound enables the relaxed-LP upper bound on total worth, re-solved
 	// with a warm-started simplex basis when a rescale changes the system.
 	LPBound bool
-	// FullAnalysis switches every admission evaluation from the incremental
-	// delta path to a full two-stage re-analysis. It exists to benchmark and
-	// cross-check the delta path; production daemons leave it false.
-	FullAnalysis bool
 	// EventBuffer is the capacity of the decision event ring (default 1024).
 	EventBuffer int
 	// SnapshotPath is the default target of POST /v1/snapshot.
@@ -440,34 +436,6 @@ func (st *state) recount() {
 	}
 }
 
-// feasibleNow evaluates the current analyzer window: the delta path by
-// default, the full two-stage analysis under the FullAnalysis fallback.
-func (st *state) feasibleNow() bool {
-	if st.cfg.FullAnalysis {
-		return st.alloc.TwoStageFeasible()
-	}
-	return st.da.FeasibleAfterDelta()
-}
-
-// violationsNow reports the stage-2 violations of the current window.
-func (st *state) violationsNow() []feasibility.Violation {
-	if st.cfg.FullAnalysis {
-		return st.alloc.Violations()
-	}
-	return st.da.ViolationsAfterDelta()
-}
-
-// metricNow evaluates the performance metric of the settled state. It is a
-// control-plane view (GET /v1/state): serving decisions report the
-// incremental worth mirror and a direct Slackness call instead, which compute
-// the same numbers without the metric's O(K) completeness scan.
-func (st *state) metricNow() feasibility.Metric {
-	if st.cfg.FullAnalysis {
-		return st.alloc.Metric()
-	}
-	return st.da.MetricAfterDelta()
-}
-
 // solveBound (re-)solves the relaxed worth LP, warm-starting from the
 // previous optimal basis when one exists. The bound is advisory: a solver
 // failure clears it rather than failing the operation.
@@ -538,8 +506,8 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 		return st.reject("admit", k, worthBefore, st.alloc.Slackness(),
 			"no feasible placement on surviving resources", nil), nil
 	}
-	if !st.feasibleNow() {
-		viol := st.violationsNow()
+	if !st.da.FeasibleAfterDelta() {
+		viol := st.da.ViolationsAfterDelta()
 		st.da.Undo()
 		return st.reject("admit", k, worthBefore, st.alloc.Slackness(),
 			"placement violates QoS of co-resident strings", viol), nil
@@ -571,11 +539,6 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 	st.mapped[k] = false
 	st.worth -= st.sys.Strings[k].Worth
 	st.nMapped--
-	// Removal cannot introduce violations, but the evaluation keeps the
-	// analyzer's feasibility baseline current (and, under the FullAnalysis
-	// fallback, re-runs the full analysis as a daemon without the delta
-	// path would have to).
-	_ = st.feasibleNow()
 	st.da.Commit()
 	d := Decision{
 		Op:          "remove",
@@ -655,7 +618,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	st.alloc.UnassignString(k)
 	st.scaleString(k, factor)
 	placed := heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK)
-	if placed && st.feasibleNow() {
+	if placed && st.da.FeasibleAfterDelta() {
 		st.da.Commit()
 		st.scale[k] *= factor
 		if st.cfg.LPBound {
@@ -674,7 +637,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	var viol []feasibility.Violation
 	reason := "no feasible placement for rescaled demand"
 	if placed {
-		viol = st.violationsNow()
+		viol = st.da.ViolationsAfterDelta()
 		reason = "rescaled placement violates QoS"
 	}
 	// Restore the catalog floats first so the system the rolled-back
@@ -779,7 +742,7 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 }
 
 func (st *state) stateResponse() StateResponse {
-	m := st.metricNow()
+	m := st.alloc.Metric()
 	resp := StateResponse{
 		SchemaVersion: SchemaVersion,
 		Seq:           st.seq,
@@ -788,11 +751,10 @@ func (st *state) stateResponse() StateResponse {
 		MappedCount:   st.nMapped,
 		Worth:         m.Worth,
 		Slackness:     m.Slackness,
-		Feasible:      st.feasibleNow(),
+		Feasible:      st.da.FeasibleAfterDelta(),
 		Digest:        feasibility.StateDigest(st.alloc),
 		MachinesDown:  st.down.MachinesDown(),
 		RoutesDown:    st.down.RoutesDown(),
-		FullAnalysis:  st.cfg.FullAnalysis,
 	}
 	for k := range st.sys.Strings {
 		resp.TotalWorth += st.sys.Strings[k].Worth

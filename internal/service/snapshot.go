@@ -232,8 +232,8 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 
 // Restore builds a Service from a snapshot file. The cfg.System field is
 // ignored — the snapshot carries its own catalog — while the serving knobs
-// (overload, repair, LP bound, fallback mode) come from cfg. The restored
-// allocation must reproduce the digest recorded in the file.
+// (overload, repair, LP bound) come from cfg. The restored allocation must
+// reproduce the digest recorded in the file.
 func Restore(path string, cfg Config) (*Service, error) {
 	file, err := loadSnapshotFile(path)
 	if err != nil {

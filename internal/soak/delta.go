@@ -7,8 +7,8 @@ package soak
 // FeasibleAfterDelta must agree with the full two-stage analysis, and Undo
 // must restore the committed allocation bit-identically — so every soak run,
 // every determinism replay, and every CI soak smoke doubles as an equivalence
-// check. The digest covers MetricAfterDelta, which extends the multi-worker
-// determinism contract to the incremental metric path.
+// check. The digest covers the metric of every window, which extends the
+// multi-worker determinism contract to the incremental path.
 
 import (
 	"bytes"
@@ -20,16 +20,6 @@ import (
 
 // deltaRounds is the number of commit/undo windows the stage replays.
 const deltaRounds = 12
-
-// AllocationDigest fingerprints an allocation's complete observable state —
-// per-string assignments and cached tightness, per-machine and per-route
-// utilizations and rosters — via feasibility's canonical WriteState encoding.
-// Two allocations share a digest exactly when they are bit-identical. It is a
-// byte-compatible alias of feasibility.StateDigest, which owns the encoding
-// so the service and journal layers can use it without importing soak.
-func AllocationDigest(a *feasibility.Allocation) string {
-	return feasibility.StateDigest(a)
-}
 
 // deltaStage exercises the delta analyzer over a clone of the search
 // allocation with randomized assign/unassign windows drawn from the delta
@@ -64,7 +54,7 @@ func deltaStage(alloc *feasibility.Allocation, seed int64) (string, error) {
 		if full := a.TwoStageFeasible(); feas != full {
 			return "", fmt.Errorf("soak: delta stage round %d: FeasibleAfterDelta %v, full analysis %v", round, feas, full)
 		}
-		m := da.MetricAfterDelta()
+		m := a.Metric()
 		ds, dm, dr := da.Dirty()
 		d.add(feas, ds, dm, dr)
 		d.addFloats(m.Worth, m.Slackness)
@@ -81,6 +71,6 @@ func deltaStage(alloc *feasibility.Allocation, seed int64) (string, error) {
 			d.add("commit")
 		}
 	}
-	d.add(AllocationDigest(a))
+	d.add(feasibility.StateDigest(a))
 	return d.sum(), nil
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/feasibility"
-	"repro/internal/model"
 	"repro/internal/rng"
 )
 
@@ -49,40 +47,6 @@ func TestRunRepeatable(t *testing.T) {
 	}
 	if c.Fingerprint == a.Fingerprint {
 		t.Error("different seeds produced identical fingerprints (suspicious)")
-	}
-}
-
-// TestAllocationDigest: the digest is stable on a clone, moves on any
-// mutation, and returns to the original after the analyzer rolls the
-// mutation back — the fingerprint the delta stage's Undo check relies on.
-func TestAllocationDigest(t *testing.T) {
-	sys := model.NewUniformSystem(3, 5)
-	for k := 0; k < 4; k++ {
-		sys.AddString(model.AppString{
-			Worth: 10, Period: 20, MaxLatency: 100,
-			Apps: []model.Application{model.UniformApp(3, 2, 0.4, 10), model.UniformApp(3, 3, 0.3, 10)},
-		})
-	}
-	a := feasibility.New(sys)
-	a.AssignString(0, []int{0, 1})
-	a.AssignString(1, []int{1, 2})
-	base := AllocationDigest(a)
-	if base == "" {
-		t.Fatal("empty digest")
-	}
-	if got := AllocationDigest(a.Clone()); got != base {
-		t.Errorf("clone digest %s, want %s", got, base)
-	}
-	da := feasibility.Track(a)
-	defer da.Close()
-	a.UnassignString(1)
-	a.AssignString(2, []int{2, 2})
-	if got := AllocationDigest(a); got == base {
-		t.Error("digest unchanged after mutation")
-	}
-	da.Undo()
-	if got := AllocationDigest(a); got != base {
-		t.Errorf("digest after Undo %s, want the pre-delta %s", got, base)
 	}
 }
 

@@ -1,5 +1,5 @@
 // External test package so the pool-backed race test can import
-// repro/internal/pool (which itself imports telemetry) without a cycle.
+// repro/internal/workers (which itself imports telemetry) without a cycle.
 package telemetry_test
 
 import (
@@ -8,8 +8,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/pool"
 	"repro/internal/telemetry"
+	"repro/internal/workers"
 )
 
 // disabled forces the package-global registry off for the duration of the
@@ -259,7 +259,7 @@ func TestCountersRaceCleanUnderPool(t *testing.T) {
 	const tasks = 256
 	c := telemetry.C("race.count")
 	h := telemetry.H("race.sizes", 64, 128)
-	pool.Map(8, tasks, func(i int) {
+	workers.Map(8, tasks, func(i int) {
 		c.Inc()
 		telemetry.C("race.count").Inc() // same counter via the accessor
 		telemetry.G("race.gauge").Set(float64(i))

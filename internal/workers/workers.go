@@ -1,12 +1,11 @@
-package pool
-
-// workers.go is the compute-side counterpart of the machine pools above: a
-// minimal worker-pool primitive the search heuristics use to fan independent
-// units of work (PSG trials, batched chromosome evaluations, experiment runs)
-// across OS threads. It is deliberately deterministic-friendly: Map only
-// decides *where* fn(i) runs, never what it computes, so callers that write
-// results into per-index storage get bit-identical output for every worker
-// count.
+// Package workers is a minimal worker-pool primitive the search heuristics
+// use to fan independent units of work (PSG trials, batched chromosome
+// evaluations, experiment runs) across OS threads. It is deliberately
+// deterministic-friendly: Map only decides *where* fn(i) runs, never what it
+// computes, so callers that write results into per-index storage get
+// bit-identical output for every worker count. Its telemetry keeps the pool.*
+// names it has always emitted.
+package workers
 
 import (
 	"fmt"

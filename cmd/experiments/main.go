@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of Shestak et al.
 // (IPPS 2005): Figures 2-5, the Section 8 timing comparison, Table 1, and the
-// extension/ablation studies of DESIGN.md (robustness sweep, bias sweep,
-// seeding study, population sweep, worth-mix sensitivity).
+// extension/ablation studies of DESIGN.md section 4. It is flags → Options →
+// experiments.Run; the -exp names are the experiments.Studies registry.
 //
 // Examples:
 //
@@ -16,21 +16,22 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
 	"repro/internal/report"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 func main() {
+	names := experiments.StudyNames()
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|timing|robustness|bias|seeding|population|worthmix|ssg|termination|heterogeneity|relaxation|worthscheme|dynamic|chaos|overload|phasing|pooling|table1|all")
+		exp       = flag.String("exp", "all", "experiment: "+strings.Join(names, "|"))
 		runs      = flag.Int("runs", 10, "simulation runs per experiment (paper: 100)")
 		seed      = flag.Int64("seed", 1, "base RNG seed")
 		strings_  = flag.Int("strings", 0, "override string count (0 = paper value)")
@@ -47,6 +48,31 @@ func main() {
 		traceFile = flag.String("trace", "", "write a JSONL span/event trace to this file (implies -metrics)")
 	)
 	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	opts := experiments.Options{
+		Runs:    *runs,
+		Seed:    *seed,
+		Strings: *strings_,
+		SkipUB:  *skipUB,
+		Workers: *workers,
+		PSG:     heuristics.DefaultPSGConfig(),
+	}
+	opts.PSG.MaxIterations = *psgIters
+	opts.PSG.PopulationSize = *psgPop
+	opts.PSG.StallLimit = *psgStall
+	opts.PSG.Trials = *psgTrials
+	opts.PSG.Bias = *psgBias
+	if *highHeavy {
+		opts.WorthWeights = []float64{0.1, 0.2, 0.7}
+	}
+	if *verbose {
+		opts.Progress = os.Stderr
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -61,7 +87,13 @@ func main() {
 			defer sink.Flush()
 		}
 	}
-	run(ctx, *exp, *runs, *seed, *strings_, *psgIters, *psgPop, *psgStall, *psgTrials, *workers, *psgBias, *skipUB, *highHeavy, *verbose)
+	start := time.Now()
+	if err := experiments.Run(ctx, os.Stdout, *exp, opts); errors.Is(err, experiments.ErrCanceled) {
+		fmt.Fprintln(os.Stderr, "experiments: interrupted; the last table reports the completed runs only")
+	} else {
+		fatal(err)
+	}
+	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	if *metrics || *traceFile != "" {
 		fmt.Println()
 		report.WriteTelemetry(os.Stdout, telemetry.Capture())
@@ -69,157 +101,6 @@ func main() {
 			fmt.Printf("trace written to %s\n", *traceFile)
 		}
 	}
-}
-
-func run(ctx context.Context, exp string, runs int, seed int64, stringsOverride, psgIters, psgPop, psgStall, psgTrials, workers int, psgBias float64, skipUB, highHeavy, verbose bool) {
-	psg := heuristics.DefaultPSGConfig()
-	psg.MaxIterations = psgIters
-	psg.PopulationSize = psgPop
-	psg.StallLimit = psgStall
-	psg.Trials = psgTrials
-	psg.Bias = psgBias
-	opts := experiments.Options{
-		Runs:    runs,
-		Seed:    seed,
-		Strings: stringsOverride,
-		SkipUB:  skipUB,
-		Workers: workers,
-		PSG:     psg,
-	}
-	if highHeavy {
-		opts.WorthWeights = []float64{0.1, 0.2, 0.7}
-	}
-	if verbose {
-		opts.Progress = os.Stderr
-	}
-	w := os.Stdout
-
-	all := exp == "all"
-	did := false
-	start := time.Now()
-	if all || exp == "table1" {
-		writeTable1(w)
-		did = true
-	}
-	if all || exp == "fig2" {
-		cases, err := experiments.Figure2()
-		fatal(err)
-		experiments.WriteFigure2(w, cases)
-		fmt.Fprintln(w)
-		did = true
-	}
-	type figFn struct {
-		name string
-		fn   func(experiments.Options) (*experiments.Figure, error)
-	}
-	for _, f := range []figFn{
-		{"fig3", experiments.Figure3},
-		{"fig4", experiments.Figure4},
-		{"fig5", experiments.Figure5},
-		{"timing", experiments.Timing},
-		{"seeding", experiments.SeedingStudy},
-		{"worthmix", experiments.WorthMixStudy},
-		{"ssg", experiments.SSGStudy},
-		{"worthscheme", experiments.WorthSchemeStudy},
-		{"termination", experiments.TerminationStudy},
-		{"heterogeneity", experiments.HeterogeneityStudy},
-	} {
-		if all || exp == f.name {
-			fig, err := f.fn(opts)
-			fatal(err)
-			fig.WriteTable(w)
-			fmt.Fprintln(w)
-			did = true
-		}
-	}
-	if all || exp == "bias" {
-		fig, err := experiments.BiasSweep(opts, nil)
-		fatal(err)
-		fig.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "population" {
-		fig, err := experiments.PopulationSweep(opts, nil)
-		fatal(err)
-		fig.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "relaxation" {
-		res, err := experiments.AuditRelaxation(opts)
-		fatal(err)
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "phasing" {
-		res, err := experiments.RunPhasingStudy(opts)
-		fatal(err)
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "pooling" {
-		res, err := experiments.RunPoolingStudy(opts, nil)
-		fatal(err)
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "dynamic" {
-		res, err := experiments.RunDynamicStudy(opts, nil)
-		fatal(err)
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "chaos" {
-		res, err := experiments.RunChaosStudyContext(ctx, opts, nil)
-		if errors.Is(err, experiments.ErrCanceled) {
-			fmt.Fprintf(os.Stderr, "experiments: chaos study interrupted; reporting %d completed runs\n", res.Runs)
-		} else {
-			fatal(err)
-		}
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "overload" {
-		res, err := experiments.RunOverloadStudyContext(ctx, opts, nil)
-		if errors.Is(err, experiments.ErrCanceled) {
-			fmt.Fprintf(os.Stderr, "experiments: overload study interrupted; reporting %d completed runs\n", res.Runs)
-		} else {
-			fatal(err)
-		}
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if all || exp == "robustness" {
-		res, err := experiments.Robustness(opts, "SeededPSG", nil)
-		fatal(err)
-		res.WriteTable(w)
-		fmt.Fprintln(w)
-		did = true
-	}
-	if !did {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
-		flag.Usage()
-		os.Exit(2)
-	}
-	fmt.Fprintf(w, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-func writeTable1(w io.Writer) {
-	fmt.Fprintln(w, "Table 1: range specifications for the random variable µ")
-	fmt.Fprintf(w, "%-28s  %-16s  %-16s  %8s\n", "scenario", "µ for Lmax[k]", "µ for P[k]", "strings")
-	for _, s := range []workload.Scenario{workload.HighlyLoaded, workload.QoSLimited, workload.LightlyLoaded} {
-		cfg := workload.ScenarioConfig(s)
-		fmt.Fprintf(w, "%-28v  [%.2f, %.2f]      [%.2f, %.2f]      %8d\n",
-			s, cfg.MuLatency.Min, cfg.MuLatency.Max, cfg.MuPeriod.Min, cfg.MuPeriod.Max, cfg.Strings)
-	}
-	fmt.Fprintln(w)
 }
 
 func fatal(err error) {

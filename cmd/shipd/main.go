@@ -99,7 +99,6 @@ func main() {
 		},
 		LPBound:      *lpBound,
 		SnapshotPath: *snapPath,
-		Seed:         *seed,
 		Journal:      *journalPath,
 		Fsync:        fsyncPolicy,
 		CompactEvery: *compactEv,

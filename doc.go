@@ -22,7 +22,8 @@
 //	internal/dag          DAG-of-applications extension (footnote 2)
 //	internal/pool         resource-pool generalization (footnote 1)
 //	internal/workers      worker-goroutine fan-out for the parallel search
-//	internal/experiments  regeneration harness for every table and figure
+//	internal/experiments  regeneration harness for every table and figure:
+//	                      one run loop, one study registry
 //
 // Executables: cmd/shipsched (run heuristics on a scenario), cmd/lpbound
 // (upper bounds), cmd/experiments (regenerate the paper's figures). Runnable

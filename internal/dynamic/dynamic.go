@@ -206,19 +206,23 @@ func Repair(alloc *feasibility.Allocation, mapped []bool) *Result {
 func (r *repairer) pickVictim() int {
 	alloc := r.alloc
 	sys := alloc.System()
-	implicated := map[int]bool{}
+	implicated := make([]bool, len(sys.Strings))
+	mark := func(k int) { implicated[k] = true }
 	for _, v := range r.da.ViolationsAfterDelta() {
-		implicated[v.StringID] = true
+		mark(v.StringID)
 	}
 	for _, j := range r.da.OverloadedMachines() {
-		markStringsOnMachine(alloc, j, implicated)
+		alloc.StringsOnMachine(j, mark)
 	}
 	for _, rt := range r.da.OverloadedRoutes() {
-		markStringsOnRoute(alloc, rt[0], rt[1], implicated)
+		alloc.StringsOnRoute(rt[0], rt[1], mark)
 	}
+	// Ascending string ID, not map order: AlmostEqual is not transitive, so
+	// with a three-way near-tie the winner depends on the visiting order,
+	// which must therefore be fixed. Full ties keep the lower ID.
 	best := -1
-	for k := range implicated {
-		if !r.mapped[k] || !alloc.Complete(k) {
+	for k, in := range implicated {
+		if !in || !r.mapped[k] || !alloc.Complete(k) {
 			continue
 		}
 		if best < 0 {
@@ -226,55 +230,18 @@ func (r *repairer) pickVictim() int {
 			continue
 		}
 		wk, wb := sys.Strings[k].Worth, sys.Strings[best].Worth
-		switch {
-		case !feasibility.AlmostEqual(wk, wb):
+		if !feasibility.AlmostEqual(wk, wb) {
 			if wk < wb {
 				best = k
 			}
-		default:
-			tk, tb := alloc.Tightness(k), alloc.Tightness(best)
-			switch {
-			case !feasibility.AlmostEqual(tk, tb):
-				if tk > tb {
-					best = k
-				}
-			case k < best:
-				best = k
-			}
+			continue
+		}
+		tk, tb := alloc.Tightness(k), alloc.Tightness(best)
+		if !feasibility.AlmostEqual(tk, tb) && tk > tb {
+			best = k
 		}
 	}
 	return best
-}
-
-func markStringsOnMachine(alloc *feasibility.Allocation, j int, set map[int]bool) {
-	sys := alloc.System()
-	for k := range sys.Strings {
-		if !alloc.Complete(k) {
-			continue
-		}
-		for i := range sys.Strings[k].Apps {
-			if alloc.Machine(k, i) == j {
-				set[k] = true
-				break
-			}
-		}
-	}
-}
-
-func markStringsOnRoute(alloc *feasibility.Allocation, j1, j2 int, set map[int]bool) {
-	sys := alloc.System()
-	for k := range sys.Strings {
-		if !alloc.Complete(k) {
-			continue
-		}
-		n := len(sys.Strings[k].Apps)
-		for i := 0; i < n-1; i++ {
-			if alloc.Machine(k, i) == j1 && alloc.Machine(k, i+1) == j2 {
-				set[k] = true
-				break
-			}
-		}
-	}
 }
 
 func mappedWorth(sys *model.System, mapped []bool) float64 {
@@ -364,18 +331,18 @@ func bottleneckStrings(alloc *feasibility.Allocation, mapped []bool) []int {
 			bestU, bestMachine, bestJ1, bestJ2 = u, -1, j1, j2
 		}
 	})
-	set := map[int]bool{}
+	on := make([]bool, len(sys.Strings))
+	mark := func(k int) { on[k] = true }
 	if bestMachine >= 0 {
-		markStringsOnMachine(alloc, bestMachine, set)
+		alloc.StringsOnMachine(bestMachine, mark)
 	} else if bestJ1 >= 0 {
-		markStringsOnRoute(alloc, bestJ1, bestJ2, set)
+		alloc.StringsOnRoute(bestJ1, bestJ2, mark)
 	}
-	out := make([]int, 0, len(set))
-	for k := range set {
-		if mapped[k] {
+	var out []int
+	for k, ok := range on {
+		if ok && mapped[k] {
 			out = append(out, k)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

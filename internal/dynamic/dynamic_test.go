@@ -232,3 +232,33 @@ func TestRebalanceStopsAtOptimum(t *testing.T) {
 		t.Errorf("move budget exceeded: %d", moves1)
 	}
 }
+
+// TestPickVictimNearTieDeterministic: AlmostEqual is not transitive, so with
+// worths a ≈ b ≈ c but a ≉ c the victim depends on the order candidates are
+// visited in. That order is ascending string ID — never map order — so the
+// same overloaded state must name the same victim every time: 0 yields to
+// the tighter near-equal 1, which yields to the tighter near-equal 2.
+func TestPickVictimNearTieDeterministic(t *testing.T) {
+	sys := model.NewUniformSystem(1, 10)
+	worths := []float64{1, 1 + 0.8e-9, 1 + 1.6e-9}
+	latencies := []float64{100, 50, 25} // tightness rises with the string ID
+	for k, w := range worths {
+		sys.AddString(model.AppString{Worth: w, Period: 10, MaxLatency: latencies[k],
+			Apps: []model.Application{model.UniformApp(1, 5, 0.9, 1)}})
+	}
+	if !feasibility.AlmostEqual(worths[0], worths[1]) || !feasibility.AlmostEqual(worths[1], worths[2]) ||
+		feasibility.AlmostEqual(worths[0], worths[2]) {
+		t.Fatal("worths do not form a non-transitive near-tie")
+	}
+	for round := 0; round < 64; round++ {
+		a := feasibility.New(sys)
+		for k := range worths {
+			a.Assign(k, 0, 0) // U = 1.35: every string is implicated
+		}
+		r := newRepairer(a, []bool{true, true, true}, nil, nil, Options{})
+		if got := r.pickVictim(); got != 2 {
+			t.Fatalf("round %d: victim %d, want 2", round, got)
+		}
+		r.result()
+	}
+}

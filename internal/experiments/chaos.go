@@ -8,15 +8,10 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/faults"
 	"repro/internal/heuristics"
+	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
-
-// ErrCanceled is returned by the ...Context study variants when their context
-// ends the batch early; the runs completed so far are still returned. It
-// wraps context.Canceled, so errors.Is(err, context.Canceled) also holds.
-var ErrCanceled = fmt.Errorf("experiments: study canceled: %w", context.Canceled)
 
 // ChaosStudy (E19) is the Monte Carlo survivability experiment: how much
 // worth does an initial allocation retain, and how much slackness is left,
@@ -34,9 +29,6 @@ type ChaosStudy struct {
 	InitialSlackness map[string]*stats.Sample
 }
 
-// ChaosHeuristics are the initial-allocation policies the study compares.
-var ChaosHeuristics = []string{"IMR", "MWF", "TF", "GENITOR"}
-
 // ChaosPoint aggregates one (heuristic, hit-count) cell.
 type ChaosPoint struct {
 	Hits      int
@@ -48,102 +40,36 @@ type ChaosPoint struct {
 
 // RunChaosStudy executes E19 on scenario-3 instances. hits defaults to
 // {1, 2, 4, 6} simultaneous compartment hits (up to half the 12-machine
-// suite).
-func RunChaosStudy(opts Options, hits []int) (*ChaosStudy, error) {
-	return RunChaosStudyContext(context.Background(), opts, hits)
-}
-
-// RunChaosStudyContext is RunChaosStudy with cooperative cancellation: the
-// context is polled between runs (and threaded into the GENITOR searches), so
-// a canceled context returns the whole runs completed so far — every sample
-// already in the study is complete across heuristics and hit counts —
-// together with ErrCanceled.
-func RunChaosStudyContext(ctx context.Context, opts Options, hits []int) (*ChaosStudy, error) {
-	opts = opts.WithDefaults()
+// suite). The context is also threaded into the GENITOR searches; a canceled
+// study holds only whole runs — every sample is complete across heuristics
+// and hit counts.
+func RunChaosStudy(ctx context.Context, opts Options, hits []int) (*ChaosStudy, error) {
 	if len(hits) == 0 {
 		hits = []int{1, 2, 4, 6}
 	}
-	out := &ChaosStudy{
-		Runs:             opts.Runs,
-		Hits:             hits,
-		Rows:             map[string][]ChaosPoint{},
-		InitialSlackness: map[string]*stats.Sample{},
-	}
-	for _, n := range ChaosHeuristics {
-		pts := make([]ChaosPoint, len(hits))
-		for i, f := range hits {
-			pts[i].Hits = f
-		}
-		out.Rows[n] = pts
-		out.InitialSlackness[n] = &stats.Sample{}
-	}
-	cfg := opts.scenarioConfig(workload.LightlyLoaded)
-	done := ctx.Done()
-	for run := 0; run < opts.Runs; run++ {
-		canceled := false
-		if done != nil {
-			select {
-			case <-done:
-				canceled = true
-			default:
-			}
-		}
-		if canceled {
-			out.Runs = run
-			return out, ErrCanceled
-		}
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		// Build every initial allocation before recording any sample, so a
-		// cancellation mid-run never leaves the study with a lopsided run.
-		initial := map[string]*heuristics.Result{}
-		for _, name := range ChaosHeuristics {
-			var r *heuristics.Result
-			switch name {
-			case "IMR":
-				order := make([]int, len(sys.Strings))
-				for i := range order {
-					order[i] = i
-				}
-				r = heuristics.MapSequence(sys, order)
-			case "GENITOR":
-				pcfg := opts.PSG
-				pcfg.Seed = searchSeed(seed)
-				r, err = heuristics.RunContext(ctx, "SeededPSG", sys, pcfg)
-			default:
-				r, err = heuristics.RunContext(ctx, name, sys, opts.PSG)
-			}
-			if err != nil {
-				out.Runs = run
-				return out, ErrCanceled
-			}
-			initial[name] = r
-		}
-		for _, name := range ChaosHeuristics {
-			out.InitialSlackness[name].Add(initial[name].Metric.Slackness)
-		}
+	out := &ChaosStudy{Hits: hits}
+	out.Rows, out.InitialSlackness = panelRows(Panel, len(hits), func(pt *ChaosPoint, i int) { pt.Hits = hits[i] })
+	var err error
+	out.Runs, err = eachPanel(ctx, opts, "chaos study", Panel, out.InitialSlackness, func(run int, seed int64, sys *model.System, initial map[string]*heuristics.Result) error {
 		for fi, f := range hits {
 			mc := faults.MonteCarlo{CompartmentHits: f}
 			sc, err := mc.Sample(sys.Machines, scenarioSeed(seed, "experiments/chaos", f))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			down := faults.SetFromScenario(sc, sys.Machines)
-			for _, name := range ChaosHeuristics {
+			for _, name := range Panel {
 				alloc := initial[name].Alloc.Clone()
 				mapped := append([]bool(nil), initial[name].Mapped...)
 				res, err := dynamic.Survive(alloc, mapped, down)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !res.Feasible {
-					return nil, fmt.Errorf("experiments: chaos run %d: %s failover infeasible after %d hits", run, name, f)
+					return fmt.Errorf("experiments: chaos run %d: %s failover infeasible after %d hits", run, name, f)
 				}
 				if dynamic.UsesFailed(alloc, down) {
-					return nil, fmt.Errorf("experiments: chaos run %d: %s failover kept a failed resource", run, name)
+					return fmt.Errorf("experiments: chaos run %d: %s failover kept a failed resource", run, name)
 				}
 				pt := &out.Rows[name][fi]
 				pt.Retained.Add(res.Retained)
@@ -155,18 +81,16 @@ func RunChaosStudyContext(ctx context.Context, opts Options, hits []int) (*Chaos
 		if telemetry.Enabled() {
 			telemetry.C("experiments.chaos_runs").Inc()
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "chaos study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // WriteTable renders the chaos study: worth-retained and slackness-after-
 // repair curves versus the number of simultaneous compartment hits.
 func (c *ChaosStudy) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Study E19: Monte Carlo survivability under compartment hits (scenario 3, %d runs)\n", c.Runs)
-	for _, name := range ChaosHeuristics {
+	for _, name := range Panel {
 		fmt.Fprintf(w, "%s (initial slackness %s):\n", name, c.InitialSlackness[name].String())
 		fmt.Fprintf(w, "  %6s  %22s  %22s  %14s  %12s\n",
 			"hits", "retained worth", "slackness after", "cost (s)", "evictions")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,11 @@ import (
 func TestChaosStudySmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 8
-	c, err := RunChaosStudy(opts, []int{1, 3})
+	c, err := RunChaosStudy(context.Background(), opts, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range ChaosHeuristics {
+	for _, name := range Panel {
 		pts := c.Rows[name]
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points, want 2", name, len(pts))

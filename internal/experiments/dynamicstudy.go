@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/dynamic"
 	"repro/internal/heuristics"
+	"repro/internal/model"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // DynamicStudy (E16) exercises the dynamic-reallocation layer the paper's
@@ -35,47 +36,27 @@ type DynamicPoint struct {
 	RepairFeasible int // runs where repair reached feasibility (always, by construction)
 }
 
+// dynamicPanel names the initial mappings E16 compares.
+var dynamicPanel = []string{"MWF", "SeededPSG"}
+
 // RunDynamicStudy executes E16 on scenario-3 instances.
-func RunDynamicStudy(opts Options, scales []float64) (*DynamicStudy, error) {
-	opts = opts.WithDefaults()
+func RunDynamicStudy(ctx context.Context, opts Options, scales []float64) (*DynamicStudy, error) {
 	if len(scales) == 0 {
 		scales = []float64{1.5, 2.0, 2.5, 3.0}
 	}
-	names := []string{"MWF", "SeededPSG"}
-	out := &DynamicStudy{
-		Runs:             opts.Runs,
-		Scales:           scales,
-		Rows:             map[string][]DynamicPoint{},
-		InitialSlackness: map[string]*stats.Sample{},
-	}
-	for _, n := range names {
-		pts := make([]DynamicPoint, len(scales))
-		for i, s := range scales {
-			pts[i].Scale = s
-		}
-		out.Rows[n] = pts
-		out.InitialSlackness[n] = &stats.Sample{}
-	}
-	cfg := opts.scenarioConfig(workload.LightlyLoaded)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range names {
-			pcfg := opts.PSG
-			pcfg.Seed = searchSeed(seed)
-			r := heuristics.Run(name, sys, pcfg)
-			out.InitialSlackness[name].Add(r.Metric.Slackness)
+	out := &DynamicStudy{Scales: scales}
+	out.Rows, out.InitialSlackness = panelRows(dynamicPanel, len(scales), func(pt *DynamicPoint, i int) { pt.Scale = scales[i] })
+	var err error
+	out.Runs, err = eachPanel(ctx, opts, "dynamic study", dynamicPanel, out.InitialSlackness, func(_ int, seed int64, sys *model.System, initial map[string]*heuristics.Result) error {
+		for _, name := range dynamicPanel {
 			for si, scale := range scales {
 				scaled, err := dynamic.ScaleWorkload(sys, scale)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				alloc, mapped, err := dynamic.TransferAllocation(r.Alloc, scaled)
+				alloc, mapped, err := dynamic.TransferAllocation(initial[name].Alloc, scaled)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				res := dynamic.Repair(alloc, mapped)
 				pt := &out.Rows[name][si]
@@ -90,17 +71,15 @@ func RunDynamicStudy(opts Options, scales []float64) (*DynamicStudy, error) {
 				}
 			}
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "dynamic study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // WriteTable renders the dynamic study.
 func (d *DynamicStudy) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Study E16: dynamic reallocation after workload growth (scenario 3, %d runs)\n", d.Runs)
-	for _, name := range []string{"MWF", "SeededPSG"} {
+	for _, name := range dynamicPanel {
 		fmt.Fprintf(w, "%s (initial slackness %s):\n", name, d.InitialSlackness[name].String())
 		fmt.Fprintf(w, "  %8s  %22s  %14s  %14s\n", "scale", "retained worth", "migrations", "evictions")
 		for _, pt := range d.Rows[name] {

@@ -1,28 +1,29 @@
 // Package experiments regenerates every table and figure of the evaluation
 // section (Section 8) of Shestak et al. (IPPS 2005), plus the extension and
-// ablation studies listed in DESIGN.md. It is the shared harness behind
-// cmd/experiments and the repository-level benchmarks:
+// ablation studies indexed in DESIGN.md section 4. It is the harness behind
+// cmd/experiments and the repository-level benchmarks.
 //
-//   - Figure3/Figure4: total worth of allocated strings per heuristic and the
-//     LP upper bound, for the highly loaded and QoS-limited scenarios;
-//   - Figure5: system slackness per heuristic and the LP upper bound, for the
-//     lightly loaded scenario;
-//   - Timing: heuristic execution-time comparison (Section 8 discussion);
-//   - Figure2: analytic (equation (5)) versus simulated computation times for
-//     the three CPU-sharing cases;
-//   - Robustness: workload-scale sweep replayed in the discrete-event
-//     simulator against the slackness-predicted absorption limit;
-//   - BiasSweep / SeedingStudy / PopulationSweep / WorthMixStudy: ablations of
-//     the PSG design choices.
+// Every study is the paper's protocol — generate a scenario instance from a
+// per-run seed, run heuristics (and the LP bound) on it, aggregate over runs
+// with 95% confidence intervals — so the protocol is written once, in eachRun,
+// and a study is a plain function that supplies the per-run body: Figure3,
+// Figure4, Figure5 and Timing (one shared heuristic panel), the PSG ablations
+// (BiasSweep, SeedingStudy, PopulationSweep, WorthMixStudy), studies E10-E18,
+// the disturbance studies (RunDynamicStudy, RunChaosStudy, RunOverloadStudy)
+// and Robustness. Figure2 is the analytic-versus-simulated check of equation
+// (5). Studies lists them all under their -exp names; Run executes one, or
+// all.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/heuristics"
 	"repro/internal/lp"
+	"repro/internal/model"
 	"repro/internal/simplex"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -60,8 +61,8 @@ type Options struct {
 // the paper's PSG configuration when none is set, and the Workers override
 // pushed down into PSG.Workers. Value receiver — the original is never
 // mutated. Matches the Validate/WithDefaults pattern shared by
-// genitor.Config, heuristics.PSGConfig, and workload.Config; every exported
-// experiment entry point applies it, so the zero Options value is usable.
+// genitor.Config, heuristics.PSGConfig, and workload.Config; the shared run
+// loop applies it, so the zero Options value is usable with every study.
 func (o Options) WithDefaults() Options {
 	if o.Runs == 0 {
 		o.Runs = 10
@@ -76,7 +77,7 @@ func (o Options) WithDefaults() Options {
 }
 
 // Validate reports option errors on the already-defaulted values (apply
-// WithDefaults first, as the experiment entry points do): the run count and
+// WithDefaults first, as the shared run loop does): the run count and
 // string override must be sensible, the worth-weight override non-negative
 // with a positive sum, and the PSG configuration valid.
 func (o Options) Validate() error {
@@ -153,165 +154,104 @@ func (f *Figure) Get(name string) (*Series, bool) {
 	return nil, false
 }
 
-// worthFigure runs the partial-allocation experiment (Figures 3 and 4):
-// total worth per heuristic plus the relaxed LP upper bound.
-func worthFigure(scenario workload.Scenario, title string, opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: title, Metric: "total worth", Runs: opts.Runs}
-	series := map[string]*stats.Sample{}
-	names := append([]string(nil), heuristics.Names...)
-	if !opts.SkipUB {
-		names = append(names, "UB")
+// add records v under the named series, appending the series on first use,
+// so a figure's rows appear in the order its study first reports them.
+func (f *Figure) add(name string, v float64) {
+	s, ok := f.Get(name)
+	if !ok {
+		f.Series = append(f.Series, Series{Name: name})
+		s = &f.Series[len(f.Series)-1]
 	}
-	for _, n := range names {
-		series[n] = &stats.Sample{}
-	}
+	s.Sample.Add(v)
+}
+
+// panelFigure is the experiment behind Figures 3-5 and the timing table: per
+// run, every heuristic of heuristics.Names and (unless SkipUB) the relaxed LP
+// bound for objective are executed on a scenario instance and contribute one
+// number each. measure picks that number from the entry's objective value (a
+// heuristic's worth or slackness, or the LP optimum) and the wall-clock
+// seconds it took. incomplete counts heuristic runs that left strings
+// unmapped.
+func panelFigure(ctx context.Context, opts Options, scenario workload.Scenario, title, label, metric string,
+	objective lp.Objective, measure func(value, secs float64) float64) (f *Figure, incomplete int, err error) {
+	f = &Figure{Title: title, Metric: metric}
 	cfg := opts.scenarioConfig(scenario)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
+	f.Runs, err = eachSystem(ctx, opts, cfg, label, func(run int, sys *model.System, pcfg heuristics.PSGConfig) error {
 		for _, name := range heuristics.Names {
-			pcfg := opts.PSG
-			pcfg.Seed = searchSeed(seed)
+			start := time.Now()
 			r := heuristics.Run(name, sys, pcfg)
-			series[name].Add(r.Metric.Worth)
-		}
-		if !opts.SkipUB {
-			b, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: lp.MaximizeWorth})
-			if err != nil {
-				return nil, err
+			secs := time.Since(start).Seconds()
+			value := r.Metric.Worth
+			if objective == lp.MaximizeSlackness {
+				value = r.Metric.Slackness
 			}
-			if b.Status != simplex.Optimal {
-				return nil, fmt.Errorf("experiments: worth UB %v on run %d", b.Status, run)
-			}
-			series["UB"].Add(b.Objective)
-		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%s: run %d/%d done\n", title, run+1, opts.Runs)
-		}
-	}
-	for _, n := range names {
-		f.Series = append(f.Series, Series{Name: n, Sample: *series[n]})
-	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("%v, %d strings, worth levels {1,10,100}", scenario, cfg.Strings),
-		"UB is the relaxed (route-free) fractional-mapping LP: a valid upper bound; see EXPERIMENTS.md")
-	return f, nil
-}
-
-// Figure3 regenerates Figure 3: total worth for partial mapping in a highly
-// loaded system (scenario 1).
-func Figure3(opts Options) (*Figure, error) {
-	return worthFigure(workload.HighlyLoaded, "Figure 3: total worth, highly loaded system (scenario 1)", opts)
-}
-
-// Figure4 regenerates Figure 4: total worth for partial mapping in a
-// QoS-limited system (scenario 2).
-func Figure4(opts Options) (*Figure, error) {
-	return worthFigure(workload.QoSLimited, "Figure 4: total worth, QoS-limited system (scenario 2)", opts)
-}
-
-// Figure5 regenerates Figure 5: system slackness for complete mapping in a
-// lightly loaded system (scenario 3).
-func Figure5(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Figure 5: system slackness, lightly loaded system (scenario 3)",
-		Metric: "slackness", Runs: opts.Runs}
-	series := map[string]*stats.Sample{}
-	names := append([]string(nil), heuristics.Names...)
-	if !opts.SkipUB {
-		names = append(names, "UB")
-	}
-	for _, n := range names {
-		series[n] = &stats.Sample{}
-	}
-	incomplete := 0
-	cfg := opts.scenarioConfig(workload.LightlyLoaded)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range heuristics.Names {
-			pcfg := opts.PSG
-			pcfg.Seed = searchSeed(seed)
-			r := heuristics.Run(name, sys, pcfg)
-			series[name].Add(r.Metric.Slackness)
+			f.add(name, measure(value, secs))
 			if r.NumMapped != len(sys.Strings) {
 				incomplete++
 			}
 		}
-		if !opts.SkipUB {
-			b, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: lp.MaximizeSlackness})
-			if err != nil {
-				return nil, err
-			}
-			if b.Status != simplex.Optimal {
-				return nil, fmt.Errorf("experiments: slackness UB %v on run %d", b.Status, run)
-			}
-			series["UB"].Add(b.Objective)
+		if opts.SkipUB {
+			return nil
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%s: run %d/%d done\n", f.Title, run+1, opts.Runs)
+		start := time.Now()
+		b, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: objective})
+		secs := time.Since(start).Seconds()
+		if err != nil {
+			return err
 		}
-	}
-	for _, n := range names {
-		f.Series = append(f.Series, Series{Name: n, Sample: *series[n]})
-	}
-	f.Notes = append(f.Notes, fmt.Sprintf("%v, %d strings", workload.LightlyLoaded, cfg.Strings))
+		if b.Status != simplex.Optimal {
+			return fmt.Errorf("experiments: %v UB %v on run %d", objective, b.Status, run)
+		}
+		f.add("UB", measure(b.Objective, secs))
+		return nil
+	})
+	return f, incomplete, err
+}
+
+// worthFigure runs the partial-allocation experiment (Figures 3 and 4):
+// total worth per heuristic plus the relaxed LP upper bound.
+func worthFigure(ctx context.Context, opts Options, scenario workload.Scenario, title string) (*Figure, error) {
+	f, _, err := panelFigure(ctx, opts, scenario, title, title, "total worth", lp.MaximizeWorth,
+		func(value, _ float64) float64 { return value })
+	f.Notes = append(f.Notes,
+		fmt.Sprintf("%v, %d strings, worth levels {1,10,100}", scenario, opts.scenarioConfig(scenario).Strings),
+		"UB is the relaxed (route-free) fractional-mapping LP: a valid upper bound; see EXPERIMENTS.md")
+	return f, err
+}
+
+// Figure3 regenerates Figure 3: total worth for partial mapping in a highly
+// loaded system (scenario 1).
+func Figure3(ctx context.Context, opts Options) (*Figure, error) {
+	return worthFigure(ctx, opts, workload.HighlyLoaded, "Figure 3: total worth, highly loaded system (scenario 1)")
+}
+
+// Figure4 regenerates Figure 4: total worth for partial mapping in a
+// QoS-limited system (scenario 2).
+func Figure4(ctx context.Context, opts Options) (*Figure, error) {
+	return worthFigure(ctx, opts, workload.QoSLimited, "Figure 4: total worth, QoS-limited system (scenario 2)")
+}
+
+// Figure5 regenerates Figure 5: system slackness for complete mapping in a
+// lightly loaded system (scenario 3).
+func Figure5(ctx context.Context, opts Options) (*Figure, error) {
+	title := "Figure 5: system slackness, lightly loaded system (scenario 3)"
+	f, incomplete, err := panelFigure(ctx, opts, workload.LightlyLoaded, title, title, "slackness", lp.MaximizeSlackness,
+		func(value, _ float64) float64 { return value })
+	f.Notes = append(f.Notes,
+		fmt.Sprintf("%v, %d strings", workload.LightlyLoaded, opts.scenarioConfig(workload.LightlyLoaded).Strings))
 	if incomplete > 0 {
 		f.Notes = append(f.Notes, fmt.Sprintf("%d heuristic runs did not map the full set", incomplete))
 	}
-	return f, nil
+	return f, err
 }
 
 // Timing regenerates the Section 8 execution-time comparison: wall-clock
 // seconds per heuristic run plus the LP upper-bound computation, on
 // scenario 1 instances.
-func Timing(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Section 8: heuristic execution time (seconds)", Metric: "seconds", Runs: opts.Runs}
-	series := map[string]*stats.Sample{}
-	names := append([]string(nil), heuristics.Names...)
-	if !opts.SkipUB {
-		names = append(names, "UB")
-	}
-	for _, n := range names {
-		series[n] = &stats.Sample{}
-	}
-	cfg := opts.scenarioConfig(workload.HighlyLoaded)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range heuristics.Names {
-			pcfg := opts.PSG
-			pcfg.Seed = searchSeed(seed)
-			start := time.Now()
-			heuristics.Run(name, sys, pcfg)
-			series[name].Add(time.Since(start).Seconds())
-		}
-		if !opts.SkipUB {
-			start := time.Now()
-			if _, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: lp.MaximizeWorth}); err != nil {
-				return nil, err
-			}
-			series["UB"].Add(time.Since(start).Seconds())
-		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "timing: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	for _, n := range names {
-		f.Series = append(f.Series, Series{Name: n, Sample: *series[n]})
-	}
+func Timing(ctx context.Context, opts Options) (*Figure, error) {
+	f, _, err := panelFigure(ctx, opts, workload.HighlyLoaded, "Section 8: heuristic execution time (seconds)",
+		"timing", "seconds", lp.MaximizeWorth, func(_, secs float64) float64 { return secs })
 	f.Notes = append(f.Notes,
 		"paper: MWF/TF in seconds, PSG/Seeded PSG about two hours (2005 hardware), Lingo LP under two seconds")
-	return f, nil
+	return f, err
 }

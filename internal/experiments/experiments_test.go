@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func mustGet(t *testing.T, f *Figure, name string) *Series {
 }
 
 func TestFigure3SmallScale(t *testing.T) {
-	f, err := Figure3(fastOpts())
+	f, err := Figure3(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestFigure3SmallScale(t *testing.T) {
 }
 
 func TestFigure4SmallScale(t *testing.T) {
-	f, err := Figure4(fastOpts())
+	f, err := Figure4(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestFigure4SmallScale(t *testing.T) {
 func TestFigure5SmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 6 // keep the complete mapping achievable
-	f, err := Figure5(opts)
+	f, err := Figure5(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestFigure5SmallScale(t *testing.T) {
 }
 
 func TestTimingSmallScale(t *testing.T) {
-	f, err := Timing(fastOpts())
+	f, err := Timing(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestTimingSmallScale(t *testing.T) {
 func TestSkipUB(t *testing.T) {
 	opts := fastOpts()
 	opts.SkipUB = true
-	f, err := Figure3(opts)
+	f, err := Figure3(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestProgressWriter(t *testing.T) {
 	opts := fastOpts()
 	var buf bytes.Buffer
 	opts.Progress = &buf
-	if _, err := Figure3(opts); err != nil {
+	if _, err := Figure3(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "run 1/2 done") {
@@ -169,7 +170,7 @@ func TestFigure2Experiment(t *testing.T) {
 func TestRobustnessSmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 5
-	res, err := Robustness(opts, "MWF", []float64{1.0, 3.0, 8.0})
+	res, err := Robustness(context.Background(), opts, "MWF", []float64{1.0, 3.0, 8.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestRobustnessSmallScale(t *testing.T) {
 }
 
 func TestBiasSweepSmallScale(t *testing.T) {
-	f, err := BiasSweep(fastOpts(), []float64{1.0, 1.6})
+	f, err := BiasSweep(context.Background(), fastOpts(), []float64{1.0, 1.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestBiasSweepSmallScale(t *testing.T) {
 }
 
 func TestSeedingStudySmallScale(t *testing.T) {
-	f, err := SeedingStudy(fastOpts())
+	f, err := SeedingStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestSeedingStudySmallScale(t *testing.T) {
 }
 
 func TestPopulationSweepSmallScale(t *testing.T) {
-	f, err := PopulationSweep(fastOpts(), []int{8, 16})
+	f, err := PopulationSweep(context.Background(), fastOpts(), []int{8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestPopulationSweepSmallScale(t *testing.T) {
 }
 
 func TestSSGStudySmallScale(t *testing.T) {
-	f, err := SSGStudy(fastOpts())
+	f, err := SSGStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestSSGStudySmallScale(t *testing.T) {
 }
 
 func TestTerminationStudySmallScale(t *testing.T) {
-	f, err := TerminationStudy(fastOpts())
+	f, err := TerminationStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestTerminationStudySmallScale(t *testing.T) {
 }
 
 func TestHeterogeneityStudySmallScale(t *testing.T) {
-	f, err := HeterogeneityStudy(fastOpts())
+	f, err := HeterogeneityStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestHeterogeneityStudySmallScale(t *testing.T) {
 func TestAuditRelaxationSmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 4
-	res, err := AuditRelaxation(opts)
+	res, err := AuditRelaxation(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestAuditRelaxationSmallScale(t *testing.T) {
 }
 
 func TestWorthSchemeStudySmallScale(t *testing.T) {
-	f, err := WorthSchemeStudy(fastOpts())
+	f, err := WorthSchemeStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestWorthSchemeStudySmallScale(t *testing.T) {
 func TestDynamicStudySmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 8
-	d, err := RunDynamicStudy(opts, []float64{1.5, 4.0})
+	d, err := RunDynamicStudy(context.Background(), opts, []float64{1.5, 4.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestDynamicStudySmallScale(t *testing.T) {
 }
 
 func TestWorthMixStudySmallScale(t *testing.T) {
-	f, err := WorthMixStudy(fastOpts())
+	f, err := WorthMixStudy(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestWorthMixStudySmallScale(t *testing.T) {
 func TestPhasingStudySmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 15
-	res, err := RunPhasingStudy(opts)
+	res, err := RunPhasingStudy(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestPhasingStudySmallScale(t *testing.T) {
 func TestPoolingStudySmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 20
-	res, err := RunPoolingStudy(opts, []int{3, 6})
+	res, err := RunPoolingStudy(context.Background(), opts, []int{3, 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/heuristics"
@@ -55,6 +57,31 @@ func TestOptionsValidateErrors(t *testing.T) {
 	}
 }
 
+// TestStudiesValidateOptions: the shared run loop is the one place options
+// are validated, so a study handed a negative run count or string override
+// fails with the Validate message instead of printing a zero-sample table.
+func TestStudiesValidateOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Options)
+		want   string
+	}{
+		{"negative runs", func(o *Options) { o.Runs = -1 }, "-1 runs"},
+		{"negative string override", func(o *Options) { o.Strings = -5 }, "string override -5"},
+	} {
+		opts := fastOpts()
+		tc.mutate(&opts)
+		var buf bytes.Buffer
+		err := Run(context.Background(), &buf, "fig3", opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want the Validate message containing %q", tc.name, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: a table was printed for invalid options:\n%s", tc.name, buf.String())
+		}
+	}
+}
+
 // TestRunChaosStudyContextCanceled: a pre-canceled context truncates the
 // study before its first run, returning an empty-but-well-formed result and
 // the sentinel error.
@@ -63,7 +90,7 @@ func TestRunChaosStudyContextCanceled(t *testing.T) {
 	cancel()
 	opts := fastOpts()
 	opts.Strings = 8
-	out, err := RunChaosStudyContext(ctx, opts, []int{1})
+	out, err := RunChaosStudy(ctx, opts, []int{1})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -77,7 +104,7 @@ func TestRunChaosStudyContextCanceled(t *testing.T) {
 		t.Errorf("completed runs = %d, want 0 under a pre-canceled context", out.Runs)
 	}
 	// No lopsided samples: every heuristic reports the same (zero) count.
-	for _, name := range ChaosHeuristics {
+	for _, name := range Panel {
 		if n := out.InitialSlackness[name].N(); n != 0 {
 			t.Errorf("%s: %d slackness samples recorded in a canceled run, want 0", name, n)
 		}

@@ -6,10 +6,10 @@ import (
 	"io"
 
 	"repro/internal/heuristics"
+	"repro/internal/model"
 	"repro/internal/overload"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // OverloadStudy (E21) is the demand-surge counterpart of the chaos study
@@ -29,10 +29,6 @@ type OverloadStudy struct {
 	InitialSlackness map[string]*stats.Sample
 }
 
-// OverloadHeuristics are the initial-allocation policies the study compares —
-// the same panel as the chaos study.
-var OverloadHeuristics = []string{"IMR", "MWF", "TF", "GENITOR"}
-
 // OverloadPoint aggregates one (heuristic, peak surge factor) cell.
 type OverloadPoint struct {
 	MaxFactor   float64
@@ -45,86 +41,19 @@ type OverloadPoint struct {
 }
 
 // RunOverloadStudy executes E21 on scenario-3 instances. factors defaults to
-// peak burst factors {1.5, 2, 3, 4}.
-func RunOverloadStudy(opts Options, factors []float64) (*OverloadStudy, error) {
-	return RunOverloadStudyContext(context.Background(), opts, factors)
-}
-
-// RunOverloadStudyContext is RunOverloadStudy with cooperative cancellation:
-// the context is polled between runs (and threaded into the GENITOR
-// searches), so a canceled context returns the whole runs completed so far
-// together with ErrCanceled.
-func RunOverloadStudyContext(ctx context.Context, opts Options, factors []float64) (*OverloadStudy, error) {
-	opts = opts.WithDefaults()
+// peak burst factors {1.5, 2, 3, 4}. The context is also threaded into the
+// GENITOR searches; a canceled study holds only whole runs.
+func RunOverloadStudy(ctx context.Context, opts Options, factors []float64) (*OverloadStudy, error) {
 	if len(factors) == 0 {
 		factors = []float64{1.5, 2, 3, 4}
 	}
-	out := &OverloadStudy{
-		Runs:             opts.Runs,
-		Factors:          factors,
-		Rows:             map[string][]OverloadPoint{},
-		InitialSlackness: map[string]*stats.Sample{},
-	}
-	for _, n := range OverloadHeuristics {
-		pts := make([]OverloadPoint, len(factors))
-		for i, f := range factors {
-			pts[i].MaxFactor = f
-		}
-		out.Rows[n] = pts
-		out.InitialSlackness[n] = &stats.Sample{}
-	}
+	out := &OverloadStudy{Factors: factors}
+	out.Rows, out.InitialSlackness = panelRows(Panel, len(factors), func(pt *OverloadPoint, i int) { pt.MaxFactor = factors[i] })
 	ctl, err := overload.NewController(overload.Config{})
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.scenarioConfig(workload.LightlyLoaded)
-	done := ctx.Done()
-	for run := 0; run < opts.Runs; run++ {
-		canceled := false
-		if done != nil {
-			select {
-			case <-done:
-				canceled = true
-			default:
-			}
-		}
-		if canceled {
-			out.Runs = run
-			return out, ErrCanceled
-		}
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		// Build every initial allocation before recording any sample, so a
-		// cancellation mid-run never leaves the study with a lopsided run.
-		initial := map[string]*heuristics.Result{}
-		for _, name := range OverloadHeuristics {
-			var r *heuristics.Result
-			switch name {
-			case "IMR":
-				order := make([]int, len(sys.Strings))
-				for i := range order {
-					order[i] = i
-				}
-				r = heuristics.MapSequence(sys, order)
-			case "GENITOR":
-				pcfg := opts.PSG
-				pcfg.Seed = searchSeed(seed)
-				r, err = heuristics.RunContext(ctx, "SeededPSG", sys, pcfg)
-			default:
-				r, err = heuristics.RunContext(ctx, name, sys, opts.PSG)
-			}
-			if err != nil {
-				out.Runs = run
-				return out, ErrCanceled
-			}
-			initial[name] = r
-		}
-		for _, name := range OverloadHeuristics {
-			out.InitialSlackness[name].Add(initial[name].Metric.Slackness)
-		}
+	out.Runs, err = eachPanel(ctx, opts, "overload study", Panel, out.InitialSlackness, func(run int, seed int64, sys *model.System, initial map[string]*heuristics.Result) error {
 		for fi, f := range factors {
 			burst := overload.DefaultBurst()
 			burst.MaxFactor = f
@@ -132,15 +61,15 @@ func RunOverloadStudyContext(ctx context.Context, opts Options, factors []float6
 			// the heuristics so they face identical demand timelines.
 			sc, err := burst.Sample(len(sys.Strings), scenarioSeed(seed, "experiments/overload", fi))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			for _, name := range OverloadHeuristics {
+			for _, name := range Panel {
 				res, err := ctl.Run(initial[name].Alloc, initial[name].Mapped, sc)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !res.Feasible {
-					return nil, fmt.Errorf("experiments: overload run %d: %s left infeasible after surge factor %v", run, name, f)
+					return fmt.Errorf("experiments: overload run %d: %s left infeasible after surge factor %v", run, name, f)
 				}
 				pt := &out.Rows[name][fi]
 				pt.Retained.Add(res.Retained)
@@ -154,18 +83,16 @@ func RunOverloadStudyContext(ctx context.Context, opts Options, factors []float6
 		if telemetry.Enabled() {
 			telemetry.C("experiments.overload_runs").Inc()
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "overload study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // WriteTable renders the overload study: worth retained (final and trough)
 // and post-surge slackness versus the peak surge factor.
 func (c *OverloadStudy) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Study E21: worth-aware degradation under demand surges (scenario 3, %d runs)\n", c.Runs)
-	for _, name := range OverloadHeuristics {
+	for _, name := range Panel {
 		fmt.Fprintf(w, "%s (initial slackness %s):\n", name, c.InitialSlackness[name].String())
 		fmt.Fprintf(w, "  %6s  %22s  %14s  %22s  %6s  %9s  %10s\n",
 			"factor", "retained worth", "worth trough", "slackness after", "shed", "readmits", "over-cap s")

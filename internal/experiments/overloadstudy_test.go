@@ -10,11 +10,11 @@ import (
 func TestOverloadStudySmallScale(t *testing.T) {
 	opts := fastOpts()
 	opts.Strings = 8
-	c, err := RunOverloadStudy(opts, []float64{1.5, 4})
+	c, err := RunOverloadStudy(context.Background(), opts, []float64{1.5, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range OverloadHeuristics {
+	for _, name := range Panel {
 		pts := c.Rows[name]
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points, want 2", name, len(pts))
@@ -55,7 +55,7 @@ func TestOverloadStudySmallScale(t *testing.T) {
 func TestOverloadStudyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c, err := RunOverloadStudyContext(ctx, fastOpts(), nil)
+	c, err := RunOverloadStudy(ctx, fastOpts(), nil)
 	if err != ErrCanceled && !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

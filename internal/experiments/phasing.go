@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/heuristics"
+	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -27,20 +29,15 @@ type PhasingStudy struct {
 }
 
 // RunPhasingStudy executes E17 on scenario-2 instances mapped by MWF.
-func RunPhasingStudy(opts Options) (*PhasingStudy, error) {
-	opts = opts.WithDefaults()
-	out := &PhasingStudy{Runs: opts.Runs}
+func RunPhasingStudy(ctx context.Context, opts Options) (*PhasingStudy, error) {
+	out := &PhasingStudy{}
 	cfg := opts.scenarioConfig(workload.QoSLimited)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	out.Runs, err = eachSystem(ctx, opts, cfg, "phasing study", func(run int, sys *model.System, _ heuristics.PSGConfig) error {
 		r := heuristics.MWF(sys)
 		aligned, err := sim.Run(r.Alloc, sim.Config{Periods: 8})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Keyed derivation: the old seed*31 scheme collided with other runs'
 		// raw seeds (run seed 62 vs 2*31), reusing workload draws as phases.
@@ -51,7 +48,7 @@ func RunPhasingStudy(opts Options) (*PhasingStudy, error) {
 		}
 		random, err := sim.Run(r.Alloc, sim.Config{Periods: 8, Phases: phases})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.AlignedViolations.Add(float64(aligned.QoSViolations))
 		out.RandomViolations.Add(float64(random.QoSViolations))
@@ -60,11 +57,9 @@ func RunPhasingStudy(opts Options) (*PhasingStudy, error) {
 		if random.QoSViolations > aligned.QoSViolations {
 			out.RandomWorse++
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "phasing study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 func worstLatency(res *sim.Result) float64 {
@@ -98,37 +93,30 @@ type PoolingStudy struct {
 }
 
 // RunPoolingStudy executes E18 on scenario-1 instances.
-func RunPoolingStudy(opts Options, sizes []int) (*PoolingStudy, error) {
-	opts = opts.WithDefaults()
+func RunPoolingStudy(ctx context.Context, opts Options, sizes []int) (*PoolingStudy, error) {
 	if len(sizes) == 0 {
 		sizes = []int{2, 3, 4, 6}
 	}
-	out := &PoolingStudy{Runs: opts.Runs, Sizes: sizes, Worth: make([]stats.Sample, len(sizes))}
+	out := &PoolingStudy{Sizes: sizes, Worth: make([]stats.Sample, len(sizes))}
 	cfg := opts.scenarioConfig(workload.HighlyLoaded)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	out.Runs, err = eachSystem(ctx, opts, cfg, "pooling study", func(_ int, sys *model.System, _ heuristics.PSGConfig) error {
 		order := heuristics.MWFOrder(sys)
 		out.Flat.Add(heuristics.MapSequence(sys, order).Metric.Worth)
 		for si, size := range sizes {
 			part, err := pool.Uniform(sys.Machines, size)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r, err := pool.MapSequencePooled(sys, part, order)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out.Worth[si].Add(r.Metric.Worth)
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "pooling study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // WriteTable renders the pooling study.

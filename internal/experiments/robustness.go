@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/heuristics"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -41,25 +43,17 @@ type RobustnessResult struct {
 
 // Robustness runs the workload-scale sweep on scenario-3 instances allocated
 // by the given heuristic.
-func Robustness(opts Options, heuristic string, scales []float64) (*RobustnessResult, error) {
-	opts = opts.WithDefaults()
+func Robustness(ctx context.Context, opts Options, heuristic string, scales []float64) (*RobustnessResult, error) {
 	if len(scales) == 0 {
 		scales = []float64{1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.4, 2.8, 3.2}
 	}
-	res := &RobustnessResult{Heuristic: heuristic, Runs: opts.Runs}
-	res.Points = make([]RobustnessPoint, len(scales))
+	res := &RobustnessResult{Heuristic: heuristic, Points: make([]RobustnessPoint, len(scales))}
 	for i, s := range scales {
 		res.Points[i].Scale = s
 	}
 	cfg := opts.scenarioConfig(workload.LightlyLoaded)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		pcfg := opts.PSG
-		pcfg.Seed = searchSeed(seed)
+	var err error
+	res.Runs, err = eachSystem(ctx, opts, cfg, "robustness", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
 		r := heuristics.Run(heuristic, sys, pcfg)
 		lam := r.Metric.Slackness
 		res.Slackness.Add(lam)
@@ -70,7 +64,7 @@ func Robustness(opts Options, heuristic string, scales []float64) (*RobustnessRe
 		for i, scale := range scales {
 			out, err := sim.Run(r.Alloc, sim.Config{Periods: 8, WorkloadScale: scale})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res.Points[i].MeanViolations += float64(out.QoSViolations)
 			if out.QoSViolations > 0 {
@@ -85,14 +79,14 @@ func Robustness(opts Options, heuristic string, scales []float64) (*RobustnessRe
 		} else {
 			res.CleanRuns++
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "robustness: run %d/%d done\n", run+1, opts.Runs)
+		return nil
+	})
+	if res.Runs > 0 { // a study canceled before its first run has no means
+		for i := range res.Points {
+			res.Points[i].MeanViolations /= float64(res.Runs)
 		}
 	}
-	for i := range res.Points {
-		res.Points[i].MeanViolations /= float64(opts.Runs)
-	}
-	return res, nil
+	return res, err
 }
 
 // WriteTable renders the robustness sweep.

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/heuristics"
 	"repro/internal/lp"
+	"repro/internal/model"
 	"repro/internal/simplex"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -20,114 +22,71 @@ import (
 // algorithm operating directly in the solution space is not competitive: at
 // an equal evaluation budget, the solution-space GA (with a
 // best-effort greedy repair) is compared against PSG and Seeded PSG.
-func SSGStudy(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Study E10: solution-space GA vs permutation-space GA (scenario 2)",
-		Metric: "total worth", Runs: opts.Runs}
-	var ssg, psg, seeded stats.Sample
+func SSGStudy(ctx context.Context, opts Options) (*Figure, error) {
+	f := &Figure{Title: "Study E10: solution-space GA vs permutation-space GA (scenario 2)", Metric: "total worth"}
 	cfg := opts.scenarioConfig(workload.QoSLimited)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		pcfg := opts.PSG
-		pcfg.Seed = searchSeed(seed)
-		psg.Add(heuristics.PSG(sys, pcfg).Metric.Worth)
-		seeded.Add(heuristics.SeededPSG(sys, pcfg).Metric.Worth)
-		scfg := heuristics.SSGConfig{
+	var err error
+	f.Runs, err = eachSystem(ctx, opts, cfg, "SSG study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
+		f.add("SSG", heuristics.SSG(sys, heuristics.SSGConfig{
 			PopulationSize: pcfg.PopulationSize,
 			Bias:           pcfg.Bias,
 			MaxIterations:  pcfg.MaxIterations * pcfg.Trials, // equal total budget
 			StallLimit:     pcfg.StallLimit,
-			Seed:           searchSeed(seed),
-		}
-		ssg.Add(heuristics.SSG(sys, scfg).Metric.Worth)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "SSG study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	f.Series = []Series{
-		{Name: "SSG", Sample: ssg},
-		{Name: "PSG", Sample: psg},
-		{Name: "SeededPSG", Sample: seeded},
-	}
+			Seed:           pcfg.Seed,
+		}).Metric.Worth)
+		f.add("PSG", heuristics.PSG(sys, pcfg).Metric.Worth)
+		f.add("SeededPSG", heuristics.SeededPSG(sys, pcfg).Metric.Worth)
+		return nil
+	})
 	f.Notes = append(f.Notes,
 		"SSG searches application-to-machine assignments directly with greedy repair;",
 		"the paper reports this approach 'failed to find any feasible allocation ... in the reasonable amount of time'")
-	return f, nil
+	return f, err
 }
 
 // TerminationStudy (E11) quantifies the paper's terminate-at-first-failure
 // mapping semantics against a skip-on-failure variant, for the MWF and TF
 // orderings on QoS-limited instances (where early failures are common).
-func TerminationStudy(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Study E11: terminate-at-first-failure vs skip-on-failure (scenario 2)",
-		Metric: "total worth", Runs: opts.Runs}
-	samples := make([]stats.Sample, 4)
-	names := []string{"MWF-stop", "MWF-skip", "TF-stop", "TF-skip"}
+func TerminationStudy(ctx context.Context, opts Options) (*Figure, error) {
+	f := &Figure{Title: "Study E11: terminate-at-first-failure vs skip-on-failure (scenario 2)", Metric: "total worth"}
 	cfg := opts.scenarioConfig(workload.QoSLimited)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	f.Runs, err = eachSystem(ctx, opts, cfg, "termination study", func(_ int, sys *model.System, _ heuristics.PSGConfig) error {
 		mwfOrder := heuristics.MWFOrder(sys)
 		tfOrder := heuristics.TFOrder(sys)
-		samples[0].Add(heuristics.MapSequence(sys, mwfOrder).Metric.Worth)
-		samples[1].Add(heuristics.MapSequenceSkip(sys, mwfOrder).Metric.Worth)
-		samples[2].Add(heuristics.MapSequence(sys, tfOrder).Metric.Worth)
-		samples[3].Add(heuristics.MapSequenceSkip(sys, tfOrder).Metric.Worth)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "termination study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	for i, n := range names {
-		f.Series = append(f.Series, Series{Name: n, Sample: samples[i]})
-	}
+		f.add("MWF-stop", heuristics.MapSequence(sys, mwfOrder).Metric.Worth)
+		f.add("MWF-skip", heuristics.MapSequenceSkip(sys, mwfOrder).Metric.Worth)
+		f.add("TF-stop", heuristics.MapSequence(sys, tfOrder).Metric.Worth)
+		f.add("TF-skip", heuristics.MapSequenceSkip(sys, tfOrder).Metric.Worth)
+		return nil
+	})
 	f.Notes = append(f.Notes,
 		"skip-on-failure dominates by construction; the gap is the worth the paper's stop rule leaves unmapped")
-	return f, nil
+	return f, err
 }
 
 // HeterogeneityStudy (E12) compares heuristic performance under the paper's
 // inconsistent heterogeneity model against the consistent model of the
 // heterogeneous-computing literature (paper reference [5]).
-func HeterogeneityStudy(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Study E12: inconsistent vs consistent machine heterogeneity (scenario 1)",
-		Metric: "total worth", Runs: opts.Runs}
-	models := []workload.Heterogeneity{workload.Inconsistent, workload.Consistent}
-	mwf := make([]stats.Sample, 2)
-	sp := make([]stats.Sample, 2)
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		for mi, het := range models {
+func HeterogeneityStudy(ctx context.Context, opts Options) (*Figure, error) {
+	f := &Figure{Title: "Study E12: inconsistent vs consistent machine heterogeneity (scenario 1)", Metric: "total worth"}
+	var err error
+	f.Runs, err = eachRun(ctx, opts, "heterogeneity study", func(_ int, seed int64, pcfg heuristics.PSGConfig) error {
+		for _, het := range []workload.Heterogeneity{workload.Inconsistent, workload.Consistent} {
 			cfg := opts.scenarioConfig(workload.HighlyLoaded)
 			cfg.Heterogeneity = het
 			sys, err := workload.Generate(cfg, seed)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			pcfg := opts.PSG
-			pcfg.Seed = searchSeed(seed)
-			mwf[mi].Add(heuristics.MWF(sys).Metric.Worth)
-			sp[mi].Add(heuristics.SeededPSG(sys, pcfg).Metric.Worth)
+			f.add("MWF/"+het.String(), heuristics.MWF(sys).Metric.Worth)
+			f.add("SeededPSG/"+het.String(), heuristics.SeededPSG(sys, pcfg).Metric.Worth)
 		}
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "heterogeneity study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	for mi, het := range models {
-		f.Series = append(f.Series, Series{Name: "MWF/" + het.String(), Sample: mwf[mi]})
-		f.Series = append(f.Series, Series{Name: "SeededPSG/" + het.String(), Sample: sp[mi]})
-	}
+		return nil
+	})
 	f.Notes = append(f.Notes,
 		"under consistent heterogeneity every application prefers the same fast machines, concentrating contention")
-	return f, nil
+	return f, err
 }
 
 // WorthSchemeStudy (E14) implements the Section 4 alternate worth scheme
@@ -136,46 +95,29 @@ func HeterogeneityStudy(opts Options) (*Figure, error) {
 // lexicographic priority. The study reports the high-class worth each scheme
 // preserves on QoS-limited instances with a medium-heavy mix (where the
 // schemes actually disagree).
-func WorthSchemeStudy(opts Options) (*Figure, error) {
-	opts = opts.WithDefaults()
-	f := &Figure{Title: "Study E14: standard vs alternate (classed) worth scheme (scenario 2)",
-		Metric: "worth", Runs: opts.Runs}
-	var stdTotal, stdHigh, classedTotal, classedHigh stats.Sample
+func WorthSchemeStudy(ctx context.Context, opts Options) (*Figure, error) {
+	f := &Figure{Title: "Study E14: standard vs alternate (classed) worth scheme (scenario 2)", Metric: "worth"}
 	cfg := opts.scenarioConfig(workload.QoSLimited)
 	if opts.WorthWeights == nil {
 		// Medium-heavy mix: plenty of medium worth to tempt the standard
 		// scheme away from expensive high-worth strings.
 		cfg.WorthWeights = []float64{0.2, 0.6, 0.2}
 	}
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		pcfg := opts.PSG
-		pcfg.Seed = searchSeed(seed)
+	var err error
+	f.Runs, err = eachSystem(ctx, opts, cfg, "worth-scheme study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
 		std := heuristics.SeededPSG(sys, pcfg)
 		classed := heuristics.ClassedPSG(sys, pcfg)
-		stdTotal.Add(std.Metric.Worth)
-		classedTotal.Add(classed.Metric.Worth)
-		h, _, _ := heuristics.MappedWorthByClass(sys, std)
-		stdHigh.Add(h)
-		h, _, _ = heuristics.MappedWorthByClass(sys, classed)
-		classedHigh.Add(h)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "worth-scheme study: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	f.Series = []Series{
-		{Name: "std/total", Sample: stdTotal},
-		{Name: "std/high", Sample: stdHigh},
-		{Name: "classed/total", Sample: classedTotal},
-		{Name: "classed/high", Sample: classedHigh},
-	}
+		stdHigh, _, _ := heuristics.MappedWorthByClass(sys, std)
+		classedHigh, _, _ := heuristics.MappedWorthByClass(sys, classed)
+		f.add("std/total", std.Metric.Worth)
+		f.add("std/high", stdHigh)
+		f.add("classed/total", classed.Metric.Worth)
+		f.add("classed/high", classedHigh)
+		return nil
+	})
 	f.Notes = append(f.Notes,
 		"the classed scheme may trade total worth for high-class worth; both columns shown")
-	return f, nil
+	return f, err
 }
 
 // RelaxationAudit (E13) measures what the relaxed upper-bound formulation
@@ -193,47 +135,38 @@ type RelaxationAudit struct {
 
 // AuditRelaxation runs E13 on reduced scenario-2 instances (the full LP is
 // exponential-ish in practice beyond a few dozen strings).
-func AuditRelaxation(opts Options) (*RelaxationAudit, error) {
-	opts = opts.WithDefaults()
-	strings := opts.Strings
-	if strings == 0 || strings > 20 {
-		strings = 10
-	}
-	out := &RelaxationAudit{Runs: opts.Runs}
+func AuditRelaxation(ctx context.Context, opts Options) (*RelaxationAudit, error) {
+	out := &RelaxationAudit{}
 	cfg := opts.scenarioConfig(workload.QoSLimited)
-	cfg.Strings = strings
-	for run := 0; run < opts.Runs; run++ {
-		seed := opts.Seed + int64(run)
-		sys, err := workload.Generate(cfg, seed)
-		if err != nil {
-			return nil, err
-		}
+	if opts.Strings == 0 || opts.Strings > 20 {
+		cfg.Strings = 10
+	}
+	var err error
+	out.Runs, err = eachSystem(ctx, opts, cfg, "relaxation audit", func(run int, sys *model.System, _ heuristics.PSGConfig) error {
 		full, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Full, Objective: lp.MaximizeWorth})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		relaxed, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: lp.MaximizeWorth})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if full.Status != simplex.Optimal || relaxed.Status != simplex.Optimal {
-			return nil, fmt.Errorf("experiments: LP statuses %v/%v on run %d", full.Status, relaxed.Status, run)
+			return fmt.Errorf("experiments: LP statuses %v/%v on run %d", full.Status, relaxed.Status, run)
+		}
+		audit, err := lp.AuditRoutes(sys, relaxed)
+		if err != nil {
+			return err
 		}
 		out.Full.Add(full.Objective)
 		out.Relaxed.Add(relaxed.Objective)
 		if full.Objective > 0 {
 			out.Gap.Add((relaxed.Objective - full.Objective) / full.Objective)
 		}
-		audit, err := lp.AuditRoutes(sys, relaxed)
-		if err != nil {
-			return nil, err
-		}
 		out.ImpliedRouteUtil.Add(audit)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "relaxation audit: run %d/%d done\n", run+1, opts.Runs)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // WriteTable renders the relaxation audit.

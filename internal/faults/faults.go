@@ -5,7 +5,7 @@
 // battle damage and equipment outage — losing machines and communication
 // routes. This package provides the failure vocabulary shared by the failover
 // controller (dynamic.Survive), the discrete-event simulator (sim.Config
-// failure traces), and the chaos experiment (experiments.Chaos):
+// failure traces), and the chaos experiment (experiments.RunChaosStudy):
 //
 //   - Resource: a machine or a directed inter-machine route;
 //   - Event: a timed outage of one resource (optionally repaired later);

@@ -428,6 +428,29 @@ func (a *Allocation) ActiveRouteCount() int {
 	return n
 }
 
+// StringsOnMachine calls f with the ID of every completely mapped string
+// that has an application on machine j. It walks the machine's roster, so the
+// cost is O(applications on j) and a string with several applications there
+// is reported once per application, in roster order; callers collect a set.
+func (a *Allocation) StringsOnMachine(j int, f func(k int)) {
+	for _, ref := range a.perMachine[j] {
+		if a.Complete(ref.k) {
+			f(ref.k)
+		}
+	}
+}
+
+// StringsOnRoute calls f with the ID of every completely mapped string that
+// sends a transfer over the route j1 -> j2, walking the route's roster under
+// the same contract as StringsOnMachine. An inactive route reports nothing.
+func (a *Allocation) StringsOnRoute(j1, j2 int, f func(k int)) {
+	for _, ref := range a.routeRoster(j1, j2) {
+		if a.Complete(ref.k) {
+			f(ref.k)
+		}
+	}
+}
+
 func removeRef(refs []appRef, r appRef) []appRef {
 	for idx, have := range refs {
 		if have == r {

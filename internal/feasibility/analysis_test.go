@@ -3,6 +3,7 @@ package feasibility
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -342,6 +343,54 @@ func TestIncrementalBookkeepingProperty(t *testing.T) {
 		}
 		if err := a.checkInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// Property: the roster walks StringsOnMachine/StringsOnRoute report exactly
+// the complete strings a scan of the whole catalogue finds on the resource —
+// the O(K·apps) scan the repair and shed controllers used to carry.
+func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		sys := randomSystem(rng, 2+rng.Intn(4), 1+rng.Intn(6), 5)
+		a := New(sys)
+		for step := 0; step < 200; step++ {
+			applyRandomDelta(rng, a)
+		}
+		collect := func(walk func(f func(k int))) map[int]bool {
+			set := map[int]bool{}
+			walk(func(k int) { set[k] = true })
+			return set
+		}
+		for j1 := 0; j1 < sys.Machines; j1++ {
+			onMachine := map[int]bool{}
+			for k := range sys.Strings {
+				for i := range sys.Strings[k].Apps {
+					if a.Complete(k) && a.Machine(k, i) == j1 {
+						onMachine[k] = true
+					}
+				}
+			}
+			if got := collect(func(f func(int)) { a.StringsOnMachine(j1, f) }); !reflect.DeepEqual(got, onMachine) {
+				t.Fatalf("trial %d machine %d: roster walk %v, catalogue scan %v", trial, j1, got, onMachine)
+			}
+			for j2 := 0; j2 < sys.Machines; j2++ {
+				if j1 == j2 {
+					continue
+				}
+				onRoute := map[int]bool{}
+				for k := range sys.Strings {
+					for i := 0; i+1 < len(sys.Strings[k].Apps); i++ {
+						if a.Complete(k) && a.Machine(k, i) == j1 && a.Machine(k, i+1) == j2 {
+							onRoute[k] = true
+						}
+					}
+				}
+				if got := collect(func(f func(int)) { a.StringsOnRoute(j1, j2, f) }); !reflect.DeepEqual(got, onRoute) {
+					t.Fatalf("trial %d route (%d,%d): roster walk %v, catalogue scan %v", trial, j1, j2, got, onRoute)
+				}
+			}
 		}
 	}
 }

@@ -59,11 +59,8 @@ func newSearchCheckpoint(name string, cfg PSGConfig, sys *model.System, trial fu
 // the GENITOR-based permutation-space searches do, the one-shot heuristics
 // (MWF, TF) and the solution-space baseline (SSG) do not.
 func checkpointable(name string) bool {
-	switch name {
-	case "PSG", "SeededPSG", "ClassedPSG":
-		return true
-	}
-	return false
+	_, ok := psgVariants[name]
+	return ok
 }
 
 // Validate checks the checkpoint against the system it is about to resume
@@ -126,19 +123,11 @@ func (scp *SearchCheckpoint) Interrupted() int {
 // checkpoint support (MWF, TF, SSG) run exactly as RunContext and always
 // return a nil checkpoint.
 func RunCheckpointed(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, *SearchCheckpoint, error) {
-	switch name {
-	case "PSG":
-		return psgRunCheckpointed(ctx, sys, cfg, nil, "PSG", metricScore, nil)
-	case "SeededPSG":
-		seeds := [][]int{MWFOrder(sys), TFOrder(sys)}
-		return psgRunCheckpointed(ctx, sys, cfg, seeds, "SeededPSG", metricScore, nil)
-	case "ClassedPSG":
-		seeds := [][]int{ClassedOrder(sys), MWFOrder(sys)}
-		return psgRunCheckpointed(ctx, sys, cfg, seeds, "ClassedPSG", classedScore(sys), nil)
-	default:
-		r, err := RunContext(ctx, name, sys, cfg)
-		return r, nil, err
+	if checkpointable(name) {
+		return psgRunCheckpointed(ctx, sys, cfg, name, nil)
 	}
+	r, err := RunContext(ctx, name, sys, cfg)
+	return r, nil, err
 }
 
 // ResumeSearch continues an interrupted search from its checkpoint: finished
@@ -155,19 +144,8 @@ func ResumeSearch(ctx context.Context, sys *model.System, scp *SearchCheckpoint)
 	if err := scp.Validate(sys); err != nil {
 		return nil, nil, err
 	}
-	cfg := scp.Config
-	switch scp.Heuristic {
-	case "PSG":
-		return psgRunCheckpointed(ctx, sys, cfg, nil, "PSG", metricScore, scp)
-	case "SeededPSG":
-		seeds := [][]int{MWFOrder(sys), TFOrder(sys)}
-		return psgRunCheckpointed(ctx, sys, cfg, seeds, "SeededPSG", metricScore, scp)
-	case "ClassedPSG":
-		seeds := [][]int{ClassedOrder(sys), MWFOrder(sys)}
-		return psgRunCheckpointed(ctx, sys, cfg, seeds, "ClassedPSG", classedScore(sys), scp)
-	}
-	// Unreachable: Validate rejected unknown heuristics.
-	return nil, nil, fmt.Errorf("heuristics: cannot resume %q", scp.Heuristic)
+	// Validate admitted only checkpointable heuristics: psgVariants entries.
+	return psgRunCheckpointed(ctx, sys, scp.Config, scp.Heuristic, scp)
 }
 
 // WriteJSON serializes the checkpoint as indented JSON.

@@ -188,7 +188,7 @@ func TestPSGTrialPanicReturnsError(t *testing.T) {
 	// Call the core directly, as Validate in ResumeSearch would (correctly)
 	// refuse it; the in-flight error path must still be an error, not a
 	// crash.
-	_, _, err = psgRunCheckpointed(context.Background(), sys, scp.Config, nil, "PSG", metricScore, scp)
+	_, _, err = psgRunCheckpointed(context.Background(), sys, scp.Config, "PSG", scp)
 	if err == nil {
 		t.Fatal("corrupt trial state did not surface as an error")
 	}

@@ -95,8 +95,7 @@ func ClassedOrder(sys *model.System) []int {
 // class-scheme ordering and the plain MWF ordering seed the initial
 // population.
 func ClassedPSG(sys *model.System, cfg PSGConfig) *Result {
-	seeds := [][]int{ClassedOrder(sys), MWFOrder(sys)}
-	return psgRun(sys, cfg, seeds, "ClassedPSG", classedScore(sys))
+	return psgRun(sys, cfg, "ClassedPSG")
 }
 
 // MappedWorthByClass reports the worth mapped per class (high, medium, low),

@@ -112,14 +112,29 @@ func countStop(reason string) {
 	telemetry.C("heuristics.psg.stop." + reason).Inc()
 }
 
+// psgVariants declares the PSG family once: per heuristic name, the seed
+// chromosomes injected into the otherwise random initial population and the
+// fitness the search maximizes. Running, checkpointing and resuming a variant
+// all read this table, so a variant cannot be resumed under a different
+// (seeds, score) pair than it started with.
+var psgVariants = map[string]func(sys *model.System) (seeds [][]int, score scoreFunc){
+	"PSG": func(*model.System) ([][]int, scoreFunc) { return nil, metricScore },
+	"SeededPSG": func(sys *model.System) ([][]int, scoreFunc) {
+		return [][]int{MWFOrder(sys), TFOrder(sys)}, metricScore
+	},
+	"ClassedPSG": func(sys *model.System) ([][]int, scoreFunc) {
+		return [][]int{ClassedOrder(sys), MWFOrder(sys)}, classedScore(sys)
+	},
+}
+
 // psgRun executes cfg.Trials independent GENITOR searches over the
 // permutation space — concurrently, over cfg.Workers pool workers — with the
-// given seed chromosomes and per-allocation scoring function, and returns the
-// decoded best mapping. Each trial derives its RNG stream from cfg.Seed and
-// the trial index alone and decoding is pure, so the outcome is identical to
-// a serial run for any worker count.
-func psgRun(sys *model.System, cfg PSGConfig, seeds [][]int, name string, score scoreFunc) *Result {
-	r, err := psgRunContext(context.Background(), sys, cfg, seeds, name, score)
+// seed chromosomes and scoring function of the named psgVariants entry, and
+// returns the decoded best mapping. Each trial derives its RNG stream from
+// cfg.Seed and the trial index alone and decoding is pure, so the outcome is
+// identical to a serial run for any worker count.
+func psgRun(sys *model.System, cfg PSGConfig, name string) *Result {
+	r, err := psgRunContext(context.Background(), sys, cfg, name)
 	if err != nil {
 		// Background contexts never cancel; any other error is a
 		// configuration bug, matching the historical panic behavior.
@@ -131,8 +146,8 @@ func psgRun(sys *model.System, cfg PSGConfig, seeds [][]int, name string, score 
 // psgRunContext is psgRun with cooperative cancellation: every trial polls
 // the context between GENITOR iterations, and a canceled context yields the
 // best mapping found so far together with ErrCanceled.
-func psgRunContext(ctx context.Context, sys *model.System, cfg PSGConfig, seeds [][]int, name string, score scoreFunc) (*Result, error) {
-	r, _, err := psgRunCheckpointed(ctx, sys, cfg, seeds, name, score, nil)
+func psgRunContext(ctx context.Context, sys *model.System, cfg PSGConfig, name string) (*Result, error) {
+	r, _, err := psgRunCheckpointed(ctx, sys, cfg, name, nil)
 	return r, err
 }
 
@@ -143,7 +158,8 @@ func psgRunContext(ctx context.Context, sys *model.System, cfg PSGConfig, seeds 
 // never interrupted. When any trial stops resumably (context canceled or
 // per-trial deadline expired), the returned SearchCheckpoint captures the
 // whole search for a later resume; it is nil for a run that finished.
-func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, seeds [][]int, name string, score scoreFunc, prior *SearchCheckpoint) (*Result, *SearchCheckpoint, error) {
+func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, name string, prior *SearchCheckpoint) (*Result, *SearchCheckpoint, error) {
+	seeds, score := psgVariants[name](sys)
 	if cfg.Trials < 1 {
 		cfg.Trials = 1
 	}
@@ -250,34 +266,31 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, s
 // with fitness given by the two-component performance metric. The initial
 // population is entirely random.
 func PSG(sys *model.System, cfg PSGConfig) *Result {
-	return psgRun(sys, cfg, nil, "PSG", metricScore)
+	return psgRun(sys, cfg, "PSG")
 }
 
 // PSGContext is PSG with cooperative cancellation; on a canceled context it
 // returns the best partial result found so far alongside ErrCanceled.
 func PSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	return psgRunContext(ctx, sys, cfg, nil, "PSG", metricScore)
+	return psgRunContext(ctx, sys, cfg, "PSG")
 }
 
 // SeededPSG runs PSG with the MWF and TF orderings included in the initial
 // population; all other operations and stopping conditions are identical.
 func SeededPSG(sys *model.System, cfg PSGConfig) *Result {
-	seeds := [][]int{MWFOrder(sys), TFOrder(sys)}
-	return psgRun(sys, cfg, seeds, "SeededPSG", metricScore)
+	return psgRun(sys, cfg, "SeededPSG")
 }
 
 // SeededPSGContext is SeededPSG with cooperative cancellation (see
 // PSGContext).
 func SeededPSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	seeds := [][]int{MWFOrder(sys), TFOrder(sys)}
-	return psgRunContext(ctx, sys, cfg, seeds, "SeededPSG", metricScore)
+	return psgRunContext(ctx, sys, cfg, "SeededPSG")
 }
 
 // ClassedPSGContext is ClassedPSG with cooperative cancellation (see
 // PSGContext).
 func ClassedPSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	seeds := [][]int{ClassedOrder(sys), MWFOrder(sys)}
-	return psgRunContext(ctx, sys, cfg, seeds, "ClassedPSG", classedScore(sys))
+	return psgRunContext(ctx, sys, cfg, "ClassedPSG")
 }
 
 // Names lists the paper's four heuristics, in the order the figures report
@@ -304,17 +317,14 @@ func Run(name string, sys *model.System, cfg PSGConfig) *Result {
 // the context; the search heuristics poll it between iterations and, when it
 // ends the run early, return their best partial result with ErrCanceled.
 func RunContext(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, error) {
+	if _, ok := psgVariants[name]; ok {
+		return psgRunContext(ctx, sys, cfg, name)
+	}
 	switch name {
 	case "MWF":
 		return MWF(sys), nil
 	case "TF":
 		return TF(sys), nil
-	case "PSG":
-		return PSGContext(ctx, sys, cfg)
-	case "SeededPSG":
-		return SeededPSGContext(ctx, sys, cfg)
-	case "ClassedPSG":
-		return ClassedPSGContext(ctx, sys, cfg)
 	case "SSG":
 		return SSGContext(ctx, sys, SSGConfig{
 			PopulationSize: cfg.PopulationSize,

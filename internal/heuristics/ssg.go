@@ -64,7 +64,7 @@ func DecodeAssignment(sys *model.System, genes []int) *Result {
 	}
 	numMapped := len(sys.Strings)
 	for {
-		victim := pickRepairVictim(a, mapped)
+		victim := pickRepairVictim(a)
 		if victim < 0 {
 			break
 		}
@@ -85,8 +85,9 @@ func DecodeAssignment(sys *model.System, genes []int) *Result {
 // pickRepairVictim returns the string to unmap, or -1 if the mapping is
 // feasible. Candidates are strings with stage-2 violations plus strings
 // assigned to over-utilized machines or routes; the least-worth candidate is
-// sacrificed.
-func pickRepairVictim(a *feasibility.Allocation, mapped []bool) int {
+// sacrificed. Every string still in a is completely mapped (the repair only
+// ever unmaps whole strings), which is what the roster walks report.
+func pickRepairVictim(a *feasibility.Allocation) int {
 	sys := a.System()
 	candidate := -1
 	better := func(k int) {
@@ -99,45 +100,18 @@ func pickRepairVictim(a *feasibility.Allocation, mapped []bool) int {
 	for _, v := range a.Violations() {
 		better(v.StringID)
 	}
-	// Stage-1 overloads: every mapped string touching the overloaded
-	// resource is a candidate.
-	overMachine := make([]bool, sys.Machines)
-	anyOver := false
+	// Stage-1 overloads: every string touching the overloaded resource is a
+	// candidate.
 	for j := 0; j < sys.Machines; j++ {
 		if a.MachineUtilization(j) > 1+1e-9 {
-			overMachine[j] = true
-			anyOver = true
+			a.StringsOnMachine(j, better)
 		}
 	}
-	overRoute := make(map[[2]int]bool)
 	a.ActiveRoutes(func(j1, j2 int, u float64) {
 		if u > 1+1e-9 {
-			overRoute[[2]int{j1, j2}] = true
-			anyOver = true
+			a.StringsOnRoute(j1, j2, better)
 		}
 	})
-	if anyOver {
-		for k := range sys.Strings {
-			if !mapped[k] {
-				continue
-			}
-			n := len(sys.Strings[k].Apps)
-			for i := 0; i < n; i++ {
-				m := a.Machine(k, i)
-				if overMachine[m] {
-					better(k)
-					break
-				}
-				if i < n-1 {
-					next := a.Machine(k, i+1)
-					if m != next && overRoute[[2]int{m, next}] {
-						better(k)
-						break
-					}
-				}
-			}
-		}
-	}
 	return candidate
 }
 

@@ -132,7 +132,7 @@ func newControlArm(seed int64, nStrings int) (*controlArm, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := service.New(service.Config{System: sys, Seed: seed})
+	svc, err := service.New(service.Config{System: sys})
 	if err != nil {
 		return nil, err
 	}

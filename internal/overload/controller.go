@@ -446,18 +446,19 @@ func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer, cur []bool) int {
 	a := da.Allocation()
 	sys := a.System()
 	implicated := make(map[int]bool)
+	mark := func(k int) { implicated[k] = true }
 	for _, v := range da.ViolationsAfterDelta() {
-		implicated[v.StringID] = true
+		mark(v.StringID)
 	}
 	thr := 1 - c.cfg.ShedBelow
 	for j := 0; j < sys.Machines; j++ {
 		if a.MachineUtilization(j) > thr+slackEps {
-			markStringsOnMachine(a, j, implicated)
+			a.StringsOnMachine(j, mark)
 		}
 	}
 	a.ActiveRoutes(func(j1, j2 int, u float64) {
 		if u > thr+slackEps {
-			markStringsOnRoute(a, j1, j2, implicated)
+			a.StringsOnRoute(j1, j2, mark)
 		}
 	})
 	best, bestWPU := -1, 0.0
@@ -506,37 +507,6 @@ func sortByWorthPerUtilDesc(sys *model.System, ks []int) {
 		}
 		return ks[a] < ks[b]
 	})
-}
-
-func markStringsOnMachine(a *feasibility.Allocation, j int, set map[int]bool) {
-	sys := a.System()
-	for k := range sys.Strings {
-		if !a.Complete(k) {
-			continue
-		}
-		for i := range sys.Strings[k].Apps {
-			if a.Machine(k, i) == j {
-				set[k] = true
-				break
-			}
-		}
-	}
-}
-
-func markStringsOnRoute(a *feasibility.Allocation, j1, j2 int, set map[int]bool) {
-	sys := a.System()
-	for k := range sys.Strings {
-		if !a.Complete(k) {
-			continue
-		}
-		napps := len(sys.Strings[k].Apps)
-		for i := 0; i < napps-1; i++ {
-			if a.Machine(k, i) == j1 && a.Machine(k, i+1) == j2 {
-				set[k] = true
-				break
-			}
-		}
-	}
 }
 
 func worthOf(sys *model.System, cur []bool) float64 {

@@ -9,9 +9,8 @@
 //   - internal/journal owns framing: length-prefixed CRC32C records, torn
 //     tails cleanly discarded, mid-log corruption a typed hard error.
 //   - This file owns semantics: each record carries the op name, the exact
-//     wire payload, the decision seq, whether it was accepted, the service RNG
-//     stream position, and a running O(1) chain check over the decision
-//     outcomes. Every DigestEvery records the full feasibility.StateDigest is
+//     wire payload, the decision seq, whether it was accepted, and a running
+//     O(1) chain check over the decision outcomes. Every DigestEvery records the full feasibility.StateDigest is
 //     embedded too, so replay divergence is caught within a bounded window
 //     without paying the O(state) digest on every append.
 //   - Replay goes through the same applyOp dispatch as live serving. There is
@@ -72,8 +71,6 @@ type opRecord struct {
 	// sequence number too and are journaled so replay reproduces the full
 	// event history.
 	Accepted bool `json:"accepted"`
-	// RNGCalls is the service RNG stream position after the op.
-	RNGCalls uint64 `json:"rngCalls"`
 	// Check is the running chain value after folding in this op's decision.
 	Check string `json:"check"`
 	// StateDigest is the full allocation digest, embedded every DigestEvery
@@ -219,7 +216,6 @@ func (st *state) journalAppend(op string, payload json.RawMessage, d *Decision) 
 		Op:       op,
 		Payload:  payload,
 		Accepted: d.Accepted,
-		RNGCalls: st.rngs.Calls(),
 		Check:    st.chain,
 	}
 	st.sinceDigest++
@@ -320,8 +316,8 @@ func (st *state) bootstrapJournal() error {
 
 // Recover rebuilds a Service from a journal and its sidecar snapshot: restore
 // the snapshot, replay the journal tail through the normal op dispatch, and
-// verify every record's chain check (plus the periodic full state digests and
-// the RNG stream position) along the way.
+// verify every record's chain check (plus the periodic full state digests)
+// along the way.
 //
 // A torn tail — the debris of a crash mid-append — is truncated and reported
 // in the RecoveryReport. Mid-log corruption surfaces as *journal.CorruptError,
@@ -343,7 +339,6 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		return nil, nil, fmt.Errorf("service: recover: %w", err)
 	}
 	st.chain = file.Chain
-	st.rngs.Skip(file.RNGCalls)
 	// Replay drives the real op methods, which need the analyzer and the
 	// worth mirrors that startService would otherwise attach after the fact.
 	st.da = feasibility.Track(st.alloc)
@@ -395,9 +390,6 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		st.chain = chainNext(st.chain, &d)
 		if st.chain != rec.Check {
 			return fail(i, rec.Seq, rec.Op, "running chain check diverged from journaled value")
-		}
-		if rec.RNGCalls != st.rngs.Calls() {
-			return fail(i, rec.Seq, rec.Op, fmt.Sprintf("rng stream position diverged: replay %d, journal %d", st.rngs.Calls(), rec.RNGCalls))
 		}
 		if rec.StateDigest != "" {
 			if got := feasibility.StateDigest(st.alloc); got != rec.StateDigest {

@@ -269,6 +269,52 @@ func TestRecoverTamperedDigestIsReplayError(t *testing.T) {
 	}
 }
 
+// Journals written before the never-drawn service RNG stream was removed
+// carry a constant "rngCalls":0 in every record. No schema version moved, so
+// such a journal must still recover, to the same state.
+func TestRecoverLegacyJournalRecords(t *testing.T) {
+	svc, path := journaledService(t, 6, Config{})
+	driveOps(t, svc)
+	want := stateOf(t, svc)
+	svc.Close()
+
+	scan, err := journal.Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := journal.Open(filepath.Join(t.TempDir(), "legacy.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range scan.Payloads {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(p, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec["rngCalls"] = json.RawMessage("0")
+		if p, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(w.Path(), path); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(path, Config{})
+	if err != nil {
+		t.Fatalf("recover from a journal with the legacy field: %v", err)
+	}
+	defer rec.Close()
+	if got := stateOf(t, rec); got.Digest != want.Digest || got.Seq != want.Seq {
+		t.Fatalf("recovered seq %d digest %s, want seq %d digest %s", got.Seq, got.Digest, want.Seq, want.Digest)
+	}
+}
+
 // Compaction: after CompactEvery ops the journal folds into its sidecar
 // snapshot; recovery from the compacted pair is still bit-identical, and a
 // crash between the compaction snapshot and the truncate (simulated by

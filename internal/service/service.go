@@ -26,7 +26,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/overload"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -52,9 +51,6 @@ type Config struct {
 	EventBuffer int
 	// SnapshotPath is the default target of POST /v1/snapshot.
 	SnapshotPath string
-	// Seed keys the service RNG stream ("service" subsystem); the journal
-	// records the stream position per op so recovery resumes it exactly.
-	Seed int64
 	// Journal enables the write-ahead op journal at this path; every accepted
 	// mutation is appended (and, per Fsync, synced) before the reply.
 	Journal string
@@ -147,12 +143,11 @@ type state struct {
 	bound     *lp.Bound
 	boundWarm bool
 	// Write-ahead journal state (jw nil when journaling is off): the running
-	// chain check, the keyed service RNG stream whose position each record
-	// pins, compaction/digest cadence counters, the sticky append-failure
-	// error, and the hook mirroring it to the Service for health reporting.
+	// chain check, compaction/digest cadence counters, the sticky
+	// append-failure error, and the hook mirroring it to the Service for
+	// health reporting.
 	jw           *journal.Writer
 	chain        string
-	rngs         *rng.Stream
 	sinceCompact int
 	sinceDigest  int
 	broken       error
@@ -213,9 +208,6 @@ func startService(st *state) (*Service, error) {
 		st.da = feasibility.Track(st.alloc)
 	}
 	st.recount()
-	if st.rngs == nil {
-		st.rngs = rng.NewStream(rng.Key(st.cfg.Seed, "service", 0))
-	}
 	if st.cfg.Journal != "" && st.jw == nil {
 		if err := st.bootstrapJournal(); err != nil {
 			return nil, err

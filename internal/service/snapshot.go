@@ -3,7 +3,7 @@
 // allocation part rides on feasibility.AllocationSnapshot (exact IEEE-754 bit
 // patterns); the file additionally pins the system catalog (rescales mutate
 // it), the mapped set, cumulative scale factors, standing outages, the
-// sequence number, the journal chain/RNG positions, and the
+// sequence number, the journal chain value, and the
 // feasibility.StateDigest of the live allocation. On restore the digest is
 // recomputed and must match — a snapshot that cannot reproduce the exact
 // state is rejected rather than silently drifting. Snapshot writes are atomic
@@ -21,7 +21,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/feasibility"
 	"repro/internal/model"
-	"repro/internal/rng"
 )
 
 // SchemaVersionError reports a snapshot file (or journal record) whose schema
@@ -59,10 +58,8 @@ type SnapshotFile struct {
 	// time; restore verifies the restored allocation reproduces it.
 	Digest string `json:"digest"`
 	// Chain is the running journal chain-check value at snapshot time (empty
-	// when journaling is off); RNGCalls pins the service RNG stream position.
-	// Both are zero in snapshots from non-journaling daemons.
-	Chain    string `json:"chain,omitempty"`
-	RNGCalls uint64 `json:"rngCalls,omitempty"`
+	// when journaling is off).
+	Chain string `json:"chain,omitempty"`
 }
 
 // writeFileAtomic writes data to path via a temp file in the same directory,
@@ -115,9 +112,6 @@ func (st *state) snapshotTo(path string) (SnapshotResponse, *ErrorEnvelope) {
 		Seq:           st.seq,
 		Digest:        feasibility.StateDigest(st.alloc),
 		Chain:         st.chain,
-	}
-	if st.rngs != nil {
-		file.RNGCalls = st.rngs.Calls()
 	}
 	data, err := json.MarshalIndent(&file, "", "  ")
 	if err != nil {
@@ -226,7 +220,6 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		down:   down,
 		seq:    file.Seq,
 		events: newEventLog(cfg.EventBuffer),
-		rngs:   rng.NewStream(rng.Key(cfg.Seed, "service", 0)),
 	}, nil
 }
 
@@ -243,9 +236,8 @@ func Restore(path string, cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resume the journal bookkeeping positions recorded by a journaling
-	// daemon; both are zero values for snapshots written without a journal.
+	// Resume the chain check recorded by a journaling daemon; it is empty for
+	// snapshots written without a journal.
 	st.chain = file.Chain
-	st.rngs.Skip(file.RNGCalls)
 	return startService(st)
 }

@@ -11,7 +11,6 @@ package soak
 // contracts to the journal subsystem.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,10 +26,6 @@ import (
 // system (rescales mutate the catalog in place), recovers it, and returns a
 // digest over the decision stream and the recovered state.
 func journalStage(sys *model.System, ops int, seed int64) (string, error) {
-	cp, err := cloneSystem(sys)
-	if err != nil {
-		return "", fmt.Errorf("soak: journal stage: %w", err)
-	}
 	dir, err := os.MkdirTemp("", "soak-journal-*")
 	if err != nil {
 		return "", fmt.Errorf("soak: journal stage: %w", err)
@@ -39,8 +34,7 @@ func journalStage(sys *model.System, ops int, seed int64) (string, error) {
 	jp := filepath.Join(dir, "soak.wal")
 
 	svc, err := service.New(service.Config{
-		System:       cp,
-		Seed:         seed,
+		System:       sys.Clone(),
 		Journal:      jp,
 		Fsync:        journal.FsyncNone, // process-crash durability is enough here
 		CompactEvery: 10,                // force snapshot+tail recovery, not pure replay
@@ -101,7 +95,7 @@ func journalStage(sys *model.System, ops int, seed int64) (string, error) {
 	svc.Close()
 	closed = true
 
-	rec, rep, err := service.Recover(jp, service.Config{Seed: seed})
+	rec, rep, err := service.Recover(jp, service.Config{})
 	if err != nil {
 		return "", fmt.Errorf("soak: journal stage: recover: %w", err)
 	}
@@ -121,18 +115,4 @@ func journalStage(sys *model.System, ops int, seed int64) (string, error) {
 	d.add(rep.SnapshotSeq, rep.Replayed, rep.Skipped)
 	d.add(rst.Seq, rst.Digest)
 	return d.sum(), nil
-}
-
-// cloneSystem deep-copies a system catalog via its JSON encoding; Go float64
-// JSON round-trips are exact, so the copy is bit-identical.
-func cloneSystem(sys *model.System) (*model.System, error) {
-	data, err := json.Marshal(sys)
-	if err != nil {
-		return nil, err
-	}
-	var cp model.System
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
 }

@@ -432,11 +432,14 @@ func BenchmarkDynamicRepair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc, mapped, err := dynamic.TransferAllocation(base.Alloc, scaled)
+		alloc, err := dynamic.TransferAllocation(base.Alloc, scaled)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := dynamic.Repair(alloc, mapped)
+		res, err := dynamic.Repair(alloc, dynamic.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Feasible {
 			b.Fatal("repair failed")
 		}
@@ -461,8 +464,7 @@ func BenchmarkFailover(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alloc := base.Alloc.Clone()
-				mapped := append([]bool(nil), base.Mapped...)
-				res, err := dynamic.Survive(alloc, mapped, down)
+				res, err := dynamic.Survive(alloc, down, dynamic.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

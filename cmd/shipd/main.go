@@ -120,6 +120,8 @@ func main() {
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			handler.Load().(http.Handler).ServeHTTP(w, r)
 		}),
+		ReadHeaderTimeout: service.ReadHeaderTimeout,
+		IdleTimeout:       service.IdleTimeout,
 	}
 	done := make(chan error, 1)
 	go func() { done <- server.ListenAndServe() }()

@@ -311,8 +311,7 @@ func runFailover(r *heuristics.Result, sc *faults.Scenario, opts dynamic.Options
 	sys := r.Alloc.System()
 	down := faults.SetFromScenario(sc, sys.Machines)
 	alloc := r.Alloc.Clone()
-	mapped := append([]bool(nil), r.Mapped...)
-	res, err := dynamic.SurviveOpts(alloc, mapped, down, opts)
+	res, err := dynamic.Survive(alloc, down, opts)
 	fatal(err)
 	mig, evi, rec := res.Counts()
 	fmt.Printf("\nfailover: %d machines and %d routes down (scenario %q)\n",
@@ -337,7 +336,7 @@ func runDegradation(r *heuristics.Result, sc *overload.Scenario, faultSc *faults
 		Faults:       faultSc,
 	})
 	fatal(err)
-	res, err := ctl.Run(r.Alloc, r.Mapped, sc)
+	res, err := ctl.Run(r.Alloc, sc)
 	fatal(err)
 	fmt.Printf("\ndegradation: surge %q, %d events over a %.0f s horizon\n",
 		sc.Name, len(sc.Events), sc.Horizon())

@@ -25,6 +25,10 @@
 //	internal/experiments  regeneration harness for every table and figure:
 //	                      one run loop, one study registry
 //
+// A mapping has one representation throughout: *feasibility.Allocation.
+// String k is mapped iff alloc.Complete(k); heuristics return an allocation,
+// the repair and degradation controllers take one, and the daemon serves one.
+//
 // Executables: cmd/shipsched (run heuristics on a scenario), cmd/lpbound
 // (upper bounds), cmd/experiments (regenerate the paper's figures). Runnable
 // walkthroughs are under examples/. The benchmarks in bench_test.go exercise

@@ -39,8 +39,7 @@ func main() {
 	fmt.Printf("initial allocation: %d/%d strings, worth %.0f, slackness %.3f\n",
 		r.NumMapped, len(sys.Strings), r.Metric.Worth, r.Metric.Slackness)
 
-	mapped := append([]bool(nil), r.Mapped...)
-	moves, slack := dynamic.Rebalance(r.Alloc, mapped, 20)
+	moves, slack := dynamic.Rebalance(r.Alloc, 20)
 	fmt.Printf("rebalance: %d migrations, slackness %.3f -> %.3f\n", moves, r.Metric.Slackness, slack)
 
 	// Non-uniform surge: a random third of the strings more than triple, the rest +30%.
@@ -60,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alloc, mappedAfter, err := dynamic.TransferAllocation(r.Alloc, scaled)
+	alloc, err := dynamic.TransferAllocation(r.Alloc, scaled)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +68,10 @@ func main() {
 	} else {
 		fmt.Println("the surged workload violates the analysis — repairing:")
 	}
-	res := dynamic.Repair(alloc, mappedAfter)
+	res, err := dynamic.Repair(alloc, dynamic.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, a := range res.Actions {
 		switch a.Kind {
 		case dynamic.Migrated:

@@ -90,7 +90,7 @@ func main() {
 	fmt.Printf("\nbest mapping (%s):\n", best.Name)
 	names := []string{"sonar", "beamform", "radar", "filter", "correlate", "display", "weapons"}
 	for t := range sys.Tasks {
-		if !best.Mapped[t] {
+		if !best.Alloc.Complete(t) {
 			fmt.Printf("  task %d: not mapped\n", t)
 			continue
 		}

@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ctl.Run(r.Alloc, r.Mapped, sc)
+	res, err := ctl.Run(r.Alloc, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

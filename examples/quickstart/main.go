@@ -65,7 +65,7 @@ func main() {
 		result.Metric.Slackness)
 
 	for k := range sys.Strings {
-		if !result.Mapped[k] {
+		if !result.Alloc.Complete(k) {
 			fmt.Printf("string %d: not mapped\n", k)
 			continue
 		}

@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("Seeded PSG mapped %d/%d strings; worth %.0f, slackness %.3f\n\n",
 		r.NumMapped, len(sys.Strings), r.Metric.Worth, r.Metric.Slackness)
 	for k, name := range names {
-		if !r.Mapped[k] {
+		if !r.Alloc.Complete(k) {
 			fmt.Printf("%-12s  NOT MAPPED\n", name)
 			continue
 		}
@@ -153,7 +153,7 @@ func main() {
 	fmt.Printf("\nsimulated %d events over %.0f s: %d QoS violations\n",
 		res.Events, res.Duration, res.QoSViolations)
 	for k, name := range names {
-		if r.Mapped[k] {
+		if r.Alloc.Complete(k) {
 			fmt.Printf("%-12s  mean latency %.2f s (max %.2f, limit %.0f)\n",
 				name, res.Strings[k].MeanLatency, res.Strings[k].MaxLatency, sys.Strings[k].MaxLatency)
 		}

@@ -66,8 +66,7 @@ func main() {
 
 	// 4. Failover on the collapsed outage set (everything down at once).
 	down := faults.SetFromScenario(sc, sys.Machines)
-	mapped := append([]bool(nil), r.Mapped...)
-	res, err := dynamic.Survive(r.Alloc, mapped, down)
+	res, err := dynamic.Survive(r.Alloc, down, dynamic.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			}
 			// Every mapped string completed all its data sets.
 			for k := range sys.Strings {
-				if r.Mapped[k] && res.Strings[k].Completed != 4 {
+				if r.Alloc.Complete(k) && res.Strings[k].Completed != 4 {
 					t.Errorf("%v/%s: string %d completed %d/4 data sets", scenario, name, k, res.Strings[k].Completed)
 				}
 			}

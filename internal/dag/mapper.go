@@ -95,7 +95,6 @@ func MapTaskIMR(a *Allocation, t int) {
 type Result struct {
 	Name      string
 	Alloc     *Allocation
-	Mapped    []bool
 	Order     []int
 	NumMapped int
 	Worth     float64
@@ -106,7 +105,6 @@ type Result struct {
 // terminate-at-first-failure semantics.
 func MapSequence(sys *System, order []int) *Result {
 	a := NewAllocation(sys)
-	mapped := make([]bool, len(sys.Tasks))
 	num := 0
 	for _, t := range order {
 		MapTaskIMR(a, t)
@@ -114,12 +112,10 @@ func MapSequence(sys *System, order []int) *Result {
 			a.UnassignTask(t)
 			break
 		}
-		mapped[t] = true
 		num++
 	}
 	return &Result{
 		Alloc:     a,
-		Mapped:    mapped,
 		Order:     append([]int(nil), order...),
 		NumMapped: num,
 		Worth:     a.Worth(),

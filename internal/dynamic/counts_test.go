@@ -24,12 +24,12 @@ func TestCountsNetEvictionsInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, a, mapped := survivalFixture(tc.worths, tc.util)
+			sys, a := survivalFixture(tc.worths, tc.util)
 			down := faults.NewSet(3)
 			for _, j := range tc.down {
 				down.Fail(faults.Machine(j))
 			}
-			res, err := Survive(a, mapped, down)
+			res, err := Survive(a, down, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,12 +43,7 @@ func TestCountsNetEvictionsInvariant(t *testing.T) {
 			if got := res.NetEvictions(); got != evi-rec {
 				t.Errorf("NetEvictions() = %d, want evicted-reclaimed = %d", got, evi-rec)
 			}
-			unmapped := 0
-			for _, m := range mapped {
-				if !m {
-					unmapped++
-				}
-			}
+			unmapped := len(sys.Strings) - a.NumComplete()
 			if unmapped != res.NetEvictions() {
 				t.Errorf("%d strings end unmapped, NetEvictions() = %d", unmapped, res.NetEvictions())
 			}
@@ -63,11 +58,11 @@ func TestSurviveTelemetryMatchesCounts(t *testing.T) {
 	prev := telemetry.Active()
 	reg := telemetry.Enable()
 	t.Cleanup(func() { telemetry.EnableRegistry(prev) })
-	_, a, mapped := survivalFixture([]float64{1, 100, 10}, 0.9)
+	_, a := survivalFixture([]float64{1, 100, 10}, 0.9)
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(0))
 	down.Fail(faults.Machine(2))
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,30 +78,28 @@ func uniformScales(n int, gamma float64) []float64 {
 
 // TransferAllocation rebuilds an allocation's machine assignments on another
 // system with the same shape (same strings and application counts), e.g. a
-// scaled clone. Only completely mapped strings are transferred; the mapped
-// slice marks them.
-func TransferAllocation(src *feasibility.Allocation, dst *model.System) (*feasibility.Allocation, []bool, error) {
+// scaled clone. Only completely mapped strings are transferred, in ascending
+// string order, so the result's rosters and accumulators depend on src's
+// placements alone.
+func TransferAllocation(src *feasibility.Allocation, dst *model.System) (*feasibility.Allocation, error) {
 	srcSys := src.System()
 	if srcSys.Machines != dst.Machines {
-		return nil, nil, fmt.Errorf("dynamic: systems differ: %d vs %d machines", srcSys.Machines, dst.Machines)
+		return nil, fmt.Errorf("dynamic: systems differ: %d vs %d machines", srcSys.Machines, dst.Machines)
 	}
 	if len(srcSys.Strings) != len(dst.Strings) {
-		return nil, nil, fmt.Errorf("dynamic: systems differ: %d vs %d strings", len(srcSys.Strings), len(dst.Strings))
+		return nil, fmt.Errorf("dynamic: systems differ: %d vs %d strings", len(srcSys.Strings), len(dst.Strings))
 	}
 	out := feasibility.New(dst)
-	mapped := make([]bool, len(dst.Strings))
 	for k := range dst.Strings {
 		if len(srcSys.Strings[k].Apps) != len(dst.Strings[k].Apps) {
-			return nil, nil, fmt.Errorf("dynamic: string %d differs: %d vs %d applications",
+			return nil, fmt.Errorf("dynamic: string %d differs: %d vs %d applications",
 				k, len(srcSys.Strings[k].Apps), len(dst.Strings[k].Apps))
 		}
-		if !src.Complete(k) {
-			continue
+		if src.Complete(k) {
+			out.AssignString(k, src.StringMachines(k))
 		}
-		out.AssignString(k, src.StringMachines(k))
-		mapped[k] = true
 	}
-	return out, mapped, nil
+	return out, nil
 }
 
 // ActionKind classifies a repair action.
@@ -181,18 +179,22 @@ func (r *Result) NetEvictions() int {
 }
 
 // Repair restores two-stage feasibility of the allocation after a workload
-// change, mutating alloc and mapped in place. Victims are chosen lowest
-// worth first (ties: higher tightness first, then ID) among the strings
-// implicated by the current violations; each victim is first re-placed by
-// the IMR and kept if the placement is feasible, otherwise evicted. A final
-// reclaim pass re-places evicted strings that fit again once the repair
-// settled (highest worth first), so a string stays evicted only if its
-// re-placement on the final allocation is infeasible.
-func Repair(alloc *feasibility.Allocation, mapped []bool) *Result {
-	r := newRepairer(alloc, mapped, nil, nil, Options{}.WithDefaults())
+// change, mutating alloc in place; the mapped strings are its complete ones.
+// Victims are chosen lowest worth first (ties: higher tightness first, then
+// ID) among the strings implicated by the current violations; each victim is
+// first re-placed by the IMR and kept if the placement is feasible, otherwise
+// evicted. A final reclaim pass re-places evicted strings that fit again once
+// the repair settled (highest worth first), so a string stays evicted only if
+// its re-placement on the final allocation is infeasible. The zero Options
+// leaves the loops their natural bounds.
+func Repair(alloc *feasibility.Allocation, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	r := newRepairer(alloc, nil, nil, opts)
 	r.repairLoop()
 	r.reclaim()
-	return r.result()
+	return r.result(), nil
 }
 
 // pickVictim selects the next string to act on: among strings implicated by
@@ -222,7 +224,7 @@ func (r *repairer) pickVictim() int {
 	// which must therefore be fixed. Full ties keep the lower ID.
 	best := -1
 	for k, in := range implicated {
-		if !in || !r.mapped[k] || !alloc.Complete(k) {
+		if !in || !alloc.Complete(k) {
 			continue
 		}
 		if best < 0 {
@@ -244,16 +246,6 @@ func (r *repairer) pickVictim() int {
 	return best
 }
 
-func mappedWorth(sys *model.System, mapped []bool) float64 {
-	w := 0.0
-	for k, ok := range mapped {
-		if ok {
-			w += sys.Strings[k].Worth
-		}
-	}
-	return w
-}
-
 func movedApps(before, after []int) int {
 	n := 0
 	for i := range before {
@@ -271,7 +263,7 @@ func movedApps(before, after []int) int {
 // slackness. The allocation must be two-stage feasible on entry. Each trial
 // move is one analyzer window, so a rejected move is undone bit-identically;
 // an analyzer the caller already attached is reused and left attached.
-func Rebalance(alloc *feasibility.Allocation, mapped []bool, maxMoves int) (moves int, slackness float64) {
+func Rebalance(alloc *feasibility.Allocation, maxMoves int) (moves int, slackness float64) {
 	sys := alloc.System()
 	da := alloc.Tracker()
 	if da == nil {
@@ -284,7 +276,7 @@ func Rebalance(alloc *feasibility.Allocation, mapped []bool, maxMoves int) (move
 		base := alloc.Slackness()
 		// Candidate strings on the bottleneck resource, cheapest first so
 		// small strings move before whole pipelines.
-		cands := bottleneckStrings(alloc, mapped)
+		cands := bottleneckStrings(alloc)
 		sort.Slice(cands, func(a, b int) bool {
 			na, nb := len(sys.Strings[cands[a]].Apps), len(sys.Strings[cands[b]].Apps)
 			if na != nb {
@@ -312,7 +304,7 @@ func Rebalance(alloc *feasibility.Allocation, mapped []bool, maxMoves int) (move
 
 // bottleneckStrings returns the mapped strings using the single most
 // utilized resource.
-func bottleneckStrings(alloc *feasibility.Allocation, mapped []bool) []int {
+func bottleneckStrings(alloc *feasibility.Allocation) []int {
 	sys := alloc.System()
 	bestU := -1.0
 	bestMachine, bestJ1, bestJ2 := -1, -1, -1
@@ -340,7 +332,7 @@ func bottleneckStrings(alloc *feasibility.Allocation, mapped []bool) []int {
 	}
 	var out []int
 	for k, ok := range on {
-		if ok && mapped[k] {
+		if ok && alloc.Complete(k) {
 			out = append(out, k)
 		}
 	}

@@ -13,6 +13,16 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mustRepair runs Repair with no explicit ceilings.
+func mustRepair(t *testing.T, a *feasibility.Allocation) *Result {
+	t.Helper()
+	res, err := Repair(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestScaleWorkload(t *testing.T) {
 	sys := model.NewUniformSystem(2, 5)
 	sys.AddString(model.AppString{Worth: 10, Period: 10, MaxLatency: 100,
@@ -58,12 +68,12 @@ func TestTransferAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, mapped, err := TransferAllocation(a, scaled)
+	b, err := TransferAllocation(a, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mapped[0] || mapped[1] {
-		t.Errorf("mapped = %v, want [true false]", mapped)
+	if !b.Complete(0) || b.Complete(1) {
+		t.Error("want string 0 transferred and string 1 left unmapped")
 	}
 	if b.Machine(0, 0) != 0 || b.Machine(0, 1) != 1 {
 		t.Error("assignments not transferred")
@@ -74,7 +84,7 @@ func TestTransferAllocation(t *testing.T) {
 	}
 	// Shape mismatch rejected.
 	other := model.NewUniformSystem(2, 5)
-	if _, _, err := TransferAllocation(a, other); err == nil {
+	if _, err := TransferAllocation(a, other); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
@@ -91,13 +101,12 @@ func TestRepairMigrates(t *testing.T) {
 	a.Assign(0, 0, 0)
 	a.Assign(1, 0, 0) // both on machine 0: U = 1.2, and comp of the looser
 	// string is 12 > P = 10.
-	mapped := []bool{true, true}
-	res := Repair(a, mapped)
+	res := mustRepair(t, a)
 	if !res.Feasible {
 		t.Fatal("repair did not reach feasibility")
 	}
-	if !mapped[0] || !mapped[1] {
-		t.Fatalf("repair evicted instead of migrating: %v (actions %+v)", mapped, res.Actions)
+	if !a.Complete(0) || !a.Complete(1) {
+		t.Fatalf("repair evicted instead of migrating (actions %+v)", res.Actions)
 	}
 	if a.Machine(0, 0) == a.Machine(1, 0) {
 		t.Error("strings still share a machine")
@@ -123,13 +132,12 @@ func TestRepairEvictsLowestWorth(t *testing.T) {
 	for k := range worths {
 		a.Assign(k, 0, 0) // U = 1.35
 	}
-	mapped := []bool{true, true, true}
-	res := Repair(a, mapped)
+	res := mustRepair(t, a)
 	if !res.Feasible {
 		t.Fatal("repair failed")
 	}
-	if !mapped[0] || mapped[1] || !mapped[2] {
-		t.Errorf("mapped = %v, want the worth-1 string evicted", mapped)
+	if !a.Complete(0) || a.Complete(1) || !a.Complete(2) {
+		t.Errorf("want only the worth-1 string evicted (actions %+v)", res.Actions)
 	}
 	if res.WorthAfter != 110 {
 		t.Errorf("worth after %v, want 110", res.WorthAfter)
@@ -145,9 +153,8 @@ func TestRepairNoopOnFeasible(t *testing.T) {
 		Apps: []model.Application{model.UniformApp(2, 2, 0.4, 20)}})
 	a := feasibility.New(sys)
 	a.Assign(0, 0, 0)
-	mapped := []bool{true}
-	res := Repair(a, mapped)
-	if len(res.Actions) != 0 || !res.Feasible || !mapped[0] {
+	res := mustRepair(t, a)
+	if len(res.Actions) != 0 || !res.Feasible || !a.Complete(0) {
 		t.Errorf("repair acted on a feasible mapping: %+v", res)
 	}
 }
@@ -165,21 +172,19 @@ func TestRepairAfterGrowthPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc, mapped, err := TransferAllocation(r.Alloc, scaled)
+		alloc, err := TransferAllocation(r.Alloc, scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Repair(alloc, mapped)
+		res := mustRepair(t, alloc)
 		if !res.Feasible || !alloc.TwoStageFeasible() {
 			t.Fatalf("seed %d: repair did not restore feasibility", seed)
 		}
 		if res.WorthAfter > res.WorthBefore+1e-9 {
 			t.Fatalf("seed %d: repair increased worth %v -> %v", seed, res.WorthBefore, res.WorthAfter)
 		}
-		for k, ok := range mapped {
-			if ok != alloc.Complete(k) {
-				t.Fatalf("seed %d: mapped flags diverge from allocation at string %d", seed, k)
-			}
+		if got := alloc.Metric().Worth; got != res.WorthAfter {
+			t.Fatalf("seed %d: WorthAfter %v, allocation holds %v", seed, res.WorthAfter, got)
 		}
 	}
 }
@@ -193,16 +198,14 @@ func TestRebalanceImprovesSlackness(t *testing.T) {
 			Apps: []model.Application{model.UniformApp(2, 4, 0.5, 1)}})
 	}
 	a := feasibility.New(sys)
-	mapped := make([]bool, 4)
 	for k := 0; k < 4; k++ {
 		a.Assign(k, 0, 0) // all on machine 0: U = 0.4 vs 0
-		mapped[k] = true
 	}
 	if !a.TwoStageFeasible() {
 		t.Fatal("premise: lopsided mapping should still be feasible")
 	}
 	before := a.Slackness()
-	moves, after := Rebalance(a, mapped, 10)
+	moves, after := Rebalance(a, 10)
 	if moves == 0 || after <= before {
 		t.Errorf("rebalance made %d moves, slackness %v -> %v", moves, before, after)
 	}
@@ -222,9 +225,8 @@ func TestRebalanceStopsAtOptimum(t *testing.T) {
 	cfg.Strings = 10
 	sys := workload.MustGenerate(cfg, rng.Int63())
 	r := heuristics.MWF(sys)
-	mapped := append([]bool(nil), r.Mapped...)
-	moves1, s1 := Rebalance(r.Alloc, mapped, 100)
-	moves2, s2 := Rebalance(r.Alloc, mapped, 100)
+	moves1, s1 := Rebalance(r.Alloc, 100)
+	moves2, s2 := Rebalance(r.Alloc, 100)
 	if moves2 != 0 || s2 != s1 {
 		t.Errorf("second rebalance moved %d (slackness %v -> %v): not at a fixed point", moves2, s1, s2)
 	}
@@ -255,7 +257,7 @@ func TestPickVictimNearTieDeterministic(t *testing.T) {
 		for k := range worths {
 			a.Assign(k, 0, 0) // U = 1.35: every string is implicated
 		}
-		r := newRepairer(a, []bool{true, true, true}, nil, nil, Options{})
+		r := newRepairer(a, nil, nil, Options{})
 		if got := r.pickVictim(); got != 2 {
 			t.Fatalf("round %d: victim %d, want 2", round, got)
 		}

@@ -4,7 +4,9 @@
 // equipment outage). It evacuates every string mapped onto a failed machine
 // or routed over a failed link, re-places the evacuees on the surviving
 // suite with the fault-masked IMR, and restores two-stage feasibility by
-// migrate-then-evict, lowest-worth victims first.
+// migrate-then-evict, lowest-worth victims first. Like Repair it takes the
+// allocation alone: a string is mapped iff the allocation places all of it,
+// and evicting one is unassigning it.
 
 package dynamic
 
@@ -28,18 +30,17 @@ var ErrUnknownResource = errors.New("unknown machine or route")
 
 // repairer carries the shared migrate/evict/reclaim machinery behind Repair
 // (no resource mask) and Survive (failed resources masked out). It mutates
-// the allocation and mapped flags in place and records the action log.
+// the allocation in place and records the action log.
 type repairer struct {
 	alloc     *feasibility.Allocation
 	da        *feasibility.DeltaAnalyzer // incremental analysis over alloc
 	ownsDA    bool                       // whether result() should Close da
-	mapped    []bool
-	machineOK func(j int) bool      // nil: all machines allowed
-	routeOK   func(j1, j2 int) bool // nil: all routes allowed
-	origin    map[int][]int         // pre-repair machines of every string acted on
-	evicted   map[int]bool          // strings evicted by this repair, reclaim candidates
-	tried     []bool                // strings that already got their one migrate attempt
-	opts      Options               // resolved controller ceilings (WithDefaults applied)
+	machineOK func(j int) bool           // nil: all machines allowed
+	routeOK   func(j1, j2 int) bool      // nil: all routes allowed
+	origin    map[int][]int              // pre-repair machines of every string acted on
+	evicted   map[int]bool               // strings evicted by this repair, reclaim candidates
+	tried     []bool                     // strings that already got their one migrate attempt
+	opts      Options                    // resolved controller ceilings (WithDefaults applied)
 	res       *Result
 	tel       repairTelemetry
 }
@@ -58,9 +59,6 @@ type repairTelemetry struct {
 }
 
 func newRepairTelemetry() repairTelemetry {
-	if !telemetry.Enabled() {
-		return repairTelemetry{}
-	}
 	return repairTelemetry{
 		migrations:   telemetry.C("dynamic.migrations"),
 		evictions:    telemetry.C("dynamic.evictions"),
@@ -72,7 +70,7 @@ func newRepairTelemetry() repairTelemetry {
 	}
 }
 
-func newRepairer(alloc *feasibility.Allocation, mapped []bool, machineOK func(int) bool, routeOK func(int, int) bool, opts Options) *repairer {
+func newRepairer(alloc *feasibility.Allocation, machineOK func(int) bool, routeOK func(int, int) bool, opts Options) *repairer {
 	sys := alloc.System()
 	// Track the allocation for incremental re-analysis; the initial Rebase
 	// (one full scan) also records any entry violations and overloads, so
@@ -88,14 +86,13 @@ func newRepairer(alloc *feasibility.Allocation, mapped []bool, machineOK func(in
 		alloc:     alloc,
 		da:        da,
 		ownsDA:    owns,
-		mapped:    mapped,
 		machineOK: machineOK,
 		routeOK:   routeOK,
 		origin:    make(map[int][]int),
 		evicted:   make(map[int]bool),
 		tried:     make([]bool, len(sys.Strings)),
 		opts:      opts.WithDefaults(),
-		res:       &Result{WorthBefore: mappedWorth(sys, mapped)},
+		res:       &Result{WorthBefore: alloc.Metric().Worth},
 		tel:       newRepairTelemetry(),
 	}
 }
@@ -136,10 +133,7 @@ func (r *repairer) placeAction(k int, kind ActionKind) {
 
 // evict drops string k from the mapping and logs it.
 func (r *repairer) evict(k int) {
-	if r.alloc.Complete(k) {
-		r.alloc.UnassignString(k)
-	}
-	r.mapped[k] = false
+	r.alloc.UnassignString(k)
 	r.evicted[k] = true
 	r.res.Actions = append(r.res.Actions, Action{StringID: k, Kind: Evicted})
 	r.tel.evictions.Inc()
@@ -209,7 +203,6 @@ func (r *repairer) reclaim() {
 			}
 			if r.da.FeasibleAfterDelta() {
 				r.da.Commit()
-				r.mapped[k] = true
 				delete(r.evicted, k)
 				r.placeAction(k, Reclaimed)
 				progressed = true
@@ -228,7 +221,8 @@ func (r *repairer) reclaim() {
 // attached it.
 func (r *repairer) result() *Result {
 	res := r.res
-	res.WorthAfter = mappedWorth(r.alloc.System(), r.mapped)
+	m := r.alloc.Metric()
+	res.WorthAfter, res.SlacknessAfter = m.Worth, m.Slackness
 	res.Retained = 1.0
 	if res.WorthBefore > 0 {
 		res.Retained = res.WorthAfter / res.WorthBefore
@@ -236,7 +230,6 @@ func (r *repairer) result() *Result {
 	for _, a := range res.Actions {
 		res.CostSeconds += a.CostSeconds
 	}
-	res.SlacknessAfter = r.alloc.Slackness()
 	r.da.Commit()
 	res.Feasible = r.da.FeasibleAfterDelta()
 	if r.ownsDA {
@@ -246,7 +239,7 @@ func (r *repairer) result() *Result {
 }
 
 // Survive restores a feasible allocation after the resource failures in
-// down, mutating alloc and mapped in place. The controller:
+// down, mutating alloc in place. The controller:
 //
 //  1. evacuates every mapped string with an application on a failed machine
 //     or a transfer over a failed route;
@@ -261,24 +254,19 @@ func (r *repairer) result() *Result {
 // The returned result reports worth retained, per-action recovery cost, and
 // post-repair slackness. The allocation should be two-stage feasible on
 // entry (combine with Repair first after a simultaneous workload change).
-// The resulting allocation never uses a failed resource.
-func Survive(alloc *feasibility.Allocation, mapped []bool, down *faults.Set) (*Result, error) {
-	return survive(alloc, mapped, down, Options{}.WithDefaults())
-}
-
-// survive is the shared implementation behind Survive and SurviveOpts; opts
-// must already be resolved with WithDefaults.
-func survive(alloc *feasibility.Allocation, mapped []bool, down *faults.Set, opts Options) (*Result, error) {
+// The resulting allocation never uses a failed resource. The zero Options
+// leaves the repair and reclaim loops their natural bounds.
+func Survive(alloc *feasibility.Allocation, down *faults.Set, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	sys := alloc.System()
 	if down.Machines() != sys.Machines {
 		return nil, fmt.Errorf("dynamic: outage set covers %d machines, system has %d: %w",
 			down.Machines(), sys.Machines, ErrUnknownResource)
 	}
-	if len(mapped) != len(sys.Strings) {
-		return nil, fmt.Errorf("dynamic: %d mapped flags for %d strings", len(mapped), len(sys.Strings))
-	}
 	span := telemetry.BeginSpan("dynamic.survive")
-	r := newRepairer(alloc, mapped,
+	r := newRepairer(alloc,
 		func(j int) bool { return !down.MachineDown(j) },
 		func(j1, j2 int) bool { return !down.RouteDown(j1, j2) },
 		opts)
@@ -286,7 +274,7 @@ func survive(alloc *feasibility.Allocation, mapped []bool, down *faults.Set, opt
 	// 1. Evacuate.
 	var evacuees []int
 	for k := range sys.Strings {
-		if mapped[k] && alloc.Complete(k) && StringUsesFailed(alloc, k, down) {
+		if alloc.Complete(k) && StringUsesFailed(alloc, k, down) {
 			evacuees = append(evacuees, k)
 		}
 	}
@@ -329,7 +317,7 @@ func survive(alloc *feasibility.Allocation, mapped []bool, down *faults.Set, opt
 // system and runs Survive against the collapsed outage set of every resource
 // the scenario ever fails (the static planning view). Scenario events naming
 // a machine or route outside the suite are reported with ErrUnknownResource.
-func SurviveScenario(alloc *feasibility.Allocation, mapped []bool, sc *faults.Scenario) (*Result, error) {
+func SurviveScenario(alloc *feasibility.Allocation, sc *faults.Scenario) (*Result, error) {
 	sys := alloc.System()
 	if err := sc.Validate(sys.Machines); err != nil {
 		if errors.Is(err, faults.ErrOutOfRange) {
@@ -337,7 +325,7 @@ func SurviveScenario(alloc *feasibility.Allocation, mapped []bool, sc *faults.Sc
 		}
 		return nil, fmt.Errorf("dynamic: %w", err)
 	}
-	return Survive(alloc, mapped, faults.SetFromScenario(sc, sys.Machines))
+	return Survive(alloc, faults.SetFromScenario(sc, sys.Machines), Options{})
 }
 
 // StringUsesFailed reports whether completely mapped string k touches a

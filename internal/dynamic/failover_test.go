@@ -12,28 +12,26 @@ import (
 
 // survivalFixture builds a 3-machine system with three single-app strings
 // mapped one per machine.
-func survivalFixture(worths []float64, util float64) (*model.System, *feasibility.Allocation, []bool) {
+func survivalFixture(worths []float64, util float64) (*model.System, *feasibility.Allocation) {
 	sys := model.NewUniformSystem(3, 5)
 	for _, w := range worths {
 		sys.AddString(model.AppString{Worth: w, Period: 10, MaxLatency: 100,
 			Apps: []model.Application{model.UniformApp(3, 4, util, 1)}})
 	}
 	a := feasibility.New(sys)
-	mapped := make([]bool, len(worths))
 	for k := range worths {
 		a.Assign(k, 0, k%3)
-		mapped[k] = true
 	}
-	return sys, a, mapped
+	return sys, a
 }
 
 // TestSurviveMigratesOffFailedMachine: one machine dies, its string moves to
 // a surviving machine, nothing is evicted.
 func TestSurviveMigratesOffFailedMachine(t *testing.T) {
-	_, a, mapped := survivalFixture([]float64{10, 10, 10}, 0.5)
+	_, a := survivalFixture([]float64{10, 10, 10}, 0.5)
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(1))
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +41,8 @@ func TestSurviveMigratesOffFailedMachine(t *testing.T) {
 	if len(res.Evacuated) != 1 || res.Evacuated[0] != 1 {
 		t.Errorf("evacuated %v, want [1]", res.Evacuated)
 	}
-	if !mapped[0] || !mapped[1] || !mapped[2] {
-		t.Errorf("mapped = %v, want all retained", mapped)
+	if a.NumComplete() != 3 {
+		t.Errorf("%d strings mapped, want all 3 retained", a.NumComplete())
 	}
 	if res.Retained != 1 {
 		t.Errorf("retained %v, want 1", res.Retained)
@@ -69,11 +67,11 @@ func TestSurviveMigratesOffFailedMachine(t *testing.T) {
 func TestSurviveEvictsWhenNoRoom(t *testing.T) {
 	// Each string demands 4·0.9/10 = 0.36 of a machine; one machine holds at
 	// most two of the three.
-	sys, a, mapped := survivalFixture([]float64{1, 100, 10}, 0.9)
+	sys, a := survivalFixture([]float64{1, 100, 10}, 0.9)
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(0))
 	down.Fail(faults.Machine(2))
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +81,8 @@ func TestSurviveEvictsWhenNoRoom(t *testing.T) {
 	if UsesFailed(a, down) {
 		t.Error("post-repair allocation uses a failed resource")
 	}
-	if mapped[0] || !mapped[1] || !mapped[2] {
-		t.Errorf("mapped = %v, want the worth-1 string evicted", mapped)
+	if a.Complete(0) || !a.Complete(1) || !a.Complete(2) {
+		t.Errorf("want only the worth-1 string evicted (actions %+v)", res.Actions)
 	}
 	if want := 110.0 / 111.0; !approx(res.Retained, want, 1e-12) {
 		t.Errorf("retained %v, want %v", res.Retained, want)
@@ -102,16 +100,15 @@ func TestSurviveCompartmentHitWithRoutes(t *testing.T) {
 		Apps: []model.Application{model.UniformApp(3, 2, 0.5, 10), model.UniformApp(3, 2, 0.5, 10)}})
 	a := feasibility.New(sys)
 	a.AssignString(0, []int{0, 1})
-	mapped := []bool{true}
 	down := faults.NewSet(3)
 	for _, e := range faults.CompartmentHit(3, 1, 0, 0) {
 		down.Fail(e.Resource)
 	}
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Feasible || !mapped[0] {
+	if !res.Feasible || !a.Complete(0) {
 		t.Fatalf("string lost: %+v", res)
 	}
 	if a.Machine(0, 0) == 1 || a.Machine(0, 1) == 1 {
@@ -130,14 +127,13 @@ func TestSurviveFailedRouteOnly(t *testing.T) {
 		Apps: []model.Application{model.UniformApp(3, 2, 0.5, 10), model.UniformApp(3, 2, 0.5, 10)}})
 	a := feasibility.New(sys)
 	a.AssignString(0, []int{0, 1})
-	mapped := []bool{true}
 	down := faults.NewSet(3)
 	down.Fail(faults.Route(0, 1))
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Feasible || !mapped[0] {
+	if !res.Feasible || !a.Complete(0) {
 		t.Fatalf("string lost to a single route failure: %+v", res)
 	}
 	j1, j2 := a.Machine(0, 0), a.Machine(0, 1)
@@ -152,20 +148,20 @@ func TestSurviveFailedRouteOnly(t *testing.T) {
 // TestSurviveAllMachinesDown: total loss evicts everything and stays
 // feasible (the empty mapping).
 func TestSurviveAllMachinesDown(t *testing.T) {
-	_, a, mapped := survivalFixture([]float64{10, 100, 1}, 0.5)
+	_, a := survivalFixture([]float64{10, 100, 1}, 0.5)
 	down := faults.NewSet(3)
 	for j := 0; j < 3; j++ {
 		down.Fail(faults.Machine(j))
 	}
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible {
 		t.Error("empty mapping should be feasible")
 	}
-	if mapped[0] || mapped[1] || mapped[2] {
-		t.Errorf("mapped = %v, want all evicted", mapped)
+	if a.NumComplete() != 0 {
+		t.Errorf("%d strings still mapped, want all evicted", a.NumComplete())
 	}
 	if res.WorthAfter != 0 || res.Retained != 0 {
 		t.Errorf("worth after %v retained %v, want 0/0", res.WorthAfter, res.Retained)
@@ -186,18 +182,17 @@ func TestSurvivePreemptsLowerWorthSurvivor(t *testing.T) {
 	a := feasibility.New(sys)
 	a.Assign(0, 0, 0)
 	a.Assign(1, 0, 1)
-	mapped := []bool{true, true}
 	down := faults.NewSet(2)
 	down.Fail(faults.Machine(1))
-	res, err := Survive(a, mapped, down)
+	res, err := Survive(a, down, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible || !a.TwoStageFeasible() {
 		t.Fatal("survive did not restore feasibility")
 	}
-	if mapped[0] || !mapped[1] {
-		t.Errorf("mapped = %v, want the worth-100 string to displace the worth-1 string", mapped)
+	if a.Complete(0) || !a.Complete(1) {
+		t.Errorf("want the worth-100 string to displace the worth-1 string (actions %+v)", res.Actions)
 	}
 	if res.WorthAfter != 100 {
 		t.Errorf("worth after %v, want 100", res.WorthAfter)
@@ -207,12 +202,9 @@ func TestSurvivePreemptsLowerWorthSurvivor(t *testing.T) {
 // TestSurviveMismatchedSet: an outage set sized for a different suite is
 // rejected.
 func TestSurviveMismatchedSet(t *testing.T) {
-	_, a, mapped := survivalFixture([]float64{10}, 0.5)
-	if _, err := Survive(a, mapped, faults.NewSet(5)); err == nil {
+	_, a := survivalFixture([]float64{10}, 0.5)
+	if _, err := Survive(a, faults.NewSet(5), Options{}); err == nil {
 		t.Error("mismatched outage set accepted")
-	}
-	if _, err := Survive(a, []bool{true, true}, faults.NewSet(3)); err == nil {
-		t.Error("mismatched mapped flags accepted")
 	}
 }
 
@@ -225,15 +217,14 @@ func TestSurviveGeneratedWorkloads(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		sys := workload.MustGenerate(cfg, seed)
 		r := heuristics.MWF(sys)
-		mapped := append([]bool(nil), r.Mapped...)
 		alloc := r.Alloc
 		down := faults.NewSet(sys.Machines)
-		prevWorth := mappedWorth(sys, mapped)
+		prevWorth := alloc.Metric().Worth
 		for _, j := range []int{0, 3, 7} {
 			for _, e := range faults.CompartmentHit(sys.Machines, j, 0, 0) {
 				down.Fail(e.Resource)
 			}
-			res, err := Survive(alloc, mapped, down)
+			res, err := Survive(alloc, down, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,10 +240,8 @@ func TestSurviveGeneratedWorkloads(t *testing.T) {
 			if res.Retained < 0 || res.Retained > 1+1e-12 {
 				t.Fatalf("seed %d: retained %v outside [0,1]", seed, res.Retained)
 			}
-			for k, ok := range mapped {
-				if ok != alloc.Complete(k) {
-					t.Fatalf("seed %d: mapped flags diverge at string %d", seed, k)
-				}
+			if got := alloc.Metric().Worth; got != res.WorthAfter {
+				t.Fatalf("seed %d: WorthAfter %v, allocation holds %v", seed, res.WorthAfter, got)
 			}
 			prevWorth = res.WorthAfter
 		}

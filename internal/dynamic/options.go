@@ -11,9 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/faults"
-	"repro/internal/feasibility"
 )
 
 // Unbounded disables a repair ceiling, leaving only the controller's natural
@@ -56,23 +53,4 @@ func (o Options) Validate() error {
 		errs = append(errs, fmt.Errorf("dynamic: MaxReclaimPasses = %d, want >= 0 (0 = unbounded)", o.MaxReclaimPasses))
 	}
 	return errors.Join(errs...)
-}
-
-// RepairOpts is Repair with explicit controller ceilings.
-func RepairOpts(alloc *feasibility.Allocation, mapped []bool, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	r := newRepairer(alloc, mapped, nil, nil, opts.WithDefaults())
-	r.repairLoop()
-	r.reclaim()
-	return r.result(), nil
-}
-
-// SurviveOpts is Survive with explicit controller ceilings.
-func SurviveOpts(alloc *feasibility.Allocation, mapped []bool, down *faults.Set, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return survive(alloc, mapped, down, opts.WithDefaults())
 }

@@ -35,10 +35,10 @@ func TestOptionsWithDefaults(t *testing.T) {
 }
 
 func TestRepairOptsRejectsInvalid(t *testing.T) {
-	if _, err := RepairOpts(nil, nil, Options{MaxRepairIterations: -1}); err == nil {
-		t.Error("RepairOpts accepted invalid options")
+	if _, err := Repair(nil, Options{MaxRepairIterations: -1}); err == nil {
+		t.Error("Repair accepted invalid options")
 	}
-	if _, err := SurviveOpts(nil, nil, nil, Options{MaxReclaimPasses: -1}); err == nil {
-		t.Error("SurviveOpts accepted invalid options")
+	if _, err := Survive(nil, nil, Options{MaxReclaimPasses: -1}); err == nil {
+		t.Error("Survive accepted invalid options")
 	}
 }

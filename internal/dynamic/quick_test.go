@@ -41,7 +41,7 @@ func (chaosCase) Generate(rng *rand.Rand, size int) reflect.Value {
 
 // build materializes the case: a γ-scaled system with the transferred MWF
 // allocation, and the outage set.
-func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, []bool, *faults.Set) {
+func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, *faults.Set) {
 	t.Helper()
 	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
 	cfg.Strings = 10
@@ -51,7 +51,7 @@ func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, []bool, *faults
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, m, err := TransferAllocation(r.Alloc, scaled)
+	a, err := TransferAllocation(r.Alloc, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +64,20 @@ func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, []bool, *faults
 	for _, rt := range c.ExtraRt {
 		down.Fail(faults.Route(rt[0], rt[1]))
 	}
-	return a, m, down
+	return a, down
 }
 
 // Property: after Repair followed by Survive, the allocation is two-stage
 // feasible, avoids every failed resource, and Retained stays in [0, 1].
 func TestQuickSurviveInvariants(t *testing.T) {
 	f := func(c chaosCase) bool {
-		a, mapped, down := c.build(t)
-		rep := Repair(a, mapped)
+		a, down := c.build(t)
+		rep := mustRepair(t, a)
 		if !rep.Feasible || rep.Retained < 0 || rep.Retained > 1+1e-12 {
 			t.Logf("seed %d γ=%.3f: repair retained %v feasible %v", c.Seed, c.Gamma, rep.Retained, rep.Feasible)
 			return false
 		}
-		res, err := Survive(a, mapped, down)
+		res, err := Survive(a, down, Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", c.Seed, err)
 			return false
@@ -98,11 +98,9 @@ func TestQuickSurviveInvariants(t *testing.T) {
 			t.Logf("seed %d: negative recovery cost %v", c.Seed, res.CostSeconds)
 			return false
 		}
-		for k, ok := range mapped {
-			if ok != a.Complete(k) {
-				t.Logf("seed %d: mapped flag diverges at string %d", c.Seed, k)
-				return false
-			}
+		if got := a.Metric().Worth; got != res.WorthAfter {
+			t.Logf("seed %d: WorthAfter %v, allocation holds %v", c.Seed, res.WorthAfter, got)
+			return false
 		}
 		return true
 	}
@@ -119,17 +117,20 @@ func TestQuickSurviveInvariants(t *testing.T) {
 // WorthAfter past WorthBefore.
 func TestQuickNoNeedlessEvictions(t *testing.T) {
 	f := func(c chaosCase) bool {
-		a, mapped, down := c.build(t)
-		Repair(a, mapped)
-		wasMapped := append([]bool(nil), mapped...)
-		if _, err := Survive(a, mapped, down); err != nil {
+		a, down := c.build(t)
+		mustRepair(t, a)
+		wasMapped := make([]bool, len(a.System().Strings))
+		for k := range wasMapped {
+			wasMapped[k] = a.Complete(k)
+		}
+		if _, err := Survive(a, down, Options{}); err != nil {
 			t.Logf("seed %d: %v", c.Seed, err)
 			return false
 		}
 		machineOK := func(j int) bool { return !down.MachineDown(j) }
 		routeOK := func(j1, j2 int) bool { return !down.RouteDown(j1, j2) }
-		for k, ok := range mapped {
-			if ok || !wasMapped[k] {
+		for k, was := range wasMapped {
+			if !was || a.Complete(k) {
 				continue
 			}
 			if heuristics.MapStringIMRMasked(a, k, machineOK, routeOK) {
@@ -153,12 +154,12 @@ func TestQuickNoNeedlessEvictions(t *testing.T) {
 // scratch yields identical worth, cost, and action log length.
 func TestQuickSurviveDeterministic(t *testing.T) {
 	f := func(c chaosCase) bool {
-		a1, m1, down := c.build(t)
-		a2, m2, _ := c.build(t)
-		Repair(a1, m1)
-		Repair(a2, m2)
-		r1, err1 := Survive(a1, m1, down)
-		r2, err2 := Survive(a2, m2, down)
+		a1, down := c.build(t)
+		a2, _ := c.build(t)
+		mustRepair(t, a1)
+		mustRepair(t, a2)
+		r1, err1 := Survive(a1, down, Options{})
+		r2, err2 := Survive(a2, down, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -60,8 +60,7 @@ func RunChaosStudy(ctx context.Context, opts Options, hits []int) (*ChaosStudy, 
 			down := faults.SetFromScenario(sc, sys.Machines)
 			for _, name := range Panel {
 				alloc := initial[name].Alloc.Clone()
-				mapped := append([]bool(nil), initial[name].Mapped...)
-				res, err := dynamic.Survive(alloc, mapped, down)
+				res, err := dynamic.Survive(alloc, down, dynamic.Options{})
 				if err != nil {
 					return err
 				}

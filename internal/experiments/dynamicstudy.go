@@ -54,11 +54,14 @@ func RunDynamicStudy(ctx context.Context, opts Options, scales []float64) (*Dyna
 				if err != nil {
 					return err
 				}
-				alloc, mapped, err := dynamic.TransferAllocation(initial[name].Alloc, scaled)
+				alloc, err := dynamic.TransferAllocation(initial[name].Alloc, scaled)
 				if err != nil {
 					return err
 				}
-				res := dynamic.Repair(alloc, mapped)
+				res, err := dynamic.Repair(alloc, dynamic.Options{})
+				if err != nil {
+					return err
+				}
 				pt := &out.Rows[name][si]
 				if res.WorthBefore > 0 {
 					pt.RetainedWorth.Add(res.WorthAfter / res.WorthBefore)

@@ -64,7 +64,7 @@ func RunOverloadStudy(ctx context.Context, opts Options, factors []float64) (*Ov
 				return err
 			}
 			for _, name := range Panel {
-				res, err := ctl.Run(initial[name].Alloc, initial[name].Mapped, sc)
+				res, err := ctl.Run(initial[name].Alloc, sc)
 				if err != nil {
 					return err
 				}

@@ -65,8 +65,10 @@ func (r Resource) String() string {
 // scenario.ErrOutOfRange, so either spelling matches.
 var ErrOutOfRange = scenario.ErrOutOfRange
 
-// validate checks the resource against a suite of m machines.
-func (r Resource) validate(m int) error {
+// Validate checks the resource against a suite of m machines: a known kind,
+// the machine or both route endpoints in [0, m) (else ErrOutOfRange), and
+// distinct route endpoints.
+func (r Resource) Validate(m int) error {
 	switch r.Kind {
 	case MachineResource:
 		if r.Machine < 0 || r.Machine >= m {
@@ -127,7 +129,7 @@ type Scenario struct {
 // unique; each failure is reported with a per-event error.
 func (sc *Scenario) Validate(m int) error {
 	for idx, e := range sc.Events {
-		if err := e.Resource.validate(m); err != nil {
+		if err := e.Resource.Validate(m); err != nil {
 			return fmt.Errorf("faults: event %d: %w", idx, err)
 		}
 	}

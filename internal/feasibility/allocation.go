@@ -90,9 +90,6 @@ type allocTelemetry struct {
 }
 
 func newAllocTelemetry() allocTelemetry {
-	if !telemetry.Enabled() {
-		return allocTelemetry{}
-	}
 	return allocTelemetry{
 		evaluations: telemetry.C("feasibility.evaluations"),
 		checks:      telemetry.C("feasibility.check_string"),

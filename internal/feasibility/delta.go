@@ -91,9 +91,6 @@ type deltaTelemetry struct {
 }
 
 func newDeltaTelemetry() deltaTelemetry {
-	if !telemetry.Enabled() {
-		return deltaTelemetry{}
-	}
 	return deltaTelemetry{
 		evals:       telemetry.C("feasibility.delta.evals"),
 		commits:     telemetry.C("feasibility.delta.commits"),

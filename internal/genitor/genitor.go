@@ -181,9 +181,6 @@ type engineTelemetry struct {
 }
 
 func newEngineTelemetry() engineTelemetry {
-	if !telemetry.Enabled() {
-		return engineTelemetry{}
-	}
 	return engineTelemetry{
 		steps:       telemetry.C("genitor.steps"),
 		evaluations: telemetry.C("genitor.evaluations"),

@@ -29,8 +29,8 @@ func resultsIdentical(t *testing.T, label string, want, got *Result) {
 	}
 	sys := want.Alloc.System()
 	for k := range sys.Strings {
-		if got.Mapped[k] != want.Mapped[k] {
-			t.Fatalf("%s: mapped[%d] = %v, want %v", label, k, got.Mapped[k], want.Mapped[k])
+		if got.Alloc.Complete(k) != want.Alloc.Complete(k) {
+			t.Fatalf("%s: string %d mapped = %v, want %v", label, k, got.Alloc.Complete(k), want.Alloc.Complete(k))
 		}
 		for i := range sys.Strings[k].Apps {
 			if got.Alloc.Machine(k, i) != want.Alloc.Machine(k, i) {

@@ -47,7 +47,7 @@ func classKey(sys *model.System, mapped func(k int) bool) float64 {
 // secondary.
 func ClassedMetric(sys *model.System, r *Result) genitor.Fitness {
 	return genitor.Fitness{
-		Primary:   classKey(sys, func(k int) bool { return r.Mapped[k] }),
+		Primary:   classKey(sys, r.Alloc.Complete),
 		Secondary: r.Metric.Slackness,
 	}
 }
@@ -101,8 +101,8 @@ func ClassedPSG(sys *model.System, cfg PSGConfig) *Result {
 // MappedWorthByClass reports the worth mapped per class (high, medium, low),
 // the quantity the alternate scheme optimizes lexicographically.
 func MappedWorthByClass(sys *model.System, r *Result) (high, med, low float64) {
-	for k, ok := range r.Mapped {
-		if !ok {
+	for k := range sys.Strings {
+		if !r.Alloc.Complete(k) {
 			continue
 		}
 		switch w := sys.Strings[k].Worth; {

@@ -85,11 +85,11 @@ func TestClassedPSGPrefersHighWorth(t *testing.T) {
 	}
 	cfg := testPSGConfig(3)
 	std := PSG(sys, cfg)
-	if std.Metric.Worth != 120 || std.Mapped[0] {
+	if std.Metric.Worth != 120 || std.Alloc.Complete(0) {
 		t.Fatalf("premise broken: standard PSG should map the three worth-40 strings, got %+v", std.Metric)
 	}
 	classed := ClassedPSG(sys, cfg)
-	if !classed.Mapped[0] {
+	if !classed.Alloc.Complete(0) {
 		t.Fatal("classed scheme failed to map the high-worth string")
 	}
 	high, _, _ := MappedWorthByClass(sys, classed)

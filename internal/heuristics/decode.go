@@ -101,11 +101,8 @@ type seqDecoder struct {
 // gets its own scratch allocation, all lanes share one memo.
 func newDecoderBank(sys *model.System, score scoreFunc, lanes int) []genitor.Evaluator {
 	memo := newDecodeMemo()
-	var hit, miss *telemetry.Counter
-	if telemetry.Enabled() {
-		hit = telemetry.C("heuristics.decode.memo_hit")
-		miss = telemetry.C("heuristics.decode.memo_miss")
-	}
+	hit := telemetry.C("heuristics.decode.memo_hit")
+	miss := telemetry.C("heuristics.decode.memo_miss")
 	evals := make([]genitor.Evaluator, lanes)
 	for i := range evals {
 		scratch := feasibility.New(sys)

@@ -189,8 +189,8 @@ func TestMapSequenceStopsAtFirstFailure(t *testing.T) {
 	sys.AddString(bad) // k=1
 	sys.AddString(ok)  // k=2
 	r := MapSequence(sys, []int{0, 1, 2})
-	if !r.Mapped[0] || r.Mapped[1] || r.Mapped[2] {
-		t.Fatalf("mapped flags = %v, want [true false false] (terminate at first failure)", r.Mapped)
+	if !r.Alloc.Complete(0) || r.Alloc.Complete(1) || r.Alloc.Complete(2) {
+		t.Fatal("want only string 0 mapped (terminate at first failure)")
 	}
 	if r.NumMapped != 1 {
 		t.Errorf("NumMapped = %d, want 1", r.NumMapped)
@@ -319,15 +319,13 @@ func TestHeuristicResultsAreFeasible(t *testing.T) {
 			if !r.Alloc.TwoStageFeasible() {
 				t.Errorf("trial %d: %s produced an infeasible mapping", trial, name)
 			}
+			if got := r.Alloc.NumComplete(); got != r.NumMapped {
+				t.Errorf("trial %d: %s reports %d mapped, allocation holds %d", trial, name, r.NumMapped, got)
+			}
 			worth := 0.0
-			for k, ok := range r.Mapped {
-				if ok {
+			for k := range sys.Strings {
+				if r.Alloc.Complete(k) {
 					worth += sys.Strings[k].Worth
-					if !r.Alloc.Complete(k) {
-						t.Errorf("trial %d: %s marked string %d mapped but it is incomplete", trial, name, k)
-					}
-				} else if r.Alloc.Complete(k) {
-					t.Errorf("trial %d: %s left unmapped string %d assigned", trial, name, k)
 				}
 			}
 			if !approx(worth, r.Metric.Worth, 1e-9) {

@@ -92,8 +92,8 @@ func TestParallelPSGMatchesSerial(t *testing.T) {
 					t.Errorf("trial %d %s workers=%d: stop %q, serial %q",
 						trial, name, workers, par.StopReason, serial.StopReason)
 				}
-				for k := range par.Mapped {
-					if par.Mapped[k] != serial.Mapped[k] {
+				for k := range sys.Strings {
+					if par.Alloc.Complete(k) != serial.Alloc.Complete(k) {
 						t.Errorf("trial %d %s workers=%d: mapped set differs at string %d",
 							trial, name, workers, k)
 						break

@@ -93,9 +93,6 @@ type psgTelemetry struct {
 }
 
 func newPSGTelemetry() psgTelemetry {
-	if !telemetry.Enabled() {
-		return psgTelemetry{}
-	}
 	return psgTelemetry{
 		trials:      telemetry.C("heuristics.psg.trials"),
 		iterations:  telemetry.C("heuristics.psg.iterations"),

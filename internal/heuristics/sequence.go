@@ -13,12 +13,9 @@ import (
 type Result struct {
 	// Name of the heuristic that produced the result.
 	Name string
-	// Alloc is the final allocation; exactly the strings with Mapped[k]
-	// true are assigned in it.
+	// Alloc is the final allocation; string k is part of the final feasible
+	// mapping iff Alloc.Complete(k).
 	Alloc *feasibility.Allocation
-	// Mapped[k] reports whether string k is part of the final feasible
-	// mapping.
-	Mapped []bool
 	// Order is the string permutation the sequential mapper followed.
 	Order []int
 	// NumMapped is the number of strings in the final mapping.
@@ -59,7 +56,6 @@ func mapSequence(sys *model.System, order []int, skip bool) *Result {
 	a := feasibility.New(sys)
 	da := feasibility.Track(a)
 	defer da.Close()
-	mapped := make([]bool, len(sys.Strings))
 	numMapped := 0
 	for _, k := range order {
 		MapStringIMR(a, k)
@@ -71,12 +67,10 @@ func mapSequence(sys *model.System, order []int, skip bool) *Result {
 			break
 		}
 		da.Commit()
-		mapped[k] = true
 		numMapped++
 	}
 	return &Result{
 		Alloc:       a,
-		Mapped:      mapped,
 		Order:       append([]int(nil), order...),
 		NumMapped:   numMapped,
 		Metric:      a.Metric(),

@@ -58,10 +58,6 @@ func DecodeAssignment(sys *model.System, genes []int) *Result {
 			idx++
 		}
 	}
-	mapped := make([]bool, len(sys.Strings))
-	for k := range mapped {
-		mapped[k] = true
-	}
 	numMapped := len(sys.Strings)
 	for {
 		victim := pickRepairVictim(a)
@@ -69,13 +65,11 @@ func DecodeAssignment(sys *model.System, genes []int) *Result {
 			break
 		}
 		a.UnassignString(victim)
-		mapped[victim] = false
 		numMapped--
 	}
 	return &Result{
 		Name:        "SSG",
 		Alloc:       a,
-		Mapped:      mapped,
 		NumMapped:   numMapped,
 		Metric:      a.Metric(),
 		Evaluations: 1,
@@ -136,11 +130,8 @@ func SSGContext(ctx context.Context, sys *model.System, cfg SSGConfig) (*Result,
 	if cfg.PopulationSize < 2 {
 		cfg.PopulationSize = 2
 	}
-	var telIters, telEvals *telemetry.Counter
-	if telemetry.Enabled() {
-		telIters = telemetry.C("heuristics.ssg.iterations")
-		telEvals = telemetry.C("heuristics.ssg.evaluations")
-	}
+	telIters := telemetry.C("heuristics.ssg.iterations")
+	telEvals := telemetry.C("heuristics.ssg.evaluations")
 	nGenes := sys.NumApps()
 	// The SSG baseline draws from its own keyed stream, so sharing a root
 	// seed with the permutation-space searches never shares a sequence.

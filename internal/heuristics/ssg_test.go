@@ -38,8 +38,8 @@ func TestDecodeAssignmentRepairsOverload(t *testing.T) {
 		t.Fatal("repair left an infeasible mapping")
 	}
 	// The least-worth string must be the sacrifice.
-	if r.Mapped[0] || !r.Mapped[1] || !r.Mapped[2] {
-		t.Errorf("repair victims wrong: %v (want string 0 dropped)", r.Mapped)
+	if r.Alloc.Complete(0) || !r.Alloc.Complete(1) || !r.Alloc.Complete(2) {
+		t.Error("repair victims wrong: want only string 0 dropped")
 	}
 	if r.Metric.Worth != 110 {
 		t.Errorf("worth %v, want 110", r.Metric.Worth)
@@ -55,8 +55,8 @@ func TestDecodeAssignmentRepairsQoS(t *testing.T) {
 	sys.AddString(model.AppString{Worth: 10, Period: 50, MaxLatency: 100,
 		Apps: []model.Application{model.UniformApp(2, 2, 0.4, 10)}})
 	r := DecodeAssignment(sys, []int{0, 1})
-	if r.Mapped[0] || !r.Mapped[1] {
-		t.Errorf("mapped = %v, want only string 1", r.Mapped)
+	if r.Alloc.Complete(0) || !r.Alloc.Complete(1) {
+		t.Error("want only string 1 mapped")
 	}
 }
 
@@ -123,8 +123,8 @@ func TestMapSequenceSkipContinuesPastFailure(t *testing.T) {
 	sys.AddString(bad)
 	sys.AddString(ok)
 	r := MapSequenceSkip(sys, []int{0, 1, 2})
-	if !r.Mapped[0] || r.Mapped[1] || !r.Mapped[2] {
-		t.Fatalf("mapped = %v, want [true false true]", r.Mapped)
+	if !r.Alloc.Complete(0) || r.Alloc.Complete(1) || !r.Alloc.Complete(2) {
+		t.Fatal("want strings 0 and 2 mapped, string 1 skipped")
 	}
 	if r.NumMapped != 2 || r.Metric.Worth != 20 {
 		t.Errorf("NumMapped %d worth %v, want 2 / 20", r.NumMapped, r.Metric.Worth)

@@ -52,8 +52,8 @@ func TestPSGMatchesWithTelemetryEnabled(t *testing.T) {
 					base.NumMapped, base.Iterations, base.Evaluations, base.StopReason,
 					live.NumMapped, live.Iterations, live.Evaluations, live.StopReason)
 			}
-			for k := range base.Mapped {
-				if base.Mapped[k] != live.Mapped[k] {
+			for k := range sys.Strings {
+				if base.Alloc.Complete(k) != live.Alloc.Complete(k) {
 					t.Fatalf("mapped set diverged at string %d", k)
 				}
 			}

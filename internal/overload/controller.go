@@ -7,7 +7,9 @@
 // first. Shed strings are re-admitted — bounded per tick, via the masked IMR
 // — only once slackness recovers above the separate, higher re-admit
 // threshold; the gap between the two thresholds is the hysteresis band that
-// keeps the controller from flapping at the boundary.
+// keeps the controller from flapping at the boundary. The mapping carried
+// from one tick to the next is the previous tick's allocation, re-placed on
+// the system scaled to the new tick's demand.
 
 package overload
 
@@ -172,10 +174,9 @@ type Result struct {
 	// Feasible reports whether the final allocation passes the two-stage
 	// analysis.
 	Feasible bool
-	// FinalAlloc and FinalMapped are the end-of-timeline allocation (on the
-	// final tick's scaled system) and mapped flags.
-	FinalAlloc  *feasibility.Allocation
-	FinalMapped []bool
+	// FinalAlloc is the end-of-timeline allocation, on the final tick's
+	// scaled system; its complete strings are the surviving mapped set.
+	FinalAlloc *feasibility.Allocation
 }
 
 // controllerTelemetry caches the controller counters for one run; all fields
@@ -189,9 +190,6 @@ type controllerTelemetry struct {
 }
 
 func newControllerTelemetry() controllerTelemetry {
-	if !telemetry.Enabled() {
-		return controllerTelemetry{}
-	}
 	return controllerTelemetry{
 		ticks:     telemetry.C("overload.ticks"),
 		shed:      telemetry.C("overload.shed"),
@@ -203,17 +201,15 @@ func newControllerTelemetry() controllerTelemetry {
 
 // Run walks the surge scenario on the control grid, keeping the allocation
 // feasible by worth-per-utilization shedding and hysteresis-gated
-// re-admission. The input allocation and mapped flags are not mutated; the
-// evolving mapping lives on per-tick scaled clones of the base system and the
-// final state is returned in the result. The run is fully deterministic: the
+// re-admission. The input allocation is not mutated: each tick re-places the
+// previous tick's complete strings on a clone of the base system scaled to
+// that tick's demand (the first tick starts from alloc), and the last tick's
+// allocation is returned in the result. The run is fully deterministic: the
 // controller consumes no randomness, iterates strings in index order, and
 // breaks every ordering tie by string ID.
-func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scenario) (*Result, error) {
+func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, error) {
 	base := alloc.System()
 	n := len(base.Strings)
-	if len(mapped) != n {
-		return nil, fmt.Errorf("overload: %d mapped flags for %d strings", len(mapped), n)
-	}
 	if err := sc.Validate(n); err != nil {
 		return nil, err
 	}
@@ -237,18 +233,12 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 
 	span := telemetry.BeginSpan("overload.run")
 	tel := newControllerTelemetry()
-	placement := make([][]int, n)
-	cur := make([]bool, n)
-	for k := 0; k < n; k++ {
-		if mapped[k] && alloc.Complete(k) {
-			placement[k] = alloc.StringMachines(k)
-			cur[k] = true
-		}
-	}
+	// Never-mapped strings are not re-admission candidates, so the shed set
+	// cannot be derived from the allocation and is carried beside it.
 	shedSet := make(map[int]bool)
-	res := &Result{WorthBefore: worthOf(base, cur), MinRetained: 1}
+	res := &Result{WorthBefore: alloc.Metric().Worth, MinRetained: 1}
 
-	var a *feasibility.Allocation
+	a := alloc
 	for i := 0; i < ticks; i++ {
 		t := float64(i) * c.cfg.Interval
 		tel.ticks.Inc()
@@ -261,11 +251,9 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 			}
 			sys = scaled
 		}
-		a = feasibility.New(sys)
-		for k := 0; k < n; k++ {
-			if cur[k] {
-				a.AssignString(k, placement[k])
-			}
+		var err error
+		if a, err = dynamic.TransferAllocation(a, sys); err != nil {
+			return nil, err
 		}
 		// Track after the bulk assignment: Track's one full rebase scan
 		// replaces the full two-stage analysis the loop below used to run per
@@ -286,9 +274,8 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 		// candidates once the resource is repaired.
 		if down != nil {
 			for k := 0; k < n; k++ {
-				if cur[k] && dynamic.StringUsesFailed(a, k, down) {
+				if a.Complete(k) && dynamic.StringUsesFailed(a, k, down) {
 					a.UnassignString(k)
-					cur[k] = false
 					shedSet[k] = true
 					res.Actions = append(res.Actions, Action{Time: t, StringID: k, Kind: Shed, Reason: "outage"})
 					res.Shed++
@@ -311,7 +298,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 		// (downgrade before drop), then shed.
 		tried := make(map[int]bool)
 		for !c.healthy(da) {
-			victim := c.pickVictim(da, cur)
+			victim := c.pickVictim(da)
 			if victim < 0 {
 				break // nothing implicated (should not happen while unhealthy)
 			}
@@ -325,7 +312,6 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 					// placement itself introduces no violation and the loop
 					// keeps shedding to cure the rest.
 					if a.FeasibleAfterAdding(victim) {
-						placement[victim] = a.StringMachines(victim)
 						res.Actions = append(res.Actions, Action{Time: t, StringID: victim, Kind: Migrated, Reason: "overload"})
 						res.Migrated++
 						tel.migrates.Inc()
@@ -334,7 +320,6 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 					a.UnassignString(victim)
 				}
 			}
-			cur[victim] = false
 			shedSet[victim] = true
 			res.Actions = append(res.Actions, Action{Time: t, StringID: victim, Kind: Shed, Reason: "overload"})
 			res.Shed++
@@ -370,9 +355,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 				}
 				if da.FeasibleAfterDelta() && a.Slackness() >= c.cfg.ShedBelow-slackEps {
 					da.Commit()
-					cur[k] = true
 					delete(shedSet, k)
-					placement[k] = a.StringMachines(k)
 					res.Actions = append(res.Actions, Action{Time: t, StringID: k, Kind: Readmitted, Reason: "slack-recovered"})
 					res.Readmitted++
 					tel.readmits.Inc()
@@ -383,16 +366,16 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 			}
 		}
 
-		worth := worthOf(base, cur)
+		m := a.Metric()
 		res.Samples = append(res.Samples, Sample{
 			Time:       t,
-			Slackness:  a.Slackness(),
-			Worth:      worth,
+			Slackness:  m.Slackness,
+			Worth:      m.Worth,
 			Mapped:     a.NumComplete(),
 			Overloaded: overAtEntry,
 		})
 		if res.WorthBefore > 0 {
-			if ratio := worth / res.WorthBefore; ratio < res.MinRetained {
+			if ratio := m.Worth / res.WorthBefore; ratio < res.MinRetained {
 				res.MinRetained = ratio
 			}
 		}
@@ -401,15 +384,14 @@ func (c *Controller) Run(alloc *feasibility.Allocation, mapped []bool, sc *Scena
 		da.Close()
 	}
 
-	res.WorthAfter = worthOf(base, cur)
+	m := a.Metric()
+	res.WorthAfter, res.SlacknessAfter = m.Worth, m.Slackness
 	res.Retained = 1.0
 	if res.WorthBefore > 0 {
 		res.Retained = res.WorthAfter / res.WorthBefore
 	}
-	res.SlacknessAfter = a.Slackness()
 	res.Feasible = a.TwoStageFeasible()
 	res.FinalAlloc = a
-	res.FinalMapped = append([]bool(nil), cur...)
 	span.End(
 		telemetry.F("ticks", float64(len(res.Samples))),
 		telemetry.F("shed", float64(res.Shed)),
@@ -442,7 +424,7 @@ func (c *Controller) healthy(da *feasibility.DeltaAnalyzer) bool {
 // machines get a direct O(M) scan and routes the O(active) ActiveRoutes walk
 // (an inactive route has exactly zero utilization and can never exceed the
 // positive target).
-func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer, cur []bool) int {
+func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer) int {
 	a := da.Allocation()
 	sys := a.System()
 	implicated := make(map[int]bool)
@@ -463,7 +445,7 @@ func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer, cur []bool) int {
 	})
 	best, bestWPU := -1, 0.0
 	for k := 0; k < len(sys.Strings); k++ {
-		if !implicated[k] || !cur[k] || !a.Complete(k) {
+		if !implicated[k] || !a.Complete(k) {
 			continue
 		}
 		wpu := WorthPerUtil(sys, k)
@@ -507,16 +489,6 @@ func sortByWorthPerUtilDesc(sys *model.System, ks []int) {
 		}
 		return ks[a] < ks[b]
 	})
-}
-
-func worthOf(sys *model.System, cur []bool) float64 {
-	w := 0.0
-	for k, ok := range cur {
-		if ok {
-			w += sys.Strings[k].Worth
-		}
-	}
-	return w
 }
 
 func allOnes(fs []float64) bool {

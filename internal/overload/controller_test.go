@@ -14,19 +14,17 @@ import (
 
 // oneMachineFixture builds a single-machine system of single-app strings with
 // the given worths and utilization demands (Work/Period), mapped on machine 0.
-func oneMachineFixture(worths, demands []float64) (*model.System, *feasibility.Allocation, []bool) {
+func oneMachineFixture(worths, demands []float64) (*model.System, *feasibility.Allocation) {
 	sys := model.NewUniformSystem(1, 5)
 	for i, w := range worths {
 		sys.AddString(model.AppString{Worth: w, Period: 10, MaxLatency: 100,
 			Apps: []model.Application{model.UniformApp(1, demands[i]*10, 1, 0)}})
 	}
 	a := feasibility.New(sys)
-	mapped := make([]bool, len(worths))
 	for k := range worths {
 		a.Assign(k, 0, 0)
-		mapped[k] = true
 	}
-	return sys, a, mapped
+	return sys, a
 }
 
 // TestControllerShedsLowestWorthPerUtilFirst: a global 2x step surge drives a
@@ -34,13 +32,13 @@ func oneMachineFixture(worths, demands []float64) (*model.System, *feasibility.A
 // strings (lowest worth-per-utilization, lowest ID first), keep the valuable
 // one, and re-admit everything once the surge subsides.
 func TestControllerShedsLowestWorthPerUtilFirst(t *testing.T) {
-	_, a, mapped := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
+	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
 	ctl, err := NewController(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	res, err := ctl.Run(a, mapped, sc)
+	res, err := ctl.Run(a, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestControllerShedsLowestWorthPerUtilFirst(t *testing.T) {
 // band between ShedBelow and ReadmitAbove must NOT re-admit — even though the
 // shed string would fit — until Λ clears the upper threshold.
 func TestControllerHysteresisBand(t *testing.T) {
-	_, a, mapped := oneMachineFixture([]float64{100, 1}, []float64{0.65, 0.05})
+	_, a := oneMachineFixture([]float64{100, 1}, []float64{0.65, 0.05})
 	ctl, err := NewController(Config{ShedBelow: 0.05, ReadmitAbove: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 		// threshold keeps it out.
 		{Kind: Step, At: 15, Duration: 10, Factor: 1.2, Strings: []int{0}},
 	}}
-	res, err := ctl.Run(a, mapped, sc)
+	res, err := ctl.Run(a, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +145,13 @@ func TestControllerHysteresisBand(t *testing.T) {
 // TestControllerBoundedReadmission: MaxReadmitPerTick spreads recovery over
 // several control ticks instead of re-admitting everything at once.
 func TestControllerBoundedReadmission(t *testing.T) {
-	_, a, mapped := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
+	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
 	ctl, err := NewController(Config{MaxReadmitPerTick: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	res, err := ctl.Run(a, mapped, sc)
+	res, err := ctl.Run(a, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +181,13 @@ func TestControllerComposesWithFaults(t *testing.T) {
 	a := feasibility.New(sys)
 	a.Assign(0, 0, 0)
 	a.Assign(1, 0, 1)
-	mapped := []bool{true, true}
 	ctl, err := NewController(Config{Faults: &faults.Scenario{Events: []faults.Event{
 		{Resource: faults.Machine(1), At: 5, Duration: 5},
 	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(a, mapped, &Scenario{})
+	res, err := ctl.Run(a, &Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +206,8 @@ func TestControllerComposesWithFaults(t *testing.T) {
 	if res.Retained != 1 || !res.Feasible {
 		t.Errorf("retained %v, feasible %v, want 1/true", res.Retained, res.Feasible)
 	}
-	if !res.FinalMapped[0] || !res.FinalMapped[1] {
-		t.Errorf("final mapped %v, want both", res.FinalMapped)
+	if res.FinalAlloc.NumComplete() != 2 {
+		t.Errorf("%d strings mapped at the end, want both", res.FinalAlloc.NumComplete())
 	}
 }
 
@@ -239,7 +236,7 @@ func TestControllerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctl.Run(r.Alloc.Clone(), append([]bool(nil), r.Mapped...), sc)
+		res, err := ctl.Run(r.Alloc, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,22 +255,19 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 }
 
-// TestControllerDoesNotMutateInputs: the caller's allocation and mapped flags
-// survive a run untouched.
+// TestControllerDoesNotMutateInputs: the caller's allocation survives a run
+// untouched.
 func TestControllerDoesNotMutateInputs(t *testing.T) {
-	_, a, mapped := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
+	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
 	ctl, err := NewController(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	if _, err := ctl.Run(a, mapped, sc); err != nil {
+	if _, err := ctl.Run(a, sc); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
-		if !mapped[k] {
-			t.Errorf("input mapped[%d] flipped", k)
-		}
 		if a.Machine(k, 0) != 0 {
 			t.Errorf("input allocation changed for string %d", k)
 		}
@@ -288,16 +282,13 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(Config{Interval: -1}); err == nil {
 		t.Error("negative control interval accepted")
 	}
-	_, a, mapped := oneMachineFixture([]float64{1}, []float64{0.1})
+	_, a := oneMachineFixture([]float64{1}, []float64{0.1})
 	ctl, err := NewController(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Run(a, mapped[:0], &Scenario{}); err == nil {
-		t.Error("mapped length mismatch accepted")
-	}
 	bad := &Scenario{Events: []Event{{Kind: Step, At: 0, Factor: 2, Strings: []int{5}}}}
-	if _, err := ctl.Run(a, mapped, bad); err == nil {
+	if _, err := ctl.Run(a, bad); err == nil {
 		t.Error("out-of-range surge scenario accepted")
 	}
 }

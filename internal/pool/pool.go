@@ -238,7 +238,6 @@ func (a *Allocator) poolCost(k, i, pi int) float64 {
 // Result mirrors heuristics.Result for pooled mapping.
 type Result struct {
 	Alloc     *feasibility.Allocation
-	Mapped    []bool
 	NumMapped int
 	Metric    feasibility.Metric
 }
@@ -254,7 +253,6 @@ func MapSequencePooled(sys *model.System, part *Partition, order []int) (*Result
 	}
 	da := feasibility.Track(a.Alloc)
 	defer da.Close()
-	mapped := make([]bool, len(sys.Strings))
 	num := 0
 	for _, k := range order {
 		a.MapStringPooled(k)
@@ -263,8 +261,7 @@ func MapSequencePooled(sys *model.System, part *Partition, order []int) (*Result
 			break
 		}
 		da.Commit()
-		mapped[k] = true
 		num++
 	}
-	return &Result{Alloc: a.Alloc, Mapped: mapped, NumMapped: num, Metric: a.Alloc.Metric()}, nil
+	return &Result{Alloc: a.Alloc, NumMapped: num, Metric: a.Alloc.Metric()}, nil
 }

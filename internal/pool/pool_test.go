@@ -94,8 +94,8 @@ func TestPooledMappingFeasible(t *testing.T) {
 		t.Fatal("pooled mapping mapped nothing")
 	}
 	worth := 0.0
-	for k, ok := range r.Mapped {
-		if ok {
+	for k := range sys.Strings {
+		if r.Alloc.Complete(k) {
 			worth += sys.Strings[k].Worth
 		}
 	}

@@ -44,8 +44,8 @@ func TestWriteFullReport(t *testing.T) {
 		}
 	}
 	// Every mapped string appears.
-	for k, ok := range r.Mapped {
-		if ok && !strings.Contains(out, "S"+itoa(k)) {
+	for k := range sys.Strings {
+		if r.Alloc.Complete(k) && !strings.Contains(out, "S"+itoa(k)) {
 			t.Errorf("mapped string %d missing from report", k)
 		}
 	}

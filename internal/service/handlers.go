@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/overload"
 	"repro/internal/scenario"
@@ -17,6 +18,17 @@ import (
 
 // maxBodyBytes bounds request bodies; scenario files are small.
 const maxBodyBytes = 1 << 20
+
+// Connection limits for the http.Server that serves Handler (cmd/shipd sets
+// them): a client gets ReadHeaderTimeout to send its request headers, and a
+// keep-alive connection with no request in flight is closed after
+// IdleTimeout. There is deliberately no whole-request read or write timeout:
+// the /v1/events NDJSON stream and a client's long-lived keep-alive
+// connection must not be cut mid-use.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
 
 // Handler returns the daemon's HTTP API.
 func (s *Service) Handler() http.Handler {
@@ -124,13 +136,23 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusFor(env.Err.Code), env)
 }
 
+// bodyError names what went wrong reading a request body: over the size
+// limit, or whatever doing reports (e.g. "malformed request body").
+func bodyError(doing string, err error) *ErrorEnvelope {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return Errorf(CodeBadRequest, nil, "request body exceeds the %d-byte limit", tooBig.Limit)
+	}
+	return Errorf(CodeBadRequest, nil, "%s: %v", doing, err)
+}
+
 // decodeStrict decodes one JSON object, rejecting unknown fields, trailing
 // data, and oversized bodies.
 func decodeStrict(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeErr(w, Errorf(CodeBadRequest, nil, "malformed request body: %v", err))
+		writeErr(w, bodyError("malformed request body", err))
 		return false
 	}
 	if dec.More() {
@@ -193,9 +215,9 @@ func (s *Service) handleFaults(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSurge(w http.ResponseWriter, r *http.Request) {
 	// The body is a surge scenario file; route it through the shared
 	// versioned loader so the API and the CLIs accept identical files.
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeErr(w, Errorf(CodeBadRequest, nil, "read request body: %v", err))
+		writeErr(w, bodyError("read request body", err))
 		return
 	}
 	var sc overload.Scenario

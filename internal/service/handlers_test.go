@@ -74,6 +74,16 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	}
 
+	// One byte over the body limit: whitespace padding keeps the JSON valid,
+	// so only the size can be what is wrong with it.
+	oversize := func(doc string) string { return strings.Repeat(" ", maxBodyBytes+1-len(doc)) + doc }
+	wantTooLarge := func(t *testing.T, status int, raw json.RawMessage) {
+		wantError(CodeBadRequest)(t, status, raw)
+		if !strings.Contains(string(raw), "exceeds the 1048576-byte limit") {
+			t.Errorf("oversize body not reported as such: %s", raw)
+		}
+	}
+
 	// Sequential: later cases depend on the state earlier ones build.
 	cases := []struct {
 		name       string
@@ -88,6 +98,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		{"admit malformed JSON", "POST", "/v1/admit", `{"stringId":}`, 400, wantError(CodeBadRequest)},
 		{"admit unknown field", "POST", "/v1/admit", `{"stringID": 2, "bogus": true}`, 400, wantError(CodeBadRequest)},
 		{"admit trailing data", "POST", "/v1/admit", `{"stringId": 2} {"stringId": 3}`, 400, wantError(CodeBadRequest)},
+		{"admit oversize body", "POST", "/v1/admit", oversize(`{"stringId": 2}`), 400, wantTooLarge},
 		{"admit unknown string", "POST", "/v1/admit", `{"stringId": 99}`, 404, wantError(CodeUnknownString)},
 		{"admit conflict", "POST", "/v1/admit", `{"stringId": 0}`, 409, wantError(CodeConflict)},
 		{"remove success", "POST", "/v1/remove", `{"stringId": 1}`, 200, wantDecision(true)},
@@ -100,6 +111,8 @@ func TestHandlerEndpoints(t *testing.T) {
 		{"faults success", "POST", "/v1/faults", `{"fail": [{"kind": "machine", "machine": 5}]}`, 200, wantDecision(true)},
 		{"surge malformed", "POST", "/v1/surge", `{"events": [{"kind": "step"}]}`, 400, wantError(CodeBadRequest)},
 		{"surge future version", "POST", "/v1/surge", `{"version": 99, "events": []}`, 400, wantError(CodeBadRequest)},
+		{"surge oversize body", "POST", "/v1/surge",
+			oversize(`{"events": [{"kind": "step", "at": 0, "duration": 20, "factor": 1.3}]}`), 400, wantTooLarge},
 		{"surge success", "POST", "/v1/surge",
 			`{"events": [{"kind": "step", "at": 0, "duration": 20, "factor": 1.3}]}`, 200, wantDecision(true)},
 		{"snapshot success", "POST", "/v1/snapshot", `{"path": "` + snapPath + `"}`, 200, nil},

@@ -121,14 +121,15 @@ func (c Config) Validate() error {
 
 // state is the single-writer daemon state; only the loop goroutine touches it.
 type state struct {
-	cfg    Config
-	sys    *model.System
-	alloc  *feasibility.Allocation
-	da     *feasibility.DeltaAnalyzer
-	mapped []bool
-	// worth and nMapped mirror the mapped set incrementally so serving
-	// decisions never rescan the catalog: admit/remove adjust them in O(1),
-	// control-plane rebuilds (faults, surge, restore) recount them.
+	cfg Config
+	sys *model.System
+	// alloc is the mapped set: string k is admitted iff alloc.Complete(k).
+	alloc *feasibility.Allocation
+	da    *feasibility.DeltaAnalyzer
+	// worth and nMapped are O(1) summaries of the allocation's complete
+	// strings so serving decisions never rescan the catalog: admit/remove
+	// adjust them in place, control-plane rebuilds (faults, surge, restore)
+	// recount them.
 	worth   float64
 	nMapped int
 	// scale[k] is the cumulative demand factor applied to string k via
@@ -189,12 +190,9 @@ func New(cfg Config) (*Service, error) {
 		events: newEventLog(cfg.EventBuffer),
 	}
 	if cfg.Heuristic != "" {
-		r := heuristics.Run(cfg.Heuristic, sys, cfg.Search)
-		st.alloc = r.Alloc
-		st.mapped = append([]bool(nil), r.Mapped...)
+		st.alloc = heuristics.Run(cfg.Heuristic, sys, cfg.Search).Alloc
 	} else {
 		st.alloc = feasibility.New(sys)
-		st.mapped = make([]bool, len(sys.Strings))
 	}
 	return startService(st)
 }
@@ -413,15 +411,15 @@ func (st *state) checkString(k int) *ErrorEnvelope {
 	return nil
 }
 
-// recount rebuilds the incremental worth and mapped-count mirrors from the
-// mapped set. Control-plane entry points (startup, faults, surge) call it;
+// recount rebuilds the incremental worth and mapped-count summaries from the
+// allocation. Control-plane entry points (startup, faults, surge) call it;
 // serving operations adjust the mirrors in O(1) instead. Worths in the paper
 // workloads are small integers, so the incremental sum stays exact; for
 // arbitrary float worths it is reporting-only and never feeds feasibility.
 func (st *state) recount() {
 	st.worth, st.nMapped = 0, 0
-	for k, m := range st.mapped {
-		if m {
+	for k := range st.sys.Strings {
+		if st.alloc.Complete(k) {
 			st.worth += st.sys.Strings[k].Worth
 			st.nMapped++
 		}
@@ -488,7 +486,7 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 	if e := st.checkString(k); e != nil {
 		return Decision{}, e
 	}
-	if st.mapped[k] {
+	if st.alloc.Complete(k) {
 		return Decision{}, Errorf(CodeConflict, nil, "string %d is already mapped", k)
 	}
 	worthBefore := st.worth
@@ -505,7 +503,6 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 			"placement violates QoS of co-resident strings", viol), nil
 	}
 	st.da.Commit()
-	st.mapped[k] = true
 	st.worth += st.sys.Strings[k].Worth
 	st.nMapped++
 	d := Decision{
@@ -523,12 +520,11 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 	if e := st.checkString(k); e != nil {
 		return Decision{}, e
 	}
-	if !st.mapped[k] {
+	if !st.alloc.Complete(k) {
 		return Decision{}, Errorf(CodeConflict, nil, "string %d is not mapped", k)
 	}
 	worthBefore := st.worth
 	st.alloc.UnassignString(k)
-	st.mapped[k] = false
 	st.worth -= st.sys.Strings[k].Worth
 	st.nMapped--
 	st.da.Commit()
@@ -589,7 +585,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		return Decision{}, Errorf(CodeBadRequest, nil, "rescale factor = %v, want finite positive", factor)
 	}
 	worthBefore := st.worth
-	if !st.mapped[k] {
+	if !st.alloc.Complete(k) {
 		// Catalog-only change; nothing placed, nothing to evaluate.
 		st.scaleString(k, factor)
 		st.scale[k] *= factor
@@ -640,32 +636,13 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	return st.reject("rescale", k, worthBefore, st.alloc.Slackness(), reason, viol), nil
 }
 
-// validateResources bounds-checks fault resources against the suite.
-func (st *state) validateResources(rs []faults.Resource) *ErrorEnvelope {
-	m := st.sys.Machines
-	for _, r := range rs {
-		switch r.Kind {
-		case faults.MachineResource:
-			if r.Machine < 0 || r.Machine >= m {
-				return Errorf(CodeUnknownResource, nil, "machine %d out of range [0,%d)", r.Machine, m)
-			}
-		case faults.RouteResource:
-			if r.From < 0 || r.From >= m || r.To < 0 || r.To >= m || r.From == r.To {
-				return Errorf(CodeUnknownResource, nil, "route %d->%d invalid for %d machines", r.From, r.To, m)
-			}
-		default:
-			return Errorf(CodeUnknownResource, nil, "unknown resource kind %q", r.Kind)
-		}
-	}
-	return nil
-}
-
 func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
-	if e := st.validateResources(req.Fail); e != nil {
-		return Decision{}, e
-	}
-	if e := st.validateResources(req.Repair); e != nil {
-		return Decision{}, e
+	for _, rs := range [][]faults.Resource{req.Fail, req.Repair} {
+		for _, r := range rs {
+			if err := r.Validate(st.sys.Machines); err != nil {
+				return Decision{}, Errorf(CodeUnknownResource, nil, "%v", err)
+			}
+		}
 	}
 	for _, r := range req.Fail {
 		st.down.Fail(r)
@@ -676,7 +653,7 @@ func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
 	// Survive reuses the already-attached analyzer, so the fault path does
 	// not rebase; repaired resources become placeable again but previously
 	// shed strings are only re-admitted via explicit /v1/admit calls.
-	res, err := dynamic.SurviveOpts(st.alloc, st.mapped, st.down, st.cfg.Repair)
+	res, err := dynamic.Survive(st.alloc, st.down, st.cfg.Repair)
 	if err != nil {
 		if errors.Is(err, dynamic.ErrUnknownResource) {
 			return Decision{}, Errorf(CodeUnknownResource, nil, "%v", err)
@@ -705,29 +682,20 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 	if err != nil {
 		return Decision{}, Errorf(CodeInternal, nil, "overload controller: %v", err)
 	}
-	res, err := ctl.Run(st.alloc, st.mapped, sc)
+	res, err := ctl.Run(st.alloc, sc)
 	if err != nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "%v", err)
 	}
 	// The controller works on a scaled clone; adopt its final mapping by
 	// re-placing it deterministically (string index order) on the live
 	// system. This is a control-plane rebuild, not part of the serve path.
-	finalMachines := make([][]int, len(st.sys.Strings))
-	for k := range st.sys.Strings {
-		if res.FinalMapped[k] {
-			finalMachines[k] = res.FinalAlloc.StringMachines(k)
-		}
+	fresh, err := dynamic.TransferAllocation(res.FinalAlloc, st.sys)
+	if err != nil {
+		return Decision{}, Errorf(CodeInternal, nil, "adopt surge result: %v", err)
 	}
 	st.da.Close()
-	fresh := feasibility.New(st.sys)
-	for k, machines := range finalMachines {
-		if machines != nil {
-			fresh.AssignString(k, machines)
-		}
-	}
 	st.alloc = fresh
 	st.da = feasibility.Track(fresh)
-	st.mapped = append([]bool(nil), res.FinalMapped...)
 	st.recount()
 	d := FromOverload("surge", res)
 	return st.finish(&d), nil
@@ -750,8 +718,8 @@ func (st *state) stateResponse() StateResponse {
 	}
 	for k := range st.sys.Strings {
 		resp.TotalWorth += st.sys.Strings[k].Worth
-		ss := StringStatus{ID: k, Mapped: st.mapped[k], Worth: st.sys.Strings[k].Worth, Scale: st.scale[k]}
-		if st.mapped[k] {
+		ss := StringStatus{ID: k, Mapped: st.alloc.Complete(k), Worth: st.sys.Strings[k].Worth, Scale: st.scale[k]}
+		if ss.Mapped {
 			ss.Machines = st.alloc.StringMachines(k)
 		}
 		resp.StringStates = append(resp.StringStates, ss)

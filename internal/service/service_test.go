@@ -1,10 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -449,6 +451,76 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 	if _, err := Restore(bad, Config{}); err == nil {
 		t.Fatal("restore accepted malformed JSON")
+	}
+}
+
+// TestRestoreLegacySnapshotWithMappedField: snapshot files written before the
+// allocation became the mapped set carry a "mapped" array beside it. Such a
+// file must restore to the same state: the section is ignored, not an error.
+func TestRestoreLegacySnapshotWithMappedField(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.json")
+	svc := newTestService(t, 4, Config{})
+	mustAdmit(t, svc, 0)
+	mustAdmit(t, svc, 2)
+	if _, err := svc.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := replaceOnce(string(data), "\"scale\": [", "\"mapped\": [true, false, true, false],\n  \"scale\": [")
+	if legacy == string(data) {
+		t.Fatal("snapshot has no scale section to splice the legacy mapped array before")
+	}
+	legacyPath := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(legacyPath, Config{})
+	if err != nil {
+		t.Fatalf("restore of a snapshot with a legacy mapped section: %v", err)
+	}
+	defer restored.Close()
+	if a, b := digestOf(t, svc), digestOf(t, restored); a != b {
+		t.Fatalf("restored digest %s != original %s", b, a)
+	}
+	st, err := restored.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MappedCount != 2 || !st.StringStates[0].Mapped || st.StringStates[1].Mapped || !st.StringStates[2].Mapped {
+		t.Fatalf("restored mapped set wrong: count %d, states %+v", st.MappedCount, st.StringStates)
+	}
+}
+
+// TestRestoreRejectsPartiallyPlacedString: no operation leaves a string with
+// only some of its applications placed, so a snapshot describing one — even
+// with a digest that matches — is refused rather than served.
+func TestRestoreRejectsPartiallyPlacedString(t *testing.T) {
+	sys := testSystem(4)
+	alloc := feasibility.New(sys)
+	alloc.AssignString(0, []int{0, 1})
+	alloc.Assign(1, 0, 2) // string 1: one of two applications
+	file := SnapshotFile{
+		SchemaVersion: SchemaVersion,
+		System:        sys,
+		Alloc:         alloc.Snapshot(),
+		Scale:         unitScales(len(sys.Strings)),
+		Digest:        feasibility.StateDigest(alloc),
+	}
+	data, err := json.Marshal(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "partial.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Restore(path, Config{})
+	if err == nil || !strings.Contains(err.Error(), "string 1 is partially placed") {
+		t.Fatalf("restore error = %v, want a partially-placed rejection for string 1", err)
 	}
 }
 

@@ -1,12 +1,15 @@
 // Daemon snapshots: the whole observable service state in one JSON file, so
 // a killed daemon restarted with -restore resumes bit-identically. The
 // allocation part rides on feasibility.AllocationSnapshot (exact IEEE-754 bit
-// patterns); the file additionally pins the system catalog (rescales mutate
-// it), the mapped set, cumulative scale factors, standing outages, the
-// sequence number, the journal chain value, and the
-// feasibility.StateDigest of the live allocation. On restore the digest is
-// recomputed and must match — a snapshot that cannot reproduce the exact
-// state is rejected rather than silently drifting. Snapshot writes are atomic
+// patterns) and is the mapped set — a string is admitted iff the allocation
+// places all of it, so the file has no separate mapped section (files that
+// still carry one load unchanged; the section is ignored). The file
+// additionally pins the system catalog (rescales mutate it), cumulative scale
+// factors, standing outages, the sequence number, the journal chain value,
+// and the feasibility.StateDigest of the live allocation. On restore the
+// digest is recomputed and must match — a snapshot that cannot reproduce the
+// exact state is rejected rather than silently drifting, as is one that
+// places only part of a string. Snapshot writes are atomic
 // (temp file in the target directory, fsync, rename), so a crash mid-write
 // never clobbers the previous snapshot — which is what lets journal
 // compaction treat the sidecar snapshot as its durable base.
@@ -46,10 +49,8 @@ type SnapshotFile struct {
 	System *model.System `json:"system"`
 	// Alloc is the exact-bit allocation snapshot.
 	Alloc *feasibility.AllocationSnapshot `json:"alloc"`
-	// Mapped marks the admitted strings; Scale holds the cumulative rescale
-	// factor per string.
-	Mapped []bool    `json:"mapped"`
-	Scale  []float64 `json:"scale"`
+	// Scale holds the cumulative rescale factor per string.
+	Scale []float64 `json:"scale"`
 	// Down lists the standing resource outages.
 	Down []faults.Resource `json:"down,omitempty"`
 	// Seq is the decision sequence number at snapshot time.
@@ -106,7 +107,6 @@ func (st *state) snapshotTo(path string) (SnapshotResponse, *ErrorEnvelope) {
 		SchemaVersion: SchemaVersion,
 		System:        st.sys,
 		Alloc:         st.alloc.Snapshot(),
-		Mapped:        st.mapped,
 		Scale:         st.scale,
 		Down:          st.down.Resources(),
 		Seq:           st.seq,
@@ -171,9 +171,8 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		return nil, fmt.Errorf("service: snapshot %s: %w", path, err)
 	}
 	n := len(file.System.Strings)
-	if len(file.Mapped) != n || len(file.Scale) != n {
-		return nil, fmt.Errorf("service: snapshot %s: mapped/scale length %d/%d, want %d",
-			path, len(file.Mapped), len(file.Scale), n)
+	if len(file.Scale) != n {
+		return nil, fmt.Errorf("service: snapshot %s: scale length %d, want %d", path, len(file.Scale), n)
 	}
 	alloc, err := feasibility.FromSnapshot(file.System, file.Alloc)
 	if err != nil {
@@ -183,25 +182,24 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		return nil, fmt.Errorf("service: snapshot %s: restored digest %s does not match recorded %s",
 			path, got, file.Digest)
 	}
-	for k, m := range file.Mapped {
-		if m && !alloc.Complete(k) {
-			return nil, fmt.Errorf("service: snapshot %s: string %d marked mapped but not completely placed", path, k)
+	// Every op ends with a whole string placed or removed, so a string placed
+	// in part is a state no daemon wrote.
+	for k := range file.System.Strings {
+		apps, placed := len(file.System.Strings[k].Apps), 0
+		for i := 0; i < apps; i++ {
+			if alloc.Machine(k, i) != feasibility.Unassigned {
+				placed++
+			}
+		}
+		if placed != 0 && placed != apps {
+			return nil, fmt.Errorf("service: snapshot %s: string %d is partially placed (%d of %d applications)",
+				path, k, placed, apps)
 		}
 	}
 	down := faults.NewSet(file.System.Machines)
-	m := file.System.Machines
 	for _, r := range file.Down {
-		switch r.Kind {
-		case faults.MachineResource:
-			if r.Machine < 0 || r.Machine >= m {
-				return nil, fmt.Errorf("service: snapshot %s: down machine %d out of range [0,%d)", path, r.Machine, m)
-			}
-		case faults.RouteResource:
-			if r.From < 0 || r.From >= m || r.To < 0 || r.To >= m || r.From == r.To {
-				return nil, fmt.Errorf("service: snapshot %s: down route %d->%d invalid for %d machines", path, r.From, r.To, m)
-			}
-		default:
-			return nil, fmt.Errorf("service: snapshot %s: unknown down resource kind %q", path, r.Kind)
+		if err := r.Validate(file.System.Machines); err != nil {
+			return nil, fmt.Errorf("service: snapshot %s: down resource: %w", path, err)
 		}
 		down.Fail(r)
 	}
@@ -215,7 +213,6 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		cfg:    cfg,
 		sys:    file.System,
 		alloc:  alloc,
-		mapped: append([]bool(nil), file.Mapped...),
 		scale:  append([]float64(nil), file.Scale...),
 		down:   down,
 		seq:    file.Seq,

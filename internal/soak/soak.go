@@ -258,8 +258,8 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	d.add(r.Name, r.NumMapped)
 	d.addFloats(r.Metric.Worth, r.Metric.Slackness)
 	for k := range sys.Strings {
-		d.add(r.Mapped[k])
-		if r.Mapped[k] {
+		d.add(r.Alloc.Complete(k))
+		if r.Alloc.Complete(k) {
 			d.add(r.Alloc.StringMachines(k))
 		}
 	}
@@ -323,7 +323,7 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	// and degradation control against the surge trace (with the fault trace
 	// on the same timeline). Both legitimately depend on every stage above,
 	// so they get their own digest, separate from the pure stream outputs.
-	sres, err := dynamic.SurviveScenario(r.Alloc.Clone(), cloneBools(r.Mapped), fsc)
+	sres, err := dynamic.SurviveScenario(r.Alloc.Clone(), fsc)
 	if err != nil {
 		return nil, fmt.Errorf("soak: failover: %w", err)
 	}
@@ -331,7 +331,7 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soak: controller: %w", err)
 	}
-	cres, err := ctrl.Run(r.Alloc.Clone(), cloneBools(r.Mapped), ssc)
+	cres, err := ctrl.Run(r.Alloc.Clone(), ssc)
 	if err != nil {
 		return nil, fmt.Errorf("soak: degradation: %w", err)
 	}
@@ -394,8 +394,6 @@ func (r *Result) Stages() []struct{ Name, Digest string } {
 		{"journal", r.JournalDigest},
 	}
 }
-
-func cloneBools(b []bool) []bool { return append([]bool(nil), b...) }
 
 // digest accumulates stage output into a sha256 sum. Floats are hashed by
 // their IEEE 754 bit patterns, so two runs agree on a digest exactly when

@@ -11,22 +11,29 @@
 //	POST /v1/rescale   {"stringId": k, "factor": g} rescale a string's demand
 //	POST /v1/faults    {"fail": [...], "repair": [...]} outages and repairs
 //	POST /v1/surge     <overload scenario JSON>     run a degradation episode
-//	POST /v1/snapshot  {"path": "..."}              write a resumable snapshot
+//	POST /v1/snapshot  {"path": "..."}              write a resumable snapshot (state file + catalog)
 //	GET  /v1/state                                  full observable state
 //	GET  /v1/metrics                                telemetry + derived ratios
 //	GET  /v1/events?since=N                         decision stream (JSONL)
 //	GET  /v1/healthz                                liveness (500 = broken journal)
 //	GET  /v1/readyz                                 readiness (503 = recovering/draining)
 //
-// A daemon restarted with -restore resumes from a snapshot bit-identically:
-// the snapshot carries exact IEEE-754 accumulator bits and the restored
-// state's digest must match the recorded one.
+// A snapshot is two files: a small state file (allocation as exact IEEE-754
+// accumulator bits, demand scale per string, outages, seq, digest) and, written
+// once per directory, the immutable catalog it pins by sha256
+// (catalog-<hash>.json beside it) — copy both. A daemon restarted with
+// -restore resumes bit-identically: the catalog must hash to the pinned
+// value and the restored state's digest must match the recorded one.
 //
 // With -journal the daemon write-ahead logs every accepted mutation before
 // replying; after a crash, restarting with the same -journal recovers the
 // acknowledged history bit-identically (snapshot restore + journal replay,
-// verified record by record). While replay runs, the HTTP surface answers
-// healthz alive and everything else 503.
+// verified record by record). Journal compaction writes the same small state
+// file; the catalog is written beside the journal once, at the first start.
+// -in beside a journal with history (or with -restore) does not replace the
+// pinned catalog: it is checked against it, and a different system is refused.
+// While replay runs, the HTTP surface answers healthz alive and everything
+// else 503.
 //
 // Examples:
 //
@@ -135,6 +142,13 @@ func main() {
 		} else if _, err := os.Stat(service.JournalSnapshotPath(*journalPath)); err == nil {
 			recoverJournal = true
 		}
+	}
+
+	// A recovered or restored daemon serves the catalog its snapshot pins; an
+	// explicit -in is held against that pin instead of being ignored.
+	if *inFile != "" && (recoverJournal || *restore != "") {
+		cfg.System, err = model.LoadFile(*inFile)
+		fatal(err)
 	}
 
 	var svc *service.Service

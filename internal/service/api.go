@@ -23,9 +23,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SchemaVersion is stamped into every response and snapshot file; clients
-// reject versions newer than they understand.
-const SchemaVersion = 1
+// SchemaVersion is stamped into every response, journal record and snapshot
+// file; clients reject versions newer than they understand. Version 2 took
+// the catalog out of the snapshot file (see snapshot.go).
+const SchemaVersion = 2
 
 // Error codes carried by the error envelope. The HTTP layer maps them to
 // status codes; programmatic clients switch on the code, not the message.
@@ -101,10 +102,12 @@ type SnapshotRequest struct {
 	Path string `json:"path,omitempty"`
 }
 
-// SnapshotResponse reports a written snapshot.
+// SnapshotResponse reports a written snapshot: the state file and the
+// catalog file beside it that the state file pins. A copy needs both.
 type SnapshotResponse struct {
 	SchemaVersion int    `json:"schemaVersion"`
 	Path          string `json:"path"`
+	Catalog       string `json:"catalog"`
 	Digest        string `json:"digest"`
 	Seq           uint64 `json:"seq"`
 }

@@ -2,11 +2,14 @@ package service
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/journal"
 	"repro/internal/model"
+	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // benchSystem builds the loaded admission workload: M uniform machines
@@ -97,5 +100,48 @@ func BenchmarkServiceAdmitJournaled(b *testing.B) {
 				benchAdmitRemove(b, svc, m)
 			})
 		}
+	}
+}
+
+// BenchmarkCompact times one journal compaction — digest, state snapshot,
+// atomic write, journal reset and header sync — on the benchmark's fleet ship
+// (workload.FleetConfig(M, 2)) after a few hundred mixed ops, and reports the
+// size of the snapshot it leaves. The catalog is written at bootstrap, outside
+// the timer; a compaction that re-serialised it would cost tens of
+// milliseconds and megabytes at M=128 and ~16x that at M=512.
+func BenchmarkCompact(b *testing.B) {
+	for _, m := range []int{128, 512} {
+		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
+			sys := workload.MustGenerate(workload.FleetConfig(m, 2), 1)
+			journalPath := filepath.Join(b.TempDir(), "bench.wal")
+			svc, err := New(Config{System: sys, Journal: journalPath, Fsync: journal.FsyncNone, CompactEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			r := rng.NewRand(1, "service/bench", 0)
+			for step := 0; step < 400; step++ {
+				op, k, factor := modelOp(r, len(sys.Strings))
+				_, _ = applyModelOp(svc, op, k, factor)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if err := svc.exec(func(st *state) {
+					st.seq++ // a compaction at a new seq, as on the serve path: no memoised digest
+					if err := st.compact(); err != nil {
+						b.Error(err)
+					}
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(1e3*b.Elapsed().Seconds()/float64(b.N), "ms/op")
+			fi, err := os.Stat(JournalSnapshotPath(journalPath))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
+		})
 	}
 }

@@ -21,10 +21,13 @@
 //
 // Compaction: every CompactEvery appended records the daemon writes an atomic
 // sidecar snapshot (<journal>.snap.json), truncates the journal, and writes a
-// fresh header. The invariant is that snapshot state + journal tail replay
-// always reproduces the live state; records with seq at or below the snapshot
-// seq are skipped on replay, which also covers a crash landing between the
-// compaction snapshot and the truncate.
+// fresh header. The sidecar is a state file — allocation, scale vector,
+// outages, seq, digest, chain — and pins the catalog file written beside it
+// once, at bootstrap (see snapshot.go), so a compaction costs kilobytes
+// whatever the size of the ship. The invariant is that snapshot state +
+// journal tail replay always reproduces the live state; records with seq at
+// or below the snapshot seq are skipped on replay, which also covers a crash
+// landing between the compaction snapshot and the truncate.
 //
 // Failure policy: if an append fails (disk full, journal file yanked), the
 // mutation's reply is an error, the daemon marks the journal broken, and all
@@ -220,7 +223,7 @@ func (st *state) journalAppend(op string, payload json.RawMessage, d *Decision) 
 	}
 	st.sinceDigest++
 	if st.cfg.DigestEvery > 0 && st.sinceDigest >= st.cfg.DigestEvery {
-		rec.StateDigest = feasibility.StateDigest(st.alloc)
+		rec.StateDigest = st.digest()
 		st.sinceDigest = 0
 	}
 	buf, err := json.Marshal(&rec)
@@ -287,9 +290,10 @@ func (st *state) journalOptions() journal.Options {
 }
 
 // bootstrapJournal starts journaling on a fresh (or cleanly absent) journal
-// file: base snapshot first, then the journal with its header. A non-empty
-// existing journal is refused — that history belongs to Recover, and silently
-// appending over it (or ignoring it) would forge the acknowledged record.
+// file: catalog and base snapshot first, then the journal with its header. A
+// non-empty existing journal is refused — that history belongs to Recover, and
+// silently appending over it (or ignoring it) would forge the acknowledged
+// record.
 func (st *state) bootstrapJournal() error {
 	path := st.cfg.Journal
 	if info, err := os.Stat(path); err == nil && info.Size() > 0 {
@@ -297,7 +301,9 @@ func (st *state) bootstrapJournal() error {
 			path, info.Size())
 	}
 	// Snapshot before journal creation: a crash between the two leaves a
-	// snapshot with no journal, which Recover handles as zero replayed records.
+	// snapshot with no journal, which Recover handles as zero replayed records
+	// (and a crash before the snapshot leaves at most a catalog file, which a
+	// fresh start finds in place).
 	if _, e := st.snapshotTo(JournalSnapshotPath(path)); e != nil {
 		return fmt.Errorf("service: journal base snapshot: %w", e)
 	}
@@ -324,9 +330,10 @@ func (st *state) bootstrapJournal() error {
 // replay divergence as *ReplayError, and a journal written by a newer daemon
 // as *SchemaVersionError; none of the three are repaired silently.
 //
-// As with Restore, cfg.System is ignored (the snapshot pins the catalog) and
-// the serving knobs come from cfg; they must match the crashed daemon's for
-// ops like surge to replay identically.
+// As with Restore, cfg.System is optional — nil serves the catalog the
+// snapshot pins, anything else must encode to the pinned sha256 — and the
+// serving knobs come from cfg; they must match the crashed daemon's for ops
+// like surge to replay identically.
 func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) {
 	cfg.Journal = journalPath
 	snapPath := JournalSnapshotPath(journalPath)
@@ -407,7 +414,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		}
 	}
 	rep.FinalSeq = st.seq
-	rep.Digest = feasibility.StateDigest(st.alloc)
+	rep.Digest = st.digest()
 	telemetry.C("service.journal.replayed").Add(int64(rep.Replayed))
 	telemetry.C("service.journal.torn_bytes").Add(rep.TornBytes)
 	svc, err := startService(st)

@@ -193,7 +193,10 @@ func TestRecoverNewerJournalSchemaIsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range scan.Payloads {
-		bumped := strings.Replace(string(p), `{"v":1,`, `{"v":99,`, 1)
+		bumped := strings.Replace(string(p), fmt.Sprintf(`{"v":%d,`, SchemaVersion), `{"v":99,`, 1)
+		if bumped == string(p) {
+			t.Fatalf("record %s does not start with its schema version", p)
+		}
 		if _, err := w.Append([]byte(bumped)); err != nil {
 			t.Fatal(err)
 		}

@@ -18,10 +18,13 @@ import (
 // the reference allocation (a bit-exact copy, so an accepted trial simply
 // replaces it and a rejected one is dropped — the plain counterpart of
 // Commit/Undo), placed with the unmasked IMR, and judged by the full two-stage
-// analysis run from scratch. It owns its own copy of the catalog because
-// rescale edits demand floats in place.
+// analysis run from scratch. Demand is defined as the service defines it —
+// base × cumulative scale, one multiply from the pristine float — written out
+// again here rather than shared, over the oracle's own copy of the catalog.
 type refService struct {
-	sys    *model.System
+	base   *model.System // as generated; never written
+	sys    *model.System // base × scale, what alloc is built over
+	scale  []float64
 	alloc  *feasibility.Allocation
 	mapped map[int]bool
 }
@@ -33,9 +36,10 @@ type refOutcome struct {
 	violations []feasibility.Violation
 }
 
-func newRefService(sys *model.System) *refService {
-	sys = sys.Clone()
-	return &refService{sys: sys, alloc: feasibility.New(sys), mapped: map[int]bool{}}
+func newRefService(base *model.System) *refService {
+	sys := base.Clone()
+	return &refService{base: base, sys: sys, scale: unitScales(len(sys.Strings)),
+		alloc: feasibility.New(sys), mapped: map[int]bool{}}
 }
 
 // place tries string k on a clone and keeps the clone iff the whole
@@ -70,35 +74,43 @@ func (r *refService) remove(k int) refOutcome {
 	return refOutcome{accepted: true}
 }
 
-func (r *refService) scaleString(k int, factor float64) {
-	apps := r.sys.Strings[k].Apps
+// setScale sets string k's demand to base × g.
+func (r *refService) setScale(k int, g float64) {
+	base, apps := r.base.Strings[k].Apps, r.sys.Strings[k].Apps
 	for i := range apps {
 		for j := range apps[i].NominalTime {
-			apps[i].NominalTime[j] *= factor
+			apps[i].NominalTime[j] = base[i].NominalTime[j] * g
 		}
-		apps[i].OutputKB *= factor
+		apps[i].OutputKB = base[i].OutputKB * g
 	}
 }
 
 func (r *refService) rescale(k int, factor float64) refOutcome {
+	g := r.scale[k] * factor
 	if !r.mapped[k] {
-		r.scaleString(k, factor)
+		r.setScale(k, g)
+		r.scale[k] = g
 		return refOutcome{accepted: true}
-	}
-	apps := r.sys.Strings[k].Apps
-	saved := make([]model.Application, len(apps))
-	for i := range apps {
-		saved[i] = apps[i]
-		saved[i].NominalTime = append([]float64(nil), apps[i].NominalTime...)
 	}
 	without := r.alloc.Clone()
 	without.UnassignString(k) // demand leaves the accumulators at the old scale
-	r.scaleString(k, factor)
+	r.setScale(k, g)
 	out := r.place(k, without)
-	if !out.accepted {
-		copy(apps, saved)
+	if out.accepted {
+		r.scale[k] = g
+	} else {
+		r.setScale(k, r.scale[k])
 	}
 	return out
+}
+
+// memoAndFreshDigest reads the state's memoised digest and recomputes it.
+func memoAndFreshDigest(t *testing.T, svc *Service) (memo, fresh string) {
+	t.Helper()
+	if err := svc.exec(func(st *state) { memo, fresh = st.digest(), feasibility.StateDigest(st.alloc) }); err != nil {
+		t.Fatal(err)
+	}
+	return memo, fresh
 }
 
 // modelOp draws the next op of the keyed stream. The string and the op kind
@@ -115,6 +127,17 @@ func modelOp(r *rand.Rand, n int) (op string, k int, factor float64) {
 	default:
 		return opRescale, k, 0.7 + 2.3*r.Float64()
 	}
+}
+
+// applyModelOp runs one drawn op on the service.
+func applyModelOp(svc *Service, op string, k int, factor float64) (Decision, error) {
+	switch op {
+	case opAdmit:
+		return svc.Admit(k)
+	case opRemove:
+		return svc.Remove(k)
+	}
+	return svc.Rescale(k, factor)
 }
 
 // TestLockstepAgainstReferenceModel drives the real service and the
@@ -150,18 +173,15 @@ func TestLockstepAgainstReferenceModel(t *testing.T) {
 			for step := 0; step < ops; step++ {
 				op, k, factor := modelOp(r, len(sys.Strings))
 				var want refOutcome
-				var got Decision
 				switch op {
 				case opAdmit:
 					want = ref.admit(k)
-					got, err = svc.Admit(k)
 				case opRemove:
 					want = ref.remove(k)
-					got, err = svc.Remove(k)
 				case opRescale:
 					want = ref.rescale(k, factor)
-					got, err = svc.Rescale(k, factor)
 				}
+				got, err := applyModelOp(svc, op, k, factor)
 				label := fmt.Sprintf("step %d %s(%d, %.3f)", step, op, k, factor)
 				if want.conflict {
 					conflicts++
@@ -193,6 +213,14 @@ func TestLockstepAgainstReferenceModel(t *testing.T) {
 				}
 				if want := ref.alloc.TwoStageFeasible(); state.Feasible != want {
 					t.Fatalf("%s: Feasible = %v, full analysis says %v", label, state.Feasible, want)
+				}
+				// The digest is memoised on seq; that key is sound only while
+				// every mutating path advances seq, conflicts included.
+				if memo, fresh := memoAndFreshDigest(t, svc); memo != fresh {
+					t.Fatalf("%s: memoised digest %s, fresh digest %s", label, memo, fresh)
+				}
+				if got := state.StringStates[k].Scale; got != ref.scale[k] {
+					t.Fatalf("%s: scale[%d] = %v, reference %v", label, k, got, ref.scale[k])
 				}
 			}
 			// The stream must actually reach every branch it claims to check.

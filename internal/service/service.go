@@ -32,7 +32,9 @@ import (
 
 // Config configures a Service.
 type Config struct {
-	// System is the machine suite and string catalog the daemon serves.
+	// System is the machine suite and string catalog the daemon serves. The
+	// service never writes to it: live demand is System × scale[k], held in a
+	// working view (see state.sys).
 	System *model.System
 	// Heuristic optionally names an initial mapping heuristic (heuristics.Run
 	// names: MWF, TF, PSG, ...); empty starts with nothing mapped and lets
@@ -122,7 +124,17 @@ func (c Config) Validate() error {
 // state is the single-writer daemon state; only the loop goroutine touches it.
 type state struct {
 	cfg Config
-	sys *model.System
+	// base is the catalog as loaded and is never written; sys is the working
+	// view the allocation is built over: string k's demand floats are
+	// base × scale[k], one multiply from the pristine float (the
+	// dynamic.ScaleStrings definition). The view shares the slices a rescale
+	// never writes (Bandwidth, NominalUtil) with base.
+	base *model.System
+	sys  *model.System
+	// catalog names and hashes base's durable encoding; catalogAt records the
+	// catalog files this process has written or verified (see writeCatalog).
+	catalog   CatalogRef
+	catalogAt map[string]bool
 	// alloc is the mapped set: string k is admitted iff alloc.Complete(k).
 	alloc *feasibility.Allocation
 	da    *feasibility.DeltaAnalyzer
@@ -132,12 +144,15 @@ type state struct {
 	// recount them.
 	worth   float64
 	nMapped int
-	// scale[k] is the cumulative demand factor applied to string k via
-	// /v1/rescale, relative to the catalog the daemon started from.
+	// scale[k] is the demand multiplier in force on string k: the product of
+	// its accepted /v1/rescale factors, applied to base in one multiply.
 	scale  []float64
 	down   *faults.Set
 	seq    uint64
 	events *eventLog
+	// digestMemo is StateDigest(alloc) as of digestSeq; see digest.
+	digestMemo string
+	digestSeq  uint64
 	// bound is the current LP worth upper bound (nil when disabled or the
 	// solve failed); boundWarm records whether the last re-solve reused the
 	// previous simplex basis.
@@ -181,12 +196,14 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys := cfg.System
+	scale := unitScales(len(cfg.System.Strings))
+	sys := scaledView(cfg.System, scale)
 	st := &state{
 		cfg:    cfg,
+		base:   cfg.System,
 		sys:    sys,
 		down:   faults.NewSet(sys.Machines),
-		scale:  unitScales(len(sys.Strings)),
+		scale:  scale,
 		events: newEventLog(cfg.EventBuffer),
 	}
 	if cfg.Heuristic != "" {
@@ -467,6 +484,17 @@ func (st *state) finish(d *Decision) Decision {
 	return *d
 }
 
+// digest is feasibility.StateDigest of the live allocation, computed at most
+// once per sequence number. seq is a sound key because every path that
+// changes the allocation ends in finish (envelope errors return before
+// touching it); the lockstep model test checks the memo after every op.
+func (st *state) digest() string {
+	if st.digestMemo == "" || st.digestSeq != st.seq {
+		st.digestMemo, st.digestSeq = feasibility.StateDigest(st.alloc), st.seq
+	}
+	return st.digestMemo
+}
+
 // reject builds a rejected Decision; the state has already been rolled back.
 func (st *state) reject(op string, k int, worthBefore, slackness float64, reason string, viol []feasibility.Violation) Decision {
 	d := Decision{
@@ -539,42 +567,45 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 	return st.finish(&d), nil
 }
 
-// savedString holds the catalog floats of one string for rollback.
-type savedString struct {
-	times  [][]float64
-	output []float64
-}
-
-// saveString copies string k's demand floats before an in-place rescale.
-func (st *state) saveString(k int) savedString {
-	apps := st.sys.Strings[k].Apps
-	sv := savedString{times: make([][]float64, len(apps)), output: make([]float64, len(apps))}
-	for i := range apps {
-		sv.times[i] = append([]float64(nil), apps[i].NominalTime...)
-		sv.output[i] = apps[i].OutputKB
-	}
-	return sv
-}
-
-func (st *state) restoreString(k int, sv savedString) {
-	apps := st.sys.Strings[k].Apps
-	for i := range apps {
-		copy(apps[i].NominalTime, sv.times[i])
-		apps[i].OutputKB = sv.output[i]
-	}
-}
-
-// scaleString multiplies string k's demand in place (same semantics as
-// dynamic.ScaleStrings, restricted to one string). Safe only while string k
-// is fully unassigned: no accumulator holds contributions from it.
-func (st *state) scaleString(k int, factor float64) {
-	apps := st.sys.Strings[k].Apps
-	for i := range apps {
-		for j := range apps[i].NominalTime {
-			apps[i].NominalTime[j] *= factor
+// scaleApps writes src's demand floats times g into dst: nominal times and
+// output sizes scale, utilizations do not (dynamic.ScaleStrings, one string).
+func scaleApps(dst, src []model.Application, g float64) {
+	for i := range src {
+		for j, t := range src[i].NominalTime {
+			dst[i].NominalTime[j] = t * g
 		}
-		apps[i].OutputKB *= factor
+		dst[i].OutputKB = src[i].OutputKB * g
 	}
+}
+
+// scaledView builds the working catalog base × scale. Only the NominalTime
+// rows are fresh memory; Bandwidth and NominalUtil are base's own slices.
+func scaledView(base *model.System, scale []float64) *model.System {
+	view := &model.System{
+		Machines:  base.Machines,
+		Bandwidth: base.Bandwidth,
+		Strings:   make([]model.AppString, len(base.Strings)),
+	}
+	for k := range base.Strings {
+		src := base.Strings[k].Apps
+		apps := make([]model.Application, len(src))
+		for i := range src {
+			apps[i].NominalTime = make([]float64, len(src[i].NominalTime))
+			apps[i].NominalUtil = src[i].NominalUtil
+		}
+		scaleApps(apps, src, scale[k])
+		view.Strings[k] = base.Strings[k]
+		view.Strings[k].Apps = apps
+	}
+	return view
+}
+
+// setScale recomputes string k's view floats from base at scale g. Safe only
+// while string k is fully unassigned: no accumulator holds contributions from
+// it. Recomputing at the scale already in force is a bit-identical no-op,
+// which is how a rejected rescale rolls the catalog back.
+func (st *state) setScale(k int, g float64) {
+	scaleApps(st.sys.Strings[k].Apps, st.base.Strings[k].Apps, g)
 }
 
 func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
@@ -584,11 +615,16 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	if !(factor > 0) || math.IsInf(factor, 0) {
 		return Decision{}, Errorf(CodeBadRequest, nil, "rescale factor = %v, want finite positive", factor)
 	}
+	scaled := st.scale[k] * factor
+	if !(scaled > 0) || math.IsInf(scaled, 0) {
+		return Decision{}, Errorf(CodeBadRequest, nil,
+			"rescale factor = %v takes string %d's scale from %v to %v, want finite positive", factor, k, st.scale[k], scaled)
+	}
 	worthBefore := st.worth
 	if !st.alloc.Complete(k) {
 		// Catalog-only change; nothing placed, nothing to evaluate.
-		st.scaleString(k, factor)
-		st.scale[k] *= factor
+		st.setScale(k, scaled)
+		st.scale[k] = scaled
 		if st.cfg.LPBound {
 			st.solveBound()
 		}
@@ -602,13 +638,12 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		}
 		return st.finish(&d), nil
 	}
-	saved := st.saveString(k)
 	st.alloc.UnassignString(k)
-	st.scaleString(k, factor)
+	st.setScale(k, scaled)
 	placed := heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK)
 	if placed && st.da.FeasibleAfterDelta() {
 		st.da.Commit()
-		st.scale[k] *= factor
+		st.scale[k] = scaled
 		if st.cfg.LPBound {
 			st.solveBound()
 		}
@@ -628,10 +663,10 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		viol = st.da.ViolationsAfterDelta()
 		reason = "rescaled placement violates QoS"
 	}
-	// Restore the catalog floats first so the system the rolled-back
-	// allocation describes is the pre-rescale one, then roll the allocation
-	// back bit-identically.
-	st.restoreString(k, saved)
+	// Put the view back at the scale in force first so the system the
+	// rolled-back allocation describes is the pre-rescale one, then roll the
+	// allocation back bit-identically.
+	st.setScale(k, st.scale[k])
 	st.da.Undo()
 	return st.reject("rescale", k, worthBefore, st.alloc.Slackness(), reason, viol), nil
 }
@@ -712,7 +747,7 @@ func (st *state) stateResponse() StateResponse {
 		Worth:         m.Worth,
 		Slackness:     m.Slackness,
 		Feasible:      st.da.FeasibleAfterDelta(),
-		Digest:        feasibility.StateDigest(st.alloc),
+		Digest:        st.digest(),
 		MachinesDown:  st.down.MachinesDown(),
 		RoutesDown:    st.down.RoutesDown(),
 	}

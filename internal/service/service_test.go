@@ -108,13 +108,17 @@ func TestAdmitRemoveRescaleLifecycle(t *testing.T) {
 	}
 }
 
-// A rejected operation must leave the state bit-identical: same digest.
+// A rejected operation must leave the state bit-identical: same digest, and
+// for a rescale the same demand floats — recomputed from the base catalog at
+// the scale in force, with nothing saved to copy back.
 func TestRejectedOpsRollBackBitIdentically(t *testing.T) {
 	svc := newTestService(t, 5, Config{})
 	for k := 0; k < 5; k++ {
 		mustAdmit(t, svc, k)
 	}
+	mustRescale(t, svc, 2, 1.1) // string 2 sits at a non-trivial scale
 	before := digestOf(t, svc)
+	viewBefore, _ := viewOf(t, svc)
 
 	// Demand 50x the machine capacity: the rescale must be rejected.
 	d, err := svc.Rescale(2, 250)
@@ -126,6 +130,12 @@ func TestRejectedOpsRollBackBitIdentically(t *testing.T) {
 	}
 	if got := digestOf(t, svc); got != before {
 		t.Fatalf("digest changed across rejected rescale: %s -> %s", before, got)
+	}
+	if view, _ := viewOf(t, svc); !equalBits(view, viewBefore) {
+		t.Fatal("demand floats changed across rejected rescale")
+	}
+	if got := stateOf(t, svc).StringStates[2].Scale; got != 1.1 {
+		t.Fatalf("scale changed across rejected rescale: 1.1 -> %v", got)
 	}
 
 	// An admission that cannot be placed must also roll back exactly.
@@ -402,9 +412,15 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every splice must hit: a pattern the compact encoding no longer contains
+	// would leave a valid file and test nothing.
 	write := func(mutate func(string) string) string {
 		p := filepath.Join(dir, "corrupt.json")
-		if err := os.WriteFile(p, []byte(mutate(string(data))), 0o644); err != nil {
+		mutated := mutate(string(data))
+		if mutated == string(data) {
+			t.Fatal("corruption pattern not found in the snapshot file")
+		}
+		if err := os.WriteFile(p, []byte(mutated), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -416,15 +432,15 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return replaceOnce(s, "\"digest\": \""+st.Digest, "\"digest\": \"0123456789abcdef")
+		return replaceOnce(s, `"digest":"`+st.Digest, `"digest":"0123456789abcdef`)
 	})
 	if _, err := Restore(bad, Config{}); err == nil {
 		t.Fatal("restore accepted a snapshot with a mismatched digest")
 	}
 	// Unsupported schema version: typed error, not a generic decode failure.
 	bad = write(func(s string) string {
-		return replaceOnce(s, fmt.Sprintf("\"schemaVersion\": %d", SchemaVersion),
-			fmt.Sprintf("\"schemaVersion\": %d", SchemaVersion+100))
+		return replaceOnce(s, fmt.Sprintf(`"schemaVersion":%d`, SchemaVersion),
+			fmt.Sprintf(`"schemaVersion":%d`, SchemaVersion+100))
 	})
 	_, err = Restore(bad, Config{})
 	var sverr *SchemaVersionError
@@ -437,8 +453,8 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	// Unsupported allocation snapshot version inside a valid schema: the
 	// typed feasibility error must surface through Restore's wrapping.
 	bad = write(func(s string) string {
-		return replaceOnce(s, fmt.Sprintf("\"version\": %d", feasibility.SnapshotVersion),
-			fmt.Sprintf("\"version\": %d", feasibility.SnapshotVersion+7))
+		return replaceOnce(s, fmt.Sprintf(`"version":%d`, feasibility.SnapshotVersion),
+			fmt.Sprintf(`"version":%d`, feasibility.SnapshotVersion+7))
 	})
 	_, err = Restore(bad, Config{})
 	var averr *feasibility.SnapshotVersionError
@@ -454,9 +470,10 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacySnapshotWithMappedField: snapshot files written before the
-// allocation became the mapped set carry a "mapped" array beside it. Such a
-// file must restore to the same state: the section is ignored, not an error.
+// TestRestoreLegacySnapshotWithMappedField: the allocation is the mapped set,
+// so a "mapped" array beside it (as files written before it became one carried)
+// is a section the reader does not know. Such a file must restore to the same
+// state: the section is ignored, not an error.
 func TestRestoreLegacySnapshotWithMappedField(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.json")
@@ -470,7 +487,7 @@ func TestRestoreLegacySnapshotWithMappedField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := replaceOnce(string(data), "\"scale\": [", "\"mapped\": [true, false, true, false],\n  \"scale\": [")
+	legacy := replaceOnce(string(data), `"scale":[`, `"mapped":[true,false,true,false],"scale":[`)
 	if legacy == string(data) {
 		t.Fatal("snapshot has no scale section to splice the legacy mapped array before")
 	}
@@ -500,12 +517,13 @@ func TestRestoreLegacySnapshotWithMappedField(t *testing.T) {
 // with a digest that matches — is refused rather than served.
 func TestRestoreRejectsPartiallyPlacedString(t *testing.T) {
 	sys := testSystem(4)
+	dir := t.TempDir()
 	alloc := feasibility.New(sys)
 	alloc.AssignString(0, []int{0, 1})
 	alloc.Assign(1, 0, 2) // string 1: one of two applications
 	file := SnapshotFile{
 		SchemaVersion: SchemaVersion,
-		System:        sys,
+		Catalog:       writeTestCatalog(t, dir, sys),
 		Alloc:         alloc.Snapshot(),
 		Scale:         unitScales(len(sys.Strings)),
 		Digest:        feasibility.StateDigest(alloc),
@@ -514,7 +532,7 @@ func TestRestoreRejectsPartiallyPlacedString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "partial.json")
+	path := filepath.Join(dir, "partial.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

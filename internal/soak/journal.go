@@ -22,9 +22,9 @@ import (
 	"repro/internal/service"
 )
 
-// journalStage runs a journaled service over a private copy of the generated
-// system (rescales mutate the catalog in place), recovers it, and returns a
-// digest over the decision stream and the recovered state.
+// journalStage runs a journaled service over the generated system (which the
+// service never writes to), recovers it, and returns a digest over the
+// decision stream and the recovered state.
 func journalStage(sys *model.System, ops int, seed int64) (string, error) {
 	dir, err := os.MkdirTemp("", "soak-journal-*")
 	if err != nil {
@@ -34,7 +34,7 @@ func journalStage(sys *model.System, ops int, seed int64) (string, error) {
 	jp := filepath.Join(dir, "soak.wal")
 
 	svc, err := service.New(service.Config{
-		System:       sys.Clone(),
+		System:       sys,
 		Journal:      jp,
 		Fsync:        journal.FsyncNone, // process-crash durability is enough here
 		CompactEvery: 10,                // force snapshot+tail recovery, not pure replay

@@ -122,7 +122,7 @@ func main() {
 		if rb.WarmStarted {
 			path = "warm (basis reused)"
 		} else if *warm {
-			path = "cold (warm basis unusable, fell back)"
+			path = fmt.Sprintf("cold (warm basis refused: %v)", rb.WarmRefusal)
 		}
 		fmt.Printf("re-solve at demand x%.3g: %v, bound %.4f, %d iterations, %v, %s\n",
 			*rescale, rb.Status, rb.Objective, rb.Iterations, elapsed.Round(time.Millisecond), path)

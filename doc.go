@@ -14,7 +14,7 @@
 //	internal/genitor      GENITOR steady-state genetic search substrate
 //	internal/workload     Section 6 / Table 1 scenario generator
 //	internal/lp           Section 7 fractional-mapping upper-bound LPs
-//	internal/simplex      two-phase revised simplex; dense and interior references
+//	internal/simplex      two-phase revised simplex (sparse LU, partial pricing); dense reference
 //	internal/transport    transportation plans for fractional transfers
 //	internal/sim          discrete-event simulator of the shipboard runtime
 //	internal/stats        Student-t confidence intervals

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/heuristics"
 	"repro/internal/lp"
@@ -161,7 +162,13 @@ func AuditRelaxation(ctx context.Context, opts Options) (*RelaxationAudit, error
 		out.Full.Add(full.Objective)
 		out.Relaxed.Add(relaxed.Objective)
 		if full.Objective > 0 {
-			out.Gap.Add((relaxed.Objective - full.Objective) / full.Objective)
+			// Two solves of the same optimum differ by summation order, and
+			// that order belongs to the solver: below 1e-12 the gap is 0.
+			gap := (relaxed.Objective - full.Objective) / full.Objective
+			if math.Abs(gap) < 1e-12 {
+				gap = 0
+			}
+			out.Gap.Add(gap)
 		}
 		out.ImpliedRouteUtil.Add(audit)
 		return nil

@@ -121,8 +121,10 @@ type Bound struct {
 	// the LP is optimal.
 	Basis []int
 	// WarmStarted reports that a supplied Config.WarmBasis was actually used
-	// (false when it was absent or the solver fell back to the cold path).
+	// (false when it was absent or the solver fell back to the cold path, in
+	// which case WarmRefusal says why the basis was turned down).
 	WarmStarted bool
+	WarmRefusal simplex.WarmRefusal
 }
 
 // builder tracks the variable layout of one LP instance.
@@ -138,6 +140,23 @@ type builder struct {
 	prob *simplex.Problem
 	// machineRow[j] is the constraint index of machine j's capacity row.
 	machineRow []int
+	// cols and vals are the row under construction; AddConstraint copies, so
+	// one pair sized for the longest row serves every constraint. Rows are
+	// emitted in increasing column order, which AddConstraint takes as is.
+	cols []int
+	vals []float64
+}
+
+// term appends one coefficient to the row under construction; addRow emits
+// the row and starts the next.
+func (b *builder) term(col int, val float64) {
+	b.cols = append(b.cols, col)
+	b.vals = append(b.vals, val)
+}
+
+func (b *builder) addRow(rel simplex.Relation, rhs float64) {
+	b.prob.MustAddConstraint(b.cols, b.vals, rel, rhs)
+	b.cols, b.vals = b.cols[:0], b.vals[:0]
 }
 
 // UpperBound builds the configured LP for the system and solves it with the
@@ -154,7 +173,7 @@ func UpperBound(sys *model.System, cfg Config) (*Bound, error) {
 			if sol.Warm {
 				telemetry.C("lp.warm_used").Inc()
 			} else {
-				telemetry.C("lp.warm_fallback").Inc()
+				telemetry.C("lp.warm_fallback." + sol.Refusal.String()).Inc()
 			}
 		}
 	} else {
@@ -192,6 +211,7 @@ func (b *builder) bound(sol *simplex.Solution) *Bound {
 		Constraints: b.prob.NumRows(),
 		Basis:       sol.Basis,
 		WarmStarted: sol.Warm,
+		WarmRefusal: sol.Refusal,
 	}
 	if sol.Status != simplex.Optimal {
 		return out
@@ -257,6 +277,11 @@ func newBuilder(sys *model.System, cfg Config) (*builder, error) {
 			cfg.Formulation, cols, maxVars)
 	}
 	b.prob = simplex.NewProblem(cols)
+	// The longest rows are a machine's capacity row (one x per application,
+	// plus λ) and, in the full form, a route's (one y per transfer, plus λ).
+	longest := max(sys.NumApps()+1, 2*b.m)
+	b.cols = make([]int, 0, longest)
+	b.vals = make([]float64, 0, longest)
 	return b, nil
 }
 
@@ -294,30 +319,24 @@ func (b *builder) addObjective() {
 // family (c) is implicit in the solver).
 func (b *builder) addMappingConstraints() {
 	for k := range b.sys.Strings {
-		s := &b.sys.Strings[k]
 		// (a): Σ_j x[1,k,j] ≤ 1 (partial) or = 1 (complete mapping).
-		cols := make([]int, b.m)
-		vals := make([]float64, b.m)
 		for j := 0; j < b.m; j++ {
-			cols[j] = b.xCol(k, 0, j)
-			vals[j] = 1
+			b.term(b.xCol(k, 0, j), 1)
 		}
 		rel := simplex.LE
 		if b.cfg.Objective == MaximizeSlackness {
 			rel = simplex.EQ
 		}
-		b.prob.MustAddConstraint(cols, vals, rel, 1)
+		b.addRow(rel, 1)
 		// (b): Σ_j x[i,k,j] - Σ_j x[1,k,j] = 0 for i ≥ 2.
-		for i := 1; i < len(s.Apps); i++ {
-			cols2 := make([]int, 0, 2*b.m)
-			vals2 := make([]float64, 0, 2*b.m)
+		for i := 1; i < len(b.sys.Strings[k].Apps); i++ {
 			for j := 0; j < b.m; j++ {
-				cols2 = append(cols2, b.xCol(k, i, j))
-				vals2 = append(vals2, 1)
-				cols2 = append(cols2, b.xCol(k, 0, j))
-				vals2 = append(vals2, -1)
+				b.term(b.xCol(k, 0, j), -1)
 			}
-			b.prob.MustAddConstraint(cols2, vals2, simplex.EQ, 0)
+			for j := 0; j < b.m; j++ {
+				b.term(b.xCol(k, i, j), 1)
+			}
+			b.addRow(simplex.EQ, 0)
 		}
 	}
 }
@@ -329,19 +348,15 @@ func (b *builder) addCapacityConstraints() {
 	b.machineRow = make([]int, b.m)
 	for j := 0; j < b.m; j++ {
 		b.machineRow[j] = b.prob.NumRows()
-		var cols []int
-		var vals []float64
 		for k := range b.sys.Strings {
 			for i := range b.sys.Strings[k].Apps {
-				cols = append(cols, b.xCol(k, i, j))
-				vals = append(vals, b.sys.MachineDemandUtil(k, i, j))
+				b.term(b.xCol(k, i, j), b.sys.MachineDemandUtil(k, i, j))
 			}
 		}
 		if b.lam >= 0 {
-			cols = append(cols, b.lam)
-			vals = append(vals, 1)
+			b.term(b.lam, 1)
 		}
-		b.prob.MustAddConstraint(cols, vals, simplex.LE, 1)
+		b.addRow(simplex.LE, 1)
 	}
 }
 
@@ -354,26 +369,18 @@ func (b *builder) addTransferConstraints() {
 		n := len(b.sys.Strings[k].Apps)
 		for i := 0; i < n-1; i++ {
 			for j1 := 0; j1 < m; j1++ {
-				cols := make([]int, 0, m+1)
-				vals := make([]float64, 0, m+1)
+				b.term(b.xCol(k, i, j1), -1)
 				for j2 := 0; j2 < m; j2++ {
-					cols = append(cols, b.yCol(k, i, j1, j2))
-					vals = append(vals, 1)
+					b.term(b.yCol(k, i, j1, j2), 1)
 				}
-				cols = append(cols, b.xCol(k, i, j1))
-				vals = append(vals, -1)
-				b.prob.MustAddConstraint(cols, vals, simplex.EQ, 0)
+				b.addRow(simplex.EQ, 0)
 			}
 			for j2 := 0; j2 < m; j2++ {
-				cols := make([]int, 0, m+1)
-				vals := make([]float64, 0, m+1)
+				b.term(b.xCol(k, i+1, j2), -1)
 				for j1 := 0; j1 < m; j1++ {
-					cols = append(cols, b.yCol(k, i, j1, j2))
-					vals = append(vals, 1)
+					b.term(b.yCol(k, i, j1, j2), 1)
 				}
-				cols = append(cols, b.xCol(k, i+1, j2))
-				vals = append(vals, -1)
-				b.prob.MustAddConstraint(cols, vals, simplex.EQ, 0)
+				b.addRow(simplex.EQ, 0)
 			}
 		}
 	}
@@ -383,25 +390,19 @@ func (b *builder) addTransferConstraints() {
 			if j1 == j2 {
 				continue
 			}
-			var cols []int
-			var vals []float64
 			for k := range b.sys.Strings {
 				s := &b.sys.Strings[k]
 				for i := 0; i < len(s.Apps)-1; i++ {
-					u := b.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
-					if u == 0 {
-						continue
+					if u := b.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2); u != 0 {
+						b.term(b.yCol(k, i, j1, j2), u)
 					}
-					cols = append(cols, b.yCol(k, i, j1, j2))
-					vals = append(vals, u)
 				}
 			}
 			if b.lam >= 0 {
-				cols = append(cols, b.lam)
-				vals = append(vals, 1)
+				b.term(b.lam, 1)
 			}
-			if len(cols) > 0 {
-				b.prob.MustAddConstraint(cols, vals, simplex.LE, 1)
+			if len(b.cols) > 0 {
+				b.addRow(simplex.LE, 1)
 			}
 		}
 	}

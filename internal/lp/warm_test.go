@@ -80,8 +80,8 @@ func TestWarmBoundBadBasisFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.WarmStarted {
-		t.Error("nonsense basis reported as warm-started")
+	if b.WarmStarted || b.WarmRefusal != simplex.WarmShape {
+		t.Errorf("nonsense basis: warm-started %v, refusal %v", b.WarmStarted, b.WarmRefusal)
 	}
 	if b.Status != simplex.Optimal || !approx(b.Objective, cold.Objective, 1e-9*(1+cold.Objective)) {
 		t.Errorf("fallback: status %v objective %v, want optimal %v", b.Status, b.Objective, cold.Objective)

@@ -89,8 +89,9 @@ func newTableau(s *standard) *tableau {
 		t.rows[i] = make([]float64, s.n)
 	}
 	for j := 0; j < s.n; j++ {
-		for idx, r := range s.colRows[j] {
-			t.rows[r][j] = s.colVals[j][idx]
+		rows, vals := s.col(j)
+		for idx, r := range rows {
+			t.rows[r][j] = vals[idx]
 		}
 	}
 	return t
@@ -256,7 +257,7 @@ func (t *tableau) extractDuals() []float64 {
 		if col < 0 {
 			col = t.s.rowArt[i]
 		}
-		coef := t.s.colVals[col][0]
+		coef := t.s.val[t.s.start[col]]
 		y := -t.finalRed[col] / coef
 		if t.s.flip[i] {
 			y = -y

@@ -1,15 +1,15 @@
 // Package simplex is a self-contained linear-programming solver used to
 // compute the upper bounds of Section 7 of Shestak et al. (IPPS 2005), which
 // the paper obtained from the commercial package Lingo 9.0. It implements the
-// two-phase primal simplex method (Dantzig 1963) in two interchangeable
-// forms:
+// two-phase primal simplex method (Dantzig 1963) twice:
 //
-//   - a dense-tableau solver (SolveDense), simple enough to audit by hand and
-//     used as the reference implementation in cross-validation tests;
-//   - a revised simplex with an explicitly maintained dense basis inverse and
-//     sparse column storage (Solve), the production path for the larger
-//     upper-bound LPs, with periodic refactorization to bound numerical
-//     drift.
+//   - Solve / SolveWithBasis, the production path: a revised simplex over
+//     flat column-major sparse storage whose basis inverse is a sparse LU
+//     factorisation plus a product-form eta file, refactorised every 64
+//     pivots, priced partially over a cyclic window of m columns (m the row
+//     count) with a fall-back to Bland's rule when the objective stalls;
+//   - SolveDense, a dense-tableau solver simple enough to audit by hand, the
+//     reference the tests cross-validate the revised solver against.
 //
 // Problems are stated as: maximize cᵀx subject to linear constraints with
 // relations ≤, ≥, =, and x ≥ 0. Minimization is achieved by negating the
@@ -19,6 +19,7 @@ package simplex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -112,31 +113,53 @@ func (p *Problem) AddConstraint(cols []int, vals []float64, rel Relation, rhs fl
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("simplex: right side %v", rhs)
 	}
-	merged := make(map[int]float64, len(cols))
+	increasing := true
 	for idx, c := range cols {
 		if c < 0 || c >= p.numCols {
 			return fmt.Errorf("simplex: column %d out of range [0,%d)", c, p.numCols)
 		}
-		v := vals[idx]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v := vals[idx]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("simplex: coefficient %v for column %d", v, c)
 		}
-		merged[c] += v
+		increasing = increasing && (idx == 0 || cols[idx-1] < c)
 	}
-	con := Constraint{Rel: rel, RHS: rhs}
-	keys := make([]int, 0, len(merged))
-	for c := range merged {
-		keys = append(keys, c)
+	con := Constraint{
+		Cols: slices.Clone(cols),
+		Vals: slices.Clone(vals),
+		Rel:  rel,
+		RHS:  rhs,
 	}
-	sort.Ints(keys)
-	for _, c := range keys {
-		if merged[c] != 0 {
-			con.Cols = append(con.Cols, c)
-			con.Vals = append(con.Vals, merged[c])
+	// The LP builders emit columns in strictly increasing order, which needs
+	// neither sorting nor merging.
+	if !increasing {
+		sort.Stable(byCol(con))
+	}
+	// Compact in place: fold each run of equal columns into its sum and drop
+	// the sums that are zero.
+	out := 0
+	for idx := 0; idx < len(con.Cols); {
+		c, v := con.Cols[idx], 0.0
+		for ; idx < len(con.Cols) && con.Cols[idx] == c; idx++ {
+			v += con.Vals[idx]
+		}
+		if v != 0 {
+			con.Cols[out], con.Vals[out] = c, v
+			out++
 		}
 	}
+	con.Cols, con.Vals = con.Cols[:out], con.Vals[:out]
 	p.cons = append(p.cons, con)
 	return nil
+}
+
+// byCol sorts a constraint's (column, coefficient) pairs by column.
+type byCol Constraint
+
+func (c byCol) Len() int           { return len(c.Cols) }
+func (c byCol) Less(i, j int) bool { return c.Cols[i] < c.Cols[j] }
+func (c byCol) Swap(i, j int) {
+	c.Cols[i], c.Cols[j] = c.Cols[j], c.Cols[i]
+	c.Vals[i], c.Vals[j] = c.Vals[j], c.Vals[i]
 }
 
 // MustAddConstraint is AddConstraint that panics on error, for construction
@@ -172,25 +195,67 @@ func (s Status) String() string {
 	}
 }
 
+// WarmRefusal says why SolveWithBasis did not finish on the basis it was
+// given and fell back to the cold two-phase solve.
+type WarmRefusal int8
+
+const (
+	// WarmNotRefused is the zero value: the basis was used, or none was
+	// offered.
+	WarmNotRefused WarmRefusal = iota
+	// WarmShape: wrong length, or an out-of-range or repeated column.
+	WarmShape
+	// WarmSingular: the basis columns are singular under the new
+	// coefficients.
+	WarmSingular
+	// WarmPrimalInfeasible: B⁻¹b has a negative component under the new right
+	// sides, so phase 2 cannot start from it.
+	WarmPrimalInfeasible
+	// WarmArtificial: an artificial column is basic at a nonzero value.
+	WarmArtificial
+	// WarmNumerical: phase 2 started from the basis and failed numerically.
+	WarmNumerical
+)
+
+func (w WarmRefusal) String() string {
+	switch w {
+	case WarmNotRefused:
+		return "none"
+	case WarmShape:
+		return "shape"
+	case WarmSingular:
+		return "singular"
+	case WarmPrimalInfeasible:
+		return "primal-infeasible"
+	case WarmArtificial:
+		return "artificial-nonzero"
+	case WarmNumerical:
+		return "numerical"
+	default:
+		return fmt.Sprintf("WarmRefusal(%d)", int8(w))
+	}
+}
+
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status
 	Objective float64
 	X         []float64 // structural variable values; nil unless Optimal
 	// Duals holds one shadow price per constraint (in the order they were
-	// added): the rate of objective change per unit of right-hand side.
-	// Populated by the simplex solvers on Optimal; nil from SolveInterior.
+	// added): the rate of objective change per unit of right-hand side. Nil
+	// unless Optimal.
 	Duals      []float64
 	Iterations int
 	// Basis is the optimal basis in standard-form column numbering, one
 	// column per constraint row: the warm-start seed for SolveWithBasis on a
 	// problem with identical structure. Populated by the revised simplex on
-	// Optimal; nil from the dense and interior solvers.
+	// Optimal; nil from the dense solver.
 	Basis []int
 	// Warm reports that the solution came from a warm-started solve that
 	// actually used the supplied basis (false when SolveWithBasis had to fall
-	// back to the cold two-phase path).
-	Warm bool
+	// back to the cold two-phase path, in which case Refusal says why).
+	Warm    bool
+	Refusal WarmRefusal
 }
 
 // Residual returns the worst constraint violation of the solution against

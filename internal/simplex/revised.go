@@ -5,15 +5,23 @@ import (
 	"math"
 )
 
-// Revised simplex with an explicitly maintained dense basis inverse and
-// sparse column storage: the production solver for the upper-bound LPs.
-// Per-iteration cost is O(m²) for BTRAN/FTRAN/update plus O(nnz) pricing —
-// far below the dense tableau's O(m·n) when n >> m — and the basis inverse is
-// refactorized from scratch periodically to bound numerical drift.
+// Revised simplex over sparse column storage: the production solver for the
+// upper-bound LPs. The basis inverse is never formed; BTRAN and FTRAN solve
+// against a sparse LU of the basis plus one eta per pivot since (factor.go),
+// and the factorisation is rebuilt from the basis columns every refactorEvery
+// pivots, which both bounds the eta file and flushes numerical drift.
+//
+// Pricing is partial: each pivot prices only the next m columns (m the row
+// count) after the ones the previous pivot priced, cyclically, and takes
+// Dantzig's pick among them, moving on to the following m only when none of
+// them improves. These LPs have tens to hundreds of columns per row and
+// almost none of them ever enters, so a pivot prices m columns instead of n;
+// optimality is declared only after one full lap under the same duals finds
+// nothing.
 
-// refactorEvery is the number of pivots between full refactorizations of the
-// basis inverse.
-const refactorEvery = 512
+// refactorEvery is the number of pivots between refactorizations of the
+// basis: the eta file never holds more than this many updates.
+const refactorEvery = 64
 
 // Solve solves the problem with the two-phase revised simplex.
 func (p *Problem) Solve() (*Solution, error) {
@@ -21,7 +29,10 @@ func (p *Problem) Solve() (*Solution, error) {
 		return trivialSolution(p), nil
 	}
 	s := standardize(p)
-	r := newRevised(s)
+	r := newRevised(s, s.basis)
+	if err := r.refactorize(); err != nil {
+		return nil, err
+	}
 	sol := &Solution{}
 	if s.hasArtificials() {
 		if err := r.run(s.phase1Cost(), true, &sol.Iterations); err != nil {
@@ -42,12 +53,7 @@ func (p *Problem) Solve() (*Solution, error) {
 		}
 		return nil, err
 	}
-	sol.Status = Optimal
-	sol.X = r.extract()
-	sol.Objective = p.Value(sol.X)
-	sol.Duals = r.extractDuals(s.cost)
-	sol.Basis = append([]int(nil), r.basis...)
-	return sol, nil
+	return r.optimal(p, sol), nil
 }
 
 // SolveWithBasis solves the problem with the revised simplex warm-started
@@ -61,159 +67,180 @@ func (p *Problem) Solve() (*Solution, error) {
 // Skipping phase 1 is the entire payoff: the previous optimum is typically
 // primal feasible (or a few pivots away) after a small data change, so the
 // solve reduces to a short phase-2 cleanup. When the basis cannot seed this
-// problem — wrong length, duplicate or out-of-range columns, singular for the
-// new coefficients, or primal infeasible for the new right sides — the solver
-// falls back to the cold two-phase Solve; Solution.Warm reports which path
-// produced the result.
+// problem the solver falls back to the cold two-phase Solve; Solution.Warm
+// reports which path produced the result and Solution.Refusal why the basis
+// was turned down.
 func (p *Problem) SolveWithBasis(basis []int) (*Solution, error) {
 	if len(p.cons) == 0 {
 		return trivialSolution(p), nil
 	}
 	s := standardize(p)
-	r := warmRevised(s, basis)
-	if r == nil {
-		return p.Solve()
-	}
-	sol := &Solution{Warm: true}
-	if err := r.run(s.cost, false, &sol.Iterations); err != nil {
-		if err == errUnbounded {
+	r, refusal := warmRevised(s, basis)
+	if refusal == WarmNotRefused {
+		sol := &Solution{Warm: true}
+		switch err := r.run(s.cost, false, &sol.Iterations); err {
+		case nil:
+			return r.optimal(p, sol), nil
+		case errUnbounded:
 			sol.Status = Unbounded
 			return sol, nil
 		}
-		// Numerical failure on the warm path; the cold path refactorizes from
-		// a clean slack/artificial basis and may still succeed.
-		return p.Solve()
+		// The cold path starts from a clean slack/artificial basis and may
+		// still succeed.
+		refusal = WarmNumerical
 	}
+	sol, err := p.Solve()
+	if sol != nil {
+		sol.Refusal = refusal
+	}
+	return sol, err
+}
+
+// optimal fills in the solution of a run that ended at an optimum.
+func (r *revised) optimal(p *Problem, sol *Solution) *Solution {
 	sol.Status = Optimal
 	sol.X = r.extract()
 	sol.Objective = p.Value(sol.X)
-	sol.Duals = r.extractDuals(s.cost)
+	sol.Duals = r.extractDuals(r.s.cost)
 	sol.Basis = append([]int(nil), r.basis...)
-	return sol, nil
-}
-
-// warmRevised builds a revised-simplex state seeded with the given basis, or
-// returns nil when the basis cannot start a phase-2 solve of this problem:
-// structurally invalid, singular under the new coefficients, primal
-// infeasible for the new right sides, or holding an artificial at a nonzero
-// value (which would smuggle an infeasible point past phase 2, since phase 2
-// bars artificials from entering but not from staying).
-func warmRevised(s *standard, basis []int) *revised {
-	if len(basis) != s.m {
-		return nil
-	}
-	seen := make([]bool, s.n)
-	for _, j := range basis {
-		if j < 0 || j >= s.n || seen[j] {
-			return nil
-		}
-		seen[j] = true
-	}
-	r := &revised{
-		s:     s,
-		basis: append([]int(nil), basis...),
-		inB:   make([]bool, s.n),
-		xB:    make([]float64, s.m),
-		y:     make([]float64, s.m),
-		u:     make([]float64, s.m),
-	}
-	for _, j := range r.basis {
-		r.inB[j] = true
-	}
-	// refactorize builds binv from scratch and recomputes xB = B⁻¹ b, so the
-	// identity initialization newRevised performs is unnecessary here.
-	if err := r.refactorize(); err != nil {
-		return nil
-	}
-	for i, v := range r.xB {
-		if v < -feasTol {
-			return nil
-		}
-		if v < 0 {
-			r.xB[i] = 0
-		}
-		if r.basis[i] >= s.artStart && v > feasTol {
-			return nil
-		}
-	}
-	return r
+	return sol
 }
 
 type revised struct {
 	s     *standard
-	binv  [][]float64 // dense m×m basis inverse
+	f     *factor
 	basis []int
 	inB   []bool    // inB[j]: column j is basic
 	xB    []float64 // basic variable values
 	y     []float64 // scratch: dual prices
 	u     []float64 // scratch: FTRAN result
 	since int       // pivots since last refactorization
+	bland int       // pivots chosen by Bland's rule after a stall
 }
 
-func newRevised(s *standard) *revised {
+// newRevised allocates a revised-simplex state on the given basis; the caller
+// refactorizes before anything else.
+func newRevised(s *standard, basis []int) *revised {
 	r := &revised{
 		s:     s,
-		binv:  make([][]float64, s.m),
-		basis: append([]int(nil), s.basis...),
+		f:     newFactor(s.m),
+		basis: append([]int(nil), basis...),
 		inB:   make([]bool, s.n),
-		xB:    append([]float64(nil), s.b...),
+		xB:    make([]float64, s.m),
 		y:     make([]float64, s.m),
 		u:     make([]float64, s.m),
 	}
-	for i := range r.binv {
-		r.binv[i] = make([]float64, s.m)
-		r.binv[i][i] = 1
-	}
-	for _, j := range r.basis {
+	for _, j := range basis {
 		r.inB[j] = true
 	}
 	return r
 }
 
+// warmRevised builds a revised-simplex state seeded with the given basis, or
+// says why the basis cannot start a phase-2 solve of this problem:
+// structurally invalid, singular under the new coefficients, primal
+// infeasible for the new right sides, or holding an artificial at a nonzero
+// value (which would smuggle an infeasible point past phase 2, since phase 2
+// bars artificials from entering but not from staying).
+func warmRevised(s *standard, basis []int) (*revised, WarmRefusal) {
+	if len(basis) != s.m {
+		return nil, WarmShape
+	}
+	seen := make([]bool, s.n)
+	for _, j := range basis {
+		if j < 0 || j >= s.n || seen[j] {
+			return nil, WarmShape
+		}
+		seen[j] = true
+	}
+	r := newRevised(s, basis)
+	if err := r.refactorize(); err != nil {
+		return nil, WarmSingular
+	}
+	for i, v := range r.xB {
+		if v < -feasTol {
+			return nil, WarmPrimalInfeasible
+		}
+		if v < 0 {
+			r.xB[i] = 0
+		}
+		if r.basis[i] >= s.artStart && v > feasTol {
+			return nil, WarmArtificial
+		}
+	}
+	return r, WarmNotRefused
+}
+
 // btran computes y = c_Bᵀ B⁻¹ into r.y.
 func (r *revised) btran(cost []float64) {
-	m := r.s.m
-	for i := 0; i < m; i++ {
-		r.y[i] = 0
+	for i, bj := range r.basis {
+		r.f.c[i] = cost[bj]
 	}
-	for row, bj := range r.basis {
-		cb := cost[bj]
-		if cb == 0 {
-			continue
-		}
-		binvRow := r.binv[row]
-		for i := 0; i < m; i++ {
-			r.y[i] += cb * binvRow[i]
-		}
-	}
+	r.f.btran(r.y)
 }
 
 // reducedCost returns c_j - yᵀ A_j using the sparse column.
 func (r *revised) reducedCost(cost []float64, j int) float64 {
 	d := cost[j]
-	rows, vals := r.s.colRows[j], r.s.colVals[j]
+	rows, vals := r.s.col(j)
 	for idx, row := range rows {
 		d -= r.y[row] * vals[idx]
 	}
 	return d
 }
 
-// ftran computes u = B⁻¹ A_j into r.u, exploiting column sparsity.
+// ftran computes u = B⁻¹ A_j into r.u.
 func (r *revised) ftran(j int) {
-	m := r.s.m
-	for i := 0; i < m; i++ {
-		r.u[i] = 0
-	}
-	rows, vals := r.s.colRows[j], r.s.colVals[j]
+	rows, vals := r.s.col(j)
 	for idx, row := range rows {
-		v := vals[idx]
-		if v == 0 {
-			continue
+		r.f.w[row] = vals[idx]
+	}
+	r.f.ftran(r.u)
+}
+
+// price returns the entering column under the duals in r.y, or -1 when no
+// column below limitJ improves. *cursor is the partial-pricing position: each
+// call prices the next m columns after it, cyclically, takes Dantzig's pick
+// among them, and moves on to the following m only if there was none, so
+// returning -1 means one full lap found nothing. Under bland the rule is
+// Bland's instead: the first improving column from 0.
+func (r *revised) price(cost []float64, limitJ int, bland bool, cursor *int) int {
+	if bland {
+		for j := 0; j < limitJ; j++ {
+			if !r.inB[j] && r.reducedCost(cost, j) > costTol {
+				return j
+			}
 		}
-		for i := 0; i < m; i++ {
-			r.u[i] += v * r.binv[i][row]
+		return -1
+	}
+	start, row, val := r.s.start, r.s.row, r.s.val
+	j := *cursor
+	for left := limitJ; left > 0; {
+		n := min(r.s.m, left)
+		left -= n
+		enter, best := -1, costTol
+		for ; n > 0; n-- {
+			if !r.inB[j] {
+				// reducedCost over the flat arrays: a slice header per
+				// two-entry column costs a tenth of the solve.
+				d := cost[j]
+				for k := start[j]; k < start[j+1]; k++ {
+					d -= r.y[row[k]] * val[k]
+				}
+				if d > best {
+					enter, best = j, d
+				}
+			}
+			if j++; j == limitJ {
+				j = 0
+			}
+		}
+		if enter >= 0 {
+			*cursor = j
+			return enter
 		}
 	}
+	return -1
 }
 
 // run pivots until optimality for the given cost vector. In phase 2
@@ -226,6 +253,7 @@ func (r *revised) run(cost []float64, phase1 bool, iterations *int) error {
 	}
 	limit := 200*(m+r.s.n) + 20000
 	stall := 0
+	cursor := 0 // per run, so a solve is a pure function of its input
 	lastObj := r.objValue(cost)
 	for iter := 0; ; iter++ {
 		if iter > limit {
@@ -233,21 +261,12 @@ func (r *revised) run(cost []float64, phase1 bool, iterations *int) error {
 		}
 		r.btran(cost)
 		bland := stall > 2*m+50
-		enter, bestVal := -1, costTol
-		for j := 0; j < limitJ; j++ {
-			if r.inB[j] {
-				continue
-			}
-			d := r.reducedCost(cost, j)
-			if d > bestVal {
-				enter, bestVal = j, d
-				if bland {
-					break
-				}
-			}
-		}
+		enter := r.price(cost, limitJ, bland, &cursor)
 		if enter < 0 {
 			return nil
+		}
+		if bland {
+			r.bland++
 		}
 		r.ftran(enter)
 		leave, theta := -1, 0.0
@@ -291,8 +310,7 @@ func (r *revised) run(cost []float64, phase1 bool, iterations *int) error {
 // pivot replaces basis row `leave` with column `enter`, given the FTRAN
 // result in r.u and the ratio theta.
 func (r *revised) pivot(leave, enter int, theta float64) {
-	m := r.s.m
-	for i := 0; i < m; i++ {
+	for i := range r.xB {
 		if i != leave {
 			r.xB[i] -= theta * r.u[i]
 			if r.xB[i] < 0 && r.xB[i] > -1e-11 {
@@ -301,25 +319,7 @@ func (r *revised) pivot(leave, enter int, theta float64) {
 		}
 	}
 	r.xB[leave] = theta
-	// Eta update of the inverse: row `leave` scaled by 1/u_r, others swept.
-	pivotRow := r.binv[leave]
-	inv := 1 / r.u[leave]
-	for c := 0; c < m; c++ {
-		pivotRow[c] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == leave {
-			continue
-		}
-		f := r.u[i]
-		if f == 0 {
-			continue
-		}
-		row := r.binv[i]
-		for c := 0; c < m; c++ {
-			row[c] -= f * pivotRow[c]
-		}
-	}
+	r.f.update(leave, r.u)
 	r.inB[r.basis[leave]] = false
 	r.inB[enter] = true
 	r.basis[leave] = enter
@@ -351,80 +351,21 @@ func (r *revised) driveOutArtificials() error {
 	return nil
 }
 
-// refactorize rebuilds the basis inverse from the basis columns by
-// Gauss-Jordan elimination with partial pivoting, and recomputes xB = B⁻¹ b.
+// refactorize rebuilds the LU factorisation from the basis columns, drops the
+// eta file, and recomputes xB = B⁻¹ b.
 func (r *revised) refactorize() error {
-	m := r.s.m
-	// Dense B.
-	bmat := make([][]float64, m)
-	for i := range bmat {
-		bmat[i] = make([]float64, m)
+	if err := r.f.factorize(r.s, r.basis); err != nil {
+		return err
 	}
-	for col, bj := range r.basis {
-		rows, vals := r.s.colRows[bj], r.s.colVals[bj]
-		for idx, row := range rows {
-			bmat[row][col] = vals[idx]
-		}
-	}
-	inv := identity(m)
-	for col := 0; col < m; col++ {
-		// Partial pivoting.
-		piv, best := -1, 0.0
-		for i := col; i < m; i++ {
-			if a := math.Abs(bmat[i][col]); a > best {
-				piv, best = i, a
-			}
-		}
-		if piv < 0 || best < 1e-12 {
-			return fmt.Errorf("simplex: basis singular during refactorization (column %d)", col)
-		}
-		bmat[col], bmat[piv] = bmat[piv], bmat[col]
-		inv[col], inv[piv] = inv[piv], inv[col]
-		f := 1 / bmat[col][col]
-		for c := 0; c < m; c++ {
-			bmat[col][c] *= f
-			inv[col][c] *= f
-		}
-		for i := 0; i < m; i++ {
-			if i == col {
-				continue
-			}
-			g := bmat[i][col]
-			if g == 0 {
-				continue
-			}
-			for c := 0; c < m; c++ {
-				bmat[i][c] -= g * bmat[col][c]
-				inv[i][c] -= g * inv[col][c]
-			}
-		}
-	}
-	// B⁻¹ maps equation rows to basis rows: columns of B were ordered by
-	// basis position, so inv rows correspond to basis positions directly.
-	r.binv = inv
-	// xB = B⁻¹ b.
-	for i := 0; i < m; i++ {
-		v := 0.0
-		row := r.binv[i]
-		for c := 0; c < m; c++ {
-			v += row[c] * r.s.b[c]
-		}
+	copy(r.f.w, r.s.b)
+	r.f.ftran(r.xB)
+	for i, v := range r.xB {
 		if v < 0 && v > -1e-9 {
-			v = 0
+			r.xB[i] = 0
 		}
-		r.xB[i] = v
 	}
 	r.since = 0
 	return nil
-}
-
-func identity(m int) [][]float64 {
-	out := make([][]float64, m)
-	for i := range out {
-		out[i] = make([]float64, m)
-		out[i][i] = 1
-	}
-	return out
 }
 
 // extractDuals returns y = c_B B^-1 with signs restored for rows negated

@@ -3,6 +3,7 @@ package simplex
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -209,6 +210,25 @@ func TestAddConstraintValidation(t *testing.T) {
 	if len(con.Cols) != 2 || con.Vals[0] != 3 || con.Vals[1] != 4 {
 		t.Errorf("duplicate merge wrong: %+v", con)
 	}
+	// Out of order, with duplicates that are not adjacent and one column
+	// whose coefficients cancel: sorted, summed in input order, zero dropped.
+	// The caller's slices are neither kept nor reordered.
+	p = NewProblem(4)
+	cols, vals := []int{3, 1, 3, 2, 1}, []float64{1, 2, -1, 4, 5}
+	if err := p.AddConstraint(cols, vals, GE, 1); err != nil {
+		t.Fatal(err)
+	}
+	con = p.cons[0]
+	if !reflect.DeepEqual(con.Cols, []int{1, 2}) || !reflect.DeepEqual(con.Vals, []float64{7, 4}) {
+		t.Errorf("unsorted merge wrong: %+v", con)
+	}
+	if !reflect.DeepEqual(cols, []int{3, 1, 3, 2, 1}) || !reflect.DeepEqual(vals, []float64{1, 2, -1, 4, 5}) {
+		t.Errorf("caller's slices were modified: %v %v", cols, vals)
+	}
+	cols[0] = 0
+	if con.Cols[0] != 1 {
+		t.Error("constraint aliases the caller's slice")
+	}
 }
 
 func TestPanics(t *testing.T) {
@@ -239,6 +259,13 @@ func TestStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Error("empty status string")
 		}
+	}
+	seen := map[string]bool{}
+	for w := WarmNotRefused; w <= WarmNumerical+1; w++ {
+		if w.String() == "" || seen[w.String()] {
+			t.Errorf("warm refusal %d: empty or repeated string %q", w, w.String())
+		}
+		seen[w.String()] = true
 	}
 }
 

@@ -2,18 +2,21 @@ package simplex
 
 // Conversion to standard computational form: A x = b with b ≥ 0 and x ≥ 0,
 // where A gains slack, surplus, and artificial columns. Both solvers consume
-// this representation; the revised solver additionally relies on its sparse
-// column storage.
+// this representation; the revised solver prices and factorises straight off
+// its sparse column storage.
 
 // standard is a problem in equality standard form.
 type standard struct {
 	m, n    int // rows; total columns including slack/surplus/artificials
 	nStruct int // structural columns (the problem's own variables)
 
-	// Sparse column storage: colRows[j] lists the rows where column j is
-	// nonzero, colVals[j] the coefficients.
-	colRows [][]int32
-	colVals [][]float64
+	// Column-major sparse storage in three flat arrays: column j's nonzeros
+	// are row[start[j]:start[j+1]] with coefficients val[start[j]:start[j+1]].
+	// Pricing walks tens of thousands of two- and three-entry columns per
+	// pivot, so they sit in contiguous memory, not behind a slice header each.
+	start []int32
+	row   []int32
+	val   []float64
 
 	b    []float64 // right sides, all non-negative
 	cost []float64 // phase-2 objective (maximize), zero for non-structural
@@ -30,8 +33,18 @@ type standard struct {
 	rowArt []int
 }
 
+// col returns the rows and coefficients of column j.
+func (s *standard) col(j int) ([]int32, []float64) {
+	lo, hi := s.start[j], s.start[j+1]
+	return s.row[lo:hi], s.val[lo:hi]
+}
+
 // standardize converts the problem. Rows with negative right sides are
-// negated (flipping their relation) so b ≥ 0 throughout.
+// negated (flipping their relation) so b ≥ 0 throughout. Structural columns
+// come first, then one slack or surplus per inequality row, then the
+// artificials: LE rows get a slack that also serves as the initial basic
+// variable; GE rows get a surplus plus an artificial; EQ rows get an
+// artificial.
 func standardize(p *Problem) *standard {
 	m := len(p.cons)
 	s := &standard{
@@ -43,72 +56,84 @@ func standardize(p *Problem) *standard {
 		rowAux:  make([]int, m),
 		rowArt:  make([]int, m),
 	}
-	for i := range s.rowAux {
-		s.rowAux[i] = -1
-		s.rowArt[i] = -1
-	}
-	// Structural columns.
-	s.colRows = make([][]int32, p.numCols, p.numCols+2*m)
-	s.colVals = make([][]float64, p.numCols, p.numCols+2*m)
-	type rowInfo struct {
-		rel Relation
-	}
-	rows := make([]rowInfo, m)
-	flip := s.flip
+	rel := make([]Relation, m)
+	nnz, nAux, nArt := 0, 0, 0
 	for i, con := range p.cons {
-		rel := con.Rel
-		rhs := con.RHS
-		if rhs < 0 {
-			flip[i] = true
-			rhs = -rhs
-			switch rel {
+		rel[i] = con.Rel
+		s.b[i] = con.RHS
+		if con.RHS < 0 {
+			s.flip[i] = true
+			s.b[i] = -con.RHS
+			switch con.Rel {
 			case LE:
-				rel = GE
+				rel[i] = GE
 			case GE:
-				rel = LE
+				rel[i] = LE
 			}
 		}
-		rows[i] = rowInfo{rel: rel}
-		s.b[i] = rhs
+		nnz += len(con.Cols)
+		if rel[i] != EQ {
+			nAux++
+		}
+		if rel[i] != LE {
+			nArt++
+		}
 	}
+	s.artStart = s.nStruct + nAux
+	s.n = s.artStart + nArt
+	nnz += nAux + nArt
+
+	// Count, prefix-sum, fill: start[j+1] first holds column j's count, then
+	// its end offset; next[j] is the fill cursor.
+	s.start = make([]int32, s.n+1)
+	s.row = make([]int32, nnz)
+	s.val = make([]float64, nnz)
+	for _, con := range p.cons {
+		for _, c := range con.Cols {
+			s.start[c+1]++
+		}
+	}
+	for j := s.nStruct; j < s.n; j++ {
+		s.start[j+1] = 1
+	}
+	for j := 0; j < s.n; j++ {
+		s.start[j+1] += s.start[j]
+	}
+	next := append([]int32(nil), s.start[:s.nStruct]...)
 	for i, con := range p.cons {
 		sign := 1.0
-		if flip[i] {
+		if s.flip[i] {
 			sign = -1
 		}
 		for idx, c := range con.Cols {
-			s.colRows[c] = append(s.colRows[c], int32(i))
-			s.colVals[c] = append(s.colVals[c], sign*con.Vals[idx])
+			s.row[next[c]] = int32(i)
+			s.val[next[c]] = sign * con.Vals[idx]
+			next[c]++
 		}
 	}
-	// Slack/surplus columns, then artificials. LE rows get a slack that also
-	// serves as the initial basic variable; GE rows get a surplus plus an
-	// artificial; EQ rows get an artificial.
-	addCol := func(row int, val float64) int {
-		j := len(s.colRows)
-		s.colRows = append(s.colRows, []int32{int32(row)})
-		s.colVals = append(s.colVals, []float64{val})
+	single := func(j, row int, val float64) int {
+		s.row[s.start[j]] = int32(row)
+		s.val[s.start[j]] = val
 		return j
 	}
-	needArt := make([]int, 0, m)
-	for i := range rows {
-		switch rows[i].rel {
+	aux, art := s.nStruct, s.artStart
+	for i := range rel {
+		s.rowAux[i], s.rowArt[i] = -1, -1
+		switch rel[i] {
 		case LE:
-			s.basis[i] = addCol(i, 1)
-			s.rowAux[i] = s.basis[i]
+			s.rowAux[i] = single(aux, i, 1)
+			s.basis[i] = aux
+			aux++
 		case GE:
-			s.rowAux[i] = addCol(i, -1)
-			needArt = append(needArt, i)
-		case EQ:
-			needArt = append(needArt, i)
+			s.rowAux[i] = single(aux, i, -1)
+			aux++
+		}
+		if rel[i] != LE {
+			s.rowArt[i] = single(art, i, 1)
+			s.basis[i] = art
+			art++
 		}
 	}
-	s.artStart = len(s.colRows)
-	for _, i := range needArt {
-		s.basis[i] = addCol(i, 1)
-		s.rowArt[i] = s.basis[i]
-	}
-	s.n = len(s.colRows)
 	s.cost = make([]float64, s.n)
 	copy(s.cost, p.obj)
 	return s

@@ -145,6 +145,9 @@ func TestWarmStartRescaled(t *testing.T) {
 		if warm.Warm {
 			warmUsed++
 		}
+		if warm.Warm != (warm.Refusal == WarmNotRefused) {
+			t.Errorf("trial %d: Warm %v with Refusal %v", trial, warm.Warm, warm.Refusal)
+		}
 	}
 	if warmUsed < 20 {
 		t.Errorf("warm path engaged on only %d/80 rescaled trials", warmUsed)
@@ -172,8 +175,9 @@ func TestWarmStartBadBasis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad basis %d: %v", i, err)
 		}
-		if sol.Status != Optimal || sol.Warm {
-			t.Errorf("bad basis %d: status %v warm %v, want cold-path optimal", i, sol.Status, sol.Warm)
+		if sol.Status != Optimal || sol.Warm || sol.Refusal != WarmShape {
+			t.Errorf("bad basis %d: status %v warm %v refusal %v, want cold-path optimal refused for shape",
+				i, sol.Status, sol.Warm, sol.Refusal)
 		}
 		if !relClose(sol.Objective, cold.Objective, 1e-9) {
 			t.Errorf("bad basis %d: objective %v, want %v", i, sol.Objective, cold.Objective)
@@ -194,5 +198,51 @@ func TestWarmStartInfeasible(t *testing.T) {
 	}
 	if sol.Status != Infeasible {
 		t.Errorf("status %v, want infeasible", sol.Status)
+	}
+}
+
+// TestWarmRefusalReasons: the two refusals that depend on the new data, not
+// on the shape of the basis. Tightening a right side under the old optimum
+// makes B⁻¹b negative; moving an equality's right side off zero while its
+// artificial is still basic leaves that artificial at a nonzero value.
+func TestWarmRefusalReasons(t *testing.T) {
+	// max x0 + x1, x0 ≤ 4, x1 ≤ 3, x0 + x1 ≤ rhs.
+	build := func(rhs float64) *Problem {
+		p := NewProblem(2)
+		p.SetObjective(0, 1)
+		p.SetObjective(1, 1)
+		p.MustAddConstraint([]int{0}, []float64{1}, LE, 4)
+		p.MustAddConstraint([]int{1}, []float64{1}, LE, 3)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, LE, rhs)
+		return p
+	}
+	base, err := build(10).Solve() // x = (4, 3), third row slack
+	if err != nil || base.Status != Optimal {
+		t.Fatalf("base: %v %v", err, base)
+	}
+	sol, err := build(5).SolveWithBasis(base.Basis) // the slack would be −2
+	if err != nil || sol.Status != Optimal || sol.Warm || sol.Refusal != WarmPrimalInfeasible {
+		t.Errorf("tightened row: err %v, %+v, want a cold optimum refused as primal-infeasible", err, sol)
+	}
+	if !relClose(sol.Objective, 5, 1e-9) {
+		t.Errorf("tightened row: objective %v, want 5", sol.Objective)
+	}
+
+	// x0 − x1 = rhs twice over: the second copy's artificial stays basic.
+	eq := func(rhs float64) *Problem {
+		p := NewProblem(2)
+		p.SetObjective(0, 1)
+		p.MustAddConstraint([]int{0}, []float64{1}, LE, 4)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, -1}, EQ, 0)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, -1}, EQ, rhs)
+		return p
+	}
+	base, err = eq(0).Solve()
+	if err != nil || base.Status != Optimal {
+		t.Fatalf("redundant equalities: %v %v", err, base)
+	}
+	sol, err = eq(1).SolveWithBasis(base.Basis) // now inconsistent
+	if err != nil || sol.Status != Infeasible || sol.Warm || sol.Refusal != WarmArtificial {
+		t.Errorf("inconsistent equalities: err %v, %+v, want infeasible via a basis refused for its artificial", err, sol)
 	}
 }

@@ -9,12 +9,23 @@
 // The central type is Allocation: a mutable application-to-machine mapping
 // over an immutable model.System, with all utilization bookkeeping maintained
 // incrementally so heuristics can cheaply evaluate candidate assignments.
+//
+// Frozen floats: a string's catalog floats (NominalTime, NominalUtil,
+// OutputKB, Period, MaxLatency) may change only while the string is fully
+// unassigned. Everything derived from them is priced when an application is
+// placed and kept until it is removed — the += / -= pair on a utilization
+// accumulator, the waiting term a roster entry carries, the cached tightness,
+// a DeltaAnalyzer's memoised verdicts — and a fully unassigned string sits in
+// no accumulator, roster or cache, while re-placing it bumps the analyzer's
+// generation. A rescale is therefore UnassignString, change the floats,
+// re-place (and on rejection: floats back, then Undo).
 package feasibility
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/telemetry"
@@ -30,6 +41,28 @@ const utilEps = 1e-9
 // appRef identifies application i of string k.
 type appRef struct{ k, i int }
 
+// rosterEntry is one application on a machine's or a route's roster, carrying
+// the waiting term it contributes to every lower-priority sharer of that
+// resource. On a machine (equation (5)) the term t[i,j]*u[i,j]/P[k] is the
+// application's equation-(2) summand, model.MachineDemandUtil; on a route
+// (equation (6)) it is routeTerm. The term is priced once, when the entry is
+// created, and travels with the entry through Clone, Undo and the
+// swap-removal of removeRef; the frozen-floats contract in the package
+// comment keeps it current.
+type rosterEntry struct {
+	appRef
+	wait float64
+}
+
+// routeTerm is the equation-(6) summand the output of application i of string
+// k induces on route (j1, j2): its nominal transfer time over P[k]. (Not the
+// equation-(3) summand RouteDemandUtil, which divides in another order and
+// rounds differently.)
+func (a *Allocation) routeTerm(k, i, j1, j2 int) float64 {
+	s := &a.sys.Strings[k]
+	return a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, j1, j2) / s.Period
+}
+
 // routeEntry is one active inter-machine route out of a machine: the peer
 // machine it leads to, the equation-(3) utilization accumulator, and the
 // roster of producing applications whose output traverses the route, in
@@ -37,7 +70,7 @@ type appRef struct{ k, i int }
 type routeEntry struct {
 	peer int
 	util float64
-	apps []appRef
+	apps []rosterEntry
 }
 
 // Allocation is a (possibly partial) application-to-machine mapping. It
@@ -56,7 +89,7 @@ type Allocation struct {
 
 	machineUtil []float64 // U_machine[j], equation (2)
 
-	perMachine [][]appRef // machine j -> applications assigned to it
+	perMachine [][]rosterEntry // machine j -> applications assigned to it
 
 	// routes is the sparse route state: routes[j1] holds one entry per active
 	// route out of machine j1, sorted by peer machine, so a route that carries
@@ -124,7 +157,7 @@ func New(sys *model.System) *Allocation {
 		machineOf:   make([][]int, len(sys.Strings)),
 		nAssigned:   make([]int, len(sys.Strings)),
 		machineUtil: make([]float64, m),
-		perMachine:  make([][]appRef, m),
+		perMachine:  make([][]rosterEntry, m),
 		routes:      make([][]routeEntry, m),
 		tightness:   make([]float64, len(sys.Strings)),
 		tel:         newAllocTelemetry(),
@@ -204,7 +237,7 @@ func (a *Allocation) routeIndex(j1, j2 int) (int, bool) {
 }
 
 // routeRoster returns the roster of route (j1, j2), or nil when inactive.
-func (a *Allocation) routeRoster(j1, j2 int) []appRef {
+func (a *Allocation) routeRoster(j1, j2 int) []rosterEntry {
 	if idx, ok := a.routeIndex(j1, j2); ok {
 		return a.routes[j1][idx].apps
 	}
@@ -218,7 +251,7 @@ func (a *Allocation) routeRoster(j1, j2 int) []appRef {
 // of the heuristics stays allocation-free in steady state.
 func (a *Allocation) insertRouteAt(j1, idx, j2 int) *routeEntry {
 	adj := a.routes[j1]
-	var spare []appRef
+	var spare []rosterEntry
 	if n := len(adj); n < cap(adj) {
 		adj = adj[: n+1 : cap(adj)]
 		spare = adj[n].apps
@@ -254,13 +287,14 @@ func (a *Allocation) Assign(k, i, j int) {
 		panic(fmt.Sprintf("feasibility: machine %d out of range [0,%d)", j, a.sys.Machines))
 	}
 	if a.tracker != nil {
-		a.tracker.beforeAssign(k, i, j)
+		a.tracker.beforeMutation(k, i, j)
 	}
 	s := &a.sys.Strings[k]
 	a.machineOf[k][i] = j
 	a.nAssigned[k]++
-	a.machineUtil[j] += a.sys.MachineDemandUtil(k, i, j)
-	a.perMachine[j] = append(a.perMachine[j], appRef{k, i})
+	u := a.sys.MachineDemandUtil(k, i, j)
+	a.machineUtil[j] += u
+	a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef{k, i}, u})
 	if i > 0 {
 		if prev := a.machineOf[k][i-1]; prev != Unassigned {
 			a.addRoute(prev, j, k, i-1)
@@ -283,7 +317,7 @@ func (a *Allocation) Unassign(k, i int) {
 		panic(fmt.Sprintf("feasibility: application (%d,%d) is not assigned", k, i))
 	}
 	if a.tracker != nil {
-		a.tracker.beforeUnassign(k, i)
+		a.tracker.beforeMutation(k, i, j)
 	}
 	s := &a.sys.Strings[k]
 	if a.Complete(k) {
@@ -347,7 +381,7 @@ func (a *Allocation) addRoute(j1, j2, k, i int) {
 	}
 	e := &a.routes[j1][idx]
 	e.util += a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
-	e.apps = append(e.apps, appRef{k, i})
+	e.apps = append(e.apps, rosterEntry{appRef{k, i}, a.routeTerm(k, i, j1, j2)})
 }
 
 func (a *Allocation) removeRoute(j1, j2, k, i int) {
@@ -372,7 +406,7 @@ func (a *Allocation) removeRoute(j1, j2, k, i int) {
 // setRouteState restores route (j1, j2) wholesale to a snapshot state:
 // inserting, overwriting, or removing its adjacency entry as the restored
 // roster requires (DeltaAnalyzer.Undo, FromSnapshot).
-func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []appRef) {
+func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntry) {
 	idx, ok := a.routeIndex(j1, j2)
 	if len(roster) == 0 {
 		if ok {
@@ -448,9 +482,9 @@ func (a *Allocation) StringsOnRoute(j1, j2 int, f func(k int)) {
 	}
 }
 
-func removeRef(refs []appRef, r appRef) []appRef {
-	for idx, have := range refs {
-		if have == r {
+func removeRef(refs []rosterEntry, r appRef) []rosterEntry {
+	for idx := range refs {
+		if refs[idx].appRef == r {
 			last := len(refs) - 1
 			refs[idx] = refs[last]
 			return refs[:last]
@@ -517,7 +551,7 @@ func (a *Allocation) Clone() *Allocation {
 		machineOf:   make([][]int, len(a.machineOf)),
 		nAssigned:   append([]int(nil), a.nAssigned...),
 		machineUtil: append([]float64(nil), a.machineUtil...),
-		perMachine:  make([][]appRef, len(a.perMachine)),
+		perMachine:  make([][]rosterEntry, len(a.perMachine)),
 		routes:      make([][]routeEntry, len(a.routes)),
 		tightness:   append([]float64(nil), a.tightness...),
 		tel:         a.tel,
@@ -526,7 +560,7 @@ func (a *Allocation) Clone() *Allocation {
 		cp.machineOf[k] = append([]int(nil), a.machineOf[k]...)
 	}
 	for j := range a.perMachine {
-		cp.perMachine[j] = append([]appRef(nil), a.perMachine[j]...)
+		cp.perMachine[j] = append([]rosterEntry(nil), a.perMachine[j]...)
 	}
 	for j, adj := range a.routes {
 		if len(adj) == 0 {
@@ -535,7 +569,7 @@ func (a *Allocation) Clone() *Allocation {
 		cadj := make([]routeEntry, len(adj))
 		copy(cadj, adj)
 		for idx := range cadj {
-			cadj[idx].apps = append([]appRef(nil), cadj[idx].apps...)
+			cadj[idx].apps = append([]rosterEntry(nil), cadj[idx].apps...)
 		}
 		cp.routes[j] = cadj
 	}
@@ -552,26 +586,78 @@ func (a *Allocation) Clone() *Allocation {
 // produced, so fingerprints span the representation change. Two allocations
 // with equal fingerprints are behaviorally identical.
 func (a *Allocation) WriteState(w io.Writer) error {
+	_, err := w.Write(a.appendState(nil))
+	return err
+}
+
+// appendState appends the WriteState text to buf. The bytes are what
+// fmt.Fprintf("s%d n%d t%016x %v\n"), ("m%d u%016x %v\n") and
+// ("r%d,%d u%016x %v\n") print for a []int assignment vector and a roster of
+// {k i} pairs — every recorded StateDigest hashes exactly that text — built
+// without fmt's reflection over the slices (digest_test.go keeps the fmt
+// encoder as the oracle). A roster entry's carried waiting term is derived
+// state and is not part of the fingerprint.
+func (a *Allocation) appendState(buf []byte) []byte {
 	for k := range a.machineOf {
-		if _, err := fmt.Fprintf(w, "s%d n%d t%016x %v\n",
-			k, a.nAssigned[k], math.Float64bits(a.tightness[k]), a.machineOf[k]); err != nil {
-			return err
+		buf = append(buf, 's')
+		buf = strconv.AppendInt(buf, int64(k), 10)
+		buf = append(buf, " n"...)
+		buf = strconv.AppendInt(buf, int64(a.nAssigned[k]), 10)
+		buf = append(buf, " t"...)
+		buf = appendBits(buf, a.tightness[k])
+		buf = append(buf, " ["...)
+		for i, j := range a.machineOf[k] {
+			if i > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = strconv.AppendInt(buf, int64(j), 10)
 		}
+		buf = append(buf, "]\n"...)
 	}
 	for j := range a.machineUtil {
-		if _, err := fmt.Fprintf(w, "m%d u%016x %v\n",
-			j, math.Float64bits(a.machineUtil[j]), a.perMachine[j]); err != nil {
-			return err
-		}
+		buf = append(buf, 'm')
+		buf = strconv.AppendInt(buf, int64(j), 10)
+		buf = appendResource(buf, a.machineUtil[j], a.perMachine[j])
 	}
 	for j1 := range a.routes {
 		for idx := range a.routes[j1] {
 			e := &a.routes[j1][idx]
-			if _, err := fmt.Fprintf(w, "r%d,%d u%016x %v\n",
-				j1, e.peer, math.Float64bits(e.util), e.apps); err != nil {
-				return err
-			}
+			buf = append(buf, 'r')
+			buf = strconv.AppendInt(buf, int64(j1), 10)
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(e.peer), 10)
+			buf = appendResource(buf, e.util, e.apps)
 		}
 	}
-	return nil
+	return buf
+}
+
+// appendResource appends the tail shared by machine and route lines:
+// " u<bits> [{k i} {k i}]\n".
+func appendResource(buf []byte, util float64, roster []rosterEntry) []byte {
+	buf = append(buf, " u"...)
+	buf = appendBits(buf, util)
+	buf = append(buf, " ["...)
+	for idx := range roster {
+		if idx > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, '{')
+		buf = strconv.AppendInt(buf, int64(roster[idx].k), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(roster[idx].i), 10)
+		buf = append(buf, '}')
+	}
+	return append(buf, "]\n"...)
+}
+
+// appendBits appends f's IEEE-754 bit pattern as 16 lower-case hex digits
+// (NaN-safe), the %016x of WriteState and snapshots.
+func appendBits(buf []byte, f float64) []byte {
+	const digits = "0123456789abcdef"
+	u := math.Float64bits(f)
+	for shift := 60; shift >= 0; shift -= 4 {
+		buf = append(buf, digits[u>>uint(shift)&0xf])
+	}
+	return buf
 }

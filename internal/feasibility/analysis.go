@@ -31,43 +31,49 @@ func (a *Allocation) Tightness(k int) float64 {
 	return a.tightness[k]
 }
 
-// tighter reports whether string z has strictly higher execution priority
-// than string k under the local scheduling policy of Section 3: higher
-// relative tightness wins. The paper assumes distinct T values "without loss
-// of generality"; randomly generated workloads satisfy that almost surely,
-// and exact ties are broken deterministically by string ID so priorities stay
-// a strict total order.
-func (a *Allocation) tighter(z, k int) bool {
-	tz, tk := a.tightness[z], a.tightness[k]
+// tighter reports whether a string of tightness tz and ID z has strictly
+// higher execution priority than one of tightness tk and ID k under the local
+// scheduling policy of Section 3: higher relative tightness wins. The paper
+// assumes distinct T values "without loss of generality"; randomly generated
+// workloads satisfy that almost surely, and exact ties are broken
+// deterministically by string ID so priorities stay a strict total order. An
+// incomplete string's NaN tightness ranks above nothing.
+func tighter(tz float64, z int, tk float64, k int) bool {
 	if tz != tk {
 		return tz > tk
 	}
 	return z < k
 }
 
+// waitAhead sums, in roster order, the waiting terms of the roster's entries
+// whose string has strictly higher priority than string k: the bracketed sum
+// of equation (5) on a machine roster and of equation (6) on a route roster.
+// Only completely mapped strings contribute, since a string's priority is
+// defined by its (allocation-dependent) tightness; tighter leaves incomplete
+// ones out without a Complete test.
+func (a *Allocation) waitAhead(k int, roster []rosterEntry) float64 {
+	tk := a.tightness[k]
+	wait := 0.0
+	for idx := range roster {
+		e := &roster[idx]
+		if e.k != k && tighter(a.tightness[e.k], e.k, tk, k) {
+			wait += e.wait
+		}
+	}
+	return wait
+}
+
 // EstimatedCompTime returns t_comp^k[i] (equation (5)): the nominal execution
 // time of application i of string k on its assigned machine, plus the average
 // waiting time induced by applications of tighter strings sharing that
-// machine. Only completely mapped strings contribute waiting terms, since a
-// string's priority is defined by its (allocation-dependent) tightness.
-// Panics if string k is not completely mapped.
+// machine. Panics if string k is not completely mapped.
 func (a *Allocation) EstimatedCompTime(k, i int) float64 {
 	if !a.Complete(k) {
 		panic(fmt.Sprintf("feasibility: estimated computation time of incompletely mapped string %d", k))
 	}
 	s := &a.sys.Strings[k]
 	m := a.machineOf[k][i]
-	t := s.Apps[i].NominalTime[m]
-	wait := 0.0
-	for _, ref := range a.perMachine[m] {
-		if ref.k == k || !a.Complete(ref.k) || !a.tighter(ref.k, k) {
-			continue
-		}
-		z := &a.sys.Strings[ref.k]
-		app := &z.Apps[ref.i]
-		wait += app.NominalTime[m] * app.NominalUtil[m] / z.Period
-	}
-	return t + s.Period*wait
+	return s.Apps[i].NominalTime[m] + s.Period*a.waitAhead(k, a.perMachine[m])
 }
 
 // EstimatedTranTime returns t_tran^k[i] (equation (6)): the nominal time to
@@ -85,15 +91,7 @@ func (a *Allocation) EstimatedTranTime(k, i int) float64 {
 		return 0
 	}
 	t := a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, j1, j2)
-	wait := 0.0
-	for _, ref := range a.routeRoster(j1, j2) {
-		if ref.k == k || !a.Complete(ref.k) || !a.tighter(ref.k, k) {
-			continue
-		}
-		z := &a.sys.Strings[ref.k]
-		wait += a.sys.RouteTransferSeconds(z.Apps[ref.i].OutputKB, j1, j2) / z.Period
-	}
-	return t + s.Period*wait
+	return t + s.Period*a.waitAhead(k, a.routeRoster(j1, j2))
 }
 
 // Violation kinds: the three ways a string can fail equation (1).
@@ -434,13 +432,34 @@ func (a *Allocation) checkInvariants() error {
 		// yields for the current mapping — bit-identical, since the cache is
 		// only ever written from computeTightness over the same machines. A
 		// stale cache (e.g. surviving a partial re-mapping) corrupts every
-		// subsequent tighter comparison.
+		// subsequent tighter comparison. An incomplete string must hold NaN:
+		// waitAhead and the analyzer's recheckSharers have no Complete test
+		// and rely on NaN failing every comparison to leave it out.
 		if a.Complete(k) {
 			if want := a.computeTightness(k); math.Float64bits(a.tightness[k]) != math.Float64bits(want) {
 				return fmt.Errorf("string %d cached tightness stale: cached %v, computeTightness %v", k, a.tightness[k], want)
 			}
 		} else if !math.IsNaN(a.tightness[k]) {
 			return fmt.Errorf("string %d is incomplete but caches tightness %v (want NaN)", k, a.tightness[k])
+		}
+	}
+	// Every roster entry carries exactly the waiting term its catalog floats
+	// price on the resource it sits on — bit-identical, since the term is only
+	// ever written from MachineDemandUtil/routeTerm. A stale term (floats
+	// changed under a placed string) corrupts every lower-priority sharer's
+	// estimate.
+	for j := range a.perMachine {
+		for _, e := range a.perMachine[j] {
+			if want := a.sys.MachineDemandUtil(e.k, e.i, j); math.Float64bits(e.wait) != math.Float64bits(want) {
+				return fmt.Errorf("machine %d roster entry (%d,%d) carries waiting term %v, catalog prices %v", j, e.k, e.i, e.wait, want)
+			}
+		}
+		for _, r := range a.routes[j] {
+			for _, e := range r.apps {
+				if want := a.routeTerm(e.k, e.i, j, r.peer); math.Float64bits(e.wait) != math.Float64bits(want) {
+					return fmt.Errorf("route (%d,%d) roster entry (%d,%d) carries waiting term %v, catalog prices %v", j, r.peer, e.k, e.i, e.wait, want)
+				}
+			}
 		}
 	}
 	// Adjacency structural invariants: each machine's entries are strictly

@@ -38,69 +38,118 @@ import (
 // Replaying inverse operations would not be enough: (x+u)-u generally differs
 // from x in the last bit.
 //
+// Every answer is computed once per allocation state. The analyzer numbers the
+// states it has seen with a generation, bumped by every tracked mutation and
+// every window clear; the recheck set is built at most once per generation and
+// every equation-(1) verdict goes through check, which remembers it per string
+// per generation. FeasibleAfterDelta, ViolationsAfterDelta and Commit in any
+// order and number therefore run checkString at most once per string per
+// state: a Commit after an evaluation touches no string, a rejection
+// (FeasibleAfterDelta, ViolationsAfterDelta, Undo) checks none twice. The memo
+// is as sound as the generation, which is why catalog floats obey the
+// frozen-floats contract in the package comment.
+//
 // A DeltaAnalyzer is single-goroutine, like the Allocation it tracks.
 type DeltaAnalyzer struct {
 	a *Allocation
 
-	// Committed-state caches, valid as of the last Track/Rebase/Commit.
+	// Committed-state caches, valid as of the last Track/Rebase/Commit. All
+	// three are empty on every feasible state, so the hot path meets them
+	// only as a len check.
 	baseViol map[int]bool    // complete strings failing equation (1)
 	overM    map[int]bool    // machines with utilization > 1
 	overR    map[[2]int]bool // routes with utilization > 1
 
-	// Delta window: first-touch snapshots of everything mutated since the
-	// last commit point.
-	strSnaps   map[int]stringSnap
-	machSnaps  map[int]resourceSnap
-	routeSnaps map[[2]int]resourceSnap
+	gen uint64 // allocation-state generation, see above; starts at 1
+	win uint64 // delta-window number, bumped at every window clear; starts at 1
 
-	// Scratch reused across evaluations so steady-state queries stay
-	// allocation-free.
-	recheck map[int]bool
-	visitM  map[int]bool
-	visitR  map[[2]int]bool
-	keyBuf  []int
-	refPool [][]appRef
-	intPool [][]int
+	// Delta window: first-touch snapshots of everything mutated since the
+	// last commit point. Strings and machines are dense slices whose entry is
+	// live iff its win stamp is the current window; routes are one short list
+	// per source machine (a window touches at most two routes per re-placed
+	// application, so nothing here is O(M^2)). The dirty lists hold the live
+	// indices in first-touch order. Snapshot buffers stay with their slot and
+	// are overwritten by the next window that touches it.
+	strSnaps      []stringSnap  // [k]
+	machSnaps     []machineSnap // [j]
+	routeSnaps    [][]routeSnap // [j1] -> snapshotted routes out of j1
+	dirtyStr      []int
+	dirtyMach     []int
+	dirtyRouteSrc []int // machines with a non-empty routeSnaps list
+	nDirtyRoutes  int
+
+	// Recheck set of generation recheckGen: the members in first-reach order,
+	// and recheckAt[k] == recheckGen marking membership. scanAt[j] ==
+	// recheckGen marks machine j's roster as scanned for it; scanR lists the
+	// scanned routes the window holds no snapshot of (single-application
+	// moves only — a re-placed string's routes are all snapshotted).
+	recheck    []int
+	recheckGen uint64
+	recheckAt  []uint64 // [k]
+	scanAt     []uint64 // [j]
+	scanR      [][2]int
+
+	// Verdict memo: verdict[k] is checkString(k) (nil for an incomplete
+	// string) as of generation verdictAt[k].
+	verdict   []*Violation // [k]
+	verdictAt []uint64     // [k]
+
+	keyBuf []int // ViolationsAfterDelta's sorted key scratch
 
 	tel deltaTelemetry
 }
 
 // stringSnap is the pre-window state of a touched string.
 type stringSnap struct {
+	win       uint64
 	machines  []int // copy of machineOf[k]
 	nAssigned int
 	tightness float64 // NaN if the string was incomplete
 }
 
-// resourceSnap is the pre-window state of a touched machine or route.
-type resourceSnap struct {
+// machineSnap is the pre-window state of a touched machine.
+type machineSnap struct {
+	win    uint64
 	util   float64
-	roster []appRef // copy, in roster order
+	roster []rosterEntry // copy, in roster order
+}
+
+// routeSnap is the pre-window state of a touched route to peer; an inactive
+// route snapshots as exactly empty so Undo knows to drop any entry the window
+// creates.
+type routeSnap struct {
+	peer   int
+	util   float64
+	roster []rosterEntry
 }
 
 type deltaTelemetry struct {
-	evals       *telemetry.Counter // FeasibleAfterDelta/ViolationsAfterDelta calls
-	commits     *telemetry.Counter
-	undos       *telemetry.Counter
-	rebases     *telemetry.Counter
-	dirtyStr    *telemetry.Counter // summed dirty-set sizes per evaluation
-	dirtyMach   *telemetry.Counter
-	dirtyRoute  *telemetry.Counter
-	recheckStr  *telemetry.Counter // strings actually rechecked per evaluation
-	stage1Fails *telemetry.Counter
+	evals        *telemetry.Counter // FeasibleAfterDelta/ViolationsAfterDelta calls
+	commits      *telemetry.Counter
+	undos        *telemetry.Counter
+	rebases      *telemetry.Counter
+	dirtyStr     *telemetry.Counter // summed dirty-set sizes per evaluation
+	dirtyMach    *telemetry.Counter
+	dirtyRoute   *telemetry.Counter
+	recheckStr   *telemetry.Counter // summed recheck-set sizes per evaluation
+	stringChecks *telemetry.Counter // checkString runs
+	verdictReuse *telemetry.Counter // verdicts served from the memo instead
+	stage1Fails  *telemetry.Counter
 }
 
 func newDeltaTelemetry() deltaTelemetry {
 	return deltaTelemetry{
-		evals:       telemetry.C("feasibility.delta.evals"),
-		commits:     telemetry.C("feasibility.delta.commits"),
-		undos:       telemetry.C("feasibility.delta.undos"),
-		rebases:     telemetry.C("feasibility.delta.rebases"),
-		dirtyStr:    telemetry.C("feasibility.delta.dirty_strings"),
-		dirtyMach:   telemetry.C("feasibility.delta.dirty_machines"),
-		dirtyRoute:  telemetry.C("feasibility.delta.dirty_routes"),
-		recheckStr:  telemetry.C("feasibility.delta.recheck_strings"),
-		stage1Fails: telemetry.C("feasibility.delta.stage1_fail"),
+		evals:        telemetry.C("feasibility.delta.evals"),
+		commits:      telemetry.C("feasibility.delta.commits"),
+		undos:        telemetry.C("feasibility.delta.undos"),
+		rebases:      telemetry.C("feasibility.delta.rebases"),
+		dirtyStr:     telemetry.C("feasibility.delta.dirty_strings"),
+		dirtyMach:    telemetry.C("feasibility.delta.dirty_machines"),
+		dirtyRoute:   telemetry.C("feasibility.delta.dirty_routes"),
+		recheckStr:   telemetry.C("feasibility.delta.recheck_strings"),
+		stringChecks: telemetry.C("feasibility.delta.string_checks"),
+		verdictReuse: telemetry.C("feasibility.delta.verdict_reuse"),
+		stage1Fails:  telemetry.C("feasibility.delta.stage1_fail"),
 	}
 }
 
@@ -112,17 +161,21 @@ func Track(a *Allocation) *DeltaAnalyzer {
 	if a.tracker != nil {
 		panic("feasibility: allocation is already tracked; Close the existing DeltaAnalyzer first")
 	}
+	nStr, nMach := len(a.sys.Strings), a.sys.Machines
 	da := &DeltaAnalyzer{
 		a:          a,
 		baseViol:   make(map[int]bool),
 		overM:      make(map[int]bool),
 		overR:      make(map[[2]int]bool),
-		strSnaps:   make(map[int]stringSnap),
-		machSnaps:  make(map[int]resourceSnap),
-		routeSnaps: make(map[[2]int]resourceSnap),
-		recheck:    make(map[int]bool),
-		visitM:     make(map[int]bool),
-		visitR:     make(map[[2]int]bool),
+		gen:        1,
+		win:        1,
+		strSnaps:   make([]stringSnap, nStr),
+		machSnaps:  make([]machineSnap, nMach),
+		routeSnaps: make([][]routeSnap, nMach),
+		recheckAt:  make([]uint64, nStr),
+		scanAt:     make([]uint64, nMach),
+		verdict:    make([]*Violation, nStr),
+		verdictAt:  make([]uint64, nStr),
 		tel:        newDeltaTelemetry(),
 	}
 	a.tracker = da
@@ -153,13 +206,10 @@ func (da *DeltaAnalyzer) Close() {
 // with one full two-stage scan. Cost: one TwoStageFeasible-equivalent pass.
 func (da *DeltaAnalyzer) Rebase() {
 	da.tel.rebases.Inc()
-	da.clearWindow()
-	clear(da.baseViol)
-	clear(da.overM)
-	clear(da.overR)
+	da.rebaseEmpty()
 	a := da.a
 	for k := range a.sys.Strings {
-		if a.Complete(k) && a.checkString(k) != nil {
+		if da.check(k) != nil {
 			da.baseViol[k] = true
 		}
 	}
@@ -186,26 +236,11 @@ func (da *DeltaAnalyzer) rebaseEmpty() {
 	clear(da.overR)
 }
 
-// beforeAssign snapshots everything Assign(k, i, j) is about to mutate.
-func (da *DeltaAnalyzer) beforeAssign(k, i, j int) {
-	da.snapString(k)
-	da.snapMachine(j)
-	mo := da.a.machineOf[k]
-	if i > 0 {
-		if prev := mo[i-1]; prev != Unassigned && prev != j {
-			da.snapRoute(prev, j)
-		}
-	}
-	if i < len(mo)-1 {
-		if next := mo[i+1]; next != Unassigned && next != j {
-			da.snapRoute(j, next)
-		}
-	}
-}
-
-// beforeUnassign snapshots everything Unassign(k, i) is about to mutate.
-func (da *DeltaAnalyzer) beforeUnassign(k, i int) {
-	j := da.a.machineOf[k][i]
+// beforeMutation opens a new generation and snapshots everything Assign(k, i,
+// j), or Unassign(k, i) from machine j, is about to mutate: the string, the
+// machine, and the routes to the application's placed neighbours.
+func (da *DeltaAnalyzer) beforeMutation(k, i, j int) {
+	da.gen++
 	da.snapString(k)
 	da.snapMachine(j)
 	mo := da.a.machineOf[k]
@@ -222,154 +257,197 @@ func (da *DeltaAnalyzer) beforeUnassign(k, i int) {
 }
 
 func (da *DeltaAnalyzer) snapString(k int) {
-	if _, ok := da.strSnaps[k]; ok {
+	snap := &da.strSnaps[k]
+	if snap.win == da.win {
 		return
 	}
-	buf := da.getInts(len(da.a.machineOf[k]))
-	copy(buf, da.a.machineOf[k])
-	da.strSnaps[k] = stringSnap{
-		machines:  buf,
-		nAssigned: da.a.nAssigned[k],
-		tightness: da.a.tightness[k],
-	}
+	snap.win = da.win
+	snap.machines = append(snap.machines[:0], da.a.machineOf[k]...)
+	snap.nAssigned = da.a.nAssigned[k]
+	snap.tightness = da.a.tightness[k]
+	da.dirtyStr = append(da.dirtyStr, k)
 }
 
 func (da *DeltaAnalyzer) snapMachine(j int) {
-	if _, ok := da.machSnaps[j]; ok {
+	snap := &da.machSnaps[j]
+	if snap.win == da.win {
 		return
 	}
-	da.machSnaps[j] = resourceSnap{
-		util:   da.a.machineUtil[j],
-		roster: append(da.getRefs(), da.a.perMachine[j]...),
+	snap.win = da.win
+	snap.util = da.a.machineUtil[j]
+	snap.roster = append(snap.roster[:0], da.a.perMachine[j]...)
+	da.dirtyMach = append(da.dirtyMach, j)
+}
+
+// routeSnapped reports whether route (j1, j2) holds a snapshot in the current
+// window.
+func (da *DeltaAnalyzer) routeSnapped(j1, j2 int) bool {
+	for idx := range da.routeSnaps[j1] {
+		if da.routeSnaps[j1][idx].peer == j2 {
+			return true
+		}
 	}
+	return false
 }
 
 func (da *DeltaAnalyzer) snapRoute(j1, j2 int) {
-	key := [2]int{j1, j2}
-	if _, ok := da.routeSnaps[key]; ok {
+	if da.routeSnapped(j1, j2) {
 		return
 	}
-	// The route may be inactive (no adjacency entry): snapshot it as exactly
-	// empty so Undo knows to drop any entry the window creates.
-	util := 0.0
-	var roster []appRef
+	snaps := da.routeSnaps[j1]
+	if len(snaps) == 0 {
+		da.dirtyRouteSrc = append(da.dirtyRouteSrc, j1)
+	}
+	// Growing within capacity recovers the roster buffer of the snapshot a
+	// window clear retired in that slot (insertRouteAt's trick).
+	var spare []rosterEntry
+	if n := len(snaps); n < cap(snaps) {
+		snaps = snaps[:n+1]
+		spare = snaps[n].roster
+	} else {
+		snaps = append(snaps, routeSnap{})
+	}
+	snap := routeSnap{peer: j2, roster: spare[:0]}
 	if idx, ok := da.a.routeIndex(j1, j2); ok {
 		e := &da.a.routes[j1][idx]
-		util, roster = e.util, e.apps
+		snap.util = e.util
+		snap.roster = append(snap.roster, e.apps...)
 	}
-	da.routeSnaps[key] = resourceSnap{
-		util:   util,
-		roster: append(da.getRefs(), roster...),
-	}
+	snaps[len(snaps)-1] = snap
+	da.routeSnaps[j1] = snaps
+	da.nDirtyRoutes++
 }
 
-func (da *DeltaAnalyzer) getRefs() []appRef {
-	if n := len(da.refPool); n > 0 {
-		buf := da.refPool[n-1]
-		da.refPool = da.refPool[:n-1]
-		return buf[:0]
-	}
-	return nil
-}
-
-func (da *DeltaAnalyzer) getInts(n int) []int {
-	if m := len(da.intPool); m > 0 {
-		buf := da.intPool[m-1]
-		da.intPool = da.intPool[:m-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]int, n)
-}
-
-// clearWindow drops every snapshot, returning their buffers to the pools.
+// clearWindow drops every snapshot and opens a new window and generation.
 func (da *DeltaAnalyzer) clearWindow() {
-	for k, snap := range da.strSnaps {
-		da.intPool = append(da.intPool, snap.machines)
-		delete(da.strSnaps, k)
+	for _, j1 := range da.dirtyRouteSrc {
+		da.routeSnaps[j1] = da.routeSnaps[j1][:0]
 	}
-	for j, snap := range da.machSnaps {
-		if snap.roster != nil {
-			da.refPool = append(da.refPool, snap.roster)
-		}
-		delete(da.machSnaps, j)
-	}
-	for r, snap := range da.routeSnaps {
-		if snap.roster != nil {
-			da.refPool = append(da.refPool, snap.roster)
-		}
-		delete(da.routeSnaps, r)
-	}
+	da.dirtyStr = da.dirtyStr[:0]
+	da.dirtyMach = da.dirtyMach[:0]
+	da.dirtyRouteSrc = da.dirtyRouteSrc[:0]
+	da.nDirtyRoutes = 0
+	da.win++
+	da.gen++
 }
+
+// clean reports whether the window holds no snapshot. Every route snapshot
+// comes with a string and a machine snapshot, so the string list decides.
+func (da *DeltaAnalyzer) clean() bool { return len(da.dirtyStr) == 0 }
 
 // Dirty returns the sizes of the current window's dirty sets (touched
 // strings, machines, routes). All zero means the window is clean.
 func (da *DeltaAnalyzer) Dirty() (strings, machines, routes int) {
-	return len(da.strSnaps), len(da.machSnaps), len(da.routeSnaps)
+	return len(da.dirtyStr), len(da.dirtyMach), da.nDirtyRoutes
 }
 
-// buildRecheck populates da.recheck with every string whose equation-(1)
+// check returns string k's equation-(1) verdict under the current state —
+// nil when k passes or is not completely mapped — running checkString only if
+// this generation has not judged k yet.
+func (da *DeltaAnalyzer) check(k int) *Violation {
+	if da.verdictAt[k] == da.gen {
+		da.tel.verdictReuse.Inc()
+		return da.verdict[k]
+	}
+	var v *Violation
+	if da.a.Complete(k) {
+		da.tel.stringChecks.Inc()
+		v = da.a.checkString(k)
+	}
+	da.verdict[k], da.verdictAt[k] = v, da.gen
+	return v
+}
+
+// inRecheck reports whether k belongs to the current generation's recheck
+// set; buildRecheck must have run.
+func (da *DeltaAnalyzer) inRecheck(k int) bool { return da.recheckAt[k] == da.gen }
+
+// buildRecheck makes da.recheck the set of every string whose equation-(1)
 // outcome the window can have changed: the touched strings themselves plus
 // every complete string on a dirty resource whose tightness is at or below
 // the threshold (the maximum tightness any touched string held before or
 // holds after the window). Equal tightness is included: the ID tie-break in
 // tighter means an equal-tightness string's priority relative to a touched
-// string can flip.
+// string can flip. A set already built for this generation is kept.
 func (da *DeltaAnalyzer) buildRecheck() {
-	clear(da.recheck)
-	if len(da.strSnaps) == 0 {
+	if da.recheckGen == da.gen {
 		return
 	}
-	clear(da.visitM)
-	clear(da.visitR)
-	for j := range da.machSnaps {
-		da.visitM[j] = true
-	}
-	for r := range da.routeSnaps {
-		da.visitR[r] = true
-	}
+	da.recheckGen = da.gen
+	da.recheck = da.recheck[:0]
 	// NaN tightness (incomplete before/after) fails every > comparison, so
 	// incomplete endpoints contribute nothing to the threshold.
 	threshold := math.Inf(-1)
 	a := da.a
-	for k, snap := range da.strSnaps {
-		da.recheck[k] = true
-		if snap.tightness > threshold {
-			threshold = snap.tightness
+	for _, k := range da.dirtyStr {
+		da.addRecheck(k)
+		if t := da.strSnaps[k].tightness; t > threshold {
+			threshold = t
 		}
-		if a.Complete(k) && a.tightness[k] > threshold {
-			threshold = a.tightness[k]
+		if t := a.tightness[k]; t > threshold {
+			threshold = t
 		}
-		// A touched string's tightness change alters the waiting terms it
-		// induces on every resource it currently uses, not only the
-		// op-touched ones.
+	}
+	da.scanR = da.scanR[:0]
+	for _, j := range da.dirtyMach {
+		da.scanAt[j] = da.gen
+		da.recheckSharers(a.perMachine[j], threshold)
+	}
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			da.recheckSharers(a.routeRoster(j1, da.routeSnaps[j1][idx].peer), threshold)
+		}
+	}
+	// A touched string's tightness change alters the waiting terms it induces
+	// on every resource it currently uses, not only the op-touched ones; each
+	// such resource is scanned once however many applications sit on it.
+	for _, k := range da.dirtyStr {
 		mo := a.machineOf[k]
 		for i, j := range mo {
 			if j == Unassigned {
 				continue
 			}
-			da.visitM[j] = true
+			if da.scanAt[j] != da.gen {
+				da.scanAt[j] = da.gen
+				da.recheckSharers(a.perMachine[j], threshold)
+			}
 			if i+1 < len(mo) {
-				if next := mo[i+1]; next != Unassigned && next != j {
-					da.visitR[[2]int{j, next}] = true
+				if next := mo[i+1]; next != Unassigned && next != j && !da.routeSnapped(j, next) && !da.routeScanned(j, next) {
+					da.scanR = append(da.scanR, [2]int{j, next})
+					da.recheckSharers(a.routeRoster(j, next), threshold)
 				}
 			}
 		}
 	}
-	for j := range da.visitM {
-		for _, ref := range a.perMachine[j] {
-			if a.Complete(ref.k) && a.tightness[ref.k] <= threshold {
-				da.recheck[ref.k] = true
-			}
+}
+
+// routeScanned reports whether buildRecheck already scanned the un-snapshotted
+// route (j1, j2) for the set it is building.
+func (da *DeltaAnalyzer) routeScanned(j1, j2 int) bool {
+	for _, r := range da.scanR {
+		if r[0] == j1 && r[1] == j2 {
+			return true
 		}
 	}
-	for r := range da.visitR {
-		for _, ref := range a.routeRoster(r[0], r[1]) {
-			if a.Complete(ref.k) && a.tightness[ref.k] <= threshold {
-				da.recheck[ref.k] = true
-			}
+	return false
+}
+
+// recheckSharers adds to the recheck set every string on the roster whose
+// tightness is at or below the threshold. Incomplete strings hold NaN, which
+// fails the comparison.
+func (da *DeltaAnalyzer) recheckSharers(roster []rosterEntry, threshold float64) {
+	for idx := range roster {
+		if k := roster[idx].k; da.a.tightness[k] <= threshold {
+			da.addRecheck(k)
 		}
+	}
+}
+
+// addRecheck puts k in the current generation's recheck set, once.
+func (da *DeltaAnalyzer) addRecheck(k int) {
+	if da.recheckAt[k] != da.gen {
+		da.recheckAt[k] = da.gen
+		da.recheck = append(da.recheck, k)
 	}
 }
 
@@ -377,34 +455,41 @@ func (da *DeltaAnalyzer) buildRecheck() {
 // only the dirty resources plus the surviving committed overloads.
 func (da *DeltaAnalyzer) stage1AfterDelta() bool {
 	a := da.a
-	for j := range da.overM {
-		if _, dirty := da.machSnaps[j]; !dirty {
-			return false // untouched, still over capacity
+	if len(da.overM) > 0 {
+		for j := range da.overM {
+			if da.machSnaps[j].win != da.win {
+				return false // untouched, still over capacity
+			}
 		}
 	}
-	for r := range da.overR {
-		if _, dirty := da.routeSnaps[r]; !dirty {
-			return false
+	if len(da.overR) > 0 {
+		for r := range da.overR {
+			if !da.routeSnapped(r[0], r[1]) {
+				return false
+			}
 		}
 	}
-	for j := range da.machSnaps {
+	for _, j := range da.dirtyMach {
 		if a.machineUtil[j] > 1+utilEps {
 			return false
 		}
 	}
-	for r := range da.routeSnaps {
-		if a.RouteUtilization(r[0], r[1]) > 1+utilEps {
-			return false
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			if a.RouteUtilization(j1, da.routeSnaps[j1][idx].peer) > 1+utilEps {
+				return false
+			}
 		}
 	}
 	return true
 }
 
+// countEval tallies one evaluation and its dirty-set sizes.
 func (da *DeltaAnalyzer) countEval() {
 	da.tel.evals.Inc()
-	da.tel.dirtyStr.Add(int64(len(da.strSnaps)))
-	da.tel.dirtyMach.Add(int64(len(da.machSnaps)))
-	da.tel.dirtyRoute.Add(int64(len(da.routeSnaps)))
+	da.tel.dirtyStr.Add(int64(len(da.dirtyStr)))
+	da.tel.dirtyMach.Add(int64(len(da.dirtyMach)))
+	da.tel.dirtyRoute.Add(int64(da.nDirtyRoutes))
 }
 
 // FeasibleAfterDelta reports whether the allocation in its current (window-
@@ -419,14 +504,15 @@ func (da *DeltaAnalyzer) FeasibleAfterDelta() bool {
 	}
 	da.buildRecheck()
 	da.tel.recheckStr.Add(int64(len(da.recheck)))
-	for k := range da.baseViol {
-		if !da.recheck[k] {
-			return false // untouched, still violating
+	if len(da.baseViol) > 0 {
+		for k := range da.baseViol {
+			if !da.inRecheck(k) {
+				return false // untouched, still violating
+			}
 		}
 	}
-	a := da.a
-	for k := range da.recheck {
-		if a.Complete(k) && a.checkString(k) != nil {
+	for _, k := range da.recheck {
+		if da.check(k) != nil {
 			return false
 		}
 	}
@@ -440,23 +526,20 @@ func (da *DeltaAnalyzer) FeasibleAfterDelta() bool {
 func (da *DeltaAnalyzer) ViolationsAfterDelta() []Violation {
 	da.countEval()
 	da.buildRecheck()
-	da.keyBuf = da.keyBuf[:0]
-	for k := range da.recheck {
-		da.keyBuf = append(da.keyBuf, k)
-	}
-	for k := range da.baseViol {
-		if !da.recheck[k] {
-			da.keyBuf = append(da.keyBuf, k)
+	da.tel.recheckStr.Add(int64(len(da.recheck)))
+	da.keyBuf = append(da.keyBuf[:0], da.recheck...)
+	if len(da.baseViol) > 0 {
+		for k := range da.baseViol {
+			if !da.inRecheck(k) {
+				da.keyBuf = append(da.keyBuf, k)
+			}
 		}
 	}
 	sort.Ints(da.keyBuf)
 	var out []Violation
-	a := da.a
 	for _, k := range da.keyBuf {
-		if a.Complete(k) {
-			if v := a.checkString(k); v != nil {
-				out = append(out, *v)
-			}
+		if v := da.check(k); v != nil {
+			out = append(out, *v)
 		}
 	}
 	return out
@@ -464,32 +547,36 @@ func (da *DeltaAnalyzer) ViolationsAfterDelta() []Violation {
 
 // Commit makes the current state the committed state: the dirty results are
 // folded into the committed violation and over-capacity sets and the window
-// is cleared. A clean window commits in O(1).
+// is cleared. Verdicts an evaluation of this state already reached are folded
+// as remembered, not recomputed. A clean window commits in O(1).
 func (da *DeltaAnalyzer) Commit() {
-	if len(da.strSnaps) == 0 && len(da.machSnaps) == 0 && len(da.routeSnaps) == 0 {
+	if da.clean() {
 		return
 	}
 	da.tel.commits.Inc()
 	a := da.a
-	for j := range da.machSnaps {
+	for _, j := range da.dirtyMach {
 		if a.machineUtil[j] > 1+utilEps {
 			da.overM[j] = true
-		} else {
+		} else if len(da.overM) > 0 {
 			delete(da.overM, j)
 		}
 	}
-	for r := range da.routeSnaps {
-		if a.RouteUtilization(r[0], r[1]) > 1+utilEps {
-			da.overR[r] = true
-		} else {
-			delete(da.overR, r)
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			j2 := da.routeSnaps[j1][idx].peer
+			if a.RouteUtilization(j1, j2) > 1+utilEps {
+				da.overR[[2]int{j1, j2}] = true
+			} else if len(da.overR) > 0 {
+				delete(da.overR, [2]int{j1, j2})
+			}
 		}
 	}
 	da.buildRecheck()
-	for k := range da.recheck {
-		if a.Complete(k) && a.checkString(k) != nil {
+	for _, k := range da.recheck {
+		if da.check(k) != nil {
 			da.baseViol[k] = true
-		} else {
+		} else if len(da.baseViol) > 0 {
 			delete(da.baseViol, k)
 		}
 	}
@@ -497,25 +584,30 @@ func (da *DeltaAnalyzer) Commit() {
 }
 
 // Undo rolls the allocation back to the last committed state, bit-identically
-// (utilization floats, roster order, cached tightness — everything the
-// fingerprint in WriteState covers). The window is cleared.
+// (utilization floats, roster order and carried terms, cached tightness —
+// everything the fingerprint in WriteState covers). The window is cleared.
 func (da *DeltaAnalyzer) Undo() {
-	if len(da.strSnaps) == 0 && len(da.machSnaps) == 0 && len(da.routeSnaps) == 0 {
+	if da.clean() {
 		return
 	}
 	da.tel.undos.Inc()
 	a := da.a
-	for k, snap := range da.strSnaps {
+	for _, k := range da.dirtyStr {
+		snap := &da.strSnaps[k]
 		copy(a.machineOf[k], snap.machines)
 		a.nAssigned[k] = snap.nAssigned
 		a.tightness[k] = snap.tightness
 	}
-	for j, snap := range da.machSnaps {
+	for _, j := range da.dirtyMach {
+		snap := &da.machSnaps[j]
 		a.machineUtil[j] = snap.util
 		a.perMachine[j] = append(a.perMachine[j][:0], snap.roster...)
 	}
-	for r, snap := range da.routeSnaps {
-		a.setRouteState(r[0], r[1], snap.util, snap.roster)
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			snap := &da.routeSnaps[j1][idx]
+			a.setRouteState(j1, snap.peer, snap.util, snap.roster)
+		}
 	}
 	da.clearWindow()
 }
@@ -526,11 +618,11 @@ func (da *DeltaAnalyzer) Undo() {
 func (da *DeltaAnalyzer) OverloadedMachines() []int {
 	var out []int
 	for j := range da.overM {
-		if _, dirty := da.machSnaps[j]; !dirty {
+		if da.machSnaps[j].win != da.win {
 			out = append(out, j)
 		}
 	}
-	for j := range da.machSnaps {
+	for _, j := range da.dirtyMach {
 		if da.a.machineUtil[j] > 1+utilEps {
 			out = append(out, j)
 		}
@@ -544,13 +636,15 @@ func (da *DeltaAnalyzer) OverloadedMachines() []int {
 func (da *DeltaAnalyzer) OverloadedRoutes() [][2]int {
 	var out [][2]int
 	for r := range da.overR {
-		if _, dirty := da.routeSnaps[r]; !dirty {
+		if !da.routeSnapped(r[0], r[1]) {
 			out = append(out, r)
 		}
 	}
-	for r := range da.routeSnaps {
-		if da.a.RouteUtilization(r[0], r[1]) > 1+utilEps {
-			out = append(out, r)
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			if j2 := da.routeSnaps[j1][idx].peer; da.a.RouteUtilization(j1, j2) > 1+utilEps {
+				out = append(out, [2]int{j1, j2})
+			}
 		}
 	}
 	sort.Slice(out, func(x, y int) bool {

@@ -6,10 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // applyRandomDelta applies 1..4 random primitive mutations to a tracked
@@ -39,47 +42,463 @@ func applyRandomDelta(r *rand.Rand, a *Allocation) {
 	}
 }
 
+// checkSettled asserts what must hold after every Commit, Undo and Reset: the
+// window is clean and its answers — served from the committed sets, not from
+// a recheck — equal the full analysis, violation list included.
+func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
+		t.Fatalf("%s: settled window still dirty: %d strings, %d machines, %d routes", label, s, m, r)
+	}
+	queryWindow(t, label+" (clean)", da, true, true)
+}
+
+// auditMemo asserts every verdict the analyzer holds for the current
+// generation is what a fresh checkString returns now: a verdict that outlived
+// the state it judged would show here.
+func auditMemo(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	a := da.Allocation()
+	for k := range da.verdict {
+		if da.verdictAt[k] != da.gen {
+			continue
+		}
+		var fresh *Violation
+		if a.Complete(k) {
+			fresh = a.checkString(k)
+		}
+		if !reflect.DeepEqual(da.verdict[k], fresh) {
+			t.Fatalf("%s: memoised verdict for string %d is %v, checkString now says %v", label, k, da.verdict[k], fresh)
+		}
+	}
+}
+
+// queryWindow asks the window the drawn questions and checks each
+// answer against the full analysis of the same state. The callers of the
+// analyzer differ in exactly this: service remove asks nothing before Commit,
+// admit asks FeasibleAfterDelta and only on rejection ViolationsAfterDelta,
+// the repair controllers ask either or both.
+func queryWindow(t *testing.T, label string, da *DeltaAnalyzer, feasible, violations bool) {
+	t.Helper()
+	a := da.Allocation()
+	if feasible {
+		if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
+			t.Fatalf("%s: FeasibleAfterDelta %v, TwoStageFeasible %v", label, got, want)
+		}
+	}
+	if violations {
+		if got, want := da.ViolationsAfterDelta(), a.Violations(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ViolationsAfterDelta %v, Violations %v", label, got, want)
+		}
+	}
+	auditMemo(t, label, da)
+}
+
 // runDeltaEquivalence drives randomized delta windows over a tracked
-// allocation and asserts, for every window, that the delta answers match the
-// full two-stage analysis evaluated on the same state.
+// allocation and asserts that every answer the analyzer gives equals the full
+// two-stage analysis of the same state. The call pattern is drawn per window —
+// which questions are asked before the window settles, whether the window is
+// mutated again after it was asked, an occasional Reset — because the verdict
+// memo makes the patterns different code paths: a Commit that follows an
+// evaluation folds remembered verdicts, one that does not computes its own,
+// and one that follows an evaluation of an *earlier* state must not use it.
 func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.Rand, steps int) {
 	t.Helper()
 	a := New(sys)
 	da := Track(a)
 	defer da.Close()
 	for step := 0; step < steps; step++ {
+		label := fmt.Sprintf("%s step %d", label, step)
 		applyRandomDelta(r, a)
-		if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
-			t.Fatalf("%s step %d: FeasibleAfterDelta %v, TwoStageFeasible %v", label, step, got, want)
+		pattern := r.Intn(6)
+		switch pattern {
+		case 0: // no question before settling
+		case 1:
+			queryWindow(t, label, da, true, false)
+		case 2:
+			queryWindow(t, label, da, false, true)
+		case 3:
+			queryWindow(t, label, da, true, true)
+		case 4: // ask, mutate again, settle without re-asking
+			queryWindow(t, label, da, r.Intn(2) == 0, true)
+			applyRandomDelta(r, a)
+		case 5: // ask, mutate again, ask again
+			queryWindow(t, label, da, true, r.Intn(2) == 0)
+			applyRandomDelta(r, a)
+			queryWindow(t, label+" (re-asked)", da, true, true)
 		}
-		if got, want := da.ViolationsAfterDelta(), a.Violations(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s step %d: ViolationsAfterDelta %v, Violations %v", label, step, got, want)
-		}
-		if r.Intn(3) == 0 {
+		switch r.Intn(16) {
+		case 0, 1, 2, 3:
 			da.Undo()
-		} else {
+		case 4:
+			a.Reset()
+		default:
+			// Including infeasible windows: the repair controllers commit
+			// first and ask the clean window afterwards.
 			da.Commit()
 		}
-		// Clean-window queries must agree too (they take the committed-set
-		// fast path instead of rechecking).
-		if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
-			t.Fatalf("%s step %d (clean): FeasibleAfterDelta %v, TwoStageFeasible %v", label, step, got, want)
-		}
+		checkSettled(t, fmt.Sprintf("%s pattern %d", label, pattern), da)
 	}
 	if err := a.checkInvariants(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 }
 
+// tightenLatency shrinks every string's latency bound to between a fifth and
+// three fifths of what randomSystem drew. As drawn, the bounds are so loose
+// that no mapping of these small systems ever violates equation (1) and only
+// stage 1 decides; tightened, a window's outcome rides on the waiting terms.
+func tightenLatency(r *rand.Rand, sys *model.System) {
+	for k := range sys.Strings {
+		sys.Strings[k].MaxLatency *= 0.2 + 0.4*r.Float64()
+	}
+}
+
 // Property: after arbitrary randomized delta sequences — committed or undone
 // at random, applied on top of feasible and infeasible states alike — the
-// delta analyzer's answers equal the full analysis. Streams are keyed so
+// delta analyzer's answers equal the full analysis. Odd trials run on
+// latency-tightened systems, where stage 2 decides. Streams are keyed so
 // failures reproduce exactly.
 func TestDeltaEquivalenceProperty(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 0)
 		sys := randomSystem(r, 2+r.Intn(4), 2+r.Intn(6), 4)
+		if trial%2 == 1 {
+			tightenLatency(r, sys)
+		}
 		runDeltaEquivalence(t, fmt.Sprintf("trial %d", trial), sys, r, 60)
+	}
+}
+
+// scaleDemand multiplies string k's demand floats by g the way a service
+// rescale does (nominal times and output sizes) and returns the old values
+// for restoreDemand.
+func scaleDemand(s *model.AppString, g float64) (old []float64) {
+	for i := range s.Apps {
+		app := &s.Apps[i]
+		old = append(old, app.OutputKB)
+		old = append(old, app.NominalTime...)
+		app.OutputKB *= g
+		for j := range app.NominalTime {
+			app.NominalTime[j] *= g
+		}
+	}
+	return old
+}
+
+// restoreDemand puts back, bit for bit, the floats scaleDemand returned.
+func restoreDemand(s *model.AppString, old []float64) {
+	for i := range s.Apps {
+		app := &s.Apps[i]
+		app.OutputKB = old[0]
+		copy(app.NominalTime, old[1:])
+		old = old[1+len(app.NominalTime):]
+	}
+}
+
+// The audit behind the frozen-floats contract: a float moved under a placed
+// application leaves its roster entry carrying a term the catalog no longer
+// prices, and checkInvariants says so even when the move is far below every
+// drift tolerance. NominalUtil is the one float only the term (and the
+// tolerance-checked utilization) depends on, which isolates the term audit.
+func TestCheckInvariantsCatchesStaleTerm(t *testing.T) {
+	r := rng.NewRand(3, rng.SubsystemDelta, 6)
+	sys := randomSystem(r, 3, 2, 3)
+	a := New(sys)
+	for k := range sys.Strings {
+		for i := range sys.Strings[k].Apps {
+			a.Assign(k, i, (k+i)%sys.Machines)
+		}
+	}
+	if err := a.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	u := &sys.Strings[0].Apps[0].NominalUtil[a.Machine(0, 0)]
+	old := *u
+	*u *= 1 + 1e-9
+	if err := a.checkInvariants(); err == nil || !strings.Contains(err.Error(), "waiting term") {
+		t.Fatalf("checkInvariants = %v, want a stale waiting term reported", err)
+	}
+	*u = old
+	if err := a.checkInvariants(); err != nil {
+		t.Fatalf("after restoring the float: %v", err)
+	}
+}
+
+// rescaleWindow is the one window in which catalog floats move under a
+// tracked allocation (service rescale): string k leaves every roster, its
+// demand floats change, it is placed again, the window is judged, and either
+// it commits or the floats go back and Undo restores the pre-window state bit
+// for bit. The memo never sees the float change itself — only the generation
+// bumps of the Unassign before and the Assign after it — so a verdict from
+// before the window, or a waiting term priced at the old scale, surviving
+// into the judgement is exactly what this would catch.
+func rescaleWindow(t *testing.T, label string, r *rand.Rand, da *DeltaAnalyzer, k int, machines []int) {
+	t.Helper()
+	a := da.Allocation()
+	s := &a.System().Strings[k]
+	before := fingerprint(t, a)
+	if r.Intn(2) == 0 {
+		queryWindow(t, label+" (before)", da, true, true) // verdicts the window must not reuse
+	}
+	a.UnassignString(k)
+	old := scaleDemand(s, 0.25+2.75*r.Float64())
+	a.AssignString(k, machines)
+	queryWindow(t, label, da, true, r.Intn(2) == 0)
+	if da.FeasibleAfterDelta() && r.Intn(4) != 0 {
+		da.Commit()
+	} else {
+		restoreDemand(s, old)
+		da.Undo()
+		if got := fingerprint(t, a); !bytes.Equal(got, before) {
+			t.Fatalf("%s: state after the rejected rescale differs from the pre-window one:\ngot:\n%s\nwant:\n%s", label, got, before)
+		}
+	}
+	checkSettled(t, label, da)
+	if err := a.checkInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// Property: the rescale-shaped window stays equal to the full analysis, rolls
+// back bit-identically, and leaves every roster entry carrying the term its
+// current floats price (checkInvariants), interleaved with ordinary windows.
+func TestDeltaRescaleWindowProperty(t *testing.T) {
+	for trial := 0; trial < 15; trial++ {
+		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 5)
+		sys := randomSystem(r, 2+r.Intn(4), 3+r.Intn(5), 4)
+		a := New(sys)
+		da := Track(a)
+		for step := 0; step < 60; step++ {
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			k := r.Intn(len(sys.Strings))
+			if !a.Complete(k) {
+				// Ordinary admit-shaped window: place it, keep it if feasible.
+				a.UnassignString(k)
+				for i := range sys.Strings[k].Apps {
+					a.Assign(k, i, r.Intn(sys.Machines))
+				}
+				if da.FeasibleAfterDelta() {
+					da.Commit()
+				} else {
+					da.Undo()
+				}
+				checkSettled(t, label, da)
+				continue
+			}
+			machines := a.StringMachines(k)
+			if r.Intn(2) == 0 {
+				for i := range machines {
+					machines[i] = r.Intn(sys.Machines)
+				}
+			}
+			rescaleWindow(t, label, r, da, k, machines)
+		}
+		da.Close()
+	}
+}
+
+// leastLoaded places every application of string k on the machine it loads
+// least — a stand-in for the IMR, which this package cannot import.
+func leastLoaded(a *Allocation, k int) []int {
+	machines := make([]int, len(a.System().Strings[k].Apps))
+	for i := range machines {
+		best := 0
+		for j := 1; j < a.System().Machines; j++ {
+			if a.MachineUtilizationIf(j, k, i) < a.MachineUtilizationIf(best, k, i) {
+				best = j
+			}
+		}
+		machines[i] = best
+		a.Assign(k, i, best)
+	}
+	return machines
+}
+
+// loadedScenario1 maps scenario 1 (12 machines, 150 strings, highly loaded)
+// string by string, keeping every feasible placement: the state a serving
+// daemon or a PSG decode sits in, with machine rosters tens of entries long.
+func loadedScenario1(tb testing.TB) (*Allocation, *DeltaAnalyzer) {
+	tb.Helper()
+	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	a := New(sys)
+	da := Track(a)
+	for k := range sys.Strings {
+		leastLoaded(a, k)
+		if da.FeasibleAfterDelta() {
+			da.Commit()
+		} else {
+			da.Undo()
+		}
+	}
+	if n := a.NumComplete(); n < 40 {
+		tb.Fatalf("scenario 1 loaded only %d strings; the state is not paper-scale", n)
+	}
+	return a, da
+}
+
+// paperScaleRuns numbers TestDeltaEquivalencePaperScale's invocations in this
+// process: run n draws its windows from the keyed stream (1, feasibility/delta,
+// 100 + n), so the per-push suite always draws stream 100 and -count=N (the
+// nightly job) draws N distinct, reproducible ones.
+var paperScaleRuns int64
+
+// Property at paper scale: 2 000 admit-, remove- and rescale-shaped windows on
+// the loaded scenario-1 state, delta equal to full at every step. The random
+// systems above top out at 5 machines x 7 strings x 4 applications; this is
+// where a roster is 30 entries long and a recheck set a dozen strings.
+func TestDeltaEquivalencePaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale delta equivalence skipped in -short mode")
+	}
+	stream := 100 + paperScaleRuns
+	paperScaleRuns++
+	r := rng.NewRand(1, rng.SubsystemDelta, stream)
+	a, da := loadedScenario1(t)
+	defer da.Close()
+	sys := a.System()
+	var admits, removes, rescales, rejected int
+	for step := 0; step < 2000; step++ {
+		label := fmt.Sprintf("step %d", step)
+		k := r.Intn(len(sys.Strings))
+		switch {
+		case !a.Complete(k): // admit
+			admits++
+			leastLoaded(a, k)
+			queryWindow(t, label+" admit", da, true, false)
+			if da.FeasibleAfterDelta() {
+				da.Commit()
+			} else {
+				rejected++
+				queryWindow(t, label+" admit rejected", da, false, true)
+				da.Undo()
+			}
+			checkSettled(t, label+" admit", da)
+		case r.Intn(2) == 0: // remove: Commit with no evaluation
+			removes++
+			a.UnassignString(k)
+			da.Commit()
+			checkSettled(t, label+" remove", da)
+		default:
+			rescales++
+			rescaleWindow(t, label+" rescale", r, da, k, a.StringMachines(k))
+		}
+	}
+	if err := a.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for j := range a.perMachine {
+		if n := len(a.perMachine[j]); n > longest {
+			longest = n
+		}
+	}
+	t.Logf("stream %d: %d admits (%d rejected), %d removes, %d rescales; %d strings mapped, longest machine roster %d",
+		stream, admits, rejected, removes, rescales, a.NumComplete(), longest)
+	if admits == 0 || removes == 0 || rescales == 0 || rejected == 0 {
+		t.Fatalf("stream %d drew %d admits (%d rejected), %d removes, %d rescales; every shape must occur",
+			stream, admits, rejected, removes, rescales)
+	}
+}
+
+// stringChecks reads the analyzer's checkString-run counter; telemetry must
+// have been enabled before Track.
+func stringChecks(da *DeltaAnalyzer) int64 { return da.tel.stringChecks.Value() }
+
+// judged counts the strings holding a verdict of the current generation.
+func judged(da *DeltaAnalyzer) int64 {
+	n := int64(0)
+	for k := range da.verdictAt {
+		if da.verdictAt[k] == da.gen && da.a.Complete(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// "Once" as a reading: on the loaded scenario-1 state an accepted admit runs
+// checkString exactly once per string of its recheck set across
+// FeasibleAfterDelta + Commit — all of them in the evaluation, none in the
+// Commit — and a rejected one (FeasibleAfterDelta, ViolationsAfterDelta, Undo)
+// checks no string twice.
+func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	a, da := loadedScenario1(t)
+	defer da.Close()
+	sys := a.System()
+
+	// Accepted admit: lift a mapped string out and admit it again.
+	accepted := false
+	for k := 0; k < len(sys.Strings) && !accepted; k++ {
+		if !a.Complete(k) {
+			continue
+		}
+		a.UnassignString(k)
+		da.Commit()
+		leastLoaded(a, k)
+		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
+		if !da.FeasibleAfterDelta() {
+			da.Undo()
+			continue
+		}
+		accepted = true
+		c1 := stringChecks(da)
+		recheck := int64(len(da.recheck))
+		if recheck < 2 {
+			t.Fatalf("admit of string %d rechecks %d strings; the state is not loaded", k, recheck)
+		}
+		if c1-c0 != recheck {
+			t.Errorf("accepted admit of string %d: FeasibleAfterDelta ran checkString %d times for a recheck set of %d", k, c1-c0, recheck)
+		}
+		da.Commit()
+		if c2 := stringChecks(da); c2 != c1 {
+			t.Errorf("Commit after the evaluation ran checkString %d times, want 0", c2-c1)
+		}
+		if r1 := da.tel.verdictReuse.Value(); r1-r0 != recheck {
+			t.Errorf("Commit reused %d verdicts, want the recheck set's %d", r1-r0, recheck)
+		}
+	}
+	if !accepted {
+		t.Fatal("no re-admission was accepted; the accepted path ran nowhere")
+	}
+
+	// Rejected admit, by stage 2 so that both queries reach the strings.
+	rejected := false
+	for k := 0; k < len(sys.Strings) && !rejected; k++ {
+		if a.Complete(k) {
+			continue
+		}
+		leastLoaded(a, k)
+		if !da.stage1AfterDelta() {
+			da.Undo()
+			continue
+		}
+		rejected = true
+		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
+		if da.FeasibleAfterDelta() {
+			t.Fatalf("string %d was rejected while loading and is accepted now", k)
+		}
+		c1 := stringChecks(da)
+		if len(da.ViolationsAfterDelta()) == 0 {
+			t.Fatalf("rejected admit of string %d lists no violation", k)
+		}
+		c2 := stringChecks(da)
+		if c1 == c0 || da.tel.verdictReuse.Value() == r0 {
+			t.Errorf("rejected admit of string %d: evaluation ran %d checks and the listing reused %d; want both positive",
+				k, c1-c0, da.tel.verdictReuse.Value()-r0)
+		}
+		if got, want := c2-c0, judged(da); got != want {
+			t.Errorf("rejected admit of string %d: %d checkString runs for %d judged strings — a string was checked twice", k, got, want)
+		}
+		da.Undo()
+		if c3 := stringChecks(da); c3 != c2 {
+			t.Errorf("Undo ran checkString %d times", c3-c2)
+		}
+	}
+	if !rejected {
+		t.Fatal("no stage-2 rejection found; the rejected path ran nowhere")
 	}
 }
 
@@ -207,6 +626,48 @@ func TestPartialRemapRefreshesTightness(t *testing.T) {
 	}
 }
 
+// A single-application move leaves the rest of the string on resources the
+// window never snapshots. The recheck set must still reach their sharers, and
+// each such roster is scanned once however often the string crosses it: string
+// 0 sits on machines 0,1,0,1,2 — route 0->1 twice — and only its last
+// application moves.
+func TestRecheckScansUnsnapshottedResourceOnce(t *testing.T) {
+	sys := model.NewUniformSystem(4, 100)
+	app := model.UniformApp(4, 1, 0.1, 10)
+	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 100,
+		Apps: []model.Application{app, app, app, app, app}})
+	// Looser sharers: one on machine 0 only, one across route 0->1.
+	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 1000,
+		Apps: []model.Application{app}})
+	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 1000,
+		Apps: []model.Application{app, app}})
+	a := New(sys)
+	da := Track(a)
+	defer da.Close()
+	a.AssignString(0, []int{0, 1, 0, 1, 2})
+	a.AssignString(1, []int{0})
+	a.AssignString(2, []int{0, 1})
+	da.Commit()
+
+	a.Unassign(0, 4)
+	a.Assign(0, 4, 3)
+	da.buildRecheck()
+	if want := [][2]int{{0, 1}, {1, 0}}; !reflect.DeepEqual(da.scanR, want) {
+		t.Errorf("un-snapshotted routes scanned: %v, want %v (each once)", da.scanR, want)
+	}
+	for j := 0; j < 4; j++ {
+		if da.scanAt[j] != da.gen {
+			t.Errorf("machine %d's roster was not scanned for this generation", j)
+		}
+	}
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(da.recheck, want) {
+		t.Errorf("recheck set %v, want %v", da.recheck, want)
+	}
+	queryWindow(t, "single-application move", da, true, true)
+	da.Commit()
+	checkSettled(t, "single-application move", da)
+}
+
 // fingerprint renders the full observable allocation state.
 func fingerprint(t *testing.T, a *Allocation) []byte {
 	t.Helper()
@@ -240,9 +701,11 @@ func TestDeltaUndoBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d round %d: state after Undo differs from pre-delta clone:\ngot:\n%s\nwant:\n%s",
 					trial, round, got, want)
 			}
-		}
-		if err := a.checkInvariants(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			// The fingerprint does not cover the carried waiting terms; the
+			// audit does.
+			if err := a.checkInvariants(); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
 		}
 		da.Close()
 	}
@@ -363,3 +826,73 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAnalyzerDecision times the three decision shapes of the serve path
+// on the loaded scenario-1 state and reports checkString runs per decision —
+// the number a second evaluation of the same window would double:
+//
+//   - accept: a string is lifted and placed back in one window,
+//     FeasibleAfterDelta, Commit;
+//   - reject: an unmappable string is placed, FeasibleAfterDelta,
+//     ViolationsAfterDelta, Undo;
+//   - remove: UnassignString and Commit with no evaluation, then the string
+//     put back the same way so the state holds (two unevaluated commits per op).
+func BenchmarkAnalyzerDecision(b *testing.B) {
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	a, da := loadedScenario1(b)
+	defer da.Close()
+	var mapped, unmappable []int
+	placement := make([][]int, len(a.System().Strings))
+	for k := range placement {
+		if a.Complete(k) {
+			mapped = append(mapped, k)
+			placement[k] = a.StringMachines(k)
+			continue
+		}
+		leastLoaded(a, k)
+		if !da.FeasibleAfterDelta() {
+			unmappable = append(unmappable, k)
+		}
+		da.Undo()
+	}
+	run := func(name string, op func(b *testing.B, n int)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			c0 := stringChecks(da)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				op(b, n)
+			}
+			b.ReportMetric(float64(stringChecks(da)-c0)/float64(b.N), "string_checks/op")
+		})
+	}
+	run("accept", func(b *testing.B, n int) {
+		k := mapped[n%len(mapped)]
+		a.UnassignString(k)
+		a.AssignString(k, placement[k])
+		if !da.FeasibleAfterDelta() {
+			b.Fatalf("re-placing string %d where it was became infeasible", k)
+		}
+		da.Commit()
+	})
+	run("reject", func(b *testing.B, n int) {
+		k := unmappable[n%len(unmappable)]
+		leastLoaded(a, k)
+		if da.FeasibleAfterDelta() {
+			b.Fatalf("string %d, unmappable at set-up, was accepted", k)
+		}
+		benchViolations = da.ViolationsAfterDelta()
+		da.Undo()
+	})
+	run("remove", func(b *testing.B, n int) {
+		k := mapped[n%len(mapped)]
+		a.UnassignString(k)
+		da.Commit()
+		a.AssignString(k, placement[k])
+		da.Commit()
+	})
+}
+
+var benchViolations []Violation

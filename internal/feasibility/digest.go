@@ -1,7 +1,6 @@
 package feasibility
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 )
@@ -16,13 +15,11 @@ import (
 // write-ahead journal embeds it periodically so recovery replay is verified
 // against the exact bits the live daemon held.
 func StateDigest(a *Allocation) string {
-	var buf bytes.Buffer
-	a.WriteState(&buf)
 	// Byte-compatible with the soak digest accumulator, which hashes each
 	// value as "%v|": the digest covers the WriteState text plus a trailing
 	// separator. Changing this breaks every recorded snapshot digest.
-	h := sha256.New()
-	h.Write(buf.Bytes())
-	h.Write([]byte{'|'})
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	// The paper-scale state text is 14 KB; a constant-size buffer that does
+	// not escape lives on the stack, and a bigger ship's text grows out of it.
+	sum := sha256.Sum256(append(a.appendState(make([]byte, 0, 16<<10)), '|'))
+	return hex.EncodeToString(sum[:])[:16]
 }

@@ -1,10 +1,89 @@
 package feasibility
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/model"
 )
+
+// writeStateFmt is the encoder WriteState shipped with until it stopped going
+// through fmt: three Fprintf("%v") lines over the assignment vector and the
+// rosters of {k i} pairs. It defines the bytes every recorded StateDigest
+// hashes, and stays here as the oracle for appendState.
+func writeStateFmt(w io.Writer, a *Allocation) {
+	refs := func(roster []rosterEntry) []appRef {
+		out := make([]appRef, len(roster))
+		for idx := range roster {
+			out[idx] = roster[idx].appRef
+		}
+		return out
+	}
+	for k := range a.machineOf {
+		fmt.Fprintf(w, "s%d n%d t%016x %v\n", k, a.nAssigned[k], math.Float64bits(a.tightness[k]), a.machineOf[k])
+	}
+	for j := range a.machineUtil {
+		fmt.Fprintf(w, "m%d u%016x %v\n", j, math.Float64bits(a.machineUtil[j]), refs(a.perMachine[j]))
+	}
+	for j1 := range a.routes {
+		for idx := range a.routes[j1] {
+			e := &a.routes[j1][idx]
+			fmt.Fprintf(w, "r%d,%d u%016x %v\n", j1, e.peer, math.Float64bits(e.util), refs(e.apps))
+		}
+	}
+}
+
+// Property: WriteState is byte for byte the fmt encoder's text — on churned
+// random allocations (empty rosters, Unassigned entries, NaN tightness of
+// incomplete strings, float residue) and on a 2048-machine system whose loaded machines and routes carry four-digit
+// indices.
+func TestWriteStateMatchesFmtOracle(t *testing.T) {
+	check := func(label string, a *Allocation) {
+		t.Helper()
+		var want bytes.Buffer
+		writeStateFmt(&want, a)
+		if got := fingerprint(t, a); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: WriteState differs from the fmt encoder\ngot:\n%s\nwant:\n%s", label, got, want.Bytes())
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		sys := randomSystem(rng, 1+rng.Intn(5), 1+rng.Intn(12), 5)
+		a := New(sys)
+		check(fmt.Sprintf("trial %d empty", trial), a)
+		churn(rng, a, 20+rng.Intn(300))
+		check(fmt.Sprintf("trial %d churned", trial), a)
+	}
+
+	machines := 2048
+	if testing.Short() {
+		machines = 128 // the 2048 x 2048 bandwidth matrix is 32 MB
+	}
+	sys := model.NewUniformSystem(machines, 100)
+	for k := 0; k < 120; k++ {
+		sys.AddString(model.AppString{
+			Worth: 1, Period: 100, MaxLatency: 500,
+			Apps: []model.Application{
+				model.UniformApp(machines, 1, 0.2, 10),
+				model.UniformApp(machines, 1, 0.2, 10),
+				model.UniformApp(machines, 1, 0.2, 10),
+			},
+		})
+	}
+	a := New(sys)
+	for k := range sys.Strings {
+		if k%7 == 3 {
+			a.Assign(k, 1, machines-1-k) // partial: NaN tightness, -1 entries
+			continue
+		}
+		a.AssignString(k, []int{machines - 1 - k, machines - 1 - k%5, k % 3})
+	}
+	check(fmt.Sprintf("M=%d", machines), a)
+}
 
 // TestStateDigest: the digest is stable on a clone, moves on any mutation,
 // and returns to the original after the analyzer rolls the mutation back —

@@ -90,7 +90,7 @@ type AllocationSnapshot struct {
 
 // encBits hex-encodes a float64's IEEE-754 bit pattern (NaN-safe).
 func encBits(f float64) string {
-	return fmt.Sprintf("%016x", math.Float64bits(f))
+	return string(appendBits(nil, f))
 }
 
 // decBits decodes a hex bit pattern written by encBits.
@@ -102,7 +102,7 @@ func decBits(s string) (float64, error) {
 	return math.Float64frombits(u), nil
 }
 
-func rosterPairs(refs []appRef) [][2]int {
+func rosterPairs(refs []rosterEntry) [][2]int {
 	if len(refs) == 0 {
 		return nil
 	}
@@ -229,7 +229,7 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				return nil, fmt.Errorf("feasibility: snapshot machine rosters list application (%d,%d) twice", k, i)
 			}
 			seen[appRef{k, i}] = true
-			a.perMachine[j] = append(a.perMachine[j], appRef{k, i})
+			a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef{k, i}, sys.MachineDemandUtil(k, i, j)})
 		}
 		rostered += len(ms.Roster)
 	}
@@ -278,7 +278,7 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				return nil, fmt.Errorf("feasibility: snapshot route rosters list producer (%d,%d) twice", k, i)
 			}
 			seenRoute[appRef{k, i}] = true
-			e.apps = append(e.apps, appRef{k, i})
+			e.apps = append(e.apps, rosterEntry{appRef{k, i}, a.routeTerm(k, i, rs.From, rs.To)})
 		}
 		e.util = u
 		routed += len(rs.Roster)

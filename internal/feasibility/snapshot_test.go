@@ -57,6 +57,11 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("trial %d: restored fingerprint differs\nwant:\n%s\ngot:\n%s", trial, want, got)
 		}
+		// Rosters are stored as [k,i] pairs; the waiting terms they carry in
+		// memory are priced again on load, which only the audit sees.
+		if err := restored.checkInvariants(); err != nil {
+			t.Fatalf("trial %d: restored allocation: %v", trial, err)
+		}
 	}
 }
 
@@ -84,6 +89,9 @@ func TestSnapshotRestoredAllocationIsLive(t *testing.T) {
 	da.Commit()
 	if !bytes.Equal(fingerprint(t, a), fingerprint(t, restored)) {
 		t.Error("original and restored diverged after identical post-restore operations")
+	}
+	if err := restored.checkInvariants(); err != nil {
+		t.Error(err)
 	}
 	if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
 		t.Errorf("restored delta feasibility = %v, full analysis on original = %v", got, want)

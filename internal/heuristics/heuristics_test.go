@@ -3,6 +3,7 @@ package heuristics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/feasibility"
@@ -71,12 +72,18 @@ func TestIMRColocatesHeavyTransfers(t *testing.T) {
 }
 
 // TestIMRAssignsEveryApplication over random strings, including the
-// contiguous-region extension in both directions.
+// contiguous-region extension in both directions: the placement is the slice
+// oracle's, and a placement that fails part-way leaves the string unassigned.
+// The last two trials are longer than the 16 applications the IMR keeps on the
+// stack (generated strings never are; a system loaded from a file may be).
 func TestIMRAssignsEveryApplication(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 52; trial++ {
 		sys := model.NewUniformSystem(1+rng.Intn(6), 1+9*rng.Float64())
 		n := 1 + rng.Intn(10)
+		if trial >= 50 {
+			n = 17 + 23*(trial-50)
+		}
 		apps := make([]model.Application, n)
 		for i := range apps {
 			apps[i] = model.Application{
@@ -100,7 +107,74 @@ func TestIMRAssignsEveryApplication(t *testing.T) {
 				t.Fatalf("trial %d: application %d on invalid machine %d", trial, i, m)
 			}
 		}
+		if got, want := a.StringMachines(0), sliceIMR(feasibility.New(sys), 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: IMR placed %v, slice oracle %v", trial, got, want)
+		}
+		if n == 1 {
+			continue
+		}
+		// A mask that closes every machine once application 0 or n-1 is
+		// placed fails the extension that follows.
+		a.UnassignString(0)
+		closing := func(int) bool {
+			return a.Machine(0, 0) == feasibility.Unassigned && a.Machine(0, n-1) == feasibility.Unassigned
+		}
+		if MapStringIMRMasked(a, 0, closing, nil) {
+			t.Fatalf("trial %d: placement succeeded under a mask that closes part-way", trial)
+		}
+		for i := 0; i < n; i++ {
+			if j := a.Machine(0, i); j != feasibility.Unassigned {
+				t.Fatalf("trial %d: failed placement left application %d on machine %d", trial, i, j)
+			}
+		}
 	}
+}
+
+// sliceIMR is the IMR written over an intensity slice and an assigned mask —
+// the oracle for MapStringIMR's stack-array form. It returns the placement.
+func sliceIMR(a *feasibility.Allocation, k int) []int {
+	sys := a.System()
+	n := len(sys.Strings[k].Apps)
+	intensity := make([]float64, n)
+	for i := range intensity {
+		intensity[i] = sys.AvgWork(k, i)
+	}
+	assigned := make([]bool, n)
+	mostIntensive := func() int {
+		best, bestVal := -1, -1.0
+		for i := range intensity {
+			if !assigned[i] && intensity[i] > bestVal {
+				best, bestVal = i, intensity[i]
+			}
+		}
+		return best
+	}
+	place := func(i int, routeIf func(j int) float64) {
+		bestJ, bestVal := -1, 0.0
+		for j := 0; j < sys.Machines; j++ {
+			if v := maxf(a.MachineUtilizationIf(j, k, i), routeIf(j)); bestJ < 0 || v < bestVal {
+				bestJ, bestVal = j, v
+			}
+		}
+		a.Assign(k, i, bestJ)
+		assigned[i] = true
+	}
+	first := mostIntensive()
+	place(first, func(int) float64 { return 0 })
+	for iLeft, iRight := first, first; iRight-iLeft+1 < n; {
+		target := mostIntensive()
+		for target > iRight {
+			iRight++
+			prev := a.Machine(k, iRight-1)
+			place(iRight, func(j int) float64 { return a.RouteUtilizationIf(prev, j, k, iRight-1) })
+		}
+		for target < iLeft {
+			iLeft--
+			next := a.Machine(k, iLeft+1)
+			place(iLeft, func(j int) float64 { return a.RouteUtilizationIf(j, next, k, iLeft) })
+		}
+	}
+	return a.StringMachines(k)
 }
 
 // TestIMRStartsFromMostIntensive: the most computationally intensive

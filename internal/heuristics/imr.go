@@ -36,36 +36,28 @@ func MapStringIMR(a *feasibility.Allocation, k int) {
 // masks it never fails and is exactly MapStringIMR.
 func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
 	sys := a.System()
-	s := &sys.Strings[k]
-	n := len(s.Apps)
-
-	allowMachine := func(j int) bool { return machineOK == nil || machineOK(j) }
-	allowRoute := func(j1, j2 int) bool { return j1 == j2 || routeOK == nil || routeOK(j1, j2) }
+	n := len(sys.Strings[k].Apps)
 
 	// Machine-averaged intensity t_av[i]*u_av[i]/P[k]; the period is constant
-	// within the string, so the raw averaged work preserves the argmax.
-	intensity := make([]float64, n)
-	for i := 0; i < n; i++ {
-		intensity[i] = sys.AvgWork(k, i)
+	// within the string, so the raw averaged work preserves the argmax. The
+	// routine runs once per string per decode: paper-size strings keep the
+	// vector on the stack.
+	var stack [16]float64
+	intensity := stack[:]
+	if n > len(stack) {
+		intensity = make([]float64, n)
 	}
-	assigned := make([]bool, n)
-
-	mostIntensiveUnassigned := func() int {
-		best, bestVal := -1, -1.0
-		for i := 0; i < n; i++ {
-			if !assigned[i] && intensity[i] > bestVal {
-				best, bestVal = i, intensity[i]
-			}
-		}
-		return best
+	intensity = intensity[:n]
+	for i := range intensity {
+		intensity[i] = sys.AvgWork(k, i)
 	}
 
 	// Step 1-2: place the single most intensive application on the allowed
 	// machine with the smallest resulting utilization.
-	first := mostIntensiveUnassigned()
+	first := mostIntensiveOutside(intensity, 0, -1)
 	bestJ, bestU := -1, 0.0
 	for j := 0; j < sys.Machines; j++ {
-		if !allowMachine(j) {
+		if machineOK != nil && !machineOK(j) {
 			continue
 		}
 		if u := a.MachineUtilizationIf(j, k, first); bestJ < 0 || u < bestU {
@@ -76,61 +68,69 @@ func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) 
 		return false
 	}
 	a.Assign(k, first, bestJ)
-	assigned[first] = true
 
 	// Steps 3-4: D = [iLeft, iRight] is the contiguous assigned region;
 	// extend it toward each successive most-intensive unassigned target.
 	iLeft, iRight := first, first
 	for iRight-iLeft+1 < n {
-		target := mostIntensiveUnassigned()
+		target := mostIntensiveOutside(intensity, iLeft, iRight)
 		for target > iRight {
-			iRight++
-			prev := a.Machine(k, iRight-1)
-			bestJ := argminMaxUtil(a, k, iRight, allowMachine, func(j int) (float64, bool) {
-				// Route carrying O[iRight-1] from the predecessor to j.
-				return a.RouteUtilizationIf(prev, j, k, iRight-1), allowRoute(prev, j)
-			})
+			bestJ := argminMaxUtil(a, k, iRight+1, iRight, machineOK, routeOK)
 			if bestJ < 0 {
 				a.UnassignString(k)
 				return false
 			}
+			iRight++
 			a.Assign(k, iRight, bestJ)
-			assigned[iRight] = true
 		}
 		for target < iLeft {
-			iLeft--
-			next := a.Machine(k, iLeft+1)
-			bestJ := argminMaxUtil(a, k, iLeft, allowMachine, func(j int) (float64, bool) {
-				// Route carrying O[iLeft] from j to the successor.
-				return a.RouteUtilizationIf(j, next, k, iLeft), allowRoute(j, next)
-			})
+			bestJ := argminMaxUtil(a, k, iLeft-1, iLeft, machineOK, routeOK)
 			if bestJ < 0 {
 				a.UnassignString(k)
 				return false
 			}
+			iLeft--
 			a.Assign(k, iLeft, bestJ)
-			assigned[iLeft] = true
 		}
 	}
 	return true
 }
 
-// argminMaxUtil selects the allowed machine minimizing
-// max(U_machine[j, i, k], routeIf(j)), the IMR candidate-selection parameter;
-// routeIf also reports whether the route placement j implies is allowed.
-// Returns -1 when no machine qualifies.
-func argminMaxUtil(a *feasibility.Allocation, k, i int, allowMachine func(j int) bool, routeIf func(j int) (float64, bool)) int {
-	sys := a.System()
+// mostIntensiveOutside returns the index of the largest intensity outside the
+// assigned region [iLeft, iRight] (empty when iLeft > iRight), lowest index on
+// ties, or -1 when the region covers everything.
+func mostIntensiveOutside(intensity []float64, iLeft, iRight int) int {
+	best, bestVal := -1, -1.0
+	for i, v := range intensity {
+		if (i < iLeft || i > iRight) && v > bestVal {
+			best, bestVal = i, v
+		}
+	}
+	return best
+}
+
+// argminMaxUtil selects, for application i of string k, the allowed machine j
+// minimizing max(U_machine[j, i, k], U_route) — the IMR candidate-selection
+// parameter — where the route is the one placing i on j implies toward its
+// already placed neighbour nb = i±1: nb's machine -> j carrying O[nb] when nb
+// precedes i, j -> nb's machine carrying O[i] when it follows. Machines the
+// masks exclude, directly or through that route, are skipped; intra-machine
+// hops use no route. Returns -1 when no machine qualifies.
+func argminMaxUtil(a *feasibility.Allocation, k, i, nb int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
+	nbJ := a.Machine(k, nb)
 	bestJ, bestVal := -1, 0.0
-	for j := 0; j < sys.Machines; j++ {
-		if !allowMachine(j) {
+	for j, m := 0, a.System().Machines; j < m; j++ {
+		if machineOK != nil && !machineOK(j) {
 			continue
 		}
-		routeU, ok := routeIf(j)
-		if !ok {
+		from, to, producer := nbJ, j, nb
+		if nb > i {
+			from, to, producer = j, nbJ, i
+		}
+		if from != to && routeOK != nil && !routeOK(from, to) {
 			continue
 		}
-		v := maxf(a.MachineUtilizationIf(j, k, i), routeU)
+		v := maxf(a.MachineUtilizationIf(j, k, i), a.RouteUtilizationIf(from, to, k, producer))
 		if bestJ < 0 || v < bestVal {
 			bestJ, bestVal = j, v
 		}

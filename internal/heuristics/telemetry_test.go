@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/feasibility"
 	"repro/internal/genitor"
+	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
@@ -192,6 +194,41 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 	check("telemetry disabled")
 	telemetry.Enable()
 	check("telemetry enabled")
+}
+
+// A memo-miss decode — IMR placement, delta evaluation and commit of every
+// string on the lane's recycled scratch — allocates nothing when every string
+// maps, and only the failing string's *Violation when one does not.
+func TestDecodeMissAllocations(t *testing.T) {
+	prev := telemetry.Active()
+	t.Cleanup(func() { telemetry.EnableRegistry(prev) })
+	telemetry.Disable()
+
+	scratch := feasibility.New(easySystem())
+	da := feasibility.Track(scratch)
+	perm := []int{0, 1, 2, 3}
+	decodeDelta(da, scratch, perm) // grow the scratch and window buffers
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm) }); allocs != 0 {
+		t.Errorf("decode mapping every string costs %v allocations, want 0", allocs)
+	}
+	if scratch.NumComplete() != len(perm) {
+		t.Fatalf("easy system mapped %d of %d strings", scratch.NumComplete(), len(perm))
+	}
+
+	// A fifth string whose second application cannot finish within the period.
+	hard := easySystem()
+	hard.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 500,
+		Apps: []model.Application{model.UniformApp(3, 2, 0.4, 20), model.UniformApp(3, 60, 0.4, 20)}})
+	scratch = feasibility.New(hard)
+	da = feasibility.Track(scratch)
+	perm = []int{0, 1, 2, 3, 4}
+	decodeDelta(da, scratch, perm)
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm) }); allocs > 1 {
+		t.Errorf("decode stopping at an unmappable string costs %v allocations, want at most 1", allocs)
+	}
+	if scratch.NumComplete() != 4 {
+		t.Fatalf("hard system mapped %d strings, want 4 (the fifth must fail)", scratch.NumComplete())
+	}
 }
 
 // BenchmarkDecodeTelemetry compares the decode hot path with telemetry off

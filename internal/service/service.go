@@ -601,9 +601,10 @@ func scaledView(base *model.System, scale []float64) *model.System {
 }
 
 // setScale recomputes string k's view floats from base at scale g. Safe only
-// while string k is fully unassigned: no accumulator holds contributions from
-// it. Recomputing at the scale already in force is a bit-identical no-op,
-// which is how a rejected rescale rolls the catalog back.
+// while string k is fully unassigned — the frozen-floats contract in package
+// feasibility's comment: no accumulator, roster term or memoised verdict is
+// then derived from them. Recomputing at the scale already in force is a
+// bit-identical no-op, which is how a rejected rescale rolls the catalog back.
 func (st *state) setScale(k int, g float64) {
 	scaleApps(st.sys.Strings[k].Apps, st.base.Strings[k].Apps, g)
 }

@@ -4,7 +4,12 @@
 // API. Every serving decision runs on the incremental delta analyzer — a full
 // two-stage re-analysis never happens on the serve path.
 //
-// Endpoints (all JSON; see internal/service for the wire contract):
+// Endpoints (all JSON; see internal/service for the wire contract). Every
+// reply is one line of compact JSON with Content-Length set — pipe it through
+// `jq .` or `python3 -m json.tool` to read it, `grep -o '"digest":"[^"]*"'`
+// to pick a field in a script. The admit, remove and rescale bodies must name
+// each field exactly once, exactly as spelt here, with a numeric value;
+// anything else, trailing data included, is a 400:
 //
 //	POST /v1/admit     {"stringId": k}             admit a string
 //	POST /v1/remove    {"stringId": k}             remove a string

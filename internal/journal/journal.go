@@ -239,6 +239,7 @@ type Writer struct {
 	size    int64
 	pending int
 	closed  bool
+	frame   []byte // the record being appended; reused, the appender's alone
 
 	syncReq  chan struct{} // batch policy: signals the group-commit goroutine
 	syncDone chan struct{} // closed when the group-commit goroutine exits
@@ -312,17 +313,17 @@ func (w *Writer) Path() string { return w.path }
 // Size returns the current journal size in bytes.
 func (w *Writer) Size() int64 { return w.size }
 
-// frame builds header+payload as one buffer so the append is a single write.
-func frame(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	copy(buf[headerSize:], payload)
-	return buf
+// appendFrame appends header+payload to dst, so the append is a single write.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...)
 }
 
 // Append writes one record and applies the fsync policy. The returned size
-// is the journal size after the append.
+// is the journal size after the append. The payload is copied into the
+// writer's frame buffer before anything is written, so the caller may reuse
+// it as soon as Append returns.
 func (w *Writer) Append(payload []byte) (int64, error) {
 	if w.closed {
 		return w.size, errors.New("journal: append to closed writer")
@@ -333,7 +334,8 @@ func (w *Writer) Append(payload []byte) (int64, error) {
 	if len(payload) == 0 || len(payload) > MaxRecordBytes {
 		return w.size, fmt.Errorf("journal: payload size %d, want 1..%d", len(payload), MaxRecordBytes)
 	}
-	buf := frame(payload)
+	w.frame = appendFrame(w.frame[:0], payload)
+	buf := w.frame
 	if w.opts.CrashAfter > 0 && w.size+int64(len(buf)) > w.opts.CrashAfter {
 		// Fault point: emit only the bytes up to the limit — a torn frame —
 		// make them observable, and crash.

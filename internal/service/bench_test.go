@@ -2,8 +2,11 @@ package service
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -144,4 +147,81 @@ func BenchmarkCompact(b *testing.B) {
 			b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
 		})
 	}
+}
+
+// paperHandler is where the wire path was profiled: the benchmark's `paper`
+// ship (scenario 1, seed 1) behind the HTTP handler with the journal on,
+// loaded by admitting every string in index order. It returns the handler and
+// the last string admitted, which the callers remove and re-admit.
+func paperHandler(tb testing.TB) (http.Handler, int) {
+	tb.Helper()
+	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	svc, err := New(Config{System: sys, Journal: filepath.Join(tb.TempDir(), "bench.wal"), CompactEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(svc.Close)
+	last := -1
+	for k := range sys.Strings {
+		d, err := svc.Admit(k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if d.Accepted {
+			last = k
+		}
+	}
+	if last < 0 {
+		tb.Fatal("the paper ship admitted nothing")
+	}
+	return svc.Handler(), last
+}
+
+// serve sends one request through h the way cmd/shipbench's handler rung
+// does and returns the recorded reply.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// removeAdmit is one accepted remove + admit pair of string k over the wire
+// types: two request parses, two decisions, two journal records.
+func removeAdmit(tb testing.TB, h http.Handler, k int) {
+	body := fmt.Sprintf(`{"stringId":%d}`, k)
+	for _, path := range []string{"/v1/remove", "/v1/admit"} {
+		if rec := serve(h, "POST", path, body); rec.Code != http.StatusOK {
+			tb.Fatalf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkHandlerAdmitRemove times an accepted admit + remove pair through
+// Handler().ServeHTTP on the paper ship: request parse, loop round trip,
+// placement and evaluation, journal record, reply encode — everything of an
+// op but the socket. The allocation column includes httptest's own.
+func BenchmarkHandlerAdmitRemove(b *testing.B) {
+	h, k := paperHandler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		removeAdmit(b, h, k)
+	}
+}
+
+// BenchmarkHandlerState times GET /v1/state on the loaded paper ship and
+// reports the reply size.
+func BenchmarkHandlerState(b *testing.B) {
+	h, _ := paperHandler(b)
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		rec := serve(h, "GET", "/v1/state", "")
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET /v1/state: status %d", rec.Code)
+		}
+		size = rec.Body.Len()
+	}
+	b.ReportMetric(float64(size), "body-bytes")
 }

@@ -1,7 +1,10 @@
 // HTTP layer: a stateless translation between the versioned JSON wire
 // contract and the Service methods. Request bodies are decoded strictly
-// (unknown fields rejected), every error is the single envelope shape, and
-// error codes map to HTTP statuses here and nowhere else.
+// (unknown fields and trailing data rejected), every reply is compact JSON
+// ending in a newline with Content-Length set, every error is the single
+// envelope shape, and error codes map to HTTP statuses here and nowhere else.
+// The hot types — the admit/remove/rescale bodies, Decision, StateResponse —
+// go through the codec in wire.go; the rest stay on encoding/json.
 package service
 
 import (
@@ -118,12 +121,16 @@ func statusFor(code string) int {
 	}
 }
 
+// writeJSON is the cold DTOs' reply (error envelope, health, snapshot,
+// metrics). A value encoding/json refuses is answered with a 500 envelope.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	data, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// An envelope is two strings and an int: this Marshal cannot fail.
+		data, _ = json.Marshal(Errorf(CodeInternal, nil, "encode response: %v", err))
+	}
+	writeBody(w, status, "application/json", append(data, '\n'))
 }
 
 // writeErr renders any error as the envelope; non-envelope errors become
@@ -155,16 +162,32 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeErr(w, bodyError("malformed request body", err))
 		return false
 	}
-	if dec.More() {
+	// Anything after the object, a stray closing delimiter included, is an
+	// error or a token; only io.EOF means the body ended where the object did.
+	if _, err := dec.Token(); err != io.EOF {
 		writeErr(w, Errorf(CodeBadRequest, nil, "trailing data after request body"))
 		return false
 	}
 	return true
 }
 
+// reply sends what encode appends to a pooled buffer as the whole response
+// body. A value JSON cannot carry (a non-finite float) is answered with a 500
+// envelope, not with a status line and half a body.
+func reply(w http.ResponseWriter, status int, contentType string, encode func(*wbuf)) {
+	buf := getWbuf()
+	defer putWbuf(buf)
+	encode(buf)
+	if buf.err != nil {
+		writeErr(w, Errorf(CodeInternal, nil, "encode response: %v", buf.err))
+		return
+	}
+	writeBody(w, status, contentType, buf.b)
+}
+
 // writeDecision renders a Decision: accepted operations are 200, rejected
 // ones 422 so curl -f and scripts can branch on the status alone.
-func writeDecision(w http.ResponseWriter, d Decision, err error) {
+func writeDecision(w http.ResponseWriter, d *Decision, err error) {
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -173,34 +196,46 @@ func writeDecision(w http.ResponseWriter, d Decision, err error) {
 	if !d.Accepted {
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, d)
+	reply(w, status, "application/json", func(buf *wbuf) {
+		buf.decision(d)
+		buf.lit("\n")
+	})
+}
+
+// readStringOp reads an admit, remove or rescale body into a pooled buffer
+// and parses it, once.
+func readStringOp(w http.ResponseWriter, r *http.Request, rescale bool) (k int, factor float64, err error) {
+	buf := getWbuf()
+	defer putWbuf(buf)
+	if err := buf.readBody(w, r); err != nil {
+		return 0, 0, bodyError("read request body", err)
+	}
+	if k, factor, err = parseStringOp(buf.b, rescale); err != nil {
+		return 0, 0, Errorf(CodeBadRequest, nil, "malformed request body: %v", err)
+	}
+	return k, factor, nil
+}
+
+func (s *Service) handleStringOp(w http.ResponseWriter, r *http.Request, op string) {
+	k, factor, err := readStringOp(w, r, op == opRescale)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	d, err := s.mutate(mutation{op: op, k: k, factor: factor})
+	writeDecision(w, &d, err)
 }
 
 func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	var req AdmitRequest
-	if !decodeStrict(w, r, &req) {
-		return
-	}
-	d, err := s.Admit(req.StringID)
-	writeDecision(w, d, err)
+	s.handleStringOp(w, r, opAdmit)
 }
 
 func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
-	var req RemoveRequest
-	if !decodeStrict(w, r, &req) {
-		return
-	}
-	d, err := s.Remove(req.StringID)
-	writeDecision(w, d, err)
+	s.handleStringOp(w, r, opRemove)
 }
 
 func (s *Service) handleRescale(w http.ResponseWriter, r *http.Request) {
-	var req RescaleRequest
-	if !decodeStrict(w, r, &req) {
-		return
-	}
-	d, err := s.Rescale(req.StringID, req.Factor)
-	writeDecision(w, d, err)
+	s.handleStringOp(w, r, opRescale)
 }
 
 func (s *Service) handleFaults(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +244,7 @@ func (s *Service) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d, err := s.Faults(req)
-	writeDecision(w, d, err)
+	writeDecision(w, &d, err)
 }
 
 func (s *Service) handleSurge(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +261,7 @@ func (s *Service) handleSurge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d, err := s.Surge(&sc)
-	writeDecision(w, d, err)
+	writeDecision(w, &d, err)
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -248,7 +283,10 @@ func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, http.StatusOK, "application/json", func(buf *wbuf) {
+		buf.state(&resp)
+		buf.lit("\n")
+	})
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -272,11 +310,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, d := range events {
-		if err := enc.Encode(d); err != nil {
-			return
+	reply(w, http.StatusOK, "application/x-ndjson", func(buf *wbuf) {
+		for i := range events {
+			buf.decision(&events[i])
+			buf.lit("\n")
 		}
-	}
+	})
 }

@@ -8,16 +8,20 @@
 //
 //   - internal/journal owns framing: length-prefixed CRC32C records, torn
 //     tails cleanly discarded, mid-log corruption a typed hard error.
-//   - This file owns semantics: each record carries the op name, the exact
-//     wire payload, the decision seq, whether it was accepted, and a running
-//     O(1) chain check over the decision outcomes. Every DigestEvery records the full feasibility.StateDigest is
-//     embedded too, so replay divergence is caught within a bounded window
-//     without paying the O(state) digest on every append.
-//   - Replay goes through the same applyOp dispatch as live serving. There is
-//     no separate "recovery interpreter" to drift out of sync: a journaled
-//     admit is re-admitted by st.admit, a journaled rejection is re-rejected,
-//     and the chain check fails loudly if the outcome differs in any bit the
-//     decision exposes.
+//   - This file owns semantics: each record carries the op name, the request
+//     in its wire form (for admit, remove and rescale appended from the typed
+//     request the loop applied, byte for byte what json.Marshal wrote there
+//     before the codec in wire.go), the decision seq, whether it was accepted,
+//     and a running O(1) chain check over the decision outcomes. Every
+//     DigestEvery records the full feasibility.StateDigest is embedded too, so
+//     replay divergence is caught within a bounded window without paying the
+//     O(state) digest on every append.
+//   - Replay goes through the same applyOp dispatch as live serving, on the
+//     mutation the journaled payload parses back to. There is no separate
+//     "recovery interpreter" to drift out of sync: a journaled admit is
+//     re-admitted by st.admit, a journaled rejection is re-rejected, and the
+//     chain check fails loudly if the outcome differs in any bit the decision
+//     exposes.
 //
 // Compaction: every CompactEvery appended records the daemon writes an atomic
 // sidecar snapshot (<journal>.snap.json), truncates the journal, and writes a
@@ -44,6 +48,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/feasibility"
@@ -84,12 +89,26 @@ type opRecord struct {
 // chainNext folds one decision into the running chain check: an O(1)
 // hash over the fields that pin the decision's observable outcome. Replay
 // recomputes the chain and compares against the journaled value per record.
+// The preimage is "prev|seq|op|accepted|stringId|worthAfter|slackness|mapped|"
+// with the two floats as 16 hex digits of their IEEE-754 bits.
 func chainNext(prev string, d *Decision) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|%s|%v|%d|%016x|%016x|%d|",
-		prev, d.Seq, d.Op, d.Accepted, d.StringID,
-		math.Float64bits(d.WorthAfter), math.Float64bits(d.Slackness), d.Mapped)
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	var scratch [128]byte // a preimage is about 90 bytes
+	b := append(scratch[:0], prev...)
+	b = strconv.AppendUint(append(b, '|'), d.Seq, 10)
+	b = append(append(b, '|'), d.Op...)
+	b = strconv.AppendBool(append(b, '|'), d.Accepted)
+	b = strconv.AppendInt(append(b, '|'), int64(d.StringID), 10)
+	for _, f := range [...]float64{d.WorthAfter, d.Slackness} {
+		b = append(b, '|')
+		for bits, shift := math.Float64bits(f), 60; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[bits>>uint(shift)&0xf])
+		}
+	}
+	b = strconv.AppendInt(append(b, '|'), int64(d.Mapped), 10)
+	sum := sha256.Sum256(append(b, '|'))
+	var check [16]byte
+	hex.Encode(check[:], sum[:8])
+	return string(check[:])
 }
 
 // JournalSnapshotPath is the compaction-snapshot sidecar of a journal file.
@@ -135,69 +154,72 @@ type RecoveryReport struct {
 	Digest   string `json:"digest"`
 }
 
-// decodeOp unmarshals a journaled (or freshly marshaled) op payload. Failures
-// are internal: the payload was produced by json.Marshal on the live path.
-func decodeOp(op string, payload json.RawMessage, dst any) *ErrorEnvelope {
+// journaledMutation rebuilds the mutation a journal record was written for.
+// The string ops go back through the one parser of their wire form; faults
+// and surge keep their payload for applyOp to decode.
+func journaledMutation(op string, payload []byte) (mutation, error) {
+	m := mutation{op: op, payload: payload}
+	switch op {
+	case opAdmit, opRemove, opRescale:
+		var err error
+		if m.k, m.factor, err = parseStringOp(payload, op == opRescale); err != nil {
+			return m, fmt.Errorf("decode %s payload: %v", op, err)
+		}
+	}
+	return m, nil
+}
+
+// decodeOp unmarshals a faults or surge payload. Failures are internal: the
+// payload was produced by json.Marshal on the live path.
+func decodeOp(op string, payload []byte, dst any) *ErrorEnvelope {
 	if err := json.Unmarshal(payload, dst); err != nil {
 		return Errorf(CodeInternal, nil, "decode %s payload: %v", op, err)
 	}
 	return nil
 }
 
-// applyOp dispatches one op by name and payload. It is the single entry point
-// for both live mutations and journal replay, which is what guarantees replay
-// reproduces the live path decision for decision.
-func (st *state) applyOp(op string, payload json.RawMessage) (Decision, *ErrorEnvelope) {
-	switch op {
+// applyOp dispatches one mutation. It is the single entry point for both live
+// mutations and journal replay, which is what guarantees replay reproduces
+// the live path decision for decision.
+func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
+	switch m.op {
 	case opAdmit:
-		var req AdmitRequest
-		if e := decodeOp(op, payload, &req); e != nil {
-			return Decision{}, e
-		}
-		return st.admit(req.StringID)
+		return st.admit(m.k)
 	case opRemove:
-		var req RemoveRequest
-		if e := decodeOp(op, payload, &req); e != nil {
-			return Decision{}, e
-		}
-		return st.remove(req.StringID)
+		return st.remove(m.k)
 	case opRescale:
-		var req RescaleRequest
-		if e := decodeOp(op, payload, &req); e != nil {
-			return Decision{}, e
-		}
-		return st.rescale(req.StringID, req.Factor)
+		return st.rescale(m.k, m.factor)
 	case opFaults:
 		var req FaultsRequest
-		if e := decodeOp(op, payload, &req); e != nil {
+		if e := decodeOp(m.op, m.payload, &req); e != nil {
 			return Decision{}, e
 		}
 		return st.applyFaults(req)
 	case opSurge:
 		var sc overload.Scenario
-		if e := decodeOp(op, payload, &sc); e != nil {
+		if e := decodeOp(m.op, m.payload, &sc); e != nil {
 			return Decision{}, e
 		}
 		return st.applySurge(&sc)
 	}
-	return Decision{}, Errorf(CodeBadRequest, nil, "unknown op %q", op)
+	return Decision{}, Errorf(CodeBadRequest, nil, "unknown op %q", m.op)
 }
 
 // mutateOp runs one mutation on the state loop: apply, then journal before
 // the reply. Envelope errors (conflict, unknown string, bad request) never
 // advance the sequence number and are not journaled; every Decision —
 // accepted or rejected — is.
-func (st *state) mutateOp(op string, payload json.RawMessage) (Decision, *ErrorEnvelope) {
+func (st *state) mutateOp(m *mutation) (Decision, *ErrorEnvelope) {
 	if st.broken != nil {
 		return Decision{}, Errorf(CodeInternal, nil,
 			"journal is broken, daemon refuses mutations: %v", st.broken)
 	}
-	d, e := st.applyOp(op, payload)
+	d, e := st.applyOp(m)
 	if e != nil {
 		return Decision{}, e
 	}
 	if st.jw != nil {
-		if err := st.journalAppend(op, payload, &d); err != nil {
+		if err := st.journalAppend(m, &d); err != nil {
 			st.broken = err
 			if st.onBroken != nil {
 				st.onBroken(err)
@@ -210,32 +232,40 @@ func (st *state) mutateOp(op string, payload json.RawMessage) (Decision, *ErrorE
 }
 
 // journalAppend records one decided op, advancing the chain check and
-// triggering periodic state digests and compaction.
-func (st *state) journalAppend(op string, payload json.RawMessage, d *Decision) error {
+// triggering periodic state digests and compaction. The record is encoded
+// into the loop's own buffers, which is safe to reuse because
+// journal.Writer.Append copies the record into its frame.
+func (st *state) journalAppend(m *mutation, d *Decision) error {
 	st.chain = chainNext(st.chain, d)
 	rec := opRecord{
 		V:        SchemaVersion,
 		Seq:      d.Seq,
-		Op:       op,
-		Payload:  payload,
+		Op:       m.op,
+		Payload:  m.payload,
 		Accepted: d.Accepted,
 		Check:    st.chain,
+	}
+	if rec.Payload == nil {
+		st.payloadBuf.reset()
+		st.payloadBuf.stringOp(m.k, m.factor, m.op == opRescale)
+		if st.payloadBuf.err != nil {
+			return fmt.Errorf("encode %s payload: %w", m.op, st.payloadBuf.err)
+		}
+		rec.Payload = st.payloadBuf.b
 	}
 	st.sinceDigest++
 	if st.cfg.DigestEvery > 0 && st.sinceDigest >= st.cfg.DigestEvery {
 		rec.StateDigest = st.digest()
 		st.sinceDigest = 0
 	}
-	buf, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("marshal op record: %w", err)
-	}
+	st.recordBuf.reset()
+	st.recordBuf.opRecord(&rec)
 	start := time.Now()
-	if _, err := st.jw.Append(buf); err != nil {
+	if _, err := st.jw.Append(st.recordBuf.b); err != nil {
 		return err
 	}
 	telemetry.C("service.journal.appends").Inc()
-	telemetry.C("service.journal.append_bytes").Add(int64(len(buf)))
+	telemetry.C("service.journal.append_bytes").Add(int64(len(st.recordBuf.b)))
 	telemetry.H("service.journal.append_ns").Observe(float64(time.Since(start)))
 	st.sinceCompact++
 	if st.cfg.CompactEvery > 0 && st.sinceCompact >= st.cfg.CompactEvery {
@@ -269,12 +299,9 @@ func (st *state) compact() error {
 // version, current seq, and chain value, so an older binary fed a newer
 // journal fails with SchemaVersionError before replaying anything.
 func (st *state) appendHeader() error {
-	rec := opRecord{V: SchemaVersion, Seq: st.seq, Op: opHeader, Check: st.chain}
-	buf, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("marshal header record: %w", err)
-	}
-	if _, err := st.jw.Append(buf); err != nil {
+	st.recordBuf.reset()
+	st.recordBuf.opRecord(&opRecord{V: SchemaVersion, Seq: st.seq, Op: opHeader, Check: st.chain})
+	if _, err := st.jw.Append(st.recordBuf.b); err != nil {
 		return fmt.Errorf("append header record: %w", err)
 	}
 	return st.jw.Sync()
@@ -387,7 +414,11 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		if rec.Seq != st.seq+1 {
 			return fail(i, rec.Seq, rec.Op, fmt.Sprintf("sequence gap: journal at seq %d, state at seq %d", rec.Seq, st.seq))
 		}
-		d, e := st.applyOp(rec.Op, rec.Payload)
+		m, err := journaledMutation(rec.Op, rec.Payload)
+		if err != nil {
+			return fail(i, rec.Seq, rec.Op, err.Error())
+		}
+		d, e := st.applyOp(&m)
 		if e != nil {
 			return fail(i, rec.Seq, rec.Op, fmt.Sprintf("journaled op failed on replay: %v", e))
 		}

@@ -402,9 +402,9 @@ func TestBrokenJournalFailsFastAndReportsHealth(t *testing.T) {
 	// framed, so the journal layer rejects it after the op already applied —
 	// the indeterminate-op case the broken flag exists for.
 	if err := svc.exec(func(st *state) {
-		payload := json.RawMessage(fmt.Sprintf(`{"stringId":1,"pad":%q}`,
+		payload := []byte(fmt.Sprintf(`{"stringId":1,"pad":%q}`,
 			strings.Repeat("x", int(journal.MaxRecordBytes))))
-		_, e := st.mutateOp(opAdmit, payload)
+		_, e := st.mutateOp(&mutation{op: opAdmit, k: 1, payload: payload})
 		if e == nil {
 			t.Error("oversized journaled op did not error")
 		}

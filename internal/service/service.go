@@ -158,11 +158,13 @@ type state struct {
 	// previous simplex basis.
 	bound     *lp.Bound
 	boundWarm bool
-	// Write-ahead journal state (jw nil when journaling is off): the running
-	// chain check, compaction/digest cadence counters, the sticky
-	// append-failure error, and the hook mirroring it to the Service for
-	// health reporting.
+	// Write-ahead journal state (jw nil when journaling is off): the record
+	// encode buffers, the running chain check, compaction/digest cadence
+	// counters, the sticky append-failure error, and the hook mirroring it to
+	// the Service for health reporting.
 	jw           *journal.Writer
+	payloadBuf   wbuf // the string ops' journaled payload, appended per record
+	recordBuf    wbuf // the record handed to jw.Append
 	chain        string
 	sinceCompact int
 	sinceDigest  int
@@ -324,12 +326,27 @@ func (s *Service) exec(fn func(*state)) error {
 	}
 }
 
-// run executes op on the state loop and normalizes the (Decision, envelope)
-// pair into Go's (value, error) shape.
-func (s *Service) run(op func(*state) (Decision, *ErrorEnvelope)) (Decision, error) {
+// mutation is one state-changing request in the form the state loop applies
+// it, live and on replay alike. Admit, remove and rescale are typed: parsed
+// once at the edge (or built by the Go methods below) and journaled by
+// appending their wire form from k and factor. Faults and surge carry the
+// json.Marshal of their request as payload, which the loop decodes and the
+// journal records as is.
+type mutation struct {
+	op      string
+	k       int     // admit, remove, rescale: the subject string
+	factor  float64 // rescale
+	payload []byte
+}
+
+// mutate runs m through the journaled single-writer path: apply via the
+// shared applyOp dispatch, append to the write-ahead journal (when enabled),
+// then reply. Replay rebuilds the same mutation from the journaled payload
+// and enters the same dispatch, which is the bit-identical-recovery contract.
+func (s *Service) mutate(m mutation) (Decision, error) {
 	var d Decision
 	var e *ErrorEnvelope
-	if err := s.exec(func(st *state) { d, e = op(st) }); err != nil {
+	if err := s.exec(func(st *state) { d, e = st.mutateOp(&m) }); err != nil {
 		return Decision{}, err
 	}
 	if e != nil {
@@ -338,28 +355,24 @@ func (s *Service) run(op func(*state) (Decision, *ErrorEnvelope)) (Decision, err
 	return d, nil
 }
 
-// mutate marshals the op's wire payload once and runs it through the
-// journaled single-writer path: apply via the shared applyOp dispatch, append
-// to the write-ahead journal (when enabled), then reply. Replay uses the same
-// dispatch on the same payload bytes, which is the bit-identical-recovery
-// contract.
-func (s *Service) mutate(op string, payload any) (Decision, error) {
-	raw, err := json.Marshal(payload)
+// mutateEncoded is mutate for the ops whose request travels as its JSON.
+func (s *Service) mutateEncoded(op string, req any) (Decision, error) {
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "encode %s op: %v", op, err)
 	}
-	return s.run(func(st *state) (Decision, *ErrorEnvelope) { return st.mutateOp(op, raw) })
+	return s.mutate(mutation{op: op, payload: payload})
 }
 
 // Admit maps string k onto the surviving resources and accepts the admission
 // iff the incremental two-stage analysis stays feasible.
 func (s *Service) Admit(k int) (Decision, error) {
-	return s.mutate(opAdmit, AdmitRequest{StringID: k})
+	return s.mutate(mutation{op: opAdmit, k: k})
 }
 
 // Remove unmaps string k.
 func (s *Service) Remove(k int) (Decision, error) {
-	return s.mutate(opRemove, RemoveRequest{StringID: k})
+	return s.mutate(mutation{op: opRemove, k: k})
 }
 
 // Rescale multiplies string k's demand by factor and, if the string is
@@ -371,13 +384,13 @@ func (s *Service) Rescale(k int, factor float64) (Decision, error) {
 	if math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return Decision{}, Errorf(CodeBadRequest, nil, "rescale factor = %v, want finite positive", factor)
 	}
-	return s.mutate(opRescale, RescaleRequest{StringID: k, Factor: factor})
+	return s.mutate(mutation{op: opRescale, k: k, factor: factor})
 }
 
 // Faults applies resource outages/repairs and runs the fault-survival repair
 // on the live allocation.
 func (s *Service) Faults(req FaultsRequest) (Decision, error) {
-	return s.mutate(opFaults, req)
+	return s.mutateEncoded(opFaults, req)
 }
 
 // Surge runs a demand-surge episode through the degradation controller and
@@ -386,7 +399,7 @@ func (s *Service) Surge(sc *overload.Scenario) (Decision, error) {
 	if sc == nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "surge scenario is empty")
 	}
-	return s.mutate(opSurge, sc)
+	return s.mutateEncoded(opSurge, sc)
 }
 
 // State returns the full observable daemon state.

@@ -1,0 +1,452 @@
+// The wire codec. Every hot wire type has exactly one encoder and every hot
+// request exactly one parser, all of them here: Decision (every mutation's
+// reply and every /v1/events line), StateResponse (GET /v1/state), the journal
+// record, and the {"stringId":N[,"factor":F]} body of admit, remove and
+// rescale — as a request body and as a journaled payload alike.
+//
+// The contract is encoding/json's bytes: each encoder appends exactly what
+// json.Marshal writes for the same value (compact, struct field order, the
+// same omitempty rules, ES6 number form, <>& and invalid UTF-8 escaped), so a
+// client, an old journal and a new journal cannot tell the two apart, and
+// TestWireMatchesEncodingJSON holds them equal on random values. What differs
+// is the cost — no reflection, no intermediate copy, one pooled buffer per
+// request — and the parser's strictness, which encoding/json cannot be
+// configured into: every field required exactly once under its exact name.
+// The cold DTOs (error envelope, health, snapshot, metrics, the faults and
+// surge request bodies) stay on encoding/json.
+package service
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+)
+
+// wbuf is the append buffer a hot wire type is encoded into and a hot request
+// body is read into. The encoders are flat lists of fields; the one value JSON
+// cannot carry, a non-finite float, latches err rather than threading an error
+// through every append, and the caller checks it once.
+type wbuf struct {
+	b   []byte
+	err error
+}
+
+// maxPooledBuf keeps a one-off large body or event listing from pinning its
+// buffer in the pool; a state reply of a few hundred strings fits well inside.
+const maxPooledBuf = 64 << 10
+
+var wbufPool = sync.Pool{New: func() any { return &wbuf{b: make([]byte, 0, 1024)} }}
+
+func getWbuf() *wbuf { return wbufPool.Get().(*wbuf) }
+
+func putWbuf(w *wbuf) {
+	if cap(w.b) > maxPooledBuf {
+		return
+	}
+	w.reset()
+	wbufPool.Put(w)
+}
+
+func (w *wbuf) reset() { w.b, w.err = w.b[:0], nil }
+
+// --- encode ---
+//
+// Each appender takes the literal that precedes its value — `,"seq":` before a
+// field, "," between array elements — so an encoder reads as the field list of
+// its type, in struct order.
+
+func (w *wbuf) lit(s string)              { w.b = append(w.b, s...) }
+func (w *wbuf) int(pre string, v int)     { w.b = strconv.AppendInt(append(w.b, pre...), int64(v), 10) }
+func (w *wbuf) uint(pre string, v uint64) { w.b = strconv.AppendUint(append(w.b, pre...), v, 10) }
+func (w *wbuf) bool(pre string, v bool)   { w.b = strconv.AppendBool(append(w.b, pre...), v) }
+
+// float appends f the way encoding/json does: shortest round-trip digits, in
+// ES6 form (exponent iff |f| < 1e-6 or |f| >= 1e21, two-digit negative
+// exponents trimmed of their leading zero).
+func (w *wbuf) float(pre string, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if w.err == nil {
+			w.err = fmt.Errorf("unsupported value: %v", f)
+		}
+		f = 0
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(append(w.b, pre...), f, format, -1, 64)
+	if n := len(w.b); format == 'e' && n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		w.b[n-2] = w.b[n-1] // e-09 to e-9
+		w.b = w.b[:n-1]
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// str appends s as a JSON string with encoding/json's default escaping:
+// quote, backslash and control bytes, the HTML-sensitive <, > and &, invalid
+// UTF-8 as U+FFFD, and U+2028/U+2029.
+func (w *wbuf) str(pre, s string) {
+	b := append(append(w.b, pre...), '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+			start = i + size
+		case r == 0x2028 || r == 0x2029: // line and paragraph separator
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	w.b = append(b, '"')
+}
+
+// ints appends the non-empty vs as a JSON array.
+func (w *wbuf) ints(pre string, vs []int) {
+	w.lit(pre)
+	for i, v := range vs {
+		w.int(sep(i), v)
+	}
+	w.lit("]")
+}
+
+// sep is what precedes element i of an array.
+func sep(i int) string {
+	if i == 0 {
+		return "["
+	}
+	return ","
+}
+
+// decision appends d; the only encoder of a Decision.
+func (w *wbuf) decision(d *Decision) {
+	w.int(`{"schemaVersion":`, d.SchemaVersion)
+	w.uint(`,"seq":`, d.Seq)
+	w.str(`,"op":`, d.Op)
+	w.bool(`,"accepted":`, d.Accepted)
+	w.int(`,"stringId":`, d.StringID)
+	if d.Reason != "" {
+		w.str(`,"reason":`, d.Reason)
+	}
+	w.float(`,"worthBefore":`, d.WorthBefore)
+	w.float(`,"worthAfter":`, d.WorthAfter)
+	w.float(`,"worthRetained":`, d.WorthRetained)
+	w.float(`,"slackness":`, d.Slackness)
+	w.int(`,"mapped":`, d.Mapped)
+	if d.WorthBound != 0 {
+		w.float(`,"worthBound":`, d.WorthBound)
+	}
+	if d.BoundWarmStarted {
+		w.lit(`,"boundWarmStarted":true`)
+	}
+	if len(d.Violations) > 0 {
+		w.lit(`,"violations":`)
+		for i := range d.Violations {
+			v := &d.Violations[i]
+			w.lit(sep(i))
+			w.int(`{"stringId":`, v.StringID)
+			w.str(`,"kind":`, v.Kind)
+			w.int(`,"app":`, v.App)
+			w.float(`,"value":`, v.Value)
+			w.float(`,"bound":`, v.Bound)
+			w.lit("}")
+		}
+		w.lit("]")
+	}
+	if len(d.Actions) > 0 {
+		w.lit(`,"actions":`)
+		for i := range d.Actions {
+			a := &d.Actions[i]
+			w.lit(sep(i))
+			if a.Time != 0 {
+				w.float(`{"time":`, a.Time)
+				w.int(`,"stringId":`, a.StringID)
+			} else {
+				w.int(`{"stringId":`, a.StringID)
+			}
+			w.str(`,"kind":`, a.Kind)
+			if a.Reason != "" {
+				w.str(`,"reason":`, a.Reason)
+			}
+			if a.MovedApps != 0 {
+				w.int(`,"movedApps":`, a.MovedApps)
+			}
+			if a.CostSeconds != 0 {
+				w.float(`,"costSeconds":`, a.CostSeconds)
+			}
+			w.lit("}")
+		}
+		w.lit("]")
+	}
+	if len(d.Evacuated) > 0 {
+		w.ints(`,"evacuated":`, d.Evacuated)
+	}
+	w.lit("}")
+}
+
+// state appends s; the only encoder of a StateResponse.
+func (w *wbuf) state(s *StateResponse) {
+	w.int(`{"schemaVersion":`, s.SchemaVersion)
+	w.uint(`,"seq":`, s.Seq)
+	w.int(`,"machines":`, s.Machines)
+	w.int(`,"strings":`, s.Strings)
+	w.int(`,"mappedCount":`, s.MappedCount)
+	w.float(`,"worth":`, s.Worth)
+	w.float(`,"totalWorth":`, s.TotalWorth)
+	w.float(`,"slackness":`, s.Slackness)
+	w.bool(`,"feasible":`, s.Feasible)
+	if s.WorthBound != 0 {
+		w.float(`,"worthBound":`, s.WorthBound)
+	}
+	w.str(`,"digest":`, s.Digest)
+	w.int(`,"machinesDown":`, s.MachinesDown)
+	w.int(`,"routesDown":`, s.RoutesDown)
+	w.lit(`,"stringStates":`)
+	if len(s.StringStates) == 0 {
+		// encoding/json tells a nil slice from an empty one.
+		if s.StringStates == nil {
+			w.lit("null}")
+		} else {
+			w.lit("[]}")
+		}
+		return
+	}
+	for i := range s.StringStates {
+		ss := &s.StringStates[i]
+		w.lit(sep(i))
+		w.int(`{"id":`, ss.ID)
+		w.bool(`,"mapped":`, ss.Mapped)
+		w.float(`,"worth":`, ss.Worth)
+		w.float(`,"scale":`, ss.Scale)
+		if len(ss.Machines) > 0 {
+			w.ints(`,"machines":`, ss.Machines)
+		}
+		w.lit("}")
+	}
+	w.lit("]}")
+}
+
+// opRecord appends rec, header records included; the only encoder of a
+// journal record. The payload goes in as it is: it is stringOp's output or
+// json.Marshal's, so it is already compact and HTML-escaped, which is all
+// json.Marshal would do to a RawMessage.
+func (w *wbuf) opRecord(rec *opRecord) {
+	w.int(`{"v":`, rec.V)
+	w.uint(`,"seq":`, rec.Seq)
+	w.str(`,"op":`, rec.Op)
+	if len(rec.Payload) > 0 {
+		w.lit(`,"payload":`)
+		w.b = append(w.b, rec.Payload...)
+	}
+	w.bool(`,"accepted":`, rec.Accepted)
+	w.str(`,"check":`, rec.Check)
+	if rec.StateDigest != "" {
+		w.str(`,"stateDigest":`, rec.StateDigest)
+	}
+	w.lit("}")
+}
+
+// stringOp appends the wire form of an admit, remove or rescale request:
+// what json.Marshal writes for AdmitRequest, RemoveRequest and RescaleRequest,
+// which is what every journal carries as those ops' payload.
+func (w *wbuf) stringOp(k int, factor float64, rescale bool) {
+	w.int(`{"stringId":`, k)
+	if rescale {
+		w.float(`,"factor":`, factor)
+	}
+	w.lit("}")
+}
+
+// --- decode ---
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// scanNumber scans the JSON number starting at b[i] and returns the index
+// after it and whether it is written as an integer (no fraction, no
+// exponent); end == i means no number starts there.
+func scanNumber(b []byte, i int) (end int, integer bool) {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	k := digits(b, j)
+	if k == j || (b[j] == '0' && k > j+1) {
+		return i, false // no digits, or a leading zero
+	}
+	j, integer = k, true
+	if j < len(b) && b[j] == '.' {
+		if k = digits(b, j+1); k == j+1 {
+			return i, false
+		}
+		j, integer = k, false
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if k = digits(b, j); k == j {
+			return i, false
+		}
+		j, integer = k, false
+	}
+	return j, integer
+}
+
+// parseStringOp parses {"stringId":N} or, for a rescale,
+// {"stringId":N,"factor":F}: one flat JSON object whose fields are all
+// required, each exactly once, under exactly these names, with numeric values
+// (N written as an integer), and nothing but whitespace around it. It is the
+// only decoder of an admit, remove or rescale body, from the wire and from
+// the journal, and accepts nothing a strict json.Decoder refuses
+// (FuzzParseStringOp).
+func parseStringOp(b []byte, rescale bool) (k int, factor float64, err error) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return 0, 0, errors.New("want a JSON object")
+	}
+	i = skipSpace(b, i+1)
+	var haveK, haveFactor bool
+	for more := i == len(b) || b[i] != '}'; more; {
+		// A field name is matched byte for byte, so one written with an
+		// escape is refused like a misspelt one.
+		if i == len(b) || b[i] != '"' {
+			return 0, 0, errors.New("want a field name")
+		}
+		end := i + 1
+		for end < len(b) && b[end] != '"' && b[end] != '\\' && b[end] >= ' ' {
+			end++
+		}
+		if end == len(b) || b[end] != '"' {
+			return 0, 0, errors.New("malformed field name")
+		}
+		name, have := b[i+1:end], &haveK
+		switch {
+		case string(name) == "stringId":
+		case string(name) == "factor" && rescale:
+			have = &haveFactor
+		default:
+			return 0, 0, fmt.Errorf("unknown field %q", name)
+		}
+		if *have {
+			return 0, 0, fmt.Errorf("duplicate field %q", name)
+		}
+		*have = true
+		if i = skipSpace(b, end+1); i == len(b) || b[i] != ':' {
+			return 0, 0, fmt.Errorf("field %q: want ':'", name)
+		}
+		i = skipSpace(b, i+1)
+		end, integer := scanNumber(b, i)
+		switch {
+		case end == i:
+			return 0, 0, fmt.Errorf("field %q: want a number", name)
+		case have == &haveFactor:
+			factor, err = strconv.ParseFloat(string(b[i:end]), 64)
+		case !integer:
+			return 0, 0, fmt.Errorf("field %q: want an integer", name)
+		default:
+			var n int64
+			n, err = strconv.ParseInt(string(b[i:end]), 10, 0)
+			k = int(n)
+		}
+		if err != nil { // out of range
+			return 0, 0, fmt.Errorf("field %q: %v", name, err)
+		}
+		if i = skipSpace(b, end); i == len(b) || (b[i] != ',' && b[i] != '}') {
+			return 0, 0, fmt.Errorf("after field %q: want ',' or '}'", name)
+		}
+		if more = b[i] == ','; more {
+			i = skipSpace(b, i+1)
+		}
+	}
+	if skipSpace(b, i+1) != len(b) {
+		return 0, 0, errors.New("trailing data after request body")
+	}
+	if !haveK {
+		return 0, 0, errors.New(`missing field "stringId"`)
+	}
+	if rescale && !haveFactor {
+		return 0, 0, errors.New(`missing field "factor"`)
+	}
+	return k, factor, nil
+}
+
+// --- HTTP ---
+
+// readBody reads the size-limited request body into w.
+func (w *wbuf) readBody(rw http.ResponseWriter, r *http.Request) error {
+	body := http.MaxBytesReader(rw, r.Body, maxBodyBytes)
+	w.b = w.b[:0]
+	for {
+		if len(w.b) == cap(w.b) {
+			w.b = append(w.b, 0)[:len(w.b)]
+		}
+		n, err := body.Read(w.b[len(w.b):cap(w.b)])
+		w.b = w.b[:len(w.b)+n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// writeBody sends body as the whole reply: Content-Length set, one Write.
+func writeBody(rw http.ResponseWriter, status int, contentType string, body []byte) {
+	h := rw.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	rw.WriteHeader(status)
+	_, _ = rw.Write(body) // a client that hung up is not the handler's to report
+}

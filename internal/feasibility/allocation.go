@@ -318,6 +318,7 @@ func (a *Allocation) Unassign(k, i int) {
 	}
 	if a.tracker != nil {
 		a.tracker.beforeMutation(k, i, j)
+		a.tracker.removed = true
 	}
 	s := &a.sys.Strings[k]
 	if a.Complete(k) {

@@ -52,15 +52,23 @@ func tighter(tz float64, z int, tk float64, k int) bool {
 // defined by its (allocation-dependent) tightness; tighter leaves incomplete
 // ones out without a Complete test.
 func (a *Allocation) waitAhead(k int, roster []rosterEntry) float64 {
+	return a.waitAfter(0, k, roster)
+}
+
+// waitAfter continues a waiting sum of string k over further roster entries:
+// the additions waitAhead performs, in the same order, starting from sum
+// instead of zero. Where sum is waitAhead over a roster's first entries and
+// more is the rest of that roster, the result is waitAhead over the whole
+// roster bit for bit — the same sequence of float64 additions.
+func (a *Allocation) waitAfter(sum float64, k int, more []rosterEntry) float64 {
 	tk := a.tightness[k]
-	wait := 0.0
-	for idx := range roster {
-		e := &roster[idx]
+	for idx := range more {
+		e := &more[idx]
 		if e.k != k && tighter(a.tightness[e.k], e.k, tk, k) {
-			wait += e.wait
+			sum += e.wait
 		}
 	}
-	return wait
+	return sum
 }
 
 // EstimatedCompTime returns t_comp^k[i] (equation (5)): the nominal execution
@@ -141,28 +149,56 @@ func (a *Allocation) StringLatency(k int) float64 {
 
 // CheckString verifies the throughput and end-to-end latency constraints of
 // equation (1) for completely mapped string k, returning the first violation
-// found or nil.
+// found or nil. Panics if string k is not completely mapped.
 func (a *Allocation) CheckString(k int) *Violation {
+	if !a.Complete(k) {
+		panic(fmt.Sprintf("feasibility: equation (1) check of incompletely mapped string %d", k))
+	}
 	a.tel.checks.Inc()
-	v := a.checkString(k)
+	v := a.checkString(k, nil)
 	if v != nil {
 		a.tel.countViolation(v.Kind)
 	}
 	return v
 }
 
-func (a *Allocation) checkString(k int) *Violation {
+// checkString is equation (1) for completely mapped string k, the one place
+// its three comparisons are made. sums holds the string's waiting sums — slot
+// i the bracketed sum of equation (5) for application i, slot n+i that of
+// equation (6) for its output — each bit-equal to waitAhead over the roster as
+// it stands; that is how a DeltaAnalyzer calls it, with the vector it carries.
+// The full analysis passes nil and every roster is added up here: it reuses
+// nothing and stays the oracle. The estimates are EstimatedCompTime's and
+// EstimatedTranTime's expressions term for term, so a target that fuses
+// multiply-adds rounds all of them alike.
+func (a *Allocation) checkString(k int, sums []float64) *Violation {
 	s := &a.sys.Strings[k]
-	n := len(s.Apps)
+	mo := a.machineOf[k]
+	n := len(mo)
 	latency := 0.0
-	for i := 0; i < n; i++ {
-		tc := a.EstimatedCompTime(k, i)
+	for i, m := range mo {
+		var wait float64
+		if sums != nil {
+			wait = sums[i]
+		} else {
+			wait = a.waitAhead(k, a.perMachine[m])
+		}
+		tc := s.Apps[i].NominalTime[m] + s.Period*wait
 		if tc > s.Period*(1+utilEps) {
 			return &Violation{StringID: k, Kind: KindThroughputComp, App: i, Value: tc, Bound: s.Period}
 		}
 		latency += tc
 		if i < n-1 {
-			tt := a.EstimatedTranTime(k, i)
+			tt := 0.0
+			if next := mo[i+1]; next != m {
+				if sums != nil {
+					wait = sums[n+i]
+				} else {
+					wait = a.waitAhead(k, a.routeRoster(m, next))
+				}
+				t := a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, m, next)
+				tt = t + s.Period*wait
+			}
 			if tt > s.Period*(1+utilEps) {
 				return &Violation{StringID: k, Kind: KindThroughputTran, App: i, Value: tt, Bound: s.Period}
 			}

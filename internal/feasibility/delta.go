@@ -22,10 +22,14 @@ import (
 //     all of its resources, not just the re-mapped ones);
 //   - every touched string, plus every complete string on a dirty resource
 //     whose tightness is at or below the highest tightness any touched string
-//     held before or holds after the window (strictly tighter strings cannot
-//     observe the change: equations (5) and (6) accumulate waiting terms only
-//     from strictly higher-priority sharers, and the exact-tie ID break means
-//     equal-tightness strings can — so ties are rechecked, not skipped).
+//     held before or holds after the window (the verdict of a strictly
+//     tighter string cannot change: equations (5) and (6) accumulate waiting
+//     terms only from strictly higher-priority sharers, and the exact-tie ID
+//     break means equal-tightness strings can — so ties are rechecked, not
+//     skipped). That is a statement about the terms summed, not about the
+//     float: an Unassign's swap-removal reorders the roster, and the same terms
+//     added in another order can differ in the last bit, so what the analyzer
+//     holds about a string outside the set is always "as of its last check".
 //
 // The analyzer does not require the committed state to be feasible: a full
 // scan at Track/Rebase records the committed violations and over-capacity
@@ -48,6 +52,37 @@ import (
 // (FeasibleAfterDelta, ViolationsAfterDelta, Undo) checks none twice. The memo
 // is as sound as the generation, which is why catalog floats obey the
 // frozen-floats contract in the package comment.
+//
+// Waiting sums are carried. Equations (5) and (6) price an application's wait
+// as a sum over the higher-priority sharers of its machine or route, so most
+// of what a window's recheck set would add up is what was added up when those
+// strings were last checked. The analyzer keeps, per complete string, the
+// committed vector of those sums (sums[k]: slot i for application i's machine,
+// slot n+i for its output's route), each slot either bit-equal to waitAhead
+// over the roster as committed or NaN for unknown, and check obtains each slot
+// under the window-applied state by the cheapest route that is exact:
+//
+//   - the roster is quiet — no snapshot, hosting no touched string — so the
+//     terms, their order and every priority involved are the committed ones:
+//     the committed sum as it stands;
+//   - the window is a pure admit (one touched string, on no roster when the
+//     window opened, no Unassign since) and the roster is snapshotted: it is
+//     its snapshot plus a tail of appended entries, no sharer's tightness
+//     moved, so the full loop would first reproduce the committed sum addition
+//     for addition and then walk the tail — the committed sum continued over
+//     the tail is that float by construction, not by tolerance;
+//   - anything else — the touched string itself (its tightness and, under a
+//     rescale, its floats moved), an unknown slot, a roster of a window that
+//     removed anything, a roster scanned but not snapshotted — waitAhead.
+//
+// Derived vectors go to pend[k], valid as of verdictAt[k] like the verdict.
+// Commit and Rebase swap pend into sums for the complete strings they judged;
+// nothing else writes sums, so Undo and Reset have nothing to restore. A
+// committed window that unassigned anything first forgets (NaN) every sum on
+// its snapshotted rosters: strings outside the recheck set keep their terms
+// but not, after a swap-removal, their order. Rebase forgets everything first,
+// which is what makes it the full scan. The vectors of an incomplete string
+// are never read: a string becomes complete only as a touched string.
 //
 // A DeltaAnalyzer is single-goroutine, like the Allocation it tracks.
 type DeltaAnalyzer struct {
@@ -90,9 +125,18 @@ type DeltaAnalyzer struct {
 	scanR      [][2]int
 
 	// Verdict memo: verdict[k] is checkString(k) (nil for an incomplete
-	// string) as of generation verdictAt[k].
+	// string) as of generation verdictAt[k], and pend[k] the waiting sums it
+	// was judged on.
 	verdict   []*Violation // [k]
 	verdictAt []uint64     // [k]
+
+	// Carried waiting sums, see above: sums[k] as committed (NaN: unknown),
+	// pend[k] as derived by check; 2n-1 slots per string. pure says the window
+	// was a pure admit when recheckGen's set was built; removed, that an
+	// Unassign ran in it.
+	sums, pend [][]float64
+	pure       bool
+	removed    bool
 
 	keyBuf []int // ViolationsAfterDelta's sorted key scratch
 
@@ -134,6 +178,8 @@ type deltaTelemetry struct {
 	recheckStr   *telemetry.Counter // summed recheck-set sizes per evaluation
 	stringChecks *telemetry.Counter // checkString runs
 	verdictReuse *telemetry.Counter // verdicts served from the memo instead
+	waitTerms    *telemetry.Counter // roster entries check added up, tails included
+	sumsReused   *telemetry.Counter // waiting sums taken or continued from the committed vector
 	stage1Fails  *telemetry.Counter
 }
 
@@ -149,6 +195,8 @@ func newDeltaTelemetry() deltaTelemetry {
 		recheckStr:   telemetry.C("feasibility.delta.recheck_strings"),
 		stringChecks: telemetry.C("feasibility.delta.string_checks"),
 		verdictReuse: telemetry.C("feasibility.delta.verdict_reuse"),
+		waitTerms:    telemetry.C("feasibility.delta.wait_terms"),
+		sumsReused:   telemetry.C("feasibility.delta.sums_reused"),
 		stage1Fails:  telemetry.C("feasibility.delta.stage1_fail"),
 	}
 }
@@ -176,7 +224,18 @@ func Track(a *Allocation) *DeltaAnalyzer {
 		scanAt:     make([]uint64, nMach),
 		verdict:    make([]*Violation, nStr),
 		verdictAt:  make([]uint64, nStr),
+		sums:       make([][]float64, nStr),
+		pend:       make([][]float64, nStr),
 		tel:        newDeltaTelemetry(),
+	}
+	slots := 0
+	for k := range a.machineOf {
+		slots += 2*len(a.machineOf[k]) - 1
+	}
+	buf := make([]float64, 2*slots)
+	for k := range a.machineOf {
+		n := 2*len(a.machineOf[k]) - 1
+		da.sums[k], da.pend[k], buf = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	}
 	a.tracker = da
 	da.Rebase()
@@ -208,10 +267,18 @@ func (da *DeltaAnalyzer) Rebase() {
 	da.tel.rebases.Inc()
 	da.rebaseEmpty()
 	a := da.a
+	// The full scan by definition: every carried sum is forgotten first, so
+	// each check below adds its rosters up from entry 0.
+	for k := range da.sums {
+		for slot := range da.sums[k] {
+			da.sums[k][slot] = math.NaN()
+		}
+	}
 	for k := range a.sys.Strings {
 		if da.check(k) != nil {
 			da.baseViol[k] = true
 		}
+		da.keepSums(k)
 	}
 	for j := range a.machineUtil {
 		if a.machineUtil[j] > 1+utilEps {
@@ -279,16 +346,20 @@ func (da *DeltaAnalyzer) snapMachine(j int) {
 	da.dirtyMach = append(da.dirtyMach, j)
 }
 
-// routeSnapped reports whether route (j1, j2) holds a snapshot in the current
-// window.
-func (da *DeltaAnalyzer) routeSnapped(j1, j2 int) bool {
+// snapOfRoute returns the snapshot route (j1, j2) holds in the current window,
+// or nil.
+func (da *DeltaAnalyzer) snapOfRoute(j1, j2 int) *routeSnap {
 	for idx := range da.routeSnaps[j1] {
-		if da.routeSnaps[j1][idx].peer == j2 {
-			return true
+		if snap := &da.routeSnaps[j1][idx]; snap.peer == j2 {
+			return snap
 		}
 	}
-	return false
+	return nil
 }
+
+// routeSnapped reports whether route (j1, j2) holds a snapshot in the current
+// window.
+func (da *DeltaAnalyzer) routeSnapped(j1, j2 int) bool { return da.snapOfRoute(j1, j2) != nil }
 
 func (da *DeltaAnalyzer) snapRoute(j1, j2 int) {
 	if da.routeSnapped(j1, j2) {
@@ -327,6 +398,7 @@ func (da *DeltaAnalyzer) clearWindow() {
 	da.dirtyMach = da.dirtyMach[:0]
 	da.dirtyRouteSrc = da.dirtyRouteSrc[:0]
 	da.nDirtyRoutes = 0
+	da.removed = false
 	da.win++
 	da.gen++
 }
@@ -343,7 +415,8 @@ func (da *DeltaAnalyzer) Dirty() (strings, machines, routes int) {
 
 // check returns string k's equation-(1) verdict under the current state —
 // nil when k passes or is not completely mapped — running checkString only if
-// this generation has not judged k yet.
+// this generation has not judged k yet. Outside Rebase, buildRecheck must have
+// run for this generation: deriveSums reads its scan marks.
 func (da *DeltaAnalyzer) check(k int) *Violation {
 	if da.verdictAt[k] == da.gen {
 		da.tel.verdictReuse.Inc()
@@ -352,10 +425,130 @@ func (da *DeltaAnalyzer) check(k int) *Violation {
 	var v *Violation
 	if da.a.Complete(k) {
 		da.tel.stringChecks.Inc()
-		v = da.a.checkString(k)
+		v = da.a.checkString(k, da.deriveSums(k))
 	}
 	da.verdict[k], da.verdictAt[k] = v, da.gen
 	return v
+}
+
+// deriveSums fills pend[k] with complete string k's waiting sums under the
+// current state, every slot (the vector is whole even when checkString stops
+// at a throughput violation: the repair controllers commit infeasible windows),
+// and returns it. A committed sum is consulted only if it is known and k is not
+// a touched string: a touched string re-adds every roster, even re-placed
+// exactly where it was.
+func (da *DeltaAnalyzer) deriveSums(k int) []float64 {
+	a := da.a
+	mo := a.machineOf[k]
+	n := len(mo)
+	was, now := da.sums[k], da.pend[k]
+	untouched := da.strSnaps[k].win != da.win
+	var tally sumTally
+	for i, m := range mo {
+		w, covered := was[i], coversNone
+		if untouched && w == w {
+			covered = da.machineCovered(m)
+		}
+		if covered == coversAll {
+			tally.reused++
+		} else {
+			w = da.resum(k, w, covered, a.perMachine[m], &tally)
+		}
+		now[i] = w
+		if i == n-1 {
+			break
+		}
+		next := mo[i+1]
+		if next == m {
+			now[n+i] = 0 // no route, the sum of nothing
+			continue
+		}
+		w, covered = was[n+i], coversNone
+		if untouched && w == w {
+			covered = da.routeCovered(m, next)
+		}
+		if covered == coversAll {
+			tally.reused++
+		} else {
+			w = da.resum(k, w, covered, a.routeRoster(m, next), &tally)
+		}
+		now[n+i] = w
+	}
+	da.tel.waitTerms.Add(tally.terms)
+	da.tel.sumsReused.Add(tally.reused)
+	return now
+}
+
+// What machineCovered and routeCovered say besides a count of entries.
+const (
+	coversAll  = -1 // quiet roster: the committed sum stands
+	coversNone = -2 // add the roster up from entry 0
+)
+
+// sumTally counts one deriveSums for the telemetry counters.
+type sumTally struct{ terms, reused int64 }
+
+// resum returns waitAhead(k, roster) where the committed sum was accounts
+// exactly for the roster's first covered entries: it continues was over the
+// rest, or, covering none, adds the roster up from entry 0.
+func (da *DeltaAnalyzer) resum(k int, was float64, covered int, roster []rosterEntry, tally *sumTally) float64 {
+	if covered == coversNone {
+		tally.terms += int64(len(roster))
+		return da.a.waitAhead(k, roster)
+	}
+	tally.reused++
+	tally.terms += int64(len(roster) - covered)
+	return da.a.waitAfter(was, k, roster[covered:])
+}
+
+// machineCovered returns how many leading entries of machine j's roster the
+// committed sum of an untouched sharer still accounts for, addition for
+// addition: all of them on a quiet roster, the snapshotted ones when the window
+// is a pure admit (the roster only grew, by entries of the one touched string,
+// and no sharer's tightness moved), none otherwise.
+func (da *DeltaAnalyzer) machineCovered(j int) int {
+	switch {
+	case da.scanAt[j] != da.gen:
+		return coversAll
+	case da.pure && da.machSnaps[j].win == da.win:
+		return len(da.machSnaps[j].roster)
+	}
+	return coversNone
+}
+
+// routeCovered is machineCovered for route (j1, j2).
+func (da *DeltaAnalyzer) routeCovered(j1, j2 int) int {
+	if snap := da.snapOfRoute(j1, j2); snap != nil {
+		if da.pure {
+			return len(snap.roster)
+		}
+		return coversNone
+	}
+	if da.routeScanned(j1, j2) {
+		return coversNone
+	}
+	return coversAll
+}
+
+// forgetRoster marks unknown the committed sum every application on a roster
+// holds for it: slot i on a machine roster, slot n+i on a route roster.
+func (da *DeltaAnalyzer) forgetRoster(roster []rosterEntry, route bool) {
+	for idx := range roster {
+		e := &roster[idx]
+		slot := e.i
+		if route {
+			slot += len(da.a.machineOf[e.k])
+		}
+		da.sums[e.k][slot] = math.NaN()
+	}
+}
+
+// keepSums makes the vector check(k) derived for this generation string k's
+// committed one. The vector it replaces becomes scratch for the next check.
+func (da *DeltaAnalyzer) keepSums(k int) {
+	if da.a.Complete(k) {
+		da.sums[k], da.pend[k] = da.pend[k], da.sums[k]
+	}
 }
 
 // inRecheck reports whether k belongs to the current generation's recheck
@@ -375,6 +568,7 @@ func (da *DeltaAnalyzer) buildRecheck() {
 	}
 	da.recheckGen = da.gen
 	da.recheck = da.recheck[:0]
+	da.pure = len(da.dirtyStr) == 1 && da.strSnaps[da.dirtyStr[0]].nAssigned == 0 && !da.removed
 	// NaN tightness (incomplete before/after) fails every > comparison, so
 	// incomplete endpoints contribute nothing to the threshold.
 	threshold := math.Inf(-1)
@@ -579,6 +773,24 @@ func (da *DeltaAnalyzer) Commit() {
 		} else if len(da.baseViol) > 0 {
 			delete(da.baseViol, k)
 		}
+	}
+	// Only now, with every verdict of the window reached, is sums written. A
+	// swap-removal reordered the rosters it removed from, which moves the sums
+	// of sharers outside the recheck set by an ulp: a window that unassigned
+	// anything forgets every sum on its snapshotted rosters, then the recheck
+	// set's own fresh vectors go in.
+	if da.removed {
+		for _, j := range da.dirtyMach {
+			da.forgetRoster(a.perMachine[j], false)
+		}
+		for _, j1 := range da.dirtyRouteSrc {
+			for idx := range da.routeSnaps[j1] {
+				da.forgetRoster(a.routeRoster(j1, da.routeSnaps[j1][idx].peer), true)
+			}
+		}
+	}
+	for _, k := range da.recheck {
+		da.keepSums(k)
 	}
 	da.clearWindow()
 }

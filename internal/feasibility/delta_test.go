@@ -43,14 +43,84 @@ func applyRandomDelta(r *rand.Rand, a *Allocation) {
 }
 
 // checkSettled asserts what must hold after every Commit, Undo and Reset: the
-// window is clean and its answers — served from the committed sets, not from
-// a recheck — equal the full analysis, violation list included.
+// window is clean, its answers — served from the committed sets, not from
+// a recheck — equal the full analysis, violation list included, and every
+// waiting sum the analyzer carries into the next window is exact (auditSums).
 func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	t.Helper()
 	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
 		t.Fatalf("%s: settled window still dirty: %d strings, %d machines, %d routes", label, s, m, r)
 	}
 	queryWindow(t, label+" (clean)", da, true, true)
+	auditSums(t, label, da)
+}
+
+// sumAudit tallies what auditSums has seen in this process: slots audited
+// (one per application and per inter-machine transfer of a complete string)
+// and how many of them held a known sum.
+var sumAudit struct{ known, slots int }
+
+// auditSums is what makes "bit-identical" a test: every committed waiting sum
+// of a complete string is either unknown (NaN) or equal, by math.Float64bits,
+// to waitAhead over the roster as it stands. The tally lets a caller also
+// demand that the analyzer knows something — a cache that forgets everything
+// is exact and useless.
+func auditSums(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	a := da.Allocation()
+	for k := range da.sums {
+		if !a.Complete(k) {
+			continue // never read: a string becomes complete only as a touched string
+		}
+		mo := a.machineOf[k]
+		n := len(mo)
+		for slot, got := range da.sums[k] {
+			roster, what := a.perMachine[mo[slot%n]], "machine"
+			if slot >= n {
+				j1, j2 := mo[slot-n], mo[slot-n+1]
+				if j1 == j2 {
+					// No route: a constant zero, not a sum anyone saved.
+					if math.Float64bits(got) != 0 {
+						t.Fatalf("%s: string %d carries %v in slot %d for an intra-machine transfer", label, k, got, slot)
+					}
+					continue
+				}
+				roster, what = a.routeRoster(j1, j2), "route"
+			}
+			sumAudit.slots++
+			if got != got {
+				continue
+			}
+			sumAudit.known++
+			if want := a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: string %d carries %s sum %v in slot %d, waitAhead over the roster as it stands is %v",
+					label, k, what, got, slot, want)
+			}
+		}
+	}
+}
+
+// committedSums copies every committed vector, for sameSums.
+func committedSums(da *DeltaAnalyzer) [][]float64 {
+	out := make([][]float64, len(da.sums))
+	for k := range da.sums {
+		out[k] = append([]float64(nil), da.sums[k]...)
+	}
+	return out
+}
+
+// sameSums asserts the committed vectors are bit for bit (NaN included) what
+// committedSums copied: Undo, Reset and a rejected window write none of them.
+func sameSums(t *testing.T, label string, da *DeltaAnalyzer, want [][]float64) {
+	t.Helper()
+	for k := range want {
+		for slot := range want[k] {
+			if got := da.sums[k][slot]; math.Float64bits(got) != math.Float64bits(want[k][slot]) {
+				t.Fatalf("%s: committed sum of string %d slot %d went from %v to %v inside a window that did not commit",
+					label, k, slot, want[k][slot], got)
+			}
+		}
+	}
 }
 
 // auditMemo asserts every verdict the analyzer holds for the current
@@ -65,7 +135,7 @@ func auditMemo(t *testing.T, label string, da *DeltaAnalyzer) {
 		}
 		var fresh *Violation
 		if a.Complete(k) {
-			fresh = a.checkString(k)
+			fresh = a.checkString(k, nil)
 		}
 		if !reflect.DeepEqual(da.verdict[k], fresh) {
 			t.Fatalf("%s: memoised verdict for string %d is %v, checkString now says %v", label, k, da.verdict[k], fresh)
@@ -109,6 +179,7 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 	defer da.Close()
 	for step := 0; step < steps; step++ {
 		label := fmt.Sprintf("%s step %d", label, step)
+		before := committedSums(da)
 		applyRandomDelta(r, a)
 		pattern := r.Intn(6)
 		switch pattern {
@@ -130,8 +201,10 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 		switch r.Intn(16) {
 		case 0, 1, 2, 3:
 			da.Undo()
+			sameSums(t, label+" Undo", da, before)
 		case 4:
 			a.Reset()
+			sameSums(t, label+" Reset", da, before)
 		default:
 			// Including infeasible windows: the repair controllers commit
 			// first and ask the clean window afterwards.
@@ -241,6 +314,7 @@ func rescaleWindow(t *testing.T, label string, r *rand.Rand, da *DeltaAnalyzer, 
 	if r.Intn(2) == 0 {
 		queryWindow(t, label+" (before)", da, true, true) // verdicts the window must not reuse
 	}
+	sums := committedSums(da)
 	a.UnassignString(k)
 	old := scaleDemand(s, 0.25+2.75*r.Float64())
 	a.AssignString(k, machines)
@@ -253,6 +327,7 @@ func rescaleWindow(t *testing.T, label string, r *rand.Rand, da *DeltaAnalyzer, 
 		if got := fingerprint(t, a); !bytes.Equal(got, before) {
 			t.Fatalf("%s: state after the rejected rescale differs from the pre-window one:\ngot:\n%s\nwant:\n%s", label, got, before)
 		}
+		sameSums(t, label+" rejected", da, sums)
 	}
 	checkSettled(t, label, da)
 	if err := a.checkInvariants(); err != nil {
@@ -357,6 +432,7 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 	a, da := loadedScenario1(t)
 	defer da.Close()
 	sys := a.System()
+	audit0 := sumAudit
 	var admits, removes, rescales, rejected int
 	for step := 0; step < 2000; step++ {
 		label := fmt.Sprintf("step %d", step)
@@ -364,6 +440,7 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 		switch {
 		case !a.Complete(k): // admit
 			admits++
+			sums := committedSums(da)
 			leastLoaded(a, k)
 			queryWindow(t, label+" admit", da, true, false)
 			if da.FeasibleAfterDelta() {
@@ -372,6 +449,7 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 				rejected++
 				queryWindow(t, label+" admit rejected", da, false, true)
 				da.Undo()
+				sameSums(t, label+" admit rejected", da, sums)
 			}
 			checkSettled(t, label+" admit", da)
 		case r.Intn(2) == 0: // remove: Commit with no evaluation
@@ -393,8 +471,12 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 			longest = n
 		}
 	}
-	t.Logf("stream %d: %d admits (%d rejected), %d removes, %d rescales; %d strings mapped, longest machine roster %d",
-		stream, admits, rejected, removes, rescales, a.NumComplete(), longest)
+	known, slots := sumAudit.known-audit0.known, sumAudit.slots-audit0.slots
+	t.Logf("stream %d: %d admits (%d rejected), %d removes, %d rescales; %d strings mapped, longest machine roster %d; %d of %d audited sums known",
+		stream, admits, rejected, removes, rescales, a.NumComplete(), longest, known, slots)
+	if 2*known < slots {
+		t.Errorf("stream %d: only %d of %d audited waiting sums were known; the analyzer forgets more than it carries", stream, known, slots)
+	}
 	if admits == 0 || removes == 0 || rescales == 0 || rejected == 0 {
 		t.Fatalf("stream %d drew %d admits (%d rejected), %d removes, %d rescales; every shape must occur",
 			stream, admits, rejected, removes, rescales)
@@ -416,11 +498,40 @@ func judged(da *DeltaAnalyzer) int64 {
 	return n
 }
 
+// admitTermBound returns what an admit of string k may add up when every
+// sharer's committed sums are known: the rosters string k itself sits on, whole,
+// plus for every other slot of the recheck set the entries its roster gained in
+// this window. buildRecheck must have run.
+func admitTermBound(da *DeltaAnalyzer, k int) int64 {
+	a := da.a
+	bound := 0
+	for _, z := range da.recheck {
+		mo := a.machineOf[z]
+		for i, m := range mo {
+			if z == k {
+				bound += len(a.perMachine[m])
+			} else if snap := &da.machSnaps[m]; snap.win == da.win {
+				bound += len(a.perMachine[m]) - len(snap.roster)
+			}
+			if i+1 == len(mo) || mo[i+1] == m {
+				continue
+			}
+			if roster := a.routeRoster(m, mo[i+1]); z == k {
+				bound += len(roster)
+			} else if snap := da.snapOfRoute(m, mo[i+1]); snap != nil {
+				bound += len(roster) - len(snap.roster)
+			}
+		}
+	}
+	return int64(bound)
+}
+
 // "Once" as a reading: on the loaded scenario-1 state an accepted admit runs
 // checkString exactly once per string of its recheck set across
 // FeasibleAfterDelta + Commit — all of them in the evaluation, none in the
-// Commit — and a rejected one (FeasibleAfterDelta, ViolationsAfterDelta, Undo)
-// checks no string twice.
+// Commit — adding up no more than the admitted string's own rosters plus one
+// tail per sharer slot, and a rejected one (FeasibleAfterDelta,
+// ViolationsAfterDelta, Undo) checks no string twice.
 func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 	prev := telemetry.Active()
 	telemetry.Enable()
@@ -437,8 +548,10 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		}
 		a.UnassignString(k)
 		da.Commit()
+		da.Rebase() // the removal forgot sums on the rosters it reordered; know them all
 		leastLoaded(a, k)
 		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
+		w0, s0 := da.tel.waitTerms.Value(), da.tel.sumsReused.Value()
 		if !da.FeasibleAfterDelta() {
 			da.Undo()
 			continue
@@ -451,6 +564,13 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		}
 		if c1-c0 != recheck {
 			t.Errorf("accepted admit of string %d: FeasibleAfterDelta ran checkString %d times for a recheck set of %d", k, c1-c0, recheck)
+		}
+		if terms, bound := da.tel.waitTerms.Value()-w0, admitTermBound(da, k); terms > bound {
+			t.Errorf("accepted admit of string %d added up %d roster entries; its own rosters plus one tail per sharer slot hold %d — a sharer was summed from entry 0",
+				k, terms, bound)
+		}
+		if da.tel.sumsReused.Value() == s0 {
+			t.Errorf("accepted admit of string %d reused no committed sum", k)
 		}
 		da.Commit()
 		if c2 := stringChecks(da); c2 != c1 {
@@ -668,6 +788,173 @@ func TestRecheckScansUnsnapshottedResourceOnce(t *testing.T) {
 	checkSettled(t, "single-application move", da)
 }
 
+// allSumsKnown asserts no slot of a complete string is unknown.
+func allSumsKnown(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	for k := range da.sums {
+		if !da.a.Complete(k) {
+			continue
+		}
+		for slot, w := range da.sums[k] {
+			if w != w {
+				t.Fatalf("%s: string %d slot %d is unknown", label, k, slot)
+			}
+		}
+	}
+}
+
+// A window that does not commit writes no committed sum: a rejected admit
+// (evaluated, listed, undone), an accepted one undone after its evaluation, and
+// a Reset each leave every vector bit for bit as it was — and after the Reset
+// nothing reads them: strings placed again are summed again.
+func TestUncommittedWindowWritesNoSum(t *testing.T) {
+	a, da := loadedScenario1(t)
+	defer da.Close()
+	sys := a.System()
+	want := committedSums(da)
+	var accepted, rejected bool
+	for k := 0; k < len(sys.Strings) && !(accepted && rejected); k++ {
+		if a.Complete(k) {
+			if accepted {
+				continue
+			}
+			// Lift it out and let the removal commit; the admit is the window.
+			a.UnassignString(k)
+			da.Commit()
+			want = committedSums(da)
+		}
+		leastLoaded(a, k)
+		if da.FeasibleAfterDelta() {
+			accepted = true
+		} else {
+			rejected = true
+			da.ViolationsAfterDelta()
+		}
+		da.Undo()
+		sameSums(t, fmt.Sprintf("admit of string %d undone", k), da, want)
+		checkSettled(t, fmt.Sprintf("admit of string %d undone", k), da)
+	}
+	if !accepted || !rejected {
+		t.Fatalf("accepted %v, rejected %v; both windows must occur", accepted, rejected)
+	}
+	a.Reset()
+	sameSums(t, "Reset", da, want)
+	// Every string's vector is now stale. Placing them again, elsewhere, must
+	// not read one of them.
+	for k := len(sys.Strings) - 1; k >= 0; k-- {
+		leastLoaded(a, k)
+		if da.FeasibleAfterDelta() {
+			da.Commit()
+		} else {
+			da.Undo()
+		}
+		checkSettled(t, fmt.Sprintf("string %d placed after Reset", k), da)
+	}
+}
+
+// The repair controllers commit an infeasible window first and ask afterwards.
+// checkString stops at the first throughput violation, but the vector Commit
+// keeps must be whole, because the next window takes its later slots as they
+// stand: string 2 busts its period on application 0 behind string 0; when
+// string 0 leaves, its verdict rides on application 1's sum on machine 1, a
+// quiet roster.
+func TestCommittedViolatorCarriesWholeVector(t *testing.T) {
+	sys := model.NewUniformSystem(2, 100)
+	app := model.UniformApp(2, 2.0, 0.5, 10)
+	for k := 0; k < 2; k++ {
+		sys.AddString(model.AppString{Worth: 1, Period: 2.8, MaxLatency: 4, Apps: []model.Application{app}})
+	}
+	sys.AddString(model.AppString{Worth: 1, Period: 2.8, MaxLatency: 100, Apps: []model.Application{app, app}})
+	a := New(sys)
+	da := Track(a)
+	defer da.Close()
+	a.AssignString(0, []int{0})
+	a.AssignString(1, []int{1})
+	a.AssignString(2, []int{0, 1})
+	da.Commit() // infeasible, nothing asked
+	if v := a.CheckString(2); v == nil || v.Kind != KindThroughputComp || v.App != 0 {
+		t.Fatalf("string 2 should bust its period on application 0, got %v", v)
+	}
+	allSumsKnown(t, "committed violator", da)
+	checkSettled(t, "committed violator", da)
+
+	a.UnassignString(0)
+	if da.scanAt[1] == da.gen {
+		t.Fatal("machine 1 should be a quiet roster in this window")
+	}
+	queryWindow(t, "string 0 removed", da, true, true)
+	if v := da.ViolationsAfterDelta(); len(v) != 1 || v[0].StringID != 2 || v[0].App != 1 {
+		t.Fatalf("string 2 should now bust its period on application 1, got %v", v)
+	}
+	da.Commit()
+	checkSettled(t, "string 0 removed", da)
+}
+
+// A single-application move is the one window that scans rosters it holds no
+// snapshot of: moving string 0's second application onto a slow machine lifts
+// its tightness over string 1's, so string 1 starts waiting behind string 0's
+// first application on machine 0 — a roster nothing was added to or removed
+// from. Its committed sum there must be summed again, not taken as it stands.
+func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
+	sys := model.NewUniformSystem(3, 100)
+	fast := model.UniformApp(3, 1, 0.2, 10)
+	slowOn2 := model.Application{NominalTime: []float64{1, 1, 8}, NominalUtil: []float64{0.2, 0.2, 0.2}, OutputKB: 10}
+	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 100, Apps: []model.Application{fast, slowOn2}})
+	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 25, Apps: []model.Application{fast}})
+	a := New(sys)
+	da := Track(a)
+	defer da.Close()
+	a.AssignString(0, []int{0, 1})
+	a.AssignString(1, []int{0})
+	da.Commit()
+	checkSettled(t, "before the move", da)
+	if !(a.Tightness(0) < a.Tightness(1)) || da.sums[1][0] != 0 {
+		t.Fatalf("before the move string 1 (T=%v) should outrank string 0 (T=%v) and wait for nothing, carries %v",
+			a.Tightness(1), a.Tightness(0), da.sums[1][0])
+	}
+
+	a.Unassign(0, 1)
+	a.Assign(0, 1, 2)
+	if !(a.Tightness(0) > a.Tightness(1)) {
+		t.Fatalf("the move should lift string 0 (T=%v) over string 1 (T=%v)", a.Tightness(0), a.Tightness(1))
+	}
+	queryWindow(t, "single-application move", da, true, true)
+	if da.machSnaps[0].win == da.win || da.scanAt[0] != da.gen {
+		t.Fatal("machine 0 should be scanned for this window without holding a snapshot")
+	}
+	da.Commit()
+	checkSettled(t, "single-application move", da)
+	if got, want := da.sums[1][0], sys.MachineDemandUtil(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("string 1 carries %v on machine 0 after the move, want string 0's term %v", got, want)
+	}
+}
+
+// Track's Rebase fills every vector, whatever built the allocation: a restored
+// snapshot starts with all sums known and exact, and the first window over it
+// continues them.
+func TestTrackAfterFromSnapshotFillsSums(t *testing.T) {
+	orig, origDA := loadedScenario1(t)
+	origDA.Close()
+	sys := orig.System()
+	a, err := FromSnapshot(sys, orig.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	da := Track(a)
+	defer da.Close()
+	allSumsKnown(t, "tracked snapshot", da)
+	checkSettled(t, "tracked snapshot", da)
+	for k := range sys.Strings {
+		if a.Complete(k) {
+			continue
+		}
+		leastLoaded(a, k)
+		queryWindow(t, fmt.Sprintf("admit of string %d over the snapshot", k), da, true, true)
+		da.Undo()
+		checkSettled(t, fmt.Sprintf("admit of string %d over the snapshot", k), da)
+	}
+}
+
 // fingerprint renders the full observable allocation state.
 func fingerprint(t *testing.T, a *Allocation) []byte {
 	t.Helper()
@@ -829,7 +1116,9 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 
 // BenchmarkAnalyzerDecision times the three decision shapes of the serve path
 // on the loaded scenario-1 state and reports checkString runs per decision —
-// the number a second evaluation of the same window would double:
+// the number a second evaluation of the same window would double — and the
+// roster entries those runs added up, the number a lost carried-sum route
+// multiplies (both exact at -benchtime=1x):
 //
 //   - accept: a string is lifted and placed back in one window,
 //     FeasibleAfterDelta, Commit;
@@ -860,12 +1149,16 @@ func BenchmarkAnalyzerDecision(b *testing.B) {
 	run := func(name string, op func(b *testing.B, n int)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			c0 := stringChecks(da)
+			// Every arm starts knowing every sum: what the one before it left
+			// unknown depends on how many iterations it ran.
+			da.Rebase()
+			c0, w0 := stringChecks(da), da.tel.waitTerms.Value()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				op(b, n)
 			}
 			b.ReportMetric(float64(stringChecks(da)-c0)/float64(b.N), "string_checks/op")
+			b.ReportMetric(float64(da.tel.waitTerms.Value()-w0)/float64(b.N), "wait_terms/op")
 		})
 	}
 	run("accept", func(b *testing.B, n int) {

@@ -35,9 +35,31 @@ func metricScore(a *feasibility.Allocation) genitor.Fitness {
 }
 
 // memoLimit bounds the decode memo; when full it is discarded wholesale. At
-// two bytes per gene a full memo of paper-scale chromosomes stays within a
-// few MB per trial.
+// geneWidth bytes per gene — two at paper scale — a full memo of paper-scale
+// chromosomes stays within a few MB per trial.
 const memoLimit = 1 << 14
+
+// geneWidth returns how many bytes a memo key spends on a gene of a system
+// with nStrings strings: the fewest of two or four that keep genes
+// 0..nStrings-1 distinct.
+func geneWidth(nStrings int) int {
+	if nStrings <= 1<<16 {
+		return 2
+	}
+	return 4
+}
+
+// appendGenes appends the memo-key encoding of perm: width big-endian bytes
+// per gene.
+func appendGenes(key []byte, perm []int, width int) []byte {
+	for _, g := range perm {
+		if width == 4 {
+			key = append(key, byte(g>>24), byte(g>>16))
+		}
+		key = append(key, byte(g>>8), byte(g))
+	}
+	return key
+}
 
 // decodeMemo caches decoded fitnesses keyed on the *consumed* prefix of the
 // permutation: the feasibly mapped prefix plus the string whose addition
@@ -48,20 +70,21 @@ const memoLimit = 1 << 14
 // hit while scanning left to right is exact. Safe for concurrent use by the
 // evaluator lanes of one engine.
 type decodeMemo struct {
+	width   int // bytes per gene in a key, geneWidth of the system
 	mu      sync.Mutex
 	entries map[string]genitor.Fitness
 }
 
-func newDecodeMemo() *decodeMemo {
-	return &decodeMemo{entries: make(map[string]genitor.Fitness)}
+func newDecodeMemo(nStrings int) *decodeMemo {
+	return &decodeMemo{width: geneWidth(nStrings), entries: make(map[string]genitor.Fitness)}
 }
 
 // find scans the encoded permutation's prefixes (shortest first) for a stored
-// terminal prefix. key holds two big-endian bytes per gene.
+// terminal prefix. key is appendGenes of the permutation at the memo's width.
 func (m *decodeMemo) find(key []byte) (genitor.Fitness, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for l := 2; l <= len(key); l += 2 {
+	for l := m.width; l <= len(key); l += m.width {
 		if fit, ok := m.entries[string(key[:l])]; ok {
 			return fit, true
 		}
@@ -83,12 +106,13 @@ func (m *decodeMemo) store(key []byte, fit genitor.Fitness) {
 // the other lanes of its trial. A seqDecoder must only be used by one
 // goroutine at a time (the engine guarantees this per lane).
 type seqDecoder struct {
-	sys     *model.System
-	scratch *feasibility.Allocation
-	delta   *feasibility.DeltaAnalyzer // persistent tracker over scratch
-	score   scoreFunc
-	memo    *decodeMemo
-	key     []byte // reusable 2-bytes-per-gene encoding buffer
+	sys       *model.System
+	scratch   *feasibility.Allocation
+	delta     *feasibility.DeltaAnalyzer // persistent tracker over scratch
+	intensity [][]float64                // imrIntensities(sys), shared by the bank's lanes
+	score     scoreFunc
+	memo      *decodeMemo
+	key       []byte // reusable memo-key encoding buffer
 
 	// Shared memo counters; nil (no-op) when telemetry is disabled, so the
 	// per-decode overhead is a nil check — pinned by
@@ -98,23 +122,26 @@ type seqDecoder struct {
 }
 
 // newDecoderBank builds the evaluator lanes for one GENITOR trial: each lane
-// gets its own scratch allocation, all lanes share one memo.
+// gets its own scratch allocation, all lanes share one memo and one table of
+// IMR intensities (read-only once built).
 func newDecoderBank(sys *model.System, score scoreFunc, lanes int) []genitor.Evaluator {
-	memo := newDecodeMemo()
+	memo := newDecodeMemo(len(sys.Strings))
+	intensity := imrIntensities(sys)
 	hit := telemetry.C("heuristics.decode.memo_hit")
 	miss := telemetry.C("heuristics.decode.memo_miss")
 	evals := make([]genitor.Evaluator, lanes)
 	for i := range evals {
 		scratch := feasibility.New(sys)
 		d := &seqDecoder{
-			sys:      sys,
-			scratch:  scratch,
-			delta:    feasibility.Track(scratch),
-			score:    score,
-			memo:     memo,
-			key:      make([]byte, 0, 2*len(sys.Strings)),
-			memoHit:  hit,
-			memoMiss: miss,
+			sys:       sys,
+			scratch:   scratch,
+			delta:     feasibility.Track(scratch),
+			intensity: intensity,
+			score:     score,
+			memo:      memo,
+			key:       make([]byte, 0, memo.width*len(sys.Strings)),
+			memoHit:   hit,
+			memoMiss:  miss,
 		}
 		evals[i] = d.fitness
 	}
@@ -126,18 +153,15 @@ func newDecoderBank(sys *model.System, score scoreFunc, lanes int) []genitor.Eva
 // permutations (crossover and mutation preserve the gene set), so unlike the
 // exported MapSequence it skips the permutation check on this hot path.
 func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
-	d.key = d.key[:0]
-	for _, g := range perm {
-		d.key = append(d.key, byte(g>>8), byte(g))
-	}
+	d.key = appendGenes(d.key[:0], perm, d.memo.width)
 	if fit, ok := d.memo.find(d.key); ok {
 		d.memoHit.Inc()
 		return fit
 	}
 	d.memoMiss.Inc()
-	consumed := decodeDelta(d.delta, d.scratch, perm)
+	consumed := decodeDelta(d.delta, d.scratch, perm, d.intensity)
 	fit := d.score(d.scratch)
-	d.memo.store(d.key[:2*consumed], fit)
+	d.memo.store(d.key[:d.memo.width*consumed], fit)
 	return fit
 }
 
@@ -149,11 +173,16 @@ func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
 // placement is rolled back bit-identically by Undo, so later strings see the
 // exact committed prefix rather than float residue from subtracting the
 // rejected string's demands. After the call, exactly the feasibly mapped
-// strings are Complete in the scratch.
-func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int) int {
+// strings are Complete in the scratch. intensity is imrIntensities of the
+// system, or nil to have each placement average its own.
+func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int, intensity [][]float64) int {
 	a.Reset()
 	for idx, k := range order {
-		MapStringIMR(a, k)
+		var row []float64
+		if intensity != nil {
+			row = intensity[k]
+		}
+		mapStringIMR(a, k, row, nil, nil)
 		if !da.FeasibleAfterDelta() {
 			da.Undo()
 			return idx + 1
@@ -178,6 +207,6 @@ func MapSequenceInto(scratch *feasibility.Allocation, order []int) feasibility.M
 		da = feasibility.Track(scratch)
 		defer da.Close()
 	}
-	decodeDelta(da, scratch, order)
+	decodeDelta(da, scratch, order, nil)
 	return scratch.Metric()
 }

@@ -110,6 +110,13 @@ func TestIMRAssignsEveryApplication(t *testing.T) {
 		if got, want := a.StringMachines(0), sliceIMR(feasibility.New(sys), 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: IMR placed %v, slice oracle %v", trial, got, want)
 		}
+		// A decoder bank's precomputed row places exactly as the routine that
+		// averages for itself.
+		b := feasibility.New(sys)
+		mapStringIMR(b, 0, imrIntensities(sys)[0], nil, nil)
+		if got, want := b.StringMachines(0), a.StringMachines(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: IMR over a precomputed intensity row placed %v, MapStringIMR %v", trial, got, want)
+		}
 		if n == 1 {
 			continue
 		}

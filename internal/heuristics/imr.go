@@ -9,6 +9,7 @@ package heuristics
 
 import (
 	"repro/internal/feasibility"
+	"repro/internal/model"
 )
 
 // MapStringIMR runs the Incremental Mapping Routine on string k, assigning
@@ -35,21 +36,43 @@ func MapStringIMR(a *feasibility.Allocation, k int) {
 // was found; on failure the string is left completely unassigned. With nil
 // masks it never fails and is exactly MapStringIMR.
 func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
+	return mapStringIMR(a, k, nil, machineOK, routeOK)
+}
+
+// imrIntensities returns every application's machine-averaged intensity, row
+// k holding string k's: constants of the system for as long as its catalog
+// floats stand, so a search that places the same strings thousands of times
+// (a decoder bank) computes them once. The service cannot: a rescale moves them.
+func imrIntensities(sys *model.System) [][]float64 {
+	rows := make([][]float64, len(sys.Strings))
+	for k := range rows {
+		rows[k] = make([]float64, len(sys.Strings[k].Apps))
+		for i := range rows[k] {
+			rows[k][i] = sys.AvgWork(k, i)
+		}
+	}
+	return rows
+}
+
+// mapStringIMR is MapStringIMRMasked given string k's row of imrIntensities,
+// or nil to average over the machines here.
+func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
 	sys := a.System()
 	n := len(sys.Strings[k].Apps)
 
 	// Machine-averaged intensity t_av[i]*u_av[i]/P[k]; the period is constant
-	// within the string, so the raw averaged work preserves the argmax. The
-	// routine runs once per string per decode: paper-size strings keep the
-	// vector on the stack.
+	// within the string, so the raw averaged work preserves the argmax. Without
+	// a precomputed row, paper-size strings keep the vector on the stack.
 	var stack [16]float64
-	intensity := stack[:]
-	if n > len(stack) {
-		intensity = make([]float64, n)
-	}
-	intensity = intensity[:n]
-	for i := range intensity {
-		intensity[i] = sys.AvgWork(k, i)
+	if intensity == nil {
+		intensity = stack[:]
+		if n > len(stack) {
+			intensity = make([]float64, n)
+		}
+		intensity = intensity[:n]
+		for i := range intensity {
+			intensity[i] = sys.AvgWork(k, i)
+		}
 	}
 
 	// Step 1-2: place the single most intensive application on the allowed

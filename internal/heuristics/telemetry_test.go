@@ -207,8 +207,8 @@ func TestDecodeMissAllocations(t *testing.T) {
 	scratch := feasibility.New(easySystem())
 	da := feasibility.Track(scratch)
 	perm := []int{0, 1, 2, 3}
-	decodeDelta(da, scratch, perm) // grow the scratch and window buffers
-	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm) }); allocs != 0 {
+	decodeDelta(da, scratch, perm, nil) // grow the scratch and window buffers
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, nil) }); allocs != 0 {
 		t.Errorf("decode mapping every string costs %v allocations, want 0", allocs)
 	}
 	if scratch.NumComplete() != len(perm) {
@@ -222,8 +222,9 @@ func TestDecodeMissAllocations(t *testing.T) {
 	scratch = feasibility.New(hard)
 	da = feasibility.Track(scratch)
 	perm = []int{0, 1, 2, 3, 4}
-	decodeDelta(da, scratch, perm)
-	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm) }); allocs > 1 {
+	intensity := imrIntensities(hard) // a decoder bank's form of the call
+	decodeDelta(da, scratch, perm, intensity)
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, intensity) }); allocs > 1 {
 		t.Errorf("decode stopping at an unmappable string costs %v allocations, want at most 1", allocs)
 	}
 	if scratch.NumComplete() != 4 {
@@ -255,4 +256,36 @@ func BenchmarkDecodeTelemetry(b *testing.B) {
 		telemetry.Enable()
 		run(b)
 	})
+}
+
+// Memo keys must keep every gene of the system distinct: at two bytes a gene,
+// genes 0 and 65 536 of a 65 537-string system shared a key and the memo
+// answered one permutation with another's fitness.
+func TestMemoKeyWidth(t *testing.T) {
+	for _, tc := range []struct{ nStrings, width int }{{65535, 2}, {65536, 2}, {65537, 4}} {
+		if got := geneWidth(tc.nStrings); got != tc.width {
+			t.Fatalf("geneWidth(%d) = %d, want %d", tc.nStrings, got, tc.width)
+		}
+		last := tc.nStrings - 1
+		memo := newDecodeMemo(tc.nStrings)
+		stored := genitor.Fitness{Primary: 7}
+		key := appendGenes(nil, []int{last, 1}, memo.width)
+		if len(key) != 2*tc.width {
+			t.Fatalf("%d strings: two genes encode to %d bytes, want %d", tc.nStrings, len(key), 2*tc.width)
+		}
+		memo.store(key, stored)
+		if fit, ok := memo.find(appendGenes(nil, []int{last, 1, 2}, memo.width)); !ok || fit != stored {
+			t.Errorf("%d strings: a permutation extending the stored prefix [%d 1] missed the memo", tc.nStrings, last)
+		}
+		// Every gene that agrees with the last one modulo 65 536, or in one of
+		// its bytes, must still miss.
+		for _, g := range []int{0, last - 1<<16, last &^ 0xff, last & 0xff, last >> 8} {
+			if g < 0 || g == last {
+				continue
+			}
+			if _, ok := memo.find(appendGenes(nil, []int{g, 1, 2}, memo.width)); ok {
+				t.Errorf("%d strings: gene %d hit the memo entry stored for gene %d", tc.nStrings, g, last)
+			}
+		}
+	}
 }

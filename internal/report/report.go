@@ -128,12 +128,13 @@ var derivedOrder = []derivedMetric{
 	{"worker_utilization", "worker utilization", true},
 	{"delta_dirty_strings_per_eval", "delta dirty strings/eval", false},
 	{"delta_recheck_strings_per_eval", "delta recheck strings/eval", false},
+	{"delta_wait_terms_per_eval", "delta wait terms/eval", false},
 }
 
 // Derived computes the derived ratios operators actually read — decode-memo
 // hit rate and worker-pool utilization (both in [0,1]), and the delta
-// analyzer's average dirty and recheck set sizes per incremental evaluation —
-// from their constituent counters. Ratios whose denominator counters are zero
+// analyzer's average dirty and recheck set sizes and roster entries added up
+// per incremental evaluation — from their constituent counters. Ratios whose denominator counters are zero
 // are omitted, so an empty snapshot yields an empty map. The text report and
 // the service /v1/metrics endpoint share this computation.
 func Derived(snap telemetry.Snapshot) map[string]float64 {
@@ -151,6 +152,8 @@ func Derived(snap telemetry.Snapshot) map[string]float64 {
 			float64(snap.Counter("feasibility.delta.dirty_strings")) / float64(evals)
 		out["delta_recheck_strings_per_eval"] =
 			float64(snap.Counter("feasibility.delta.recheck_strings")) / float64(evals)
+		out["delta_wait_terms_per_eval"] =
+			float64(snap.Counter("feasibility.delta.wait_terms")) / float64(evals)
 	}
 	return out
 }

@@ -26,6 +26,7 @@ func TestWriteTelemetryDerivedRatios(t *testing.T) {
 	r.Counter("feasibility.delta.evals").Add(200)
 	r.Counter("feasibility.delta.dirty_strings").Add(450)
 	r.Counter("feasibility.delta.recheck_strings").Add(900)
+	r.Counter("feasibility.delta.wait_terms").Add(25000)
 	var buf bytes.Buffer
 	WriteTelemetry(&buf, r.Snapshot())
 	out := buf.String()
@@ -41,6 +42,8 @@ func TestWriteTelemetryDerivedRatios(t *testing.T) {
 		"2.25",
 		"delta recheck strings/eval",
 		"4.50",
+		"delta wait terms/eval",
+		"125.00",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

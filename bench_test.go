@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/dynamic"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -475,20 +474,6 @@ func BenchmarkFailover(b *testing.B) {
 			}
 			b.ReportMetric(retained/float64(b.N), "retained/op")
 		})
-	}
-}
-
-// BenchmarkDAGMapping times the generalized IMR sequence on fusion DAGs.
-func BenchmarkDAGMapping(b *testing.B) {
-	msys := workload.MustGenerate(workload.ScenarioConfig(workload.LightlyLoaded), 1)
-	dsys := dag.FromModelSystem(msys)
-	order := dag.MWFOrder(dsys)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := dag.MapSequence(dsys, order)
-		if r.NumMapped == 0 {
-			b.Fatal("nothing mapped")
-		}
 	}
 }
 

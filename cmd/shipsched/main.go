@@ -232,7 +232,7 @@ func main() {
 		snap := telemetry.Capture()
 		fmt.Println()
 		report.WriteTelemetry(os.Stdout, snap)
-		if evals := snap.Counter("feasibility.evaluations"); evals > 0 && elapsed.Seconds() > 0 {
+		if evals := snap.Counter("feasibility.delta.evals"); evals > 0 && elapsed.Seconds() > 0 {
 			fmt.Printf("  %-42s %12.0f\n", "feasibility evaluations/sec",
 				float64(evals)/elapsed.Seconds())
 		}

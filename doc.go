@@ -19,7 +19,6 @@
 //	internal/sim          discrete-event simulator of the shipboard runtime
 //	internal/stats        Student-t confidence intervals
 //	internal/dynamic      dynamic reallocation (migrate/evict repair, rebalance)
-//	internal/dag          DAG-of-applications extension (footnote 2)
 //	internal/pool         resource-pool generalization (footnote 1)
 //	internal/workers      worker-goroutine fan-out for the parallel search
 //	internal/experiments  regeneration harness for every table and figure:
@@ -31,8 +30,9 @@
 //
 // Executables: cmd/shipsched (run heuristics on a scenario), cmd/lpbound
 // (upper bounds), cmd/experiments (regenerate the paper's figures). Runnable
-// walkthroughs are under examples/. The benchmarks in bench_test.go exercise
-// one regeneration target per table and figure; see DESIGN.md for the
-// per-experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// results.
+// walkthroughs are under examples/ (the DAG-of-applications extension of
+// footnote 2 is examples/fusiondag/dag, that walkthrough's library, not a
+// shipped package). The benchmarks in bench_test.go exercise one regeneration
+// target per table and figure; see DESIGN.md for the per-experiment index and
+// EXPERIMENTS.md for recorded paper-vs-measured results.
 package repro

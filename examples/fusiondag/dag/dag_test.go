@@ -9,6 +9,7 @@ import (
 	"repro/internal/genitor"
 	"repro/internal/heuristics"
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -350,4 +351,18 @@ func randomModelSystem(rng *rand.Rand, machines, strings int) *model.System {
 		})
 	}
 	return sys
+}
+
+// BenchmarkDAGMapping times the generalized IMR sequence on fusion DAGs.
+func BenchmarkDAGMapping(b *testing.B) {
+	msys := workload.MustGenerate(workload.ScenarioConfig(workload.LightlyLoaded), 1)
+	dsys := FromModelSystem(msys)
+	order := MWFOrder(dsys)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := MapSequence(dsys, order)
+		if r.NumMapped == 0 {
+			b.Fatal("nothing mapped")
+		}
+	}
 }

@@ -1,9 +1,9 @@
 // Fusion DAG: the paper's string model covers linear pipelines, and its
 // Section 2 footnote anticipates that "the final ARMS program may include
-// DAGs of applications". This example exercises the DAG extension
-// (internal/dag): a track-fusion task where sonar and radar branches join
-// into a correlator and fan out to a display and a weapons interface —
-// a graph no linear string can express.
+// DAGs of applications". This example exercises the DAG extension (the dag
+// package beside it, this example's library): a track-fusion task where sonar
+// and radar branches join into a correlator and fan out to a display and a
+// weapons interface — a graph no linear string can express.
 //
 //	sonar ingest -> beamform ----\
 //	                              > correlate -> display
@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/dag"
+	"repro/examples/fusiondag/dag"
 	"repro/internal/genitor"
 	"repro/internal/model"
 )

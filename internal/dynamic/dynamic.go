@@ -200,11 +200,11 @@ func Repair(alloc *feasibility.Allocation, opts Options) (*Result, error) {
 // pickVictim selects the next string to act on: among strings implicated by
 // stage-2 violations or assigned to over-utilized resources, the one with the
 // lowest worth (ties: tightest first so the disruptive re-placement helps the
-// most constrained string, then lowest ID). Violations and overloads come
-// from the delta analyzer's committed sets — O(damage + active routes)
-// instead of a fresh full scan per call — and worth/tightness ties use the
-// epsilon comparison so float noise cannot flip the victim choice between
-// otherwise-identical runs.
+// most constrained string, then lowest ID). Violations come from the delta
+// analyzer's committed set — O(damage) instead of a fresh stage-2 scan per
+// call — the over-utilized resources from one O(M + active routes) walk, and
+// worth/tightness ties use the epsilon comparison so float noise cannot flip
+// the victim choice between otherwise-identical runs.
 func (r *repairer) pickVictim() int {
 	alloc := r.alloc
 	sys := alloc.System()
@@ -213,12 +213,7 @@ func (r *repairer) pickVictim() int {
 	for _, v := range r.da.ViolationsAfterDelta() {
 		mark(v.StringID)
 	}
-	for _, j := range r.da.OverloadedMachines() {
-		alloc.StringsOnMachine(j, mark)
-	}
-	for _, rt := range r.da.OverloadedRoutes() {
-		alloc.StringsOnRoute(rt[0], rt[1], mark)
-	}
+	alloc.StringsOverLimit(feasibility.CapacityLimit, mark)
 	// Ascending string ID, not map order: AlmostEqual is not transitive, so
 	// with a three-way near-tie the winner depends on the visiting order,
 	// which must therefore be fixed. Full ties keep the lower ID.

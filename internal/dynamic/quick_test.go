@@ -134,7 +134,9 @@ func TestQuickNoNeedlessEvictions(t *testing.T) {
 				continue
 			}
 			if heuristics.MapStringIMRMasked(a, k, machineOK, routeOK) {
-				feasible := a.FeasibleAfterAdding(k)
+				// Survive left a feasible state, so the full analysis asks
+				// exactly whether the re-placement broke it.
+				feasible := a.TwoStageFeasible()
 				a.UnassignString(k)
 				if feasible {
 					t.Logf("seed %d γ=%.3f kills %v: string %d stayed evicted but re-placement is feasible",

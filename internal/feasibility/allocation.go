@@ -38,6 +38,15 @@ const Unassigned = -1
 // their capacity bounds, absorbing float64 accumulation error.
 const utilEps = 1e-9
 
+// CapacityLimit is the utilization past which a machine or route fails the
+// first-stage analysis (equations (2)–(3)): capacity plus the tolerance. The
+// repair controllers pass it to StringsOverLimit.
+const CapacityLimit = 1 + utilEps
+
+// overCapacity is the stage-1 predicate, the one place a utilization is held
+// against capacity.
+func overCapacity(u float64) bool { return u > CapacityLimit }
+
 // appRef identifies application i of string k.
 type appRef struct{ k, i int }
 
@@ -113,24 +122,20 @@ type Allocation struct {
 // constraint-check hot path pays a nil check instead of a registry lookup.
 // All fields are nil (no-op) when telemetry is disabled.
 type allocTelemetry struct {
-	evaluations *telemetry.Counter // FeasibleAfterAdding calls
-	checks      *telemetry.Counter // CheckString calls
-	violations  *telemetry.Counter // total equation (1) violations observed
-	violComp    *telemetry.Counter // by kind: throughput-comp
-	violTran    *telemetry.Counter // by kind: throughput-tran
-	violLat     *telemetry.Counter // by kind: latency
-	stage1Fail  *telemetry.Counter // stage-1 capacity rejections
+	checks     *telemetry.Counter // CheckString calls
+	violations *telemetry.Counter // total equation (1) violations observed
+	violComp   *telemetry.Counter // by kind: throughput-comp
+	violTran   *telemetry.Counter // by kind: throughput-tran
+	violLat    *telemetry.Counter // by kind: latency
 }
 
 func newAllocTelemetry() allocTelemetry {
 	return allocTelemetry{
-		evaluations: telemetry.C("feasibility.evaluations"),
-		checks:      telemetry.C("feasibility.check_string"),
-		violations:  telemetry.C("feasibility.violations"),
-		violComp:    telemetry.C("feasibility.violation." + KindThroughputComp),
-		violTran:    telemetry.C("feasibility.violation." + KindThroughputTran),
-		violLat:     telemetry.C("feasibility.violation." + KindLatency),
-		stage1Fail:  telemetry.C("feasibility.stage1_fail"),
+		checks:     telemetry.C("feasibility.check_string"),
+		violations: telemetry.C("feasibility.violations"),
+		violComp:   telemetry.C("feasibility.violation." + KindThroughputComp),
+		violTran:   telemetry.C("feasibility.violation." + KindThroughputTran),
+		violLat:    telemetry.C("feasibility.violation." + KindLatency),
 	}
 }
 
@@ -465,20 +470,43 @@ func (a *Allocation) ActiveRouteCount() int {
 // cost is O(applications on j) and a string with several applications there
 // is reported once per application, in roster order; callers collect a set.
 func (a *Allocation) StringsOnMachine(j int, f func(k int)) {
-	for _, ref := range a.perMachine[j] {
-		if a.Complete(ref.k) {
-			f(ref.k)
-		}
-	}
+	a.completeOn(a.perMachine[j], f)
 }
 
 // StringsOnRoute calls f with the ID of every completely mapped string that
 // sends a transfer over the route j1 -> j2, walking the route's roster under
 // the same contract as StringsOnMachine. An inactive route reports nothing.
 func (a *Allocation) StringsOnRoute(j1, j2 int, f func(k int)) {
-	for _, ref := range a.routeRoster(j1, j2) {
+	a.completeOn(a.routeRoster(j1, j2), f)
+}
+
+// completeOn calls f with the string of every roster entry whose string is
+// completely mapped, in roster order.
+func (a *Allocation) completeOn(roster []rosterEntry, f func(k int)) {
+	for _, ref := range roster {
 		if a.Complete(ref.k) {
 			f(ref.k)
+		}
+	}
+}
+
+// StringsOverLimit calls f with the ID of every completely mapped string that
+// has an application on a machine, or a transfer on an active route, utilized
+// past limit: machines ascending, then routes in ascending (j1, j2) order, each
+// roster under the contract of StringsOnMachine. An inactive route has exactly
+// zero utilization and is past no positive limit. The repair controllers pick
+// their victims from this walk, at CapacityLimit or at a shed target below it.
+func (a *Allocation) StringsOverLimit(limit float64, f func(k int)) {
+	for j, u := range a.machineUtil {
+		if u > limit {
+			a.completeOn(a.perMachine[j], f)
+		}
+	}
+	for j1 := range a.routes {
+		for idx := range a.routes[j1] {
+			if e := &a.routes[j1][idx]; e.util > limit {
+				a.completeOn(e.apps, f)
+			}
 		}
 	}
 }

@@ -217,13 +217,13 @@ func (a *Allocation) checkString(k int, sums []float64) *Violation {
 // adjacency entry, so the scan is O(M + active) instead of O(M^2).
 func (a *Allocation) Stage1Feasible() bool {
 	for j := 0; j < a.sys.Machines; j++ {
-		if a.machineUtil[j] > 1+utilEps {
+		if overCapacity(a.machineUtil[j]) {
 			return false
 		}
 	}
 	for j1 := range a.routes {
 		for idx := range a.routes[j1] {
-			if a.routes[j1][idx].util > 1+utilEps {
+			if overCapacity(a.routes[j1][idx].util) {
 				return false
 			}
 		}
@@ -260,86 +260,6 @@ func (a *Allocation) Violations() []Violation {
 		}
 	}
 	return out
-}
-
-// FeasibleAfterAdding reruns the two-stage analysis assuming the mapping was
-// feasible before string k was (completely) assigned. Only resources and
-// strings string k can affect are rechecked:
-//
-//   - first stage: the machines and routes string k uses;
-//   - second stage: string k itself, plus every completely mapped string at
-//     equal or lower tightness than k that shares a machine or a route with
-//     k. Only strings with strictly higher tightness are skipped: waiting
-//     terms flow downward in priority, but exact tightness ties are broken
-//     by string ID in tighter, so adding k with T[k] equal to an existing
-//     string z can demote z and change z's equation-(5)/(6) waits — ties
-//     must be rechecked, not skipped.
-//
-// The result equals TwoStageFeasible given the precondition; a property test
-// (including forced-tie workloads) enforces that equivalence.
-//
-// This is a neighbourhood check, not the global verdict: its one shipped
-// caller is the overload controller's shed loop, which asks "did placing k
-// introduce a violation of its own?" on a state that is globally infeasible
-// by definition. Callers that want "is this allocation feasible" use a
-// DeltaAnalyzer window (Track → FeasibleAfterDelta → Commit/Undo).
-func (a *Allocation) FeasibleAfterAdding(k int) bool {
-	if !a.Complete(k) {
-		panic(fmt.Sprintf("feasibility: FeasibleAfterAdding on incompletely mapped string %d", k))
-	}
-	a.tel.evaluations.Inc()
-	s := &a.sys.Strings[k]
-	n := len(s.Apps)
-	// Stage 1 on touched resources.
-	for i := 0; i < n; i++ {
-		m := a.machineOf[k][i]
-		if a.machineUtil[m] > 1+utilEps {
-			a.tel.stage1Fail.Inc()
-			return false
-		}
-		if i < n-1 {
-			j1, j2 := m, a.machineOf[k][i+1]
-			if j1 != j2 && a.RouteUtilization(j1, j2) > 1+utilEps {
-				a.tel.stage1Fail.Inc()
-				return false
-			}
-		}
-	}
-	// Stage 2 on string k itself.
-	if a.CheckString(k) != nil {
-		return false
-	}
-	// Stage 2 on lower-priority strings sharing a resource with k.
-	affected := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		m := a.machineOf[k][i]
-		for _, ref := range a.perMachine[m] {
-			if ref.k != k {
-				affected[ref.k] = true
-			}
-		}
-		if i < n-1 {
-			j1, j2 := m, a.machineOf[k][i+1]
-			if j1 != j2 {
-				for _, ref := range a.routeRoster(j1, j2) {
-					if ref.k != k {
-						affected[ref.k] = true
-					}
-				}
-			}
-		}
-	}
-	for z := range affected {
-		if !a.Complete(z) || a.tightness[z] > a.tightness[k] {
-			// Strictly tighter strings cannot be slowed by k. Equal
-			// tightness falls through: the ID tie-break can demote z.
-			continue
-		}
-		if a.CheckString(z) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Slackness returns Λ (equation (7)): the minimum remaining utilization

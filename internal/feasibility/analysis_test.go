@@ -269,7 +269,6 @@ func TestAssignUnassignPanics(t *testing.T) {
 	mustPanic(t, "comp time incomplete", func() { a.EstimatedCompTime(0, 1) })
 	mustPanic(t, "tran time incomplete", func() { a.EstimatedTranTime(0, 0) })
 	mustPanic(t, "short machine vector", func() { a.AssignString(1, []int{0}) })
-	mustPanic(t, "incremental check incomplete", func() { a.FeasibleAfterAdding(0) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {
@@ -315,6 +314,20 @@ func randomSystem(rng *rand.Rand, machines, strings, maxApps int) *model.System 
 	return sys
 }
 
+// heatUp divides every period by cool and multiplies every output size by
+// bulk: as randomSystem draws them, a handful of strings never fills a machine
+// or a route, and stage 1 never decides. heatUp(sys, 3, 40) makes it decide
+// often on both; heatUp(sys, 1, 400) on routes between machines with room.
+func heatUp(sys *model.System, cool, bulk float64) {
+	for k := range sys.Strings {
+		s := &sys.Strings[k]
+		s.Period /= cool
+		for i := range s.Apps {
+			s.Apps[i].OutputKB *= bulk
+		}
+	}
+}
+
 // Property: incremental utilization and roster bookkeeping never drifts from
 // a from-scratch recomputation under random assign/unassign churn.
 func TestIncrementalBookkeepingProperty(t *testing.T) {
@@ -349,11 +362,22 @@ func TestIncrementalBookkeepingProperty(t *testing.T) {
 
 // Property: the roster walks StringsOnMachine/StringsOnRoute report exactly
 // the complete strings a scan of the whole catalogue finds on the resource —
-// the O(K·apps) scan the repair and shed controllers used to carry.
+// the O(K·apps) scan the repair and shed controllers used to carry — and
+// StringsOverLimit exactly the union of those scans over the resources
+// utilized past the limit, at the capacity limit the repair controllers walk
+// at and at a shed target below it.
 func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	limits := []float64{CapacityLimit, 0.6}
+	implicated := make([]int, len(limits))
 	for trial := 0; trial < 30; trial++ {
 		sys := randomSystem(rng, 2+rng.Intn(4), 1+rng.Intn(6), 5)
+		switch trial % 3 { // or nothing is ever past capacity
+		case 1:
+			heatUp(sys, 3, 40)
+		case 2:
+			heatUp(sys, 1, 400)
+		}
 		a := New(sys)
 		for step := 0; step < 200; step++ {
 			applyRandomDelta(rng, a)
@@ -362,6 +386,19 @@ func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
 			set := map[int]bool{}
 			walk(func(k int) { set[k] = true })
 			return set
+		}
+		over := make([]map[int]bool, len(limits))
+		for l := range over {
+			over[l] = map[int]bool{}
+		}
+		union := func(util float64, on map[int]bool) {
+			for l, limit := range limits {
+				if util > limit {
+					for k := range on {
+						over[l][k] = true
+					}
+				}
+			}
 		}
 		for j1 := 0; j1 < sys.Machines; j1++ {
 			onMachine := map[int]bool{}
@@ -375,6 +412,7 @@ func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
 			if got := collect(func(f func(int)) { a.StringsOnMachine(j1, f) }); !reflect.DeepEqual(got, onMachine) {
 				t.Fatalf("trial %d machine %d: roster walk %v, catalogue scan %v", trial, j1, got, onMachine)
 			}
+			union(a.MachineUtilization(j1), onMachine)
 			for j2 := 0; j2 < sys.Machines; j2++ {
 				if j1 == j2 {
 					continue
@@ -390,40 +428,20 @@ func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
 				if got := collect(func(f func(int)) { a.StringsOnRoute(j1, j2, f) }); !reflect.DeepEqual(got, onRoute) {
 					t.Fatalf("trial %d route (%d,%d): roster walk %v, catalogue scan %v", trial, j1, j2, got, onRoute)
 				}
+				union(a.RouteUtilization(j1, j2), onRoute)
 			}
 		}
-	}
-}
-
-// Property: FeasibleAfterAdding(k) equals TwoStageFeasible when the mapping
-// without string k was feasible.
-func TestIncrementalFeasibilityEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	checked := 0
-	for trial := 0; trial < 300; trial++ {
-		sys := randomSystem(rng, 2+rng.Intn(3), 2+rng.Intn(5), 4)
-		a := New(sys)
-		feasibleSoFar := true
-		for k := range sys.Strings {
-			for i := range sys.Strings[k].Apps {
-				a.Assign(k, i, rng.Intn(sys.Machines))
+		for l, limit := range limits {
+			if got := collect(func(f func(int)) { a.StringsOverLimit(limit, f) }); !reflect.DeepEqual(got, over[l]) {
+				t.Fatalf("trial %d limit %v: roster walk %v, catalogue scan %v", trial, limit, got, over[l])
 			}
-			if !feasibleSoFar {
-				break
-			}
-			inc := a.FeasibleAfterAdding(k)
-			full := a.TwoStageFeasible()
-			if inc != full {
-				t.Fatalf("trial %d string %d: incremental %v, full %v", trial, k, inc, full)
-			}
-			checked++
-			if !full {
-				a.UnassignString(k)
-			}
+			implicated[l] += len(over[l])
 		}
 	}
-	if checked == 0 {
-		t.Fatal("property exercised no cases")
+	for l, limit := range limits {
+		if implicated[l] == 0 {
+			t.Fatalf("no trial had a complete string on a resource past %v; the walk was only held to the empty set", limit)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // "delta window") and answers the two-stage analysis of Sections 3–4 by
 // re-evaluating only state the window can have changed. Between a Commit (or
 // the initial Track) and the next mutation the window is clean and every
-// query is O(base violations + base overloads) instead of O(M^2 + K).
+// query is O(base violations) instead of O(M^2 + K).
 //
 // The dirty set is:
 //
@@ -32,8 +32,8 @@ import (
 //     holds about a string outside the set is always "as of its last check".
 //
 // The analyzer does not require the committed state to be feasible: a full
-// scan at Track/Rebase records the committed violations and over-capacity
-// resources, and Commit folds the dirty results into those sets, so
+// scan at Track/Rebase records the committed violations and counts the
+// over-capacity resources, and Commit folds the dirty results into both, so
 // FeasibleAfterDelta always equals TwoStageFeasible.
 //
 // Undo restores the allocation to the last committed state bit-identically,
@@ -88,12 +88,13 @@ import (
 type DeltaAnalyzer struct {
 	a *Allocation
 
-	// Committed-state caches, valid as of the last Track/Rebase/Commit. All
-	// three are empty on every feasible state, so the hot path meets them
-	// only as a len check.
-	baseViol map[int]bool    // complete strings failing equation (1)
-	overM    map[int]bool    // machines with utilization > 1
-	overR    map[[2]int]bool // routes with utilization > 1
+	// Committed-state caches, valid as of the last Track/Rebase/Commit: empty
+	// and zero on every feasible state, so the hot path meets them only as a
+	// len check and a zero test. A count is all stage 1 needs of the committed
+	// overloads: which of them a window touched is read off the first-touch
+	// snapshots, which carry every dirty resource's committed utilization.
+	baseViol map[int]bool // complete strings failing equation (1)
+	nOver    int          // machines and active routes past capacity
 
 	gen uint64 // allocation-state generation, see above; starts at 1
 	win uint64 // delta-window number, bumped at every window clear; starts at 1
@@ -213,8 +214,6 @@ func Track(a *Allocation) *DeltaAnalyzer {
 	da := &DeltaAnalyzer{
 		a:          a,
 		baseViol:   make(map[int]bool),
-		overM:      make(map[int]bool),
-		overR:      make(map[[2]int]bool),
 		gen:        1,
 		win:        1,
 		strSnaps:   make([]stringSnap, nStr),
@@ -261,8 +260,9 @@ func (da *DeltaAnalyzer) Close() {
 }
 
 // Rebase discards the delta window, treats the allocation's current state as
-// committed, and recomputes the committed violation and over-capacity sets
-// with one full two-stage scan. Cost: one TwoStageFeasible-equivalent pass.
+// committed, and recomputes the committed violation set and over-capacity
+// count with one full two-stage scan. Cost: one TwoStageFeasible-equivalent
+// pass.
 func (da *DeltaAnalyzer) Rebase() {
 	da.tel.rebases.Inc()
 	da.rebaseEmpty()
@@ -280,18 +280,22 @@ func (da *DeltaAnalyzer) Rebase() {
 		}
 		da.keepSums(k)
 	}
-	for j := range a.machineUtil {
-		if a.machineUtil[j] > 1+utilEps {
-			da.overM[j] = true
-		}
+	for _, u := range a.machineUtil {
+		da.nOver += overCount(u)
 	}
 	for j1 := range a.routes {
-		for _, e := range a.routes[j1] {
-			if e.util > 1+utilEps {
-				da.overR[[2]int{j1, e.peer}] = true
-			}
+		for idx := range a.routes[j1] {
+			da.nOver += overCount(a.routes[j1][idx].util)
 		}
 	}
+}
+
+// overCount is overCapacity as a count of one resource.
+func overCount(u float64) int {
+	if overCapacity(u) {
+		return 1
+	}
+	return 0
 }
 
 // rebaseEmpty is the O(1) Rebase for Allocation.Reset: the cleared allocation
@@ -299,8 +303,7 @@ func (da *DeltaAnalyzer) Rebase() {
 func (da *DeltaAnalyzer) rebaseEmpty() {
 	da.clearWindow()
 	clear(da.baseViol)
-	clear(da.overM)
-	clear(da.overR)
+	da.nOver = 0
 }
 
 // beforeMutation opens a new generation and snapshots everything Assign(k, i,
@@ -646,36 +649,31 @@ func (da *DeltaAnalyzer) addRecheck(k int) {
 }
 
 // stage1AfterDelta checks machine/route capacity (equations (2)–(3)) using
-// only the dirty resources plus the surviving committed overloads.
+// only the dirty resources: none of them may be over now, and none of the
+// committed overloads may be left untouched. A snapshot holds its resource's
+// committed utilization (an inactive route's is exactly 0), so the committed
+// overloads the window touched are the snapshots past capacity, and the
+// untouched ones are what remains of nOver once every dirty resource has been
+// taken off it.
 func (da *DeltaAnalyzer) stage1AfterDelta() bool {
 	a := da.a
-	if len(da.overM) > 0 {
-		for j := range da.overM {
-			if da.machSnaps[j].win != da.win {
-				return false // untouched, still over capacity
-			}
-		}
-	}
-	if len(da.overR) > 0 {
-		for r := range da.overR {
-			if !da.routeSnapped(r[0], r[1]) {
-				return false
-			}
-		}
-	}
+	untouched := da.nOver
 	for _, j := range da.dirtyMach {
-		if a.machineUtil[j] > 1+utilEps {
+		if overCapacity(a.machineUtil[j]) {
 			return false
 		}
+		untouched -= overCount(da.machSnaps[j].util)
 	}
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {
-			if a.RouteUtilization(j1, da.routeSnaps[j1][idx].peer) > 1+utilEps {
+			snap := &da.routeSnaps[j1][idx]
+			if overCapacity(a.RouteUtilization(j1, snap.peer)) {
 				return false
 			}
+			untouched -= overCount(snap.util)
 		}
 	}
-	return true
+	return untouched == 0
 }
 
 // countEval tallies one evaluation and its dirty-set sizes.
@@ -740,9 +738,9 @@ func (da *DeltaAnalyzer) ViolationsAfterDelta() []Violation {
 }
 
 // Commit makes the current state the committed state: the dirty results are
-// folded into the committed violation and over-capacity sets and the window
-// is cleared. Verdicts an evaluation of this state already reached are folded
-// as remembered, not recomputed. A clean window commits in O(1).
+// folded into the committed violation set and over-capacity count and the
+// window is cleared. Verdicts an evaluation of this state already reached are
+// folded as remembered, not recomputed. A clean window commits in O(1).
 func (da *DeltaAnalyzer) Commit() {
 	if da.clean() {
 		return
@@ -750,20 +748,12 @@ func (da *DeltaAnalyzer) Commit() {
 	da.tel.commits.Inc()
 	a := da.a
 	for _, j := range da.dirtyMach {
-		if a.machineUtil[j] > 1+utilEps {
-			da.overM[j] = true
-		} else if len(da.overM) > 0 {
-			delete(da.overM, j)
-		}
+		da.nOver += overCount(a.machineUtil[j]) - overCount(da.machSnaps[j].util)
 	}
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {
-			j2 := da.routeSnaps[j1][idx].peer
-			if a.RouteUtilization(j1, j2) > 1+utilEps {
-				da.overR[[2]int{j1, j2}] = true
-			} else if len(da.overR) > 0 {
-				delete(da.overR, [2]int{j1, j2})
-			}
+			snap := &da.routeSnaps[j1][idx]
+			da.nOver += overCount(a.RouteUtilization(j1, snap.peer)) - overCount(snap.util)
 		}
 	}
 	da.buildRecheck()
@@ -822,48 +812,4 @@ func (da *DeltaAnalyzer) Undo() {
 		}
 	}
 	da.clearWindow()
-}
-
-// OverloadedMachines returns the machines whose utilization exceeds capacity
-// under the current state, ascending. With a clean window this is a copy of
-// the committed overload set; dirty machines are re-read live.
-func (da *DeltaAnalyzer) OverloadedMachines() []int {
-	var out []int
-	for j := range da.overM {
-		if da.machSnaps[j].win != da.win {
-			out = append(out, j)
-		}
-	}
-	for _, j := range da.dirtyMach {
-		if da.a.machineUtil[j] > 1+utilEps {
-			out = append(out, j)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// OverloadedRoutes returns the routes whose utilization exceeds capacity
-// under the current state, in ascending (j1, j2) order.
-func (da *DeltaAnalyzer) OverloadedRoutes() [][2]int {
-	var out [][2]int
-	for r := range da.overR {
-		if !da.routeSnapped(r[0], r[1]) {
-			out = append(out, r)
-		}
-	}
-	for _, j1 := range da.dirtyRouteSrc {
-		for idx := range da.routeSnaps[j1] {
-			if j2 := da.routeSnaps[j1][idx].peer; da.a.RouteUtilization(j1, j2) > 1+utilEps {
-				out = append(out, [2]int{j1, j2})
-			}
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x][0] != out[y][0] {
-			return out[x][0] < out[y][0]
-		}
-		return out[x][1] < out[y][1]
-	})
-	return out
 }

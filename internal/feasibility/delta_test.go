@@ -44,8 +44,9 @@ func applyRandomDelta(r *rand.Rand, a *Allocation) {
 
 // checkSettled asserts what must hold after every Commit, Undo and Reset: the
 // window is clean, its answers — served from the committed sets, not from
-// a recheck — equal the full analysis, violation list included, and every
-// waiting sum the analyzer carries into the next window is exact (auditSums).
+// a recheck — equal the full analysis, violation list included, every waiting
+// sum the analyzer carries into the next window is exact (auditSums), and so
+// is its count of committed overloads (auditOver).
 func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	t.Helper()
 	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
@@ -53,6 +54,49 @@ func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	}
 	queryWindow(t, label+" (clean)", da, true, true)
 	auditSums(t, label, da)
+	auditOver(t, label, da)
+}
+
+// overAudit tallies what auditOver has seen in this process: the analyzer it
+// audited last with that settle's count (an analyzer's settles are consecutive;
+// a new one is taken to start from none), and how often a settle took an
+// analyzer from no committed overload to some and back. A stream that never
+// commits an overloaded state audits the count only at zero.
+var overAudit struct {
+	da            *DeltaAnalyzer
+	last          int
+	entered, left int
+	routes        int // settles with a route among the overloads
+}
+
+// auditOver asserts the analyzer's count of committed over-capacity resources
+// is what counting them from scratch — every machine, every active route —
+// gives for the settled state.
+func auditOver(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	a := da.Allocation()
+	want := 0
+	for j := 0; j < a.sys.Machines; j++ {
+		want += overCount(a.MachineUtilization(j))
+	}
+	machines := want
+	a.ActiveRoutes(func(_, _ int, u float64) { want += overCount(u) })
+	if want > machines {
+		overAudit.routes++
+	}
+	if da.nOver != want {
+		t.Fatalf("%s: analyzer counts %d committed overloads, the settled state has %d", label, da.nOver, want)
+	}
+	if overAudit.da != da {
+		overAudit.da, overAudit.last = da, 0
+	}
+	switch was := overAudit.last; {
+	case was == 0 && want > 0:
+		overAudit.entered++
+	case was > 0 && want == 0:
+		overAudit.left++
+	}
+	overAudit.last = want
 }
 
 // sumAudit tallies what auditSums has seen in this process: slots audited
@@ -205,6 +249,10 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 		case 4:
 			a.Reset()
 			sameSums(t, label+" Reset", da, before)
+		case 5:
+			// Commit by full scan, mid-history: what Track does on the loaded
+			// allocation a repair controller hands it.
+			da.Rebase()
 		default:
 			// Including infeasible windows: the repair controllers commit
 			// first and ask the clean window afterwards.
@@ -230,16 +278,28 @@ func tightenLatency(r *rand.Rand, sys *model.System) {
 // Property: after arbitrary randomized delta sequences — committed or undone
 // at random, applied on top of feasible and infeasible states alike — the
 // delta analyzer's answers equal the full analysis. Odd trials run on
-// latency-tightened systems, where stage 2 decides. Streams are keyed so
-// failures reproduce exactly.
+// latency-tightened systems, where stage 2 decides; the last ten on heated
+// ones (heatUp), where a few applications fill a machine or a route and stage 1
+// does. Streams are keyed so failures reproduce exactly.
 func TestDeltaEquivalenceProperty(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
+	entered0, left0, routes0 := overAudit.entered, overAudit.left, overAudit.routes
+	for trial := 0; trial < 40; trial++ {
 		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 0)
 		sys := randomSystem(r, 2+r.Intn(4), 2+r.Intn(6), 4)
 		if trial%2 == 1 {
 			tightenLatency(r, sys)
 		}
+		if trial >= 30 {
+			heatUp(sys, 3, 40)
+		}
 		runDeltaEquivalence(t, fmt.Sprintf("trial %d", trial), sys, r, 60)
+	}
+	// The repair controllers commit over-capacity states and work them off
+	// window by window; the streams must have done both, or the committed
+	// overload count was only ever audited at zero.
+	entered, left, routes := overAudit.entered-entered0, overAudit.left-left0, overAudit.routes-routes0
+	if entered < 10 || left < 10 || routes < 10 {
+		t.Fatalf("the streams committed an over-capacity state %d times, worked one off %d times and settled on an over-capacity route %d times; want at least 10 of each", entered, left, routes)
 	}
 }
 
@@ -653,64 +713,6 @@ func TestDeltaEquivalenceForcedTies(t *testing.T) {
 	a.Assign(1, 0, 1)
 	if math.Float64bits(a.Tightness(0)) != math.Float64bits(a.Tightness(1)) {
 		t.Fatalf("tie system failed to force a tie: T[0]=%v T[1]=%v", a.Tightness(0), a.Tightness(1))
-	}
-}
-
-// Regression (forced ties): FeasibleAfterAdding must agree with
-// TwoStageFeasible when the added string's tightness exactly equals existing
-// strings' — the ID tie-break means adding a lower-ID string demotes an
-// equal-tightness incumbent, whose waits must be rechecked.
-func TestFeasibleAfterAddingForcedTieRegression(t *testing.T) {
-	// Two identical one-app strings: T = 2/100 each, util 0.5 each, so both
-	// fit stage 1 on one machine, but the demoted one waits a full t*u and
-	// busts its period: 2 + 2.8*(2*0.5/2.8) = 3 > 2.8.
-	sys := model.NewUniformSystem(2, 1)
-	for k := 0; k < 2; k++ {
-		sys.AddString(model.AppString{
-			Worth:      10,
-			Period:     2.8,
-			MaxLatency: 100,
-			Apps:       []model.Application{model.UniformApp(2, 2.0, 0.5, 10)},
-		})
-	}
-	// Order A: higher-ID string first, then the lower-ID (tie-winning) one.
-	a := New(sys)
-	a.Assign(1, 0, 0)
-	if !a.FeasibleAfterAdding(1) {
-		t.Fatal("single string should be feasible")
-	}
-	a.Assign(0, 0, 0)
-	if math.Float64bits(a.Tightness(0)) != math.Float64bits(a.Tightness(1)) {
-		t.Fatal("setup failed to force an exact tightness tie")
-	}
-	if got, want := a.FeasibleAfterAdding(0), a.TwoStageFeasible(); got != want {
-		t.Fatalf("adding tie-winning string 0: incremental %v, full %v", got, want)
-	}
-	if a.FeasibleAfterAdding(0) {
-		t.Fatal("demoted equal-tightness string 1 busts its period; must be detected")
-	}
-	// Order B: lower-ID first. Adding string 1 leaves string 0 tie-tighter
-	// and unaffected; string 1 itself carries the wait and violates.
-	b := New(sys)
-	b.Assign(0, 0, 0)
-	b.Assign(1, 0, 0)
-	if got, want := b.FeasibleAfterAdding(1), b.TwoStageFeasible(); got != want {
-		t.Fatalf("adding tie-losing string 1: incremental %v, full %v", got, want)
-	}
-	// Randomized tie sweep: sequential adds, both outcomes exercised.
-	for trial := 0; trial < 20; trial++ {
-		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 2)
-		sys := tieSystem(2+r.Intn(2), 5+r.Intn(4))
-		a := New(sys)
-		for k := range sys.Strings {
-			a.Assign(k, 0, r.Intn(sys.Machines))
-			if got, want := a.FeasibleAfterAdding(k), a.TwoStageFeasible(); got != want {
-				t.Fatalf("tie trial %d string %d: incremental %v, full %v", trial, k, got, want)
-			}
-			if !a.TwoStageFeasible() {
-				a.UnassignString(k)
-			}
-		}
 	}
 }
 

@@ -120,19 +120,20 @@ func BenchmarkSparseScale(b *testing.B) {
 	})
 }
 
-// benchAdmit cycles one held-out string through assign → FeasibleAfterAdding
-// → unassign against a loaded base allocation.
+// benchAdmit cycles one held-out string through one analyzer window — assign
+// → FeasibleAfterDelta → Undo — against a loaded base allocation.
 func benchAdmit(b *testing.B, sys *model.System) {
 	a := feasibility.New(sys)
 	hold := len(sys.Strings) - 1
 	loadSparse(a, hold)
 	machines := stringMachines(sys, hold)
+	da := feasibility.Track(a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.AssignString(hold, machines)
-		benchFeasible = a.FeasibleAfterAdding(hold)
-		a.UnassignString(hold)
+		benchFeasible = da.FeasibleAfterDelta()
+		da.Undo()
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/rng"
 )
@@ -176,27 +175,4 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 	return &cp, nil
-}
-
-// SaveFile writes the checkpoint to path as JSON.
-func (cp *Checkpoint) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("genitor: %w", err)
-	}
-	defer f.Close()
-	if err := cp.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCheckpointFile reads a checkpoint from a JSON file.
-func LoadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("genitor: %w", err)
-	}
-	defer f.Close()
-	return ReadCheckpoint(f)
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/genitor"
 	"repro/internal/model"
@@ -167,27 +166,4 @@ func ReadSearchCheckpoint(r io.Reader) (*SearchCheckpoint, error) {
 		return nil, fmt.Errorf("heuristics: decoding checkpoint: %w", err)
 	}
 	return &scp, nil
-}
-
-// SaveFile writes the checkpoint to path as JSON.
-func (scp *SearchCheckpoint) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("heuristics: %w", err)
-	}
-	defer f.Close()
-	if err := scp.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadSearchCheckpoint reads a search checkpoint from a JSON file.
-func LoadSearchCheckpoint(path string) (*SearchCheckpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("heuristics: %w", err)
-	}
-	defer f.Close()
-	return ReadSearchCheckpoint(f)
 }

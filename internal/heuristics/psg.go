@@ -266,28 +266,17 @@ func PSG(sys *model.System, cfg PSGConfig) *Result {
 	return psgRun(sys, cfg, "PSG")
 }
 
-// PSGContext is PSG with cooperative cancellation; on a canceled context it
-// returns the best partial result found so far alongside ErrCanceled.
-func PSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	return psgRunContext(ctx, sys, cfg, "PSG")
-}
-
 // SeededPSG runs PSG with the MWF and TF orderings included in the initial
 // population; all other operations and stopping conditions are identical.
 func SeededPSG(sys *model.System, cfg PSGConfig) *Result {
 	return psgRun(sys, cfg, "SeededPSG")
 }
 
-// SeededPSGContext is SeededPSG with cooperative cancellation (see
-// PSGContext).
+// SeededPSGContext is SeededPSG with cooperative cancellation; on a canceled
+// context it returns the best partial result found so far alongside
+// ErrCanceled.
 func SeededPSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
 	return psgRunContext(ctx, sys, cfg, "SeededPSG")
-}
-
-// ClassedPSGContext is ClassedPSG with cooperative cancellation (see
-// PSGContext).
-func ClassedPSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	return psgRunContext(ctx, sys, cfg, "ClassedPSG")
 }
 
 // Names lists the paper's four heuristics, in the order the figures report

@@ -96,16 +96,7 @@ func pickRepairVictim(a *feasibility.Allocation) int {
 	}
 	// Stage-1 overloads: every string touching the overloaded resource is a
 	// candidate.
-	for j := 0; j < sys.Machines; j++ {
-		if a.MachineUtilization(j) > 1+1e-9 {
-			a.StringsOnMachine(j, better)
-		}
-	}
-	a.ActiveRoutes(func(j1, j2 int, u float64) {
-		if u > 1+1e-9 {
-			a.StringsOnRoute(j1, j2, better)
-		}
-	})
+	a.StringsOverLimit(feasibility.CapacityLimit, better)
 	return candidate
 }
 

@@ -311,7 +311,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 					// definition, so a migration is kept when the new
 					// placement itself introduces no violation and the loop
 					// keeps shedding to cure the rest.
-					if a.FeasibleAfterAdding(victim) {
+					if placementSound(da, victim) {
 						res.Actions = append(res.Actions, Action{Time: t, StringID: victim, Kind: Migrated, Reason: "overload"})
 						res.Migrated++
 						tel.migrates.Inc()
@@ -411,6 +411,46 @@ func (c *Controller) healthy(da *feasibility.DeltaAnalyzer) bool {
 	return da.FeasibleAfterDelta() && da.Allocation().Slackness() >= c.cfg.ShedBelow-slackEps
 }
 
+// placementSound reports whether completely mapped string k, as placed in the
+// analyzer's open window, introduces no violation of its own: a neighbourhood
+// verdict, for a state that need not be feasible elsewhere. Stage 1 covers the
+// machines and inter-machine routes k uses. Stage 2 covers every complete
+// string on one of those machines at equal or lower tightness — k itself is
+// one; waiting terms flow downward in priority, and an exact tie is included
+// because the ID tie-break can demote the incumbent; a string that shares a
+// route with k sits on both of the route's machines — and none of them may
+// appear among the analyzer's violations, which list every complete string
+// failing equation (1) under the current state. The healthy that follows an
+// accepted placement commits those verdicts as remembered.
+func placementSound(da *feasibility.DeltaAnalyzer, k int) bool {
+	a := da.Allocation()
+	n := len(a.System().Strings[k].Apps)
+	tk := a.Tightness(k)
+	slowed := make(map[int]bool)
+	mark := func(z int) {
+		if a.Tightness(z) <= tk {
+			slowed[z] = true
+		}
+	}
+	for i := 0; i < n; i++ {
+		j := a.Machine(k, i)
+		if a.MachineUtilization(j) > feasibility.CapacityLimit {
+			return false
+		}
+		// An intra-machine transfer uses no route and reads exactly zero.
+		if i < n-1 && a.RouteUtilization(j, a.Machine(k, i+1)) > feasibility.CapacityLimit {
+			return false
+		}
+		a.StringsOnMachine(j, mark)
+	}
+	for _, v := range da.ViolationsAfterDelta() {
+		if slowed[v.StringID] {
+			return false
+		}
+	}
+	return true
+}
+
 // pickVictim selects the mapped string with the lowest worth per unit of
 // demand among the strings implicated in the overload: strings named by
 // stage-2 violations plus strings on any resource utilized past the shed
@@ -418,12 +458,9 @@ func (c *Controller) healthy(da *feasibility.DeltaAnalyzer) bool {
 // lower string ID. Returns -1 when nothing is implicated.
 //
 // The violation list comes from the delta analyzer (healthy just committed,
-// so only surviving committed violations are rechecked). The resource sweep
-// cannot use the analyzer's OverloadedMachines/OverloadedRoutes — those track
-// the capacity threshold 1, while the shed target 1-ShedBelow is lower — so
-// machines get a direct O(M) scan and routes the O(active) ActiveRoutes walk
-// (an inactive route has exactly zero utilization and can never exceed the
-// positive target).
+// so only surviving committed violations are rechecked); the resource sweep is
+// the allocation's O(M + active routes) walk at the shed target, which sits at
+// or below the capacity limit the repair controllers walk at.
 func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer) int {
 	a := da.Allocation()
 	sys := a.System()
@@ -432,17 +469,7 @@ func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer) int {
 	for _, v := range da.ViolationsAfterDelta() {
 		mark(v.StringID)
 	}
-	thr := 1 - c.cfg.ShedBelow
-	for j := 0; j < sys.Machines; j++ {
-		if a.MachineUtilization(j) > thr+slackEps {
-			a.StringsOnMachine(j, mark)
-		}
-	}
-	a.ActiveRoutes(func(j1, j2 int, u float64) {
-		if u > thr+slackEps {
-			a.StringsOnRoute(j1, j2, mark)
-		}
-	})
+	a.StringsOverLimit(1-c.cfg.ShedBelow+slackEps, mark)
 	best, bestWPU := -1, 0.0
 	for k := 0; k < len(sys.Strings); k++ {
 		if !implicated[k] || !a.Complete(k) {

@@ -254,11 +254,6 @@ func ReadJSON(r io.Reader) (*Scenario, error) {
 	return &sc, nil
 }
 
-// SaveFile writes the scenario to path as JSON.
-func (sc *Scenario) SaveFile(path string) error {
-	return scenario.SaveFile(path, "overload", sc)
-}
-
 // LoadFile reads a scenario from a JSON file via the shared versioned loader.
 func LoadFile(path string) (*Scenario, error) {
 	var sc Scenario

@@ -18,7 +18,7 @@ func TestWriteTelemetryEmptySnapshotPrintsNothing(t *testing.T) {
 
 func TestWriteTelemetryDerivedRatios(t *testing.T) {
 	r := telemetry.NewRegistry()
-	r.Counter("feasibility.evaluations").Add(1000)
+	r.Counter("feasibility.check_string").Add(1000)
 	r.Counter("heuristics.decode.memo_hit").Add(75)
 	r.Counter("heuristics.decode.memo_miss").Add(25)
 	r.Counter("pool.busy_ns").Add(800)
@@ -32,7 +32,7 @@ func TestWriteTelemetryDerivedRatios(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"telemetry:",
-		"feasibility.evaluations",
+		"feasibility.check_string",
 		"derived:",
 		"decode memo hit rate",
 		"75.0%",

@@ -16,7 +16,7 @@
 // and sink attached to enforce this).
 //
 // Metric names are dot-separated, lowercase, prefixed by the owning package
-// ("feasibility.evaluations", "heuristics.decode.memo_hit"); the full registry
+// ("feasibility.delta.evals", "heuristics.decode.memo_hit"); the full registry
 // of names lives in DESIGN.md under "Telemetry & instrumentation".
 package telemetry
 
@@ -120,7 +120,7 @@ func (h *Histogram) Count() int64 {
 
 // Registry holds named instruments and the active trace sink. Instruments are
 // created on first request and shared by name, so every Allocation, decoder
-// lane, and worker pool incrementing "feasibility.evaluations" updates the
+// lane, and worker pool incrementing "feasibility.check_string" updates the
 // same counter.
 type Registry struct {
 	mu     sync.Mutex

@@ -245,6 +245,9 @@ func LoadFile(path string) (*Scenario, error) {
 type Set struct {
 	machines []bool
 	routes   [][]bool
+	// How many cells of machines and routes are true, kept by Fail and Repair
+	// so the counts (a state read asks for both) cost no scan.
+	machinesDown, routesDown int
 }
 
 // NewSet returns an empty outage set for a suite of m machines.
@@ -269,12 +272,29 @@ func SetFromScenario(sc *Scenario, m int) *Set {
 }
 
 // Fail marks a resource down. Failing a machine does not implicitly fail its
-// routes; use CompartmentHit for correlated loss.
-func (s *Set) Fail(r Resource) {
+// routes; use CompartmentHit for correlated loss. Failing a down resource is
+// a no-op.
+func (s *Set) Fail(r Resource) { s.set(r, true) }
+
+// set moves a resource's cell to down.
+func (s *Set) set(r Resource, down bool) {
 	if r.Kind == MachineResource {
-		s.machines[r.Machine] = true
+		flip(&s.machines[r.Machine], &s.machinesDown, down)
 	} else {
-		s.routes[r.From][r.To] = true
+		flip(&s.routes[r.From][r.To], &s.routesDown, down)
+	}
+}
+
+// flip moves cell to down and, only when that changes it, count with it.
+func flip(cell *bool, count *int, down bool) {
+	if *cell == down {
+		return
+	}
+	*cell = down
+	if down {
+		*count++
+	} else {
+		*count--
 	}
 }
 
@@ -302,38 +322,14 @@ func (s *Set) RouteDown(j1, j2 int) bool {
 }
 
 // MachinesDown returns the number of failed machines.
-func (s *Set) MachinesDown() int {
-	n := 0
-	for _, d := range s.machines {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+func (s *Set) MachinesDown() int { return s.machinesDown }
 
 // RoutesDown returns the number of failed directed routes.
-func (s *Set) RoutesDown() int {
-	n := 0
-	for _, row := range s.routes {
-		for _, d := range row {
-			if d {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (s *Set) RoutesDown() int { return s.routesDown }
 
 // Repair marks a resource up again, undoing a Fail. Repairing an up resource
 // is a no-op.
-func (s *Set) Repair(r Resource) {
-	if r.Kind == MachineResource {
-		s.machines[r.Machine] = false
-	} else {
-		s.routes[r.From][r.To] = false
-	}
-}
+func (s *Set) Repair(r Resource) { s.set(r, false) }
 
 // Resources enumerates every resource currently down, machines first, then
 // routes in (from, to) order — a canonical order suitable for serialization.
@@ -371,7 +367,7 @@ func (s *Set) Scenario() *Scenario {
 }
 
 // Empty reports whether nothing is down.
-func (s *Set) Empty() bool { return s.MachinesDown() == 0 && s.RoutesDown() == 0 }
+func (s *Set) Empty() bool { return s.machinesDown == 0 && s.routesDown == 0 }
 
 // AliveMachines returns the number of machines still up.
-func (s *Set) AliveMachines() int { return len(s.machines) - s.MachinesDown() }
+func (s *Set) AliveMachines() int { return len(s.machines) - s.machinesDown }

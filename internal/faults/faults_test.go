@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -110,6 +111,39 @@ func TestSetBasics(t *testing.T) {
 	}
 	if s.Empty() || !s.Down(Route(0, 1)) || s.Down(Machine(0)) {
 		t.Error("set state wrong after one route failure")
+	}
+}
+
+// The down counts are kept, not scanned for: over a random walk of Fail and
+// Repair (mostly of resources already in that state) they equal what
+// Resources() enumerates, which still scans.
+func TestSetCountsFollowFlips(t *testing.T) {
+	const m = 5
+	rng := rand.New(rand.NewSource(22))
+	s := NewSet(m)
+	for step := 0; step < 2000; step++ {
+		r := Machine(rng.Intn(m))
+		if rng.Intn(2) == 0 {
+			r = Route(rng.Intn(m), rng.Intn(m))
+		}
+		if rng.Intn(2) == 0 {
+			s.Fail(r)
+		} else {
+			s.Repair(r)
+		}
+		machines, routes := 0, 0
+		for _, d := range s.Resources() {
+			if d.Kind == MachineResource {
+				machines++
+			} else {
+				routes++
+			}
+		}
+		if s.MachinesDown() != machines || s.RoutesDown() != routes ||
+			s.AliveMachines() != m-machines || s.Empty() != (machines+routes == 0) {
+			t.Fatalf("step %d (%v): counts %d machines, %d routes, %d alive, empty=%v; Resources() lists %d and %d",
+				step, r, s.MachinesDown(), s.RoutesDown(), s.AliveMachines(), s.Empty(), machines, routes)
+		}
 	}
 }
 

@@ -127,6 +127,13 @@ type allocTelemetry struct {
 	violComp   *telemetry.Counter // by kind: throughput-comp
 	violTran   *telemetry.Counter // by kind: throughput-tran
 	violLat    *telemetry.Counter // by kind: latency
+
+	// PlacementScan's tallies, named for the routine that scans (the IMR of
+	// package heuristics): routesPriced / scans is how many candidates the
+	// bound lets through, machinesRead / scans is M.
+	imrScans        *telemetry.Counter
+	imrMachinesRead *telemetry.Counter
+	imrRoutesPriced *telemetry.Counter
 }
 
 func newAllocTelemetry() allocTelemetry {
@@ -136,6 +143,10 @@ func newAllocTelemetry() allocTelemetry {
 		violComp:   telemetry.C("feasibility.violation." + KindThroughputComp),
 		violTran:   telemetry.C("feasibility.violation." + KindThroughputTran),
 		violLat:    telemetry.C("feasibility.violation." + KindLatency),
+
+		imrScans:        telemetry.C("heuristics.imr.scans"),
+		imrMachinesRead: telemetry.C("heuristics.imr.machines_read"),
+		imrRoutesPriced: telemetry.C("heuristics.imr.routes_priced"),
 	}
 }
 
@@ -539,6 +550,72 @@ func (a *Allocation) RouteUtilizationIf(j1, j2, k, i int) float64 {
 	}
 	s := &a.sys.Strings[k]
 	return a.RouteUtilization(j1, j2) + a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
+}
+
+// PlacementScan is the IMR's candidate selection (Section 5): the allowed
+// machine j minimizing max(U_machine[j, i, k], U_route) for application i of
+// string k, lowest index on ties, or -1 when the masks allow none. The route
+// is the one placing i on j implies toward its already placed neighbour
+// nb = i±1 — nb's machine -> j carrying O[nb] when nb precedes i, j -> nb's
+// machine carrying O[i] when it follows; an intra-machine hop uses no route —
+// and nb < 0 scans for a string's first application, which has no route term.
+// A nil mask allows everything; a machine is excluded by machineOK directly or
+// by routeOK through that route.
+//
+// Every value is the one MachineUtilizationIf and RouteUtilizationIf return,
+// computed by the same floating-point operations in the same order with the
+// period, the producer's transfer demand and the neighbour's machine read
+// once. A machine whose own term already ties or exceeds the incumbent is
+// passed over before its masks and its route are looked at: max(mu, ru) >= mu
+// >= best cannot beat an incumbent that wins ties (nor can max with a NaN
+// route term, which is NaN), and >= is false on a NaN mu or best, so exactly
+// the machines that could never be selected are skipped. The scan allocates
+// nothing.
+func (a *Allocation) PlacementScan(k, i, nb int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
+	s := &a.sys.Strings[k]
+	period := s.Period
+	util := a.machineUtil
+	times, utils := s.Apps[i].NominalTime[:len(util)], s.Apps[i].NominalUtil[:len(util)]
+	nbJ, demand := Unassigned, 0.0
+	if nb >= 0 {
+		nbJ = a.machineOf[k][nb]
+		demand = model.DemandMbps(s.Apps[min(i, nb)].OutputKB, period)
+	}
+	bestJ, best, priced := -1, 0.0, 0
+	for j, u := range util {
+		mu := u + times[j]*utils[j]/period
+		if bestJ >= 0 && mu >= best {
+			continue
+		}
+		if machineOK != nil && !machineOK(j) {
+			continue
+		}
+		v := mu
+		if nb >= 0 {
+			ru := 0.0
+			if j != nbJ {
+				from, to := nbJ, j
+				if nb > i {
+					from, to = j, nbJ
+				}
+				if routeOK != nil && !routeOK(from, to) {
+					continue
+				}
+				ru = a.RouteUtilization(from, to) + demand/a.sys.Bandwidth[from][to]
+				priced++
+			}
+			if !(mu > ru) { // max(mu, ru) as the IMR always took it: ru when either is NaN
+				v = ru
+			}
+		}
+		if bestJ < 0 || v < best {
+			bestJ, best = j, v
+		}
+	}
+	a.tel.imrScans.Inc()
+	a.tel.imrMachinesRead.Add(int64(len(util)))
+	a.tel.imrRoutesPriced.Add(int64(priced))
+	return bestJ
 }
 
 // Reset clears every assignment in place, returning the allocation to the

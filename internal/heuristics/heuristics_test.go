@@ -73,7 +73,8 @@ func TestIMRColocatesHeavyTransfers(t *testing.T) {
 
 // TestIMRAssignsEveryApplication over random strings, including the
 // contiguous-region extension in both directions: the placement is the slice
-// oracle's, and a placement that fails part-way leaves the string unassigned.
+// oracle's, and a placement that fails, at the first scan or part-way, leaves
+// the string unassigned.
 // The last two trials are longer than the 16 applications the IMR keeps on the
 // stack (generated strings never are; a system loaded from a file may be).
 func TestIMRAssignsEveryApplication(t *testing.T) {
@@ -117,21 +118,25 @@ func TestIMRAssignsEveryApplication(t *testing.T) {
 		if got, want := b.StringMachines(0), a.StringMachines(0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: IMR over a precomputed intensity row placed %v, MapStringIMR %v", trial, got, want)
 		}
-		if n == 1 {
-			continue
+		// A mask that allows no machine fails the first scan; one that closes
+		// every machine once application 0 or n-1 is placed fails the
+		// extension that follows (a single application has none). Either way
+		// the string is left fully unassigned.
+		masks := map[string]func(int) bool{"closed": func(int) bool { return false }}
+		if n > 1 {
+			masks["closing part-way"] = func(int) bool {
+				return a.Machine(0, 0) == feasibility.Unassigned && a.Machine(0, n-1) == feasibility.Unassigned
+			}
 		}
-		// A mask that closes every machine once application 0 or n-1 is
-		// placed fails the extension that follows.
-		a.UnassignString(0)
-		closing := func(int) bool {
-			return a.Machine(0, 0) == feasibility.Unassigned && a.Machine(0, n-1) == feasibility.Unassigned
-		}
-		if MapStringIMRMasked(a, 0, closing, nil) {
-			t.Fatalf("trial %d: placement succeeded under a mask that closes part-way", trial)
-		}
-		for i := 0; i < n; i++ {
-			if j := a.Machine(0, i); j != feasibility.Unassigned {
-				t.Fatalf("trial %d: failed placement left application %d on machine %d", trial, i, j)
+		for name, mask := range masks {
+			a.UnassignString(0)
+			if MapStringIMRMasked(a, 0, mask, nil) {
+				t.Fatalf("trial %d: placement succeeded under the %s mask", trial, name)
+			}
+			for i := 0; i < n; i++ {
+				if j := a.Machine(0, i); j != feasibility.Unassigned {
+					t.Fatalf("trial %d: placement failed by the %s mask left application %d on machine %d", trial, name, i, j)
+				}
 			}
 		}
 	}
@@ -159,7 +164,7 @@ func sliceIMR(a *feasibility.Allocation, k int) []int {
 	place := func(i int, routeIf func(j int) float64) {
 		bestJ, bestVal := -1, 0.0
 		for j := 0; j < sys.Machines; j++ {
-			if v := maxf(a.MachineUtilizationIf(j, k, i), routeIf(j)); bestJ < 0 || v < bestVal {
+			if v := math.Max(a.MachineUtilizationIf(j, k, i), routeIf(j)); bestJ < 0 || v < bestVal {
 				bestJ, bestVal = j, v
 			}
 		}

@@ -75,45 +75,44 @@ func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machine
 		}
 	}
 
-	// Step 1-2: place the single most intensive application on the allowed
+	// place puts application i on the machine the candidate scan selects given
+	// its placed neighbour nb (none for the first application), or leaves the
+	// string unassigned when the masks allow no machine.
+	place := func(i, nb int) bool {
+		j := a.PlacementScan(k, i, nb, machineOK, routeOK)
+		if j < 0 {
+			a.UnassignString(k)
+			return false
+		}
+		a.Assign(k, i, j)
+		return true
+	}
+
+	// Steps 1-2: the single most intensive application goes on the allowed
 	// machine with the smallest resulting utilization.
 	first := mostIntensiveOutside(intensity, 0, -1)
-	bestJ, bestU := -1, 0.0
-	for j := 0; j < sys.Machines; j++ {
-		if machineOK != nil && !machineOK(j) {
-			continue
-		}
-		if u := a.MachineUtilizationIf(j, k, first); bestJ < 0 || u < bestU {
-			bestJ, bestU = j, u
-		}
-	}
-	if bestJ < 0 {
+	if !place(first, feasibility.Unassigned) {
 		return false
 	}
-	a.Assign(k, first, bestJ)
 
 	// Steps 3-4: D = [iLeft, iRight] is the contiguous assigned region;
-	// extend it toward each successive most-intensive unassigned target.
+	// extend it toward each successive most-intensive unassigned target,
+	// each application on the machine minimizing the larger of the affected
+	// machine and route utilizations.
 	iLeft, iRight := first, first
 	for iRight-iLeft+1 < n {
 		target := mostIntensiveOutside(intensity, iLeft, iRight)
 		for target > iRight {
-			bestJ := argminMaxUtil(a, k, iRight+1, iRight, machineOK, routeOK)
-			if bestJ < 0 {
-				a.UnassignString(k)
+			if !place(iRight+1, iRight) {
 				return false
 			}
 			iRight++
-			a.Assign(k, iRight, bestJ)
 		}
 		for target < iLeft {
-			bestJ := argminMaxUtil(a, k, iLeft-1, iLeft, machineOK, routeOK)
-			if bestJ < 0 {
-				a.UnassignString(k)
+			if !place(iLeft-1, iLeft) {
 				return false
 			}
 			iLeft--
-			a.Assign(k, iLeft, bestJ)
 		}
 	}
 	return true
@@ -130,40 +129,4 @@ func mostIntensiveOutside(intensity []float64, iLeft, iRight int) int {
 		}
 	}
 	return best
-}
-
-// argminMaxUtil selects, for application i of string k, the allowed machine j
-// minimizing max(U_machine[j, i, k], U_route) — the IMR candidate-selection
-// parameter — where the route is the one placing i on j implies toward its
-// already placed neighbour nb = i±1: nb's machine -> j carrying O[nb] when nb
-// precedes i, j -> nb's machine carrying O[i] when it follows. Machines the
-// masks exclude, directly or through that route, are skipped; intra-machine
-// hops use no route. Returns -1 when no machine qualifies.
-func argminMaxUtil(a *feasibility.Allocation, k, i, nb int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
-	nbJ := a.Machine(k, nb)
-	bestJ, bestVal := -1, 0.0
-	for j, m := 0, a.System().Machines; j < m; j++ {
-		if machineOK != nil && !machineOK(j) {
-			continue
-		}
-		from, to, producer := nbJ, j, nb
-		if nb > i {
-			from, to, producer = j, nbJ, i
-		}
-		if from != to && routeOK != nil && !routeOK(from, to) {
-			continue
-		}
-		v := maxf(a.MachineUtilizationIf(j, k, i), a.RouteUtilizationIf(from, to, k, producer))
-		if bestJ < 0 || v < bestVal {
-			bestJ, bestVal = j, v
-		}
-	}
-	return bestJ
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

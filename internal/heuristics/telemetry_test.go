@@ -65,6 +65,13 @@ func TestPSGMatchesWithTelemetryEnabled(t *testing.T) {
 				}
 				return
 			}
+			// The permutation-space heuristics place through the IMR, whose scan
+			// reads each machine once and prices a route for some of them.
+			scans, read := snap.Counter("heuristics.imr.scans"), snap.Counter("heuristics.imr.machines_read")
+			priced := snap.Counter("heuristics.imr.routes_priced")
+			if scans == 0 || read != scans*int64(sys.Machines) || priced == 0 || priced > read {
+				t.Errorf("imr counters: %d scans read %d machines (M=%d) and priced %d routes", scans, read, sys.Machines, priced)
+			}
 			if got := snap.Counter("heuristics.psg.trials"); got != 2 {
 				t.Errorf("psg.trials counter = %d, want 2", got)
 			}

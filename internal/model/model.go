@@ -116,12 +116,13 @@ func (sys *System) RouteDemandUtil(kb, period float64, j1, j2 int) float64 {
 	if j1 == j2 {
 		return 0
 	}
-	return demandMbps(kb, period) / sys.Bandwidth[j1][j2]
+	return DemandMbps(kb, period) / sys.Bandwidth[j1][j2]
 }
 
-// demandMbps converts "kb kilobytes every period seconds" into an average
-// bandwidth demand in Mb/s.
-func demandMbps(kb, period float64) float64 {
+// DemandMbps converts "kb kilobytes every period seconds" into an average
+// bandwidth demand in Mb/s: the numerator of RouteDemandUtil, which does not
+// depend on the route.
+func DemandMbps(kb, period float64) float64 {
 	return 8 * kb / (1000 * period)
 }
 

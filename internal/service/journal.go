@@ -296,8 +296,8 @@ func (st *state) compact() error {
 }
 
 // appendHeader writes and syncs the journal header record carrying the schema
-// version, current seq, and chain value, so an older binary fed a newer
-// journal fails with SchemaVersionError before replaying anything.
+// version, current seq, and chain value, so a binary fed another schema
+// version's journal fails with SchemaVersionError before replaying anything.
 func (st *state) appendHeader() error {
 	st.recordBuf.reset()
 	st.recordBuf.opRecord(&opRecord{V: SchemaVersion, Seq: st.seq, Op: opHeader, Check: st.chain})
@@ -354,8 +354,10 @@ func (st *state) bootstrapJournal() error {
 //
 // A torn tail — the debris of a crash mid-append — is truncated and reported
 // in the RecoveryReport. Mid-log corruption surfaces as *journal.CorruptError,
-// replay divergence as *ReplayError, and a journal written by a newer daemon
-// as *SchemaVersionError; none of the three are repaired silently.
+// replay divergence as *ReplayError, and a journal record (the header
+// included) of any other schema version, older or newer, as
+// *SchemaVersionError before it is replayed; none of the three are repaired
+// silently.
 //
 // As with Restore, cfg.System is optional — nil serves the catalog the
 // snapshot pins, anything else must encode to the pinned sha256 — and the
@@ -397,7 +399,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fail(i, 0, "", fmt.Sprintf("undecodable record: %v", err))
 		}
-		if rec.V > SchemaVersion {
+		if rec.V != SchemaVersion {
 			w.Close()
 			return nil, nil, fmt.Errorf("service: journal %s record %d: %w", journalPath, i,
 				&SchemaVersionError{Version: rec.V, Supported: SchemaVersion})

@@ -177,43 +177,74 @@ func TestRecoverCorruptMiddleRecordIsTypedError(t *testing.T) {
 	}
 }
 
-// A journal written by a newer daemon (header schema version above ours) is a
-// typed *SchemaVersionError, same contract as snapshots.
-func TestRecoverNewerJournalSchemaIsTypedError(t *testing.T) {
-	svc, path := journaledService(t, 4, Config{})
-	mustAdmit(t, svc, 0)
-	svc.Close()
+// A journal whose records carry any schema version but this daemon's — a newer
+// daemon's, or an older one's behind a current sidecar — is refused at the
+// header with the typed *SchemaVersionError naming both versions, same contract
+// as snapshots; it is not replayed until some chain check fails.
+func TestRecoverJournalSchemaVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{
+		{"older", SchemaVersion - 1},
+		{"equal", SchemaVersion},
+		{"newer", SchemaVersion + 97},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, path := journaledService(t, 4, Config{})
+			mustAdmit(t, svc, 0)
+			live, err := svc.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.Close()
 
-	scan, err := journal.Scan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _, err := journal.Open(filepath.Join(t.TempDir(), "newer.wal"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range scan.Payloads {
-		bumped := strings.Replace(string(p), fmt.Sprintf(`{"v":%d,`, SchemaVersion), `{"v":99,`, 1)
-		if bumped == string(p) {
-			t.Fatalf("record %s does not start with its schema version", p)
-		}
-		if _, err := w.Append([]byte(bumped)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(w.Path(), path); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Recover(path, Config{})
-	var sve *SchemaVersionError
-	if !errors.As(err, &sve) {
-		t.Fatalf("error = %v, want *SchemaVersionError", err)
-	}
-	if sve.Version != 99 {
-		t.Fatalf("SchemaVersionError.Version = %d, want 99", sve.Version)
+			scan, err := journal.Scan(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _, err := journal.Open(filepath.Join(t.TempDir(), "other.wal"), journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ours := fmt.Sprintf(`{"v":%d,`, SchemaVersion)
+			for _, p := range scan.Payloads {
+				if !strings.HasPrefix(string(p), ours) {
+					t.Fatalf("record %s does not start with its schema version", p)
+				}
+				stamped := fmt.Sprintf(`{"v":%d,`, tc.version) + strings.TrimPrefix(string(p), ours)
+				if _, err := w.Append([]byte(stamped)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(w.Path(), path); err != nil {
+				t.Fatal(err)
+			}
+			rec, rep, err := Recover(path, Config{})
+			if tc.version == SchemaVersion {
+				if err != nil {
+					t.Fatalf("journal of this daemon's schema version refused: %v", err)
+				}
+				defer rec.Close()
+				if rep.Replayed != 1 || rep.Digest != live.Digest {
+					t.Fatalf("recovered %d records to digest %s, want 1 and %s", rep.Replayed, rep.Digest, live.Digest)
+				}
+				return
+			}
+			var sve *SchemaVersionError
+			if !errors.As(err, &sve) {
+				t.Fatalf("error = %v, want *SchemaVersionError", err)
+			}
+			if sve.Version != tc.version || sve.Supported != SchemaVersion {
+				t.Fatalf("SchemaVersionError = %+v, want version %d against supported %d", sve, tc.version, SchemaVersion)
+			}
+			if !strings.Contains(err.Error(), "record 0") {
+				t.Fatalf("error %q does not name the header record", err)
+			}
+		})
 	}
 }
 

@@ -477,6 +477,16 @@ func (st *state) solveBound() {
 func (st *state) machineOK(j int) bool    { return !st.down.MachineDown(j) }
 func (st *state) routeOK(j1, j2 int) bool { return !st.down.RouteDown(j1, j2) }
 
+// place runs the IMR on string k over the surviving resources. While nothing
+// is down the masks are nil (the unmasked routine, by MapStringIMRMasked's
+// contract), so a healthy ship's scans make no mask calls.
+func (st *state) place(k int) bool {
+	if st.down.Empty() {
+		return heuristics.MapStringIMRMasked(st.alloc, k, nil, nil)
+	}
+	return heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK)
+}
+
 // finish stamps the common Decision fields, advances the sequence number,
 // and records the decision in the event ring.
 func (st *state) finish(d *Decision) Decision {
@@ -531,7 +541,7 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 		return Decision{}, Errorf(CodeConflict, nil, "string %d is already mapped", k)
 	}
 	worthBefore := st.worth
-	if !heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK) {
+	if !st.place(k) {
 		// Partial placements leave float residue; roll the window back.
 		st.da.Undo()
 		return st.reject("admit", k, worthBefore, st.alloc.Slackness(),
@@ -654,7 +664,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	}
 	st.alloc.UnassignString(k)
 	st.setScale(k, scaled)
-	placed := heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK)
+	placed := st.place(k)
 	if placed && st.da.FeasibleAfterDelta() {
 		st.da.Commit()
 		st.scale[k] = scaled

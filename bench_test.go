@@ -435,10 +435,7 @@ func BenchmarkDynamicRepair(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := dynamic.Repair(alloc, dynamic.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := dynamic.Repair(alloc)
 		if !res.Feasible {
 			b.Fatal("repair failed")
 		}
@@ -463,7 +460,7 @@ func BenchmarkFailover(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alloc := base.Alloc.Clone()
-				res, err := dynamic.Survive(alloc, down, dynamic.Options{})
+				res, err := dynamic.Survive(alloc, down)
 				if err != nil {
 					b.Fatal(err)
 				}

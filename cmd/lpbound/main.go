@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/lp"
-	"repro/internal/model"
 	"repro/internal/simplex"
 	"repro/internal/workload"
 )
@@ -43,17 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var sys *model.System
-	var err error
-	if *inFile != "" {
-		sys, err = model.LoadFile(*inFile)
-	} else {
-		cfg := workload.ScenarioConfig(workload.Scenario(*scenario))
-		if *strings_ > 0 {
-			cfg.Strings = *strings_
-		}
-		sys, err = workload.Generate(cfg, *seed)
-	}
+	sys, err := workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
 	fatal(err)
 
 	obj := lp.MaximizeWorth

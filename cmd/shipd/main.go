@@ -61,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dynamic"
 	"repro/internal/faults"
 	"repro/internal/heuristics"
 	"repro/internal/journal"
@@ -87,8 +86,6 @@ func main() {
 		surgeFile   = flag.String("surge", "", "run a JSON demand-surge episode at startup (shared loader with shipsched)")
 		shedBelow   = flag.Float64("shed-below", 0, "degradation controller: shed while slackness is below this")
 		readmitAb   = flag.Float64("readmit-above", 0, "degradation controller: re-admit only above this slackness (0 = default)")
-		repairIt    = flag.Int("max-repair-iters", 0, "bound fault-repair eviction iterations (0 = unbounded)")
-		reclaimPs   = flag.Int("max-reclaim-passes", 0, "bound fault-repair reclaim passes (0 = unbounded)")
 		lpBound     = flag.Bool("lp-bound", false, "maintain the relaxed-LP worth upper bound (warm-started re-solves on rescale)")
 		snapPath    = flag.String("snapshot", "shipd-snapshot.json", "default path for POST /v1/snapshot")
 		restore     = flag.String("restore", "", "resume from a snapshot file written by POST /v1/snapshot")
@@ -104,11 +101,7 @@ func main() {
 	fsyncPolicy, err := journal.ParseFsyncPolicy(*fsync)
 	fatal(err)
 	cfg := service.Config{
-		Overload: overload.Config{ShedBelow: *shedBelow, ReadmitAbove: *readmitAb},
-		Repair: dynamic.Options{
-			MaxRepairIterations: *repairIt,
-			MaxReclaimPasses:    *reclaimPs,
-		},
+		Overload:     overload.Config{ShedBelow: *shedBelow, ReadmitAbove: *readmitAb},
 		LPBound:      *lpBound,
 		SnapshotPath: *snapPath,
 		Journal:      *journalPath,
@@ -174,7 +167,7 @@ func main() {
 		fatal(err)
 		fmt.Printf("shipd: restored state from %s\n", *restore)
 	default:
-		cfg.System, err = loadSystem(*inFile, *scenario, *seed, *strings_)
+		cfg.System, err = workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
 		fatal(err)
 		cfg.Heuristic = *heuristic
 		if *heuristic != "" {
@@ -233,17 +226,6 @@ func main() {
 		defer cancel()
 		_ = server.Shutdown(ctx)
 	}
-}
-
-func loadSystem(inFile string, scenario int, seed int64, stringsOverride int) (*model.System, error) {
-	if inFile != "" {
-		return model.LoadFile(inFile)
-	}
-	cfg := workload.ScenarioConfig(workload.Scenario(scenario))
-	if stringsOverride > 0 {
-		cfg.Strings = stringsOverride
-	}
-	return workload.Generate(cfg, seed)
 }
 
 func fatal(err error) {

@@ -74,8 +74,6 @@ func main() {
 		faultFile = flag.String("faults", "", "load a JSON failure scenario and run the failover analysis")
 		failMach  = flag.String("fail-machines", "", "comma-separated machines hit by permanent compartment losses")
 		surgeFile = flag.String("surge", "", "load a JSON demand-surge scenario and run the degradation controller")
-		repairIt  = flag.Int("max-repair-iters", 0, "bound failover eviction iterations (0 = unbounded)")
-		reclaimPs = flag.Int("max-reclaim-passes", 0, "bound failover reclaim passes (0 = unbounded)")
 		shedBelow = flag.Float64("shed-below", 0, "degradation controller: shed while slackness is below this")
 		readmitAb = flag.Float64("readmit-above", 0, "degradation controller: re-admit shed strings only above this slackness (0 = default 0.05)")
 		metrics   = flag.Bool("metrics", false, "collect telemetry and print the instrument snapshot")
@@ -124,7 +122,7 @@ func main() {
 		start = time.Now()
 		r, scp, err = heuristics.ResumeSearch(ctx, sys, cpf.Search)
 	} else {
-		sys, err = loadSystem(*inFile, *scenario, *seed, *strings_)
+		sys, err = workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
 		fatal(err)
 		if *saveFile != "" {
 			fatal(sys.SaveFile(*saveFile))
@@ -178,9 +176,7 @@ func main() {
 	fatal(err)
 	if faultSc != nil {
 		fatal(faultSc.ValidateFor(sys))
-		repairOpts := dynamic.Options{MaxRepairIterations: *repairIt, MaxReclaimPasses: *reclaimPs}
-		fatal(repairOpts.Validate())
-		runFailover(r, faultSc, repairOpts)
+		runFailover(r, faultSc)
 	}
 	var surgeSc *overload.Scenario
 	if *surgeFile != "" {
@@ -307,11 +303,11 @@ func loadFaults(faultFile, failMach string, machines int) (*faults.Scenario, err
 
 // runFailover reports the Survive controller's repair of the mapping against
 // the scenario's collapsed outage set (every listed resource down at once).
-func runFailover(r *heuristics.Result, sc *faults.Scenario, opts dynamic.Options) {
+func runFailover(r *heuristics.Result, sc *faults.Scenario) {
 	sys := r.Alloc.System()
 	down := faults.SetFromScenario(sc, sys.Machines)
 	alloc := r.Alloc.Clone()
-	res, err := dynamic.Survive(alloc, down, opts)
+	res, err := dynamic.Survive(alloc, down)
 	fatal(err)
 	mig, evi, rec := res.Counts()
 	fmt.Printf("\nfailover: %d machines and %d routes down (scenario %q)\n",
@@ -348,17 +344,6 @@ func runDegradation(r *heuristics.Result, sc *overload.Scenario, faultSc *faults
 		fmt.Println("WARNING: degradation controller left an infeasible mapping (bug)")
 		os.Exit(1)
 	}
-}
-
-func loadSystem(inFile string, scenario int, seed int64, stringsOverride int) (*model.System, error) {
-	if inFile != "" {
-		return model.LoadFile(inFile)
-	}
-	cfg := workload.ScenarioConfig(workload.Scenario(scenario))
-	if stringsOverride > 0 {
-		cfg.Strings = stringsOverride
-	}
-	return workload.Generate(cfg, seed)
 }
 
 func printUtilization(a *feasibility.Allocation) {

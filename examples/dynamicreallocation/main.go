@@ -68,10 +68,7 @@ func main() {
 	} else {
 		fmt.Println("the surged workload violates the analysis — repairing:")
 	}
-	res, err := dynamic.Repair(alloc, dynamic.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := dynamic.Repair(alloc)
 	for _, a := range res.Actions {
 		switch a.Kind {
 		case dynamic.Migrated:

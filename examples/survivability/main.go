@@ -66,7 +66,7 @@ func main() {
 
 	// 4. Failover on the collapsed outage set (everything down at once).
 	down := faults.SetFromScenario(sc, sys.Machines)
-	res, err := dynamic.Survive(r.Alloc, down, dynamic.Options{})
+	res, err := dynamic.Survive(r.Alloc, down)
 	if err != nil {
 		log.Fatal(err)
 	}

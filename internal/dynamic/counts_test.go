@@ -29,7 +29,7 @@ func TestCountsNetEvictionsInvariant(t *testing.T) {
 			for _, j := range tc.down {
 				down.Fail(faults.Machine(j))
 			}
-			res, err := Survive(a, down, Options{})
+			res, err := Survive(a, down)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestSurviveTelemetryMatchesCounts(t *testing.T) {
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(0))
 	down.Fail(faults.Machine(2))
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}

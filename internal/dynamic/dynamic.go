@@ -32,12 +32,9 @@ import (
 	"repro/internal/model"
 )
 
-// ScaleWorkload returns a deep copy of the system with every application's
-// nominal execution times and output sizes multiplied by gamma (gamma > 0).
-// Nominal utilizations are unchanged: the application demands the same CPU
-// share but for proportionally longer, so its CPU work t·u and its route
-// demand both scale by gamma — the workload-increase model of the robustness
-// experiments.
+// ScaleWorkload returns a deep copy of the system with every string's demand
+// scaled by gamma (gamma > 0) under model.ScaleDemand — the workload-increase
+// model of the robustness experiments.
 func ScaleWorkload(sys *model.System, gamma float64) (*model.System, error) {
 	if gamma <= 0 {
 		return nil, fmt.Errorf("dynamic: workload scale %v, want positive", gamma)
@@ -57,13 +54,7 @@ func ScaleStrings(sys *model.System, gammas []float64) (*model.System, error) {
 		if g <= 0 {
 			return nil, fmt.Errorf("dynamic: string %d scale %v, want positive", k, g)
 		}
-		s := &out.Strings[k]
-		for i := range s.Apps {
-			for j := range s.Apps[i].NominalTime {
-				s.Apps[i].NominalTime[j] *= g
-			}
-			s.Apps[i].OutputKB *= g
-		}
+		model.ScaleDemand(out.Strings[k].Apps, out.Strings[k].Apps, g)
 	}
 	return out, nil
 }
@@ -185,16 +176,12 @@ func (r *Result) NetEvictions() int {
 // first re-placed by the IMR and kept if the placement is feasible, otherwise
 // evicted. A final reclaim pass re-places evicted strings that fit again once
 // the repair settled (highest worth first), so a string stays evicted only if
-// its re-placement on the final allocation is infeasible. The zero Options
-// leaves the loops their natural bounds.
-func Repair(alloc *feasibility.Allocation, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	r := newRepairer(alloc, nil, nil, opts)
+// its re-placement on the final allocation is infeasible.
+func Repair(alloc *feasibility.Allocation) *Result {
+	r := newRepairer(alloc, nil, nil)
 	r.repairLoop()
 	r.reclaim()
-	return r.result(), nil
+	return r.result()
 }
 
 // pickVictim selects the next string to act on: among strings implicated by

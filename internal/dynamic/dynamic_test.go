@@ -13,16 +13,6 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// mustRepair runs Repair with no explicit ceilings.
-func mustRepair(t *testing.T, a *feasibility.Allocation) *Result {
-	t.Helper()
-	res, err := Repair(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 func TestScaleWorkload(t *testing.T) {
 	sys := model.NewUniformSystem(2, 5)
 	sys.AddString(model.AppString{Worth: 10, Period: 10, MaxLatency: 100,
@@ -101,7 +91,7 @@ func TestRepairMigrates(t *testing.T) {
 	a.Assign(0, 0, 0)
 	a.Assign(1, 0, 0) // both on machine 0: U = 1.2, and comp of the looser
 	// string is 12 > P = 10.
-	res := mustRepair(t, a)
+	res := Repair(a)
 	if !res.Feasible {
 		t.Fatal("repair did not reach feasibility")
 	}
@@ -132,7 +122,7 @@ func TestRepairEvictsLowestWorth(t *testing.T) {
 	for k := range worths {
 		a.Assign(k, 0, 0) // U = 1.35
 	}
-	res := mustRepair(t, a)
+	res := Repair(a)
 	if !res.Feasible {
 		t.Fatal("repair failed")
 	}
@@ -153,7 +143,7 @@ func TestRepairNoopOnFeasible(t *testing.T) {
 		Apps: []model.Application{model.UniformApp(2, 2, 0.4, 20)}})
 	a := feasibility.New(sys)
 	a.Assign(0, 0, 0)
-	res := mustRepair(t, a)
+	res := Repair(a)
 	if len(res.Actions) != 0 || !res.Feasible || !a.Complete(0) {
 		t.Errorf("repair acted on a feasible mapping: %+v", res)
 	}
@@ -176,7 +166,7 @@ func TestRepairAfterGrowthPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := mustRepair(t, alloc)
+		res := Repair(alloc)
 		if !res.Feasible || !alloc.TwoStageFeasible() {
 			t.Fatalf("seed %d: repair did not restore feasibility", seed)
 		}
@@ -257,7 +247,7 @@ func TestPickVictimNearTieDeterministic(t *testing.T) {
 		for k := range worths {
 			a.Assign(k, 0, 0) // U = 1.35: every string is implicated
 		}
-		r := newRepairer(a, nil, nil, Options{})
+		r := newRepairer(a, nil, nil)
 		if got := r.pickVictim(); got != 2 {
 			t.Fatalf("round %d: victim %d, want 2", round, got)
 		}

@@ -40,7 +40,6 @@ type repairer struct {
 	origin    map[int][]int              // pre-repair machines of every string acted on
 	evicted   map[int]bool               // strings evicted by this repair, reclaim candidates
 	tried     []bool                     // strings that already got their one migrate attempt
-	opts      Options                    // resolved controller ceilings (WithDefaults applied)
 	res       *Result
 	tel       repairTelemetry
 }
@@ -70,7 +69,7 @@ func newRepairTelemetry() repairTelemetry {
 	}
 }
 
-func newRepairer(alloc *feasibility.Allocation, machineOK func(int) bool, routeOK func(int, int) bool, opts Options) *repairer {
+func newRepairer(alloc *feasibility.Allocation, machineOK func(int) bool, routeOK func(int, int) bool) *repairer {
 	sys := alloc.System()
 	// Track the allocation for incremental re-analysis; the initial Rebase
 	// (one full scan) also records any entry violations and overloads, so
@@ -91,7 +90,6 @@ func newRepairer(alloc *feasibility.Allocation, machineOK func(int) bool, routeO
 		origin:    make(map[int][]int),
 		evicted:   make(map[int]bool),
 		tried:     make([]bool, len(sys.Strings)),
-		opts:      opts.WithDefaults(),
 		res:       &Result{WorthBefore: alloc.Metric().Worth},
 		tel:       newRepairTelemetry(),
 	}
@@ -146,14 +144,12 @@ func (r *repairer) evict(k int) {
 // necessary. Each iteration commits its net effect, so the feasibility check
 // at the top re-evaluates only the committed violation and overload sets —
 // O(remaining damage) instead of a full O(M + K·rosters) scan per iteration.
+// The loop ends on its own: a victim migrates at most once and is then evicted.
 func (r *repairer) repairLoop() {
-	for iters := 0; ; iters++ {
+	for {
 		r.da.Commit()
 		if r.da.FeasibleAfterDelta() {
 			break
-		}
-		if iters >= r.opts.MaxRepairIterations {
-			break // ceiling hit; result() reports the remaining infeasibility
 		}
 		r.tel.repairIters.Inc()
 		victim := r.pickVictim()
@@ -188,7 +184,7 @@ func (r *repairer) repairLoop() {
 // the property tests pin.
 func (r *repairer) reclaim() {
 	sys := r.alloc.System()
-	for passes := 0; passes < r.opts.MaxReclaimPasses; passes++ {
+	for {
 		r.tel.reclaimPass.Inc()
 		cands := make([]int, 0, len(r.evicted))
 		for k := range r.evicted {
@@ -254,22 +250,16 @@ func (r *repairer) result() *Result {
 // The returned result reports worth retained, per-action recovery cost, and
 // post-repair slackness. The allocation should be two-stage feasible on
 // entry (combine with Repair first after a simultaneous workload change).
-// The resulting allocation never uses a failed resource. The zero Options
-// leaves the repair and reclaim loops their natural bounds.
-func Survive(alloc *feasibility.Allocation, down *faults.Set, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+// The resulting allocation never uses a failed resource.
+func Survive(alloc *feasibility.Allocation, down *faults.Set) (*Result, error) {
 	sys := alloc.System()
 	if down.Machines() != sys.Machines {
 		return nil, fmt.Errorf("dynamic: outage set covers %d machines, system has %d: %w",
 			down.Machines(), sys.Machines, ErrUnknownResource)
 	}
 	span := telemetry.BeginSpan("dynamic.survive")
-	r := newRepairer(alloc,
-		func(j int) bool { return !down.MachineDown(j) },
-		func(j1, j2 int) bool { return !down.RouteDown(j1, j2) },
-		opts)
+	machineOK, routeOK := down.Masks()
+	r := newRepairer(alloc, machineOK, routeOK)
 
 	// 1. Evacuate.
 	var evacuees []int
@@ -325,7 +315,7 @@ func SurviveScenario(alloc *feasibility.Allocation, sc *faults.Scenario) (*Resul
 		}
 		return nil, fmt.Errorf("dynamic: %w", err)
 	}
-	return Survive(alloc, faults.SetFromScenario(sc, sys.Machines), Options{})
+	return Survive(alloc, faults.SetFromScenario(sc, sys.Machines))
 }
 
 // StringUsesFailed reports whether completely mapped string k touches a

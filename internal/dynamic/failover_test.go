@@ -31,7 +31,7 @@ func TestSurviveMigratesOffFailedMachine(t *testing.T) {
 	_, a := survivalFixture([]float64{10, 10, 10}, 0.5)
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(1))
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSurviveEvictsWhenNoRoom(t *testing.T) {
 	down := faults.NewSet(3)
 	down.Fail(faults.Machine(0))
 	down.Fail(faults.Machine(2))
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSurviveCompartmentHitWithRoutes(t *testing.T) {
 	for _, e := range faults.CompartmentHit(3, 1, 0, 0) {
 		down.Fail(e.Resource)
 	}
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSurviveFailedRouteOnly(t *testing.T) {
 	a.AssignString(0, []int{0, 1})
 	down := faults.NewSet(3)
 	down.Fail(faults.Route(0, 1))
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSurviveAllMachinesDown(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		down.Fail(faults.Machine(j))
 	}
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSurvivePreemptsLowerWorthSurvivor(t *testing.T) {
 	a.Assign(1, 0, 1)
 	down := faults.NewSet(2)
 	down.Fail(faults.Machine(1))
-	res, err := Survive(a, down, Options{})
+	res, err := Survive(a, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSurvivePreemptsLowerWorthSurvivor(t *testing.T) {
 // rejected.
 func TestSurviveMismatchedSet(t *testing.T) {
 	_, a := survivalFixture([]float64{10}, 0.5)
-	if _, err := Survive(a, faults.NewSet(5), Options{}); err == nil {
+	if _, err := Survive(a, faults.NewSet(5)); err == nil {
 		t.Error("mismatched outage set accepted")
 	}
 }
@@ -224,7 +224,7 @@ func TestSurviveGeneratedWorkloads(t *testing.T) {
 			for _, e := range faults.CompartmentHit(sys.Machines, j, 0, 0) {
 				down.Fail(e.Resource)
 			}
-			res, err := Survive(alloc, down, Options{})
+			res, err := Survive(alloc, down)
 			if err != nil {
 				t.Fatal(err)
 			}

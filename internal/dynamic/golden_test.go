@@ -35,10 +35,7 @@ func TestRepairSurviveGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Repair(alloc, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := Repair(alloc)
 		writeGoldenCase(t, &got, fmt.Sprintf("seed %d repair x1.6", seed), alloc, res)
 
 		down := faults.NewSet(sys.Machines)
@@ -48,7 +45,7 @@ func TestRepairSurviveGolden(t *testing.T) {
 			}
 		}
 		alloc = r.Alloc.Clone()
-		res, err = Survive(alloc, down, Options{})
+		res, err = Survive(alloc, down)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,12 +72,12 @@ func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, *faults.Set) {
 func TestQuickSurviveInvariants(t *testing.T) {
 	f := func(c chaosCase) bool {
 		a, down := c.build(t)
-		rep := mustRepair(t, a)
+		rep := Repair(a)
 		if !rep.Feasible || rep.Retained < 0 || rep.Retained > 1+1e-12 {
 			t.Logf("seed %d γ=%.3f: repair retained %v feasible %v", c.Seed, c.Gamma, rep.Retained, rep.Feasible)
 			return false
 		}
-		res, err := Survive(a, down, Options{})
+		res, err := Survive(a, down)
 		if err != nil {
 			t.Logf("seed %d: %v", c.Seed, err)
 			return false
@@ -118,12 +118,12 @@ func TestQuickSurviveInvariants(t *testing.T) {
 func TestQuickNoNeedlessEvictions(t *testing.T) {
 	f := func(c chaosCase) bool {
 		a, down := c.build(t)
-		mustRepair(t, a)
+		Repair(a)
 		wasMapped := make([]bool, len(a.System().Strings))
 		for k := range wasMapped {
 			wasMapped[k] = a.Complete(k)
 		}
-		if _, err := Survive(a, down, Options{}); err != nil {
+		if _, err := Survive(a, down); err != nil {
 			t.Logf("seed %d: %v", c.Seed, err)
 			return false
 		}
@@ -158,10 +158,10 @@ func TestQuickSurviveDeterministic(t *testing.T) {
 	f := func(c chaosCase) bool {
 		a1, down := c.build(t)
 		a2, _ := c.build(t)
-		mustRepair(t, a1)
-		mustRepair(t, a2)
-		r1, err1 := Survive(a1, down, Options{})
-		r2, err2 := Survive(a2, down, Options{})
+		Repair(a1)
+		Repair(a2)
+		r1, err1 := Survive(a1, down)
+		r2, err2 := Survive(a2, down)
 		if err1 != nil || err2 != nil {
 			return false
 		}

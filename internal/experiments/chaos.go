@@ -60,7 +60,7 @@ func RunChaosStudy(ctx context.Context, opts Options, hits []int) (*ChaosStudy, 
 			down := faults.SetFromScenario(sc, sys.Machines)
 			for _, name := range Panel {
 				alloc := initial[name].Alloc.Clone()
-				res, err := dynamic.Survive(alloc, down, dynamic.Options{})
+				res, err := dynamic.Survive(alloc, down)
 				if err != nil {
 					return err
 				}

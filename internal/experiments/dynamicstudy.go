@@ -58,10 +58,7 @@ func RunDynamicStudy(ctx context.Context, opts Options, scales []float64) (*Dyna
 				if err != nil {
 					return err
 				}
-				res, err := dynamic.Repair(alloc, dynamic.Options{})
-				if err != nil {
-					return err
-				}
+				res := dynamic.Repair(alloc)
 				pt := &out.Rows[name][si]
 				if res.WorthBefore > 0 {
 					pt.RetainedWorth.Add(res.WorthAfter / res.WorthBefore)

@@ -369,5 +369,17 @@ func (s *Set) Scenario() *Scenario {
 // Empty reports whether nothing is down.
 func (s *Set) Empty() bool { return s.machinesDown == 0 && s.routesDown == 0 }
 
+// Masks returns the set as the two masks the IMR takes (machine j allowed,
+// route j1 -> j2 allowed), reading the set as it stands when they are called.
+// Both are nil while nothing is down — "allow everything" without a call per
+// candidate — so take them again after a Fail or Repair.
+func (s *Set) Masks() (machineOK func(j int) bool, routeOK func(j1, j2 int) bool) {
+	if s.Empty() {
+		return nil, nil
+	}
+	return func(j int) bool { return !s.MachineDown(j) },
+		func(j1, j2 int) bool { return !s.RouteDown(j1, j2) }
+}
+
 // AliveMachines returns the number of machines still up.
 func (s *Set) AliveMachines() int { return len(s.machines) - s.machinesDown }

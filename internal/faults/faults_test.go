@@ -147,6 +147,61 @@ func TestSetCountsFollowFlips(t *testing.T) {
 	}
 }
 
+// Masks is the one place a Set becomes the IMR's two masks: nil, nil exactly
+// when nothing is down (so a healthy ship's placement scans make no mask
+// calls), otherwise the complement of MachineDown/RouteDown cell for cell —
+// including the intra-machine "route", which never fails.
+func TestMasksFollowFlips(t *testing.T) {
+	const m = 4
+	type flip struct {
+		r    Resource
+		down bool
+	}
+	cases := []struct {
+		name  string
+		flips []flip
+	}{
+		{"untouched", nil},
+		{"one machine", []flip{{Machine(2), true}}},
+		{"one route, one direction", []flip{{Route(1, 3), true}}},
+		{"machine and routes", []flip{{Machine(0), true}, {Route(0, 1), true}, {Route(1, 0), true}}},
+		{"failed then repaired", []flip{{Machine(1), true}, {Route(2, 3), true}, {Machine(1), false}, {Route(2, 3), false}}},
+		{"partly repaired", []flip{{Machine(1), true}, {Route(2, 3), true}, {Machine(1), false}}},
+		{"repair of an up resource", []flip{{Route(3, 0), false}}},
+	}
+	for _, tc := range cases {
+		s := NewSet(m)
+		for _, f := range tc.flips {
+			if f.down {
+				s.Fail(f.r)
+			} else {
+				s.Repair(f.r)
+			}
+		}
+		machineOK, routeOK := s.Masks()
+		if s.Empty() {
+			if machineOK != nil || routeOK != nil {
+				t.Errorf("%s: empty set returned non-nil masks", tc.name)
+			}
+			continue
+		}
+		if machineOK == nil || routeOK == nil {
+			t.Errorf("%s: set with outages returned a nil mask", tc.name)
+			continue
+		}
+		for j1 := 0; j1 < m; j1++ {
+			if machineOK(j1) == s.MachineDown(j1) {
+				t.Errorf("%s: machineOK(%d) = %v with MachineDown = %v", tc.name, j1, machineOK(j1), s.MachineDown(j1))
+			}
+			for j2 := 0; j2 < m; j2++ {
+				if routeOK(j1, j2) == s.RouteDown(j1, j2) {
+					t.Errorf("%s: routeOK(%d,%d) = %v with RouteDown = %v", tc.name, j1, j2, routeOK(j1, j2), s.RouteDown(j1, j2))
+				}
+			}
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	sc := &Scenario{Name: "hit", Seed: 42, Events: CompartmentHit(3, 1, 0, 60)}
 	var buf bytes.Buffer

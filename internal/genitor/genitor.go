@@ -304,28 +304,21 @@ func (e *Engine) Best() ([]int, Fitness) {
 // Stats returns the counters accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// selectRank draws a population rank using Whitley's linear bias function:
-// with bias b, rank = N * (b - sqrt(b^2 - 4(b-1)U)) / (2(b-1)) for uniform U,
-// making the top rank b times more likely than the median. Bias 1 degrades
-// to uniform selection.
+// RankBiased maps a uniform draw u in [0, 1) to a rank in [0, n) — rank 0 the
+// fittest — by Whitley's linear bias function: with bias b,
+// rank = n * (b - sqrt(b^2 - 4(b-1)u)) / (2(b-1)), making the top rank b times
+// more likely than the median. Bias 1 degrades to uniform selection.
+func RankBiased(n int, bias, u float64) int {
+	r := float64(n) * u
+	if bias != 1 {
+		r = float64(n) * (bias - math.Sqrt(bias*bias-4*(bias-1)*u)) / (2 * (bias - 1))
+	}
+	return min(max(int(r), 0), n-1)
+}
+
+// selectRank draws a rank-biased population rank.
 func (e *Engine) selectRank() int {
-	n := float64(len(e.pop))
-	b := e.cfg.Bias
-	u := e.rng.Float64()
-	var r float64
-	if b == 1 {
-		r = n * u
-	} else {
-		r = n * (b - math.Sqrt(b*b-4*(b-1)*u)) / (2 * (b - 1))
-	}
-	idx := int(r)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(e.pop) {
-		idx = len(e.pop) - 1
-	}
-	return idx
+	return RankBiased(len(e.pop), e.cfg.Bias, e.rng.Float64())
 }
 
 // tryInsert offers a chromosome for inclusion: if it has higher fitness than

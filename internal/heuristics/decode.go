@@ -165,31 +165,22 @@ func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
 	return fit
 }
 
-// decodeDelta applies the stop-on-failure sequential mapping to the tracked
-// scratch allocation (Reset first, which rebases the analyzer onto the empty
-// committed state) and returns how many order entries were consumed: the
-// feasibly mapped prefix plus the string that failed, if any. Each string's
-// IMR placement is evaluated against only the delta it introduced; a failed
-// placement is rolled back bit-identically by Undo, so later strings see the
-// exact committed prefix rather than float residue from subtracting the
-// rejected string's demands. After the call, exactly the feasibly mapped
-// strings are Complete in the scratch. intensity is imrIntensities of the
-// system, or nil to have each placement average its own.
+// decodeDelta is the stop-on-failure mapOrder over the tracked scratch
+// allocation, Reset first (which rebases the analyzer onto the empty committed
+// state); it returns how many order entries were consumed. After the call,
+// exactly the feasibly mapped strings are Complete in the scratch. intensity
+// is imrIntensities of the system, or nil to have each placement average its
+// own.
 func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int, intensity [][]float64) int {
 	a.Reset()
-	for idx, k := range order {
+	consumed, _ := mapOrder(da, order, false, func(k int) {
 		var row []float64
 		if intensity != nil {
 			row = intensity[k]
 		}
 		mapStringIMR(a, k, row, nil, nil)
-		if !da.FeasibleAfterDelta() {
-			da.Undo()
-			return idx + 1
-		}
-		da.Commit()
-	}
-	return len(order)
+	})
+	return consumed
 }
 
 // MapSequenceInto is the allocation-reusing form of MapSequence: scratch is

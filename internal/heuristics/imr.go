@@ -39,6 +39,26 @@ func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) 
 	return mapStringIMR(a, k, nil, machineOK, routeOK)
 }
 
+// mapStringIMR is MapStringIMRMasked given string k's row of imrIntensities,
+// or nil to average over the machines here: the walk with the flat chooser,
+// Allocation.PlacementScan under the masks.
+func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
+	return walkIMR(a, k, intensity, func(i, nb int) int {
+		return a.PlacementScan(k, i, nb, machineOK, routeOK)
+	})
+}
+
+// MapStringWith runs the IMR's walk over string k (steps 1-4: which
+// application next, beside which placed neighbour) and puts each application
+// on the machine choose(i, nb) returns, nb being the application's one placed
+// neighbour (feasibility.Unassigned for the first). It is how a coarser
+// placement rule — a pool, say — rides the same walk as the flat IMR, whose
+// chooser is Allocation.PlacementScan. A negative choice abandons the string:
+// it is left completely unassigned and MapStringWith reports false.
+func MapStringWith(a *feasibility.Allocation, k int, choose func(i, nb int) int) bool {
+	return walkIMR(a, k, nil, choose)
+}
+
 // imrIntensities returns every application's machine-averaged intensity, row
 // k holding string k's: constants of the system for as long as its catalog
 // floats stand, so a search that places the same strings thousands of times
@@ -54,9 +74,9 @@ func imrIntensities(sys *model.System) [][]float64 {
 	return rows
 }
 
-// mapStringIMR is MapStringIMRMasked given string k's row of imrIntensities,
+// walkIMR is the one IMR walk; intensity is string k's row of imrIntensities,
 // or nil to average over the machines here.
-func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
+func walkIMR(a *feasibility.Allocation, k int, intensity []float64, choose func(i, nb int) int) bool {
 	sys := a.System()
 	n := len(sys.Strings[k].Apps)
 
@@ -75,11 +95,11 @@ func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machine
 		}
 	}
 
-	// place puts application i on the machine the candidate scan selects given
-	// its placed neighbour nb (none for the first application), or leaves the
-	// string unassigned when the masks allow no machine.
+	// place puts application i on the machine the chooser selects given its
+	// placed neighbour nb (none for the first application), or leaves the
+	// string unassigned when the chooser finds no machine.
 	place := func(i, nb int) bool {
-		j := a.PlacementScan(k, i, nb, machineOK, routeOK)
+		j := choose(i, nb)
 		if j < 0 {
 			a.UnassignString(k)
 			return false

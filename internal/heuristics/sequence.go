@@ -44,31 +44,24 @@ type Result struct {
 // string and corrupt the utilization bookkeeping, and an out-of-range index
 // has no string to map — both are caller bugs, never valid data.
 func MapSequence(sys *model.System, order []int) *Result {
-	return mapSequence(sys, order, false)
+	return mapSequence(sys, order, false, MapStringIMR)
 }
 
-// mapSequence is the shared sequential mapper: stop-on-failure when skip is
-// false, skip-on-failure when true. Each string's IMR placement is evaluated
-// incrementally against the delta it introduced; failed placements are undone
-// bit-identically.
-func mapSequence(sys *model.System, order []int, skip bool) *Result {
+// MapSequenceWith is MapSequence with the per-string placement supplied:
+// place(a, k) puts string k on a, and everything around it — the permutation
+// check, one analyzer window per string, stop at the first infeasible one —
+// is the sequential mapper's. The pooled mapper decodes its orders through it.
+func MapSequenceWith(sys *model.System, order []int, place func(a *feasibility.Allocation, k int)) *Result {
+	return mapSequence(sys, order, false, place)
+}
+
+// mapSequence runs mapOrder over a fresh allocation of sys.
+func mapSequence(sys *model.System, order []int, skip bool, place func(a *feasibility.Allocation, k int)) *Result {
 	validateOrder(len(sys.Strings), order)
 	a := feasibility.New(sys)
 	da := feasibility.Track(a)
 	defer da.Close()
-	numMapped := 0
-	for _, k := range order {
-		MapStringIMR(a, k)
-		if !da.FeasibleAfterDelta() {
-			da.Undo()
-			if skip {
-				continue
-			}
-			break
-		}
-		da.Commit()
-		numMapped++
-	}
+	_, numMapped := mapOrder(da, order, skip, func(k int) { place(a, k) })
 	return &Result{
 		Alloc:       a,
 		Order:       append([]int(nil), order...),
@@ -76,6 +69,32 @@ func mapSequence(sys *model.System, order []int, skip bool) *Result {
 		Metric:      a.Metric(),
 		Evaluations: 1,
 	}
+}
+
+// mapOrder is the one sequential mapper: place each string of order in turn
+// on the allocation da tracks, evaluate the placement incrementally against
+// the delta it introduced, and Commit it or Undo it bit-identically — so later
+// strings see the exact committed prefix rather than float residue from
+// subtracting a rejected string's demands. After a failure it stops
+// (stop-on-failure, the paper's semantics) or, with skip, carries on with the
+// rest. It returns how many order entries it consumed — the mapped prefix plus
+// the string that failed, if any — and how many strings it mapped. The order
+// is not checked here (the decoder bank's hot path hands it GENITOR's valid
+// permutations); entry points that take one from a caller validateOrder first.
+func mapOrder(da *feasibility.DeltaAnalyzer, order []int, skip bool, place func(k int)) (consumed, mapped int) {
+	for idx, k := range order {
+		place(k)
+		if da.FeasibleAfterDelta() {
+			da.Commit()
+			mapped++
+			continue
+		}
+		da.Undo()
+		if !skip {
+			return idx + 1, mapped
+		}
+	}
+	return len(order), mapped
 }
 
 // MapSequenceSkip is an extension of MapSequence with skip-on-failure
@@ -86,7 +105,7 @@ func mapSequence(sys *model.System, order []int, skip bool) *Result {
 // worth that sacrifices. Like MapSequence, it panics unless order is a
 // permutation of all string indices.
 func MapSequenceSkip(sys *model.System, order []int) *Result {
-	return mapSequence(sys, order, true)
+	return mapSequence(sys, order, true, MapStringIMR)
 }
 
 // MWFOrder returns the Most Worth First permutation: strings ranked by worth,

@@ -2,10 +2,10 @@ package heuristics
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"repro/internal/feasibility"
+	"repro/internal/genitor"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -144,22 +144,7 @@ func SSGContext(ctx context.Context, sys *model.System, cfg SSGConfig) (*Result,
 	sortSSG(pop)
 
 	selectRank := func() int {
-		n, b := float64(len(pop)), cfg.Bias
-		u := rnd.Float64()
-		var r float64
-		if b == 1 {
-			r = n * u
-		} else {
-			r = n * (b - math.Sqrt(b*b-4*(b-1)*u)) / (2 * (b - 1))
-		}
-		idx := int(r)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(pop) {
-			idx = len(pop) - 1
-		}
-		return idx
+		return genitor.RankBiased(len(pop), cfg.Bias, rnd.Float64())
 	}
 	tryInsert := func(genes []int, m feasibility.Metric) bool {
 		if !m.Better(pop[len(pop)-1].metric) {

@@ -166,6 +166,21 @@ func (sys *System) TotalWorth() float64 {
 	return w
 }
 
+// ScaleDemand writes src's demand floats times g into dst (dst may be src):
+// the workload-change rule, stated once. Nominal execution times and output
+// sizes scale; nominal utilizations do not — the application demands the same
+// CPU share for proportionally longer, so its CPU work t·u and its route
+// demand both scale by g. Every dst[i].NominalTime must already have its
+// src's length.
+func ScaleDemand(dst, src []Application, g float64) {
+	for i := range src {
+		for j, t := range src[i].NominalTime {
+			dst[i].NominalTime[j] = t * g
+		}
+		dst[i].OutputKB = src[i].OutputKB * g
+	}
+}
+
 // Clone returns a deep copy of the system.
 func (sys *System) Clone() *System {
 	out := &System{Machines: sys.Machines}

@@ -259,13 +259,15 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 		// replaces the full two-stage analysis the loop below used to run per
 		// shed iteration; every subsequent check this tick is incremental.
 		da := feasibility.Track(a)
+		// The tick's active outages and the IMR masks over them, all nil while
+		// nothing is down.
 		var down *faults.Set
-		machineOK, routeOK := func(int) bool { return true }, func(int, int) bool { return true }
+		var machineOK func(int) bool
+		var routeOK func(int, int) bool
 		if c.cfg.Faults != nil {
 			if d := c.cfg.Faults.ActiveAt(t, base.Machines); !d.Empty() {
 				down = d
-				machineOK = func(j int) bool { return !d.MachineDown(j) }
-				routeOK = func(j1, j2 int) bool { return !d.RouteDown(j1, j2) }
+				machineOK, routeOK = d.Masks()
 			}
 		}
 

@@ -1,36 +1,32 @@
-// External test package: these tests compare pooled allocation against the
-// flat heuristics, and the heuristics package now builds on pool's worker
-// primitives — an internal test here would be an import cycle.
-package pool_test
+package pool
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/feasibility"
 	"repro/internal/heuristics"
-	"repro/internal/pool"
 	"repro/internal/workload"
 )
 
-func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// TestSingletonEquivalence: with one machine per pool, pooled MWF must equal
-// flat MWF exactly — the paper's stated assumption.
+// TestSingletonEquivalence: with one machine per pool, pooled MWF is flat MWF
+// — the paper's stated assumption — down to the last accumulator bit: both
+// run one walk and one decode loop, and a singleton pool's mean cost is its
+// member's own.
 func TestSingletonEquivalence(t *testing.T) {
 	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
 	cfg.Strings = 12
 	for seed := int64(1); seed <= 5; seed++ {
 		sys := workload.MustGenerate(cfg, seed)
 		flat := heuristics.MWF(sys)
-		pooled, err := pool.MapSequencePooled(sys, pool.Singletons(sys.Machines), heuristics.MWFOrder(sys))
+		pooled, err := MapSequencePooled(sys, Singletons(sys.Machines), heuristics.MWFOrder(sys))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pooled.NumMapped != flat.NumMapped {
 			t.Fatalf("seed %d: pooled mapped %d, flat %d", seed, pooled.NumMapped, flat.NumMapped)
 		}
-		if !approxEq(pooled.Metric.Worth, flat.Metric.Worth, 1e-9) {
-			t.Fatalf("seed %d: pooled worth %v, flat %v", seed, pooled.Metric.Worth, flat.Metric.Worth)
+		if got, want := feasibility.StateDigest(pooled.Alloc), feasibility.StateDigest(flat.Alloc); got != want {
+			t.Fatalf("seed %d: pooled digest %s, flat %s", seed, got, want)
 		}
 	}
 }
@@ -45,11 +41,11 @@ func TestPoolingCoarsensDecisions(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		sys := workload.MustGenerate(cfg, seed)
 		flat := heuristics.MWF(sys)
-		part, err := pool.Uniform(sys.Machines, 4)
+		part, err := Uniform(sys.Machines, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := pool.MapSequencePooled(sys, part, heuristics.MWFOrder(sys))
+		pooled, err := MapSequencePooled(sys, part, heuristics.MWFOrder(sys))
 		if err != nil {
 			t.Fatal(err)
 		}

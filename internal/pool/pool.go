@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/feasibility"
+	"repro/internal/heuristics"
 	"repro/internal/model"
 )
 
@@ -111,13 +112,17 @@ type Allocator struct {
 
 // NewAllocator validates the partition against the system.
 func NewAllocator(sys *model.System, part *Partition) (*Allocator, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if err := part.Validate(sys.Machines); err != nil {
+	if err := validate(sys, part); err != nil {
 		return nil, err
 	}
 	return &Allocator{Part: part, Alloc: feasibility.New(sys)}, nil
+}
+
+func validate(sys *model.System, part *Partition) error {
+	if err := sys.Validate(); err != nil {
+		return err
+	}
+	return part.Validate(sys.Machines)
 }
 
 // dispatchCost is the IMR candidate cost of placing application i of string
@@ -147,15 +152,21 @@ func (a *Allocator) dispatchCost(k, i, j int) float64 {
 // dispatching to the member machine with the smallest dispatch cost. It
 // returns the machine chosen.
 func (a *Allocator) AssignToPool(k, i, poolIdx int) int {
-	pool := a.Part.Pools[poolIdx]
+	j := a.dispatch(k, i, poolIdx)
+	a.Alloc.Assign(k, i, j)
+	return j
+}
+
+// dispatch is the dispatcher's choice: the member of the pool with the
+// smallest dispatch cost for application i of string k, lowest index on ties.
+func (a *Allocator) dispatch(k, i, poolIdx int) int {
 	bestJ, bestVal := -1, 0.0
-	for _, j := range pool.Members {
+	for _, j := range a.Part.Pools[poolIdx].Members {
 		val := a.dispatchCost(k, i, j)
 		if bestJ < 0 || val < bestVal {
 			bestJ, bestVal = j, val
 		}
 	}
-	a.Alloc.Assign(k, i, bestJ)
 	return bestJ
 }
 
@@ -170,29 +181,12 @@ func (a *Allocator) PoolUtilization(poolIdx int) float64 {
 	return sum / float64(len(pool.Members))
 }
 
-// MapStringPooled is the pool-granular IMR: application placement decisions
-// pick a pool by minimum mean utilization (ties to the lower pool index) and
-// let the dispatcher choose the machine. Applications are visited in the
-// same most-intensive-first contiguous-region order as the flat IMR.
+// MapStringPooled is the pool-granular IMR: the walk is the flat IMR's own
+// (heuristics.MapStringWith — same most-intensive-first contiguous-region
+// order), and the chooser picks a pool by minimum mean member cost (ties to
+// the lower pool index), then lets the dispatcher choose the machine.
 func (a *Allocator) MapStringPooled(k int) {
-	sys := a.Alloc.System()
-	s := &sys.Strings[k]
-	n := len(s.Apps)
-	intensity := make([]float64, n)
-	for i := 0; i < n; i++ {
-		intensity[i] = sys.AvgWork(k, i)
-	}
-	assigned := make([]bool, n)
-	mostIntensive := func() int {
-		best, bestVal := -1, -1.0
-		for i := 0; i < n; i++ {
-			if !assigned[i] && intensity[i] > bestVal {
-				best, bestVal = i, intensity[i]
-			}
-		}
-		return best
-	}
-	place := func(i int) {
+	heuristics.MapStringWith(a.Alloc, k, func(i, _ int) int {
 		bestPool, bestVal := 0, -1.0
 		for pi := range a.Part.Pools {
 			v := a.poolCost(k, i, pi)
@@ -200,23 +194,8 @@ func (a *Allocator) MapStringPooled(k int) {
 				bestPool, bestVal = pi, v
 			}
 		}
-		a.AssignToPool(k, i, bestPool)
-		assigned[i] = true
-	}
-	first := mostIntensive()
-	place(first)
-	left, right := first, first
-	for right-left+1 < n {
-		target := mostIntensive()
-		for target > right {
-			right++
-			place(right)
-		}
-		for target < left {
-			left--
-			place(left)
-		}
-	}
+		return a.dispatch(k, i, bestPool)
+	})
 }
 
 // poolCost is the pool-level placement cost: the mean dispatch cost over the
@@ -235,33 +214,15 @@ func (a *Allocator) poolCost(k, i, pi int) float64 {
 	return sum / float64(len(pool.Members))
 }
 
-// Result mirrors heuristics.Result for pooled mapping.
-type Result struct {
-	Alloc     *feasibility.Allocation
-	NumMapped int
-	Metric    feasibility.Metric
-}
-
 // MapSequencePooled maps strings in order with the paper's stop-on-failure
-// semantics, at pool granularity. Like heuristics.MapSequence, each placement
-// is evaluated in one analyzer window and a failed one is undone
-// bit-identically.
-func MapSequencePooled(sys *model.System, part *Partition, order []int) (*Result, error) {
-	a, err := NewAllocator(sys, part)
-	if err != nil {
+// semantics, at pool granularity: heuristics.MapSequenceWith (so the order
+// must be a permutation of all string indices, or it panics as MapSequence
+// does) placing each string with MapStringPooled.
+func MapSequencePooled(sys *model.System, part *Partition, order []int) (*heuristics.Result, error) {
+	if err := validate(sys, part); err != nil {
 		return nil, err
 	}
-	da := feasibility.Track(a.Alloc)
-	defer da.Close()
-	num := 0
-	for _, k := range order {
-		a.MapStringPooled(k)
-		if !da.FeasibleAfterDelta() {
-			da.Undo()
-			break
-		}
-		da.Commit()
-		num++
-	}
-	return &Result{Alloc: a.Alloc, NumMapped: num, Metric: a.Alloc.Metric()}, nil
+	return heuristics.MapSequenceWith(sys, order, func(alloc *feasibility.Allocation, k int) {
+		(&Allocator{Part: part, Alloc: alloc}).MapStringPooled(k)
+	}), nil
 }

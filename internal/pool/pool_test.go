@@ -144,4 +144,16 @@ func TestNewAllocatorValidation(t *testing.T) {
 	if _, err := MapSequencePooled(sys, &Partition{}, []int{0, 1}); err == nil {
 		t.Error("MapSequencePooled accepted an empty partition")
 	}
+	// A repeated or out-of-range index would re-place a placed string or index
+	// past the catalog; like heuristics.MapSequence, the pooled mapper refuses.
+	for _, order := range [][]int{{0, 0}, {0, 2}, {0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MapSequencePooled accepted order %v over 2 strings", order)
+				}
+			}()
+			_, _ = MapSequencePooled(sys, Singletons(sys.Machines), order)
+		}()
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/overload"
+	"repro/internal/workload"
 )
 
 // journaledService starts a journaling daemon over the standard test system
@@ -551,5 +552,80 @@ func TestUnjournaledServiceWritesNothing(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("unjournaled daemon wrote %v", entries)
+	}
+}
+
+// The one serving flag no other test turns on. With LPBound the relaxed-LP
+// worth bound rides along in every Decision and in the state, never below the
+// mapped worth; single-string rescales move the catalog a little at a time, so
+// re-solves warm-start from the previous basis (unlike `lpbound -rescale`,
+// whose uniform scaling the solver refuses); and the bound is advisory — it is
+// in neither the state digest nor the journal's chain check, so a journaled
+// LPBound daemon recovers to the same digest and chain with the flag on or off.
+func TestLPBoundFollowsRescales(t *testing.T) {
+	cfg := workload.ScenarioConfig(workload.HighlyLoaded)
+	cfg.Strings = 50 // an LP small enough to re-solve ~50 times under -race
+	sys := workload.MustGenerate(cfg, 1)
+	path := filepath.Join(t.TempDir(), "shipd.wal")
+	svc, err := New(Config{System: sys, Heuristic: "MWF", LPBound: true, Journal: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	checkBound := func(what string, bound, worth float64) {
+		t.Helper()
+		if bound <= 0 || bound < worth-1e-6 {
+			t.Fatalf("%s: worth bound %v, want present and >= mapped worth %v", what, bound, worth)
+		}
+	}
+	warm := 0
+	const rescales = 20
+	for i := 0; i < rescales; i++ {
+		k, factor := (7*i+3)%len(sys.Strings), 1.1
+		if i%2 == 1 {
+			factor = 0.9
+		}
+		d, err := svc.Rescale(k, factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBound(fmt.Sprintf("rescale %d (string %d x%v)", i, k, factor), d.WorthBound, d.WorthAfter)
+		if d.Accepted && d.BoundWarmStarted {
+			warm++
+		}
+	}
+	if warm == 0 {
+		t.Errorf("no bound re-solve warm-started across %d single-string rescales", rescales)
+	}
+	t.Logf("%d of %d rescales re-solved the bound from a warm basis", warm, rescales)
+	want := stateOf(t, svc)
+	checkBound("state", want.WorthBound, want.Worth)
+	var chain string
+	if err := svc.exec(func(st *state) { chain = st.chain }); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+
+	for _, lpBound := range []bool{true, false} {
+		rec, _, err := Recover(path, Config{LPBound: lpBound})
+		if err != nil {
+			t.Fatalf("recover with LPBound=%v: %v", lpBound, err)
+		}
+		got := stateOf(t, rec)
+		var gotChain string
+		if err := rec.exec(func(st *state) { gotChain = st.chain }); err != nil {
+			t.Fatal(err)
+		}
+		rec.Close()
+		if got.Digest != want.Digest || got.Seq != want.Seq || gotChain != chain {
+			t.Fatalf("recovered with LPBound=%v: seq %d digest %s chain %s, want %d %s %s",
+				lpBound, got.Seq, got.Digest, gotChain, want.Seq, want.Digest, chain)
+		}
+		if lpBound {
+			checkBound("recovered state", got.WorthBound, got.Worth)
+		} else if got.WorthBound != 0 {
+			t.Fatalf("recovered without LPBound, yet the state carries bound %v", got.WorthBound)
+		}
 	}
 }

@@ -44,8 +44,6 @@ type Config struct {
 	Search heuristics.PSGConfig
 	// Overload configures surge episodes (POST /v1/surge).
 	Overload overload.Config
-	// Repair bounds the fault-repair loops (POST /v1/faults).
-	Repair dynamic.Options
 	// LPBound enables the relaxed-LP upper bound on total worth, re-solved
 	// with a warm-started simplex basis when a rescale changes the system.
 	LPBound bool
@@ -91,7 +89,6 @@ func (c Config) WithDefaults() Config {
 		c.DigestEvery = 1024
 	}
 	c.Overload = c.Overload.WithDefaults()
-	c.Repair = c.Repair.WithDefaults()
 	return c
 }
 
@@ -109,9 +106,6 @@ func (c Config) Validate() error {
 	if err := c.Overload.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if err := c.Repair.Validate(); err != nil {
-		errs = append(errs, err)
-	}
 	if c.EventBuffer < 0 {
 		errs = append(errs, fmt.Errorf("service: EventBuffer = %d, want >= 0", c.EventBuffer))
 	}
@@ -127,7 +121,7 @@ type state struct {
 	// base is the catalog as loaded and is never written; sys is the working
 	// view the allocation is built over: string k's demand floats are
 	// base × scale[k], one multiply from the pristine float (the
-	// dynamic.ScaleStrings definition). The view shares the slices a rescale
+	// model.ScaleDemand definition). The view shares the slices a rescale
 	// never writes (Bandwidth, NominalUtil) with base.
 	base *model.System
 	sys  *model.System
@@ -474,17 +468,12 @@ func (st *state) solveBound() {
 	st.boundWarm = b.WarmStarted
 }
 
-func (st *state) machineOK(j int) bool    { return !st.down.MachineDown(j) }
-func (st *state) routeOK(j1, j2 int) bool { return !st.down.RouteDown(j1, j2) }
-
 // place runs the IMR on string k over the surviving resources. While nothing
 // is down the masks are nil (the unmasked routine, by MapStringIMRMasked's
 // contract), so a healthy ship's scans make no mask calls.
 func (st *state) place(k int) bool {
-	if st.down.Empty() {
-		return heuristics.MapStringIMRMasked(st.alloc, k, nil, nil)
-	}
-	return heuristics.MapStringIMRMasked(st.alloc, k, st.machineOK, st.routeOK)
+	machineOK, routeOK := st.down.Masks()
+	return heuristics.MapStringIMRMasked(st.alloc, k, machineOK, routeOK)
 }
 
 // finish stamps the common Decision fields, advances the sequence number,
@@ -518,16 +507,20 @@ func (st *state) digest() string {
 	return st.digestMemo
 }
 
-// reject builds a rejected Decision; the state has already been rolled back.
-func (st *state) reject(op string, k int, worthBefore, slackness float64, reason string, viol []feasibility.Violation) Decision {
+// decide builds and finishes the Decision of an admit, remove or rescale on
+// string k — rejected iff it comes with a reason (and the violations behind
+// it) — reading worth and slackness off the settled state: an accepted op has
+// been committed, a rejected one already rolled back, so it reports the worth
+// it started from.
+func (st *state) decide(op string, k int, worthBefore float64, reason string, viol []feasibility.Violation) Decision {
 	d := Decision{
 		Op:          op,
-		Accepted:    false,
+		Accepted:    reason == "",
 		StringID:    k,
 		Reason:      reason,
 		WorthBefore: worthBefore,
-		WorthAfter:  worthBefore,
-		Slackness:   slackness,
+		WorthAfter:  st.worth,
+		Slackness:   st.alloc.Slackness(),
 		Violations:  fromViolations(viol),
 	}
 	return st.finish(&d)
@@ -544,27 +537,17 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 	if !st.place(k) {
 		// Partial placements leave float residue; roll the window back.
 		st.da.Undo()
-		return st.reject("admit", k, worthBefore, st.alloc.Slackness(),
-			"no feasible placement on surviving resources", nil), nil
+		return st.decide("admit", k, worthBefore, "no feasible placement on surviving resources", nil), nil
 	}
 	if !st.da.FeasibleAfterDelta() {
 		viol := st.da.ViolationsAfterDelta()
 		st.da.Undo()
-		return st.reject("admit", k, worthBefore, st.alloc.Slackness(),
-			"placement violates QoS of co-resident strings", viol), nil
+		return st.decide("admit", k, worthBefore, "placement violates QoS of co-resident strings", viol), nil
 	}
 	st.da.Commit()
 	st.worth += st.sys.Strings[k].Worth
 	st.nMapped++
-	d := Decision{
-		Op:          "admit",
-		Accepted:    true,
-		StringID:    k,
-		WorthBefore: worthBefore,
-		WorthAfter:  st.worth,
-		Slackness:   st.alloc.Slackness(),
-	}
-	return st.finish(&d), nil
+	return st.decide("admit", k, worthBefore, "", nil), nil
 }
 
 func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
@@ -579,26 +562,7 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 	st.worth -= st.sys.Strings[k].Worth
 	st.nMapped--
 	st.da.Commit()
-	d := Decision{
-		Op:          "remove",
-		Accepted:    true,
-		StringID:    k,
-		WorthBefore: worthBefore,
-		WorthAfter:  st.worth,
-		Slackness:   st.alloc.Slackness(),
-	}
-	return st.finish(&d), nil
-}
-
-// scaleApps writes src's demand floats times g into dst: nominal times and
-// output sizes scale, utilizations do not (dynamic.ScaleStrings, one string).
-func scaleApps(dst, src []model.Application, g float64) {
-	for i := range src {
-		for j, t := range src[i].NominalTime {
-			dst[i].NominalTime[j] = t * g
-		}
-		dst[i].OutputKB = src[i].OutputKB * g
-	}
+	return st.decide("remove", k, worthBefore, "", nil), nil
 }
 
 // scaledView builds the working catalog base × scale. Only the NominalTime
@@ -616,7 +580,7 @@ func scaledView(base *model.System, scale []float64) *model.System {
 			apps[i].NominalTime = make([]float64, len(src[i].NominalTime))
 			apps[i].NominalUtil = src[i].NominalUtil
 		}
-		scaleApps(apps, src, scale[k])
+		model.ScaleDemand(apps, src, scale[k])
 		view.Strings[k] = base.Strings[k]
 		view.Strings[k].Apps = apps
 	}
@@ -629,7 +593,7 @@ func scaledView(base *model.System, scale []float64) *model.System {
 // then derived from them. Recomputing at the scale already in force is a
 // bit-identical no-op, which is how a rejected rescale rolls the catalog back.
 func (st *state) setScale(k int, g float64) {
-	scaleApps(st.sys.Strings[k].Apps, st.base.Strings[k].Apps, g)
+	model.ScaleDemand(st.sys.Strings[k].Apps, st.base.Strings[k].Apps, g)
 }
 
 func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
@@ -652,15 +616,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		if st.cfg.LPBound {
 			st.solveBound()
 		}
-		d := Decision{
-			Op:          "rescale",
-			Accepted:    true,
-			StringID:    k,
-			WorthBefore: worthBefore,
-			WorthAfter:  worthBefore,
-			Slackness:   st.alloc.Slackness(),
-		}
-		return st.finish(&d), nil
+		return st.decide("rescale", k, worthBefore, "", nil), nil
 	}
 	st.alloc.UnassignString(k)
 	st.setScale(k, scaled)
@@ -671,15 +627,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		if st.cfg.LPBound {
 			st.solveBound()
 		}
-		d := Decision{
-			Op:          "rescale",
-			Accepted:    true,
-			StringID:    k,
-			WorthBefore: worthBefore,
-			WorthAfter:  st.worth,
-			Slackness:   st.alloc.Slackness(),
-		}
-		return st.finish(&d), nil
+		return st.decide("rescale", k, worthBefore, "", nil), nil
 	}
 	var viol []feasibility.Violation
 	reason := "no feasible placement for rescaled demand"
@@ -692,7 +640,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	// allocation back bit-identically.
 	st.setScale(k, st.scale[k])
 	st.da.Undo()
-	return st.reject("rescale", k, worthBefore, st.alloc.Slackness(), reason, viol), nil
+	return st.decide("rescale", k, worthBefore, reason, viol), nil
 }
 
 func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
@@ -712,7 +660,7 @@ func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
 	// Survive reuses the already-attached analyzer, so the fault path does
 	// not rebase; repaired resources become placeable again but previously
 	// shed strings are only re-admitted via explicit /v1/admit calls.
-	res, err := dynamic.Survive(st.alloc, st.down, st.cfg.Repair)
+	res, err := dynamic.Survive(st.alloc, st.down)
 	if err != nil {
 		if errors.Is(err, dynamic.ErrUnknownResource) {
 			return Decision{}, Errorf(CodeUnknownResource, nil, "%v", err)

@@ -410,6 +410,20 @@ func Generate(cfg Config, seed int64) (*model.System, error) {
 	return sys, nil
 }
 
+// LoadSystem is how the commands get their system: the JSON file inFile when
+// one is named, else paper scenario `scenario` generated from seed, with
+// stringsOverride strings when that is positive.
+func LoadSystem(inFile string, scenario int, seed int64, stringsOverride int) (*model.System, error) {
+	if inFile != "" {
+		return model.LoadFile(inFile)
+	}
+	cfg := ScenarioConfig(Scenario(scenario))
+	if stringsOverride > 0 {
+		cfg.Strings = stringsOverride
+	}
+	return Generate(cfg, seed)
+}
+
 // MustGenerate is Generate for configurations known to be valid (the
 // scenario presets); it panics on error.
 func MustGenerate(cfg Config, seed int64) *model.System {

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -396,5 +397,36 @@ func TestPickWorthExhaustsWeights(t *testing.T) {
 		if counts[lvl] < 30 {
 			t.Errorf("worth level %v drawn only %d/200 times under equal weights", lvl, counts[lvl])
 		}
+	}
+}
+
+// LoadSystem is the commands' one way to a system: -in wins over the
+// generator flags, and without it -strings overrides the scenario's count.
+func TestLoadSystem(t *testing.T) {
+	gen, err := LoadSystem("", int(LightlyLoaded), 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ScenarioConfig(LightlyLoaded)
+	cfg.Strings = 9
+	if want := MustGenerate(cfg, 4); len(gen.Strings) != 9 || gen.Strings[8].Period != want.Strings[8].Period {
+		t.Fatalf("generated %d strings (last period %v), want 9 (%v)", len(gen.Strings), gen.Strings[8].Period, want.Strings[8].Period)
+	}
+	if full, err := LoadSystem("", int(LightlyLoaded), 4, 0); err != nil || len(full.Strings) != ScenarioConfig(LightlyLoaded).NumStrings() {
+		t.Fatalf("no override: %d strings, err %v", len(full.Strings), err)
+	}
+	path := filepath.Join(t.TempDir(), "system.json")
+	if err := gen.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSystem(path, int(HighlyLoaded), 1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Strings) != 9 || loaded.Machines != gen.Machines {
+		t.Fatalf("-in ignored: %d strings on %d machines", len(loaded.Strings), loaded.Machines)
+	}
+	if _, err := LoadSystem(filepath.Join(t.TempDir(), "missing.json"), 1, 1, 0); err == nil {
+		t.Fatal("missing -in file accepted")
 	}
 }

@@ -30,7 +30,7 @@ func main() {
 		scenario  = flag.Int("scenario", 1, "paper scenario to generate: 1, 2 or 3")
 		seed      = flag.Int64("seed", 1, "workload RNG seed")
 		strings_  = flag.Int("strings", 0, "override string count (0 = paper value)")
-		inFile    = flag.String("in", "", "load the system from a JSON file instead of generating")
+		inFile    = flag.String("in", "", "load the system from a JSON file instead of generating (read strictly: an unknown, repeated or misspelt field and any trailing byte are refused, with the offset)")
 		objective = flag.String("objective", "", "worth | slackness (default: worth for scenarios 1-2, slackness for 3)")
 		form      = flag.String("form", "relaxed", "full | relaxed")
 		literal   = flag.Bool("literal-objective", false, "use the paper's printed per-application worth objective")

@@ -77,7 +77,7 @@ func main() {
 		scenario    = flag.Int("scenario", 3, "paper scenario to generate: 1 | 2 | 3")
 		seed        = flag.Int64("seed", 1, "workload RNG seed")
 		strings_    = flag.Int("strings", 0, "override string count (0 = paper value)")
-		inFile      = flag.String("in", "", "load the system from a JSON file instead of generating")
+		inFile      = flag.String("in", "", "load the system from a JSON file instead of generating (read strictly: an unknown, repeated or misspelt field and any trailing byte are refused, with the offset)")
 		heuristic   = flag.String("heuristic", "", "initial mapping heuristic (MWF | TF | PSG | SeededPSG | ...); empty starts with nothing mapped")
 		psgIters    = flag.Int("psg-iters", 1000, "GENITOR iteration budget for the initial heuristic")
 		psgTrials   = flag.Int("psg-trials", 2, "GENITOR trials for the initial heuristic")
@@ -157,8 +157,9 @@ func main() {
 		var rep *service.RecoveryReport
 		svc, rep, err = service.Recover(*journalPath, cfg)
 		fatal(err)
-		fmt.Printf("shipd: recovered from journal %s: snapshot seq %d (digest %s), %d ops replayed, %d skipped, state seq %d, digest %s\n",
-			*journalPath, rep.SnapshotSeq, rep.SnapshotDigest, rep.Replayed, rep.Skipped, rep.FinalSeq, rep.Digest)
+		fmt.Printf("shipd: recovered from journal %s: snapshot seq %d (digest %s), %d ops replayed, %d skipped, state seq %d, digest %s (catalog load %s, replay %s)\n",
+			*journalPath, rep.SnapshotSeq, rep.SnapshotDigest, rep.Replayed, rep.Skipped, rep.FinalSeq, rep.Digest,
+			rep.CatalogLoad.Round(time.Microsecond), rep.Replay.Round(time.Microsecond))
 		if rep.Torn {
 			fmt.Printf("shipd: journal had a torn tail (%d bytes) from an interrupted append; discarded\n", rep.TornBytes)
 		}

@@ -61,7 +61,7 @@ func main() {
 		scenario  = flag.Int("scenario", 1, "paper scenario to generate: 1 (highly loaded), 2 (QoS-limited), 3 (lightly loaded)")
 		seed      = flag.Int64("seed", 1, "workload RNG seed")
 		strings_  = flag.Int("strings", 0, "override string count (0 = paper value)")
-		inFile    = flag.String("in", "", "load the system from a JSON file instead of generating")
+		inFile    = flag.String("in", "", "load the system from a JSON file instead of generating (read strictly: an unknown, repeated or misspelt field and any trailing byte are refused, with the offset)")
 		saveFile  = flag.String("save", "", "save the (generated) system to a JSON file")
 		heuristic = flag.String("heuristic", "SeededPSG", "heuristic: MWF | TF | PSG | SeededPSG | SSG | ClassedPSG")
 		psgIters  = flag.Int("psg-iters", 1000, "GENITOR iteration budget (paper: 5000)")

@@ -149,6 +149,40 @@ func BenchmarkCompact(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverFleet times a restart — Recover of a journal of about 5 000
+// mixed-op records (drawn like BenchmarkCompact's, written once, outside the
+// timer) over the benchmark's fleet ship: state file, the 2.4 MB pinned
+// catalog, then every record decoded, replayed and chain-checked. ns/record
+// is the whole restart spread over its records, catalog load included.
+func BenchmarkRecoverFleet(b *testing.B) {
+	sys := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
+	journalPath := filepath.Join(b.TempDir(), "bench.wal")
+	svc, err := New(Config{System: sys, Journal: journalPath, Fsync: journal.FsyncNone, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.NewRand(1, "service/bench", 1)
+	for step := 0; step < 7800; step++ { // a third of the draws are conflicts, which are not journaled
+		op, k, factor := modelOp(r, len(sys.Strings))
+		_, _ = applyModelOp(svc, op, k, factor)
+	}
+	svc.Close()
+	b.ResetTimer()
+	records := 0
+	for n := 0; n < b.N; n++ {
+		rec, rep, err := Recover(journalPath, Config{CompactEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = rep.Replayed
+		b.StopTimer()
+		rec.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	b.ReportMetric(float64(records), "records")
+}
+
 // paperHandler is where the wire path was profiled: the benchmark's `paper`
 // ship (scenario 1, seed 1) behind the HTTP handler with the journal on,
 // loaded by admitting every string in index order. It returns the handler and

@@ -152,6 +152,10 @@ type RecoveryReport struct {
 	// FinalSeq and Digest describe the recovered state.
 	FinalSeq uint64 `json:"finalSeq"`
 	Digest   string `json:"digest"`
+	// CatalogLoad (read, hash, parse and validate the pinned catalog) and
+	// Replay (the record loop) are wall times, for the startup banner only.
+	CatalogLoad time.Duration `json:"catalogLoadNs"`
+	Replay      time.Duration `json:"replayNs"`
 }
 
 // journaledMutation rebuilds the mutation a journal record was written for.
@@ -389,14 +393,16 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		SnapshotDigest: file.Digest,
 		Torn:           scan.Torn,
 		TornBytes:      scan.TornBytes,
+		CatalogLoad:    st.catalogLoad,
 	}
 	fail := func(i int, seq uint64, op, reason string) (*Service, *RecoveryReport, error) {
 		w.Close()
 		return nil, nil, &ReplayError{Path: journalPath, Index: i, Seq: seq, Op: op, Reason: reason}
 	}
+	replayStart := time.Now()
 	for i, raw := range scan.Payloads {
-		var rec opRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := decodeOpRecord(raw)
+		if err != nil {
 			return fail(i, 0, "", fmt.Sprintf("undecodable record: %v", err))
 		}
 		if rec.V != SchemaVersion {
@@ -438,6 +444,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		}
 		rep.Replayed++
 	}
+	rep.Replay = time.Since(replayStart)
 	// A journal truncated right before the header (or torn down to empty)
 	// needs its header back before new ops ride on it.
 	if w.Size() == 0 {

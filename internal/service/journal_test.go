@@ -350,6 +350,63 @@ func TestRecoverLegacyJournalRecords(t *testing.T) {
 	}
 }
 
+// The record decoder refuses rather than guesses, and Recover keeps its order
+// of checks over it: a record that does not decode is a *ReplayError saying
+// where — before its schema version is looked at — and one that decodes to an
+// op no binary wrote fails on replay, naming the op.
+func TestRecoverUndecodableRecordIsReplayError(t *testing.T) {
+	for _, tc := range []struct {
+		name, old, new string
+		wantInReason   string
+	}{
+		{"case variant", `"seq":1,`, `"Seq":1,`, `undecodable record: unknown field "Seq" at offset`},
+		{"escaped name", `"op":"admit"`, `"o\u0070":"admit"`, "undecodable record: malformed field name"},
+		{"escaped op", `"op":"admit"`, `"op":"adm\u0069t"`, `undecodable record: field "op": want a plain string`},
+		{"duplicate", `"seq":1,`, `"seq":1,"seq":1,`, `undecodable record: duplicate field "seq" at offset`},
+		{"null", `"accepted":true`, `"accepted":null`, `undecodable record: field "accepted": want true or false at offset`},
+		{"undecodable and another version", `{"v":2,"seq":1,`, `{"v":1,"seq":1.0,`, `undecodable record: field "seq": want an integer`},
+		{"trailing bytes", `"}`, `"} {}`, "undecodable record: trailing data"},
+		{"unknown op", `"op":"admit"`, `"op":"admix"`, `journaled op failed on replay`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, path := journaledService(t, 4, Config{})
+			mustAdmit(t, svc, 0)
+			svc.Close()
+			scan, err := journal.Scan(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _, err := journal.Open(filepath.Join(t.TempDir(), "edited.wal"), journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range scan.Payloads {
+				if i == 1 {
+					edited := strings.Replace(string(p), tc.old, tc.new, 1)
+					if edited == string(p) {
+						t.Fatalf("record %s has no %s to edit", p, tc.old)
+					}
+					p = []byte(edited)
+				}
+				if _, err := w.Append(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(w.Path(), path); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Recover(path, Config{})
+			var re *ReplayError
+			if !errors.As(err, &re) || re.Index != 1 || !strings.Contains(re.Reason, tc.wantInReason) {
+				t.Fatalf("error = %v, want a *ReplayError on record 1 mentioning %q", err, tc.wantInReason)
+			}
+		})
+	}
+}
+
 // Compaction: after CompactEvery ops the journal folds into its sidecar
 // snapshot; recovery from the compacted pair is still bit-identical, and a
 // crash between the compaction snapshot and the truncate (simulated by

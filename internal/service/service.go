@@ -16,6 +16,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/faults"
@@ -127,8 +128,9 @@ type state struct {
 	sys  *model.System
 	// catalog names and hashes base's durable encoding; catalogAt records the
 	// catalog files this process has written or verified (see writeCatalog).
-	catalog   CatalogRef
-	catalogAt map[string]bool
+	catalog     CatalogRef
+	catalogAt   map[string]bool
+	catalogLoad time.Duration // loadCatalog's wall time, for the RecoveryReport
 	// alloc is the mapped set: string k is admitted iff alloc.Complete(k).
 	alloc *feasibility.Allocation
 	da    *feasibility.DeltaAnalyzer

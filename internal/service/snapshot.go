@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/feasibility"
@@ -249,14 +250,11 @@ func loadCatalog(dir string, ref *CatalogRef) (*model.System, error) {
 	if got := hashHex(data); got != ref.SHA256 {
 		return nil, fmt.Errorf("catalog file %s hashes to sha256 %s, the snapshot pins %s", path, got, ref.SHA256)
 	}
-	var base model.System
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parse catalog file %s: %w", path, err)
-	}
-	if err := base.Validate(); err != nil {
+	base, err := model.ParseSystem(data)
+	if err != nil {
 		return nil, fmt.Errorf("catalog file %s: %w", path, err)
 	}
-	return &base, nil
+	return base, nil
 }
 
 // stateFromSnapshot validates a loaded snapshot and rebuilds the daemon
@@ -270,10 +268,12 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		return nil, fmt.Errorf("service: snapshot %s is missing the catalog or allocation section", path)
 	}
 	dir := filepath.Dir(path)
+	loadStart := time.Now()
 	base, err := loadCatalog(dir, file.Catalog)
 	if err != nil {
 		return nil, fmt.Errorf("service: snapshot %s: %w", path, err)
 	}
+	catalogLoad := time.Since(loadStart)
 	if cfg.System != nil {
 		_, ref, err := encodeCatalog(cfg.System)
 		if err != nil {
@@ -331,18 +331,19 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		return nil, err
 	}
 	return &state{
-		cfg:        cfg,
-		base:       base,
-		sys:        sys,
-		catalog:    *file.Catalog,
-		catalogAt:  map[string]bool{filepath.Join(dir, file.Catalog.File): true},
-		alloc:      alloc,
-		scale:      file.Scale,
-		down:       down,
-		seq:        file.Seq,
-		digestMemo: digest,
-		digestSeq:  file.Seq,
-		events:     newEventLog(cfg.EventBuffer),
+		cfg:         cfg,
+		base:        base,
+		sys:         sys,
+		catalog:     *file.Catalog,
+		catalogAt:   map[string]bool{filepath.Join(dir, file.Catalog.File): true},
+		catalogLoad: catalogLoad,
+		alloc:       alloc,
+		scale:       file.Scale,
+		down:        down,
+		seq:         file.Seq,
+		digestMemo:  digest,
+		digestSeq:   file.Seq,
+		events:      newEventLog(cfg.EventBuffer),
 	}, nil
 }
 

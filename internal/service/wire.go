@@ -1,8 +1,9 @@
-// The wire codec. Every hot wire type has exactly one encoder and every hot
-// request exactly one parser, all of them here: Decision (every mutation's
-// reply and every /v1/events line), StateResponse (GET /v1/state), the journal
-// record, and the {"stringId":N[,"factor":F]} body of admit, remove and
-// rescale — as a request body and as a journaled payload alike.
+// The wire codec. Every hot wire type has exactly one encoder and one decoder,
+// all of them here: Decision (every mutation's reply and every /v1/events
+// line) and StateResponse (GET /v1/state), which the daemon only writes; the
+// journal record, written per op and read back on replay; and the
+// {"stringId":N[,"factor":F]} body of admit, remove and rescale — as a request
+// body and as a journaled payload alike.
 //
 // The contract is encoding/json's bytes: each encoder appends exactly what
 // json.Marshal writes for the same value (compact, struct field order, the
@@ -10,14 +11,14 @@
 // client, an old journal and a new journal cannot tell the two apart, and
 // TestWireMatchesEncodingJSON holds them equal on random values. What differs
 // is the cost — no reflection, no intermediate copy, one pooled buffer per
-// request — and the parser's strictness, which encoding/json cannot be
-// configured into: every field required exactly once under its exact name.
-// The cold DTOs (error envelope, health, snapshot, metrics, the faults and
-// surge request bodies) stay on encoding/json.
+// request — and the decoders' strictness, which encoding/json cannot be
+// configured into: a field under its exact name, at most once (a request's
+// exactly once), refused with its byte offset otherwise. The cold DTOs (error
+// envelope, health, snapshot state file, metrics, the faults and surge request
+// bodies) stay on encoding/json.
 package service
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,6 +26,8 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/jsonscan"
 )
 
 // wbuf is the append buffer a hot wire type is encoded into and a hot request
@@ -297,51 +300,12 @@ func (w *wbuf) stringOp(k int, factor float64, rescale bool) {
 
 // --- decode ---
 
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
-}
-
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// scanNumber scans the JSON number starting at b[i] and returns the index
-// after it and whether it is written as an integer (no fraction, no
-// exponent); end == i means no number starts there.
-func scanNumber(b []byte, i int) (end int, integer bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	k := digits(b, j)
-	if k == j || (b[j] == '0' && k > j+1) {
-		return i, false // no digits, or a leading zero
-	}
-	j, integer = k, true
-	if j < len(b) && b[j] == '.' {
-		if k = digits(b, j+1); k == j+1 {
-			return i, false
-		}
-		j, integer = k, false
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		if k = digits(b, j); k == j {
-			return i, false
-		}
-		j, integer = k, false
-	}
-	return j, integer
-}
+// The decoders are tables of field names over internal/jsonscan's cursor.
+var (
+	stringOpFields = []string{"stringId", "factor"}
+	recordFields   = []string{"v", "seq", "op", "payload", "accepted", "check", "stateDigest"}
+	opNames        = [...]string{opAdmit, opRemove, opRescale, opFaults, opSurge, opHeader}
+)
 
 // parseStringOp parses {"stringId":N} or, for a rescale,
 // {"stringId":N,"factor":F}: one flat JSON object whose fields are all
@@ -351,74 +315,66 @@ func scanNumber(b []byte, i int) (end int, integer bool) {
 // the journal, and accepts nothing a strict json.Decoder refuses
 // (FuzzParseStringOp).
 func parseStringOp(b []byte, rescale bool) (k int, factor float64, err error) {
-	i := skipSpace(b, 0)
-	if i == len(b) || b[i] != '{' {
-		return 0, 0, errors.New("want a JSON object")
+	names := stringOpFields[:1]
+	if rescale {
+		names = stringOpFields
 	}
-	i = skipSpace(b, i+1)
-	var haveK, haveFactor bool
-	for more := i == len(b) || b[i] != '}'; more; {
-		// A field name is matched byte for byte, so one written with an
-		// escape is refused like a misspelt one.
-		if i == len(b) || b[i] != '"' {
-			return 0, 0, errors.New("want a field name")
+	c := jsonscan.Cursor{B: b}
+	var seen uint32
+	err = c.End(c.Object(names, false, func(f int) error {
+		seen |= 1 << f
+		if f == 0 {
+			return c.Number(&k)
 		}
-		end := i + 1
-		for end < len(b) && b[end] != '"' && b[end] != '\\' && b[end] >= ' ' {
-			end++
+		return c.Number(&factor)
+	}))
+	for f, name := range names {
+		if err == nil && seen&(1<<f) == 0 {
+			err = fmt.Errorf("missing field %q", name)
 		}
-		if end == len(b) || b[end] != '"' {
-			return 0, 0, errors.New("malformed field name")
+	}
+	return k, factor, err
+}
+
+// internOp returns the op constant spelt s, or a copy of s: a name no binary
+// wrote (which replay then refuses as an unknown op), a chain value, a digest.
+func internOp(s []byte) string {
+	for _, op := range opNames {
+		if string(s) == op {
+			return op
 		}
-		name, have := b[i+1:end], &haveK
-		switch {
-		case string(name) == "stringId":
-		case string(name) == "factor" && rescale:
-			have = &haveFactor
+	}
+	return string(s)
+}
+
+// decodeOpRecord parses a journal record; the only decoder of one, beside its
+// only encoder. Fields come in any order, each at most once; a field this
+// binary does not know (an older binary's "rngCalls") is stepped over. The
+// strings are plain (op names and hex digests are all a record ever held), and
+// Payload is a sub-slice of b, still to be validated by parseStringOp or
+// decodeOp before it is applied. Whatever this accepts, json.Unmarshal accepts
+// and reads the same (FuzzParseOpRecord).
+func decodeOpRecord(b []byte) (rec opRecord, err error) {
+	c := jsonscan.Cursor{B: b}
+	strs := [...]*string{2: &rec.Op, 5: &rec.Check, 6: &rec.StateDigest}
+	err = c.End(c.Object(recordFields, true, func(f int) (err error) {
+		switch f {
+		case 0:
+			return c.Number(&rec.V)
+		case 1:
+			return c.Number(&rec.Seq)
+		case 3:
+			rec.Payload, err = c.Raw()
+		case 4:
+			rec.Accepted, err = c.Bool()
 		default:
-			return 0, 0, fmt.Errorf("unknown field %q", name)
+			var s []byte
+			s, err = c.Plain()
+			*strs[f] = internOp(s)
 		}
-		if *have {
-			return 0, 0, fmt.Errorf("duplicate field %q", name)
-		}
-		*have = true
-		if i = skipSpace(b, end+1); i == len(b) || b[i] != ':' {
-			return 0, 0, fmt.Errorf("field %q: want ':'", name)
-		}
-		i = skipSpace(b, i+1)
-		end, integer := scanNumber(b, i)
-		switch {
-		case end == i:
-			return 0, 0, fmt.Errorf("field %q: want a number", name)
-		case have == &haveFactor:
-			factor, err = strconv.ParseFloat(string(b[i:end]), 64)
-		case !integer:
-			return 0, 0, fmt.Errorf("field %q: want an integer", name)
-		default:
-			var n int64
-			n, err = strconv.ParseInt(string(b[i:end]), 10, 0)
-			k = int(n)
-		}
-		if err != nil { // out of range
-			return 0, 0, fmt.Errorf("field %q: %v", name, err)
-		}
-		if i = skipSpace(b, end); i == len(b) || (b[i] != ',' && b[i] != '}') {
-			return 0, 0, fmt.Errorf("after field %q: want ',' or '}'", name)
-		}
-		if more = b[i] == ','; more {
-			i = skipSpace(b, i+1)
-		}
-	}
-	if skipSpace(b, i+1) != len(b) {
-		return 0, 0, errors.New("trailing data after request body")
-	}
-	if !haveK {
-		return 0, 0, errors.New(`missing field "stringId"`)
-	}
-	if rescale && !haveFactor {
-		return 0, 0, errors.New(`missing field "factor"`)
-	}
-	return k, factor, nil
+		return err
+	}))
+	return rec, err
 }
 
 // --- HTTP ---

@@ -299,6 +299,70 @@ func FuzzParseStringOp(f *testing.F) {
 	})
 }
 
+// FuzzParseOpRecord holds the journal record's decoder to its encoder and to
+// encoding/json: every record opRecord writes decodes to the struct that was
+// encoded, and whatever else the decoder accepts that is JSON at all,
+// json.Unmarshal reads the same.
+func FuzzParseOpRecord(f *testing.F) {
+	for i, s := range []string{
+		`{"v":2,"seq":0,"op":"header","accepted":false,"check":""}`,
+		`{"accepted":true,"check":"00ff00ff00ff00ff","op":"admit","payload":{"stringId":3},"rngCalls":0,"seq":7,"stateDigest":"ab","v":2}`,
+		" {\n\"v\" : 2 , \"payload\" : {\"stringId\":1,\"factor\":1e-7}\t, \"op\":\"rescale\",\"seq\":18446744073709551615 }\r\n",
+		`{"v":2,"x":{"a":[1,{"b":null,"c":"q\\\"\u00e9"}],"d":[]},"y":[[],{}],"z":-0.5e+3,"seq":1}`,
+		`{"v":2,"SEQ":3}`, `{"v":2,"\u0073eq":3}`, "{\"v\":2,\"\u017feq\":3}", "{\"v\":2,\"\u212a\":3,\"chec\u212a\":\"x\"}", `{"v":2,"v":3}`, `{"x":1,"x":2}`,
+		`{"v":null}`, `{"seq":null}`, `{"op":null}`, `{"accepted":null}`, `{"payload":null}`, `null`, `[]`, `{}`, `{"v":2}{}`, `{"v":2,}`,
+		`{"seq":-1}`, `{"seq":-0}`, `{"seq":1.0}`, `{"v":2e0}`, `{"seq":18446744073709551616}`, `{"v":9223372036854775808}`, `{"v":01}`,
+		`{"op":"adm\u0069t"}`, `{"op":"héllo"}`, `{"op":"bogus"}`, `{"op":""}`, `{"check":"a\tb"}`, `{"accepted":1}`, `{"accepted":"true"}`, `{"accepted":truee}`,
+		`{"payload":"str"}`, `{"payload":[1,2,{"a":"]"}]}`, `{"payload":tru}`, `{"payload":{"a":1}`, `{"x":"\q"}`, "{\"x\":\"a\nb\"}",
+	} {
+		f.Add([]byte(s), uint64(i)<<uint(i), uint8(i), i-1, 0.7+float64(i)/3, i%2 == 0, i%3 == 0)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, seq uint64, pick uint8, k int, factor float64, digest, accepted bool) {
+		// What the encoder writes comes back as it went in.
+		rec := opRecord{V: SchemaVersion, Seq: seq, Op: opNames[int(pick)%len(opNames)], Accepted: accepted, Check: fmt.Sprintf("%016x", seq*31)}
+		if digest {
+			rec.StateDigest = fmt.Sprintf("%064x", k)
+		}
+		var v any
+		switch rec.Op {
+		case opAdmit, opRemove, opRescale:
+			if math.IsNaN(factor) || math.IsInf(factor, 0) {
+				factor = 1
+			}
+			var p wbuf
+			p.stringOp(k, factor, rec.Op == opRescale)
+			rec.Payload = p.b
+		case opFaults:
+			v = FaultsRequest{Fail: []faults.Resource{faults.Machine(k)}, Repair: maybe(rand.New(rand.NewSource(int64(seq))), []faults.Resource{faults.Route(1, 2)})}
+		case opSurge:
+			v = &overload.Scenario{Name: string(raw) + "<&>", Events: []overload.Event{{ID: "e", Kind: overload.Step, Strings: []int{k}, Factor: 1.3}}}
+		}
+		if v != nil {
+			var err error
+			if rec.Payload, err = json.Marshal(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var w wbuf
+		w.opRecord(&rec)
+		if back, err := decodeOpRecord(w.b); err != nil || w.err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("record %s decodes to %+v, %v; encoded from %+v", w.b, back, err, rec)
+		}
+
+		got, err := decodeOpRecord(raw)
+		if err != nil || !json.Valid(raw) {
+			return
+		}
+		var want opRecord
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("decodeOpRecord(%q) accepted what encoding/json refuses: %v", raw, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeOpRecord(%q) = %+v; encoding/json reads %+v", raw, got, want)
+		}
+	})
+}
+
 // stateVia fetches GET /v1/state through h.
 func stateVia(t *testing.T, h http.Handler) StateResponse {
 	t.Helper()

@@ -59,9 +59,9 @@ func main() {
 		Seed:    *seed,
 		Strings: *strings_,
 		SkipUB:  *skipUB,
-		Workers: *workers,
 		PSG:     heuristics.DefaultPSGConfig(),
 	}
+	opts.PSG.Workers = *workers
 	opts.PSG.MaxIterations = *psgIters
 	opts.PSG.PopulationSize = *psgPop
 	opts.PSG.StallLimit = *psgStall

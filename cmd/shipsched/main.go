@@ -80,12 +80,13 @@ func main() {
 		traceFile = flag.String("trace", "", "write a JSONL span/event trace to this file (implies -metrics)")
 		ckptFile  = flag.String("checkpoint", "", "write an interrupted search's full state to this JSON file (resume with -resume)")
 		resume    = flag.String("resume", "", "resume an interrupted search from a checkpoint file; the system and search configuration come from the file")
-		deadline  = flag.Duration("trial-deadline", 0, "wall-clock budget per GENITOR trial (e.g. 30s); expired trials stop resumably — combine with -checkpoint")
+		deadline  = flag.Duration("deadline", 0, "wall-clock budget for this run's search (e.g. 30s); an expired search stops resumably, like SIGINT — combine with -checkpoint")
 	)
 	flag.Parse()
 
-	// SIGINT cancels the search cooperatively: the GENITOR trials stop at the
-	// next iteration and the best partial mapping found so far is reported.
+	// SIGINT, or -deadline expiring, cancels the search cooperatively: the
+	// GENITOR trials stop at the next iteration and the best partial mapping
+	// found so far is reported.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -104,23 +105,16 @@ func main() {
 
 	var (
 		sys   *model.System
-		r     *heuristics.Result
-		scp   *heuristics.SearchCheckpoint
-		start time.Time
+		prior *heuristics.SearchCheckpoint
+		cfg   = heuristics.DefaultPSGConfig()
 		err   error
 	)
 	if *resume != "" {
 		cpf, ferr := loadCheckpoint(*resume)
 		fatal(ferr)
-		sys = cpf.System
-		// The resume-time flags own the trial deadline; the default (0)
-		// clears a deadline stored by the interrupted run, so a plain
-		// -resume runs to completion.
-		cpf.Search.Config.Deadline = *deadline
+		sys, prior = cpf.System, cpf.Search
 		fmt.Printf("resuming %s search from %s (%d/%d trials unfinished)\n",
-			cpf.Search.Heuristic, *resume, cpf.Search.Interrupted(), len(cpf.Search.Trials))
-		start = time.Now()
-		r, scp, err = heuristics.ResumeSearch(ctx, sys, cpf.Search)
+			prior.Heuristic, *resume, prior.Interrupted(), len(prior.Trials))
 	} else {
 		sys, err = workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
 		fatal(err)
@@ -128,13 +122,25 @@ func main() {
 			fatal(sys.SaveFile(*saveFile))
 			fmt.Printf("saved system to %s\n", *saveFile)
 		}
-		cfg := heuristics.DefaultPSGConfig()
 		cfg.MaxIterations = *psgIters
 		cfg.Trials = *psgTrials
 		cfg.Seed = *seed
 		cfg.Workers = *workers
-		cfg.Deadline = *deadline
+	}
+	// -deadline bounds the search alone, not loading or generating the system.
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	var (
+		r     *heuristics.Result
+		scp   *heuristics.SearchCheckpoint
 		start = time.Now()
+	)
+	if prior != nil {
+		r, scp, err = heuristics.ResumeSearch(ctx, sys, prior)
+	} else {
 		r, scp, err = heuristics.RunCheckpointed(ctx, *heuristic, sys, cfg)
 	}
 	elapsed := time.Since(start)

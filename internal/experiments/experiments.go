@@ -36,18 +36,15 @@ type Options struct {
 	Runs int
 	// Seed makes the batch reproducible; run r uses Seed + r.
 	Seed int64
-	// PSG configures the GENITOR-based heuristics. Zero value means the
-	// paper defaults (population 250, bias 1.6, 5000 iterations, stall 300,
-	// 4 trials) — expensive; cmd/experiments exposes lighter budgets.
+	// PSG configures the GENITOR-based heuristics, PSG.Workers their
+	// parallelism (every experiment is deterministic for any worker count).
+	// Zero value means the paper defaults (population 250, bias 1.6, 5000
+	// iterations, stall 300, 4 trials) — expensive; cmd/experiments exposes
+	// lighter budgets.
 	PSG heuristics.PSGConfig
 	// Strings overrides the scenario's string count when nonzero (reduced-
 	// scale runs).
 	Strings int
-	// Workers bounds heuristic-internal parallelism (concurrent PSG trials
-	// and batched GENITOR candidate evaluation) when nonzero; zero leaves
-	// PSG.Workers as configured (itself defaulting to all cores). Every
-	// experiment is deterministic for any worker count.
-	Workers int
 	// WorthWeights overrides the worth mixing proportions when non-nil.
 	WorthWeights []float64
 	// SkipUB drops the LP upper-bound series.
@@ -58,20 +55,16 @@ type Options struct {
 
 // WithDefaults returns a copy of the options with every zero-valued field
 // replaced by its default: 10 runs (a lighter budget than the paper's 100),
-// the paper's PSG configuration when none is set, and the Workers override
-// pushed down into PSG.Workers. Value receiver — the original is never
-// mutated. Matches the Validate/WithDefaults pattern shared by
-// genitor.Config, heuristics.PSGConfig, and workload.Config; the shared run
-// loop applies it, so the zero Options value is usable with every study.
+// and the paper's PSG configuration when none is set. Value receiver — the
+// original is never mutated. Matches the Validate/WithDefaults pattern shared
+// by genitor.Config, heuristics.PSGConfig, and workload.Config; the shared
+// run loop applies it, so the zero Options value is usable with every study.
 func (o Options) WithDefaults() Options {
 	if o.Runs == 0 {
 		o.Runs = 10
 	}
 	if o.PSG.PopulationSize == 0 {
 		o.PSG = heuristics.DefaultPSGConfig()
-	}
-	if o.Workers != 0 {
-		o.PSG.Workers = o.Workers
 	}
 	return o
 }

@@ -19,14 +19,12 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if got.PSG != heuristics.DefaultPSGConfig() {
 		t.Errorf("PSG = %+v, want the paper defaults", got.PSG)
 	}
-	explicit := Options{Runs: 3, Workers: 2, PSG: heuristics.DefaultPSGConfig()}
+	explicit := Options{Runs: 3, PSG: heuristics.DefaultPSGConfig()}
 	explicit.PSG.PopulationSize = 40
+	explicit.PSG.Workers = 2
 	got = explicit.WithDefaults()
-	if got.Runs != 3 || got.PSG.PopulationSize != 40 {
+	if got.Runs != 3 || got.PSG.PopulationSize != 40 || got.PSG.Workers != 2 {
 		t.Errorf("WithDefaults clobbered explicit fields: %+v", got)
-	}
-	if got.PSG.Workers != 2 {
-		t.Errorf("Workers = %d must be forwarded into the PSG config, got %+v", explicit.Workers, got.PSG)
 	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("defaulted options must validate: %v", err)

@@ -28,13 +28,9 @@ func SSGStudy(ctx context.Context, opts Options) (*Figure, error) {
 	cfg := opts.scenarioConfig(workload.QoSLimited)
 	var err error
 	f.Runs, err = eachSystem(ctx, opts, cfg, "SSG study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
-		f.add("SSG", heuristics.SSG(sys, heuristics.SSGConfig{
-			PopulationSize: pcfg.PopulationSize,
-			Bias:           pcfg.Bias,
-			MaxIterations:  pcfg.MaxIterations * pcfg.Trials, // equal total budget
-			StallLimit:     pcfg.StallLimit,
-			Seed:           pcfg.Seed,
-		}).Metric.Worth)
+		scfg := pcfg.Config
+		scfg.MaxIterations *= pcfg.Trials // equal total budget
+		f.add("SSG", heuristics.SSG(sys, scfg).Metric.Worth)
 		f.add("PSG", heuristics.PSG(sys, pcfg).Metric.Worth)
 		f.add("SeededPSG", heuristics.SeededPSG(sys, pcfg).Metric.Worth)
 		return nil

@@ -19,7 +19,6 @@ package faults
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -92,7 +91,7 @@ func (r Resource) Validate(m int) error {
 // means the outage is permanent — the resource is never repaired.
 type Event struct {
 	// ID optionally names the event; scenario files with IDs are checked for
-	// duplicates when loaded (ReadJSON/LoadFile reject them per event).
+	// duplicates when loaded (LoadFile rejects them per event).
 	ID       string   `json:"id,omitempty"`
 	Resource Resource `json:"resource"`
 	At       float64  `json:"at"`
@@ -185,25 +184,6 @@ func CompartmentHit(m, j int, at, duration float64) []Event {
 	return events
 }
 
-// WriteJSON serializes the scenario as indented JSON.
-func (sc *Scenario) WriteJSON(w io.Writer) error {
-	return scenario.WriteJSON(w, "faults", sc)
-}
-
-// ReadJSON parses a scenario from JSON via the shared versioned loader and
-// applies the structural checks that need no machine count: event times must
-// be finite and non-negative, durations finite, and non-empty event IDs
-// unique — each rejected with a per-event error instead of loading silently.
-// Callers still validate resource ranges against their system with
-// ValidateFor (the machine count is not part of the scenario file).
-func ReadJSON(r io.Reader) (*Scenario, error) {
-	var sc Scenario
-	if err := scenario.Read(r, "faults", &sc); err != nil {
-		return nil, err
-	}
-	return &sc, nil
-}
-
 // ValidateStructure runs the machine-count-independent event checks shared by
 // the scenario loader and Validate.
 func (sc *Scenario) ValidateStructure() error {
@@ -225,12 +205,12 @@ func (sc *Scenario) ValidateStructure() error {
 	return nil
 }
 
-// SaveFile writes the scenario to path as JSON.
-func (sc *Scenario) SaveFile(path string) error {
-	return scenario.SaveFile(path, "faults", sc)
-}
-
-// LoadFile reads a scenario from a JSON file via the shared versioned loader.
+// LoadFile reads a scenario from a JSON file via the shared versioned loader,
+// which applies the structural checks that need no machine count: event
+// times must be finite and non-negative, durations finite, and non-empty
+// event IDs unique — each rejected with a per-event error instead of loading
+// silently. Callers still validate resource ranges against their system with
+// ValidateFor (the machine count is not part of the scenario file).
 func LoadFile(path string) (*Scenario, error) {
 	var sc Scenario
 	if err := scenario.ParseScenarioFile(path, "faults", &sc); err != nil {
@@ -380,6 +360,3 @@ func (s *Set) Masks() (machineOK func(j int) bool, routeOK func(j1, j2 int) bool
 	return func(j int) bool { return !s.MachineDown(j) },
 		func(j1, j2 int) bool { return !s.RouteDown(j1, j2) }
 }
-
-// AliveMachines returns the number of machines still up.
-func (s *Set) AliveMachines() int { return len(s.machines) - s.machinesDown }

@@ -465,17 +465,6 @@ func (a *Allocation) ActiveRoutesFrom(j1 int, f func(j2 int, util float64)) {
 	}
 }
 
-// ActiveRouteCount returns the number of inter-machine routes currently
-// carrying at least one transfer — the "active" in the O(M + active) cost
-// bounds, and the size driver of Clone and Snapshot.
-func (a *Allocation) ActiveRouteCount() int {
-	n := 0
-	for j := range a.routes {
-		n += len(a.routes[j])
-	}
-	return n
-}
-
 // StringsOnMachine calls f with the ID of every completely mapped string
 // that has an application on machine j. It walks the machine's roster, so the
 // cost is O(applications on j) and a string with several applications there

@@ -338,10 +338,6 @@ func (a *Allocation) Metric() Metric {
 	return Metric{Worth: worth, Slackness: a.Slackness()}
 }
 
-// MaxUtilization returns the highest utilization over all machines and
-// routes; 1 - MaxUtilization equals Slackness.
-func (a *Allocation) MaxUtilization() float64 { return 1 - a.Slackness() }
-
 // checkInvariants recomputes all bookkeeping from scratch and compares it to
 // the incremental state; used by tests.
 func (a *Allocation) checkInvariants() error {

@@ -111,9 +111,6 @@ func TestUtilizationBookkeeping(t *testing.T) {
 	if got := a.Slackness(); !approx(got, 0.8, 1e-12) {
 		t.Errorf("slackness = %v, want 0.8", got)
 	}
-	if got := a.MaxUtilization(); !approx(got, 0.2, 1e-12) {
-		t.Errorf("max utilization = %v, want 0.2", got)
-	}
 }
 
 // TestEstimatedTranTime checks equation (6): the looser string's transfer

@@ -86,8 +86,10 @@ func TestFleetScaleSmoke(t *testing.T) {
 	if after > before {
 		footprint = after - before
 	}
+	routes := 0
+	a.ActiveRoutes(func(int, int, float64) { routes++ })
 	t.Logf("fleet allocation footprint: %.1f MB over %d machines, %d active routes, %d admissions",
-		float64(footprint)/(1<<20), m, a.ActiveRouteCount(), admitted)
+		float64(footprint)/(1<<20), m, routes, admitted)
 	if footprint > heapCeil {
 		t.Fatalf("allocation footprint %d bytes exceeds the %d-byte ceiling: route state is no longer sparse",
 			footprint, heapCeil)

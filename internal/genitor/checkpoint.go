@@ -10,9 +10,7 @@ package genitor
 // (rng.Stream.Skip), so the checkpoint stores just the seed and the count.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/rng"
 )
@@ -153,26 +151,4 @@ func Restore(cp *Checkpoint, lanes []Evaluator) (*Engine, error) {
 		e.pop = append(e.pop, member{perm: append([]int(nil), c.Perm...), fitness: c.Fitness})
 	}
 	return e, nil
-}
-
-// WriteJSON serializes the checkpoint as indented JSON.
-func (cp *Checkpoint) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cp); err != nil {
-		return fmt.Errorf("genitor: encoding checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpoint parses and validates a checkpoint from JSON.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("genitor: decoding checkpoint: %w", err)
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return &cp, nil
 }

@@ -1,7 +1,8 @@
 package genitor
 
 import (
-	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -13,7 +14,7 @@ func sortEval(p []int) Fitness { return Fitness{Primary: sortedness(p)} }
 func runToEnd(t *testing.T, e *Engine) ([]int, Fitness, Stats) {
 	t.Helper()
 	perm, fit, stats := e.Run()
-	if stats.StopReason == StopCanceled || stats.StopReason == StopDeadline {
+	if stats.StopReason == StopCanceled {
 		t.Fatalf("uninterrupted run stopped with %q", stats.StopReason)
 	}
 	return perm, fit, stats
@@ -34,9 +35,9 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	wantPerm, wantFit, wantStats := runToEnd(t, ref)
 
 	// Interruptions only ever land at iteration boundaries strictly before
-	// the natural stop (RunContext checks cancellation and deadlines before a
-	// Step, never between a Step and its stop checks), so cut strictly inside
-	// the uninterrupted run.
+	// the natural stop (RunContext polls its context before a Step, never
+	// between a Step and its stop checks), so cut strictly inside the
+	// uninterrupted run.
 	stop := wantStats.Iterations
 	for _, cut := range []int{0, 1, stop / 3, stop - 1} {
 		eng, err := New(cfg, n, nil, sortEval)
@@ -47,15 +48,15 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			eng.Step()
 		}
 		// Round-trip the checkpoint through JSON, as a killed process would.
-		var buf bytes.Buffer
-		if err := eng.Checkpoint().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := ReadCheckpoint(&buf)
+		data, err := json.Marshal(eng.Checkpoint())
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := Restore(cp, []Evaluator{sortEval})
+		var cp Checkpoint
+		if err := json.Unmarshal(data, &cp); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := Restore(&cp, []Evaluator{sortEval})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,37 +129,26 @@ func TestCheckpointValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDeadlineStopsRun: an expired deadline must stop the run at an iteration
-// boundary with StopDeadline, and a fresh RunContext call must get a fresh
-// budget rather than instantly re-expiring.
+// TestDeadlineStopsRun: a context past its deadline must stop the run at an
+// iteration boundary with StopCanceled, and a fresh RunContext call under a
+// fresh budget must make further progress from where the first one stopped.
 func TestDeadlineStopsRun(t *testing.T) {
-	cfg := Config{PopulationSize: 20, Bias: 1.6, MaxIterations: 1 << 30, StallLimit: 1 << 30, Seed: 3,
-		Deadline: time.Millisecond}
+	cfg := Config{PopulationSize: 20, Bias: 1.6, MaxIterations: 1 << 30, StallLimit: 1 << 30, Seed: 3}
 	eng, err := New(cfg, 30, nil, sortEval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, stats := eng.Run()
-	if stats.StopReason != StopDeadline {
-		t.Fatalf("stop reason %q, want %q", stats.StopReason, StopDeadline)
+	round := func() Stats {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		_, _, stats := eng.RunContext(ctx)
+		if stats.StopReason != StopCanceled {
+			t.Fatalf("stop reason %q, want %q", stats.StopReason, StopCanceled)
+		}
+		return stats
 	}
-	iters := stats.Iterations
-	// The engine is intact and resumable: a second call gets a fresh budget
-	// and makes further progress instead of expiring on entry.
-	_, _, stats2 := eng.Run()
-	if stats2.StopReason != StopDeadline {
-		t.Fatalf("resumed stop reason %q, want %q", stats2.StopReason, StopDeadline)
-	}
-	if stats2.Iterations <= iters {
-		t.Errorf("resumed run made no progress: %d then %d iterations", iters, stats2.Iterations)
-	}
-}
-
-// TestDeadlineValidate: negative deadlines are configuration errors.
-func TestDeadlineValidate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Deadline = -time.Second
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative deadline passed Validate")
+	iters := round().Iterations
+	if got := round().Iterations; got <= iters {
+		t.Errorf("resumed run made no progress: %d then %d iterations", iters, got)
 	}
 }

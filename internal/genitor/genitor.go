@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -68,13 +67,6 @@ type Config struct {
 	StallLimit int
 	// Seed makes the run reproducible.
 	Seed int64
-	// Deadline bounds the wall clock of one Run/RunContext call; zero means
-	// unbounded. The budget is measured from RunContext entry, so a restored
-	// engine (see Checkpoint/Restore) gets a fresh budget each time it is
-	// resumed instead of immediately re-expiring. A deadline stop happens at
-	// an iteration boundary and is resumable: the search state is intact and
-	// a later RunContext call continues bit-identically.
-	Deadline time.Duration
 }
 
 // DefaultConfig returns the paper's GENITOR parameters.
@@ -118,9 +110,6 @@ func (c Config) Validate() error {
 	if c.StallLimit <= 0 {
 		return fmt.Errorf("genitor: stall limit %d, want > 0", c.StallLimit)
 	}
-	if c.Deadline < 0 {
-		return fmt.Errorf("genitor: deadline %v, want >= 0", c.Deadline)
-	}
 	return nil
 }
 
@@ -130,12 +119,10 @@ const (
 	StopEliteStall    = "elite-stall"
 	StopConverged     = "converged"
 	// StopCanceled is reported by RunContext when the context ended the run
-	// early; the engine still returns its best-so-far chromosome.
+	// early — canceled, or past its deadline; the engine still returns its
+	// best-so-far chromosome. It is a resumable stop: the engine state is
+	// intact, so a checkpointed run can continue where it left off.
 	StopCanceled = "canceled"
-	// StopDeadline is reported when Config.Deadline expired. Like
-	// StopCanceled it is a resumable stop: the engine state is intact, so a
-	// checkpointed run can continue where it left off.
-	StopDeadline = "deadline"
 )
 
 // Stats describes how a run ended.
@@ -154,16 +141,15 @@ type member struct {
 // or NewBatch (concurrent candidate evaluation across evaluator lanes), then
 // call Run (or Step repeatedly for fine-grained control).
 type Engine struct {
-	cfg     Config
-	n       int         // genes per chromosome
-	lanes   []Evaluator // one per concurrent evaluation lane; lanes[0] is canonical
-	src     *rng.Stream
-	rng     *rand.Rand
-	pop     []member // sorted best-first
-	stats   Stats
-	stall   int
-	started time.Time // set at RunContext entry; anchors the deadline budget
-	tel     engineTelemetry
+	cfg   Config
+	n     int         // genes per chromosome
+	lanes []Evaluator // one per concurrent evaluation lane; lanes[0] is canonical
+	src   *rng.Stream
+	rng   *rand.Rand
+	pop   []member // sorted best-first
+	stats Stats
+	stall int
+	tel   engineTelemetry
 }
 
 // engineTelemetry caches the GENITOR counters once per engine; all fields are
@@ -288,13 +274,6 @@ func (e *Engine) evalAll(perms [][]int) []Fitness {
 	wg.Wait()
 	return out
 }
-
-// SetDeadline replaces the engine's per-call wall-clock budget (zero
-// disables it). The deadline never affects the search trajectory — only when
-// a RunContext call stops — so changing it between runs preserves
-// bit-identical results. Restored engines get the deadline of the resuming
-// configuration this way rather than the one frozen in the checkpoint.
-func (e *Engine) SetDeadline(d time.Duration) { e.cfg.Deadline = d }
 
 // Best returns a copy of the elite chromosome and its fitness.
 func (e *Engine) Best() ([]int, Fitness) {
@@ -444,16 +423,13 @@ func (e *Engine) Run() ([]int, Fitness, Stats) {
 	return e.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation and an optional per-call
-// deadline: the context is polled before every iteration, and a canceled
-// context stops the search with StopCanceled while still returning the best
-// chromosome found so far (a partial but usable result). With a positive
-// Config.Deadline the wall clock is checked at the same cadence and expiry
-// stops the run with StopDeadline; the budget is measured from this call's
-// entry, so resuming a restored engine restarts the clock. With
-// context.Background() and no deadline it is exactly Run.
+// RunContext is Run with cooperative cancellation: the context is polled
+// before every iteration, and a context that is canceled or past its deadline
+// stops the search with StopCanceled while still returning the best
+// chromosome found so far (a partial but usable result). The stop lands on an
+// iteration boundary, so it decides only when the search stops, never its
+// trajectory. With context.Background() it is exactly Run.
 func (e *Engine) RunContext(ctx context.Context) ([]int, Fitness, Stats) {
-	e.started = time.Now()
 	done := ctx.Done()
 	for {
 		if done != nil {
@@ -464,10 +440,6 @@ func (e *Engine) RunContext(ctx context.Context) ([]int, Fitness, Stats) {
 				return best, fit, e.stats
 			default:
 			}
-		}
-		if e.cfg.Deadline > 0 && time.Since(e.started) >= e.cfg.Deadline {
-			e.stats.StopReason = StopDeadline
-			break
 		}
 		if e.stats.Iterations >= e.cfg.MaxIterations {
 			e.stats.StopReason = StopMaxIterations

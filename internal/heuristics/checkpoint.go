@@ -4,14 +4,12 @@ package heuristics
 // run is several independent GENITOR trials, so its checkpoint is one entry
 // per trial — finished trials carry their result, interrupted trials carry
 // the full engine state. RunCheckpointed and ResumeSearch are the pair the
-// shipsched CLI builds its -checkpoint/-resume flags on: a long search killed
-// mid-flight (SIGINT, per-trial deadline) resumes bit-identically.
+// shipsched CLI builds its -checkpoint/-resume flags on: a long search cut
+// short by its context (SIGINT, -deadline) resumes bit-identically.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/genitor"
 	"repro/internal/model"
@@ -115,12 +113,11 @@ func (scp *SearchCheckpoint) Interrupted() int {
 }
 
 // RunCheckpointed dispatches a heuristic by name like RunContext, but when
-// the search is interrupted resumably — the context was canceled or a
-// per-trial Config.Deadline expired — it additionally returns a
-// SearchCheckpoint from which ResumeSearch continues bit-identically. The
-// checkpoint is nil when the search ran to completion. Heuristics without
-// checkpoint support (MWF, TF, SSG) run exactly as RunContext and always
-// return a nil checkpoint.
+// the context — canceled, or past its deadline — interrupts the search, it
+// additionally returns a SearchCheckpoint from which ResumeSearch continues
+// bit-identically. The checkpoint is nil when the search ran to completion.
+// Heuristics without checkpoint support (MWF, TF, SSG) run exactly as
+// RunContext and always return a nil checkpoint.
 func RunCheckpointed(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, *SearchCheckpoint, error) {
 	if checkpointable(name) {
 		return psgRunCheckpointed(ctx, sys, cfg, name, nil)
@@ -145,25 +142,4 @@ func ResumeSearch(ctx context.Context, sys *model.System, scp *SearchCheckpoint)
 	}
 	// Validate admitted only checkpointable heuristics: psgVariants entries.
 	return psgRunCheckpointed(ctx, sys, scp.Config, scp.Heuristic, scp)
-}
-
-// WriteJSON serializes the checkpoint as indented JSON.
-func (scp *SearchCheckpoint) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(scp); err != nil {
-		return fmt.Errorf("heuristics: encoding checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadSearchCheckpoint parses a search checkpoint from JSON. Validation
-// against the system happens in ResumeSearch (the file alone does not know
-// the suite).
-func ReadSearchCheckpoint(r io.Reader) (*SearchCheckpoint, error) {
-	var scp SearchCheckpoint
-	if err := json.NewDecoder(r).Decode(&scp); err != nil {
-		return nil, fmt.Errorf("heuristics: decoding checkpoint: %w", err)
-	}
-	return &scp, nil
 }

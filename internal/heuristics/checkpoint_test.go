@@ -1,9 +1,11 @@
 package heuristics
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -58,7 +60,7 @@ func TestResumeSearchMatchesUninterrupted(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, scp, err := RunCheckpointed(canceled, "SeededPSG", sys, cfg)
-	if !IsCanceled(err) {
+	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled run error = %v, want ErrCanceled", err)
 	}
 	if scp == nil || scp.Interrupted() != cfg.Trials {
@@ -66,24 +68,70 @@ func TestResumeSearchMatchesUninterrupted(t *testing.T) {
 	}
 
 	// Round-trip through JSON, as a killed process would.
-	var buf bytes.Buffer
-	if err := scp.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	scp, err = ReadSearchCheckpoint(&buf)
+	data, err := json.Marshal(scp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cp2, err := ResumeSearch(context.Background(), sys, scp)
+	got, cp2, err := ResumeSearch(context.Background(), sys, decodeSearchCheckpoint(t, data))
 	if err != nil || cp2 != nil {
 		t.Fatalf("resume: err %v, checkpoint %v", err, cp2)
 	}
 	resultsIdentical(t, "resumed-from-start", want, got)
 }
 
+// decodeSearchCheckpoint reads a search checkpoint the way shipsched -resume
+// does: encoding/json into the struct.
+func decodeSearchCheckpoint(t *testing.T, data []byte) *SearchCheckpoint {
+	t.Helper()
+	var scp SearchCheckpoint
+	if err := json.Unmarshal(data, &scp); err != nil {
+		t.Fatal(err)
+	}
+	return &scp
+}
+
+// TestResumeSearchIgnoresStoredDeadline: checkpoints written while the search
+// configuration still carried a wall-clock budget have a "Deadline" key in the
+// search config and in every engine config. Decoding ignores the key, and the
+// resumed search reproduces the uninterrupted run bit for bit, so those files
+// keep resuming.
+func TestResumeSearchIgnoresStoredDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sys := randomTestSystem(rng, 3, 8)
+	cfg := testPSGConfig(29)
+	cfg.Trials = 2
+
+	want, _, err := RunCheckpointed(context.Background(), "PSG", sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
+	if !errors.Is(err, ErrCanceled) || scp == nil {
+		t.Fatalf("setup: err %v, scp %v", err, scp)
+	}
+	data, err := json.Marshal(scp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every genitor.Config object — the search's and each trial engine's —
+	// gets the key back, as the older writer emitted it.
+	old := strings.ReplaceAll(string(data), `"Bias":`, `"Deadline":20000000,"Bias":`)
+	if n := strings.Count(old, `"Deadline"`); n != 1+cfg.Trials {
+		t.Fatalf("%d Deadline keys injected, want %d", n, 1+cfg.Trials)
+	}
+	got, cp2, err := ResumeSearch(context.Background(), sys, decodeSearchCheckpoint(t, []byte(old)))
+	if err != nil || cp2 != nil {
+		t.Fatalf("resume: err %v, checkpoint %v", err, cp2)
+	}
+	resultsIdentical(t, "resumed-from-deadline-file", want, got)
+}
+
 // TestResumeSearchMidway: interrupt a longer search partway via a short
-// deadline and resume (repeatedly, if the resumed run is interrupted again);
-// the final result must match the uninterrupted run wherever the cuts land.
+// context deadline and resume under a fresh one per round (repeatedly, while
+// the resumed run is interrupted again); the final result must match the
+// uninterrupted run wherever the cuts land.
 func TestResumeSearchMidway(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	sys := randomTestSystem(rng, 3, 10)
@@ -97,20 +145,32 @@ func TestResumeSearchMidway(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dcfg := cfg
-	dcfg.Deadline = time.Millisecond
-	got, scp, err := RunCheckpointed(context.Background(), "PSG", sys, dcfg)
-	if err != nil {
-		t.Fatal(err)
+	// One round: the search (prior nil) or its resume under a fresh 1 ms
+	// budget; ErrCanceled comes back exactly when a checkpoint does.
+	round := func(prior *SearchCheckpoint) (*Result, *SearchCheckpoint) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		var (
+			r   *Result
+			scp *SearchCheckpoint
+			err error
+		)
+		if prior == nil {
+			r, scp, err = RunCheckpointed(ctx, "PSG", sys, cfg)
+		} else {
+			r, scp, err = ResumeSearch(ctx, sys, prior)
+		}
+		if (scp != nil) != errors.Is(err, ErrCanceled) || (err != nil && scp == nil) {
+			t.Fatalf("round: err %v with checkpoint %v", err, scp != nil)
+		}
+		return r, scp
 	}
+	got, scp := round(nil)
 	for rounds := 0; scp != nil; rounds++ {
 		if rounds > 10_000 {
 			t.Fatal("resume loop did not converge")
 		}
-		got, scp, err = ResumeSearch(context.Background(), sys, scp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, scp = round(scp)
 	}
 	resultsIdentical(t, "resumed-midway", want, got)
 }
@@ -125,7 +185,7 @@ func TestSearchCheckpointValidate(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
-	if !IsCanceled(err) || scp == nil {
+	if !errors.Is(err, ErrCanceled) || scp == nil {
 		t.Fatalf("setup: err %v, scp %v", err, scp)
 	}
 
@@ -176,7 +236,7 @@ func TestPSGTrialPanicReturnsError(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
-	if !IsCanceled(err) || scp == nil {
+	if !errors.Is(err, ErrCanceled) || scp == nil {
 		t.Fatalf("setup: err %v, scp %v", err, scp)
 	}
 	// Invalidate the stored population of one trial so genitor.Restore errors

@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/genitor"
@@ -152,9 +151,10 @@ func psgRunContext(ctx context.Context, sys *model.System, cfg PSGConfig, name s
 // (may be nil) carries the state of an earlier interrupted run — finished
 // trials are taken from it verbatim and interrupted trials resume from their
 // engine checkpoints, so the combined run is bit-identical to one that was
-// never interrupted. When any trial stops resumably (context canceled or
-// per-trial deadline expired), the returned SearchCheckpoint captures the
-// whole search for a later resume; it is nil for a run that finished.
+// never interrupted. When the context (canceled, or past its deadline) stops
+// any trial, the returned SearchCheckpoint captures the whole search for a
+// later resume, alongside ErrCanceled; it is nil, and so is the error, for a
+// run whose every trial finished.
 func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, name string, prior *SearchCheckpoint) (*Result, *SearchCheckpoint, error) {
 	seeds, score := psgVariants[name](sys)
 	if cfg.Trials < 1 {
@@ -182,11 +182,6 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, n
 		var err error
 		if prior != nil && trial < len(prior.Trials) && prior.Trials[trial].Engine != nil {
 			eng, err = genitor.Restore(prior.Trials[trial].Engine, newDecoderBank(sys, score, lanes))
-			if err == nil {
-				// The resume-time configuration owns the trial deadline; the
-				// one frozen in the engine checkpoint is stale.
-				eng.SetDeadline(cfg.Deadline)
-			}
 		} else {
 			gcfg := cfg.Config
 			// Keyed derivation (root seed, psg-trial subsystem, trial index)
@@ -202,7 +197,7 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, n
 		}
 		perm, fit, stats := eng.RunContext(ctx)
 		out := trialOut{perm: perm, fit: fit, stats: stats}
-		if stats.StopReason == genitor.StopCanceled || stats.StopReason == genitor.StopDeadline {
+		if stats.StopReason == genitor.StopCanceled {
 			out.cp = eng.Checkpoint()
 		}
 		outs[trial] = out
@@ -252,7 +247,7 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, n
 		telemetry.F("worth", r.Metric.Worth),
 	)
 	var trialErr error
-	if ctx.Err() != nil {
+	if scp != nil {
 		trialErr = ErrCanceled
 	}
 	return r, scp, trialErr
@@ -270,13 +265,6 @@ func PSG(sys *model.System, cfg PSGConfig) *Result {
 // population; all other operations and stopping conditions are identical.
 func SeededPSG(sys *model.System, cfg PSGConfig) *Result {
 	return psgRun(sys, cfg, "SeededPSG")
-}
-
-// SeededPSGContext is SeededPSG with cooperative cancellation; on a canceled
-// context it returns the best partial result found so far alongside
-// ErrCanceled.
-func SeededPSGContext(ctx context.Context, sys *model.System, cfg PSGConfig) (*Result, error) {
-	return psgRunContext(ctx, sys, cfg, "SeededPSG")
 }
 
 // Names lists the paper's four heuristics, in the order the figures report
@@ -312,18 +300,8 @@ func RunContext(ctx context.Context, name string, sys *model.System, cfg PSGConf
 	case "TF":
 		return TF(sys), nil
 	case "SSG":
-		return SSGContext(ctx, sys, SSGConfig{
-			PopulationSize: cfg.PopulationSize,
-			Bias:           cfg.Bias,
-			MaxIterations:  cfg.MaxIterations,
-			StallLimit:     cfg.StallLimit,
-			Seed:           cfg.Seed,
-		})
+		return SSGContext(ctx, sys, cfg.Config)
 	default:
 		panic("heuristics: unknown heuristic " + name)
 	}
 }
-
-// IsCanceled reports whether err is the cancellation sentinel of this
-// package (or wraps it).
-func IsCanceled(err error) bool { return errors.Is(err, ErrCanceled) }

@@ -28,21 +28,6 @@ import (
 // Even with repair, SSG trails the permutation-space heuristics badly at
 // equal evaluation budgets — the paper's conclusion.
 
-// SSGConfig parameterizes the solution-space GA. It mirrors the GENITOR
-// parameters so budgets are comparable with PSG.
-type SSGConfig struct {
-	PopulationSize int
-	Bias           float64
-	MaxIterations  int
-	StallLimit     int
-	Seed           int64
-}
-
-// DefaultSSGConfig matches the PSG defaults.
-func DefaultSSGConfig() SSGConfig {
-	return SSGConfig{PopulationSize: 250, Bias: 1.6, MaxIterations: 5000, StallLimit: 300}
-}
-
 // DecodeAssignment maps every application according to genes (one machine
 // index per application, strings concatenated in order), then repairs the
 // mapping by unmapping offending strings — lowest worth first, ties to the
@@ -107,17 +92,18 @@ type ssgMember struct {
 
 // SSG runs the solution-space genetic algorithm: steady-state replacement
 // with rank-bias selection (as in GENITOR), uniform crossover on assignment
-// vectors, and random-reset mutation of one gene.
-func SSG(sys *model.System, cfg SSGConfig) *Result {
+// vectors, and random-reset mutation of one gene. It takes the GENITOR
+// parameters, so budgets are comparable with PSG.
+func SSG(sys *model.System, cfg genitor.Config) *Result {
 	r, _ := SSGContext(context.Background(), sys, cfg) // background contexts never cancel
 	return r
 }
 
 // SSGContext is SSG with cooperative cancellation: the context is polled
-// between iterations, and a canceled context stops the search with stop
-// reason "canceled", returning the best assignment found so far alongside
-// ErrCanceled.
-func SSGContext(ctx context.Context, sys *model.System, cfg SSGConfig) (*Result, error) {
+// between iterations, and a context that is canceled or past its deadline
+// stops the search with stop reason "canceled", returning the best assignment
+// found so far alongside ErrCanceled.
+func SSGContext(ctx context.Context, sys *model.System, cfg genitor.Config) (*Result, error) {
 	if cfg.PopulationSize < 2 {
 		cfg.PopulationSize = 2
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/genitor"
 	"repro/internal/model"
 )
 
@@ -63,7 +64,7 @@ func TestDecodeAssignmentRepairsQoS(t *testing.T) {
 // TestSSGFindsFeasibleSolutionsOnEasySystems: with repair, SSG solves easy
 // instances.
 func TestSSGOnEasySystem(t *testing.T) {
-	cfg := DefaultSSGConfig()
+	cfg := genitor.DefaultConfig()
 	cfg.PopulationSize = 20
 	cfg.MaxIterations = 60
 	cfg.StallLimit = 40
@@ -94,7 +95,7 @@ func TestSSGTrailsPermutationSearch(t *testing.T) {
 		pcfg := testPSGConfig(int64(trial))
 		pcfg.MaxIterations = 120
 		sp := SeededPSG(sys, pcfg)
-		scfg := DefaultSSGConfig()
+		scfg := genitor.DefaultConfig()
 		scfg.PopulationSize = pcfg.PopulationSize
 		scfg.MaxIterations = pcfg.MaxIterations
 		scfg.StallLimit = pcfg.StallLimit

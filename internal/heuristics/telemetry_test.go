@@ -105,7 +105,7 @@ func TestRunContextCanceled(t *testing.T) {
 	cancel()
 	for _, name := range []string{"PSG", "SeededPSG", "ClassedPSG", "SSG"} {
 		r, err := RunContext(ctx, name, sys, testPSGConfig(5))
-		if !IsCanceled(err) {
+		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
 		}
 		if !errors.Is(err, context.Canceled) {
@@ -142,7 +142,7 @@ func TestPSGContextUncanceled(t *testing.T) {
 	sys := easySystem()
 	cfg := testPSGConfig(23)
 	base := SeededPSG(sys, cfg)
-	live, err := SeededPSGContext(context.Background(), sys, cfg)
+	live, err := RunContext(context.Background(), "SeededPSG", sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

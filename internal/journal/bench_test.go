@@ -8,7 +8,7 @@ import (
 
 // BenchmarkJournalAppend measures the raw append cost of a ~200-byte op
 // record under each fsync policy (numbers in DESIGN.md §14): `always`
-// pays a full fsync per record, `batch` amortizes one fsync over BatchEvery
+// pays a full fsync per record, `batch` amortizes one fsync over batchEvery
 // appends, `none` is the bare write(2). The service-level cost rides on top
 // of BenchmarkServiceAdmit (see internal/service/bench_test.go).
 func BenchmarkJournalAppend(b *testing.B) {

@@ -37,7 +37,7 @@
 //
 // FsyncAlways syncs inline after every append: an acknowledged operation
 // survives kernel crashes and power loss. FsyncBatch group-commits: every
-// BatchEvery appends it signals a background goroutine that folds all writes
+// batchEvery appends it signals a background goroutine that folds all writes
 // completed so far into one fsync (plus a final inline sync on Close), so the
 // append path never blocks on the disk. Acknowledged operations always
 // survive process death under every policy — completed write(2)s live in the
@@ -64,6 +64,11 @@ const headerSize = 8
 // documents; anything larger than this is treated as frame garbage.
 const MaxRecordBytes = 8 << 20
 
+// batchEvery is the append count between group commits under FsyncBatch.
+// Completed appends survive process crashes regardless — the window only
+// bounds what a whole-machine failure can take.
+const batchEvery = 128
+
 // crcTable is the Castagnoli table (CRC32C), the polynomial with hardware
 // support on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -75,7 +80,7 @@ const (
 	// FsyncAlways syncs after every append (durable against power loss).
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncBatch group-commits: a background goroutine syncs roughly every
-	// Options.BatchEvery appends, and Close performs a final inline sync.
+	// batchEvery appends, and Close performs a final inline sync.
 	FsyncBatch FsyncPolicy = "batch"
 	// FsyncNone never syncs; the OS writes back on its own schedule.
 	FsyncNone FsyncPolicy = "none"
@@ -97,10 +102,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync is the sync policy (default FsyncBatch).
 	Fsync FsyncPolicy
-	// BatchEvery is the append count between syncs under FsyncBatch
-	// (default 128). Completed appends survive process crashes regardless —
-	// the window only bounds what a whole-machine failure can take.
-	BatchEvery int
 	// OnFsync, when set, is called after every file sync (telemetry hook).
 	OnFsync func()
 
@@ -127,9 +128,6 @@ var ErrCrashInjected = errors.New("journal: crash fault point fired mid-append")
 func (o Options) withDefaults() Options {
 	if o.Fsync == "" {
 		o.Fsync = FsyncBatch
-	}
-	if o.BatchEvery <= 0 {
-		o.BatchEvery = 128
 	}
 	if o.CrashAfter > 0 && o.CrashFn == nil {
 		o.CrashFn = func() { os.Exit(CrashExitCode) }
@@ -363,7 +361,7 @@ func (w *Writer) Append(payload []byte) (int64, error) {
 		}
 	case FsyncBatch:
 		w.pending++
-		if w.pending >= w.opts.BatchEvery {
+		if w.pending >= batchEvery {
 			w.pending = 0
 			select {
 			case w.syncReq <- struct{}{}:

@@ -347,36 +347,37 @@ func TestAppendRejectsBadPayloads(t *testing.T) {
 }
 
 func TestBatchPolicyGroupCommits(t *testing.T) {
-	// The batch policy syncs on a background group-commit goroutine, so exact
-	// counts depend on timing: consecutive windows may coalesce into one
-	// fsync. The invariants are that appending enough windows syncs at least
-	// once before Close, and that Close always performs a final inline sync.
+	// batchEvery+2 appends fire exactly one group-commit window; once its
+	// sync has landed, Close adds exactly one more, the final inline sync.
 	var syncs atomic.Int64
+	synced := make(chan struct{}, 2) // the window's sync and Close's
 	w, _, err := Open(tmpJournal(t), Options{
-		Fsync:      FsyncBatch,
-		BatchEvery: 4,
-		OnFsync:    func() { syncs.Add(1) },
+		Fsync: FsyncBatch,
+		OnFsync: func() {
+			syncs.Add(1)
+			synced <- struct{}{}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range payloads(10) {
+	for _, p := range payloads(batchEvery + 2) {
 		if _, err := w.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for syncs.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no group commit after a full batch window")
 	}
-	if got := syncs.Load(); got < 1 || got > 2 { // windows at records 4 and 8, possibly coalesced
-		t.Fatalf("group commits after 10 batched appends = %d, want 1 or 2", got)
+	if got := syncs.Load(); got != 1 {
+		t.Fatalf("group commits after %d batched appends = %d, want 1", batchEvery+2, got)
 	}
-	before := syncs.Load()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := syncs.Load(); got != before+1 { // close flushes the remainder inline
-		t.Fatalf("syncs after close = %d, want %d", got, before+1)
+	if got := syncs.Load(); got != 2 { // close flushes the remainder inline
+		t.Fatalf("syncs after close = %d, want 2", got)
 	}
 }

@@ -2,8 +2,12 @@ package lp
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/model"
 	"repro/internal/simplex"
 	"repro/internal/workload"
 )
@@ -28,4 +32,76 @@ func BenchmarkUpperBoundFleet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLPBoundRescale prices the re-solve a bounded daemon (shipd
+// -lp-bound) pays per rescale, on scenario 1, seed 1: ten single-string
+// ±10 % rescales — string (7r+3) mod Q, factors alternating 1.1 and 0.9 —
+// each applied with model.ScaleDemand from the pristine catalog as the
+// service applies them, then re-solved warm from the previous solve's basis
+// and cold. warm_ms and cold_ms are the median re-solve of each arm and
+// warm_used counts the re-solves whose warm basis the solver kept; the two
+// arms must agree on the objective to 1e-6 relative. This is the traffic the
+// warm path exists for: `lpbound -rescale`, which scales every string at
+// once, is refused a warm basis.
+func BenchmarkLPBoundRescale(b *testing.B) {
+	base := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	cfg := Config{Formulation: Relaxed, Objective: MaximizeWorth}
+	const rescales = 10
+	for i := 0; i < b.N; i++ {
+		sys := base.Clone()
+		scale := make([]float64, len(sys.Strings))
+		for k := range scale {
+			scale[k] = 1
+		}
+		prev, err := UpperBound(sys, cfg)
+		if err != nil || prev.Status != simplex.Optimal {
+			b.Fatalf("initial solve: %v %v", err, prev)
+		}
+		var warmMS, coldMS []float64
+		used := 0
+		for r := 0; r < rescales; r++ {
+			k, factor := (7*r+3)%len(sys.Strings), 1.1
+			if r%2 == 1 {
+				factor = 0.9
+			}
+			scale[k] *= factor
+			model.ScaleDemand(sys.Strings[k].Apps, base.Strings[k].Apps, scale[k])
+
+			warmCfg := cfg
+			warmCfg.WarmBasis = prev.Basis
+			start := time.Now()
+			warm, err := UpperBound(sys, warmCfg)
+			warmMS = append(warmMS, float64(time.Since(start))/1e6)
+			if err != nil {
+				b.Fatalf("rescale %d warm: %v", r, err)
+			}
+			start = time.Now()
+			cold, err := UpperBound(sys, cfg)
+			coldMS = append(coldMS, float64(time.Since(start))/1e6)
+			if err != nil {
+				b.Fatalf("rescale %d cold: %v", r, err)
+			}
+			if warm.Status != cold.Status || math.Abs(warm.Objective-cold.Objective) > 1e-6*math.Abs(cold.Objective) {
+				b.Fatalf("rescale %d (string %d x%v): warm %v %v, cold %v %v", r, k, factor,
+					warm.Status, warm.Objective, cold.Status, cold.Objective)
+			}
+			if warm.WarmStarted {
+				used++
+			}
+			prev = warm
+		}
+		b.ReportMetric(median(warmMS), "warm_ms")
+		b.ReportMetric(median(coldMS), "cold_ms")
+		b.ReportMetric(float64(used), "warm_used")
+	}
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
 }

@@ -144,18 +144,6 @@ func (sys *System) NumApps() int {
 	return n
 }
 
-// NumTransfers returns the total number of inter-application transfers across
-// all strings (n_k - 1 per string).
-func (sys *System) NumTransfers() int {
-	n := 0
-	for i := range sys.Strings {
-		if l := len(sys.Strings[i].Apps); l > 1 {
-			n += l - 1
-		}
-	}
-	return n
-}
-
 // TotalWorth returns the sum of worth factors over all strings: the maximum
 // primary-metric value any allocation could attain.
 func (sys *System) TotalWorth() float64 {

@@ -101,9 +101,6 @@ func TestCounts(t *testing.T) {
 	if got := sys.NumApps(); got != 3 {
 		t.Errorf("NumApps = %d, want 3", got)
 	}
-	if got := sys.NumTransfers(); got != 1 {
-		t.Errorf("NumTransfers = %d, want 1", got)
-	}
 	if got := sys.TotalWorth(); !approx(got, 110, 1e-12) {
 		t.Errorf("TotalWorth = %v, want 110", got)
 	}

@@ -33,10 +33,21 @@ const slackEps = 1e-9
 // a configuration error, not a reason to spin.
 const maxTicks = 1_000_000
 
+// The control cadence. interval is the control tick in seconds; settle is how
+// long past the last surge/outage breakpoint the controller keeps ticking,
+// giving re-admission time to reclaim shed strings at post-surge demand; and
+// maxReadmit bounds re-admissions per tick, so recovery does not monopolize
+// one.
+const (
+	interval   = 1.0
+	settle     = 2 * interval
+	maxReadmit = 4
+)
+
 // Config parameterizes the degradation controller. The zero value is usable:
-// WithDefaults fills in a 1 s control interval, a shed threshold of 0 (shed
-// only when a resource is past capacity or the two-stage analysis fails), a
-// re-admit threshold of 0.05, and at most 4 re-admissions per tick.
+// WithDefaults fills in a shed threshold of 0 (shed only when a resource is
+// past capacity or the two-stage analysis fails) and a re-admit threshold of
+// 0.05.
 type Config struct {
 	// ShedBelow is the lower hysteresis bound: the controller sheds load
 	// while system slackness Λ is below it (or the allocation is outright
@@ -46,16 +57,6 @@ type Config struct {
 	// for re-admission only while Λ is above it. Must be >= ShedBelow; the
 	// gap is the hysteresis band.
 	ReadmitAbove float64
-	// Interval is the control tick in seconds.
-	Interval float64
-	// Settle is how many seconds past the last surge/outage breakpoint the
-	// controller keeps ticking, giving re-admission time to reclaim shed
-	// strings at post-surge demand. Zero means two intervals.
-	Settle float64
-	// MaxReadmitPerTick bounds re-admissions per control tick (bounded
-	// re-admission keeps recovery from monopolizing a tick). Zero means the
-	// default of 4; negative means unlimited.
-	MaxReadmitPerTick int
 	// Faults optionally composes an outage trace with the surge scenario:
 	// strings touching a down resource are shed (and re-admitted through the
 	// fault-masked IMR once the resource is repaired and slack allows), so
@@ -67,34 +68,19 @@ type Config struct {
 // default. Value receiver — the original is never mutated, matching the
 // pattern shared by workload.Config, genitor.Config, and heuristics.PSGConfig.
 func (c Config) WithDefaults() Config {
-	if c.Interval == 0 {
-		c.Interval = 1
-	}
-	if c.Settle == 0 {
-		c.Settle = 2 * c.Interval
-	}
 	if c.ReadmitAbove == 0 {
 		c.ReadmitAbove = 0.05
-	}
-	if c.MaxReadmitPerTick == 0 {
-		c.MaxReadmitPerTick = 4
 	}
 	return c
 }
 
 // Validate reports configuration errors on the already-defaulted values.
 func (c Config) Validate() error {
-	if c.Interval <= 0 || math.IsNaN(c.Interval) || math.IsInf(c.Interval, 0) {
-		return fmt.Errorf("overload: control interval %v, want finite positive", c.Interval)
-	}
 	if c.ShedBelow < 0 || c.ShedBelow >= 1 || math.IsNaN(c.ShedBelow) {
 		return fmt.Errorf("overload: shed threshold %v, want in [0, 1)", c.ShedBelow)
 	}
 	if c.ReadmitAbove < c.ShedBelow || c.ReadmitAbove >= 1 || math.IsNaN(c.ReadmitAbove) {
 		return fmt.Errorf("overload: re-admit threshold %v, want in [%v, 1)", c.ReadmitAbove, c.ShedBelow)
-	}
-	if c.Settle < 0 || math.IsNaN(c.Settle) || math.IsInf(c.Settle, 0) {
-		return fmt.Errorf("overload: settle time %v, want finite non-negative", c.Settle)
 	}
 	return nil
 }
@@ -225,10 +211,10 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 			horizon = math.Max(horizon, e.UpAt())
 		}
 	}
-	ticks := int(math.Ceil((horizon+c.cfg.Settle)/c.cfg.Interval)) + 1
+	ticks := int(math.Ceil((horizon+settle)/interval)) + 1
 	if ticks > maxTicks {
 		return nil, fmt.Errorf("overload: horizon %v at interval %v implies %d control ticks, max %d",
-			horizon, c.cfg.Interval, ticks, maxTicks)
+			horizon, interval, ticks, maxTicks)
 	}
 
 	span := telemetry.BeginSpan("overload.run")
@@ -240,7 +226,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 
 	a := alloc
 	for i := 0; i < ticks; i++ {
-		t := float64(i) * c.cfg.Interval
+		t := float64(i) * interval
 		tel.ticks.Inc()
 		factors := sc.FactorsAt(t, n)
 		sys := base
@@ -289,7 +275,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 		overAtEntry := !c.healthy(da)
 		if overAtEntry {
 			if i > 0 {
-				res.TimeOverCapacity += c.cfg.Interval
+				res.TimeOverCapacity += interval
 			}
 			tel.overTicks.Inc()
 		}
@@ -340,7 +326,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 			sortByWorthPerUtilDesc(sys, cands)
 			admitted := 0
 			for _, k := range cands {
-				if c.cfg.MaxReadmitPerTick > 0 && admitted >= c.cfg.MaxReadmitPerTick {
+				if admitted >= maxReadmit {
 					break
 				}
 				if a.Slackness() <= c.cfg.ReadmitAbove+slackEps {

@@ -142,11 +142,17 @@ func TestControllerHysteresisBand(t *testing.T) {
 	}
 }
 
-// TestControllerBoundedReadmission: MaxReadmitPerTick spreads recovery over
-// several control ticks instead of re-admitting everything at once.
+// TestControllerBoundedReadmission: the per-tick re-admission bound spreads
+// recovery over several control ticks instead of re-admitting everything at
+// once. A 2x surge sheds five of seven low-density strings, more than one
+// tick may take back.
 func TestControllerBoundedReadmission(t *testing.T) {
-	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
-	ctl, err := NewController(Config{MaxReadmitPerTick: 1})
+	worths, demands := []float64{100}, []float64{0.3}
+	for range [7]int{} {
+		worths, demands = append(worths, 10), append(demands, 0.08)
+	}
+	_, a := oneMachineFixture(worths, demands)
+	ctl, err := NewController(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +161,17 @@ func TestControllerBoundedReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var times []float64
+	if res.Shed != 5 || res.Shed <= maxReadmit {
+		t.Fatalf("shed %d, want 5 (more than the %d one tick may re-admit)", res.Shed, maxReadmit)
+	}
+	perTick := map[float64]int{}
 	for _, act := range res.Actions {
 		if act.Kind == Readmitted {
-			times = append(times, act.Time)
+			perTick[act.Time]++
 		}
 	}
-	if len(times) != 2 || times[0] != 20 || times[1] != 21 {
-		t.Errorf("re-admission times %v, want [20 21] (one per tick)", times)
+	if want := map[float64]int{20: maxReadmit, 21: 1}; !reflect.DeepEqual(perTick, want) {
+		t.Errorf("re-admissions per tick %v, want %v", perTick, want)
 	}
 	if res.Retained != 1 {
 		t.Errorf("retained %v, want 1", res.Retained)
@@ -278,9 +287,6 @@ func TestControllerDoesNotMutateInputs(t *testing.T) {
 func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(Config{ShedBelow: 0.5, ReadmitAbove: 0.1}); err == nil {
 		t.Error("inverted hysteresis thresholds accepted")
-	}
-	if _, err := NewController(Config{Interval: -1}); err == nil {
-		t.Error("negative control interval accepted")
 	}
 	_, a := oneMachineFixture([]float64{1}, []float64{0.1})
 	ctl, err := NewController(Config{})

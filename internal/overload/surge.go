@@ -19,7 +19,6 @@ package overload
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -226,33 +225,6 @@ func (sc *Scenario) Active(t float64) bool {
 // ValidateStructure runs the system-independent event checks for the shared
 // scenario loader: Validate with the string-range check skipped.
 func (sc *Scenario) ValidateStructure() error { return sc.Validate(0) }
-
-// ParseScenario parses and validates a scenario from JSON bytes via the
-// shared versioned loader. Structural validation (finite times, positive
-// factors, duplicate IDs) runs here; string indices are range-checked too
-// when the caller later revalidates against a concrete system with
-// Validate(n).
-func ParseScenario(data []byte) (*Scenario, error) {
-	var sc Scenario
-	if err := scenario.Parse(data, "overload", &sc); err != nil {
-		return nil, err
-	}
-	return &sc, nil
-}
-
-// WriteJSON serializes the scenario as indented JSON.
-func (sc *Scenario) WriteJSON(w io.Writer) error {
-	return scenario.WriteJSON(w, "overload", sc)
-}
-
-// ReadJSON parses a scenario from a reader (see ParseScenario).
-func ReadJSON(r io.Reader) (*Scenario, error) {
-	var sc Scenario
-	if err := scenario.Read(r, "overload", &sc); err != nil {
-		return nil, err
-	}
-	return &sc, nil
-}
 
 // LoadFile reads a scenario from a JSON file via the shared versioned loader.
 func LoadFile(path string) (*Scenario, error) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func TestEventFactorAtStep(t *testing.T) {
@@ -139,16 +141,15 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		{ID: "e0", Kind: Ramp, At: 1, Duration: 4, Factor: 2.5, Rise: 2, Strings: []int{0, 2}},
 		{Kind: Step, At: 3, Factor: 0.5},
 	}}
-	var buf bytes.Buffer
-	if err := sc.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
+	a, err := json.Marshal(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(sc)
-	b, _ := json.Marshal(got)
+	var got Scenario
+	if err := scenario.Parse(a, "overload", &got); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := json.Marshal(&got)
 	if !bytes.Equal(a, b) {
 		t.Errorf("round trip changed the scenario:\n%s\n%s", a, b)
 	}
@@ -160,8 +161,9 @@ func TestParseScenarioRejectsGarbage(t *testing.T) {
 		`{"events":[{"kind":"step","at":-5,"factor":2}]}`,
 		`{"events":[{"kind":"step","at":0,"factor":2,"id":"x"},{"kind":"step","at":0,"factor":2,"id":"x"}]}`,
 	} {
-		if _, err := ParseScenario([]byte(bad)); err == nil {
-			t.Errorf("ParseScenario accepted %q", bad)
+		var sc Scenario
+		if err := scenario.Parse([]byte(bad), "overload", &sc); err == nil {
+			t.Errorf("scenario.Parse accepted %q", bad)
 		}
 	}
 }
@@ -225,13 +227,13 @@ func FuzzParseSurgeScenario(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"events":[{"kind":"step","at":-1,"factor":2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := ParseScenario(data)
-		if err != nil {
+		var sc Scenario
+		if err := scenario.Parse(data, "overload", &sc); err != nil {
 			return
 		}
 		// A parsed scenario must re-validate and produce sane factors.
 		if verr := sc.Validate(0); verr != nil {
-			t.Fatalf("ParseScenario returned a scenario that fails Validate: %v", verr)
+			t.Fatalf("scenario.Parse returned a scenario that fails Validate: %v", verr)
 		}
 		for _, bp := range sc.Breakpoints() {
 			if math.IsNaN(bp) || math.IsInf(bp, 0) {

@@ -18,7 +18,11 @@ func TestSingletonEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		sys := workload.MustGenerate(cfg, seed)
 		flat := heuristics.MWF(sys)
-		pooled, err := MapSequencePooled(sys, Singletons(sys.Machines), heuristics.MWFOrder(sys))
+		singletons, err := Uniform(sys.Machines, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := MapSequencePooled(sys, singletons, heuristics.MWFOrder(sys))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,17 +28,9 @@ type Partition struct {
 	Pools []Pool `json:"pools"`
 }
 
-// Singletons returns the paper's degenerate partition: one machine per pool.
-func Singletons(machines int) *Partition {
-	p := &Partition{}
-	for j := 0; j < machines; j++ {
-		p.Pools = append(p.Pools, Pool{Name: fmt.Sprintf("pool-%d", j), Members: []int{j}})
-	}
-	return p
-}
-
 // Uniform returns a partition of machines into consecutive pools of the
-// given size (the last pool absorbs any remainder).
+// given size (the last pool absorbs any remainder). Size 1 is the paper's
+// degenerate partition: one machine per pool.
 func Uniform(machines, size int) (*Partition, error) {
 	if size < 1 || size > machines {
 		return nil, fmt.Errorf("pool: size %d for %d machines", size, machines)
@@ -89,58 +81,31 @@ func (p *Partition) Validate(machines int) error {
 	return nil
 }
 
-// PoolOf returns the pool index containing machine j, or -1.
-func (p *Partition) PoolOf(j int) int {
-	for pi := range p.Pools {
-		for _, m := range p.Pools[pi].Members {
-			if m == j {
-				return pi
-			}
-		}
-	}
-	return -1
-}
-
-// Allocator performs two-level placement: strings are assigned to pools, and
+// allocator performs two-level placement: strings are assigned to pools, and
 // the internal dispatcher picks the member machine that minimizes the IMR
 // candidate cost at that moment. It wraps a flat feasibility.Allocation, so
 // the two-stage analysis, slackness, and the simulator all apply unchanged.
-type Allocator struct {
-	Part  *Partition
-	Alloc *feasibility.Allocation
-}
-
-// NewAllocator validates the partition against the system.
-func NewAllocator(sys *model.System, part *Partition) (*Allocator, error) {
-	if err := validate(sys, part); err != nil {
-		return nil, err
-	}
-	return &Allocator{Part: part, Alloc: feasibility.New(sys)}, nil
-}
-
-func validate(sys *model.System, part *Partition) error {
-	if err := sys.Validate(); err != nil {
-		return err
-	}
-	return part.Validate(sys.Machines)
+type allocator struct {
+	part  *Partition
+	alloc *feasibility.Allocation
 }
 
 // dispatchCost is the IMR candidate cost of placing application i of string
 // k on machine j: the max of the resulting machine utilization and the
 // utilizations of routes to already-placed neighbors.
-func (a *Allocator) dispatchCost(k, i, j int) float64 {
-	sys := a.Alloc.System()
-	val := a.Alloc.MachineUtilizationIf(j, k, i)
+func (a *allocator) dispatchCost(k, i, j int) float64 {
+	sys := a.alloc.System()
+	val := a.alloc.MachineUtilizationIf(j, k, i)
 	if i > 0 {
-		if prev := a.Alloc.Machine(k, i-1); prev != feasibility.Unassigned {
-			if u := a.Alloc.RouteUtilizationIf(prev, j, k, i-1); u > val {
+		if prev := a.alloc.Machine(k, i-1); prev != feasibility.Unassigned {
+			if u := a.alloc.RouteUtilizationIf(prev, j, k, i-1); u > val {
 				val = u
 			}
 		}
 	}
 	if i < len(sys.Strings[k].Apps)-1 {
-		if next := a.Alloc.Machine(k, i+1); next != feasibility.Unassigned {
-			if u := a.Alloc.RouteUtilizationIf(j, next, k, i); u > val {
+		if next := a.alloc.Machine(k, i+1); next != feasibility.Unassigned {
+			if u := a.alloc.RouteUtilizationIf(j, next, k, i); u > val {
 				val = u
 			}
 		}
@@ -148,20 +113,11 @@ func (a *Allocator) dispatchCost(k, i, j int) float64 {
 	return val
 }
 
-// AssignToPool places application i of string k in the given pool,
-// dispatching to the member machine with the smallest dispatch cost. It
-// returns the machine chosen.
-func (a *Allocator) AssignToPool(k, i, poolIdx int) int {
-	j := a.dispatch(k, i, poolIdx)
-	a.Alloc.Assign(k, i, j)
-	return j
-}
-
 // dispatch is the dispatcher's choice: the member of the pool with the
 // smallest dispatch cost for application i of string k, lowest index on ties.
-func (a *Allocator) dispatch(k, i, poolIdx int) int {
+func (a *allocator) dispatch(k, i, poolIdx int) int {
 	bestJ, bestVal := -1, 0.0
-	for _, j := range a.Part.Pools[poolIdx].Members {
+	for _, j := range a.part.Pools[poolIdx].Members {
 		val := a.dispatchCost(k, i, j)
 		if bestJ < 0 || val < bestVal {
 			bestJ, bestVal = j, val
@@ -170,25 +126,14 @@ func (a *Allocator) dispatch(k, i, poolIdx int) int {
 	return bestJ
 }
 
-// PoolUtilization returns the mean member-machine utilization of a pool —
-// the aggregate the pool-level allocator reasons about.
-func (a *Allocator) PoolUtilization(poolIdx int) float64 {
-	pool := a.Part.Pools[poolIdx]
-	sum := 0.0
-	for _, j := range pool.Members {
-		sum += a.Alloc.MachineUtilization(j)
-	}
-	return sum / float64(len(pool.Members))
-}
-
-// MapStringPooled is the pool-granular IMR: the walk is the flat IMR's own
+// mapString is the pool-granular IMR: the walk is the flat IMR's own
 // (heuristics.MapStringWith — same most-intensive-first contiguous-region
 // order), and the chooser picks a pool by minimum mean member cost (ties to
 // the lower pool index), then lets the dispatcher choose the machine.
-func (a *Allocator) MapStringPooled(k int) {
-	heuristics.MapStringWith(a.Alloc, k, func(i, _ int) int {
+func (a *allocator) mapString(k int) {
+	heuristics.MapStringWith(a.alloc, k, func(i, _ int) int {
 		bestPool, bestVal := 0, -1.0
-		for pi := range a.Part.Pools {
+		for pi := range a.part.Pools {
 			v := a.poolCost(k, i, pi)
 			if bestVal < 0 || v < bestVal {
 				bestPool, bestVal = pi, v
@@ -205,8 +150,8 @@ func (a *Allocator) MapStringPooled(k int) {
 // singleton pools the mean is the single member's exact dispatch cost, so the
 // pooled IMR coincides with the flat IMR (same costs, same machine-index tie
 // breaking); a test pins that equivalence.
-func (a *Allocator) poolCost(k, i, pi int) float64 {
-	pool := a.Part.Pools[pi]
+func (a *allocator) poolCost(k, i, pi int) float64 {
+	pool := a.part.Pools[pi]
 	sum := 0.0
 	for _, j := range pool.Members {
 		sum += a.dispatchCost(k, i, j)
@@ -217,12 +162,16 @@ func (a *Allocator) poolCost(k, i, pi int) float64 {
 // MapSequencePooled maps strings in order with the paper's stop-on-failure
 // semantics, at pool granularity: heuristics.MapSequenceWith (so the order
 // must be a permutation of all string indices, or it panics as MapSequence
-// does) placing each string with MapStringPooled.
+// does) placing each string with the pool-granular IMR. The partition must
+// disjointly cover the system's machines.
 func MapSequencePooled(sys *model.System, part *Partition, order []int) (*heuristics.Result, error) {
-	if err := validate(sys, part); err != nil {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	if err := part.Validate(sys.Machines); err != nil {
 		return nil, err
 	}
 	return heuristics.MapSequenceWith(sys, order, func(alloc *feasibility.Allocation, k int) {
-		(&Allocator{Part: part, Alloc: alloc}).MapStringPooled(k)
+		(&allocator{part: part, alloc: alloc}).mapString(k)
 	}), nil
 }

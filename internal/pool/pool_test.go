@@ -11,7 +11,10 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestPartitionConstructors(t *testing.T) {
-	s := Singletons(4)
+	s, err := Uniform(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Validate(4); err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +65,6 @@ func TestPartitionValidateRejections(t *testing.T) {
 	}
 }
 
-func TestPoolOf(t *testing.T) {
-	p, _ := Uniform(6, 3)
-	if p.PoolOf(4) != 1 || p.PoolOf(0) != 0 {
-		t.Errorf("PoolOf wrong: %d %d", p.PoolOf(4), p.PoolOf(0))
-	}
-	if p.PoolOf(9) != -1 {
-		t.Error("missing machine not reported")
-	}
-}
-
 // TestPooledMappingFeasibleAndCoarser: pooled decisions are coarser, so the
 // pooled result can never beat flat on worth by more than noise, and must be
 // feasible.
@@ -104,8 +97,8 @@ func TestPooledMappingFeasible(t *testing.T) {
 	}
 }
 
-// TestDispatcherSpreadsWithinPool: two heavy apps assigned to a 2-machine
-// pool must land on different members.
+// TestDispatcherSpreadsWithinPool: two heavy single-application strings
+// mapped into one pool spanning the suite must land on different members.
 func TestDispatcherSpreadsWithinPool(t *testing.T) {
 	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
 	cfg.Strings = 2
@@ -115,34 +108,33 @@ func TestDispatcherSpreadsWithinPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAllocator(sys, part)
+	r, err := MapSequencePooled(sys, part, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := a.AssignToPool(0, 0, 0)
-	m2 := a.AssignToPool(1, 0, 0)
-	if m1 == m2 {
-		t.Errorf("dispatcher stacked both applications on machine %d", m1)
+	if r.NumMapped != 2 {
+		t.Fatalf("%d strings mapped, want both", r.NumMapped)
 	}
-	if u := a.PoolUtilization(0); u <= 0 {
-		t.Errorf("pool utilization %v", u)
+	if m1, m2 := r.Alloc.Machine(0, 0), r.Alloc.Machine(1, 0); m1 == m2 {
+		t.Errorf("dispatcher stacked both applications on machine %d", m1)
 	}
 }
 
-func TestNewAllocatorValidation(t *testing.T) {
+func TestMapSequencePooledValidation(t *testing.T) {
 	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
 	cfg.Strings = 2
 	sys := workload.MustGenerate(cfg, 1)
-	if _, err := NewAllocator(sys, &Partition{}); err == nil {
+	if _, err := MapSequencePooled(sys, &Partition{}, []int{0, 1}); err == nil {
 		t.Error("empty partition accepted")
+	}
+	singletons, err := Uniform(sys.Machines, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	bad := sys.Clone()
 	bad.Machines = 0
-	if _, err := NewAllocator(bad, Singletons(12)); err == nil {
+	if _, err := MapSequencePooled(bad, singletons, []int{0, 1}); err == nil {
 		t.Error("invalid system accepted")
-	}
-	if _, err := MapSequencePooled(sys, &Partition{}, []int{0, 1}); err == nil {
-		t.Error("MapSequencePooled accepted an empty partition")
 	}
 	// A repeated or out-of-range index would re-place a placed string or index
 	// past the catalog; like heuristics.MapSequence, the pooled mapper refuses.
@@ -153,7 +145,7 @@ func TestNewAllocatorValidation(t *testing.T) {
 					t.Errorf("MapSequencePooled accepted order %v over 2 strings", order)
 				}
 			}()
-			_, _ = MapSequencePooled(sys, Singletons(sys.Machines), order)
+			_, _ = MapSequencePooled(sys, singletons, order)
 		}()
 	}
 }

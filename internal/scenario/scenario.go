@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -59,44 +58,11 @@ func Parse(data []byte, label string, sc Structural) error {
 	return sc.ValidateStructure()
 }
 
-// Read decodes a scenario from r (see Parse).
-func Read(r io.Reader, label string, sc Structural) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("%s: reading scenario: %w", label, err)
-	}
-	return Parse(data, label, sc)
-}
-
 // ParseScenarioFile loads a scenario from a JSON file (see Parse).
 func ParseScenarioFile(path, label string, sc Structural) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
-	defer f.Close()
-	return Read(f, label, sc)
-}
-
-// WriteJSON serializes a scenario as indented JSON.
-func WriteJSON(w io.Writer, label string, sc any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sc); err != nil {
-		return fmt.Errorf("%s: encoding scenario: %w", label, err)
-	}
-	return nil
-}
-
-// SaveFile writes a scenario to path as indented JSON.
-func SaveFile(path, label string, sc any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("%s: %w", label, err)
-	}
-	defer f.Close()
-	if err := WriteJSON(f, label, sc); err != nil {
-		return err
-	}
-	return f.Close()
+	return Parse(data, label, sc)
 }

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -61,7 +63,11 @@ func TestParseErrors(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sc.json")
 	in := &payload{Version: 1, Name: "rt", Items: []string{"a", "b"}}
-	if err := SaveFile(path, "test", in); err != nil {
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out payload

@@ -48,8 +48,6 @@ type Config struct {
 	// LPBound enables the relaxed-LP upper bound on total worth, re-solved
 	// with a warm-started simplex basis when a rescale changes the system.
 	LPBound bool
-	// EventBuffer is the capacity of the decision event ring (default 1024).
-	EventBuffer int
 	// SnapshotPath is the default target of POST /v1/snapshot.
 	SnapshotPath string
 	// Journal enables the write-ahead op journal at this path; every accepted
@@ -74,9 +72,6 @@ type Config struct {
 
 // WithDefaults fills zero fields with usable defaults.
 func (c Config) WithDefaults() Config {
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 1024
-	}
 	if c.SnapshotPath == "" {
 		c.SnapshotPath = "shipd-snapshot.json"
 	}
@@ -106,9 +101,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Overload.Validate(); err != nil {
 		errs = append(errs, err)
-	}
-	if c.EventBuffer < 0 {
-		errs = append(errs, fmt.Errorf("service: EventBuffer = %d, want >= 0", c.EventBuffer))
 	}
 	if _, err := journal.ParseFsyncPolicy(string(c.Fsync)); err != nil {
 		errs = append(errs, fmt.Errorf("service: %w", err))
@@ -202,7 +194,7 @@ func New(cfg Config) (*Service, error) {
 		sys:    sys,
 		down:   faults.NewSet(sys.Machines),
 		scale:  scale,
-		events: newEventLog(cfg.EventBuffer),
+		events: newEventLog(),
 	}
 	if cfg.Heuristic != "" {
 		st.alloc = heuristics.Run(cfg.Heuristic, sys, cfg.Search).Alloc
@@ -741,6 +733,10 @@ func (st *state) stateResponse() StateResponse {
 
 // --- event ring ---
 
+// eventRing is the capacity of the decision event ring: the most recent
+// decisions GET /v1/events can return.
+const eventRing = 1024
+
 // eventLog is a bounded ring of recent decisions, ordered by Seq.
 type eventLog struct {
 	buf  []Decision
@@ -748,12 +744,7 @@ type eventLog struct {
 	n    int
 }
 
-func newEventLog(capacity int) *eventLog {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &eventLog{buf: make([]Decision, capacity)}
-}
+func newEventLog() *eventLog { return &eventLog{buf: make([]Decision, eventRing)} }
 
 func (l *eventLog) append(d Decision) {
 	if l.n < len(l.buf) {

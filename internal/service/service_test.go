@@ -626,11 +626,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("nil system accepted")
 	}
-	cfg := Config{System: testSystem(3), EventBuffer: -1}
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative event buffer accepted")
-	}
-	cfg = Config{System: testSystem(3), Overload: overload.Config{ShedBelow: 2}}
+	cfg := Config{System: testSystem(3), Overload: overload.Config{ShedBelow: 2}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("out-of-range overload config accepted")
 	}

@@ -343,7 +343,7 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 		seq:         file.Seq,
 		digestMemo:  digest,
 		digestSeq:   file.Seq,
-		events:      newEventLog(cfg.EventBuffer),
+		events:      newEventLog(),
 	}, nil
 }
 

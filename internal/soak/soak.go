@@ -18,6 +18,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
@@ -53,11 +54,12 @@ type Config struct {
 	PSGTrials int
 	Workers   int
 	// TrialDeadline, when positive, forces the search through the
-	// checkpoint/resume path: each search call is bounded by this wall-clock
-	// budget and interrupted searches resume from their checkpoint until
-	// complete. Zero runs the search uninterrupted. The trajectory is
-	// bit-identical either way — that is the property the determinism
-	// harness exercises.
+	// checkpoint/resume path: each search call runs under a context with this
+	// wall-clock timeout and interrupted searches resume from their
+	// checkpoint until complete. Zero runs the search uninterrupted. The
+	// trajectory is bit-identical either way — that is the property the
+	// determinism harness exercises. A search that cannot checkpoint (SSG)
+	// must finish inside one budget.
 	TrialDeadline time.Duration
 	// Hits and RouteOutages parameterize the sampled fault scenario;
 	// FaultWindow and MeanDowntime its timing.
@@ -236,17 +238,27 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	pcfg.Trials = cfg.PSGTrials
 	pcfg.Workers = cfg.Workers
 	pcfg.Seed = rng.DeriveSeed(seed, rng.SubsystemSearch)
-	pcfg.Deadline = cfg.TrialDeadline
 	var r *heuristics.Result
 	if cfg.TrialDeadline > 0 {
+		// Each call gets its own budget; a call the budget cut short returns
+		// ErrCanceled with a checkpoint and is resumed while the caller's
+		// context is still live.
 		var scp *heuristics.SearchCheckpoint
-		r, scp, err = heuristics.RunCheckpointed(ctx, cfg.Heuristic, sys, pcfg)
-		for err == nil && scp != nil {
+		for {
+			callCtx, cancel := context.WithTimeout(ctx, cfg.TrialDeadline)
+			if scp == nil {
+				r, scp, err = heuristics.RunCheckpointed(callCtx, cfg.Heuristic, sys, pcfg)
+			} else {
+				r, scp, err = heuristics.ResumeSearch(callCtx, sys, scp)
+			}
+			cancel()
+			if !errors.Is(err, heuristics.ErrCanceled) || scp == nil || ctx.Err() != nil {
+				break
+			}
 			if out.SearchResumes++; out.SearchResumes > maxResumes {
 				return nil, fmt.Errorf("soak: search did not finish within %d resume rounds (deadline %v too tight)",
 					maxResumes, cfg.TrialDeadline)
 			}
-			r, scp, err = heuristics.ResumeSearch(ctx, sys, scp)
 		}
 	} else {
 		r, err = heuristics.RunContext(ctx, cfg.Heuristic, sys, pcfg)

@@ -3,9 +3,12 @@
 // admit/remove/rescale body (internal/service). A reader is a table of field
 // names per object plus a function reading each field's value with the typed
 // readers here; the object loop, the number scanner and the offsets in errors
-// are stated once. Whatever is read is read as encoding/json reads it (numbers
-// go to strconv as exactly the token scanNumber delimits); names match by
-// their exact bytes, at most once; null is no typed reader's value.
+// are stated once. Whatever is read is read as encoding/json reads it: the
+// float token scanNumber delimits is converted where it lies (Clinger's fast
+// path, then Eisel–Lemire, eisel_lemire.go) and goes to strconv only when
+// neither is sure of the correctly rounded value, an integer token goes to
+// strconv; names match by their exact bytes, at most once; null is no typed
+// reader's value.
 package jsonscan
 
 import (
@@ -82,6 +85,75 @@ func scanNumber(b []byte, i int) (end int, integer bool) {
 	return j, integer
 }
 
+// pow10 is the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// fastFloat converts a token scanNumber delimited, reading its digits once:
+// up to 19 significant digits into a mantissa, then Clinger's fast path (an
+// exact mantissa times or over an exact power of ten is one correctly rounded
+// operation) or Eisel–Lemire, which also gives ±0. ok is false where neither
+// is sure of the correctly rounded value — more significant digits, an
+// exponent outside the table, a halfway case — and strconv is asked instead.
+func fastFloat(tok []byte) (f float64, ok bool) {
+	neg := tok[0] == '-'
+	i := 0
+	if neg {
+		i = 1
+	}
+	end, man := mantissa(tok, i, 0)
+	nd, exp10 := end-i, 0 // JSON writes no leading zero but a lone "0"
+	if end < len(tok) && tok[end] == '.' {
+		frac := end + 1
+		if i = frac; nd == 1 && man == 0 { // 0.000ddd: the zeros move the point, they are not significant
+			for nd = 0; i < len(tok) && tok[i] == '0'; i++ {
+			}
+		}
+		end, man = mantissa(tok, i, man)
+		nd, exp10 = nd+end-i, frac-end
+	}
+	i = end
+	if nd > 19 { // man wrapped: more digits than a uint64 holds
+		return 0, false
+	}
+	if i < len(tok) { // the exponent, read while it is below 100 000; past that, strconv's
+		i++
+		eneg := tok[i] == '-'
+		if eneg || tok[i] == '+' {
+			i++
+		}
+		e := 0
+		for ; i < len(tok) && e < 10000; i++ {
+			e = e*10 + int(tok[i]-'0')
+		}
+		if i < len(tok) {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
+		if f = float64(man); neg {
+			f = -f
+		}
+		if exp10 < 0 {
+			return f / pow10[-exp10], true
+		}
+		return f * pow10[exp10], true
+	}
+	return eiselLemire64(man, exp10, neg)
+}
+
+// mantissa accumulates the digits from b[i] into man.
+func mantissa(b []byte, i int, man uint64) (int, uint64) {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man
+}
+
 // at reports whether the next unread byte is ch.
 func (c *Cursor) at(ch byte) bool { return c.I < len(c.B) && c.B[c.I] == ch }
 
@@ -102,7 +174,10 @@ func (c *Cursor) Number(dst any) error {
 	var err error
 	switch p := dst.(type) { // the conversions stay on the stack: strconv keeps no argument
 	case *float64:
-		*p, err = strconv.ParseFloat(string(tok), 64)
+		var ok bool
+		if *p, ok = fastFloat(tok); !ok {
+			*p, err = strconv.ParseFloat(string(tok), 64)
+		}
 	case *int:
 		var n int64
 		n, err = strconv.ParseInt(string(tok), 10, 0)

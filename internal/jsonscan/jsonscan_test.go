@@ -54,6 +54,7 @@ func TestNumberReadsAsEncodingJSON(t *testing.T) {
 	for _, tok := range []string{
 		"0", "-0", "7", "-12", "1.0", "1e0", "1E+2", "2.5e-3", "0.1", "1e999", "-1e999", "5e-324", "1e-400",
 		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "18446744073709551615", "18446744073709551616",
+		"0.0000000000000000000000000000001", "123456789012345678901234", "2.4703282292062327e-324", "1E-0",
 		"01", "1.", ".5", "+1", "-", "1e", "0x10", "1_000", "Inf", "NaN", "",
 	} {
 		var f, wantF float64

@@ -15,6 +15,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,6 +42,8 @@ type Structural interface {
 
 // Parse decodes a scenario payload from JSON bytes into sc and runs its
 // structural validation. label prefixes decode errors ("faults", "overload").
+// A name sc has no field for is refused, and so (by the version pass) is
+// anything after the document.
 func Parse(data []byte, label string, sc Structural) error {
 	var env struct {
 		Version int `json:"version"`
@@ -52,7 +55,9 @@ func Parse(data []byte, label string, sc Structural) error {
 		return fmt.Errorf("%s: scenario file version %d not supported (max %d)",
 			label, env.Version, MaxVersion)
 	}
-	if err := json.Unmarshal(data, sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields() // a misspelt name must not read as a field left out
+	if err := dec.Decode(sc); err != nil {
 		return fmt.Errorf("%s: decoding scenario: %w", label, err)
 	}
 	return sc.ValidateStructure()

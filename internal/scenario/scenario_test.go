@@ -51,6 +51,11 @@ func TestParseErrors(t *testing.T) {
 	if err := Parse([]byte(`{`), "test", &p); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+	for _, doc := range []string{`{"nmae":"x"}`, `{"name":"x"} {}`, `{"name":"x"}]`} {
+		if err := Parse([]byte(doc), "test", &p); err == nil {
+			t.Errorf("%s accepted", doc)
+		}
+	}
 	err := Parse([]byte(`{"items":["a",""]}`), "test", &p)
 	if err == nil {
 		t.Fatal("structurally invalid payload accepted")

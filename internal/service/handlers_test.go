@@ -165,6 +165,36 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// A surge body with a misspelt name used to load as the name left out: an
+// event's "strngs" and "duraton" dropped made a permanent surge on every
+// string. Each is a 400 now, and no state moves.
+func TestSurgeRefusesMisspeltNames(t *testing.T) {
+	svc := newTestService(t, 4, Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	mustAdmit(t, svc, 0)
+	before, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"strngs":[3],"factor":2,"duraton":5}`,
+		`{"events":[{"kind":"step","strngs":[3],"at":0,"factor":2,"duraton":5}]}`,
+		`{"events":[{"kind":"step","at":0,"duration":5,"factor":2}]} {}`,
+	} {
+		if status := do(t, srv.Client(), "POST", srv.URL+"/v1/surge", body, nil); status != http.StatusBadRequest {
+			t.Errorf("POST /v1/surge %s: status %d, want 400", body, status)
+		}
+	}
+	after, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Seq != before.Seq || after.Digest != before.Digest {
+		t.Errorf("refused surges moved the state: seq %d -> %d, digest %s -> %s", before.Seq, after.Seq, before.Digest, after.Digest)
+	}
+}
+
 func TestHandlerEventStream(t *testing.T) {
 	svc := newTestService(t, 4, Config{})
 	srv := httptest.NewServer(svc.Handler())

@@ -153,7 +153,8 @@ type RecoveryReport struct {
 	FinalSeq uint64 `json:"finalSeq"`
 	Digest   string `json:"digest"`
 	// CatalogLoad (read, hash, parse and validate the pinned catalog) and
-	// Replay (the record loop) are wall times, for the startup banner only.
+	// Replay (the record loop) are wall times, for the startup banner and the
+	// service.recover.{catalog_load_s,replay_s} gauges.
 	CatalogLoad time.Duration `json:"catalogLoadNs"`
 	Replay      time.Duration `json:"replayNs"`
 }
@@ -457,6 +458,8 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 	rep.Digest = st.digest()
 	telemetry.C("service.journal.replayed").Add(int64(rep.Replayed))
 	telemetry.C("service.journal.torn_bytes").Add(rep.TornBytes)
+	telemetry.G("service.recover.catalog_load_s").Set(rep.CatalogLoad.Seconds())
+	telemetry.G("service.recover.replay_s").Set(rep.Replay.Seconds())
 	svc, err := startService(st)
 	if err != nil {
 		w.Close()

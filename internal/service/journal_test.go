@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/overload"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -684,5 +685,31 @@ func TestLPBoundFollowsRescales(t *testing.T) {
 		} else if got.WorthBound != 0 {
 			t.Fatalf("recovered without LPBound, yet the state carries bound %v", got.WorthBound)
 		}
+	}
+}
+
+// A running daemon shows how long its last recovery took: the two wall times
+// of the RecoveryReport, as gauges in seconds.
+func TestRecoverSetsTimingGauges(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	path := filepath.Join(t.TempDir(), "g.wal")
+	svc, err := New(Config{System: testSystem(6), Journal: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdmit(t, svc, 0)
+	svc.Close()
+	rec, rep, err := Recover(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	snap := telemetry.Capture()
+	if got := snap.Gauges["service.recover.catalog_load_s"]; got != rep.CatalogLoad.Seconds() || got <= 0 {
+		t.Errorf("catalog_load_s = %v, report %v", got, rep.CatalogLoad)
+	}
+	if got := snap.Gauges["service.recover.replay_s"]; got != rep.Replay.Seconds() || got <= 0 {
+		t.Errorf("replay_s = %v, report %v", got, rep.Replay)
 	}
 }

@@ -20,8 +20,10 @@ package faults
 import (
 	"fmt"
 	"math"
+	"os"
 	"sort"
 
+	"repro/internal/jsonscan"
 	"repro/internal/model"
 	"repro/internal/scenario"
 )
@@ -185,7 +187,7 @@ func CompartmentHit(m, j int, at, duration float64) []Event {
 }
 
 // ValidateStructure runs the machine-count-independent event checks shared by
-// the scenario loader and Validate.
+// Parse and Validate.
 func (sc *Scenario) ValidateStructure() error {
 	seen := make(map[string]int)
 	for idx, e := range sc.Events {
@@ -205,18 +207,66 @@ func (sc *Scenario) ValidateStructure() error {
 	return nil
 }
 
-// LoadFile reads a scenario from a JSON file via the shared versioned loader,
-// which applies the structural checks that need no machine count: event
-// times must be finite and non-negative, durations finite, and non-empty
-// event IDs unique — each rejected with a per-event error instead of loading
-// silently. Callers still validate resource ranges against their system with
-// ValidateFor (the machine count is not part of the scenario file).
+// LoadFile reads a scenario file (Parse).
 func LoadFile(path string) (*Scenario, error) {
-	var sc Scenario
-	if err := scenario.ParseScenarioFile(path, "faults", &sc); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
+	}
+	return Parse(data)
+}
+
+// The grammar below the envelope: an event and the resource it takes down.
+var (
+	eventFields    = []string{"id", "resource", "at", "duration"}
+	resourceFields = []string{"kind", "machine", "from", "to"}
+)
+
+// Parse reads a failure scenario — the fields of Scenario, Event and Resource
+// under exactly their json names, each at most once (scenario.Parse) — and
+// applies the structural checks that need no machine count: event times must
+// be finite and non-negative, durations finite, and non-empty event IDs
+// unique, each refused with a per-event error. Callers still validate
+// resource ranges against their system with ValidateFor (the machine count is
+// not part of the scenario file).
+func Parse(data []byte) (*Scenario, error) {
+	sc := new(Scenario)
+	err := scenario.Parse(data, "faults", &sc.Version, &sc.Name, &sc.Seed, &sc.Events, func(c *jsonscan.Cursor, e *Event) error {
+		return c.Object(eventFields, false, func(f int) (err error) {
+			switch f {
+			case 0:
+				e.ID, err = c.String()
+			case 1:
+				e.Resource, err = ReadResource(c)
+			case 2:
+				err = c.Number(&e.At)
+			case 3:
+				err = c.Number(&e.Duration)
+			}
+			return err
+		})
+	})
+	if err == nil {
+		err = sc.ValidateStructure()
+	}
+	if err != nil {
 		return nil, err
 	}
-	return &sc, nil
+	return sc, nil
+}
+
+// ReadResource reads the Resource object at c: the one reader of a resource,
+// in a scenario file's event and in the daemon's faults request alike.
+func ReadResource(c *jsonscan.Cursor) (r Resource, err error) {
+	err = c.Object(resourceFields, false, func(f int) error {
+		if f > 0 {
+			return c.Number([...]*int{&r.Machine, &r.From, &r.To}[f-1])
+		}
+		kind, err := c.String()
+		r.Kind = ResourceKind(kind)
+		return err
+	})
+	return r, err
 }
 
 // Set is the instantaneous outage state of a suite: which machines and which

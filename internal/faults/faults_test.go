@@ -1,12 +1,16 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -225,6 +229,86 @@ func TestJSONRoundTrip(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
+}
+
+// The first six loaded at the parent of the one-pass reader, as something
+// other than what they say: a case variant or the last duplicate won, so the
+// first took down machine 1 and the second loaded zero events.
+func TestParseRefuses(t *testing.T) {
+	for _, bad := range []string{
+		`{"events":[{"resource":{"kind":"machine","machine":3,"Machine":1},"at":0}]}`,
+		`{"Events":[{"resource":{"kind":"machine","machine":3},"at":0}],"events":[]}`,
+		`{"events":[{"resource":{"KIND":"machine","machine":3},"at":0}]}`,
+		`{"events":[{"resource":{"kind":"machine","machine":3,"machine":1},"at":0}]}`,
+		`{"version":1,"version":0,"events":[]}`,
+		`{"events":[{"resource":{"kind":"machine","machine":3},"at":0,"id":null}]}`,
+		`{"events":[{"resource":{"kind":"machine","machine":3},"at":-1}]}`,
+		`{"events":[{"resource":{"kind":"machine"},"at":0}]} x`,
+	} {
+		if sc, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "faults: ") {
+			t.Errorf("Parse(%s) = %+v, %v; want a refusal", bad, sc, err)
+		}
+	}
+}
+
+// strictDecode is the reference reading of a scenario document: encoding/json
+// with unknown fields refused and nothing but whitespace after the value.
+func strictDecode(data []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data: %v", err)
+	}
+	return nil
+}
+
+// FuzzParseFaultsScenario holds the failure-scenario reader inside
+// encoding/json's language: whatever Parse accepts, a strict json.Decoder
+// reads the same — equal values, nil slices told from empty ones, every float
+// by its bits (their json.Marshal is equal).
+func FuzzParseFaultsScenario(f *testing.F) {
+	if data, err := os.ReadFile("../../examples/survivability/compartment.json"); err == nil {
+		f.Add(data)
+	} else {
+		f.Fatal(err)
+	}
+	mc := MonteCarlo{CompartmentHits: 1, MachineOutages: 1, RouteOutages: 2, Window: 100, MeanDowntime: 30}
+	for seed := int64(1); seed <= 3; seed++ {
+		sc, err := mc.Sample(6, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sc.Version, sc.Events[0].ID = 1, "hit \"<&>\" é"
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{`{}`, `{"events":null}`, `{"events":[]}`, `null`, `{"events":[{}]}`,
+		`{"events":[{"resource":{"kind":"route","from":1,"to":2},"at":0.5,"duration":-0.0,"id":"\"😀"}]}`,
+		`{"Events":[{"resource":{"kind":"machine","machine":3},"at":0}],"events":[]}`,
+		`{"events":[{"resource":{"kind":"machine","machine":3,"machine":1},"at":0}]}`, ` {"seed" : -5 , "name" : "x"} `} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		var want Scenario
+		if err := strictDecode(data, &want); err != nil {
+			t.Fatalf("Parse(%q) accepted what encoding/json refuses: %v", data, err)
+		}
+		got, _ := json.Marshal(sc)
+		ref, _ := json.Marshal(&want)
+		if !reflect.DeepEqual(*sc, want) || !bytes.Equal(got, ref) {
+			t.Fatalf("Parse(%q) = %+v; encoding/json reads %+v", data, sc, want)
+		}
+	})
 }
 
 func TestMonteCarloDeterministic(t *testing.T) {

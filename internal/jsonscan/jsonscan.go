@@ -1,20 +1,25 @@
 // Package jsonscan is the byte cursor under the repository's hand-written JSON
-// readers: the system document (internal/model), the journal record and the
-// admit/remove/rescale body (internal/service). A reader is a table of field
-// names per object plus a function reading each field's value with the typed
-// readers here; the object loop, the number scanner and the offsets in errors
-// are stated once. Whatever is read is read as encoding/json reads it: the
-// float token scanNumber delimits is converted where it lies (Clinger's fast
-// path, then Eisel–Lemire, eisel_lemire.go) and goes to strconv only when
-// neither is sure of the correctly rounded value, an integer token goes to
-// strconv; names match by their exact bytes, at most once; null is no typed
-// reader's value.
+// readers: the system document (internal/model), the journal record and every
+// request body — admit/remove/rescale, faults, surge, snapshot — and scenario
+// file (internal/service, internal/scenario and the faults and overload
+// packages over it). A reader is a table of field names per object plus a
+// function reading each field's value with the typed readers here; the object
+// loop, the number scanner and the offsets in errors are stated once. Whatever
+// is read is read as encoding/json reads it: the float token scanNumber
+// delimits is converted where it lies (Clinger's fast path, then Eisel–Lemire,
+// eisel_lemire.go) and goes to strconv only when neither is sure of the
+// correctly rounded value, an integer token goes to strconv, a string value
+// with an escape or invalid UTF-8 goes to encoding/json as that one token;
+// names match by their exact bytes, at most once; null is no typed reader's
+// value.
 package jsonscan
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Cursor is a read position in a JSON document. The typed readers expect I at
@@ -157,8 +162,8 @@ func mantissa(b []byte, i int, man uint64) (int, uint64) {
 // at reports whether the next unread byte is ch.
 func (c *Cursor) at(ch byte) bool { return c.I < len(c.B) && c.B[c.I] == ch }
 
-// Number reads a number into dst, a *float64, *int or *uint64, bit for bit
-// what encoding/json reads from the same token: the integers refuse a
+// Number reads a number into dst, a *float64, *int, *int64 or *uint64, bit
+// for bit what encoding/json reads from the same token: the integers refuse a
 // fraction or an exponent (12.0, 1e0), a *uint64 refuses a sign.
 func (c *Cursor) Number(dst any) error {
 	_, float := dst.(*float64)
@@ -182,6 +187,8 @@ func (c *Cursor) Number(dst any) error {
 		var n int64
 		n, err = strconv.ParseInt(string(tok), 10, 0)
 		*p = int(n)
+	case *int64:
+		*p, err = strconv.ParseInt(string(tok), 10, 64)
 	case *uint64:
 		*p, err = strconv.ParseUint(string(tok), 10, 64)
 	default:
@@ -230,6 +237,33 @@ func (c *Cursor) Plain() ([]byte, error) {
 	}
 	s := c.B[c.I+1 : end]
 	c.I = end + 1
+	return s, nil
+}
+
+// String reads a string value as encoding/json reads it: one of valid UTF-8
+// without escapes is copied as it lies, and any other string token skip
+// delimits (escapes, surrogate pairs, invalid UTF-8) is decoded by
+// encoding/json itself, so every value is the one json.Unmarshal gives.
+func (c *Cursor) String() (string, error) {
+	start, end := c.I, c.I+1
+	if !c.at('"') {
+		return "", c.errorf("want a string")
+	}
+	for end < len(c.B) && c.B[end] != '"' && c.B[end] != '\\' && c.B[end] >= ' ' {
+		end++
+	}
+	if end < len(c.B) && c.B[end] == '"' && utf8.Valid(c.B[start+1:end]) {
+		c.I = end + 1
+		return string(c.B[start+1 : end]), nil
+	}
+	var s string
+	if err := c.skip(); err != nil {
+		return "", err
+	}
+	if err := json.Unmarshal(c.B[start:c.I], &s); err != nil {
+		c.I = start
+		return "", c.errorf("malformed string: %v", err)
+	}
 	return s, nil
 }
 

@@ -1,6 +1,7 @@
 package jsonscan
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -76,6 +77,47 @@ func TestNumberReadsAsEncodingJSON(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stringTokens are the shapes a string value takes: plain, escaped every way
+// JSON allows, surrogate pairs whole and lone, raw non-ASCII, invalid UTF-8,
+// and the malformed ones — a control byte, a bad escape, an open quote. A
+// %u stands for a backslash-u escape.
+var stringTokens = strings.Split(strings.ReplaceAll(
+	`""|"a"|"x y"|"é"|"😀"|"a\"b"|"\\"|"\/"|"\b\f\n\r\t"|"%u00e9"|"%u0065%u0301"|"%ud83d%ude00"|"%ud800"|`+
+		`"%udc00x"|"%u0020"|"%u0000"|"%u003c>&"|"%u2028"|"%uD83D%uDE00"|"\q"|"%u12"|"%u12g4"|"open|"a\"|"|x|null|1|`+
+		"\"\x7f\"|\"\xff\"|\"\xc3\"|\"\xed\xa0\x80\"|\"a\nb\"|\"\x1f\"",
+	"%u", `\u`), "|")
+
+// String reads every string token as encoding/json reads it into a string,
+// and refuses exactly what encoding/json refuses.
+func TestStringReadsAsEncodingJSON(t *testing.T) {
+	for _, tok := range stringTokens {
+		sameAsUnmarshal(t, []byte(tok))
+	}
+}
+
+func sameAsUnmarshal(t *testing.T, tok []byte) {
+	t.Helper()
+	if len(bytes.TrimSpace(tok)) != len(tok) || string(tok) == "null" {
+		return // a string reader reads a string token, not the space around one or a null
+	}
+	var want string
+	wantErr := json.Unmarshal(tok, &want)
+	c := Cursor{B: tok}
+	got, err := c.String()
+	if whole := err == nil && c.I == len(tok); whole != (wantErr == nil) || (whole && got != want) {
+		t.Errorf("String(%q) = %q, %v (read %d of %d bytes); encoding/json: %q, %v", tok, got, err, c.I, len(tok), want, wantErr)
+	}
+}
+
+// FuzzString: on any bytes, String takes a whole string token exactly when
+// json.Unmarshal into a string does, and reads the same value.
+func FuzzString(f *testing.F) {
+	for _, tok := range stringTokens {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(sameAsUnmarshal)
 }
 
 // The object loop: any order, at most once, exact names; an unknown name is

@@ -98,15 +98,6 @@ func ParseSystem(data []byte) (*System, error) {
 	return sys, nil
 }
 
-// ReadJSON reads a system document from r, parses and validates it.
-func ReadJSON(r io.Reader) (*System, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("model: reading system: %w", err)
-	}
-	return ParseSystem(data)
-}
-
 // SaveFile writes the system to path as JSON.
 func (sys *System) SaveFile(path string) error {
 	f, err := os.Create(path)

@@ -125,9 +125,9 @@ func TestReadJSONRefuses(t *testing.T) {
 		if doc == tiny {
 			t.Fatalf("%s: the edit changed nothing", tc.name)
 		}
-		_, err := model.ReadJSON(strings.NewReader(doc))
+		_, err := model.ParseSystem([]byte(doc))
 		if err == nil || !strings.Contains(err.Error(), tc.wantInError) || !strings.Contains(err.Error(), "at offset ") {
-			t.Errorf("%s: ReadJSON(%s) = %v, want an error with an offset mentioning %q", tc.name, doc, err, tc.wantInError)
+			t.Errorf("%s: ParseSystem(%s) = %v, want an error with an offset mentioning %q", tc.name, doc, err, tc.wantInError)
 		}
 	}
 	// What stays accepted: any field order, whitespace wherever JSON allows
@@ -136,8 +136,8 @@ func TestReadJSONRefuses(t *testing.T) {
 		" {\n\t\"strings\" : [ ] ,\r\n \"bandwidth\":[ [ 0 ] ], \"machines\" : 1 } \n",
 		`{"machines":1,"bandwidth":[[0]],"strings":null}`,
 	} {
-		if _, err := model.ReadJSON(strings.NewReader(doc)); err != nil {
-			t.Errorf("ReadJSON(%q): %v", doc, err)
+		if _, err := model.ParseSystem([]byte(doc)); err != nil {
+			t.Errorf("ParseSystem(%q): %v", doc, err)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := sys.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := ParseSystem(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"machines":0}`))); err == nil {
-		t.Error("ReadJSON accepted an invalid system")
+	if _, err := ParseSystem([]byte(`{"machines":0}`)); err == nil {
+		t.Error("ParseSystem accepted an invalid system")
 	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`not json`))); err == nil {
-		t.Error("ReadJSON accepted malformed JSON")
+	if _, err := ParseSystem([]byte(`not json`)); err == nil {
+		t.Error("ParseSystem accepted malformed JSON")
 	}
 }
 

@@ -20,8 +20,10 @@ package overload
 import (
 	"fmt"
 	"math"
+	"os"
 	"sort"
 
+	"repro/internal/jsonscan"
 	"repro/internal/scenario"
 )
 
@@ -222,15 +224,51 @@ func (sc *Scenario) Active(t float64) bool {
 	return false
 }
 
-// ValidateStructure runs the system-independent event checks for the shared
-// scenario loader: Validate with the string-range check skipped.
-func (sc *Scenario) ValidateStructure() error { return sc.Validate(0) }
-
-// LoadFile reads a scenario from a JSON file via the shared versioned loader.
+// LoadFile reads a surge scenario file (Parse).
 func LoadFile(path string) (*Scenario, error) {
-	var sc Scenario
-	if err := scenario.ParseScenarioFile(path, "overload", &sc); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("overload: %w", err)
+	}
+	return Parse(data)
+}
+
+var eventFields = []string{"id", "kind", "strings", "at", "duration", "factor", "rise"}
+
+// Parse reads a surge scenario — the fields of Scenario and Event under
+// exactly their json names, each at most once (scenario.Parse) — and runs
+// Validate with the string-range check skipped: there is no system yet. It is
+// the one reader of a surge, from a -surge file, a POST /v1/surge body and a
+// journaled surge record alike.
+func Parse(data []byte) (*Scenario, error) {
+	sc := new(Scenario)
+	err := scenario.Parse(data, "overload", &sc.Version, &sc.Name, &sc.Seed, &sc.Events, func(c *jsonscan.Cursor, e *Event) error {
+		floats := [...]*float64{3: &e.At, 4: &e.Duration, 5: &e.Factor, 6: &e.Rise}
+		return c.Object(eventFields, false, func(f int) (err error) {
+			switch f {
+			case 0:
+				e.ID, err = c.String()
+			case 1:
+				var kind string
+				kind, err = c.String()
+				e.Kind = Kind(kind)
+			case 2:
+				e.Strings = []int{}
+				err = c.Array(func() error {
+					e.Strings = append(e.Strings, 0)
+					return c.Number(&e.Strings[len(e.Strings)-1])
+				})
+			default:
+				err = c.Number(floats[f])
+			}
+			return err
+		})
+	})
+	if err == nil {
+		err = sc.Validate(0)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return &sc, nil
+	return sc, nil
 }

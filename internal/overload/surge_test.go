@@ -3,11 +3,13 @@ package overload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/scenario"
 )
 
 func TestEventFactorAtStep(t *testing.T) {
@@ -145,25 +147,32 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Scenario
-	if err := scenario.Parse(a, "overload", &got); err != nil {
+	got, err := Parse(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := json.Marshal(&got)
+	b, _ := json.Marshal(got)
 	if !bytes.Equal(a, b) {
 		t.Errorf("round trip changed the scenario:\n%s\n%s", a, b)
 	}
 }
 
+// The last five loaded at the parent of the one-pass reader, as something
+// other than what they say: the case variant or the last duplicate won, so
+// the first two surged at 1.1 and the third loaded zero events.
 func TestParseScenarioRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"{",
 		`{"events":[{"kind":"step","at":-5,"factor":2}]}`,
 		`{"events":[{"kind":"step","at":0,"factor":2,"id":"x"},{"kind":"step","at":0,"factor":2,"id":"x"}]}`,
+		`{"events":[{"kind":"step","at":0,"factor":9,"Factor":1.1}]}`,
+		`{"events":[{"kind":"step","at":0,"factor":9,"factor":1.1}]}`,
+		`{"Events":[{"kind":"step","at":0,"factor":2}],"events":[]}`,
+		`{"version":1,"version":0,"events":[]}`,
+		`{"events":[{"kind":"step","at":0,"factor":2,"strings":null}]}`,
 	} {
-		var sc Scenario
-		if err := scenario.Parse([]byte(bad), "overload", &sc); err == nil {
-			t.Errorf("scenario.Parse accepted %q", bad)
+		if sc, err := Parse([]byte(bad)); err == nil {
+			t.Errorf("Parse accepted %q as %+v", bad, sc)
 		}
 	}
 }
@@ -217,19 +226,70 @@ func TestBurstValidate(t *testing.T) {
 	}
 }
 
+// strictDecode is the reference reading of a scenario document: encoding/json
+// with unknown fields refused and nothing but whitespace after the value.
+func strictDecode(data []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data: %v", err)
+	}
+	return nil
+}
+
 // FuzzParseSurgeScenario: arbitrary bytes must either parse into a scenario
 // that passes structural validation or return an error — never panic, and
 // never yield a scenario whose factors are unusable (non-finite, negative).
+// And whatever Parse accepts, a strict json.Decoder reads the same: equal
+// values, nil slices told from empty ones, every float by its bits (their
+// json.Marshal is equal).
 func FuzzParseSurgeScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"s","events":[{"kind":"step","at":1,"duration":2,"factor":3}]}`))
 	f.Add([]byte(`{"events":[{"kind":"ramp","at":0,"factor":2,"rise":1,"strings":[0,1]}]}`))
 	f.Add([]byte(`{"events":[{"id":"a","kind":"step","at":0,"factor":0.5}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"events":[{"kind":"step","at":-1,"factor":2}]}`))
+	if data, err := os.ReadFile("../../examples/overload/surge.json"); err == nil {
+		f.Add(data)
+	} else {
+		f.Fatal(err)
+	}
+	b := DefaultBurst()
+	for seed := int64(1); seed <= 4; seed++ {
+		sc, err := b.Sample(12, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sc.Name, sc.Seed, sc.Events[0].ID = "burst \"<&>\" ∆", seed, "e \x01"
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{`{"events":null}`, `{"events":[]}`, `{"version":1,"name":"","seed":-3,"events":[]}`,
+		`{"events":[{"kind":"step","at":0,"factor":9,"Factor":1.1}]}`, `{"Events":[{"kind":"step","at":0,"factor":2}],"events":[]}`,
+		`{"version":1,"version":0}`, `{"events":[{"kind":"step","at":0,"factor":2,"strings":[]}]}`,
+		`{"events":[{"kind":"step","at":-0.0,"factor":1e-7,"duration":1E2,"rise":0}]}`, ` {"name" : "😀é\"\\\/"} `,
+		`{"name":"\ud800"}`, "{\"name\":\"\xff\"}", `{"events":[{"kind":"step","at":0,"factor":2}]}`} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sc Scenario
-		if err := scenario.Parse(data, "overload", &sc); err != nil {
+		sc, err := Parse(data)
+		if err != nil {
 			return
+		}
+		var want Scenario
+		if err := strictDecode(data, &want); err != nil {
+			t.Fatalf("Parse(%q) accepted what encoding/json refuses: %v", data, err)
+		}
+		got, _ := json.Marshal(sc)
+		ref, _ := json.Marshal(&want)
+		if !reflect.DeepEqual(*sc, want) || !bytes.Equal(got, ref) {
+			t.Fatalf("Parse(%q) = %+v; encoding/json reads %+v", data, sc, want)
 		}
 		// A parsed scenario must re-validate and produce sane factors.
 		if verr := sc.Validate(0); verr != nil {

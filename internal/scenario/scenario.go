@@ -1,25 +1,24 @@
-// Package scenario is the shared loader for JSON scenario files. The faults
-// package (timed resource outages) and the overload package (timed demand
-// surges) grew two near-identical loaders: decode JSON, run the per-event
-// structural checks that need no system, and leave range validation against a
-// concrete system to the caller. This package folds that envelope into one
-// versioned loader both route through, so scenario files of either kind share
-// version gating, error shape, and the ErrOutOfRange sentinel used for
-// resource/string range failures.
+// Package scenario reads the envelope the JSON scenario files share: the
+// faults package's timed resource outages and the overload package's timed
+// demand surges are both {"version","name","seed","events"} documents. Parse
+// reads that envelope in one pass over internal/jsonscan's cursor, under the
+// one rule every request body and scenario file is read by — the fields under
+// exactly their names, each at most once, nothing after the document, every
+// refusal with its byte offset — and hands each event to the reader of its
+// kind. Range validation against a concrete system stays with the caller;
+// resource and string range failures wrap the shared ErrOutOfRange.
 //
-// A scenario type participates by implementing Structural and embedding an
-// optional "version" field. Version 0 (absent) marks pre-versioned files and
-// is always accepted; files declaring a version newer than MaxVersion are
-// rejected before the payload is decoded, so an old binary fails fast on a
-// new file instead of silently dropping fields.
+// Version 0 (absent) marks pre-versioned files and is always accepted; a
+// version newer than MaxVersion is refused as soon as it is read, and every
+// writer puts it first, so an old binary fails fast on a new file instead of
+// tripping over the first field it does not know.
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+
+	"repro/internal/jsonscan"
 )
 
 // MaxVersion is the newest scenario file version this build understands.
@@ -32,42 +31,40 @@ const MaxVersion = 1
 // are the same value.
 var ErrOutOfRange = errors.New("resource out of range")
 
-// Structural is implemented by scenario payloads that can validate their own
-// system-independent structure (finite times, positive factors, duplicate
-// event IDs, ...). Range checks against a concrete system happen later, via
-// the payload's own ValidateFor/Validate(n) entry points.
-type Structural interface {
-	ValidateStructure() error
-}
+var envelopeFields = []string{"version", "name", "seed", "events"}
 
-// Parse decodes a scenario payload from JSON bytes into sc and runs its
-// structural validation. label prefixes decode errors ("faults", "overload").
-// A name sc has no field for is refused, and so (by the version pass) is
-// anything after the document.
-func Parse(data []byte, label string, sc Structural) error {
-	var env struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("%s: decoding scenario: %w", label, err)
-	}
-	if env.Version < 0 || env.Version > MaxVersion {
-		return fmt.Errorf("%s: scenario file version %d not supported (max %d)",
-			label, env.Version, MaxVersion)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields() // a misspelt name must not read as a field left out
-	if err := dec.Decode(sc); err != nil {
-		return fmt.Errorf("%s: decoding scenario: %w", label, err)
-	}
-	return sc.ValidateStructure()
-}
-
-// ParseScenarioFile loads a scenario from a JSON file (see Parse).
-func ParseScenarioFile(path, label string, sc Structural) error {
-	data, err := os.ReadFile(path)
+// Parse reads a scenario document into the envelope fields and events of one
+// scenario type; event reads one element of "events", the cursor on it, into
+// e. label prefixes every error ("faults", "overload"). The one null accepted
+// is "events":null, which json.Marshal writes for a scenario without events;
+// "events":[] reads as an empty slice, not a nil one, as encoding/json reads it.
+func Parse[E any](data []byte, label string, version *int, name *string, seed *int64, events *[]E,
+	event func(c *jsonscan.Cursor, e *E) error) error {
+	c := jsonscan.Cursor{B: data}
+	err := c.End(c.Object(envelopeFields, false, func(f int) (err error) {
+		switch f {
+		case 0:
+			if err = c.Number(version); err == nil && (*version < 0 || *version > MaxVersion) {
+				err = fmt.Errorf("scenario file version %d not supported (max %d)", *version, MaxVersion)
+			}
+		case 1:
+			*name, err = c.String()
+		case 2:
+			err = c.Number(seed)
+		case 3:
+			if c.Null() {
+				return nil
+			}
+			*events = []E{}
+			err = c.Array(func() error {
+				*events = append(*events, *new(E))
+				return event(&c, &(*events)[len(*events)-1])
+			})
+		}
+		return err
+	}))
 	if err != nil {
-		return fmt.Errorf("%s: %w", label, err)
+		return fmt.Errorf("%s: decoding scenario: %w", label, err)
 	}
-	return Parse(data, label, sc)
+	return nil
 }

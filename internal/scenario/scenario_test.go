@@ -8,66 +8,73 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonscan"
 )
 
-// payload is a minimal Structural implementation for loader tests.
+// payload is a minimal scenario type for loader tests: its events are
+// non-empty strings.
 type payload struct {
 	Version int      `json:"version,omitempty"`
 	Name    string   `json:"name,omitempty"`
-	Items   []string `json:"items,omitempty"`
+	Seed    int64    `json:"seed,omitempty"`
+	Items   []string `json:"events"`
 }
 
-func (p *payload) ValidateStructure() error {
-	for i, it := range p.Items {
-		if it == "" {
-			return fmt.Errorf("test: item %d empty", i)
+func parse(data []byte) (*payload, error) {
+	p := new(payload)
+	return p, Parse(data, "test", &p.Version, &p.Name, &p.Seed, &p.Items, func(c *jsonscan.Cursor, it *string) (err error) {
+		if *it, err = c.String(); err == nil && *it == "" {
+			err = fmt.Errorf("item %d empty", len(p.Items)-1)
 		}
-	}
-	return nil
+		return err
+	})
 }
 
 func TestParseVersionGate(t *testing.T) {
-	var p payload
-	if err := Parse([]byte(`{"name":"ok"}`), "test", &p); err != nil {
+	if _, err := parse([]byte(`{"name":"ok"}`)); err != nil {
 		t.Fatalf("pre-versioned file rejected: %v", err)
 	}
-	if err := Parse([]byte(fmt.Sprintf(`{"version":%d}`, MaxVersion)), "test", &p); err != nil {
+	if _, err := parse([]byte(fmt.Sprintf(`{"version":%d}`, MaxVersion))); err != nil {
 		t.Fatalf("current version rejected: %v", err)
 	}
-	err := Parse([]byte(fmt.Sprintf(`{"version":%d}`, MaxVersion+1)), "test", &p)
+	// A newer file is refused for its version, before a field this build
+	// does not know is reached.
+	_, err := parse([]byte(fmt.Sprintf(`{"version":%d,"newField":1}`, MaxVersion+1)))
 	if err == nil {
 		t.Fatal("future version accepted")
 	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("error %q should mention the version", err)
+	if !strings.Contains(err.Error(), "version") || strings.Contains(err.Error(), "newField") {
+		t.Errorf("error %q should be about the version", err)
 	}
-	if err := Parse([]byte(`{"version":-1}`), "test", &p); err == nil {
+	if _, err := parse([]byte(`{"version":-1}`)); err == nil {
 		t.Fatal("negative version accepted")
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	var p payload
-	if err := Parse([]byte(`{`), "test", &p); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	for _, doc := range []string{`{"nmae":"x"}`, `{"name":"x"} {}`, `{"name":"x"}]`} {
-		if err := Parse([]byte(doc), "test", &p); err == nil {
-			t.Errorf("%s accepted", doc)
+	for _, doc := range []string{`{`, `{"nmae":"x"}`, `{"name":"x"} {}`, `{"name":"x"}]`, `{"name":"x","name":"y"}`,
+		`{"Name":"x"}`, `{"name":"x",}`, `{"name":null}`, `{"events":[null]}`, `{"seed":1.5}`, `null`} {
+		if _, err := parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), "test: decoding scenario") {
+			t.Errorf("%s: %v, want a refusal labelled by the caller", doc, err)
 		}
 	}
-	err := Parse([]byte(`{"items":["a",""]}`), "test", &p)
-	if err == nil {
-		t.Fatal("structurally invalid payload accepted")
+	_, err := parse([]byte(`{"events":["a",""]}`))
+	if err == nil || !strings.Contains(err.Error(), "item 1") {
+		t.Errorf("an event the caller's reader refuses: %v, want its error", err)
 	}
-	if !strings.Contains(err.Error(), "item 1") {
-		t.Errorf("structural error %q should come from the payload", err)
+	// The null json.Marshal writes for no events reads as nil, [] as empty.
+	for doc, isNil := range map[string]bool{`{"events":null}`: true, `{"events":[]}`: false, `{}`: true} {
+		if p, err := parse([]byte(doc)); err != nil || (p.Items == nil) != isNil || len(p.Items) != 0 {
+			t.Errorf("%s: %+v, %v", doc, p, err)
+		}
 	}
 }
 
+// What json.Marshal writes, read back from a file, is what was written.
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sc.json")
-	in := &payload{Version: 1, Name: "rt", Items: []string{"a", "b"}}
+	in := &payload{Version: 1, Name: "rt \"<é>\"", Seed: -9, Items: []string{"a", "b "}}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -75,15 +82,16 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	if err := ParseScenarioFile(path, "test", &out); err != nil {
+	back, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || len(out.Items) != 2 || out.Version != 1 {
-		t.Errorf("round trip changed the payload: %+v", out)
+	out, err := parse(back)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ParseScenarioFile(filepath.Join(t.TempDir(), "missing.json"), "test", &out); err == nil {
-		t.Error("missing file accepted")
+	if out.Name != in.Name || out.Seed != in.Seed || len(out.Items) != 2 || out.Items[1] != in.Items[1] || out.Version != 1 {
+		t.Errorf("round trip changed the payload: %+v", out)
 	}
 }
 

@@ -1,22 +1,20 @@
 // HTTP layer: a stateless translation between the versioned JSON wire
-// contract and the Service methods. Request bodies are decoded strictly
-// (unknown fields and trailing data rejected), every reply is compact JSON
-// ending in a newline with Content-Length set, every error is the single
-// envelope shape, and error codes map to HTTP statuses here and nowhere else.
-// The hot types — the admit/remove/rescale bodies, Decision, StateResponse —
-// go through the codec in wire.go; the rest stay on encoding/json.
+// contract and the Service methods. Every request body is read by its one
+// strict reader (wire.go, overload.Parse), every reply is compact JSON ending
+// in a newline with Content-Length set, every error is the single envelope
+// shape, and error codes map to HTTP statuses here and nowhere else. The hot
+// replies — Decision, StateResponse — go through the codec in wire.go; the
+// rest are written by encoding/json.
 package service
 
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/overload"
-	"repro/internal/scenario"
 )
 
 // maxBodyBytes bounds request bodies; scenario files are small.
@@ -153,22 +151,20 @@ func bodyError(doing string, err error) *ErrorEnvelope {
 	return Errorf(CodeBadRequest, nil, "%s: %v", doing, err)
 }
 
-// decodeStrict decodes one JSON object, rejecting unknown fields, trailing
-// data, and oversized bodies.
-func decodeStrict(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// readBody reads a faults, surge or snapshot body into a pooled buffer and
+// hands it to its parser, once; a body over the limit or one parse refuses is
+// answered with a 400 envelope and false. parse must copy what it keeps.
+func readBody(w http.ResponseWriter, r *http.Request, parse func([]byte) error) bool {
+	buf := getWbuf()
+	defer putWbuf(buf)
+	err := buf.readBody(w, r)
+	if err == nil {
+		err = parse(buf.b)
+	}
+	if err != nil {
 		writeErr(w, bodyError("malformed request body", err))
-		return false
 	}
-	// Anything after the object, a stray closing delimiter included, is an
-	// error or a token; only io.EOF means the body ended where the object did.
-	if _, err := dec.Token(); err != io.EOF {
-		writeErr(w, Errorf(CodeBadRequest, nil, "trailing data after request body"))
-		return false
-	}
-	return true
+	return err == nil
 }
 
 // reply sends what encode appends to a pooled buffer as the whole response
@@ -240,33 +236,27 @@ func (s *Service) handleRescale(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var req FaultsRequest
-	if !decodeStrict(w, r, &req) {
+	if !readBody(w, r, func(b []byte) (err error) { req, err = parseFaults(b); return err }) {
 		return
 	}
 	d, err := s.Faults(req)
 	writeDecision(w, &d, err)
 }
 
+// handleSurge takes a surge scenario file as its body, read by the reader the
+// CLIs load one with, so the API and the CLIs accept identical files.
 func (s *Service) handleSurge(w http.ResponseWriter, r *http.Request) {
-	// The body is a surge scenario file; route it through the shared
-	// versioned loader so the API and the CLIs accept identical files.
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeErr(w, bodyError("read request body", err))
+	var sc *overload.Scenario
+	if !readBody(w, r, func(b []byte) (err error) { sc, err = overload.Parse(b); return err }) {
 		return
 	}
-	var sc overload.Scenario
-	if err := scenario.Parse(data, "overload", &sc); err != nil {
-		writeErr(w, Errorf(CodeBadRequest, nil, "%v", err))
-		return
-	}
-	d, err := s.Surge(&sc)
+	d, err := s.Surge(sc)
 	writeDecision(w, &d, err)
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req SnapshotRequest
-	if !decodeStrict(w, r, &req) {
+	if !readBody(w, r, func(b []byte) (err error) { req, err = parseSnapshotRequest(b); return err }) {
 		return
 	}
 	resp, err := s.Snapshot(req.Path)

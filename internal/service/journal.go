@@ -159,28 +159,24 @@ type RecoveryReport struct {
 	Replay      time.Duration `json:"replayNs"`
 }
 
-// journaledMutation rebuilds the mutation a journal record was written for.
-// The string ops go back through the one parser of their wire form; faults
-// and surge keep their payload for applyOp to decode.
-func journaledMutation(op string, payload []byte) (mutation, error) {
-	m := mutation{op: op, payload: payload}
+// journaledMutation is the one place an op's wire form becomes the typed
+// mutation the loop applies: on replay, from the journaled payload, and live
+// for faults and surge, from the json.Marshal of the request (mutateEncoded)
+// — so the live daemon applies exactly what a replay of its journal will.
+func journaledMutation(op string, payload []byte) (m mutation, err error) {
+	m = mutation{op: op, payload: payload}
 	switch op {
 	case opAdmit, opRemove, opRescale:
-		var err error
-		if m.k, m.factor, err = parseStringOp(payload, op == opRescale); err != nil {
-			return m, fmt.Errorf("decode %s payload: %v", op, err)
-		}
+		m.k, m.factor, err = parseStringOp(payload, op == opRescale)
+	case opFaults:
+		m.faults, err = parseFaults(payload)
+	case opSurge:
+		m.surge, err = overload.Parse(payload)
+	}
+	if err != nil {
+		return m, fmt.Errorf("decode %s payload: %v", op, err)
 	}
 	return m, nil
-}
-
-// decodeOp unmarshals a faults or surge payload. Failures are internal: the
-// payload was produced by json.Marshal on the live path.
-func decodeOp(op string, payload []byte, dst any) *ErrorEnvelope {
-	if err := json.Unmarshal(payload, dst); err != nil {
-		return Errorf(CodeInternal, nil, "decode %s payload: %v", op, err)
-	}
-	return nil
 }
 
 // applyOp dispatches one mutation. It is the single entry point for both live
@@ -195,17 +191,9 @@ func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
 	case opRescale:
 		return st.rescale(m.k, m.factor)
 	case opFaults:
-		var req FaultsRequest
-		if e := decodeOp(m.op, m.payload, &req); e != nil {
-			return Decision{}, e
-		}
-		return st.applyFaults(req)
+		return st.applyFaults(&m.faults)
 	case opSurge:
-		var sc overload.Scenario
-		if e := decodeOp(m.op, m.payload, &sc); e != nil {
-			return Decision{}, e
-		}
-		return st.applySurge(&sc)
+		return st.applySurge(m.surge)
 	}
 	return Decision{}, Errorf(CodeBadRequest, nil, "unknown op %q", m.op)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -685,6 +686,81 @@ func TestLPBoundFollowsRescales(t *testing.T) {
 		} else if got.WorthBound != 0 {
 			t.Fatalf("recovered without LPBound, yet the state carries bound %v", got.WorthBound)
 		}
+	}
+}
+
+// A faults or surge request is journaled as its json.Marshal, and the loop
+// applies what those bytes parse back to, live and on replay alike. A journal
+// of fault, surge and repair records — a name and an ID that need escapes,
+// and a surge of no events, whose payload carries "events":null — recovers to
+// the same seq, digest and chain, and carries each request as json.Marshal
+// wrote it.
+func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
+	svc, path := journaledService(t, 6, Config{})
+	for k := 0; k < 6; k++ {
+		mustAdmit(t, svc, k)
+	}
+	reqs := []any{
+		FaultsRequest{Fail: []faults.Resource{faults.Machine(1), faults.Route(2, 3)}},
+		&overload.Scenario{Name: "swell \"<&>\"   é", Seed: 7, Events: []overload.Event{
+			{ID: "e\\1\t\"q\"", Kind: overload.Ramp, Strings: []int{0, 4}, Duration: 30, Factor: 1.3, Rise: 5}}},
+		&overload.Scenario{},
+		FaultsRequest{Repair: []faults.Resource{faults.Machine(1), faults.Route(2, 3)}},
+	}
+	for _, req := range reqs {
+		var err error
+		switch r := req.(type) {
+		case FaultsRequest:
+			_, err = svc.Faults(r)
+		case *overload.Scenario:
+			_, err = svc.Surge(r)
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+	}
+	want := stateOf(t, svc)
+	var chain string
+	if err := svc.exec(func(st *state) { chain = st.chain }); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+
+	scan, err := journal.Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, raw := range scan.Payloads {
+		rec, err := decodeOpRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == opFaults || rec.Op == opSurge {
+			payloads = append(payloads, rec.Payload)
+		}
+	}
+	if len(payloads) != len(reqs) {
+		t.Fatalf("%d faults and surge records, want %d", len(payloads), len(reqs))
+	}
+	for i, req := range reqs {
+		if data, err := json.Marshal(req); err != nil || !bytes.Equal(payloads[i], data) {
+			t.Errorf("record %d carries %s, json.Marshal of its request is %s (%v)", i, payloads[i], data, err)
+		}
+	}
+
+	rec, rep, err := Recover(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	var gotChain string
+	if err := rec.exec(func(st *state) { gotChain = st.chain }); err != nil {
+		t.Fatal(err)
+	}
+	if rep.FinalSeq != want.Seq || rep.Digest != want.Digest || gotChain != chain || rep.Replayed != 6+len(reqs) {
+		t.Fatalf("recovered %d records to seq %d digest %s chain %s; want %d, %d %s %s",
+			rep.Replayed, rep.FinalSeq, rep.Digest, gotChain, 6+len(reqs), want.Seq, want.Digest, chain)
 	}
 }
 

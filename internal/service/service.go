@@ -315,15 +315,17 @@ func (s *Service) exec(fn func(*state)) error {
 }
 
 // mutation is one state-changing request in the form the state loop applies
-// it, live and on replay alike. Admit, remove and rescale are typed: parsed
-// once at the edge (or built by the Go methods below) and journaled by
-// appending their wire form from k and factor. Faults and surge carry the
-// json.Marshal of their request as payload, which the loop decodes and the
-// journal records as is.
+// it, live and on replay alike. Admit, remove and rescale are parsed once at
+// the edge (or built by the Go methods below) and journaled by appending their
+// wire form from k and factor. Faults and surge carry the json.Marshal of
+// their request as payload, which the journal records as is, and what that
+// payload parses back to (journaledMutation), which the loop applies.
 type mutation struct {
 	op      string
 	k       int     // admit, remove, rescale: the subject string
 	factor  float64 // rescale
+	faults  FaultsRequest
+	surge   *overload.Scenario
 	payload []byte
 }
 
@@ -343,13 +345,18 @@ func (s *Service) mutate(m mutation) (Decision, error) {
 	return d, nil
 }
 
-// mutateEncoded is mutate for the ops whose request travels as its JSON.
+// mutateEncoded is mutate for the ops whose request travels as its JSON: the
+// loop applies what that JSON parses back to, as a replay of it will.
 func (s *Service) mutateEncoded(op string, req any) (Decision, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "encode %s op: %v", op, err)
 	}
-	return s.mutate(mutation{op: op, payload: payload})
+	m, err := journaledMutation(op, payload)
+	if err != nil {
+		return Decision{}, Errorf(CodeBadRequest, nil, "%v", err)
+	}
+	return s.mutate(m)
 }
 
 // Admit maps string k onto the surviving resources and accepts the admission
@@ -637,7 +644,7 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	return st.decide("rescale", k, worthBefore, reason, viol), nil
 }
 
-func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
+func (st *state) applyFaults(req *FaultsRequest) (Decision, *ErrorEnvelope) {
 	for _, rs := range [][]faults.Resource{req.Fail, req.Repair} {
 		for _, r := range rs {
 			if err := r.Validate(st.sys.Machines); err != nil {
@@ -667,9 +674,6 @@ func (st *state) applyFaults(req FaultsRequest) (Decision, *ErrorEnvelope) {
 }
 
 func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
-	if sc == nil {
-		return Decision{}, Errorf(CodeBadRequest, nil, "surge scenario is empty")
-	}
 	if err := sc.Validate(len(st.sys.Strings)); err != nil {
 		code := CodeBadRequest
 		if errors.Is(err, scenario.ErrOutOfRange) {

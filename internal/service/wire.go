@@ -12,10 +12,11 @@
 // TestWireMatchesEncodingJSON holds them equal on random values. What differs
 // is the cost — no reflection, no intermediate copy, one pooled buffer per
 // request — and the decoders' strictness, which encoding/json cannot be
-// configured into: a field under its exact name, at most once (a request's
-// exactly once), refused with its byte offset otherwise. The cold DTOs (error
-// envelope, health, snapshot state file, metrics, the faults and surge request
-// bodies) stay on encoding/json.
+// configured into: a field under its exact name, at most once (a string op's
+// exactly once), refused with its byte offset otherwise; the faults and
+// snapshot bodies are read here under the same rule, a surge body by
+// overload.Parse. The cold replies and the faults and surge journal payloads
+// are written by encoding/json, and the snapshot state file stays on it.
 package service
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/faults"
 	"repro/internal/jsonscan"
 )
 
@@ -303,9 +305,39 @@ func (w *wbuf) stringOp(k int, factor float64, rescale bool) {
 // The decoders are tables of field names over internal/jsonscan's cursor.
 var (
 	stringOpFields = []string{"stringId", "factor"}
+	faultsFields   = []string{"fail", "repair"}
+	snapshotFields = []string{"path"}
 	recordFields   = []string{"v", "seq", "op", "payload", "accepted", "check", "stateDigest"}
 	opNames        = [...]string{opAdmit, opRemove, opRescale, opFaults, opSurge, opHeader}
 )
+
+// parseFaults parses a faults request, {"fail":[R…],"repair":[R…]} with each
+// R a resource (faults.ReadResource) and either list left out at will: the
+// one decoder of a faults body, from the wire and from the journal. Whatever
+// it accepts, a strict json.Decoder reads the same (FuzzParseFaults).
+func parseFaults(b []byte) (req FaultsRequest, err error) {
+	c := jsonscan.Cursor{B: b}
+	err = c.End(c.Object(faultsFields, false, func(f int) error {
+		rs := [...]*[]faults.Resource{&req.Fail, &req.Repair}[f]
+		*rs = []faults.Resource{}
+		return c.Array(func() error {
+			r, err := faults.ReadResource(&c)
+			*rs = append(*rs, r)
+			return err
+		})
+	}))
+	return req, err
+}
+
+// parseSnapshotRequest parses {"path":P}, the path optional.
+func parseSnapshotRequest(b []byte) (req SnapshotRequest, err error) {
+	c := jsonscan.Cursor{B: b}
+	err = c.End(c.Object(snapshotFields, false, func(int) (err error) {
+		req.Path, err = c.String()
+		return err
+	}))
+	return req, err
+}
 
 // parseStringOp parses {"stringId":N} or, for a rescale,
 // {"stringId":N,"factor":F}: one flat JSON object whose fields are all
@@ -351,8 +383,8 @@ func internOp(s []byte) string {
 // only encoder. Fields come in any order, each at most once; a field this
 // binary does not know (an older binary's "rngCalls") is stepped over. The
 // strings are plain (op names and hex digests are all a record ever held), and
-// Payload is a sub-slice of b, still to be validated by parseStringOp or
-// decodeOp before it is applied. Whatever this accepts, json.Unmarshal accepts
+// Payload is a sub-slice of b, still to be parsed by journaledMutation before
+// it is applied. Whatever this accepts, json.Unmarshal accepts
 // and reads the same (FuzzParseOpRecord).
 func decodeOpRecord(b []byte) (rec opRecord, err error) {
 	c := jsonscan.Cursor{B: b}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
@@ -363,6 +364,61 @@ func FuzzParseOpRecord(f *testing.F) {
 	})
 }
 
+// FuzzParseFaults holds the faults body's one decoder inside encoding/json's
+// language: whatever it accepts, a strict json.Decoder reads the same, nil
+// lists told from empty ones; and what json.Marshal writes for that request,
+// the payload a journal carries, parses back to it.
+func FuzzParseFaults(f *testing.F) {
+	mc := faults.MonteCarlo{CompartmentHits: 1, MachineOutages: 1, RouteOutages: 2}
+	for seed := int64(1); seed <= 3; seed++ {
+		sc, err := mc.Sample(6, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		req := FaultsRequest{Fail: faults.SetFromScenario(sc, 6).Resources(), Repair: []faults.Resource{faults.Machine(int(seed))}}
+		data, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{`{}`, `{"fail":[]}`, `{"repair":[{"kind":"route","from":1,"to":2}],"fail":[{"kind":"machine"}]}`,
+		`{"fail":[{"kind":"machine","machine":3}],"fail":[]}`, `{"FAIL":[]}`, `{"fail":[{"KIND":"machine","machine":3}]}`,
+		`{"fail":[{"kind":"machine","Machine":3}]}`, `{"fail":[{"kind":"machine","machine":0,"machine":3}]}`, `{"fail":null}`,
+		`{"fail":[{"kind":"ma\"chine","machine":-0}]} `, `{"fail":[{"kind":"machine","machine":1e0}]}`, `{"fail":[{}]}x`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := parseFaults(b)
+		if err != nil {
+			return
+		}
+		var want FaultsRequest
+		if err := strictDecode(b, &want); err != nil {
+			t.Fatalf("parseFaults(%q) accepted what encoding/json refuses: %v", b, err)
+		}
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("parseFaults(%q) = %+v; encoding/json reads %+v", b, req, want)
+		}
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := parseFaults(payload); err != nil || !reflect.DeepEqual(back.Fail, nilIfEmpty(req.Fail)) ||
+			!reflect.DeepEqual(back.Repair, nilIfEmpty(req.Repair)) {
+			t.Fatalf("payload %s of %+v parses back to %+v, %v", payload, req, back, err)
+		}
+	})
+}
+
+// nilIfEmpty is what an omitempty list reads back as.
+func nilIfEmpty(rs []faults.Resource) []faults.Resource {
+	if len(rs) == 0 {
+		return nil
+	}
+	return rs
+}
+
 // stateVia fetches GET /v1/state through h.
 func stateVia(t *testing.T, h http.Handler) StateResponse {
 	t.Helper()
@@ -416,6 +472,30 @@ func TestStrictRequestBodies(t *testing.T) {
 		{"/v1/snapshot", `{"path":"` + snap + `"}]`, "trailing data"},
 		{"/v1/snapshot", `{"file":"` + snap + `"}`, "unknown field"},
 	}
+	// Each of these was a 200 before every body had one strict reader: a
+	// repeated or case-variant name matched and the last one won (a repeated
+	// "fail" failed nothing), a null list read as none, an escaped name
+	// decoded. Each refusal names the field and says where.
+	withOffset := map[string]bool{}
+	for _, tc := range []struct{ path, body, wantInMessage string }{
+		{"/v1/faults", `{"fail":[{"kind":"machine","machine":3}],"fail":[]}`, `duplicate field "fail"`},
+		{"/v1/faults", `{"FAIL":[{"kind":"machine","machine":3}]}`, `unknown field "FAIL"`},
+		{"/v1/faults", `{"fail":[{"KIND":"machine","machine":3}]}`, `field "fail": unknown field "KIND"`},
+		{"/v1/faults", `{"fail":[{"kind":"machine","Machine":3}]}`, `unknown field "Machine"`},
+		{"/v1/faults", `{"fail":[{"kind":"machine","machine":0,"machine":3}]}`, `duplicate field "machine"`},
+		{"/v1/faults", `{"fail":null}`, `field "fail": want an array`},
+		{"/v1/faults", `{"fail":[{"kind":"machine","machine":3}],"repair":[null]}`, `field "repair": want an object`},
+		{"/v1/faults", strings.ReplaceAll(`{"f%u0061il":[{"kind":"machine","machine":3}]}`, "%u", `\u`), "malformed field name"},
+		{"/v1/snapshot", `{"PATH":"` + snap + `"}`, `unknown field "PATH"`},
+		{"/v1/snapshot", `{"path":null}`, `field "path": want a string`},
+		{"/v1/surge", `{"events":[{"kind":"step","at":0,"factor":9,"Factor":1.1}]}`, `unknown field "Factor"`},
+		{"/v1/surge", `{"version":1,"version":1,"events":[]}`, `duplicate field "version"`},
+		{"/v1/surge", `{"events":[{"kind":"step","at":0,"factor":2,"id":null}]}`, `field "id": want a string`},
+		{"/v1/surge", `{"Events":[{"kind":"step","at":0,"factor":2}],"events":[]}`, `unknown field "Events"`},
+	} {
+		cases = append(cases, tc)
+		withOffset[tc.body] = true
+	}
 	before := stateVia(t, h)
 	for _, tc := range cases {
 		rec := serve(h, "POST", tc.path, tc.body)
@@ -428,21 +508,40 @@ func TestStrictRequestBodies(t *testing.T) {
 			t.Errorf("POST %s %s: status %d, code %q, message %q; want 400 %s mentioning %q",
 				tc.path, tc.body, rec.Code, env.Err.Code, env.Err.Message, CodeBadRequest, tc.wantInMessage)
 		}
+		if withOffset[tc.body] && !strings.Contains(env.Err.Message, " at offset ") {
+			t.Errorf("POST %s %s: message %q gives no offset", tc.path, tc.body, env.Err.Message)
+		}
 	}
 	if after := stateVia(t, h); after.Seq != before.Seq || after.Digest != before.Digest || after.MappedCount != 1 {
 		t.Errorf("rejected bodies moved the state: seq %d → %d, digest %s → %s, %d mapped",
 			before.Seq, after.Seq, before.Digest, after.Digest, after.MappedCount)
 	}
 	// The same requests, well formed, with whitespace wherever JSON allows it.
+	escaped := filepath.Join(t.TempDir(), `snap "<&>" é.json`)
+	quoted, err := json.Marshal(escaped)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/admit", " {\n\t\"stringId\" : 1\r\n} \n"},
 		{"/v1/rescale", `{"factor":1.25e0, "stringId":1}`},
 		{"/v1/remove", `{"stringId":1}`},
 		{"/v1/faults", `{"fail":[{"kind":"machine","machine":1}]} ` + "\n"},
+		// Fields in any order, the null json.Marshal writes for a surge of no
+		// events, and values with escapes, <>& and non-ASCII, which read as
+		// encoding/json reads them: the snapshot lands on the path named.
+		{"/v1/faults", " {\r\n\"repair\" : [ { \"machine\" : 1 , \"kind\" : \"machine\" } ] ,\t\"fail\" : [ ] } "},
+		{"/v1/surge", `{"events":null}`},
+		{"/v1/surge", strings.ReplaceAll(` { "events" : [ { "factor" : 1.1 , "at" : 0 , "kind" : "step" , `+
+			`"id" : "\"<&>\" %u00e9 é" } ] , "name" : "a\\b%u2028" , "version" : 1 } `, "%u", `\u`)},
+		{"/v1/snapshot", `{"path":` + string(quoted) + `}`},
 	} {
 		if rec := serve(h, "POST", tc.path, tc.body); rec.Code != http.StatusOK {
 			t.Errorf("POST %s %q: status %d: %s", tc.path, tc.body, rec.Code, rec.Body)
 		}
+	}
+	if _, err := os.Stat(escaped); err != nil {
+		t.Errorf("the snapshot named with escapes was not written where they say: %v", err)
 	}
 }
 

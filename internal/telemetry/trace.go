@@ -9,7 +9,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -169,30 +168,6 @@ func (s *JSONLSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Flush()
-}
-
-// ReadEvents parses a JSONL trace back into events — the round-trip half the
-// tests pin and offline tooling builds on.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return out, fmt.Errorf("telemetry: trace line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("telemetry: reading trace: %w", err)
-	}
-	return out, nil
 }
 
 // CollectorSink appends events into memory; the in-process sink tests and

@@ -285,32 +285,14 @@ func Rebalance(alloc *feasibility.Allocation, maxMoves int) (moves int, slacknes
 }
 
 // bottleneckStrings returns the mapped strings using the single most
-// utilized resource.
+// utilized resource, the allocation's binding resource of Λ.
 func bottleneckStrings(alloc *feasibility.Allocation) []int {
-	sys := alloc.System()
-	bestU := -1.0
-	bestMachine, bestJ1, bestJ2 := -1, -1, -1
-	for j := 0; j < sys.Machines; j++ {
-		if u := alloc.MachineUtilization(j); u > bestU {
-			bestU, bestMachine, bestJ1, bestJ2 = u, j, -1, -1
-		}
-	}
-	// Idle routes sit at exactly zero utilization and can never beat the
-	// machine maximum found above, so only active routes need scanning. The
-	// active-route order is unspecified, but a strict > comparison over a set
-	// of candidates is order-insensitive up to exact-utilization ties, which
-	// the deterministic machine scan above already resolved.
-	alloc.ActiveRoutes(func(j1, j2 int, u float64) {
-		if u > bestU {
-			bestU, bestMachine, bestJ1, bestJ2 = u, -1, j1, j2
-		}
-	})
-	on := make([]bool, len(sys.Strings))
+	on := make([]bool, len(alloc.System().Strings))
 	mark := func(k int) { on[k] = true }
-	if bestMachine >= 0 {
-		alloc.StringsOnMachine(bestMachine, mark)
-	} else if bestJ1 >= 0 {
-		alloc.StringsOnRoute(bestJ1, bestJ2, mark)
+	if r := alloc.BindingResource(); r.IsRoute() {
+		alloc.StringsOnRoute(r.From, r.To, mark)
+	} else {
+		alloc.StringsOnMachine(r.From, mark)
 	}
 	var out []int
 	for k, ok := range on {

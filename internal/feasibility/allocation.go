@@ -113,6 +113,8 @@ type Allocation struct {
 
 	tightness []float64 // T[k] per equation (4); NaN until string k is complete
 
+	bind binding // Λ's binding resource, kept by every utilization write
+
 	tracker *DeltaAnalyzer // attached change tracker, nil when untracked
 
 	tel allocTelemetry // shared hot-path counters; nil fields when disabled
@@ -134,6 +136,7 @@ type allocTelemetry struct {
 	imrScans        *telemetry.Counter
 	imrMachinesRead *telemetry.Counter
 	imrRoutesPriced *telemetry.Counter
+	slackRescans    *telemetry.Counter // reads of Λ that found the binding resource stale
 }
 
 func newAllocTelemetry() allocTelemetry {
@@ -147,6 +150,7 @@ func newAllocTelemetry() allocTelemetry {
 		imrScans:        telemetry.C("heuristics.imr.scans"),
 		imrMachinesRead: telemetry.C("heuristics.imr.machines_read"),
 		imrRoutesPriced: telemetry.C("heuristics.imr.routes_priced"),
+		slackRescans:    telemetry.C("feasibility.slackness_rescans"),
 	}
 }
 
@@ -176,6 +180,7 @@ func New(sys *model.System) *Allocation {
 		perMachine:  make([][]rosterEntry, m),
 		routes:      make([][]routeEntry, m),
 		tightness:   make([]float64, len(sys.Strings)),
+		bind:        emptyBinding,
 		tel:         newAllocTelemetry(),
 	}
 	for k := range sys.Strings {
@@ -310,6 +315,7 @@ func (a *Allocation) Assign(k, i, j int) {
 	a.nAssigned[k]++
 	u := a.sys.MachineDemandUtil(k, i, j)
 	a.machineUtil[j] += u
+	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
 	a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef{k, i}, u})
 	if i > 0 {
 		if prev := a.machineOf[k][i-1]; prev != Unassigned {
@@ -343,6 +349,7 @@ func (a *Allocation) Unassign(k, i int) {
 	a.machineOf[k][i] = Unassigned
 	a.nAssigned[k]--
 	a.machineUtil[j] -= a.sys.MachineDemandUtil(k, i, j)
+	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
 	a.perMachine[j] = removeRef(a.perMachine[j], appRef{k, i})
 	if i > 0 {
 		if prev := a.machineOf[k][i-1]; prev != Unassigned {
@@ -398,6 +405,7 @@ func (a *Allocation) addRoute(j1, j2, k, i int) {
 	}
 	e := &a.routes[j1][idx]
 	e.util += a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
+	a.noteUtil(Resource{j1, j2}, e.util)
 	e.apps = append(e.apps, rosterEntry{appRef{k, i}, a.routeTerm(k, i, j1, j2)})
 }
 
@@ -417,7 +425,10 @@ func (a *Allocation) removeRoute(j1, j2, k, i int) {
 		// Dropping the entry is the sparse form of zeroing the float residue:
 		// an emptied route is exactly empty again.
 		a.removeRouteAt(j1, idx)
+		a.noteUtil(Resource{j1, j2}, math.NaN())
+		return
 	}
+	a.noteUtil(Resource{j1, j2}, e.util)
 }
 
 // setRouteState restores route (j1, j2) wholesale to a snapshot state:
@@ -428,6 +439,7 @@ func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntr
 	if len(roster) == 0 {
 		if ok {
 			a.removeRouteAt(j1, idx)
+			a.noteUtil(Resource{j1, j2}, math.NaN())
 		}
 		return
 	}
@@ -437,15 +449,16 @@ func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntr
 	e := &a.routes[j1][idx]
 	e.util = util
 	e.apps = append(e.apps[:0], roster...)
+	a.noteUtil(Resource{j1, j2}, util)
 }
 
 // ActiveRoutes calls f for every inter-machine route currently carrying at
 // least one transfer, in canonical ascending (j1, j2) order, passing the
 // route's endpoints and its equation-(3) utilization. Routes with an empty
 // roster have exactly zero utilization and are skipped; iterating them could
-// never change a minimum-slack or over-threshold scan, which is what makes
-// the O(M + active) loops in Slackness and the degradation controller
-// equivalent to dense O(M^2) sweeps.
+// never change a maximum-utilization or over-threshold scan, which is what
+// makes the O(M + active) walk behind Slackness and the degradation
+// controller's loops equivalent to dense O(M^2) sweeps.
 func (a *Allocation) ActiveRoutes(f func(j1, j2 int, util float64)) {
 	for j1 := range a.routes {
 		for idx := range a.routes[j1] {
@@ -630,6 +643,7 @@ func (a *Allocation) Reset() {
 	for j := range a.routes {
 		a.routes[j] = a.routes[j][:0]
 	}
+	a.bind = emptyBinding
 	if a.tracker != nil {
 		a.tracker.rebaseEmpty()
 	}
@@ -649,6 +663,7 @@ func (a *Allocation) Clone() *Allocation {
 		perMachine:  make([][]rosterEntry, len(a.perMachine)),
 		routes:      make([][]routeEntry, len(a.routes)),
 		tightness:   append([]float64(nil), a.tightness...),
+		bind:        a.bind,
 		tel:         a.tel,
 	}
 	for k := range a.machineOf {

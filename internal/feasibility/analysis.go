@@ -266,23 +266,18 @@ func (a *Allocation) Violations() []Violation {
 // capacity across all machines and all inter-machine communication routes.
 // It quantifies the system's potential to absorb unpredictable increases in
 // input workload. An empty system has slackness 1.
-// Routes with no transfers contribute slack exactly 1, which can never lower
-// the minimum, so only the sparse adjacency is scanned: O(M + active).
+//
+// Λ is kept, not walked: every utilization write updates the maximum
+// utilization and its holder (noteUtil), and only a read that finds them stale
+// walks the machines and the active routes (a route with no transfers has
+// slack exactly 1 and is not stored). min(1, 1 − maxU) is the walk's minimum
+// over 1 − u bit for bit: u ↦ fl(1 − u) is monotone non-increasing under
+// round-to-nearest, so the least rounded slack is the rounding of 1 minus the
+// greatest u; 1 − u is never −0; a NaN wins neither the walk's < nor the
+// maximum's >; and the walk's start at 1 is the min with 1, which caps a
+// drifted-negative utilization.
 func (a *Allocation) Slackness() float64 {
-	min := 1.0
-	for j := 0; j < a.sys.Machines; j++ {
-		if s := 1 - a.machineUtil[j]; s < min {
-			min = s
-		}
-	}
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			if s := 1 - a.routes[j1][idx].util; s < min {
-				min = s
-			}
-		}
-	}
-	return min
+	return min(1, 1-a.current().maxU)
 }
 
 // Metric is the two-component performance measure of Section 4: total worth
@@ -433,6 +428,15 @@ func (a *Allocation) checkInvariants() error {
 				return fmt.Errorf("route (%d,%d) is active with an empty roster", j1, e.peer)
 			}
 		}
+	}
+	return a.checkBinding()
+}
+
+// checkBinding holds the kept binding resource to the walk: unless stale, its
+// maximum and holder are walkBinding's.
+func (a *Allocation) checkBinding() error {
+	if walk := a.walkBinding(); !a.bind.stale && a.bind != walk {
+		return fmt.Errorf("kept binding resource %v at utilization %v, the walk finds %v at %v", a.bind.res, a.bind.maxU, walk.res, walk.maxU)
 	}
 	return nil
 }

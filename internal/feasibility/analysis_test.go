@@ -377,7 +377,7 @@ func TestStringsOnResourceMatchCatalogueScan(t *testing.T) {
 		}
 		a := New(sys)
 		for step := 0; step < 200; step++ {
-			applyRandomDelta(rng, a)
+			applyRandomDelta(t, rng, a)
 		}
 		collect := func(walk func(f func(k int))) map[int]bool {
 			set := map[int]bool{}

@@ -113,6 +113,7 @@ type DeltaAnalyzer struct {
 	dirtyMach     []int
 	dirtyRouteSrc []int // machines with a non-empty routeSnaps list
 	nDirtyRoutes  int
+	bind          binding // the allocation's binding resource as the window opened
 
 	// Recheck set of generation recheckGen: the members in first-reach order,
 	// and recheckAt[k] == recheckGen marking membership. scanAt[j] ==
@@ -311,6 +312,9 @@ func (da *DeltaAnalyzer) rebaseEmpty() {
 // machine, and the routes to the application's placed neighbours.
 func (da *DeltaAnalyzer) beforeMutation(k, i, j int) {
 	da.gen++
+	if da.clean() {
+		da.bind = da.a.bind // a window opens: Undo puts Λ's binding back in O(1)
+	}
 	da.snapString(k)
 	da.snapMachine(j)
 	mo := da.a.machineOf[k]
@@ -787,7 +791,8 @@ func (da *DeltaAnalyzer) Commit() {
 
 // Undo rolls the allocation back to the last committed state, bit-identically
 // (utilization floats, roster order and carried terms, cached tightness —
-// everything the fingerprint in WriteState covers). The window is cleared.
+// everything the fingerprint in WriteState covers — and Λ's binding resource,
+// exact again because the floats are). The window is cleared.
 func (da *DeltaAnalyzer) Undo() {
 	if da.clean() {
 		return
@@ -811,5 +816,6 @@ func (da *DeltaAnalyzer) Undo() {
 			a.setRouteState(j1, snap.peer, snap.util, snap.roster)
 		}
 	}
+	a.bind = da.bind
 	da.clearWindow()
 }

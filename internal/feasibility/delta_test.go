@@ -17,8 +17,11 @@ import (
 
 // applyRandomDelta applies 1..4 random primitive mutations to a tracked
 // allocation: single-app toggles plus occasional whole-string assigns and
-// unassigns, so every tracked entry point is exercised.
-func applyRandomDelta(r *rand.Rand, a *Allocation) {
+// unassigns, so every tracked entry point is exercised. The kept binding
+// resource is audited after each, inside the window: dynamic.Rebalance and
+// the overload controller read Λ there.
+func applyRandomDelta(tb testing.TB, r *rand.Rand, a *Allocation) {
+	tb.Helper()
 	sys := a.System()
 	for op, nOps := 0, 1+r.Intn(4); op < nOps; op++ {
 		k := r.Intn(len(sys.Strings))
@@ -39,6 +42,9 @@ func applyRandomDelta(r *rand.Rand, a *Allocation) {
 				a.Assign(k, i, r.Intn(sys.Machines))
 			}
 		}
+		if err := auditSlackness(a); err != nil {
+			tb.Fatalf("inside the window: %v", err)
+		}
 	}
 }
 
@@ -46,7 +52,8 @@ func applyRandomDelta(r *rand.Rand, a *Allocation) {
 // window is clean, its answers — served from the committed sets, not from
 // a recheck — equal the full analysis, violation list included, every waiting
 // sum the analyzer carries into the next window is exact (auditSums), and so
-// is its count of committed overloads (auditOver).
+// are its count of committed overloads (auditOver) and the allocation's kept
+// binding resource of Λ (auditSlackness).
 func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	t.Helper()
 	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
@@ -55,6 +62,9 @@ func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	queryWindow(t, label+" (clean)", da, true, true)
 	auditSums(t, label, da)
 	auditOver(t, label, da)
+	if err := auditSlackness(da.Allocation()); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 }
 
 // overAudit tallies what auditOver has seen in this process: the analyzer it
@@ -224,7 +234,7 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 	for step := 0; step < steps; step++ {
 		label := fmt.Sprintf("%s step %d", label, step)
 		before := committedSums(da)
-		applyRandomDelta(r, a)
+		applyRandomDelta(t, r, a)
 		pattern := r.Intn(6)
 		switch pattern {
 		case 0: // no question before settling
@@ -236,10 +246,10 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 			queryWindow(t, label, da, true, true)
 		case 4: // ask, mutate again, settle without re-asking
 			queryWindow(t, label, da, r.Intn(2) == 0, true)
-			applyRandomDelta(r, a)
+			applyRandomDelta(t, r, a)
 		case 5: // ask, mutate again, ask again
 			queryWindow(t, label, da, true, r.Intn(2) == 0)
-			applyRandomDelta(r, a)
+			applyRandomDelta(t, r, a)
 			queryWindow(t, label+" (re-asked)", da, true, true)
 		}
 		switch r.Intn(16) {
@@ -977,12 +987,12 @@ func TestDeltaUndoBitIdentical(t *testing.T) {
 		a := New(sys)
 		da := Track(a)
 		for round := 0; round < 10; round++ {
-			applyRandomDelta(r, a)
+			applyRandomDelta(t, r, a)
 			da.Commit()
 			before := a.Clone()
 			want := fingerprint(t, before)
 			for w := 0; w < 3; w++ {
-				applyRandomDelta(r, a)
+				applyRandomDelta(t, r, a)
 			}
 			da.FeasibleAfterDelta() // evaluation must not disturb Undo
 			da.Undo()
@@ -1008,7 +1018,7 @@ func TestDeltaResetAndEmptyWindow(t *testing.T) {
 	a := New(sys)
 	da := Track(a)
 	defer da.Close()
-	applyRandomDelta(r, a)
+	applyRandomDelta(t, r, a)
 	da.Commit()
 	want := fingerprint(t, a)
 	da.Undo() // empty window: must not move anything
@@ -1019,7 +1029,7 @@ func TestDeltaResetAndEmptyWindow(t *testing.T) {
 	if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
 		t.Fatalf("after Reset: FeasibleAfterDelta %v, TwoStageFeasible %v", got, want)
 	}
-	applyRandomDelta(r, a)
+	applyRandomDelta(t, r, a)
 	if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
 		t.Fatalf("first window after Reset: FeasibleAfterDelta %v, TwoStageFeasible %v", got, want)
 	}

@@ -286,5 +286,6 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 	if routed != wantRouted {
 		return nil, fmt.Errorf("feasibility: snapshot route rosters hold %d transfers, assignments imply %d", routed, wantRouted)
 	}
+	a.bind = a.walkBinding() // the accumulators were written above without noteUtil
 	return a, nil
 }

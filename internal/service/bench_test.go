@@ -12,6 +12,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/model"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -154,6 +155,10 @@ func BenchmarkCompact(b *testing.B) {
 // timer) over the benchmark's fleet ship: state file, the 2.4 MB pinned
 // catalog, then every record decoded, replayed and chain-checked. ns/record
 // is the whole restart spread over its records, catalog load included.
+// rescans/record is an exact count from one more restart with telemetry on,
+// outside the timer: the replayed decisions whose Λ read found the kept
+// binding resource stale and walked every machine and route. A jump toward 1
+// means the kept maximum stopped engaging.
 func BenchmarkRecoverFleet(b *testing.B) {
 	sys := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
 	journalPath := filepath.Join(b.TempDir(), "bench.wal")
@@ -179,8 +184,18 @@ func BenchmarkRecoverFleet(b *testing.B) {
 		rec.Close()
 		b.StartTimer()
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 	b.ReportMetric(float64(records), "records")
+	prev := telemetry.Active()
+	reg := telemetry.Enable()
+	rec, _, err := Recover(journalPath, Config{CompactEvery: -1})
+	telemetry.EnableRegistry(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec.Close()
+	b.ReportMetric(float64(reg.Counter("feasibility.slackness_rescans").Value())/float64(records), "rescans/record")
 }
 
 // paperHandler is where the wire path was profiled: the benchmark's `paper`

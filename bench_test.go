@@ -148,7 +148,7 @@ func BenchmarkTimingHeuristics(b *testing.B) {
 	})
 	b.Run("PSG-200iters", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			heuristics.PSG(sys, benchPSG(int64(i)))
+			heuristics.Run("PSG", sys, benchPSG(int64(i)))
 		}
 	})
 	b.Run("LP-UB", func(b *testing.B) {
@@ -172,7 +172,7 @@ func BenchmarkAblationBias(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pcfg := benchPSG(int64(i))
 				pcfg.Bias = bias
-				total += heuristics.PSG(sys, pcfg).Metric.Worth
+				total += heuristics.Run("PSG", sys, pcfg).Metric.Worth
 			}
 			b.ReportMetric(total/float64(b.N), "worth/op")
 		})
@@ -250,7 +250,7 @@ func BenchmarkPSG(b *testing.B) {
 				cfg := benchPSG(int64(i))
 				cfg.Trials = 4
 				cfg.Workers = workers
-				total += heuristics.PSG(sys, cfg).Metric.Worth
+				total += heuristics.Run("PSG", sys, cfg).Metric.Worth
 			}
 			b.ReportMetric(total/float64(b.N), "worth/op")
 		})

@@ -141,7 +141,7 @@ func main() {
 	if prior != nil {
 		r, scp, err = heuristics.ResumeSearch(ctx, sys, prior)
 	} else {
-		r, scp, err = heuristics.RunCheckpointed(ctx, *heuristic, sys, cfg)
+		r, scp, err = heuristics.RunContext(ctx, *heuristic, sys, cfg)
 	}
 	elapsed := time.Since(start)
 	canceled := errors.Is(err, heuristics.ErrCanceled)
@@ -332,13 +332,11 @@ func runFailover(r *heuristics.Result, sc *faults.Scenario) {
 // failure scenario) with the worth-aware degradation controller and reports
 // its shed/re-admit record.
 func runDegradation(r *heuristics.Result, sc *overload.Scenario, faultSc *faults.Scenario, shedBelow, readmitAbove float64) {
-	ctl, err := overload.NewController(overload.Config{
+	res, err := overload.Run(r.Alloc, sc, overload.Config{
 		ShedBelow:    shedBelow,
 		ReadmitAbove: readmitAbove,
 		Faults:       faultSc,
 	})
-	fatal(err)
-	res, err := ctl.Run(r.Alloc, sc)
 	fatal(err)
 	fmt.Printf("\ndegradation: surge %q, %d events over a %.0f s horizon\n",
 		sc.Name, len(sc.Events), sc.Horizon())

@@ -40,7 +40,7 @@ func main() {
 			offered += sys.TotalWorth()
 			mwfWorth += heuristics.MWF(sys).Metric.Worth
 			psg.Seed = int64(run)
-			sp := heuristics.SeededPSG(sys, psg)
+			sp := heuristics.Run("SeededPSG", sys, psg)
 			spWorth += sp.Metric.Worth
 			slack += sp.Metric.Slackness
 			b, err := lp.UpperBound(sys, lp.Config{Formulation: lp.Relaxed, Objective: lp.MaximizeWorth})

@@ -35,7 +35,7 @@ func main() {
 	psg.MaxIterations = 400
 	psg.Trials = 1
 	psg.Seed = 4
-	r := heuristics.SeededPSG(sys, psg)
+	r := heuristics.Run("SeededPSG", sys, psg)
 	fmt.Printf("initial allocation: %d/%d strings, worth %.0f, slackness %.3f\n",
 		r.NumMapped, len(sys.Strings), r.Metric.Worth, r.Metric.Slackness)
 

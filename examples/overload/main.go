@@ -61,11 +61,7 @@ func main() {
 		out.QoSViolations, out.Duration)
 
 	// 4. Degradation controller over the same timeline.
-	ctl, err := overload.NewController(overload.Config{ShedBelow: 0.02, ReadmitAbove: 0.1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := ctl.Run(r.Alloc, sc)
+	res, err := overload.Run(r.Alloc, sc, overload.Config{ShedBelow: 0.02, ReadmitAbove: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func main() {
 	cfg.MaxIterations = 400
 	cfg.Trials = 2
 	cfg.Seed = 7
-	r := heuristics.SeededPSG(sys, cfg)
+	r := heuristics.Run("SeededPSG", sys, cfg)
 
 	names := []string{"sonar track", "radar track", "EW warning", "engagement", "maintenance"}
 	fmt.Printf("Seeded PSG mapped %d/%d strings; worth %.0f, slackness %.3f\n\n",

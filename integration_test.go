@@ -132,7 +132,7 @@ func TestDeterministicPipeline(t *testing.T) {
 		psg.StallLimit = 30
 		psg.Trials = 2
 		psg.Seed = 3
-		r := heuristics.SeededPSG(sys, psg)
+		r := heuristics.Run("SeededPSG", sys, psg)
 		return r.Metric.Worth, r.Metric.Slackness
 	}
 	w1, s1 := run()

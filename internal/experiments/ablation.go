@@ -26,7 +26,7 @@ func psgSweep(ctx context.Context, opts Options, title, label string, names []st
 		for i, name := range names {
 			c := pcfg
 			set(&c, i)
-			f.add(name, heuristics.PSG(sys, c).Metric.Worth)
+			f.add(name, heuristics.Run("PSG", sys, c).Metric.Worth)
 		}
 		return nil
 	})
@@ -62,8 +62,8 @@ func SeedingStudy(ctx context.Context, opts Options) (*Figure, error) {
 	f.Runs, err = eachSystem(ctx, opts, cfg, "seeding study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
 		f.add("MWF", heuristics.MWF(sys).Metric.Worth)
 		f.add("TF", heuristics.TF(sys).Metric.Worth)
-		f.add("PSG", heuristics.PSG(sys, pcfg).Metric.Worth)
-		f.add("SeededPSG", heuristics.SeededPSG(sys, pcfg).Metric.Worth)
+		f.add("PSG", heuristics.Run("PSG", sys, pcfg).Metric.Worth)
+		f.add("SeededPSG", heuristics.Run("SeededPSG", sys, pcfg).Metric.Worth)
 		return nil
 	})
 	f.Notes = append(f.Notes,
@@ -111,7 +111,7 @@ func WorthMixStudy(ctx context.Context, opts Options) (*Figure, error) {
 				return err
 			}
 			mwf := heuristics.MWF(sys).Metric.Worth
-			sp := heuristics.SeededPSG(sys, pcfg).Metric.Worth
+			sp := heuristics.Run("SeededPSG", sys, pcfg).Metric.Worth
 			f.add(mix.name, sp-mwf)
 			if mwf > 0 {
 				relGap[mi].Add((sp - mwf) / mwf)

@@ -49,10 +49,7 @@ func RunOverloadStudy(ctx context.Context, opts Options, factors []float64) (*Ov
 	}
 	out := &OverloadStudy{Factors: factors}
 	out.Rows, out.InitialSlackness = panelRows(Panel, len(factors), func(pt *OverloadPoint, i int) { pt.MaxFactor = factors[i] })
-	ctl, err := overload.NewController(overload.Config{})
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	out.Runs, err = eachPanel(ctx, opts, "overload study", Panel, out.InitialSlackness, func(run int, seed int64, sys *model.System, initial map[string]*heuristics.Result) error {
 		for fi, f := range factors {
 			burst := overload.DefaultBurst()
@@ -64,7 +61,7 @@ func RunOverloadStudy(ctx context.Context, opts Options, factors []float64) (*Ov
 				return err
 			}
 			for _, name := range Panel {
-				res, err := ctl.Run(initial[name].Alloc, sc)
+				res, err := overload.Run(initial[name].Alloc, sc, overload.Config{})
 				if err != nil {
 					return err
 				}

@@ -89,9 +89,9 @@ func initialPanel(ctx context.Context, sys *model.System, pcfg heuristics.PSGCon
 			}
 			r = heuristics.MapSequence(sys, order)
 		case "GENITOR":
-			r, err = heuristics.RunContext(ctx, "SeededPSG", sys, pcfg)
+			r, _, err = heuristics.RunContext(ctx, "SeededPSG", sys, pcfg)
 		default:
-			r, err = heuristics.RunContext(ctx, name, sys, pcfg)
+			r, _, err = heuristics.RunContext(ctx, name, sys, pcfg)
 		}
 		if err != nil {
 			return nil, err

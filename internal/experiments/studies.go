@@ -28,11 +28,11 @@ func SSGStudy(ctx context.Context, opts Options) (*Figure, error) {
 	cfg := opts.scenarioConfig(workload.QoSLimited)
 	var err error
 	f.Runs, err = eachSystem(ctx, opts, cfg, "SSG study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
-		scfg := pcfg.Config
+		scfg := pcfg
 		scfg.MaxIterations *= pcfg.Trials // equal total budget
-		f.add("SSG", heuristics.SSG(sys, scfg).Metric.Worth)
-		f.add("PSG", heuristics.PSG(sys, pcfg).Metric.Worth)
-		f.add("SeededPSG", heuristics.SeededPSG(sys, pcfg).Metric.Worth)
+		f.add("SSG", heuristics.Run("SSG", sys, scfg).Metric.Worth)
+		f.add("PSG", heuristics.Run("PSG", sys, pcfg).Metric.Worth)
+		f.add("SeededPSG", heuristics.Run("SeededPSG", sys, pcfg).Metric.Worth)
 		return nil
 	})
 	f.Notes = append(f.Notes,
@@ -77,7 +77,7 @@ func HeterogeneityStudy(ctx context.Context, opts Options) (*Figure, error) {
 				return err
 			}
 			f.add("MWF/"+het.String(), heuristics.MWF(sys).Metric.Worth)
-			f.add("SeededPSG/"+het.String(), heuristics.SeededPSG(sys, pcfg).Metric.Worth)
+			f.add("SeededPSG/"+het.String(), heuristics.Run("SeededPSG", sys, pcfg).Metric.Worth)
 		}
 		return nil
 	})
@@ -102,8 +102,8 @@ func WorthSchemeStudy(ctx context.Context, opts Options) (*Figure, error) {
 	}
 	var err error
 	f.Runs, err = eachSystem(ctx, opts, cfg, "worth-scheme study", func(_ int, sys *model.System, pcfg heuristics.PSGConfig) error {
-		std := heuristics.SeededPSG(sys, pcfg)
-		classed := heuristics.ClassedPSG(sys, pcfg)
+		std := heuristics.Run("SeededPSG", sys, pcfg)
+		classed := heuristics.Run("ClassedPSG", sys, pcfg)
 		stdHigh, _, _ := heuristics.MappedWorthByClass(sys, std)
 		classedHigh, _, _ := heuristics.MappedWorthByClass(sys, classed)
 		f.add("std/total", std.Metric.Worth)

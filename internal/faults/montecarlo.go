@@ -1,18 +1,12 @@
 package faults
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
-
-// ErrCanceled is returned by ScenariosContext when its context ends the batch
-// early; the scenarios drawn so far are still returned. It wraps
-// context.Canceled, so errors.Is(err, context.Canceled) also holds.
-var ErrCanceled = fmt.Errorf("faults: sampling canceled: %w", context.Canceled)
 
 // MonteCarlo parameterizes seeded random scenario generation. Each sampled
 // scenario draws the configured number of compartment hits, isolated machine
@@ -92,39 +86,6 @@ func (mc MonteCarlo) Sample(m int, seed int64) (*Scenario, error) {
 		sc.Events = append(sc.Events, Event{Resource: Route(from, to), At: at, Duration: dur})
 	}
 	return sc, nil
-}
-
-// Scenarios draws n scenarios with consecutive seeds seed0, seed0+1, ...,
-// deterministically per seed.
-func (mc MonteCarlo) Scenarios(m, n int, seed0 int64) ([]*Scenario, error) {
-	return mc.ScenariosContext(context.Background(), m, n, seed0)
-}
-
-// ScenariosContext is Scenarios with cooperative cancellation: the context is
-// polled between draws, and a canceled context returns the scenarios sampled
-// so far together with ErrCanceled. Scenario i always uses seed seed0+i, so a
-// partial batch is a prefix of the full one.
-func (mc MonteCarlo) ScenariosContext(ctx context.Context, m, n int, seed0 int64) ([]*Scenario, error) {
-	if err := mc.Validate(m); err != nil {
-		return nil, err
-	}
-	done := ctx.Done()
-	out := make([]*Scenario, 0, n)
-	for i := 0; i < n; i++ {
-		if done != nil {
-			select {
-			case <-done:
-				return out, ErrCanceled
-			default:
-			}
-		}
-		sc, err := mc.Sample(m, seed0+int64(i))
-		if err != nil {
-			return out, err
-		}
-		out = append(out, sc)
-	}
-	return out, nil
 }
 
 // sampleTimes draws one failure time and repair duration.

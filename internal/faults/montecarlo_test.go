@@ -1,62 +1,39 @@
 package faults
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 )
 
-// TestScenariosSeedPrefix: scenario i always uses seed0+i, so a shorter batch
-// is a prefix of a longer one — the property partial (canceled) batches
-// inherit.
+// TestScenariosSeedPrefix: a scenario depends on its seed alone, so a batch
+// drawn with consecutive seeds seed0, seed0+1, ... is the same in any draw
+// order, and a shorter batch is a prefix of a longer one.
 func TestScenariosSeedPrefix(t *testing.T) {
 	mc := MonteCarlo{CompartmentHits: 1, MachineOutages: 1, RouteOutages: 2, Window: 50, MeanDowntime: 10}
-	full, err := mc.Scenarios(6, 4, 42)
-	if err != nil {
-		t.Fatal(err)
+	const seed0, n = 42, 4
+	forward := make([]*Scenario, n)
+	for i := range forward {
+		sc, err := mc.Sample(6, seed0+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forward[i] = sc
 	}
-	if len(full) != 4 {
-		t.Fatalf("%d scenarios, want 4", len(full))
-	}
-	short, err := mc.Scenarios(6, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range short {
-		if !reflect.DeepEqual(short[i], full[i]) {
-			t.Errorf("scenario %d differs between batch sizes", i)
+	for i := n - 1; i >= 0; i-- {
+		sc, err := mc.Sample(6, seed0+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sc, forward[i]) {
+			t.Errorf("scenario %d differs between draw orders", i)
 		}
 	}
-	for i, sc := range full {
-		if sc.Seed != 42+int64(i) {
-			t.Errorf("scenario %d seed = %d, want %d", i, sc.Seed, 42+int64(i))
+	for i, sc := range forward {
+		if sc.Seed != seed0+int64(i) {
+			t.Errorf("scenario %d seed = %d, want %d", i, sc.Seed, seed0+int64(i))
 		}
 		if len(sc.Events) == 0 {
 			t.Errorf("scenario %d drew no events", i)
 		}
-	}
-}
-
-func TestScenariosContextCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	mc := MonteCarlo{CompartmentHits: 2}
-	out, err := mc.ScenariosContext(ctx, 6, 5, 1)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Error("sentinel must wrap context.Canceled")
-	}
-	if len(out) != 0 {
-		t.Errorf("%d scenarios drawn under a pre-canceled context, want 0", len(out))
-	}
-}
-
-func TestScenariosValidatesOnce(t *testing.T) {
-	bad := MonteCarlo{CompartmentHits: 10}
-	if _, err := bad.Scenarios(4, 3, 1); err == nil {
-		t.Error("10 compartment hits on 4 machines must fail validation")
 	}
 }

@@ -3,9 +3,10 @@ package heuristics
 // checkpoint.go lifts genitor's engine checkpoints to whole searches: a PSG
 // run is several independent GENITOR trials, so its checkpoint is one entry
 // per trial — finished trials carry their result, interrupted trials carry
-// the full engine state. RunCheckpointed and ResumeSearch are the pair the
-// shipsched CLI builds its -checkpoint/-resume flags on: a long search cut
-// short by its context (SIGINT, -deadline) resumes bit-identically.
+// the full engine state. RunContext returns the checkpoint of a search its
+// context cut short (SIGINT, -deadline) and ResumeSearch continues it
+// bit-identically: the pair the shipsched CLI builds its -checkpoint/-resume
+// flags on.
 
 import (
 	"context"
@@ -112,20 +113,6 @@ func (scp *SearchCheckpoint) Interrupted() int {
 	return n
 }
 
-// RunCheckpointed dispatches a heuristic by name like RunContext, but when
-// the context — canceled, or past its deadline — interrupts the search, it
-// additionally returns a SearchCheckpoint from which ResumeSearch continues
-// bit-identically. The checkpoint is nil when the search ran to completion.
-// Heuristics without checkpoint support (MWF, TF, SSG) run exactly as
-// RunContext and always return a nil checkpoint.
-func RunCheckpointed(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, *SearchCheckpoint, error) {
-	if checkpointable(name) {
-		return psgRunCheckpointed(ctx, sys, cfg, name, nil)
-	}
-	r, err := RunContext(ctx, name, sys, cfg)
-	return r, nil, err
-}
-
 // ResumeSearch continues an interrupted search from its checkpoint: finished
 // trials are reused verbatim, interrupted trials resume from their engine
 // state, never-started trials run from scratch. The system must be the one
@@ -141,5 +128,5 @@ func ResumeSearch(ctx context.Context, sys *model.System, scp *SearchCheckpoint)
 		return nil, nil, err
 	}
 	// Validate admitted only checkpointable heuristics: psgVariants entries.
-	return psgRunCheckpointed(ctx, sys, scp.Config, scp.Heuristic, scp)
+	return psgRun(ctx, sys, scp.Config, scp.Heuristic, scp)
 }

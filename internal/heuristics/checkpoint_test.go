@@ -52,14 +52,14 @@ func TestResumeSearchMatchesUninterrupted(t *testing.T) {
 	cfg := testPSGConfig(23)
 	cfg.Trials = 3
 
-	want, cp, err := RunCheckpointed(context.Background(), "SeededPSG", sys, cfg)
+	want, cp, err := RunContext(context.Background(), "SeededPSG", sys, cfg)
 	if err != nil || cp != nil {
 		t.Fatalf("uninterrupted run: err %v, checkpoint %v", err, cp)
 	}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, scp, err := RunCheckpointed(canceled, "SeededPSG", sys, cfg)
+	_, scp, err := RunContext(canceled, "SeededPSG", sys, cfg)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled run error = %v, want ErrCanceled", err)
 	}
@@ -101,13 +101,13 @@ func TestResumeSearchIgnoresStoredDeadline(t *testing.T) {
 	cfg := testPSGConfig(29)
 	cfg.Trials = 2
 
-	want, _, err := RunCheckpointed(context.Background(), "PSG", sys, cfg)
+	want, _, err := RunContext(context.Background(), "PSG", sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
+	_, scp, err := RunContext(canceled, "PSG", sys, cfg)
 	if !errors.Is(err, ErrCanceled) || scp == nil {
 		t.Fatalf("setup: err %v, scp %v", err, scp)
 	}
@@ -140,7 +140,7 @@ func TestResumeSearchMidway(t *testing.T) {
 	cfg.MaxIterations = 1500
 	cfg.StallLimit = 400
 
-	want, _, err := RunCheckpointed(context.Background(), "PSG", sys, cfg)
+	want, _, err := RunContext(context.Background(), "PSG", sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestResumeSearchMidway(t *testing.T) {
 			err error
 		)
 		if prior == nil {
-			r, scp, err = RunCheckpointed(ctx, "PSG", sys, cfg)
+			r, scp, err = RunContext(ctx, "PSG", sys, cfg)
 		} else {
 			r, scp, err = ResumeSearch(ctx, sys, prior)
 		}
@@ -184,7 +184,7 @@ func TestSearchCheckpointValidate(t *testing.T) {
 	cfg.Trials = 2
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
+	_, scp, err := RunContext(canceled, "PSG", sys, cfg)
 	if !errors.Is(err, ErrCanceled) || scp == nil {
 		t.Fatalf("setup: err %v, scp %v", err, scp)
 	}
@@ -210,12 +210,12 @@ func TestSearchCheckpointValidate(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedNonSearchHeuristics: MWF/TF run to completion and never
-// produce checkpoints.
+// TestRunCheckpointedNonSearchHeuristics: the one-shot heuristics started
+// through RunContext return their own result with no checkpoint and no error.
 func TestRunCheckpointedNonSearchHeuristics(t *testing.T) {
 	sys := easySystem()
 	for _, name := range []string{"MWF", "TF"} {
-		r, scp, err := RunCheckpointed(context.Background(), name, sys, testPSGConfig(1))
+		r, scp, err := RunContext(context.Background(), name, sys, testPSGConfig(1))
 		if err != nil || scp != nil {
 			t.Fatalf("%s: err %v, checkpoint %v", name, err, scp)
 		}
@@ -235,7 +235,7 @@ func TestPSGTrialPanicReturnsError(t *testing.T) {
 	cfg.Trials = 2
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, scp, err := RunCheckpointed(canceled, "PSG", sys, cfg)
+	_, scp, err := RunContext(canceled, "PSG", sys, cfg)
 	if !errors.Is(err, ErrCanceled) || scp == nil {
 		t.Fatalf("setup: err %v, scp %v", err, scp)
 	}
@@ -248,7 +248,7 @@ func TestPSGTrialPanicReturnsError(t *testing.T) {
 	// Call the core directly, as Validate in ResumeSearch would (correctly)
 	// refuse it; the in-flight error path must still be an error, not a
 	// crash.
-	_, _, err = psgRunCheckpointed(context.Background(), sys, scp.Config, "PSG", scp)
+	_, _, err = psgRun(context.Background(), sys, scp.Config, "PSG", scp)
 	if err == nil {
 		t.Fatal("corrupt trial state did not surface as an error")
 	}

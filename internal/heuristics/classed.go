@@ -19,41 +19,44 @@ import (
 // in the low class, then system slackness. One mapped high-worth string
 // always beats any number of mapped medium/low strings.
 
+// worthClass is a worth's class under the alternate scheme: 0 high, 1
+// medium, 2 low (the model's WorthHigh/WorthMedium thresholds).
+func worthClass(w float64) int {
+	switch {
+	case w >= model.WorthHigh:
+		return 0
+	case w >= model.WorthMedium:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// classWorth sums the worth of the strings mapped reports, per worthClass,
+// in ascending string order.
+func classWorth(sys *model.System, mapped func(k int) bool) (sums [3]float64) {
+	for k := range sys.Strings {
+		if mapped(k) {
+			w := sys.Strings[k].Worth
+			sums[worthClass(w)] += w
+		}
+	}
+	return sums
+}
+
 // classKey encodes per-class mapped worth into a single float64 preserving
 // lexicographic order: wHigh*1e8 + wMed*1e4 + wLow. The encoding is exact for
 // the paper's scales (at most a few thousand strings of worth <= 100, so each
 // class term stays below its 1e4 radix and the total well below 2^53).
 // mapped reports whether string k is part of the mapping.
 func classKey(sys *model.System, mapped func(k int) bool) float64 {
-	var high, med, low float64
-	for k := range sys.Strings {
-		if !mapped(k) {
-			continue
-		}
-		switch w := sys.Strings[k].Worth; {
-		case w >= model.WorthHigh:
-			high += w
-		case w >= model.WorthMedium:
-			med += w
-		default:
-			low += w
-		}
-	}
-	return high*1e8 + med*1e4 + low
-}
-
-// ClassedMetric returns the alternate-scheme fitness of a mapping result:
-// the lexicographic class key as the primary component and slackness as the
-// secondary.
-func ClassedMetric(sys *model.System, r *Result) genitor.Fitness {
-	return genitor.Fitness{
-		Primary:   classKey(sys, r.Alloc.Complete),
-		Secondary: r.Metric.Slackness,
-	}
+	c := classWorth(sys, mapped)
+	return c[0]*1e8 + c[1]*1e4 + c[2]
 }
 
 // classedScore is the alternate-scheme scoreFunc over a decoded allocation:
-// exactly ClassedMetric, read off the allocation's Complete flags.
+// the lexicographic class key as the primary component and slackness as the
+// secondary.
 func classedScore(sys *model.System) scoreFunc {
 	return func(a *feasibility.Allocation) genitor.Fitness {
 		return genitor.Fitness{
@@ -68,20 +71,10 @@ func classedScore(sys *model.System) scoreFunc {
 // the "special class allocated first in the system" arrangement.
 func ClassedOrder(sys *model.System) []int {
 	tf := TFOrder(sys) // tightest first within class
-	classOf := func(k int) int {
-		switch w := sys.Strings[k].Worth; {
-		case w >= model.WorthHigh:
-			return 0
-		case w >= model.WorthMedium:
-			return 1
-		default:
-			return 2
-		}
-	}
 	order := make([]int, 0, len(tf))
 	for class := 0; class < 3; class++ {
 		for _, k := range tf {
-			if classOf(k) == class {
+			if worthClass(sys.Strings[k].Worth) == class {
 				order = append(order, k)
 			}
 		}
@@ -89,30 +82,9 @@ func ClassedOrder(sys *model.System) []int {
 	return order
 }
 
-// ClassedPSG runs the permutation-space GENITOR search under the alternate
-// worth scheme: the same operators, stopping rules, and parallel trial
-// machinery as PSG, but fitness compares mapped worth class by class. The
-// class-scheme ordering and the plain MWF ordering seed the initial
-// population.
-func ClassedPSG(sys *model.System, cfg PSGConfig) *Result {
-	return psgRun(sys, cfg, "ClassedPSG")
-}
-
 // MappedWorthByClass reports the worth mapped per class (high, medium, low),
 // the quantity the alternate scheme optimizes lexicographically.
 func MappedWorthByClass(sys *model.System, r *Result) (high, med, low float64) {
-	for k := range sys.Strings {
-		if !r.Alloc.Complete(k) {
-			continue
-		}
-		switch w := sys.Strings[k].Worth; {
-		case w >= model.WorthHigh:
-			high += w
-		case w >= model.WorthMedium:
-			med += w
-		default:
-			low += w
-		}
-	}
-	return high, med, low
+	c := classWorth(sys, r.Alloc.Complete)
+	return c[0], c[1], c[2]
 }

@@ -84,11 +84,11 @@ func TestClassedPSGPrefersHighWorth(t *testing.T) {
 			Apps: []model.Application{model.UniformApp(1, 3, 1, 0)}})
 	}
 	cfg := testPSGConfig(3)
-	std := PSG(sys, cfg)
+	std := Run("PSG", sys, cfg)
 	if std.Metric.Worth != 120 || std.Alloc.Complete(0) {
 		t.Fatalf("premise broken: standard PSG should map the three worth-40 strings, got %+v", std.Metric)
 	}
-	classed := ClassedPSG(sys, cfg)
+	classed := Run("ClassedPSG", sys, cfg)
 	if !classed.Alloc.Complete(0) {
 		t.Fatal("classed scheme failed to map the high-worth string")
 	}
@@ -107,13 +107,14 @@ func TestClassedPSGFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 3; trial++ {
 		sys := randomTestSystem(rng, 3, 10)
-		r := ClassedPSG(sys, testPSGConfig(int64(trial)))
+		r := Run("ClassedPSG", sys, testPSGConfig(int64(trial)))
 		if !r.Alloc.TwoStageFeasible() {
 			t.Fatalf("trial %d: infeasible classed mapping", trial)
 		}
 		// Never worse than the classed seed ordering itself.
 		seed := MapSequence(sys, ClassedOrder(sys))
-		if ClassedMetric(sys, seed).Better(ClassedMetric(sys, r)) {
+		score := classedScore(sys)
+		if score(seed.Alloc).Better(score(r.Alloc)) {
 			t.Fatalf("trial %d: classed PSG below its own seed", trial)
 		}
 	}

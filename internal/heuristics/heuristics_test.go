@@ -1,9 +1,12 @@
 package heuristics
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/feasibility"
@@ -312,7 +315,7 @@ func TestSeededPSGDominatesOneShotHeuristics(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		sys := randomTestSystem(rng, 3, 8)
 		mwf, tf := MWF(sys), TF(sys)
-		sp := SeededPSG(sys, testPSGConfig(int64(trial)))
+		sp := Run("SeededPSG", sys, testPSGConfig(int64(trial)))
 		for _, base := range []*Result{mwf, tf} {
 			if base.Metric.Better(sp.Metric) {
 				t.Errorf("trial %d: %s %+v beats SeededPSG %+v", trial, base.Name, base.Metric, sp.Metric)
@@ -340,7 +343,7 @@ func TestPSGFindsBetterOrdering(t *testing.T) {
 	if mwf.Metric.Worth != 0 {
 		t.Fatalf("test premise broken: MWF worth = %v, want 0", mwf.Metric.Worth)
 	}
-	psg := PSG(sys, testPSGConfig(9))
+	psg := Run("PSG", sys, testPSGConfig(9))
 	if psg.Metric.Worth != 50 {
 		t.Errorf("PSG worth = %v, want 50 (all five feasible strings)", psg.Metric.Worth)
 	}
@@ -364,6 +367,43 @@ func TestRunDispatch(t *testing.T) {
 	mustPanic(t, func() { Run("nope", sys, cfg) })
 }
 
+// TestRunContextMatchesRun: every heuristic started through RunContext under
+// a live context returns what Run returns — metric, search counters and the
+// allocation's state digest — with no checkpoint and no error.
+func TestRunContextMatchesRun(t *testing.T) {
+	sys := randomTestSystem(rand.New(rand.NewSource(41)), 3, 8)
+	cfg := testPSGConfig(23)
+	for _, name := range AllNames {
+		want := Run(name, sys, cfg)
+		got, scp, err := RunContext(context.Background(), name, sys, cfg)
+		if err != nil || scp != nil {
+			t.Fatalf("%s: err %v, checkpoint %v", name, err, scp)
+		}
+		if got.Name != name || got.Metric != want.Metric || got.Iterations != want.Iterations ||
+			got.Evaluations != want.Evaluations {
+			t.Errorf("%s: RunContext {%s %+v %d it %d ev}, Run {%s %+v %d it %d ev}", name,
+				got.Name, got.Metric, got.Iterations, got.Evaluations,
+				want.Name, want.Metric, want.Iterations, want.Evaluations)
+		}
+		if g, w := feasibility.StateDigest(got.Alloc), feasibility.StateDigest(want.Alloc); g != w {
+			t.Errorf("%s: state digest %s, Run's %s", name, g, w)
+		}
+	}
+}
+
+// TestRunContextUnknownName: a name outside AllNames is an error that lists
+// the valid names, not a panic (Run, for names the caller knows, panics:
+// TestRunDispatch).
+func TestRunContextUnknownName(t *testing.T) {
+	r, scp, err := RunContext(context.Background(), "Bogus", easySystem(), testPSGConfig(1))
+	if err == nil || r != nil || scp != nil {
+		t.Fatalf("unknown name: r %v, checkpoint %v, err %v", r, scp, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"Bogus"`) || !strings.Contains(msg, fmt.Sprint(AllNames)) {
+		t.Errorf("error %q does not name the heuristic and AllNames", msg)
+	}
+}
+
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {
@@ -381,12 +421,12 @@ func TestPSGTrials(t *testing.T) {
 	sys := easySystem()
 	cfg := testPSGConfig(5)
 	cfg.Trials = 3
-	r := PSG(sys, cfg)
+	r := Run("PSG", sys, cfg)
 	if r.Metric.Worth != 121 {
 		t.Errorf("worth = %v, want 121", r.Metric.Worth)
 	}
 	cfg.Trials = 0 // must be clamped to 1
-	r = PSG(sys, cfg)
+	r = Run("PSG", sys, cfg)
 	if r.Metric.Worth != 121 {
 		t.Errorf("worth with clamped trials = %v, want 121", r.Metric.Worth)
 	}

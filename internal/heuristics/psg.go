@@ -11,8 +11,8 @@ import (
 	"repro/internal/workers"
 )
 
-// ErrCanceled is returned by the ...Context search variants when their
-// context ends the run early. The accompanying *Result is a usable partial
+// ErrCanceled is returned by RunContext and ResumeSearch when their context
+// ends a search early. The accompanying *Result is a usable partial
 // answer — the best mapping found before cancellation — so callers decide
 // whether to keep or discard it. The error wraps context.Canceled, so
 // errors.Is(err, context.Canceled) also holds.
@@ -114,10 +114,19 @@ func countStop(reason string) {
 // all read this table, so a variant cannot be resumed under a different
 // (seeds, score) pair than it started with.
 var psgVariants = map[string]func(sys *model.System) (seeds [][]int, score scoreFunc){
+	// PSG, the Permutation-Space GENITOR-based heuristic: GENITOR search over
+	// string orderings, each ordering projected to the solution space by the
+	// IMR, with fitness given by the two-component performance metric. The
+	// initial population is entirely random.
 	"PSG": func(*model.System) ([][]int, scoreFunc) { return nil, metricScore },
+	// SeededPSG is PSG with the MWF and TF orderings included in the initial
+	// population; all other operations and stopping conditions are identical.
 	"SeededPSG": func(sys *model.System) ([][]int, scoreFunc) {
 		return [][]int{MWFOrder(sys), TFOrder(sys)}, metricScore
 	},
+	// ClassedPSG is PSG under the alternate worth scheme (classed.go):
+	// fitness compares mapped worth class by class, and the class-scheme
+	// ordering and the plain MWF ordering seed the initial population.
 	"ClassedPSG": func(sys *model.System) ([][]int, scoreFunc) {
 		return [][]int{ClassedOrder(sys), MWFOrder(sys)}, classedScore(sys)
 	},
@@ -129,33 +138,15 @@ var psgVariants = map[string]func(sys *model.System) (seeds [][]int, score score
 // returns the decoded best mapping. Each trial derives its RNG stream from
 // cfg.Seed and the trial index alone and decoding is pure, so the outcome is
 // identical to a serial run for any worker count.
-func psgRun(sys *model.System, cfg PSGConfig, name string) *Result {
-	r, err := psgRunContext(context.Background(), sys, cfg, name)
-	if err != nil {
-		// Background contexts never cancel; any other error is a
-		// configuration bug, matching the historical panic behavior.
-		panic("heuristics: " + err.Error())
-	}
-	return r
-}
-
-// psgRunContext is psgRun with cooperative cancellation: every trial polls
-// the context between GENITOR iterations, and a canceled context yields the
-// best mapping found so far together with ErrCanceled.
-func psgRunContext(ctx context.Context, sys *model.System, cfg PSGConfig, name string) (*Result, error) {
-	r, _, err := psgRunCheckpointed(ctx, sys, cfg, name, nil)
-	return r, err
-}
-
-// psgRunCheckpointed is the checkpoint-aware core of the PSG search: prior
-// (may be nil) carries the state of an earlier interrupted run — finished
-// trials are taken from it verbatim and interrupted trials resume from their
-// engine checkpoints, so the combined run is bit-identical to one that was
-// never interrupted. When the context (canceled, or past its deadline) stops
-// any trial, the returned SearchCheckpoint captures the whole search for a
-// later resume, alongside ErrCanceled; it is nil, and so is the error, for a
-// run whose every trial finished.
-func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, name string, prior *SearchCheckpoint) (*Result, *SearchCheckpoint, error) {
+//
+// prior (may be nil) carries the state of an earlier interrupted run —
+// finished trials are taken from it verbatim and interrupted trials resume
+// from their engine checkpoints, so the combined run is bit-identical to one
+// that was never interrupted. When the context (canceled, or past its
+// deadline) stops any trial, the returned SearchCheckpoint captures the whole
+// search for a later resume, alongside ErrCanceled; it is nil, and so is the
+// error, for a run whose every trial finished.
+func psgRun(ctx context.Context, sys *model.System, cfg PSGConfig, name string, prior *SearchCheckpoint) (*Result, *SearchCheckpoint, error) {
 	seeds, score := psgVariants[name](sys)
 	if cfg.Trials < 1 {
 		cfg.Trials = 1
@@ -253,20 +244,6 @@ func psgRunCheckpointed(ctx context.Context, sys *model.System, cfg PSGConfig, n
 	return r, scp, trialErr
 }
 
-// PSG runs the Permutation-Space GENITOR-based heuristic: GENITOR search over
-// string orderings, each ordering projected to the solution space by the IMR,
-// with fitness given by the two-component performance metric. The initial
-// population is entirely random.
-func PSG(sys *model.System, cfg PSGConfig) *Result {
-	return psgRun(sys, cfg, "PSG")
-}
-
-// SeededPSG runs PSG with the MWF and TF orderings included in the initial
-// population; all other operations and stopping conditions are identical.
-func SeededPSG(sys *model.System, cfg PSGConfig) *Result {
-	return psgRun(sys, cfg, "SeededPSG")
-}
-
 // Names lists the paper's four heuristics, in the order the figures report
 // them. AllNames additionally includes the extensions implemented in this
 // repository: the solution-space GA baseline (SSG) and the alternate worth
@@ -276,32 +253,39 @@ var (
 	AllNames = []string{"PSG", "MWF", "TF", "SeededPSG", "SSG", "ClassedPSG"}
 )
 
-// Run dispatches a heuristic by name. PSG configuration applies to the
-// GENITOR-based variants (the SSG baseline reuses its budget fields).
+// Run is RunContext under a background context, for heuristic names the
+// caller knows. It panics on an unknown name or a configuration error, so a
+// name that comes from user input goes through RunContext instead.
 func Run(name string, sys *model.System, cfg PSGConfig) *Result {
-	r, err := RunContext(context.Background(), name, sys, cfg)
+	r, _, err := RunContext(context.Background(), name, sys, cfg)
 	if err != nil {
-		panic("heuristics: " + err.Error()) // background contexts never cancel
+		panic(err) // background contexts never cancel
 	}
 	return r
 }
 
-// RunContext dispatches a heuristic by name with cooperative cancellation.
-// The one-shot heuristics (MWF, TF) are too quick to interrupt and ignore
-// the context; the search heuristics poll it between iterations and, when it
-// ends the run early, return their best partial result with ErrCanceled.
-func RunContext(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, error) {
+// RunContext is the one way to start a heuristic by name, one of AllNames:
+// the PSG family (PSG, SeededPSG, ClassedPSG; see psgVariants) searches under
+// cfg; MWF and TF, the paper's one-shot heuristics, are too quick to
+// interrupt and ignore the context; SSG, the solution-space baseline
+// (ssg.go), reads only cfg.Config. The searches poll the context between
+// iterations and, when it ends the run early, return their best partial
+// result with ErrCanceled; a PSG-family search then also returns a
+// SearchCheckpoint from which ResumeSearch continues bit-identically. The
+// checkpoint is nil when the search ran to completion, and always for MWF, TF
+// and SSG. An unknown name is an error.
+func RunContext(ctx context.Context, name string, sys *model.System, cfg PSGConfig) (*Result, *SearchCheckpoint, error) {
 	if _, ok := psgVariants[name]; ok {
-		return psgRunContext(ctx, sys, cfg, name)
+		return psgRun(ctx, sys, cfg, name, nil)
 	}
 	switch name {
 	case "MWF":
-		return MWF(sys), nil
+		return MWF(sys), nil, nil
 	case "TF":
-		return TF(sys), nil
+		return TF(sys), nil, nil
 	case "SSG":
-		return SSGContext(ctx, sys, cfg.Config)
-	default:
-		panic("heuristics: unknown heuristic " + name)
+		r, err := ssg(ctx, sys, cfg.Config)
+		return r, nil, err
 	}
+	return nil, nil, fmt.Errorf("heuristics: unknown heuristic %q (want one of %v)", name, AllNames)
 }

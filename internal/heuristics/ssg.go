@@ -90,20 +90,14 @@ type ssgMember struct {
 	metric feasibility.Metric
 }
 
-// SSG runs the solution-space genetic algorithm: steady-state replacement
-// with rank-bias selection (as in GENITOR), uniform crossover on assignment
-// vectors, and random-reset mutation of one gene. It takes the GENITOR
-// parameters, so budgets are comparable with PSG.
-func SSG(sys *model.System, cfg genitor.Config) *Result {
-	r, _ := SSGContext(context.Background(), sys, cfg) // background contexts never cancel
-	return r
-}
-
-// SSGContext is SSG with cooperative cancellation: the context is polled
-// between iterations, and a context that is canceled or past its deadline
-// stops the search with stop reason "canceled", returning the best assignment
-// found so far alongside ErrCanceled.
-func SSGContext(ctx context.Context, sys *model.System, cfg genitor.Config) (*Result, error) {
+// ssg runs the solution-space genetic algorithm, RunContext's "SSG":
+// steady-state replacement with rank-bias selection (as in GENITOR), uniform
+// crossover on assignment vectors, and random-reset mutation of one gene. It
+// takes the GENITOR parameters, so budgets are comparable with PSG. The
+// context is polled between iterations, and a context that is canceled or
+// past its deadline stops the search with stop reason "canceled", returning
+// the best assignment found so far alongside ErrCanceled.
+func ssg(ctx context.Context, sys *model.System, cfg genitor.Config) (*Result, error) {
 	if cfg.PopulationSize < 2 {
 		cfg.PopulationSize = 2
 	}

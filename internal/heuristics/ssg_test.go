@@ -69,7 +69,7 @@ func TestSSGOnEasySystem(t *testing.T) {
 	cfg.MaxIterations = 60
 	cfg.StallLimit = 40
 	cfg.Seed = 5
-	r := SSG(easySystem(), cfg)
+	r := Run("SSG", easySystem(), PSGConfig{Config: cfg})
 	if r.Name != "SSG" {
 		t.Errorf("name %q", r.Name)
 	}
@@ -94,18 +94,18 @@ func TestSSGTrailsPermutationSearch(t *testing.T) {
 		sys := randomTestSystem(rng, 4, 20)
 		pcfg := testPSGConfig(int64(trial))
 		pcfg.MaxIterations = 120
-		sp := SeededPSG(sys, pcfg)
+		sp := Run("SeededPSG", sys, pcfg)
 		scfg := genitor.DefaultConfig()
 		scfg.PopulationSize = pcfg.PopulationSize
 		scfg.MaxIterations = pcfg.MaxIterations
 		scfg.StallLimit = pcfg.StallLimit
 		scfg.Seed = int64(trial)
-		ssg := SSG(sys, scfg)
-		if !ssg.Alloc.TwoStageFeasible() {
+		sg := Run("SSG", sys, PSGConfig{Config: scfg})
+		if !sg.Alloc.TwoStageFeasible() {
 			t.Fatalf("trial %d: SSG result infeasible", trial)
 		}
 		total++
-		if sp.Metric.Worth >= ssg.Metric.Worth {
+		if sp.Metric.Worth >= sg.Metric.Worth {
 			wins++
 		}
 	}

@@ -104,7 +104,7 @@ func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range []string{"PSG", "SeededPSG", "ClassedPSG", "SSG"} {
-		r, err := RunContext(ctx, name, sys, testPSGConfig(5))
+		r, _, err := RunContext(ctx, name, sys, testPSGConfig(5))
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
 		}
@@ -129,22 +129,22 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 	// One-shot heuristics are too quick to interrupt and ignore the context.
 	for _, name := range []string{"MWF", "TF"} {
-		r, err := RunContext(ctx, name, sys, testPSGConfig(5))
+		r, _, err := RunContext(ctx, name, sys, testPSGConfig(5))
 		if err != nil || r == nil || r.NumMapped == 0 {
 			t.Errorf("%s must ignore cancellation, got r=%v err=%v", name, r, err)
 		}
 	}
 }
 
-// TestPSGContextUncanceled: the context variants return a nil error on normal
-// completion and match their background-context counterparts exactly.
+// TestPSGContextUncanceled: a search started under a live context returns a
+// nil error and no checkpoint on normal completion and matches Run exactly.
 func TestPSGContextUncanceled(t *testing.T) {
 	sys := easySystem()
 	cfg := testPSGConfig(23)
-	base := SeededPSG(sys, cfg)
-	live, err := RunContext(context.Background(), "SeededPSG", sys, cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := Run("SeededPSG", sys, cfg)
+	live, scp, err := RunContext(context.Background(), "SeededPSG", sys, cfg)
+	if err != nil || scp != nil {
+		t.Fatalf("err %v, checkpoint %v", err, scp)
 	}
 	if base.Metric != live.Metric || base.Iterations != live.Iterations {
 		t.Errorf("context variant diverged: %+v vs %+v", base.Metric, live.Metric)

@@ -1,5 +1,5 @@
 // The degradation controller: the overload counterpart of dynamic.Survive.
-// Where Survive reacts to resource loss, the Controller reacts to demand
+// Where Survive reacts to resource loss, the controller reacts to demand
 // surges that exhaust the slack Λ the initial allocation banked: it walks the
 // surge timeline on a fixed control interval and, whenever the scaled demand
 // drives a machine or route past capacity (or slackness below the shed
@@ -83,22 +83,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("overload: re-admit threshold %v, want in [%v, 1)", c.ReadmitAbove, c.ShedBelow)
 	}
 	return nil
-}
-
-// Controller is the worth-aware degradation controller. Create with
-// NewController; Run is safe for repeated use (each run is independent).
-type Controller struct {
-	cfg Config
-}
-
-// NewController validates the configuration (after applying defaults) and
-// returns a controller.
-func NewController(cfg Config) (*Controller, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Controller{cfg: cfg}, nil
 }
 
 // ActionKind classifies one controller action.
@@ -185,27 +169,32 @@ func newControllerTelemetry() controllerTelemetry {
 	}
 }
 
-// Run walks the surge scenario on the control grid, keeping the allocation
-// feasible by worth-per-utilization shedding and hysteresis-gated
+// Run is the worth-aware degradation controller: it applies cfg's defaults,
+// validates it, and walks the surge scenario on the control grid, keeping the
+// allocation feasible by worth-per-utilization shedding and hysteresis-gated
 // re-admission. The input allocation is not mutated: each tick re-places the
 // previous tick's complete strings on a clone of the base system scaled to
 // that tick's demand (the first tick starts from alloc), and the last tick's
 // allocation is returned in the result. The run is fully deterministic: the
 // controller consumes no randomness, iterates strings in index order, and
 // breaks every ordering tie by string ID.
-func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, error) {
+func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, error) {
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	base := alloc.System()
 	n := len(base.Strings)
 	if err := sc.Validate(n); err != nil {
 		return nil, err
 	}
-	if c.cfg.Faults != nil {
-		if err := c.cfg.Faults.Validate(base.Machines); err != nil {
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(base.Machines); err != nil {
 			return nil, err
 		}
 	}
 	horizon := sc.Horizon()
-	for _, e := range c.cfg.Faults.EventsOrNil() {
+	for _, e := range cfg.Faults.EventsOrNil() {
 		horizon = math.Max(horizon, e.At)
 		if !e.Permanent() {
 			horizon = math.Max(horizon, e.UpAt())
@@ -250,8 +239,8 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 		var down *faults.Set
 		var machineOK func(int) bool
 		var routeOK func(int, int) bool
-		if c.cfg.Faults != nil {
-			if d := c.cfg.Faults.ActiveAt(t, base.Machines); !d.Empty() {
+		if cfg.Faults != nil {
+			if d := cfg.Faults.ActiveAt(t, base.Machines); !d.Empty() {
 				down = d
 				machineOK, routeOK = d.Masks()
 			}
@@ -272,7 +261,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 			}
 		}
 
-		overAtEntry := !c.healthy(da)
+		overAtEntry := !cfg.healthy(da)
 		if overAtEntry {
 			if i > 0 {
 				res.TimeOverCapacity += interval
@@ -285,8 +274,8 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 		// per unit of demand — one masked-IMR re-placement attempt first
 		// (downgrade before drop), then shed.
 		tried := make(map[int]bool)
-		for !c.healthy(da) {
-			victim := c.pickVictim(da)
+		for !cfg.healthy(da) {
+			victim := cfg.pickVictim(da)
 			if victim < 0 {
 				break // nothing implicated (should not happen while unhealthy)
 			}
@@ -318,7 +307,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 		// upper threshold, highest worth-per-utilization candidates first,
 		// bounded per tick, and never admitting a string that would push Λ
 		// back below the shed threshold.
-		if c.healthy(da) && a.Slackness() > c.cfg.ReadmitAbove+slackEps {
+		if cfg.healthy(da) && a.Slackness() > cfg.ReadmitAbove+slackEps {
 			cands := make([]int, 0, len(shedSet))
 			for k := range shedSet {
 				cands = append(cands, k)
@@ -329,7 +318,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 				if admitted >= maxReadmit {
 					break
 				}
-				if a.Slackness() <= c.cfg.ReadmitAbove+slackEps {
+				if a.Slackness() <= cfg.ReadmitAbove+slackEps {
 					break
 				}
 				// The window is clean here (healthy committed, and each
@@ -341,7 +330,7 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 					da.Undo()
 					continue
 				}
-				if da.FeasibleAfterDelta() && a.Slackness() >= c.cfg.ShedBelow-slackEps {
+				if da.FeasibleAfterDelta() && a.Slackness() >= cfg.ShedBelow-slackEps {
 					da.Commit()
 					delete(shedSet, k)
 					res.Actions = append(res.Actions, Action{Time: t, StringID: k, Kind: Readmitted, Reason: "slack-recovered"})
@@ -394,9 +383,9 @@ func (c *Controller) Run(alloc *feasibility.Allocation, sc *Scenario) (*Result, 
 // two-stage feasible with slackness at or above the shed threshold. It
 // commits the pending delta window first, so after the shed loop's mutations
 // only the changed strings are re-analyzed.
-func (c *Controller) healthy(da *feasibility.DeltaAnalyzer) bool {
+func (c Config) healthy(da *feasibility.DeltaAnalyzer) bool {
 	da.Commit()
-	return da.FeasibleAfterDelta() && da.Allocation().Slackness() >= c.cfg.ShedBelow-slackEps
+	return da.FeasibleAfterDelta() && da.Allocation().Slackness() >= c.ShedBelow-slackEps
 }
 
 // placementSound reports whether completely mapped string k, as placed in the
@@ -449,7 +438,7 @@ func placementSound(da *feasibility.DeltaAnalyzer, k int) bool {
 // so only surviving committed violations are rechecked); the resource sweep is
 // the allocation's O(M + active routes) walk at the shed target, which sits at
 // or below the capacity limit the repair controllers walk at.
-func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer) int {
+func (c Config) pickVictim(da *feasibility.DeltaAnalyzer) int {
 	a := da.Allocation()
 	sys := a.System()
 	implicated := make(map[int]bool)
@@ -457,7 +446,7 @@ func (c *Controller) pickVictim(da *feasibility.DeltaAnalyzer) int {
 	for _, v := range da.ViolationsAfterDelta() {
 		mark(v.StringID)
 	}
-	a.StringsOverLimit(1-c.cfg.ShedBelow+slackEps, mark)
+	a.StringsOverLimit(1-c.ShedBelow+slackEps, mark)
 	best, bestWPU := -1, 0.0
 	for k := 0; k < len(sys.Strings); k++ {
 		if !implicated[k] || !a.Complete(k) {

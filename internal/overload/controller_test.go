@@ -33,12 +33,8 @@ func oneMachineFixture(worths, demands []float64) (*model.System, *feasibility.A
 // one, and re-admit everything once the surge subsides.
 func TestControllerShedsLowestWorthPerUtilFirst(t *testing.T) {
 	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
-	ctl, err := NewController(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	res, err := ctl.Run(a, sc)
+	res, err := Run(a, sc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +104,6 @@ func TestControllerShedsLowestWorthPerUtilFirst(t *testing.T) {
 // shed string would fit — until Λ clears the upper threshold.
 func TestControllerHysteresisBand(t *testing.T) {
 	_, a := oneMachineFixture([]float64{100, 1}, []float64{0.65, 0.05})
-	ctl, err := NewController(Config{ShedBelow: 0.05, ReadmitAbove: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &Scenario{Events: []Event{
 		// Surge string 1 to 0.40 demand: total 1.05, Λ < ShedBelow → shed it.
 		{Kind: Step, At: 10, Duration: 5, Factor: 8, Strings: []int{1}},
@@ -121,7 +113,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 		// threshold keeps it out.
 		{Kind: Step, At: 15, Duration: 10, Factor: 1.2, Strings: []int{0}},
 	}}
-	res, err := ctl.Run(a, sc)
+	res, err := Run(a, sc, Config{ShedBelow: 0.05, ReadmitAbove: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +144,8 @@ func TestControllerBoundedReadmission(t *testing.T) {
 		worths, demands = append(worths, 10), append(demands, 0.08)
 	}
 	_, a := oneMachineFixture(worths, demands)
-	ctl, err := NewController(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	res, err := ctl.Run(a, sc)
+	res, err := Run(a, sc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +178,9 @@ func TestControllerComposesWithFaults(t *testing.T) {
 	a := feasibility.New(sys)
 	a.Assign(0, 0, 0)
 	a.Assign(1, 0, 1)
-	ctl, err := NewController(Config{Faults: &faults.Scenario{Events: []faults.Event{
+	res, err := Run(a, &Scenario{}, Config{Faults: &faults.Scenario{Events: []faults.Event{
 		{Resource: faults.Machine(1), At: 5, Duration: 5},
 	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ctl.Run(a, &Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +225,7 @@ func TestControllerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Result {
-		ctl, err := NewController(Config{ShedBelow: 0.02, ReadmitAbove: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ctl.Run(r.Alloc, sc)
+		res, err := Run(r.Alloc, sc, Config{ShedBelow: 0.02, ReadmitAbove: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,12 +248,8 @@ func TestControllerDeterministic(t *testing.T) {
 // untouched.
 func TestControllerDoesNotMutateInputs(t *testing.T) {
 	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
-	ctl, err := NewController(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
-	if _, err := ctl.Run(a, sc); err != nil {
+	if _, err := Run(a, sc, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
@@ -285,16 +261,12 @@ func TestControllerDoesNotMutateInputs(t *testing.T) {
 
 // TestControllerValidation: bad configs and mismatched inputs error cleanly.
 func TestControllerValidation(t *testing.T) {
-	if _, err := NewController(Config{ShedBelow: 0.5, ReadmitAbove: 0.1}); err == nil {
+	_, a := oneMachineFixture([]float64{1}, []float64{0.1})
+	if _, err := Run(a, &Scenario{}, Config{ShedBelow: 0.5, ReadmitAbove: 0.1}); err == nil {
 		t.Error("inverted hysteresis thresholds accepted")
 	}
-	_, a := oneMachineFixture([]float64{1}, []float64{0.1})
-	ctl, err := NewController(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := &Scenario{Events: []Event{{Kind: Step, At: 0, Factor: 2, Strings: []int{5}}}}
-	if _, err := ctl.Run(a, bad); err == nil {
+	if _, err := Run(a, bad, Config{}); err == nil {
 		t.Error("out-of-range surge scenario accepted")
 	}
 }

@@ -29,11 +29,7 @@ func TestControllerGolden(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), seed)
 		r := heuristics.MWF(sys)
-		ctl, err := NewController(Config{ShedBelow: 0.02, ReadmitAbove: 0.1, Faults: outage})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ctl.Run(r.Alloc, sc)
+		res, err := Run(r.Alloc, sc, Config{ShedBelow: 0.02, ReadmitAbove: 0.1, Faults: outage})
 		if err != nil {
 			t.Fatal(err)
 		}

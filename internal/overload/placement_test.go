@@ -84,10 +84,7 @@ func TestPlacementSoundMatchesOracleUnderSurge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl, err := NewController(Config{ShedBelow: 0.02, ReadmitAbove: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctl := Config{ShedBelow: 0.02, ReadmitAbove: 0.1}.WithDefaults()
 		da := feasibility.Track(a)
 		tried := make(map[int]bool)
 		for !ctl.healthy(da) {

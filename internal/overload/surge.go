@@ -11,7 +11,7 @@
 //   - Scenario: a named set of surge events, loadable from JSON, composable
 //     with faults.Scenario outage traces so chaos runs can mix both;
 //   - Burst (burst.go): seeded stochastic surge generation;
-//   - Controller (controller.go): the hysteresis shed/re-admit degradation
+//   - Run (controller.go): the hysteresis shed/re-admit degradation
 //     controller that keeps the allocation feasible through the surge,
 //     shedding the lowest worth-per-utilization strings first and
 //     re-admitting them once slack recovers.
@@ -212,16 +212,6 @@ func (sc *Scenario) Horizon() float64 {
 		return 0
 	}
 	return bps[len(bps)-1]
-}
-
-// Active reports whether any event contributes a factor other than 1 at t.
-func (sc *Scenario) Active(t float64) bool {
-	for _, e := range sc.Events {
-		if e.FactorAt(t) != 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // LoadFile reads a surge scenario file (Parse).

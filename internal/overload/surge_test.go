@@ -90,9 +90,6 @@ func TestScenarioBreakpointsAndHorizon(t *testing.T) {
 	if (&Scenario{}).Horizon() != 0 {
 		t.Error("empty scenario horizon should be 0")
 	}
-	if !sc.Active(3) || sc.Active(1) {
-		t.Error("Active misreported")
-	}
 }
 
 func TestScenarioValidatePerEventErrors(t *testing.T) {

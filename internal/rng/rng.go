@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Canonical subsystem labels. Every seeded package owns one label; the soak
@@ -233,58 +232,4 @@ func Restore(st StreamState) *Stream {
 	s := NewStream(st.Key)
 	s.Skip(st.Calls)
 	return s
-}
-
-// PartitionedRNG derives and caches the per-subsystem streams of one
-// simulation run, lazily: the first request for a (subsystem, stream) pair
-// creates the stream, later requests return the same instance so draws
-// accumulate on it. It exists so a composite run (workload, then faults, then
-// surges) can hand one object around and let each stage pull its own isolated
-// stream; consuming extra draws from one stream never moves any other.
-// Stream creation is safe for concurrent use; the returned streams themselves
-// are not (each is meant for one goroutine).
-type PartitionedRNG struct {
-	root int64
-
-	mu      sync.Mutex
-	streams map[SimulationKey]*Stream
-}
-
-// NewPartitioned returns a partition rooted at the given seed.
-func NewPartitioned(root int64) *PartitionedRNG {
-	return &PartitionedRNG{root: root, streams: map[SimulationKey]*Stream{}}
-}
-
-// Root returns the partition's root seed.
-func (p *PartitionedRNG) Root() int64 { return p.root }
-
-// Stream returns the (cached) stream for a subsystem and stream index.
-func (p *PartitionedRNG) Stream(subsystem string, stream int64) *Stream {
-	k := Key(p.root, subsystem, stream)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.streams[k]
-	if !ok {
-		s = NewStream(k)
-		p.streams[k] = s
-	}
-	return s
-}
-
-// Rand returns a *rand.Rand over the (cached) stream for a subsystem and
-// stream index.
-func (p *PartitionedRNG) Rand(subsystem string, stream int64) *rand.Rand {
-	return p.Stream(subsystem, stream).Rand()
-}
-
-// States captures the position of every stream the partition has handed out,
-// for checkpointing a composite run in one shot.
-func (p *PartitionedRNG) States() []StreamState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]StreamState, 0, len(p.streams))
-	for _, s := range p.streams {
-		out = append(out, s.State())
-	}
-	return out
 }

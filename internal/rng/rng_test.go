@@ -2,7 +2,6 @@ package rng
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
@@ -132,15 +131,14 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIsolation: consuming extra draws from one stream leaves every other
-// stream of the same partition bit-identical — the property that lets
+// TestIsolation: consuming extra draws from one keyed stream leaves every
+// other stream of the same root seed bit-identical — the property that lets
 // scenarios compose without cross-contamination.
 func TestIsolation(t *testing.T) {
 	subsystems := []string{SubsystemWorkload, SubsystemFaults, SubsystemOverload, SubsystemGenitor}
 	record := func(extra int) map[string][8]uint64 {
-		p := NewPartitioned(17)
 		// The faults subsystem consumes extra draws before anyone else reads.
-		greedy := p.Stream(SubsystemFaults, 0)
+		greedy := NewStream(Key(17, SubsystemFaults, 0))
 		for i := 0; i < extra; i++ {
 			greedy.Uint64()
 		}
@@ -150,7 +148,7 @@ func TestIsolation(t *testing.T) {
 				continue
 			}
 			var d [8]uint64
-			s := p.Stream(sub, 0)
+			s := NewStream(Key(17, sub, 0))
 			for i := range d {
 				d[i] = s.Uint64()
 			}
@@ -163,36 +161,6 @@ func TestIsolation(t *testing.T) {
 		if noisy[sub] != want {
 			t.Errorf("%s stream shifted when the faults stream consumed extra draws", sub)
 		}
-	}
-}
-
-// TestPartitionedCachesStreams: the partition hands out one stream per
-// (subsystem, index) so draws accumulate, and creation is concurrency-safe.
-func TestPartitionedCachesStreams(t *testing.T) {
-	p := NewPartitioned(1)
-	if p.Stream("a", 0) != p.Stream("a", 0) {
-		t.Error("same key returned distinct stream instances")
-	}
-	if p.Stream("a", 0) == p.Stream("a", 1) {
-		t.Error("distinct stream indices share an instance")
-	}
-	var wg sync.WaitGroup
-	got := make([]*Stream, 16)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = p.Stream("b", 3)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
-			t.Fatal("concurrent Stream calls returned distinct instances for one key")
-		}
-	}
-	if n := len(p.States()); n != 3 {
-		t.Errorf("%d streams recorded, want 3", n)
 	}
 }
 

@@ -10,6 +10,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,7 +198,11 @@ func New(cfg Config) (*Service, error) {
 		events: newEventLog(),
 	}
 	if cfg.Heuristic != "" {
-		st.alloc = heuristics.Run(cfg.Heuristic, sys, cfg.Search).Alloc
+		r, _, err := heuristics.RunContext(context.Background(), cfg.Heuristic, sys, cfg.Search)
+		if err != nil {
+			return nil, fmt.Errorf("service: initial mapping: %w", err)
+		}
+		st.alloc = r.Alloc
 	} else {
 		st.alloc = feasibility.New(sys)
 	}
@@ -683,11 +688,7 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 	}
 	cfg := st.cfg.Overload
 	cfg.Faults = st.down.Scenario() // standing outages persist through the episode
-	ctl, err := overload.NewController(cfg)
-	if err != nil {
-		return Decision{}, Errorf(CodeInternal, nil, "overload controller: %v", err)
-	}
-	res, err := ctl.Run(st.alloc, sc)
+	res, err := overload.Run(st.alloc, sc, cfg)
 	if err != nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "%v", err)
 	}

@@ -68,6 +68,23 @@ func digestOf(t testing.TB, svc *Service) string {
 	return st.Digest
 }
 
+// TestNewRefusesUnknownHeuristic: a mistyped initial heuristic (shipd
+// -heuristic) is an error from New, returned before anything starts: no
+// service, and no journal written.
+func TestNewRefusesUnknownHeuristic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	svc, err := New(Config{System: testSystem(4), Heuristic: "Bogus", Journal: path})
+	if err == nil || svc != nil {
+		t.Fatalf("New with heuristic Bogus: svc %v, err %v; want an error and no service", svc, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "initial mapping") || !strings.Contains(msg, `unknown heuristic "Bogus"`) {
+		t.Errorf("error %q does not name the initial mapping and the heuristic", msg)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused New left a journal behind (stat: %v)", err)
+	}
+}
+
 func TestAdmitRemoveRescaleLifecycle(t *testing.T) {
 	svc := newTestService(t, 6, Config{})
 	for k := 0; k < 6; k++ {

@@ -238,30 +238,31 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	pcfg.Trials = cfg.PSGTrials
 	pcfg.Workers = cfg.Workers
 	pcfg.Seed = rng.DeriveSeed(seed, rng.SubsystemSearch)
-	var r *heuristics.Result
-	if cfg.TrialDeadline > 0 {
-		// Each call gets its own budget; a call the budget cut short returns
-		// ErrCanceled with a checkpoint and is resumed while the caller's
-		// context is still live.
-		var scp *heuristics.SearchCheckpoint
-		for {
-			callCtx, cancel := context.WithTimeout(ctx, cfg.TrialDeadline)
-			if scp == nil {
-				r, scp, err = heuristics.RunCheckpointed(callCtx, cfg.Heuristic, sys, pcfg)
-			} else {
-				r, scp, err = heuristics.ResumeSearch(callCtx, sys, scp)
-			}
-			cancel()
-			if !errors.Is(err, heuristics.ErrCanceled) || scp == nil || ctx.Err() != nil {
-				break
-			}
-			if out.SearchResumes++; out.SearchResumes > maxResumes {
-				return nil, fmt.Errorf("soak: search did not finish within %d resume rounds (deadline %v too tight)",
-					maxResumes, cfg.TrialDeadline)
-			}
+	// With a TrialDeadline each call gets its own budget; a call the budget
+	// cut short returns ErrCanceled with a checkpoint and is resumed while the
+	// caller's context is still live.
+	var (
+		r   *heuristics.Result
+		scp *heuristics.SearchCheckpoint
+	)
+	for {
+		callCtx, cancel := ctx, func() {}
+		if cfg.TrialDeadline > 0 {
+			callCtx, cancel = context.WithTimeout(ctx, cfg.TrialDeadline)
 		}
-	} else {
-		r, err = heuristics.RunContext(ctx, cfg.Heuristic, sys, pcfg)
+		if scp == nil {
+			r, scp, err = heuristics.RunContext(callCtx, cfg.Heuristic, sys, pcfg)
+		} else {
+			r, scp, err = heuristics.ResumeSearch(callCtx, sys, scp)
+		}
+		cancel()
+		if !errors.Is(err, heuristics.ErrCanceled) || scp == nil || ctx.Err() != nil {
+			break
+		}
+		if out.SearchResumes++; out.SearchResumes > maxResumes {
+			return nil, fmt.Errorf("soak: search did not finish within %d resume rounds (deadline %v too tight)",
+				maxResumes, cfg.TrialDeadline)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("soak: search: %w", err)
@@ -339,11 +340,7 @@ func RunContext(ctx context.Context, cfg Config, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soak: failover: %w", err)
 	}
-	ctrl, err := overload.NewController(overload.Config{Faults: fsc})
-	if err != nil {
-		return nil, fmt.Errorf("soak: controller: %w", err)
-	}
-	cres, err := ctrl.Run(r.Alloc.Clone(), ssc)
+	cres, err := overload.Run(r.Alloc.Clone(), ssc, overload.Config{Faults: fsc})
 	if err != nil {
 		return nil, fmt.Errorf("soak: degradation: %w", err)
 	}

@@ -68,10 +68,6 @@ func (r *Registry) emit(e Event) {
 // SetSink attaches a sink to the active registry; no-op when disabled.
 func SetSink(s Sink) { active.Load().SetSink(s) }
 
-// Tracing reports whether the active registry has a sink, so call sites can
-// skip building attribute maps entirely when no one is listening.
-func Tracing() bool { return active.Load().tracing() }
-
 // Attr is one numeric span/event attribute.
 type Attr struct {
 	Key string

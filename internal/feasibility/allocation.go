@@ -706,38 +706,57 @@ func (a *Allocation) WriteState(w io.Writer) error {
 // {k i} pairs — every recorded StateDigest hashes exactly that text — built
 // without fmt's reflection over the slices (digest_test.go keeps the fmt
 // encoder as the oracle). A roster entry's carried waiting term is derived
-// state and is not part of the fingerprint.
+// state and is not part of the fingerprint. The text is one line per string,
+// then one per machine, then machine j1's route lines for each j1 in turn:
+// the chunks a DeltaAnalyzer's line cache keeps (StateDigest).
 func (a *Allocation) appendState(buf []byte) []byte {
 	for k := range a.machineOf {
-		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(k), 10)
-		buf = append(buf, " n"...)
-		buf = strconv.AppendInt(buf, int64(a.nAssigned[k]), 10)
-		buf = append(buf, " t"...)
-		buf = appendBits(buf, a.tightness[k])
-		buf = append(buf, " ["...)
-		for i, j := range a.machineOf[k] {
-			if i > 0 {
-				buf = append(buf, ' ')
-			}
-			buf = strconv.AppendInt(buf, int64(j), 10)
-		}
-		buf = append(buf, "]\n"...)
+		buf = a.appendStringLine(buf, k)
 	}
 	for j := range a.machineUtil {
-		buf = append(buf, 'm')
-		buf = strconv.AppendInt(buf, int64(j), 10)
-		buf = appendResource(buf, a.machineUtil[j], a.perMachine[j])
+		buf = a.appendMachineLine(buf, j)
 	}
 	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			e := &a.routes[j1][idx]
-			buf = append(buf, 'r')
-			buf = strconv.AppendInt(buf, int64(j1), 10)
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, int64(e.peer), 10)
-			buf = appendResource(buf, e.util, e.apps)
+		buf = a.appendRoutesFrom(buf, j1)
+	}
+	return buf
+}
+
+// appendStringLine appends string k's line: "s<k> n<assigned> t<bits> [<machines>]\n".
+func (a *Allocation) appendStringLine(buf []byte, k int) []byte {
+	buf = append(buf, 's')
+	buf = strconv.AppendInt(buf, int64(k), 10)
+	buf = append(buf, " n"...)
+	buf = strconv.AppendInt(buf, int64(a.nAssigned[k]), 10)
+	buf = append(buf, " t"...)
+	buf = appendBits(buf, a.tightness[k])
+	buf = append(buf, " ["...)
+	for i, j := range a.machineOf[k] {
+		if i > 0 {
+			buf = append(buf, ' ')
 		}
+		buf = strconv.AppendInt(buf, int64(j), 10)
+	}
+	return append(buf, "]\n"...)
+}
+
+// appendMachineLine appends machine j's line: "m<j> u<bits> [<roster>]\n".
+func (a *Allocation) appendMachineLine(buf []byte, j int) []byte {
+	buf = append(buf, 'm')
+	buf = strconv.AppendInt(buf, int64(j), 10)
+	return appendResource(buf, a.machineUtil[j], a.perMachine[j])
+}
+
+// appendRoutesFrom appends one "r<j1>,<j2> u<bits> [<roster>]\n" line per
+// active route out of machine j1, in ascending j2 order; nothing if none.
+func (a *Allocation) appendRoutesFrom(buf []byte, j1 int) []byte {
+	for idx := range a.routes[j1] {
+		e := &a.routes[j1][idx]
+		buf = append(buf, 'r')
+		buf = strconv.AppendInt(buf, int64(j1), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.peer), 10)
+		buf = appendResource(buf, e.util, e.apps)
 	}
 	return buf
 }

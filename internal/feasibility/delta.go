@@ -142,6 +142,8 @@ type DeltaAnalyzer struct {
 
 	keyBuf []int // ViolationsAfterDelta's sorted key scratch
 
+	lines *lineCache // StateDigest's line cache; nil until the first digest
+
 	tel deltaTelemetry
 }
 
@@ -305,6 +307,9 @@ func (da *DeltaAnalyzer) rebaseEmpty() {
 	da.clearWindow()
 	clear(da.baseViol)
 	da.nOver = 0
+	if da.lines != nil {
+		da.lines.valid = false // the state changed outside a committed window
+	}
 }
 
 // beforeMutation opens a new generation and snapshots everything Assign(k, i,
@@ -786,6 +791,7 @@ func (da *DeltaAnalyzer) Commit() {
 	for _, k := range da.recheck {
 		da.keepSums(k)
 	}
+	da.markLines()
 	da.clearWindow()
 }
 

@@ -2,6 +2,8 @@ package feasibility
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/rng"
 )
 
 // writeStateFmt is the encoder WriteState shipped with until it stopped going
@@ -116,5 +119,77 @@ func TestStateDigest(t *testing.T) {
 	da.Undo()
 	if got := StateDigest(a); got != base {
 		t.Errorf("digest after Undo %s, want the pre-delta %s", got, base)
+	}
+}
+
+// uncachedDigest is StateDigest by its definition, with no line cache in the
+// way: the first 16 hex digits of sha256 over the whole appendState text and
+// a '|'.
+func uncachedDigest(a *Allocation) string {
+	sum := sha256.Sum256(append(a.appendState(nil), '|'))
+	return hex.EncodeToString(sum[:])[:16]
+}
+
+// Property: StateDigest of a tracked allocation — served from the analyzer's
+// line cache whenever the window is clean — equals the uncached digest after
+// every settle: Commit, Undo, Reset, Rebase and a re-Track, one to three of
+// them between digests so stale marks pile up across commits, and with a
+// digest sometimes asked while a window is open (the uncached path, which
+// must leave the cache as it was). A failing digest reports the first line
+// the cached text gets wrong.
+func TestStateDigestLineCacheProperty(t *testing.T) {
+	incremental := 0 // digests that re-formatted only stale chunks
+	for trial := 0; trial < 30; trial++ {
+		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 5)
+		sys := randomSystem(r, 2+r.Intn(6), 2+r.Intn(8), 4)
+		if trial%2 == 1 {
+			heatUp(sys, 3, 40) // full machines and routes: rosters grow and empty
+		}
+		a := New(sys)
+		da := Track(a)
+		for step := 0; step < 60; step++ {
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			for settles := 1 + r.Intn(3); settles > 0; settles-- {
+				applyRandomDelta(t, r, a)
+				if r.Intn(4) == 0 {
+					if got, want := StateDigest(a), uncachedDigest(a); got != want {
+						t.Fatalf("%s: open-window digest %s, want %s", label, got, want)
+					}
+				}
+				switch r.Intn(12) {
+				case 0, 1, 2:
+					da.Undo()
+				case 3:
+					a.Reset()
+				case 4:
+					da.Rebase()
+				case 5:
+					da.Commit()
+					da.Close()
+					da = Track(a)
+				default:
+					da.Commit()
+				}
+			}
+			if da.lines != nil && da.lines.valid {
+				incremental++
+			}
+			got, want := StateDigest(a), uncachedDigest(a)
+			if got != want {
+				text, oracle := da.statePreimage(), append(a.appendState(nil), '|')
+				lines, wantLines := bytes.SplitAfter(text, []byte("\n")), bytes.SplitAfter(oracle, []byte("\n"))
+				for i := range wantLines {
+					if i >= len(lines) || !bytes.Equal(lines[i], wantLines[i]) {
+						t.Fatalf("%s: digest %s, want %s; line %d of the cached text is %q, want %q",
+							label, got, want, i, lines[min(i, len(lines)-1)], wantLines[i])
+					}
+				}
+				t.Fatalf("%s: digest %s, want %s; cached text %q is longer than %q", label, got, want, text, oracle)
+			}
+		}
+		da.Close()
+	}
+	if incremental < 600 {
+		t.Fatalf("%d digests re-formatted only stale chunks; want at least 600", incremental)
 	}
 }

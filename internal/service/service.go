@@ -722,13 +722,29 @@ func (st *state) stateResponse() StateResponse {
 		MachinesDown:  st.down.MachinesDown(),
 		RoutesDown:    st.down.RoutesDown(),
 	}
+	// Every mapped string's machines are copied into one backing array.
+	apps := 0
 	for k := range st.sys.Strings {
-		resp.TotalWorth += st.sys.Strings[k].Worth
-		ss := StringStatus{ID: k, Mapped: st.alloc.Complete(k), Worth: st.sys.Strings[k].Worth, Scale: st.scale[k]}
-		if ss.Mapped {
-			ss.Machines = st.alloc.StringMachines(k)
+		if st.alloc.Complete(k) {
+			apps += len(st.sys.Strings[k].Apps)
 		}
-		resp.StringStates = append(resp.StringStates, ss)
+	}
+	machines := make([]int, 0, apps)
+	if n := len(st.sys.Strings); n > 0 { // none stays nil: the reply reads "stringStates":null
+		resp.StringStates = make([]StringStatus, n)
+	}
+	for k := range st.sys.Strings {
+		s := &st.sys.Strings[k]
+		resp.TotalWorth += s.Worth
+		ss := StringStatus{ID: k, Mapped: st.alloc.Complete(k), Worth: s.Worth, Scale: st.scale[k]}
+		if ss.Mapped {
+			from := len(machines)
+			for i := range s.Apps {
+				machines = append(machines, st.alloc.Machine(k, i))
+			}
+			ss.Machines = machines[from:len(machines):len(machines)]
+		}
+		resp.StringStates[k] = ss
 	}
 	if st.bound != nil {
 		resp.WorthBound = st.bound.Objective

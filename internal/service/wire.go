@@ -72,13 +72,21 @@ func (w *wbuf) bool(pre string, v bool)   { w.b = strconv.AppendBool(append(w.b,
 
 // float appends f the way encoding/json does: shortest round-trip digits, in
 // ES6 form (exponent iff |f| < 1e-6 or |f| >= 1e21, two-digit negative
-// exponents trimmed of their leading zero).
+// exponents trimmed of their leading zero). An integral |f| < 2^53 is exact in
+// an int64 and its shortest digits are the integer's own, so it skips the
+// float formatter; -0 does not, encoding/json writes it "-0".
 func (w *wbuf) float(pre string, f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if w.err == nil {
 			w.err = fmt.Errorf("unsupported value: %v", f)
 		}
 		f = 0
+	}
+	if f > -1<<53 && f < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			w.b = strconv.AppendInt(append(w.b, pre...), i, 10)
+			return
+		}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -24,12 +25,16 @@ import (
 
 // wireFloats are the values where encoding/json's number form changes shape:
 // zero of either sign, integers, both sides of the 1e-6 and 1e21 exponent
-// thresholds, one- and two-digit negative exponents, subnormals, the extremes.
+// thresholds, one- and two-digit negative exponents, subnormals, the extremes,
+// and both sides of ±2^53, where the encoder stops writing integers itself.
 var wireFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 7, 150, 1e15, 123456789012345678,
 	0.1, 1.0714285714285714, 2.0 / 3, 1e-5, 1e-6, 0.99e-6, 1.5e-7, 1e-9, 3e-10, 2.5e-100,
 	1e20, 9.99e20, 1e21, 1.5e21, 1e22, 1e100,
 	5e-324, 2.2250738585072009e-308, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	// The edges of float's integral shortcut: 2^53 itself takes the slow path,
+	// and 2^60's shortest digits (1152921504606847e3) are not its integer's.
+	1 << 53, -1 << 53, 1<<53 - 1, -(1<<53 - 1), 1<<53 + 2, -1e15, -150, 1 << 60, -1 << 60,
 }
 
 // wireStrings cover every escaping rule of encoding/json's string encoder.
@@ -267,6 +272,8 @@ func FuzzParseStringOp(f *testing.F) {
 		`[{"stringId":1}]`, `{"stringId":"1"}`, `{"stringId":1} {"stringId":2}`, `{"stringId":1,"bogus":true}`, "\ufeff{\"stringId\":1}",
 		fmt.Sprintf(`{"stringId":%d,"factor":%g}`, 12, 0.7731/0.9513), fmt.Sprintf(`{"stringId":%d,"factor":%g}`, 149, 1.2999/0.7),
 		fmt.Sprintf(`{"stringId":%d,"factor":%g}`, 3, 1e-7), fmt.Sprintf(`{"stringId":%d,"factor":%g}`, 3, 1e21), fmt.Sprintf(`{"stringId":3,"factor":%g}`, 5e-324),
+		`{"stringId":3,"factor":9007199254740991}`, `{"stringId":3,"factor":9007199254740992}`, `{"stringId":3,"factor":-150}`,
+		`{"stringId":3,"factor":1152921504606846976}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -679,12 +686,9 @@ func TestJournaledFactorIsTheParsedFactor(t *testing.T) {
 	}
 }
 
-// An accepted admit + remove pair through the handler allocates what it did
-// when the wire codec went in, plus a tenth: a reflective Marshal or a second
-// parse creeping back in costs a dozen allocations and fails here rather than
-// in a benchmark nobody reads. The count includes httptest's own request and
-// recorder (about 40 of it).
-func TestHandlerOpAllocs(t *testing.T) {
+// skipUnderRace skips a test that counts allocations when the race detector
+// is on: sync.Pool drops buffers at random there and the count wanders.
+func skipUnderRace(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -692,11 +696,49 @@ func TestHandlerOpAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An accepted admit + remove pair through the handler allocates what it did
+// when the wire codec went in, plus a tenth: a reflective Marshal or a second
+// parse creeping back in costs a dozen allocations and fails here rather than
+// in a benchmark nobody reads. The count includes httptest's own request and
+// recorder (about 40 of it).
+func TestHandlerOpAllocs(t *testing.T) {
+	skipUnderRace(t)
 	h, k := paperHandler(t)
 	const measured = 57
 	got := testing.AllocsPerRun(200, func() { removeAdmit(t, h, k) })
 	t.Logf("admit + remove pair: %.0f allocations", got)
 	if got > measured*1.1 {
 		t.Errorf("admit + remove pair: %.0f allocations, want at most %d + 10%%", got, measured)
+	}
+}
+
+// A GET /v1/state that follows an op — the read cmd/shipbench times, a digest
+// memo miss — allocates what it did when the analyzer's line cache went in,
+// plus a tenth: a digest that re-formats the whole state text or a row that
+// copies its machines on its own costs dozens of allocations and fails here.
+// The count includes httptest's own request and recorder.
+func TestHandlerStateAllocs(t *testing.T) {
+	skipUnderRace(t)
+	h, k := paperHandler(t)
+	const measured = 29
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	var total uint64
+	var before, after runtime.MemStats
+	for n := 0; n <= runs; n++ {
+		removeAdmit(t, h, k)
+		runtime.ReadMemStats(&before)
+		readState(t, h)
+		runtime.ReadMemStats(&after)
+		if n > 0 { // the first read fills the line cache
+			total += after.Mallocs - before.Mallocs
+		}
+	}
+	got := float64(total) / runs
+	t.Logf("state read after an op: %.1f allocations", got)
+	if got > measured*1.1 {
+		t.Errorf("state read after an op: %.1f allocations, want at most %d + 10%%", got, measured)
 	}
 }

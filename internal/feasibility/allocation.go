@@ -10,15 +10,19 @@
 // over an immutable model.System, with all utilization bookkeeping maintained
 // incrementally so heuristics can cheaply evaluate candidate assignments.
 //
+// Rosters are kept in canonical priority order (see rosterEntry), so every
+// roster and waiting sum is a function of the mapping alone, whatever history
+// reached it. The utilizations are not: they are float64 accumulators, and
+// (x+u)-u is not x (snapshot.go).
+//
 // Frozen floats: a string's catalog floats (NominalTime, NominalUtil,
 // OutputKB, Period, MaxLatency) may change only while the string is fully
 // unassigned. Everything derived from them is priced when an application is
-// placed and kept until it is removed — the += / -= pair on a utilization
-// accumulator, the waiting term a roster entry carries, the cached tightness,
-// a DeltaAnalyzer's memoised verdicts — and a fully unassigned string sits in
-// no accumulator, roster or cache, while re-placing it bumps the analyzer's
-// generation. A rescale is therefore UnassignString, change the floats,
-// re-place (and on rejection: floats back, then Undo).
+// placed and kept until it is removed — the terms and running totals a roster
+// entry carries, the cached tightness, a DeltaAnalyzer's memoised verdicts —
+// and a fully unassigned string sits in no roster or cache, while re-placing
+// it bumps the analyzer's generation. A rescale is therefore UnassignString,
+// change the floats, re-place (and on rejection: floats back, then Undo).
 package feasibility
 
 import (
@@ -50,17 +54,25 @@ func overCapacity(u float64) bool { return u > CapacityLimit }
 // appRef identifies application i of string k.
 type appRef struct{ k, i int }
 
-// rosterEntry is one application on a machine's or a route's roster, carrying
+// rosterEntry is one application on a machine's or a route's roster. wait is
 // the waiting term it contributes to every lower-priority sharer of that
-// resource. On a machine (equation (5)) the term t[i,j]*u[i,j]/P[k] is the
-// application's equation-(2) summand, model.MachineDemandUtil; on a route
-// (equation (6)) it is routeTerm. The term is priced once, when the entry is
-// created, and travels with the entry through Clone, Undo and the
-// swap-removal of removeRef; the frozen-floats contract in the package
-// comment keeps it current.
+// resource: on a machine (equation (5)) t[i,j]*u[i,j]/P[k], the application's
+// equation-(2) summand, model.MachineDemandUtil; on a route (equation (6))
+// routeTerm. It is priced when the entry is created and travels with it
+// through Clone, Undo and every move; the frozen-floats contract keeps it
+// current. pre is the in-order sum of the wait of every entry before it.
+//
+// Every roster is in canonical order (ahead): the complete strings first,
+// tightest first by tighter — equal tightness by string ID — then the
+// incomplete strings by ID, a string's own entries together and by application
+// index. The entries ahead of a complete string's first one are then exactly
+// the strictly higher-priority sharers that equations (5) and (6) charge it
+// for, so waitAhead performs, from +0 and in the same order, exactly the
+// additions that built that entry's pre: pre is the waiting sum bit for bit
+// (headPre). The order, and so every pre, is a function of the mapping.
 type rosterEntry struct {
 	appRef
-	wait float64
+	wait, pre float64
 }
 
 // routeTerm is the equation-(6) summand the output of application i of string
@@ -73,9 +85,8 @@ func (a *Allocation) routeTerm(k, i, j1, j2 int) float64 {
 }
 
 // routeEntry is one active inter-machine route out of a machine: the peer
-// machine it leads to, the equation-(3) utilization accumulator, and the
-// roster of producing applications whose output traverses the route, in
-// insertion order (observable through the waiting-time sums of equation (6)).
+// machine it leads to, its equation-(3) utilization, and the roster of
+// producing applications whose output traverses the route.
 type routeEntry struct {
 	peer int
 	util float64
@@ -87,8 +98,9 @@ type routeEntry struct {
 //
 //   - per-machine overall utilization (equation (2)),
 //   - per-route overall utilization (equation (3)),
-//   - per-machine and per-route rosters of assigned applications, used to
-//     evaluate the sharing-aware time estimates (equations (5) and (6)),
+//   - per-machine and per-route rosters of assigned applications in
+//     canonical priority order, carrying the waiting sums of the
+//     sharing-aware time estimates (equations (5) and (6)),
 //   - relative tightness (equation (4)) for each completely mapped string.
 type Allocation struct {
 	sys *model.System
@@ -99,6 +111,11 @@ type Allocation struct {
 	machineUtil []float64 // U_machine[j], equation (2)
 
 	perMachine [][]rosterEntry // machine j -> applications assigned to it
+
+	// posM[k][i] is the index of application i's entry on its machine's
+	// roster, posR[k][i] that of its output's on its route's (inter-machine
+	// transfers only); meaningless while the application is unassigned.
+	posM, posR [][]int
 
 	// routes is the sparse route state: routes[j1] holds one entry per active
 	// route out of machine j1, sorted by peer machine, so a route that carries
@@ -178,6 +195,8 @@ func New(sys *model.System) *Allocation {
 		nAssigned:   make([]int, len(sys.Strings)),
 		machineUtil: make([]float64, m),
 		perMachine:  make([][]rosterEntry, m),
+		posM:        newPositions(sys, nil),
+		posR:        newPositions(sys, nil),
 		routes:      make([][]routeEntry, m),
 		tightness:   make([]float64, len(sys.Strings)),
 		bind:        emptyBinding,
@@ -191,6 +210,25 @@ func New(sys *model.System) *Allocation {
 		a.tightness[k] = math.NaN()
 	}
 	return a
+}
+
+// newPositions returns a position table, one slot per application over one
+// backing array, copying from when it is not nil.
+func newPositions(sys *model.System, from [][]int) [][]int {
+	n := 0
+	for k := range sys.Strings {
+		n += len(sys.Strings[k].Apps)
+	}
+	buf := make([]int, n)
+	pos := make([][]int, len(sys.Strings))
+	for k := range pos {
+		n := len(sys.Strings[k].Apps)
+		pos[k], buf = buf[:n:n], buf[n:]
+		if from != nil {
+			copy(pos[k], from[k])
+		}
+	}
+	return pos
 }
 
 // System returns the system the allocation maps onto.
@@ -257,6 +295,18 @@ func (a *Allocation) routeIndex(j1, j2 int) (int, bool) {
 	return lo, lo < len(adj) && adj[lo].peer == j2
 }
 
+// outRoute returns route (j1, j2), j1 != j2, and the index on its roster of
+// the output of application i of string k, which must travel it.
+func (a *Allocation) outRoute(k, i, j1, j2 int) (*routeEntry, int) {
+	if idx, ok := a.routeIndex(j1, j2); ok {
+		e := &a.routes[j1][idx]
+		if p := a.posR[k][i]; p < len(e.apps) && e.apps[p].appRef == (appRef{k, i}) {
+			return e, p
+		}
+	}
+	panic(fmt.Sprintf("feasibility: route %d->%d does not carry the output of application (%d,%d)", j1, j2, k, i))
+}
+
 // routeRoster returns the roster of route (j1, j2), or nil when inactive.
 func (a *Allocation) routeRoster(j1, j2 int) []rosterEntry {
 	if idx, ok := a.routeIndex(j1, j2); ok {
@@ -307,59 +357,62 @@ func (a *Allocation) Assign(k, i, j int) {
 	if j < 0 || j >= a.sys.Machines {
 		panic(fmt.Sprintf("feasibility: machine %d out of range [0,%d)", j, a.sys.Machines))
 	}
+	mo := a.machineOf[k]
+	completes := a.nAssigned[k] == len(mo)-1
 	if a.tracker != nil {
-		a.tracker.beforeMutation(k, i, j)
+		a.tracker.beforeMutation(k, i, j, completes)
 	}
-	s := &a.sys.Strings[k]
-	a.machineOf[k][i] = j
+	mo[i] = j
 	a.nAssigned[k]++
 	u := a.sys.MachineDemandUtil(k, i, j)
 	a.machineUtil[j] += u
 	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
-	a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef{k, i}, u})
-	if i > 0 {
-		if prev := a.machineOf[k][i-1]; prev != Unassigned {
-			a.addRoute(prev, j, k, i-1)
-		}
+	roster, p := a.enter(a.perMachine[j], rosterEntry{appRef: appRef{k, i}, wait: u})
+	a.perMachine[j] = roster
+	a.reprice(roster, p, a.posM)
+	if i > 0 && mo[i-1] != Unassigned {
+		a.addRoute(mo[i-1], j, k, i-1)
 	}
-	if i < len(s.Apps)-1 {
-		if next := a.machineOf[k][i+1]; next != Unassigned {
-			a.addRoute(j, next, k, i)
-		}
+	if i < len(mo)-1 && mo[i+1] != Unassigned {
+		a.addRoute(j, mo[i+1], k, i)
 	}
-	if a.Complete(k) {
+	// The string entered every roster as incomplete; complete, it moves to
+	// its priority on each of them.
+	if completes {
 		a.tightness[k] = a.computeTightness(k)
+		a.reseatString(k)
 	}
 }
 
-// Unassign removes the assignment of application i of string k.
+// Unassign removes the assignment of application i of string k. The rest of
+// every roster keeps its order.
 func (a *Allocation) Unassign(k, i int) {
-	j := a.machineOf[k][i]
+	mo := a.machineOf[k]
+	j := mo[i]
 	if j == Unassigned {
 		panic(fmt.Sprintf("feasibility: application (%d,%d) is not assigned", k, i))
 	}
+	uncompletes := a.Complete(k)
 	if a.tracker != nil {
-		a.tracker.beforeMutation(k, i, j)
-		a.tracker.removed = true
+		a.tracker.beforeMutation(k, i, j, uncompletes)
 	}
-	s := &a.sys.Strings[k]
-	if a.Complete(k) {
-		a.tightness[k] = math.NaN()
-	}
-	a.machineOf[k][i] = Unassigned
-	a.nAssigned[k]--
-	a.machineUtil[j] -= a.sys.MachineDemandUtil(k, i, j)
+	p := a.posM[k][i]
+	a.machineUtil[j] -= a.perMachine[j][p].wait
 	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
-	a.perMachine[j] = removeRef(a.perMachine[j], appRef{k, i})
-	if i > 0 {
-		if prev := a.machineOf[k][i-1]; prev != Unassigned {
-			a.removeRoute(prev, j, k, i-1)
-		}
+	a.perMachine[j] = leave(a.perMachine[j], p)
+	a.reprice(a.perMachine[j], p, a.posM)
+	if i > 0 && mo[i-1] != Unassigned {
+		a.removeRoute(mo[i-1], j, k, i-1)
 	}
-	if i < len(s.Apps)-1 {
-		if next := a.machineOf[k][i+1]; next != Unassigned {
-			a.removeRoute(j, next, k, i)
-		}
+	if i < len(mo)-1 && mo[i+1] != Unassigned {
+		a.removeRoute(j, mo[i+1], k, i)
+	}
+	mo[i] = Unassigned
+	a.nAssigned[k]--
+	// Incomplete now, the rest of the string moves behind every complete one.
+	if uncompletes {
+		a.tightness[k] = math.NaN()
+		a.reseatString(k)
 	}
 }
 
@@ -406,29 +459,181 @@ func (a *Allocation) addRoute(j1, j2, k, i int) {
 	e := &a.routes[j1][idx]
 	e.util += a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
 	a.noteUtil(Resource{j1, j2}, e.util)
-	e.apps = append(e.apps, rosterEntry{appRef{k, i}, a.routeTerm(k, i, j1, j2)})
+	var p int
+	e.apps, p = a.enter(e.apps, rosterEntry{appRef: appRef{k, i}, wait: a.routeTerm(k, i, j1, j2)})
+	a.reprice(e.apps, p, a.posR)
 }
 
+// removeRoute takes the output of application i of string k off the route
+// j1 -> j2.
 func (a *Allocation) removeRoute(j1, j2, k, i int) {
 	if j1 == j2 {
 		return
 	}
-	idx, ok := a.routeIndex(j1, j2)
-	if !ok {
-		panic(fmt.Sprintf("feasibility: route %d->%d carries no transfers", j1, j2))
-	}
-	s := &a.sys.Strings[k]
-	e := &a.routes[j1][idx]
-	e.util -= a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
-	e.apps = removeRef(e.apps, appRef{k, i})
-	if len(e.apps) == 0 {
+	e, p := a.outRoute(k, i, j1, j2)
+	if len(e.apps) == 1 {
 		// Dropping the entry is the sparse form of zeroing the float residue:
 		// an emptied route is exactly empty again.
+		idx, _ := a.routeIndex(j1, j2)
 		a.removeRouteAt(j1, idx)
 		a.noteUtil(Resource{j1, j2}, math.NaN())
 		return
 	}
+	s := &a.sys.Strings[k]
+	e.util -= a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
 	a.noteUtil(Resource{j1, j2}, e.util)
+	e.apps = leave(e.apps, p)
+	a.reprice(e.apps, p, a.posR)
+}
+
+// ahead reports whether the entry of application x precedes that of y in
+// canonical roster order (see rosterEntry). A NaN tightness marks an
+// incomplete string.
+func (a *Allocation) ahead(x, y appRef) bool {
+	if x.k == y.k {
+		return x.i < y.i
+	}
+	tx, ty := a.tightness[x.k], a.tightness[y.k]
+	if cx, cy := tx == tx, ty == ty; cx != cy {
+		return cx
+	} else if !cx {
+		return x.k < y.k
+	}
+	return tighter(tx, x.k, ty, y.k)
+}
+
+// enter inserts e, an entry of an incomplete string, at its canonical index,
+// returned with the roster; the entries from that index on need a reprice.
+// Every complete string is ahead of e, so the index is found from the end,
+// over the incomplete tail only.
+func (a *Allocation) enter(roster []rosterEntry, e rosterEntry) ([]rosterEntry, int) {
+	p := len(roster)
+	for p > 0 && !a.ahead(roster[p-1].appRef, e.appRef) {
+		p--
+	}
+	roster = append(roster, rosterEntry{})
+	copy(roster[p+1:], roster[p:])
+	roster[p] = e
+	return roster, p
+}
+
+// leave removes the entry at index p, keeping the order of the rest.
+func leave(roster []rosterEntry, p int) []rosterEntry {
+	copy(roster[p:], roster[p+1:])
+	return roster[:len(roster)-1]
+}
+
+// reseat moves the block of the string whose entry sits at index p — all of
+// its entries on the roster, which are contiguous — to where the string's
+// tightness now places it among the others, and returns the first index that
+// needs a reprice (len(roster) when the block stays).
+func (a *Allocation) reseat(roster []rosterEntry, p int) int {
+	k := roster[p].k
+	s, e := p, p+1
+	for s > 0 && roster[s-1].k == k {
+		s--
+	}
+	for e < len(roster) && roster[e].k == k {
+		e++
+	}
+	// A binary search for the block's index among the other entries.
+	n := e - s
+	lo, hi := 0, len(roster)-n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		x := mid
+		if x >= s {
+			x += n
+		}
+		if a.ahead(roster[x].appRef, roster[s].appRef) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	t := lo
+	if t == s {
+		return len(roster)
+	}
+	// Rotate the block into place an entry at a time: it is one string's
+	// entries on one resource, one or two as a rule.
+	if t < s {
+		for x := 0; x < n; x++ {
+			b := roster[s+x]
+			copy(roster[t+x+1:s+x+1], roster[t+x:s+x])
+			roster[t+x] = b
+		}
+	} else {
+		for x := n - 1; x >= 0; x-- {
+			b := roster[s+x]
+			copy(roster[s+x:t+x], roster[s+x+1:t+x+1])
+			roster[t+x] = b
+		}
+	}
+	return min(s, t)
+}
+
+// reseatString moves string k's block on every roster it uses after its
+// tightness changed — it became complete, or stopped being complete. Each
+// roster is reseated from the head of k's block, the string's first
+// application on it. Utilizations do not change.
+func (a *Allocation) reseatString(k int) {
+	mo := a.machineOf[k]
+	for i, j := range mo {
+		if j == Unassigned {
+			continue
+		}
+		if roster, p := a.perMachine[j], a.posM[k][i]; p == 0 || roster[p-1].k != k {
+			a.reprice(roster, a.reseat(roster, p), a.posM)
+		}
+		if i == len(mo)-1 {
+			break
+		}
+		if next := mo[i+1]; next != Unassigned && next != j {
+			e, p := a.outRoute(k, i, j, next)
+			if p == 0 || e.apps[p-1].k != k {
+				a.reprice(e.apps, a.reseat(e.apps, p), a.posR)
+			}
+		}
+	}
+}
+
+// reprice rewrites, from index from on, every entry's pre and its position in
+// pos. The sum of entries before from resumes from the
+// entry before it, so every pre is the in-order sum from +0 whatever from is.
+// Under a tracked allocation the additions are the analyzer's waiting-sum
+// upkeep, counted as its wait_terms.
+func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]int) {
+	run := 0.0
+	if from > 0 {
+		e := &roster[from-1]
+		run = e.pre + e.wait
+	}
+	for idx := from; idx < len(roster); idx++ {
+		e := &roster[idx]
+		e.pre = run
+		run += e.wait
+		pos[e.k][e.i] = idx
+	}
+	if a.tracker != nil {
+		a.tracker.tel.waitTerms.Add(int64(len(roster) - from))
+	}
+}
+
+// setPositions writes every entry's index on roster into pos.
+func setPositions(roster []rosterEntry, pos [][]int) {
+	for idx := range roster {
+		pos[roster[idx].k][roster[idx].i] = idx
+	}
+}
+
+// headPre returns the pre of the first entry of the string whose entry sits at
+// index p: that string's waiting sum on the roster.
+func headPre(roster []rosterEntry, p int) float64 {
+	for p > 0 && roster[p-1].k == roster[p].k {
+		p--
+	}
+	return roster[p].pre
 }
 
 // setRouteState restores route (j1, j2) wholesale to a snapshot state:
@@ -449,6 +654,7 @@ func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntr
 	e := &a.routes[j1][idx]
 	e.util = util
 	e.apps = append(e.apps[:0], roster...)
+	setPositions(e.apps, a.posR)
 	a.noteUtil(Resource{j1, j2}, util)
 }
 
@@ -522,17 +728,6 @@ func (a *Allocation) StringsOverLimit(limit float64, f func(k int)) {
 			}
 		}
 	}
-}
-
-func removeRef(refs []rosterEntry, r appRef) []rosterEntry {
-	for idx := range refs {
-		if refs[idx].appRef == r {
-			last := len(refs) - 1
-			refs[idx] = refs[last]
-			return refs[:last]
-		}
-	}
-	panic(fmt.Sprintf("feasibility: roster is missing application (%d,%d)", r.k, r.i))
 }
 
 // MachineUtilizationIf returns U_machine[j, i, k]: the utilization machine j
@@ -650,9 +845,10 @@ func (a *Allocation) Reset() {
 }
 
 // Clone returns an independent deep copy of the allocation sharing the same
-// (immutable) system. Cost is O(K + M + active routes): machines with no
-// assigned applications and routes with no transfers contribute no backing
-// allocations. A DeltaAnalyzer attached to the receiver is not carried over;
+// (immutable) system. Cost is O(total applications + M + active routes): the
+// assignment vectors and the position table hold a slot per application, while
+// machines with no assigned applications and routes with no transfers
+// contribute no backing allocations. A DeltaAnalyzer attached to the receiver is not carried over;
 // the clone starts untracked.
 func (a *Allocation) Clone() *Allocation {
 	cp := &Allocation{
@@ -661,6 +857,8 @@ func (a *Allocation) Clone() *Allocation {
 		nAssigned:   append([]int(nil), a.nAssigned...),
 		machineUtil: append([]float64(nil), a.machineUtil...),
 		perMachine:  make([][]rosterEntry, len(a.perMachine)),
+		posM:        newPositions(a.sys, a.posM),
+		posR:        newPositions(a.sys, a.posR),
 		routes:      make([][]routeEntry, len(a.routes)),
 		tightness:   append([]float64(nil), a.tightness...),
 		bind:        a.bind,
@@ -689,12 +887,10 @@ func (a *Allocation) Clone() *Allocation {
 // WriteState writes a canonical textual fingerprint of the observable
 // allocation state to w: assignments, utilizations (exact IEEE-754 bit
 // patterns), roster contents in roster order, and cached tightness values.
-// Roster order is included because the waiting-time sums of equations (5) and
-// (6) accumulate in roster order, making it observable through float64
-// rounding. Routes appear in ascending (j1, j2) order — the adjacency's
-// storage order — matching the canonical order the dense representation
-// produced, so fingerprints span the representation change. Two allocations
-// with equal fingerprints are behaviorally identical.
+// Rosters are in canonical priority order, a function of the mapping; the
+// utilization bits are path-dependent accumulators, so two histories reaching
+// one mapping can still print different text. Routes appear in ascending
+// (j1, j2) order, the adjacency's storage order.
 func (a *Allocation) WriteState(w io.Writer) error {
 	_, err := w.Write(a.appendState(nil))
 	return err
@@ -705,8 +901,8 @@ func (a *Allocation) WriteState(w io.Writer) error {
 // ("r%d,%d u%016x %v\n") print for a []int assignment vector and a roster of
 // {k i} pairs — every recorded StateDigest hashes exactly that text — built
 // without fmt's reflection over the slices (digest_test.go keeps the fmt
-// encoder as the oracle). A roster entry's carried waiting term is derived
-// state and is not part of the fingerprint. The text is one line per string,
+// encoder as the oracle). A roster entry's term and pre are derived state and
+// are not part of the fingerprint. The text is one line per string,
 // then one per machine, then machine j1's route lines for each j1 in turn:
 // the chunks a DeltaAnalyzer's line cache keeps (StateDigest).
 func (a *Allocation) appendState(buf []byte) []byte {

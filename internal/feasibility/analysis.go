@@ -3,6 +3,7 @@ package feasibility
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // computeTightness evaluates equation (4) for a completely mapped string k:
@@ -50,20 +51,13 @@ func tighter(tz float64, z int, tk float64, k int) bool {
 // of equation (5) on a machine roster and of equation (6) on a route roster.
 // Only completely mapped strings contribute, since a string's priority is
 // defined by its (allocation-dependent) tightness; tighter leaves incomplete
-// ones out without a Complete test.
+// ones out without a Complete test. It walks the whole roster and relies on
+// no order: the full analysis's oracle for the prefix sums (headPre).
 func (a *Allocation) waitAhead(k int, roster []rosterEntry) float64 {
-	return a.waitAfter(0, k, roster)
-}
-
-// waitAfter continues a waiting sum of string k over further roster entries:
-// the additions waitAhead performs, in the same order, starting from sum
-// instead of zero. Where sum is waitAhead over a roster's first entries and
-// more is the rest of that roster, the result is waitAhead over the whole
-// roster bit for bit — the same sequence of float64 additions.
-func (a *Allocation) waitAfter(sum float64, k int, more []rosterEntry) float64 {
 	tk := a.tightness[k]
-	for idx := range more {
-		e := &more[idx]
+	sum := 0.0
+	for idx := range roster {
+		e := &roster[idx]
 		if e.k != k && tighter(a.tightness[e.k], e.k, tk, k) {
 			sum += e.wait
 		}
@@ -155,7 +149,7 @@ func (a *Allocation) CheckString(k int) *Violation {
 		panic(fmt.Sprintf("feasibility: equation (1) check of incompletely mapped string %d", k))
 	}
 	a.tel.checks.Inc()
-	v := a.checkString(k, nil)
+	v := a.checkString(k, false)
 	if v != nil {
 		a.tel.countViolation(v.Kind)
 	}
@@ -163,23 +157,22 @@ func (a *Allocation) CheckString(k int) *Violation {
 }
 
 // checkString is equation (1) for completely mapped string k, the one place
-// its three comparisons are made. sums holds the string's waiting sums — slot
-// i the bracketed sum of equation (5) for application i, slot n+i that of
-// equation (6) for its output — each bit-equal to waitAhead over the roster as
-// it stands; that is how a DeltaAnalyzer calls it, with the vector it carries.
-// The full analysis passes nil and every roster is added up here: it reuses
-// nothing and stays the oracle. The estimates are EstimatedCompTime's and
+// its three comparisons are made. With prefix, each waiting sum is read off
+// the roster, the pre of k's first entry on it (headPre) — bit-equal to
+// waitAhead by canonical order; that is how a DeltaAnalyzer calls it. The full
+// analysis adds every roster up here with waitAhead, relying on no order, and
+// stays the oracle. The estimates are EstimatedCompTime's and
 // EstimatedTranTime's expressions term for term, so a target that fuses
 // multiply-adds rounds all of them alike.
-func (a *Allocation) checkString(k int, sums []float64) *Violation {
+func (a *Allocation) checkString(k int, prefix bool) *Violation {
 	s := &a.sys.Strings[k]
 	mo := a.machineOf[k]
 	n := len(mo)
 	latency := 0.0
 	for i, m := range mo {
 		var wait float64
-		if sums != nil {
-			wait = sums[i]
+		if prefix {
+			wait = headPre(a.perMachine[m], a.posM[k][i])
 		} else {
 			wait = a.waitAhead(k, a.perMachine[m])
 		}
@@ -191,8 +184,9 @@ func (a *Allocation) checkString(k int, sums []float64) *Violation {
 		if i < n-1 {
 			tt := 0.0
 			if next := mo[i+1]; next != m {
-				if sums != nil {
-					wait = sums[n+i]
+				if prefix {
+					e, p := a.outRoute(k, i, m, next)
+					wait = headPre(e.apps, p)
 				} else {
 					wait = a.waitAhead(k, a.routeRoster(m, next))
 				}
@@ -334,7 +328,11 @@ func (a *Allocation) Metric() Metric {
 }
 
 // checkInvariants recomputes all bookkeeping from scratch and compares it to
-// the incremental state; used by tests.
+// the incremental state; used by tests. Every roster must be in canonical
+// order with exact running sums and positions, and — since the order is a
+// function of the mapping — hold the same entries in the same order as what
+// assigning the same mapping into a fresh allocation builds. The utilization
+// accumulators are path-dependent and are held to the rebuild within 1e-6.
 func (a *Allocation) checkInvariants() error {
 	fresh := New(a.sys)
 	for k := range a.machineOf {
@@ -344,36 +342,9 @@ func (a *Allocation) checkInvariants() error {
 			}
 		}
 	}
-	for j := 0; j < a.sys.Machines; j++ {
-		if math.Abs(fresh.machineUtil[j]-a.machineUtil[j]) > 1e-6 {
-			return fmt.Errorf("machine %d utilization drifted: incremental %v, fresh %v", j, a.machineUtil[j], fresh.machineUtil[j])
-		}
-		if len(fresh.perMachine[j]) != len(a.perMachine[j]) {
-			return fmt.Errorf("machine %d roster drifted: incremental %d, fresh %d", j, len(a.perMachine[j]), len(fresh.perMachine[j]))
-		}
-		// Route state must agree in both directions: every incremental entry
-		// matches the fresh rebuild, and the rebuild activates no route the
-		// incremental adjacency is missing.
-		for _, e := range a.routes[j] {
-			if math.Abs(fresh.RouteUtilization(j, e.peer)-e.util) > 1e-6 {
-				return fmt.Errorf("route (%d,%d) utilization drifted: incremental %v, fresh %v", j, e.peer, e.util, fresh.RouteUtilization(j, e.peer))
-			}
-			if len(fresh.routeRoster(j, e.peer)) != len(e.apps) {
-				return fmt.Errorf("route (%d,%d) roster drifted", j, e.peer)
-			}
-		}
-		for _, e := range fresh.routes[j] {
-			if _, ok := a.routeIndex(j, e.peer); !ok {
-				return fmt.Errorf("route (%d,%d) carries %d transfers but is missing from the incremental adjacency", j, e.peer, len(e.apps))
-			}
-		}
-	}
 	for k := range a.tightness {
 		if fresh.Complete(k) != a.Complete(k) {
 			return fmt.Errorf("string %d completeness drifted", k)
-		}
-		if a.Complete(k) && math.Abs(fresh.tightness[k]-a.tightness[k]) > 1e-9 {
-			return fmt.Errorf("string %d tightness drifted: incremental %v, fresh %v", k, a.tightness[k], fresh.tightness[k])
 		}
 		// The cached equation-(4) value must be exactly what computeTightness
 		// yields for the current mapping — bit-identical, since the cache is
@@ -409,6 +380,32 @@ func (a *Allocation) checkInvariants() error {
 			}
 		}
 	}
+	for j := 0; j < a.sys.Machines; j++ {
+		err := a.checkRoster(a.perMachine[j], a.posM)
+		if err == nil {
+			err = sameAs(a.perMachine[j], a.machineUtil[j], fresh.perMachine[j], fresh.machineUtil[j])
+		}
+		if err != nil {
+			return fmt.Errorf("machine %d: %w", j, err)
+		}
+		// Route state must agree in both directions: every incremental entry
+		// matches the fresh rebuild, and the rebuild activates no route the
+		// incremental adjacency is missing.
+		for _, e := range a.routes[j] {
+			err := a.checkRoster(e.apps, a.posR)
+			if err == nil {
+				err = sameAs(e.apps, e.util, fresh.routeRoster(j, e.peer), fresh.RouteUtilization(j, e.peer))
+			}
+			if err != nil {
+				return fmt.Errorf("route (%d,%d): %w", j, e.peer, err)
+			}
+		}
+		for _, e := range fresh.routes[j] {
+			if _, ok := a.routeIndex(j, e.peer); !ok {
+				return fmt.Errorf("route (%d,%d) carries %d transfers but is missing from the incremental adjacency", j, e.peer, len(e.apps))
+			}
+		}
+	}
 	// Adjacency structural invariants: each machine's entries are strictly
 	// ascending by peer (binary search and canonical iteration depend on it),
 	// peers are valid and never self-loops, and every entry carries at least
@@ -430,6 +427,37 @@ func (a *Allocation) checkInvariants() error {
 		}
 	}
 	return a.checkBinding()
+}
+
+// checkRoster checks one roster: canonical order, and every entry's pre the
+// in-order sum of the waits before it and its index the one pos records.
+func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]int) error {
+	if err := a.canonical(roster); err != nil {
+		return err
+	}
+	run := 0.0
+	for idx, e := range roster {
+		if math.Float64bits(e.pre) != math.Float64bits(run) {
+			return fmt.Errorf("entry (%d,%d) at %d carries pre %v, the in-order sum before it is %v", e.k, e.i, idx, e.pre, run)
+		}
+		run += e.wait
+		if pos[e.k][e.i] != idx {
+			return fmt.Errorf("entry (%d,%d) at %d is recorded at position %d", e.k, e.i, idx, pos[e.k][e.i])
+		}
+	}
+	return nil
+}
+
+// sameAs holds a roster to a fresh rebuild's — the same entries in the same
+// order — and its utilization to the rebuild's within 1e-6.
+func sameAs(roster []rosterEntry, util float64, fresh []rosterEntry, freshUtil float64) error {
+	if !slices.EqualFunc(roster, fresh, func(x, y rosterEntry) bool { return x.appRef == y.appRef }) {
+		return fmt.Errorf("roster %v, a fresh rebuild's %v", roster, fresh)
+	}
+	if math.Abs(freshUtil-util) > 1e-6 {
+		return fmt.Errorf("utilization drifted: incremental %v, fresh %v", util, freshUtil)
+	}
+	return nil
 }
 
 // checkBinding holds the kept binding resource to the walk: unless stale, its

@@ -26,21 +26,26 @@ import (
 //     tighter string cannot change: equations (5) and (6) accumulate waiting
 //     terms only from strictly higher-priority sharers, and the exact-tie ID
 //     break means equal-tightness strings can — so ties are rechecked, not
-//     skipped). That is a statement about the terms summed, not about the
-//     float: an Unassign's swap-removal reorders the roster, and the same terms
-//     added in another order can differ in the last bit, so what the analyzer
-//     holds about a string outside the set is always "as of its last check".
+//     skipped). In canonical roster order a strictly tighter sharer's waiting
+//     sum is the pre of its first entry, the sum of the entries ahead of it:
+//     the same entries in the same order before and after the window, so the
+//     float itself is unchanged, not only the terms it adds up.
 //
 // The analyzer does not require the committed state to be feasible: a full
 // scan at Track/Rebase records the committed violations and counts the
 // over-capacity resources, and Commit folds the dirty results into both, so
 // FeasibleAfterDelta always equals TwoStageFeasible.
 //
-// Undo restores the allocation to the last committed state bit-identically,
-// including roster order (observable through float64 accumulation order in
-// the waiting-time sums), from whole-value snapshots taken on first touch.
-// Replaying inverse operations would not be enough: (x+u)-u generally differs
-// from x in the last bit.
+// A string's tightness changes only when it becomes complete or stops being
+// complete, and that moves its entries on every roster it uses (reseatString).
+// The Assign or Unassign that does it snapshots all of those rosters first, so
+// every resource a touched string uses, or used when the window opened, is a
+// dirty one.
+//
+// Undo restores the allocation to the last committed state bit-identically —
+// rosters with their running sums and positions, utilizations, tightness —
+// from whole-value snapshots taken on first touch, in O(dirty) rather than by
+// replaying inverse operations.
 //
 // Every answer is computed once per allocation state. The analyzer numbers the
 // states it has seen with a generation, bumped by every tracked mutation and
@@ -53,36 +58,10 @@ import (
 // is as sound as the generation, which is why catalog floats obey the
 // frozen-floats contract in the package comment.
 //
-// Waiting sums are carried. Equations (5) and (6) price an application's wait
-// as a sum over the higher-priority sharers of its machine or route, so most
-// of what a window's recheck set would add up is what was added up when those
-// strings were last checked. The analyzer keeps, per complete string, the
-// committed vector of those sums (sums[k]: slot i for application i's machine,
-// slot n+i for its output's route), each slot either bit-equal to waitAhead
-// over the roster as committed or NaN for unknown, and check obtains each slot
-// under the window-applied state by the cheapest route that is exact:
-//
-//   - the roster is quiet — no snapshot, hosting no touched string — so the
-//     terms, their order and every priority involved are the committed ones:
-//     the committed sum as it stands;
-//   - the window is a pure admit (one touched string, on no roster when the
-//     window opened, no Unassign since) and the roster is snapshotted: it is
-//     its snapshot plus a tail of appended entries, no sharer's tightness
-//     moved, so the full loop would first reproduce the committed sum addition
-//     for addition and then walk the tail — the committed sum continued over
-//     the tail is that float by construction, not by tolerance;
-//   - anything else — the touched string itself (its tightness and, under a
-//     rescale, its floats moved), an unknown slot, a roster of a window that
-//     removed anything, a roster scanned but not snapshotted — waitAhead.
-//
-// Derived vectors go to pend[k], valid as of verdictAt[k] like the verdict.
-// Commit and Rebase swap pend into sums for the complete strings they judged;
-// nothing else writes sums, so Undo and Reset have nothing to restore. A
-// committed window that unassigned anything first forgets (NaN) every sum on
-// its snapshotted rosters: strings outside the recheck set keep their terms
-// but not, after a swap-removal, their order. Rebase forgets everything first,
-// which is what makes it the full scan. The vectors of an incomplete string
-// are never read: a string becomes complete only as a touched string.
+// Waiting sums are read, not added up: check runs checkString on the prefix
+// sums the rosters keep (headPre), so a verdict costs O(applications), and
+// the additions are made where a roster changes (reprice), counted as
+// wait_terms.
 //
 // A DeltaAnalyzer is single-goroutine, like the Allocation it tracks.
 type DeltaAnalyzer struct {
@@ -116,29 +95,15 @@ type DeltaAnalyzer struct {
 	bind          binding // the allocation's binding resource as the window opened
 
 	// Recheck set of generation recheckGen: the members in first-reach order,
-	// and recheckAt[k] == recheckGen marking membership. scanAt[j] ==
-	// recheckGen marks machine j's roster as scanned for it; scanR lists the
-	// scanned routes the window holds no snapshot of (single-application
-	// moves only — a re-placed string's routes are all snapshotted).
+	// and recheckAt[k] == recheckGen marking membership.
 	recheck    []int
 	recheckGen uint64
 	recheckAt  []uint64 // [k]
-	scanAt     []uint64 // [j]
-	scanR      [][2]int
 
 	// Verdict memo: verdict[k] is checkString(k) (nil for an incomplete
-	// string) as of generation verdictAt[k], and pend[k] the waiting sums it
-	// was judged on.
+	// string) as of generation verdictAt[k].
 	verdict   []*Violation // [k]
 	verdictAt []uint64     // [k]
-
-	// Carried waiting sums, see above: sums[k] as committed (NaN: unknown),
-	// pend[k] as derived by check; 2n-1 slots per string. pure says the window
-	// was a pure admit when recheckGen's set was built; removed, that an
-	// Unassign ran in it.
-	sums, pend [][]float64
-	pure       bool
-	removed    bool
 
 	keyBuf []int // ViolationsAfterDelta's sorted key scratch
 
@@ -159,7 +124,7 @@ type stringSnap struct {
 type machineSnap struct {
 	win    uint64
 	util   float64
-	roster []rosterEntry // copy, in roster order
+	roster []rosterEntry // copy, with its running sums
 }
 
 // routeSnap is the pre-window state of a touched route to peer; an inactive
@@ -182,8 +147,7 @@ type deltaTelemetry struct {
 	recheckStr   *telemetry.Counter // summed recheck-set sizes per evaluation
 	stringChecks *telemetry.Counter // checkString runs
 	verdictReuse *telemetry.Counter // verdicts served from the memo instead
-	waitTerms    *telemetry.Counter // roster entries check added up, tails included
-	sumsReused   *telemetry.Counter // waiting sums taken or continued from the committed vector
+	waitTerms    *telemetry.Counter // waiting-sum additions reprice made under this analyzer
 	stage1Fails  *telemetry.Counter
 }
 
@@ -200,7 +164,6 @@ func newDeltaTelemetry() deltaTelemetry {
 		stringChecks: telemetry.C("feasibility.delta.string_checks"),
 		verdictReuse: telemetry.C("feasibility.delta.verdict_reuse"),
 		waitTerms:    telemetry.C("feasibility.delta.wait_terms"),
-		sumsReused:   telemetry.C("feasibility.delta.sums_reused"),
 		stage1Fails:  telemetry.C("feasibility.delta.stage1_fail"),
 	}
 }
@@ -223,21 +186,9 @@ func Track(a *Allocation) *DeltaAnalyzer {
 		machSnaps:  make([]machineSnap, nMach),
 		routeSnaps: make([][]routeSnap, nMach),
 		recheckAt:  make([]uint64, nStr),
-		scanAt:     make([]uint64, nMach),
 		verdict:    make([]*Violation, nStr),
 		verdictAt:  make([]uint64, nStr),
-		sums:       make([][]float64, nStr),
-		pend:       make([][]float64, nStr),
 		tel:        newDeltaTelemetry(),
-	}
-	slots := 0
-	for k := range a.machineOf {
-		slots += 2*len(a.machineOf[k]) - 1
-	}
-	buf := make([]float64, 2*slots)
-	for k := range a.machineOf {
-		n := 2*len(a.machineOf[k]) - 1
-		da.sums[k], da.pend[k], buf = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	}
 	a.tracker = da
 	da.Rebase()
@@ -270,18 +221,10 @@ func (da *DeltaAnalyzer) Rebase() {
 	da.tel.rebases.Inc()
 	da.rebaseEmpty()
 	a := da.a
-	// The full scan by definition: every carried sum is forgotten first, so
-	// each check below adds its rosters up from entry 0.
-	for k := range da.sums {
-		for slot := range da.sums[k] {
-			da.sums[k][slot] = math.NaN()
-		}
-	}
 	for k := range a.sys.Strings {
 		if da.check(k) != nil {
 			da.baseViol[k] = true
 		}
-		da.keepSums(k)
 	}
 	for _, u := range a.machineUtil {
 		da.nOver += overCount(u)
@@ -314,8 +257,10 @@ func (da *DeltaAnalyzer) rebaseEmpty() {
 
 // beforeMutation opens a new generation and snapshots everything Assign(k, i,
 // j), or Unassign(k, i) from machine j, is about to mutate: the string, the
-// machine, and the routes to the application's placed neighbours.
-func (da *DeltaAnalyzer) beforeMutation(k, i, j int) {
+// machine, and the routes to the application's placed neighbours — and, when
+// the operation makes the string complete or incomplete (reseat), every
+// machine and route the string uses, whose rosters reseatString rewrites.
+func (da *DeltaAnalyzer) beforeMutation(k, i, j int, reseat bool) {
 	da.gen++
 	if da.clean() {
 		da.bind = da.a.bind // a window opens: Undo puts Λ's binding back in O(1)
@@ -331,6 +276,20 @@ func (da *DeltaAnalyzer) beforeMutation(k, i, j int) {
 	if i < len(mo)-1 {
 		if next := mo[i+1]; next != Unassigned && next != j {
 			da.snapRoute(j, next)
+		}
+	}
+	if !reseat {
+		return
+	}
+	for x, m := range mo {
+		if m == Unassigned {
+			continue
+		}
+		da.snapMachine(m)
+		if x < len(mo)-1 {
+			if next := mo[x+1]; next != Unassigned && next != m {
+				da.snapRoute(m, next)
+			}
 		}
 	}
 }
@@ -410,7 +369,6 @@ func (da *DeltaAnalyzer) clearWindow() {
 	da.dirtyMach = da.dirtyMach[:0]
 	da.dirtyRouteSrc = da.dirtyRouteSrc[:0]
 	da.nDirtyRoutes = 0
-	da.removed = false
 	da.win++
 	da.gen++
 }
@@ -426,9 +384,8 @@ func (da *DeltaAnalyzer) Dirty() (strings, machines, routes int) {
 }
 
 // check returns string k's equation-(1) verdict under the current state —
-// nil when k passes or is not completely mapped — running checkString only if
-// this generation has not judged k yet. Outside Rebase, buildRecheck must have
-// run for this generation: deriveSums reads its scan marks.
+// nil when k passes or is not completely mapped — running checkString, on the
+// rosters' prefix sums, only if this generation has not judged k yet.
 func (da *DeltaAnalyzer) check(k int) *Violation {
 	if da.verdictAt[k] == da.gen {
 		da.tel.verdictReuse.Inc()
@@ -437,130 +394,10 @@ func (da *DeltaAnalyzer) check(k int) *Violation {
 	var v *Violation
 	if da.a.Complete(k) {
 		da.tel.stringChecks.Inc()
-		v = da.a.checkString(k, da.deriveSums(k))
+		v = da.a.checkString(k, true)
 	}
 	da.verdict[k], da.verdictAt[k] = v, da.gen
 	return v
-}
-
-// deriveSums fills pend[k] with complete string k's waiting sums under the
-// current state, every slot (the vector is whole even when checkString stops
-// at a throughput violation: the repair controllers commit infeasible windows),
-// and returns it. A committed sum is consulted only if it is known and k is not
-// a touched string: a touched string re-adds every roster, even re-placed
-// exactly where it was.
-func (da *DeltaAnalyzer) deriveSums(k int) []float64 {
-	a := da.a
-	mo := a.machineOf[k]
-	n := len(mo)
-	was, now := da.sums[k], da.pend[k]
-	untouched := da.strSnaps[k].win != da.win
-	var tally sumTally
-	for i, m := range mo {
-		w, covered := was[i], coversNone
-		if untouched && w == w {
-			covered = da.machineCovered(m)
-		}
-		if covered == coversAll {
-			tally.reused++
-		} else {
-			w = da.resum(k, w, covered, a.perMachine[m], &tally)
-		}
-		now[i] = w
-		if i == n-1 {
-			break
-		}
-		next := mo[i+1]
-		if next == m {
-			now[n+i] = 0 // no route, the sum of nothing
-			continue
-		}
-		w, covered = was[n+i], coversNone
-		if untouched && w == w {
-			covered = da.routeCovered(m, next)
-		}
-		if covered == coversAll {
-			tally.reused++
-		} else {
-			w = da.resum(k, w, covered, a.routeRoster(m, next), &tally)
-		}
-		now[n+i] = w
-	}
-	da.tel.waitTerms.Add(tally.terms)
-	da.tel.sumsReused.Add(tally.reused)
-	return now
-}
-
-// What machineCovered and routeCovered say besides a count of entries.
-const (
-	coversAll  = -1 // quiet roster: the committed sum stands
-	coversNone = -2 // add the roster up from entry 0
-)
-
-// sumTally counts one deriveSums for the telemetry counters.
-type sumTally struct{ terms, reused int64 }
-
-// resum returns waitAhead(k, roster) where the committed sum was accounts
-// exactly for the roster's first covered entries: it continues was over the
-// rest, or, covering none, adds the roster up from entry 0.
-func (da *DeltaAnalyzer) resum(k int, was float64, covered int, roster []rosterEntry, tally *sumTally) float64 {
-	if covered == coversNone {
-		tally.terms += int64(len(roster))
-		return da.a.waitAhead(k, roster)
-	}
-	tally.reused++
-	tally.terms += int64(len(roster) - covered)
-	return da.a.waitAfter(was, k, roster[covered:])
-}
-
-// machineCovered returns how many leading entries of machine j's roster the
-// committed sum of an untouched sharer still accounts for, addition for
-// addition: all of them on a quiet roster, the snapshotted ones when the window
-// is a pure admit (the roster only grew, by entries of the one touched string,
-// and no sharer's tightness moved), none otherwise.
-func (da *DeltaAnalyzer) machineCovered(j int) int {
-	switch {
-	case da.scanAt[j] != da.gen:
-		return coversAll
-	case da.pure && da.machSnaps[j].win == da.win:
-		return len(da.machSnaps[j].roster)
-	}
-	return coversNone
-}
-
-// routeCovered is machineCovered for route (j1, j2).
-func (da *DeltaAnalyzer) routeCovered(j1, j2 int) int {
-	if snap := da.snapOfRoute(j1, j2); snap != nil {
-		if da.pure {
-			return len(snap.roster)
-		}
-		return coversNone
-	}
-	if da.routeScanned(j1, j2) {
-		return coversNone
-	}
-	return coversAll
-}
-
-// forgetRoster marks unknown the committed sum every application on a roster
-// holds for it: slot i on a machine roster, slot n+i on a route roster.
-func (da *DeltaAnalyzer) forgetRoster(roster []rosterEntry, route bool) {
-	for idx := range roster {
-		e := &roster[idx]
-		slot := e.i
-		if route {
-			slot += len(da.a.machineOf[e.k])
-		}
-		da.sums[e.k][slot] = math.NaN()
-	}
-}
-
-// keepSums makes the vector check(k) derived for this generation string k's
-// committed one. The vector it replaces becomes scratch for the next check.
-func (da *DeltaAnalyzer) keepSums(k int) {
-	if da.a.Complete(k) {
-		da.sums[k], da.pend[k] = da.pend[k], da.sums[k]
-	}
 }
 
 // inRecheck reports whether k belongs to the current generation's recheck
@@ -573,14 +410,15 @@ func (da *DeltaAnalyzer) inRecheck(k int) bool { return da.recheckAt[k] == da.ge
 // the threshold (the maximum tightness any touched string held before or
 // holds after the window). Equal tightness is included: the ID tie-break in
 // tighter means an equal-tightness string's priority relative to a touched
-// string can flip. A set already built for this generation is kept.
+// string can flip. Every resource whose waiting terms a touched string's
+// tightness change moved is dirty (beforeMutation). A set already built for
+// this generation is kept.
 func (da *DeltaAnalyzer) buildRecheck() {
 	if da.recheckGen == da.gen {
 		return
 	}
 	da.recheckGen = da.gen
 	da.recheck = da.recheck[:0]
-	da.pure = len(da.dirtyStr) == 1 && da.strSnaps[da.dirtyStr[0]].nAssigned == 0 && !da.removed
 	// NaN tightness (incomplete before/after) fails every > comparison, so
 	// incomplete endpoints contribute nothing to the threshold.
 	threshold := math.Inf(-1)
@@ -594,9 +432,7 @@ func (da *DeltaAnalyzer) buildRecheck() {
 			threshold = t
 		}
 	}
-	da.scanR = da.scanR[:0]
 	for _, j := range da.dirtyMach {
-		da.scanAt[j] = da.gen
 		da.recheckSharers(a.perMachine[j], threshold)
 	}
 	for _, j1 := range da.dirtyRouteSrc {
@@ -604,38 +440,6 @@ func (da *DeltaAnalyzer) buildRecheck() {
 			da.recheckSharers(a.routeRoster(j1, da.routeSnaps[j1][idx].peer), threshold)
 		}
 	}
-	// A touched string's tightness change alters the waiting terms it induces
-	// on every resource it currently uses, not only the op-touched ones; each
-	// such resource is scanned once however many applications sit on it.
-	for _, k := range da.dirtyStr {
-		mo := a.machineOf[k]
-		for i, j := range mo {
-			if j == Unassigned {
-				continue
-			}
-			if da.scanAt[j] != da.gen {
-				da.scanAt[j] = da.gen
-				da.recheckSharers(a.perMachine[j], threshold)
-			}
-			if i+1 < len(mo) {
-				if next := mo[i+1]; next != Unassigned && next != j && !da.routeSnapped(j, next) && !da.routeScanned(j, next) {
-					da.scanR = append(da.scanR, [2]int{j, next})
-					da.recheckSharers(a.routeRoster(j, next), threshold)
-				}
-			}
-		}
-	}
-}
-
-// routeScanned reports whether buildRecheck already scanned the un-snapshotted
-// route (j1, j2) for the set it is building.
-func (da *DeltaAnalyzer) routeScanned(j1, j2 int) bool {
-	for _, r := range da.scanR {
-		if r[0] == j1 && r[1] == j2 {
-			return true
-		}
-	}
-	return false
 }
 
 // recheckSharers adds to the recheck set every string on the roster whose
@@ -773,32 +577,15 @@ func (da *DeltaAnalyzer) Commit() {
 			delete(da.baseViol, k)
 		}
 	}
-	// Only now, with every verdict of the window reached, is sums written. A
-	// swap-removal reordered the rosters it removed from, which moves the sums
-	// of sharers outside the recheck set by an ulp: a window that unassigned
-	// anything forgets every sum on its snapshotted rosters, then the recheck
-	// set's own fresh vectors go in.
-	if da.removed {
-		for _, j := range da.dirtyMach {
-			da.forgetRoster(a.perMachine[j], false)
-		}
-		for _, j1 := range da.dirtyRouteSrc {
-			for idx := range da.routeSnaps[j1] {
-				da.forgetRoster(a.routeRoster(j1, da.routeSnaps[j1][idx].peer), true)
-			}
-		}
-	}
-	for _, k := range da.recheck {
-		da.keepSums(k)
-	}
 	da.markLines()
 	da.clearWindow()
 }
 
 // Undo rolls the allocation back to the last committed state, bit-identically
-// (utilization floats, roster order and carried terms, cached tightness —
-// everything the fingerprint in WriteState covers — and Λ's binding resource,
-// exact again because the floats are). The window is cleared.
+// (utilization floats, rosters with their terms, running sums and positions,
+// cached tightness — everything the fingerprint in WriteState covers — and
+// Λ's binding resource, exact again because the floats are). The window is
+// cleared.
 func (da *DeltaAnalyzer) Undo() {
 	if da.clean() {
 		return
@@ -815,6 +602,7 @@ func (da *DeltaAnalyzer) Undo() {
 		snap := &da.machSnaps[j]
 		a.machineUtil[j] = snap.util
 		a.perMachine[j] = append(a.perMachine[j][:0], snap.roster...)
+		setPositions(a.perMachine[j], a.posM)
 	}
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +18,10 @@ import (
 
 // applyRandomDelta applies 1..4 random primitive mutations to a tracked
 // allocation: single-app toggles plus occasional whole-string assigns and
-// unassigns, so every tracked entry point is exercised. The kept binding
-// resource is audited after each, inside the window: dynamic.Rebalance and
-// the overload controller read Λ there.
+// unassigns, so every tracked entry point is exercised. The prefix sums and
+// the kept binding resource are audited after each, inside the window:
+// dynamic.Rebalance and the overload controller read Λ there, and every
+// evaluation reads the sums.
 func applyRandomDelta(tb testing.TB, r *rand.Rand, a *Allocation) {
 	tb.Helper()
 	sys := a.System()
@@ -42,6 +44,9 @@ func applyRandomDelta(tb testing.TB, r *rand.Rand, a *Allocation) {
 				a.Assign(k, i, r.Intn(sys.Machines))
 			}
 		}
+		if err := auditPrefix(a); err != nil {
+			tb.Fatalf("inside the window: %v", err)
+		}
 		if err := auditSlackness(a); err != nil {
 			tb.Fatalf("inside the window: %v", err)
 		}
@@ -50,17 +55,19 @@ func applyRandomDelta(tb testing.TB, r *rand.Rand, a *Allocation) {
 
 // checkSettled asserts what must hold after every Commit, Undo and Reset: the
 // window is clean, its answers — served from the committed sets, not from
-// a recheck — equal the full analysis, violation list included, every waiting
-// sum the analyzer carries into the next window is exact (auditSums), and so
-// are its count of committed overloads (auditOver) and the allocation's kept
-// binding resource of Λ (auditSlackness).
+// a recheck — equal the full analysis, violation list included, every prefix
+// sum the next window will read is exact (auditPrefix), and so are the
+// analyzer's count of committed overloads (auditOver) and the allocation's
+// kept binding resource of Λ (auditSlackness).
 func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	t.Helper()
 	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
 		t.Fatalf("%s: settled window still dirty: %d strings, %d machines, %d routes", label, s, m, r)
 	}
 	queryWindow(t, label+" (clean)", da, true, true)
-	auditSums(t, label, da)
+	if err := auditPrefix(da.Allocation()); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	auditOver(t, label, da)
 	if err := auditSlackness(da.Allocation()); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -109,72 +116,41 @@ func auditOver(t *testing.T, label string, da *DeltaAnalyzer) {
 	overAudit.last = want
 }
 
-// sumAudit tallies what auditSums has seen in this process: slots audited
-// (one per application and per inter-machine transfer of a complete string)
-// and how many of them held a known sum.
-var sumAudit struct{ known, slots int }
-
-// auditSums is what makes "bit-identical" a test: every committed waiting sum
-// of a complete string is either unknown (NaN) or equal, by math.Float64bits,
-// to waitAhead over the roster as it stands. The tally lets a caller also
-// demand that the analyzer knows something — a cache that forgets everything
-// is exact and useless.
-func auditSums(t *testing.T, label string, da *DeltaAnalyzer) {
-	t.Helper()
-	a := da.Allocation()
-	for k := range da.sums {
-		if !a.Complete(k) {
-			continue // never read: a string becomes complete only as a touched string
+// auditPrefix is what makes "bit-identical" a test for the sums the analyzer
+// reads: every roster is in canonical order with every entry at its recorded
+// position, and for every complete string the prefix sum headPre reads on each
+// of its machine and route rosters equals, by math.Float64bits, waitAhead over
+// the roster as it stands — the oracle, which relies on no order.
+func auditPrefix(a *Allocation) error {
+	for j := range a.perMachine {
+		if err := a.checkRoster(a.perMachine[j], a.posM); err != nil {
+			return fmt.Errorf("machine %d: %w", j, err)
 		}
-		mo := a.machineOf[k]
-		n := len(mo)
-		for slot, got := range da.sums[k] {
-			roster, what := a.perMachine[mo[slot%n]], "machine"
-			if slot >= n {
-				j1, j2 := mo[slot-n], mo[slot-n+1]
-				if j1 == j2 {
-					// No route: a constant zero, not a sum anyone saved.
-					if math.Float64bits(got) != 0 {
-						t.Fatalf("%s: string %d carries %v in slot %d for an intra-machine transfer", label, k, got, slot)
-					}
-					continue
-				}
-				roster, what = a.routeRoster(j1, j2), "route"
+		for _, e := range a.routes[j] {
+			if err := a.checkRoster(e.apps, a.posR); err != nil {
+				return fmt.Errorf("route (%d,%d): %w", j, e.peer, err)
 			}
-			sumAudit.slots++
-			if got != got {
+		}
+	}
+	for k, mo := range a.machineOf {
+		if !a.Complete(k) {
+			continue
+		}
+		for i, m := range mo {
+			roster, p, what := a.perMachine[m], a.posM[k][i], "machine"
+			if got, want := headPre(roster, p), a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Errorf("string %d application %d reads %s sum %v, waitAhead over the roster is %v", k, i, what, got, want)
+			}
+			if i+1 == len(mo) || mo[i+1] == m {
 				continue
 			}
-			sumAudit.known++
-			if want := a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: string %d carries %s sum %v in slot %d, waitAhead over the roster as it stands is %v",
-					label, k, what, got, slot, want)
+			roster, p, what = a.routeRoster(m, mo[i+1]), a.posR[k][i], "route"
+			if got, want := headPre(roster, p), a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Errorf("string %d application %d reads %s sum %v, waitAhead over the roster is %v", k, i, what, got, want)
 			}
 		}
 	}
-}
-
-// committedSums copies every committed vector, for sameSums.
-func committedSums(da *DeltaAnalyzer) [][]float64 {
-	out := make([][]float64, len(da.sums))
-	for k := range da.sums {
-		out[k] = append([]float64(nil), da.sums[k]...)
-	}
-	return out
-}
-
-// sameSums asserts the committed vectors are bit for bit (NaN included) what
-// committedSums copied: Undo, Reset and a rejected window write none of them.
-func sameSums(t *testing.T, label string, da *DeltaAnalyzer, want [][]float64) {
-	t.Helper()
-	for k := range want {
-		for slot := range want[k] {
-			if got := da.sums[k][slot]; math.Float64bits(got) != math.Float64bits(want[k][slot]) {
-				t.Fatalf("%s: committed sum of string %d slot %d went from %v to %v inside a window that did not commit",
-					label, k, slot, want[k][slot], got)
-			}
-		}
-	}
+	return nil
 }
 
 // auditMemo asserts every verdict the analyzer holds for the current
@@ -189,7 +165,7 @@ func auditMemo(t *testing.T, label string, da *DeltaAnalyzer) {
 		}
 		var fresh *Violation
 		if a.Complete(k) {
-			fresh = a.checkString(k, nil)
+			fresh = a.checkString(k, false)
 		}
 		if !reflect.DeepEqual(da.verdict[k], fresh) {
 			t.Fatalf("%s: memoised verdict for string %d is %v, checkString now says %v", label, k, da.verdict[k], fresh)
@@ -233,7 +209,7 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 	defer da.Close()
 	for step := 0; step < steps; step++ {
 		label := fmt.Sprintf("%s step %d", label, step)
-		before := committedSums(da)
+		before := fingerprint(t, a)
 		applyRandomDelta(t, r, a)
 		pattern := r.Intn(6)
 		switch pattern {
@@ -255,10 +231,11 @@ func runDeltaEquivalence(t *testing.T, label string, sys *model.System, r *rand.
 		switch r.Intn(16) {
 		case 0, 1, 2, 3:
 			da.Undo()
-			sameSums(t, label+" Undo", da, before)
+			if got := fingerprint(t, a); !bytes.Equal(got, before) {
+				t.Fatalf("%s: Undo left\n%s\nwant the committed\n%s", label, got, before)
+			}
 		case 4:
 			a.Reset()
-			sameSums(t, label+" Reset", da, before)
 		case 5:
 			// Commit by full scan, mid-history: what Track does on the loaded
 			// allocation a repair controller hands it.
@@ -384,7 +361,6 @@ func rescaleWindow(t *testing.T, label string, r *rand.Rand, da *DeltaAnalyzer, 
 	if r.Intn(2) == 0 {
 		queryWindow(t, label+" (before)", da, true, true) // verdicts the window must not reuse
 	}
-	sums := committedSums(da)
 	a.UnassignString(k)
 	old := scaleDemand(s, 0.25+2.75*r.Float64())
 	a.AssignString(k, machines)
@@ -397,7 +373,6 @@ func rescaleWindow(t *testing.T, label string, r *rand.Rand, da *DeltaAnalyzer, 
 		if got := fingerprint(t, a); !bytes.Equal(got, before) {
 			t.Fatalf("%s: state after the rejected rescale differs from the pre-window one:\ngot:\n%s\nwant:\n%s", label, got, before)
 		}
-		sameSums(t, label+" rejected", da, sums)
 	}
 	checkSettled(t, label, da)
 	if err := a.checkInvariants(); err != nil {
@@ -502,7 +477,6 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 	a, da := loadedScenario1(t)
 	defer da.Close()
 	sys := a.System()
-	audit0 := sumAudit
 	var admits, removes, rescales, rejected int
 	for step := 0; step < 2000; step++ {
 		label := fmt.Sprintf("step %d", step)
@@ -510,7 +484,7 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 		switch {
 		case !a.Complete(k): // admit
 			admits++
-			sums := committedSums(da)
+			before := fingerprint(t, a)
 			leastLoaded(a, k)
 			queryWindow(t, label+" admit", da, true, false)
 			if da.FeasibleAfterDelta() {
@@ -519,7 +493,9 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 				rejected++
 				queryWindow(t, label+" admit rejected", da, false, true)
 				da.Undo()
-				sameSums(t, label+" admit rejected", da, sums)
+				if got := fingerprint(t, a); !bytes.Equal(got, before) {
+					t.Fatalf("%s: the rejected admit's Undo left another state", label)
+				}
 			}
 			checkSettled(t, label+" admit", da)
 		case r.Intn(2) == 0: // remove: Commit with no evaluation
@@ -541,12 +517,8 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 			longest = n
 		}
 	}
-	known, slots := sumAudit.known-audit0.known, sumAudit.slots-audit0.slots
-	t.Logf("stream %d: %d admits (%d rejected), %d removes, %d rescales; %d strings mapped, longest machine roster %d; %d of %d audited sums known",
-		stream, admits, rejected, removes, rescales, a.NumComplete(), longest, known, slots)
-	if 2*known < slots {
-		t.Errorf("stream %d: only %d of %d audited waiting sums were known; the analyzer forgets more than it carries", stream, known, slots)
-	}
+	t.Logf("stream %d: %d admits (%d rejected), %d removes, %d rescales; %d strings mapped, longest machine roster %d",
+		stream, admits, rejected, removes, rescales, a.NumComplete(), longest)
 	if admits == 0 || removes == 0 || rescales == 0 || rejected == 0 {
 		t.Fatalf("stream %d drew %d admits (%d rejected), %d removes, %d rescales; every shape must occur",
 			stream, admits, rejected, removes, rescales)
@@ -568,40 +540,29 @@ func judged(da *DeltaAnalyzer) int64 {
 	return n
 }
 
-// admitTermBound returns what an admit of string k may add up when every
-// sharer's committed sums are known: the rosters string k itself sits on, whole,
-// plus for every other slot of the recheck set the entries its roster gained in
-// this window. buildRecheck must have run.
-func admitTermBound(da *DeltaAnalyzer, k int) int64 {
-	a := da.a
-	bound := 0
-	for _, z := range da.recheck {
-		mo := a.machineOf[z]
-		for i, m := range mo {
-			if z == k {
-				bound += len(a.perMachine[m])
-			} else if snap := &da.machSnaps[m]; snap.win == da.win {
-				bound += len(a.perMachine[m]) - len(snap.roster)
-			}
-			if i+1 == len(mo) || mo[i+1] == m {
-				continue
-			}
-			if roster := a.routeRoster(m, mo[i+1]); z == k {
-				bound += len(roster)
-			} else if snap := da.snapOfRoute(m, mo[i+1]); snap != nil {
-				bound += len(roster) - len(snap.roster)
-			}
+// rosterSpan returns the total length of the rosters string k uses: the
+// machine of each application and the route of each inter-machine transfer,
+// once per application or transfer.
+func rosterSpan(a *Allocation, k int) int64 {
+	mo := a.machineOf[k]
+	n := 0
+	for i, m := range mo {
+		n += len(a.perMachine[m])
+		if i+1 < len(mo) && mo[i+1] != m {
+			n += len(a.routeRoster(m, mo[i+1]))
 		}
 	}
-	return int64(bound)
+	return int64(n)
 }
 
 // "Once" as a reading: on the loaded scenario-1 state an accepted admit runs
 // checkString exactly once per string of its recheck set across
 // FeasibleAfterDelta + Commit — all of them in the evaluation, none in the
-// Commit — adding up no more than the admitted string's own rosters plus one
-// tail per sharer slot, and a rejected one (FeasibleAfterDelta,
-// ViolationsAfterDelta, Undo) checks no string twice.
+// Commit — and the decision adds nothing up: the placement kept the prefix
+// sums, in at most two passes over each roster the string joined (entering
+// behind the complete strings, then reseated when it completed), and every
+// check reads them. A rejected one (FeasibleAfterDelta, ViolationsAfterDelta,
+// Undo) checks no string twice.
 func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 	prev := telemetry.Active()
 	telemetry.Enable()
@@ -618,10 +579,10 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		}
 		a.UnassignString(k)
 		da.Commit()
-		da.Rebase() // the removal forgot sums on the rosters it reordered; know them all
+		w0 := da.tel.waitTerms.Value()
 		leastLoaded(a, k)
 		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
-		w0, s0 := da.tel.waitTerms.Value(), da.tel.sumsReused.Value()
+		w1 := da.tel.waitTerms.Value()
 		if !da.FeasibleAfterDelta() {
 			da.Undo()
 			continue
@@ -635,14 +596,13 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		if c1-c0 != recheck {
 			t.Errorf("accepted admit of string %d: FeasibleAfterDelta ran checkString %d times for a recheck set of %d", k, c1-c0, recheck)
 		}
-		if terms, bound := da.tel.waitTerms.Value()-w0, admitTermBound(da, k); terms > bound {
-			t.Errorf("accepted admit of string %d added up %d roster entries; its own rosters plus one tail per sharer slot hold %d — a sharer was summed from entry 0",
-				k, terms, bound)
-		}
-		if da.tel.sumsReused.Value() == s0 {
-			t.Errorf("accepted admit of string %d reused no committed sum", k)
+		if terms, bound := w1-w0, 2*rosterSpan(a, k); terms == 0 || terms > bound {
+			t.Errorf("placing string %d made %d waiting-sum additions; two passes over its rosters hold %d", k, terms, bound)
 		}
 		da.Commit()
+		if w2 := da.tel.waitTerms.Value(); w2 != w1 {
+			t.Errorf("the decision on string %d made %d waiting-sum additions; it should read every sum", k, w2-w1)
+		}
 		if c2 := stringChecks(da); c2 != c1 {
 			t.Errorf("Commit after the evaluation ran checkString %d times, want 0", c2-c1)
 		}
@@ -758,12 +718,12 @@ func TestPartialRemapRefreshesTightness(t *testing.T) {
 	}
 }
 
-// A single-application move leaves the rest of the string on resources the
-// window never snapshots. The recheck set must still reach their sharers, and
-// each such roster is scanned once however often the string crosses it: string
-// 0 sits on machines 0,1,0,1,2 — route 0->1 twice — and only its last
-// application moves.
-func TestRecheckScansUnsnapshottedResourceOnce(t *testing.T) {
+// A single-application move makes the string incomplete and complete again,
+// which reseats it on every roster it uses, not only the moved application's:
+// string 0 sits on machines 0,1,0,1,2 — route 0->1 twice — and only its last
+// application moves, yet every one of its machines and routes is snapshotted,
+// each once, and the recheck set reaches their sharers.
+func TestSingleApplicationMoveSnapshotsEveryResource(t *testing.T) {
 	sys := model.NewUniformSystem(4, 100)
 	app := model.UniformApp(4, 1, 0.1, 10)
 	sys.AddString(model.AppString{Worth: 1, Period: 50, MaxLatency: 100,
@@ -783,47 +743,41 @@ func TestRecheckScansUnsnapshottedResourceOnce(t *testing.T) {
 
 	a.Unassign(0, 4)
 	a.Assign(0, 4, 3)
-	da.buildRecheck()
-	if want := [][2]int{{0, 1}, {1, 0}}; !reflect.DeepEqual(da.scanR, want) {
-		t.Errorf("un-snapshotted routes scanned: %v, want %v (each once)", da.scanR, want)
+	machines := slices.Clone(da.dirtyMach)
+	slices.Sort(machines)
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(machines, want) {
+		t.Errorf("machines snapshotted: %v, want %v (each once)", machines, want)
 	}
-	for j := 0; j < 4; j++ {
-		if da.scanAt[j] != da.gen {
-			t.Errorf("machine %d's roster was not scanned for this generation", j)
+	var routes []string
+	for _, j1 := range da.dirtyRouteSrc {
+		for _, snap := range da.routeSnaps[j1] {
+			routes = append(routes, fmt.Sprintf("%d->%d", j1, snap.peer))
 		}
 	}
-	if want := []int{0, 1, 2}; !reflect.DeepEqual(da.recheck, want) {
-		t.Errorf("recheck set %v, want %v", da.recheck, want)
+	slices.Sort(routes)
+	if want := []string{"0->1", "1->0", "1->2", "1->3"}; !reflect.DeepEqual(routes, want) {
+		t.Errorf("routes snapshotted: %v, want %v (each once)", routes, want)
+	}
+	da.buildRecheck()
+	got := slices.Clone(da.recheck)
+	slices.Sort(got)
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recheck set %v, want %v", got, want)
 	}
 	queryWindow(t, "single-application move", da, true, true)
 	da.Commit()
 	checkSettled(t, "single-application move", da)
 }
 
-// allSumsKnown asserts no slot of a complete string is unknown.
-func allSumsKnown(t *testing.T, label string, da *DeltaAnalyzer) {
-	t.Helper()
-	for k := range da.sums {
-		if !da.a.Complete(k) {
-			continue
-		}
-		for slot, w := range da.sums[k] {
-			if w != w {
-				t.Fatalf("%s: string %d slot %d is unknown", label, k, slot)
-			}
-		}
-	}
-}
-
-// A window that does not commit writes no committed sum: a rejected admit
-// (evaluated, listed, undone), an accepted one undone after its evaluation, and
-// a Reset each leave every vector bit for bit as it was — and after the Reset
-// nothing reads them: strings placed again are summed again.
+// A window that does not commit leaves no trace: a rejected admit (evaluated,
+// listed, undone) and an accepted one undone after its evaluation each leave
+// every roster, running sum and position as committed — the fingerprint and
+// the prefix audit in checkSettled — and after a Reset, strings placed again
+// elsewhere are summed on their new rosters.
 func TestUncommittedWindowWritesNoSum(t *testing.T) {
 	a, da := loadedScenario1(t)
 	defer da.Close()
 	sys := a.System()
-	want := committedSums(da)
 	var accepted, rejected bool
 	for k := 0; k < len(sys.Strings) && !(accepted && rejected); k++ {
 		if a.Complete(k) {
@@ -833,8 +787,8 @@ func TestUncommittedWindowWritesNoSum(t *testing.T) {
 			// Lift it out and let the removal commit; the admit is the window.
 			a.UnassignString(k)
 			da.Commit()
-			want = committedSums(da)
 		}
+		want := fingerprint(t, a)
 		leastLoaded(a, k)
 		if da.FeasibleAfterDelta() {
 			accepted = true
@@ -843,16 +797,15 @@ func TestUncommittedWindowWritesNoSum(t *testing.T) {
 			da.ViolationsAfterDelta()
 		}
 		da.Undo()
-		sameSums(t, fmt.Sprintf("admit of string %d undone", k), da, want)
+		if got := fingerprint(t, a); !bytes.Equal(got, want) {
+			t.Fatalf("admit of string %d undone: the state is not the committed one", k)
+		}
 		checkSettled(t, fmt.Sprintf("admit of string %d undone", k), da)
 	}
 	if !accepted || !rejected {
 		t.Fatalf("accepted %v, rejected %v; both windows must occur", accepted, rejected)
 	}
 	a.Reset()
-	sameSums(t, "Reset", da, want)
-	// Every string's vector is now stale. Placing them again, elsewhere, must
-	// not read one of them.
 	for k := len(sys.Strings) - 1; k >= 0; k-- {
 		leastLoaded(a, k)
 		if da.FeasibleAfterDelta() {
@@ -865,11 +818,11 @@ func TestUncommittedWindowWritesNoSum(t *testing.T) {
 }
 
 // The repair controllers commit an infeasible window first and ask afterwards.
-// checkString stops at the first throughput violation, but the vector Commit
-// keeps must be whole, because the next window takes its later slots as they
-// stand: string 2 busts its period on application 0 behind string 0; when
-// string 0 leaves, its verdict rides on application 1's sum on machine 1, a
-// quiet roster.
+// checkString stops at the first throughput violation, but every waiting sum
+// of the violator stays exact, because the rosters keep them whoever asked:
+// string 2 busts its period on application 0 behind string 0; when string 0
+// leaves, its verdict rides on application 1's sum on machine 1, a roster the
+// window never touches.
 func TestCommittedViolatorCarriesWholeVector(t *testing.T) {
 	sys := model.NewUniformSystem(2, 100)
 	app := model.UniformApp(2, 2.0, 0.5, 10)
@@ -887,11 +840,10 @@ func TestCommittedViolatorCarriesWholeVector(t *testing.T) {
 	if v := a.CheckString(2); v == nil || v.Kind != KindThroughputComp || v.App != 0 {
 		t.Fatalf("string 2 should bust its period on application 0, got %v", v)
 	}
-	allSumsKnown(t, "committed violator", da)
 	checkSettled(t, "committed violator", da)
 
 	a.UnassignString(0)
-	if da.scanAt[1] == da.gen {
+	if da.machSnaps[1].win == da.win {
 		t.Fatal("machine 1 should be a quiet roster in this window")
 	}
 	queryWindow(t, "string 0 removed", da, true, true)
@@ -902,11 +854,12 @@ func TestCommittedViolatorCarriesWholeVector(t *testing.T) {
 	checkSettled(t, "string 0 removed", da)
 }
 
-// A single-application move is the one window that scans rosters it holds no
-// snapshot of: moving string 0's second application onto a slow machine lifts
-// its tightness over string 1's, so string 1 starts waiting behind string 0's
-// first application on machine 0 — a roster nothing was added to or removed
-// from. Its committed sum there must be summed again, not taken as it stands.
+// A single-application move can lift a string's tightness over a sharer's on
+// a roster the moved application never touches: moving string 0's second
+// application onto a slow machine lifts it over string 1, which now waits
+// behind string 0's first application on machine 0. The move reseats string 0
+// there, ahead of string 1, whose sum is summed again (reprice) to include
+// string 0's term.
 func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	sys := model.NewUniformSystem(3, 100)
 	fast := model.UniformApp(3, 1, 0.2, 10)
@@ -920,9 +873,9 @@ func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	a.AssignString(1, []int{0})
 	da.Commit()
 	checkSettled(t, "before the move", da)
-	if !(a.Tightness(0) < a.Tightness(1)) || da.sums[1][0] != 0 {
-		t.Fatalf("before the move string 1 (T=%v) should outrank string 0 (T=%v) and wait for nothing, carries %v",
-			a.Tightness(1), a.Tightness(0), da.sums[1][0])
+	if got := headPre(a.perMachine[0], a.posM[1][0]); !(a.Tightness(0) < a.Tightness(1)) || got != 0 {
+		t.Fatalf("before the move string 1 (T=%v) should outrank string 0 (T=%v) and wait for nothing, reads %v",
+			a.Tightness(1), a.Tightness(0), got)
 	}
 
 	a.Unassign(0, 1)
@@ -930,20 +883,20 @@ func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	if !(a.Tightness(0) > a.Tightness(1)) {
 		t.Fatalf("the move should lift string 0 (T=%v) over string 1 (T=%v)", a.Tightness(0), a.Tightness(1))
 	}
-	queryWindow(t, "single-application move", da, true, true)
-	if da.machSnaps[0].win == da.win || da.scanAt[0] != da.gen {
-		t.Fatal("machine 0 should be scanned for this window without holding a snapshot")
+	if da.machSnaps[0].win != da.win {
+		t.Fatal("machine 0, whose roster the move reseats, holds no snapshot")
 	}
+	queryWindow(t, "single-application move", da, true, true)
 	da.Commit()
 	checkSettled(t, "single-application move", da)
-	if got, want := da.sums[1][0], sys.MachineDemandUtil(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("string 1 carries %v on machine 0 after the move, want string 0's term %v", got, want)
+	if got, want := headPre(a.perMachine[0], a.posM[1][0]), sys.MachineDemandUtil(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("string 1 reads %v on machine 0 after the move, want string 0's term %v", got, want)
 	}
 }
 
-// Track's Rebase fills every vector, whatever built the allocation: a restored
-// snapshot starts with all sums known and exact, and the first window over it
-// continues them.
+// FromSnapshot sums every roster as it restores it, whatever built the
+// allocation: a restored snapshot is tracked with every prefix sum exact, and
+// windows over it read them.
 func TestTrackAfterFromSnapshotFillsSums(t *testing.T) {
 	orig, origDA := loadedScenario1(t)
 	origDA.Close()
@@ -954,7 +907,6 @@ func TestTrackAfterFromSnapshotFillsSums(t *testing.T) {
 	}
 	da := Track(a)
 	defer da.Close()
-	allSumsKnown(t, "tracked snapshot", da)
 	checkSettled(t, "tracked snapshot", da)
 	for k := range sys.Strings {
 		if a.Complete(k) {
@@ -1000,8 +952,8 @@ func TestDeltaUndoBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d round %d: state after Undo differs from pre-delta clone:\ngot:\n%s\nwant:\n%s",
 					trial, round, got, want)
 			}
-			// The fingerprint does not cover the carried waiting terms; the
-			// audit does.
+			// The fingerprint does not cover the carried terms and running
+			// sums; the audit does.
 			if err := a.checkInvariants(); err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
@@ -1129,8 +1081,8 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 // BenchmarkAnalyzerDecision times the three decision shapes of the serve path
 // on the loaded scenario-1 state and reports checkString runs per decision —
 // the number a second evaluation of the same window would double — and the
-// roster entries those runs added up, the number a lost carried-sum route
-// multiplies (both exact at -benchtime=1x):
+// waiting-sum additions reprice made keeping the rosters' prefix sums, the
+// checks themselves reading them (both exact at -benchtime=1x):
 //
 //   - accept: a string is lifted and placed back in one window,
 //     FeasibleAfterDelta, Commit;
@@ -1161,9 +1113,6 @@ func BenchmarkAnalyzerDecision(b *testing.B) {
 	run := func(name string, op func(b *testing.B, n int)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			// Every arm starts knowing every sum: what the one before it left
-			// unknown depends on how many iterations it ran.
-			da.Rebase()
 			c0, w0 := stringChecks(da), da.tel.waitTerms.Value()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {

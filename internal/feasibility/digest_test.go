@@ -193,3 +193,119 @@ func TestStateDigestLineCacheProperty(t *testing.T) {
 		t.Fatalf("%d digests re-formatted only stale chunks; want at least 600", incremental)
 	}
 }
+
+// Property: rosters are a function of the mapping. Random op histories —
+// detours through other machines, whole strings placed and lifted, windows
+// committed, undone and reset under a tracker, or no tracker at all — that end
+// on the same mapping leave every roster in the order, with the running sums,
+// that assigning that mapping into a fresh allocation in (string, application)
+// order builds. The utilizations are path-dependent accumulators and are not
+// compared: they are what still keeps a StateDigest from being a function of
+// the mapping.
+func TestRostersAreFunctionOfMapping(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 7)
+		sys := randomSystem(r, 2+r.Intn(5), 3+r.Intn(8), 5)
+		if trial%3 == 0 {
+			sys = tieSystem(2+r.Intn(3), 4+r.Intn(5))
+		}
+		// The target: most applications placed, so most strings complete.
+		target := make([][]int, len(sys.Strings))
+		var apps []appRef
+		want := New(sys)
+		for k := range target {
+			target[k] = make([]int, len(sys.Strings[k].Apps))
+			for i := range target[k] {
+				apps = append(apps, appRef{k, i})
+				target[k][i] = Unassigned
+				if r.Intn(8) != 0 {
+					target[k][i] = r.Intn(sys.Machines)
+					want.Assign(k, i, target[k][i])
+				}
+			}
+		}
+		wantText := rosterText(want)
+		for history := 0; history < 4; history++ {
+			label := fmt.Sprintf("trial %d history %d", trial, history)
+			a := New(sys)
+			var da *DeltaAnalyzer
+			if history%2 == 1 {
+				da = Track(a)
+			}
+			for step := 0; step < 40; step++ {
+				applyRandomDelta(t, r, a)
+				if da != nil {
+					switch r.Intn(5) {
+					case 0:
+						da.Undo()
+					case 1:
+						a.Reset()
+					default:
+						da.Commit()
+					}
+				}
+			}
+			// Converge on the target: off every machine it does not name, in a
+			// random order, then onto the ones it does, in another.
+			r.Shuffle(len(apps), func(x, y int) { apps[x], apps[y] = apps[y], apps[x] })
+			for _, ref := range apps {
+				if j := a.Machine(ref.k, ref.i); j != Unassigned && j != target[ref.k][ref.i] {
+					a.Unassign(ref.k, ref.i)
+				}
+			}
+			r.Shuffle(len(apps), func(x, y int) { apps[x], apps[y] = apps[y], apps[x] })
+			for _, ref := range apps {
+				if j := target[ref.k][ref.i]; j != Unassigned && a.Machine(ref.k, ref.i) == Unassigned {
+					a.Assign(ref.k, ref.i, j)
+				}
+			}
+			if da != nil {
+				da.Commit()
+				StateDigest(a) // fill the line cache, then read it after one more window
+				k := r.Intn(len(sys.Strings))
+				a.UnassignString(k)
+				da.Commit()
+				for i, j := range target[k] {
+					if j != Unassigned {
+						a.Assign(k, i, j)
+					}
+				}
+				da.Commit()
+			}
+			if got := rosterText(a); got != wantText {
+				t.Fatalf("%s: rosters\n%s\nthe mapping assigned fresh builds\n%s", label, got, wantText)
+			}
+			if da != nil {
+				da.Close()
+			}
+		}
+	}
+}
+
+// rosterText prints what canonical order makes a function of the mapping:
+// every string's assignments and tightness bits, and every machine's and
+// active route's roster with each entry's running sum, leaving the
+// utilizations out.
+func rosterText(a *Allocation) string {
+	var b bytes.Buffer
+	entries := func(roster []rosterEntry) {
+		for _, e := range roster {
+			fmt.Fprintf(&b, " {%d %d %016x}", e.k, e.i, math.Float64bits(e.pre))
+		}
+		b.WriteByte('\n')
+	}
+	for k := range a.machineOf {
+		fmt.Fprintf(&b, "s%d t%016x %v\n", k, math.Float64bits(a.tightness[k]), a.machineOf[k])
+	}
+	for j := range a.perMachine {
+		fmt.Fprintf(&b, "m%d", j)
+		entries(a.perMachine[j])
+	}
+	for j1 := range a.routes {
+		for _, e := range a.routes[j1] {
+			fmt.Fprintf(&b, "r%d,%d", j1, e.peer)
+			entries(e.apps)
+		}
+	}
+	return b.String()
+}

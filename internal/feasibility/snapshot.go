@@ -4,17 +4,18 @@
 // general reproduce a live allocation's floats, and a restarted daemon would
 // drift from the state its clients observed. A snapshot therefore captures
 // the raw accumulator bit patterns (hex-encoded IEEE-754, NaN-safe for the
-// tightness of incomplete strings) together with roster order, which is
-// observable through the waiting-time sums of equations (5) and (6).
-// FromSnapshot restores an allocation whose WriteState fingerprint is
-// byte-identical to the original's.
+// tightness of incomplete strings) together with every roster in canonical
+// order. The order, the running sums and the tightness are functions of the
+// mapping, so FromSnapshot recomputes them and refuses a snapshot whose
+// recorded tightness or roster order disagrees; what it restores has the
+// original's WriteState fingerprint byte for byte.
 //
-// The format is versioned. Version 2, the only one read or written, lists
+// The format is versioned. Version 3, the only one read or written, lists
 // machines sparsely — only machines carrying state, each tagged with its
-// index — so a fleet-scale snapshot is O(loaded) rather than O(M). Any other
-// version (including the unversioned dense files of the format's first
-// release) is rejected with a typed SnapshotVersionError before any content
-// is interpreted.
+// index — so a fleet-scale snapshot is O(loaded) rather than O(M), and its
+// rosters are in canonical order (version 2's were in history order). Any
+// other version is rejected with a typed SnapshotVersionError before any
+// content is interpreted.
 
 package feasibility
 
@@ -28,7 +29,7 @@ import (
 
 // SnapshotVersion is the format version Snapshot writes and the only one
 // FromSnapshot reads.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // SnapshotVersionError reports a snapshot written in a format this build does
 // not understand — typically a newer daemon's file fed to an older binary.
@@ -59,8 +60,8 @@ type MachineState struct {
 	Machine int `json:"machine,omitempty"`
 	// Util is the hex-encoded bit pattern of U_machine[j] (equation (2)).
 	Util string `json:"util"`
-	// Roster lists the assigned applications as (string, app) pairs in roster
-	// order, which is behaviorally observable and must be preserved.
+	// Roster lists the assigned applications as (string, app) pairs in
+	// canonical roster order.
 	Roster [][2]int `json:"roster,omitempty"`
 }
 
@@ -72,7 +73,7 @@ type RouteState struct {
 	// Util is the hex-encoded bit pattern of U_route[from,to] (equation (3)).
 	Util string `json:"util"`
 	// Roster lists the producing applications whose output uses the route,
-	// as (string, app) pairs in roster order.
+	// as (string, app) pairs in canonical roster order.
 	Roster [][2]int `json:"roster"`
 }
 
@@ -161,8 +162,9 @@ func (a *Allocation) Snapshot() *AllocationSnapshot {
 // FromSnapshot restores an allocation over sys from a snapshot previously
 // produced by Snapshot, reproducing the original's WriteState fingerprint
 // byte for byte. The snapshot is validated against the system: shape
-// mismatches, out-of-range references, and rosters inconsistent with the
-// assignment vectors are rejected rather than restored.
+// mismatches, out-of-range references, rosters inconsistent with the
+// assignment vectors or out of canonical order, and tightness bits other than
+// the mapping's are rejected rather than restored.
 func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, &SnapshotVersionError{Version: snap.Version, Supported: SnapshotVersion}
@@ -195,7 +197,13 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 		}
 		copy(a.machineOf[k], ss.Machines)
 		a.nAssigned[k] = n
-		a.tightness[k] = t
+		if a.Complete(k) {
+			a.tightness[k] = a.computeTightness(k)
+		}
+		if math.Float64bits(t) != math.Float64bits(a.tightness[k]) {
+			return nil, fmt.Errorf("feasibility: snapshot string %d records tightness %s, its mapping gives %s",
+				k, ss.Tightness, encBits(a.tightness[k]))
+		}
 		totalAssigned += n
 	}
 	rostered := 0
@@ -215,7 +223,6 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 		if err != nil {
 			return nil, fmt.Errorf("feasibility: snapshot machine %d util: %w", j, err)
 		}
-		a.machineUtil[j] = u
 		for _, ref := range ms.Roster {
 			k, i := ref[0], ref[1]
 			if k < 0 || k >= len(sys.Strings) || i < 0 || i >= len(sys.Strings[k].Apps) {
@@ -229,8 +236,13 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				return nil, fmt.Errorf("feasibility: snapshot machine rosters list application (%d,%d) twice", k, i)
 			}
 			seen[appRef{k, i}] = true
-			a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef{k, i}, sys.MachineDemandUtil(k, i, j)})
+			a.perMachine[j] = append(a.perMachine[j], rosterEntry{appRef: appRef{k, i}, wait: sys.MachineDemandUtil(k, i, j)})
 		}
+		if err := a.canonical(a.perMachine[j]); err != nil {
+			return nil, fmt.Errorf("feasibility: snapshot machine %d roster: %w", j, err)
+		}
+		a.machineUtil[j] = u
+		a.reprice(a.perMachine[j], 0, a.posM)
 		rostered += len(ms.Roster)
 	}
 	if rostered != totalAssigned {
@@ -278,9 +290,13 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				return nil, fmt.Errorf("feasibility: snapshot route rosters list producer (%d,%d) twice", k, i)
 			}
 			seenRoute[appRef{k, i}] = true
-			e.apps = append(e.apps, rosterEntry{appRef{k, i}, a.routeTerm(k, i, rs.From, rs.To)})
+			e.apps = append(e.apps, rosterEntry{appRef: appRef{k, i}, wait: a.routeTerm(k, i, rs.From, rs.To)})
+		}
+		if err := a.canonical(e.apps); err != nil {
+			return nil, fmt.Errorf("feasibility: snapshot route %d->%d roster: %w", rs.From, rs.To, err)
 		}
 		e.util = u
+		a.reprice(e.apps, 0, a.posR)
 		routed += len(rs.Roster)
 	}
 	if routed != wantRouted {
@@ -288,4 +304,15 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 	}
 	a.bind = a.walkBinding() // the accumulators were written above without noteUtil
 	return a, nil
+}
+
+// canonical reports the first adjacent pair of roster entries out of canonical
+// order, as an error.
+func (a *Allocation) canonical(roster []rosterEntry) error {
+	for idx := 1; idx < len(roster); idx++ {
+		if x, y := roster[idx-1].appRef, roster[idx].appRef; !a.ahead(x, y) {
+			return fmt.Errorf("(%d,%d) is listed before (%d,%d), out of canonical order", x.k, x.i, y.k, y.i)
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -121,10 +122,10 @@ func TestSnapshotVersioning(t *testing.T) {
 	}
 
 	// Every version but the current one — the unversioned and version-1 dense
-	// files of earlier builds, an unknown future version — is rejected with
-	// the typed error before any content is interpreted, not as a downstream
-	// shape or digest failure.
-	for _, v := range []int{-1, 0, 1, SnapshotVersion + 1} {
+	// files of earlier builds, version 2's history-ordered rosters, an unknown
+	// future version — is rejected with the typed error before any content is
+	// interpreted, not as a downstream shape or digest failure.
+	for _, v := range []int{-1, 0, 1, 2, SnapshotVersion + 1} {
 		other := reload()
 		other.Version = v
 		_, err := FromSnapshot(sys, other)
@@ -199,5 +200,60 @@ func TestFromSnapshotRejectsCorrupt(t *testing.T) {
 		if _, err := FromSnapshot(sys, &snap); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", tc.name)
 		}
+	}
+}
+
+// A roster out of canonical order is refused, not restored: two swapped
+// entries of a machine roster, and of a route roster, each name the pair.
+func TestFromSnapshotRejectsSwappedRoster(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sys := randomSystem(rng, 3, 6, 3)
+	a := New(sys)
+	for k := range sys.Strings {
+		machines := make([]int, len(sys.Strings[k].Apps))
+		for i := range machines {
+			machines[i] = (k + 2*i) % sys.Machines
+		}
+		a.AssignString(k, machines)
+	}
+	reload := func() *AllocationSnapshot {
+		data, err := json.Marshal(a.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp AllocationSnapshot
+		if err := json.Unmarshal(data, &cp); err != nil {
+			t.Fatal(err)
+		}
+		return &cp
+	}
+	if _, err := FromSnapshot(sys, reload()); err != nil {
+		t.Fatalf("canonical snapshot refused: %v", err)
+	}
+	swapped := 0
+	for m := range reload().Machines {
+		snap := reload()
+		if r := snap.Machines[m].Roster; len(r) >= 2 {
+			r[0], r[1] = r[1], r[0]
+			_, err := FromSnapshot(sys, snap)
+			if err == nil || !strings.Contains(err.Error(), "canonical order") {
+				t.Fatalf("machine %d roster with its first two entries swapped: error %v, want canonical order named", snap.Machines[m].Machine, err)
+			}
+			swapped++
+		}
+	}
+	for r := range reload().Routes {
+		snap := reload()
+		if ro := snap.Routes[r].Roster; len(ro) >= 2 {
+			ro[0], ro[1] = ro[1], ro[0]
+			_, err := FromSnapshot(sys, snap)
+			if err == nil || !strings.Contains(err.Error(), "canonical order") {
+				t.Fatalf("route %d->%d roster with its first two entries swapped: error %v, want canonical order named", snap.Routes[r].From, snap.Routes[r].To, err)
+			}
+			swapped++
+		}
+	}
+	if swapped == 0 {
+		t.Fatal("no roster holds two entries; nothing was swapped")
 	}
 }

@@ -133,8 +133,9 @@ var derivedOrder = []derivedMetric{
 
 // Derived computes the derived ratios operators actually read — decode-memo
 // hit rate and worker-pool utilization (both in [0,1]), and the delta
-// analyzer's average dirty and recheck set sizes and roster entries added up
-// per incremental evaluation — from their constituent counters. Ratios whose denominator counters are zero
+// analyzer's average dirty and recheck set sizes and waiting-sum additions
+// (the rosters' prefix upkeep) per incremental evaluation — from their
+// constituent counters. Ratios whose denominator counters are zero
 // are omitted, so an empty snapshot yields an empty map. The text report and
 // the service /v1/metrics endpoint share this computation.
 func Derived(snap telemetry.Snapshot) map[string]float64 {

@@ -25,8 +25,10 @@ import (
 
 // SchemaVersion is stamped into every response, journal record and snapshot
 // file; clients reject versions newer than they understand. Version 2 took
-// the catalog out of the snapshot file (see snapshot.go).
-const SchemaVersion = 2
+// the catalog out of the snapshot file (see snapshot.go); version 3 keeps
+// every roster in canonical priority order, which changes every state digest
+// (feasibility.SnapshotVersion 3).
+const SchemaVersion = 3
 
 // Error codes carried by the error envelope. The HTTP layer maps them to
 // status codes; programmatic clients switch on the code, not the message.

@@ -198,6 +198,65 @@ func BenchmarkRecoverFleet(b *testing.B) {
 	b.ReportMetric(float64(reg.Counter("feasibility.slackness_rescans").Value())/float64(records), "rescans/record")
 }
 
+// BenchmarkRecoverPaper is BenchmarkRecoverFleet on the benchmark's `paper`
+// ship (scenario 1, seed 1), over a journal of about 12 000 records drawn the
+// way shipbench draws its stream: a uniform string, admitted if unmapped,
+// otherwise removed or rescaled on a fair coin, a rescale aiming at a demand
+// level drawn from U[0.7, 1.3]. Replay, not the 60 KB catalog, is the restart
+// here, and the analyzer's decisions are most of replay.
+func BenchmarkRecoverPaper(b *testing.B) {
+	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	journalPath := filepath.Join(b.TempDir(), "bench.wal")
+	svc, err := New(Config{System: sys, Journal: journalPath, Fsync: journal.FsyncNone, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.NewRand(1, "service/bench", 2)
+	mapped := make([]bool, len(sys.Strings))
+	scale := make([]float64, len(sys.Strings))
+	for k := range scale {
+		scale[k] = 1
+	}
+	for step := 0; step < 12000; step++ {
+		k := r.Intn(len(sys.Strings))
+		var d Decision
+		switch {
+		case !mapped[k]:
+			if d, err = svc.Admit(k); err == nil && d.Accepted {
+				mapped[k] = true
+			}
+		case r.Intn(2) == 0:
+			if d, err = svc.Remove(k); err == nil && d.Accepted {
+				mapped[k] = false
+			}
+		default:
+			factor := (0.7 + 0.6*r.Float64()) / scale[k]
+			if d, err = svc.Rescale(k, factor); err == nil && d.Accepted {
+				scale[k] *= factor
+			}
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc.Close()
+	b.ResetTimer()
+	records := 0
+	for n := 0; n < b.N; n++ {
+		rec, rep, err := Recover(journalPath, Config{CompactEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = rep.Replayed
+		b.StopTimer()
+		rec.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	b.ReportMetric(float64(records), "records")
+}
+
 // paperHandler is where the wire path was profiled: the benchmark's `paper`
 // ship (scenario 1, seed 1) behind the HTTP handler with the journal on,
 // loaded by admitting every string in index order. It returns the handler and

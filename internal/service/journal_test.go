@@ -366,7 +366,7 @@ func TestRecoverUndecodableRecordIsReplayError(t *testing.T) {
 		{"escaped op", `"op":"admit"`, `"op":"adm\u0069t"`, `undecodable record: field "op": want a plain string`},
 		{"duplicate", `"seq":1,`, `"seq":1,"seq":1,`, `undecodable record: duplicate field "seq" at offset`},
 		{"null", `"accepted":true`, `"accepted":null`, `undecodable record: field "accepted": want true or false at offset`},
-		{"undecodable and another version", `{"v":2,"seq":1,`, `{"v":1,"seq":1.0,`, `undecodable record: field "seq": want an integer`},
+		{"undecodable and another version", fmt.Sprintf(`{"v":%d,"seq":1,`, SchemaVersion), `{"v":1,"seq":1.0,`, `undecodable record: field "seq": want an integer`},
 		{"trailing bytes", `"}`, `"} {}`, "undecodable record: trailing data"},
 		{"unknown op", `"op":"admit"`, `"op":"admix"`, `journaled op failed on replay`},
 	} {

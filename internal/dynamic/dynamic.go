@@ -32,9 +32,9 @@ import (
 	"repro/internal/model"
 )
 
-// ScaleWorkload returns a deep copy of the system with every string's demand
-// scaled by gamma (gamma > 0) under model.ScaleDemand — the workload-increase
-// model of the robustness experiments.
+// ScaleWorkload returns the system with every string's demand scaled by gamma
+// (gamma > 0) under model.ScaleDemand — the workload-increase model of the
+// robustness experiments. The result is a model.ScaledView of sys.
 func ScaleWorkload(sys *model.System, gamma float64) (*model.System, error) {
 	if gamma <= 0 {
 		return nil, fmt.Errorf("dynamic: workload scale %v, want positive", gamma)
@@ -43,20 +43,19 @@ func ScaleWorkload(sys *model.System, gamma float64) (*model.System, error) {
 }
 
 // ScaleStrings scales each string k by gammas[k], modeling non-uniform
-// workload change (some sensors surge while others idle).
+// workload change (some sensors surge while others idle). The result is
+// model.ScaledView(sys, gammas): fresh demand floats over sys's own bandwidth
+// and utilization rows, which neither side may write; sys is left unchanged.
 func ScaleStrings(sys *model.System, gammas []float64) (*model.System, error) {
 	if len(gammas) != len(sys.Strings) {
 		return nil, fmt.Errorf("dynamic: %d scale factors for %d strings", len(gammas), len(sys.Strings))
 	}
-	out := sys.Clone()
-	for k := range out.Strings {
-		g := gammas[k]
+	for k, g := range gammas {
 		if g <= 0 {
 			return nil, fmt.Errorf("dynamic: string %d scale %v, want positive", k, g)
 		}
-		model.ScaleDemand(out.Strings[k].Apps, out.Strings[k].Apps, g)
 	}
-	return out, nil
+	return model.ScaledView(sys, gammas), nil
 }
 
 func uniformScales(n int, gamma float64) []float64 {
@@ -69,7 +68,7 @@ func uniformScales(n int, gamma float64) []float64 {
 
 // TransferAllocation rebuilds an allocation's machine assignments on another
 // system with the same shape (same strings and application counts), e.g. a
-// scaled clone. Only completely mapped strings are transferred, in ascending
+// scaled view. Only completely mapped strings are transferred, in ascending
 // string order, so the result's rosters and accumulators depend on src's
 // placements alone.
 func TransferAllocation(src *feasibility.Allocation, dst *model.System) (*feasibility.Allocation, error) {

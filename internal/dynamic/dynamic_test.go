@@ -3,6 +3,7 @@ package dynamic
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/feasibility"
@@ -42,6 +43,53 @@ func TestScaleWorkload(t *testing.T) {
 	}
 	if _, err := ScaleStrings(sys, []float64{-1}); err == nil {
 		t.Error("negative scale accepted")
+	}
+}
+
+// TestScaleStringsMatchesCloneOracle: ScaleStrings is the scaled view of
+// its input, and equals a deep clone scaled in place — the builder it
+// replaced — bit for bit, every non-demand field included, while the input
+// keeps every bit.
+func TestScaleStringsMatchesCloneOracle(t *testing.T) {
+	cfg := workload.ScenarioConfig(workload.HighlyLoaded)
+	cfg.Strings = 30
+	sys := workload.MustGenerate(cfg, 4)
+	rng := rand.New(rand.NewSource(9))
+	gammas := make([]float64, len(sys.Strings))
+	for k := range gammas {
+		gammas[k] = 0.5 + 2*rng.Float64()
+	}
+	before := sys.Clone()
+	got, err := ScaleStrings(sys, gammas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sys.Clone()
+	for k := range want.Strings {
+		model.ScaleDemand(want.Strings[k].Apps, want.Strings[k].Apps, gammas[k])
+	}
+	// DeepEqual compares floats with ==, which -0 and NaN would fool; the
+	// generated catalog has neither, and the bits are compared below too.
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ScaleStrings differs from the clone + ScaleDemand oracle")
+	}
+	for k := range want.Strings {
+		for i := range want.Strings[k].Apps {
+			g, w := &got.Strings[k].Apps[i], &want.Strings[k].Apps[i]
+			for j := range w.NominalTime {
+				if math.Float64bits(g.NominalTime[j]) != math.Float64bits(w.NominalTime[j]) {
+					t.Fatalf("string %d app %d machine %d: time %x, oracle %x", k, i, j,
+						math.Float64bits(g.NominalTime[j]), math.Float64bits(w.NominalTime[j]))
+				}
+			}
+			if math.Float64bits(g.OutputKB) != math.Float64bits(w.OutputKB) {
+				t.Fatalf("string %d app %d: output %x, oracle %x", k, i,
+					math.Float64bits(g.OutputKB), math.Float64bits(w.OutputKB))
+			}
+		}
+	}
+	if !reflect.DeepEqual(sys, before) {
+		t.Error("ScaleStrings wrote its input")
 	}
 }
 
@@ -252,5 +300,55 @@ func TestPickVictimNearTieDeterministic(t *testing.T) {
 			t.Fatalf("round %d: victim %d, want 2", round, got)
 		}
 		r.result()
+	}
+}
+
+// nearTieChain returns n worths 1 + i·0.6e-9: each is feasibility.AlmostEqual
+// to its neighbours but not to the ones two away, a chain the non-transitive
+// tie rule of the worth sorts cannot order on its own.
+func nearTieChain(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 1 + float64(i)*0.6e-9
+	}
+	return out
+}
+
+// TestReclaimNearTieChainDeterministic: Repair on one machine evicts five
+// small near-tie strings and then the large one (tighter than its near-tie
+// neighbour) before the machine fits; the reclaim pass then takes the five
+// small ones back, in the order its worth sort gives them. Gathered in map order that sort returned a different
+// order from run to run; gathered in ascending ID every run must log the same
+// actions.
+func TestReclaimNearTieChainDeterministic(t *testing.T) {
+	chain := nearTieChain(8)
+	sys := model.NewUniformSystem(1, 10)
+	add := func(w, demand float64) {
+		sys.AddString(model.AppString{Worth: w, Period: 10, MaxLatency: 1000,
+			Apps: []model.Application{model.UniformApp(1, demand*10, 1, 0)}})
+	}
+	for k := 0; k < 6; k++ {
+		add(chain[k], 0.04)
+	}
+	add(chain[6], 0.5)
+	add(chain[7], 0.06)
+	add(100, 0.5) // U = 1.3
+	var first []Action
+	for round := 0; round < 50; round++ {
+		a := feasibility.New(sys)
+		for k := range sys.Strings {
+			a.Assign(k, 0, 0)
+		}
+		res := Repair(a)
+		if round == 0 {
+			first = res.Actions
+			if _, evicted, reclaimed := res.Counts(); evicted != 6 || reclaimed != 5 {
+				t.Fatalf("evicted %d, reclaimed %d, want 6/5: %+v", evicted, reclaimed, res.Actions)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.Actions, first) {
+			t.Fatalf("round %d: actions %+v\nwant %+v", round, res.Actions, first)
+		}
 	}
 }

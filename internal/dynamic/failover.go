@@ -38,7 +38,7 @@ type repairer struct {
 	machineOK func(j int) bool           // nil: all machines allowed
 	routeOK   func(j1, j2 int) bool      // nil: all routes allowed
 	origin    map[int][]int              // pre-repair machines of every string acted on
-	evicted   map[int]bool               // strings evicted by this repair, reclaim candidates
+	evicted   []bool                     // strings evicted by this repair, reclaim candidates
 	tried     []bool                     // strings that already got their one migrate attempt
 	res       *Result
 	tel       repairTelemetry
@@ -88,7 +88,7 @@ func newRepairer(alloc *feasibility.Allocation, machineOK func(int) bool, routeO
 		machineOK: machineOK,
 		routeOK:   routeOK,
 		origin:    make(map[int][]int),
-		evicted:   make(map[int]bool),
+		evicted:   make([]bool, len(sys.Strings)),
 		tried:     make([]bool, len(sys.Strings)),
 		res:       &Result{WorthBefore: alloc.Metric().Worth},
 		tel:       newRepairTelemetry(),
@@ -175,7 +175,10 @@ func (r *repairer) repairLoop() {
 }
 
 // reclaim re-places strings evicted by this repair that fit again once the
-// repair settled, highest worth first (ties: lowest ID). The IMR's placement
+// repair settled, highest worth first (ties: lowest ID). Candidates are
+// gathered in ascending ID: worths within feasibility.AlmostEqual tie, a rule
+// that is not transitive, so the order sort.Slice returns for a near-tie
+// chain depends on the order it was given. The IMR's placement
 // choice depends on the current utilizations, so a reclaim that lands can
 // redirect a previously failed string onto a feasible placement; passes
 // repeat until one makes no progress. The final, empty pass tests every
@@ -184,11 +187,14 @@ func (r *repairer) repairLoop() {
 // the property tests pin.
 func (r *repairer) reclaim() {
 	sys := r.alloc.System()
+	var cands []int
 	for {
 		r.tel.reclaimPass.Inc()
-		cands := make([]int, 0, len(r.evicted))
-		for k := range r.evicted {
-			cands = append(cands, k)
+		cands = cands[:0]
+		for k, e := range r.evicted {
+			if e {
+				cands = append(cands, k)
+			}
 		}
 		sortByWorthDesc(sys, cands)
 		progressed := false
@@ -199,7 +205,7 @@ func (r *repairer) reclaim() {
 			}
 			if r.da.FeasibleAfterDelta() {
 				r.da.Commit()
-				delete(r.evicted, k)
+				r.evicted[k] = false
 				r.placeAction(k, Reclaimed)
 				progressed = true
 			} else {

@@ -169,6 +169,33 @@ func ScaleDemand(dst, src []Application, g float64) {
 	}
 }
 
+// ScaledView returns the catalog base × scale: string k's demand floats are
+// base's times scale[k] under ScaleDemand, one multiply from the pristine
+// float. Only the NominalTime rows and the Application structs are fresh
+// memory; Bandwidth and every NominalUtil row are base's own slices, which
+// ScaleDemand never writes, so rewriting the view's demand in place with
+// ScaleDemand(view.Strings[k].Apps, base.Strings[k].Apps, g) leaves base
+// untouched. scale must have one entry per string.
+func ScaledView(base *System, scale []float64) *System {
+	view := &System{
+		Machines:  base.Machines,
+		Bandwidth: base.Bandwidth,
+		Strings:   make([]AppString, len(base.Strings)),
+	}
+	for k := range base.Strings {
+		src := base.Strings[k].Apps
+		apps := make([]Application, len(src))
+		for i := range src {
+			apps[i].NominalTime = make([]float64, len(src[i].NominalTime))
+			apps[i].NominalUtil = src[i].NominalUtil
+		}
+		ScaleDemand(apps, src, scale[k])
+		view.Strings[k] = base.Strings[k]
+		view.Strings[k].Apps = apps
+	}
+	return view
+}
+
 // Clone returns a deep copy of the system.
 func (sys *System) Clone() *System {
 	out := &System{Machines: sys.Machines}

@@ -7,9 +7,10 @@
 // first. Shed strings are re-admitted — bounded per tick, via the masked IMR
 // — only once slackness recovers above the separate, higher re-admit
 // threshold; the gap between the two thresholds is the hysteresis band that
-// keeps the controller from flapping at the boundary. The mapping carried
-// from one tick to the next is the previous tick's allocation, re-placed on
-// the system scaled to the new tick's demand.
+// keeps the controller from flapping at the boundary. An episode works on
+// one scaled view of the ship and one allocation over it: each tick rescales
+// the view in place to the tick's demand and re-places the previous tick's
+// complete strings on it in string index order.
 
 package overload
 
@@ -144,8 +145,9 @@ type Result struct {
 	// Feasible reports whether the final allocation passes the two-stage
 	// analysis.
 	Feasible bool
-	// FinalAlloc is the end-of-timeline allocation, on the final tick's
-	// scaled system; its complete strings are the surviving mapped set.
+	// FinalAlloc is the end-of-timeline allocation, on a view of the caller's
+	// system scaled to the final tick's demand; its complete strings are the
+	// surviving mapped set.
 	FinalAlloc *feasibility.Allocation
 }
 
@@ -172,12 +174,16 @@ func newControllerTelemetry() controllerTelemetry {
 // Run is the worth-aware degradation controller: it applies cfg's defaults,
 // validates it, and walks the surge scenario on the control grid, keeping the
 // allocation feasible by worth-per-utilization shedding and hysteresis-gated
-// re-admission. The input allocation is not mutated: each tick re-places the
-// previous tick's complete strings on a clone of the base system scaled to
-// that tick's demand (the first tick starts from alloc), and the last tick's
-// allocation is returned in the result. The run is fully deterministic: the
-// controller consumes no randomness, iterates strings in index order, and
-// breaks every ordering tie by string ID.
+// re-admission. Neither the input allocation nor its system is written: the
+// episode builds one model.ScaledView of the system and one allocation over
+// it, and each tick Resets that allocation, rescales the view in place to the
+// tick's demand, and re-places the previous tick's complete strings (on the
+// first tick, alloc's) in string index order. Reset leaves the allocation
+// indistinguishable from a fresh one, so a tick's state is a function of the
+// carried placements and the tick's demand alone. The last tick's allocation
+// is returned in the result. The run is fully deterministic: the controller
+// consumes no randomness, iterates strings in index order, and breaks every
+// ordering tie by string ID.
 func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -210,25 +216,52 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 	tel := newControllerTelemetry()
 	// Never-mapped strings are not re-admission candidates, so the shed set
 	// cannot be derived from the allocation and is carried beside it.
-	shedSet := make(map[int]bool)
+	shed := make([]bool, n)
 	res := &Result{WorthBefore: alloc.Metric().Worth, MinRetained: 1}
 
-	a := alloc
+	// The episode's one view and one allocation; see Run's comment.
+	view := model.ScaledView(base, sc.FactorsAt(0, n))
+	a := feasibility.New(view)
+	// carried[k] is string k's placement as the previous tick left it, nil
+	// unless complete; place is its backing, one slot per application.
+	carried := make([][]int, n)
+	place := make([][]int, n)
+	for k := range place {
+		place[k] = make([]int, len(base.Strings[k].Apps))
+	}
+	// Bandwidth never scales, so every density shares the episode's average
+	// inverse bandwidth; wpu[k] is string k's density at the tick's demand.
+	invBW := base.AvgInvBandwidth()
+	wpu := make([]float64, n)
+	tried := make([]bool, n)
+	implicated := make([]bool, n)
+	var cands []int
+
+	src := alloc
 	for i := 0; i < ticks; i++ {
 		t := float64(i) * interval
 		tel.ticks.Inc()
-		factors := sc.FactorsAt(t, n)
-		sys := base
-		if !allOnes(factors) {
-			scaled, err := dynamic.ScaleStrings(base, factors)
-			if err != nil {
-				return nil, err
+		for k := range carried {
+			carried[k] = nil
+			if src.Complete(k) {
+				for x := range place[k] {
+					place[k][x] = src.Machine(k, x)
+				}
+				carried[k] = place[k]
 			}
-			sys = scaled
 		}
-		var err error
-		if a, err = dynamic.TransferAllocation(a, sys); err != nil {
-			return nil, err
+		src = a
+		// Every string is unassigned after Reset, so the frozen-floats
+		// contract lets the view's demand be rewritten from base.
+		a.Reset()
+		for k, g := range sc.FactorsAt(t, n) {
+			model.ScaleDemand(view.Strings[k].Apps, base.Strings[k].Apps, g)
+			wpu[k] = worthPerUtil(view, k, invBW)
+		}
+		for k, m := range carried {
+			if m != nil {
+				a.AssignString(k, m)
+			}
 		}
 		// Track after the bulk assignment: Track's one full rebase scan
 		// replaces the full two-stage analysis the loop below used to run per
@@ -253,7 +286,7 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 			for k := 0; k < n; k++ {
 				if a.Complete(k) && dynamic.StringUsesFailed(a, k, down) {
 					a.UnassignString(k)
-					shedSet[k] = true
+					shed[k] = true
 					res.Actions = append(res.Actions, Action{Time: t, StringID: k, Kind: Shed, Reason: "outage"})
 					res.Shed++
 					tel.shed.Inc()
@@ -273,9 +306,9 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 		// shed threshold), act on the implicated string with the lowest worth
 		// per unit of demand — one masked-IMR re-placement attempt first
 		// (downgrade before drop), then shed.
-		tried := make(map[int]bool)
+		clear(tried)
 		for !cfg.healthy(da) {
-			victim := cfg.pickVictim(da)
+			victim := cfg.pickVictim(da, wpu, implicated)
 			if victim < 0 {
 				break // nothing implicated (should not happen while unhealthy)
 			}
@@ -297,7 +330,7 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 					a.UnassignString(victim)
 				}
 			}
-			shedSet[victim] = true
+			shed[victim] = true
 			res.Actions = append(res.Actions, Action{Time: t, StringID: victim, Kind: Shed, Reason: "overload"})
 			res.Shed++
 			tel.shed.Inc()
@@ -308,11 +341,13 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 		// bounded per tick, and never admitting a string that would push Λ
 		// back below the shed threshold.
 		if cfg.healthy(da) && a.Slackness() > cfg.ReadmitAbove+slackEps {
-			cands := make([]int, 0, len(shedSet))
-			for k := range shedSet {
-				cands = append(cands, k)
+			cands = cands[:0]
+			for k, s := range shed {
+				if s {
+					cands = append(cands, k)
+				}
 			}
-			sortByWorthPerUtilDesc(sys, cands)
+			sortByWorthPerUtilDesc(wpu, cands)
 			admitted := 0
 			for _, k := range cands {
 				if admitted >= maxReadmit {
@@ -332,7 +367,7 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 				}
 				if da.FeasibleAfterDelta() && a.Slackness() >= cfg.ShedBelow-slackEps {
 					da.Commit()
-					delete(shedSet, k)
+					shed[k] = false
 					res.Actions = append(res.Actions, Action{Time: t, StringID: k, Kind: Readmitted, Reason: "slack-recovered"})
 					res.Readmitted++
 					tel.readmits.Inc()
@@ -429,51 +464,51 @@ func placementSound(da *feasibility.DeltaAnalyzer, k int) bool {
 }
 
 // pickVictim selects the mapped string with the lowest worth per unit of
-// demand among the strings implicated in the overload: strings named by
-// stage-2 violations plus strings on any resource utilized past the shed
-// target 1-ShedBelow. Near-equal densities (feasibility.AlmostEqual) break by
-// lower string ID. Returns -1 when nothing is implicated.
+// demand (wpu, the tick's densities) among the strings implicated in the
+// overload: strings named by stage-2 violations plus strings on any resource
+// utilized past the shed target 1-ShedBelow. Candidates are visited in
+// ascending string ID and near-equal densities (feasibility.AlmostEqual)
+// keep the lower ID; AlmostEqual is not transitive, so the fixed visiting
+// order is what makes the winner of a near-tie chain unique. implicated is
+// scratch, one slot per string. Returns -1 when nothing is implicated.
 //
 // The violation list comes from the delta analyzer (healthy just committed,
 // so only surviving committed violations are rechecked); the resource sweep is
 // the allocation's O(M + active routes) walk at the shed target, which sits at
 // or below the capacity limit the repair controllers walk at.
-func (c Config) pickVictim(da *feasibility.DeltaAnalyzer) int {
+func (c Config) pickVictim(da *feasibility.DeltaAnalyzer, wpu []float64, implicated []bool) int {
 	a := da.Allocation()
-	sys := a.System()
-	implicated := make(map[int]bool)
+	clear(implicated)
 	mark := func(k int) { implicated[k] = true }
 	for _, v := range da.ViolationsAfterDelta() {
 		mark(v.StringID)
 	}
 	a.StringsOverLimit(1-c.ShedBelow+slackEps, mark)
-	best, bestWPU := -1, 0.0
-	for k := 0; k < len(sys.Strings); k++ {
-		if !implicated[k] || !a.Complete(k) {
+	best := -1
+	for k, in := range implicated {
+		if !in || !a.Complete(k) {
 			continue
 		}
-		wpu := WorthPerUtil(sys, k)
-		if best < 0 || (!feasibility.AlmostEqual(wpu, bestWPU) && wpu < bestWPU) {
-			best, bestWPU = k, wpu
+		if best < 0 || (!feasibility.AlmostEqual(wpu[k], wpu[best]) && wpu[k] < wpu[best]) {
+			best = k
 		}
 	}
 	return best
 }
 
-// WorthPerUtil returns the worth of string k per unit of average resource
+// worthPerUtil returns the worth of string k per unit of average resource
 // demand: its worth divided by the sum of its machine-averaged CPU
 // utilization demand and its bandwidth-averaged route utilization demand —
 // the value density the controller sheds against (lowest first) and
-// re-admits against (highest first).
-func WorthPerUtil(sys *model.System, k int) float64 {
+// re-admits against (highest first). invBW is sys.AvgInvBandwidth().
+func worthPerUtil(sys *model.System, k int, invBW float64) float64 {
 	s := &sys.Strings[k]
 	d := 0.0
 	for i := range s.Apps {
 		d += sys.AvgWork(k, i) / s.Period
 	}
-	inv := sys.AvgInvBandwidth()
 	for i := 0; i < len(s.Apps)-1; i++ {
-		d += 8 * s.Apps[i].OutputKB / 1000 * inv / s.Period
+		d += 8 * s.Apps[i].OutputKB / 1000 * invBW / s.Period
 	}
 	if d < 1e-12 {
 		d = 1e-12
@@ -481,25 +516,18 @@ func WorthPerUtil(sys *model.System, k int) float64 {
 	return s.Worth / d
 }
 
-// sortByWorthPerUtilDesc orders string indices by worth-per-utilization,
+// sortByWorthPerUtilDesc orders string indices by their density in wpu,
 // highest first. Densities within feasibility.AlmostEqual of each other are
 // treated as tied and break by lower ID, so the re-admission order cannot
-// depend on the last bits of a float division.
-func sortByWorthPerUtilDesc(sys *model.System, ks []int) {
+// depend on the last bits of a float division; ks must arrive in ascending
+// ID, since with a non-transitive tie rule the order sort.Slice returns
+// depends on the order it was given.
+func sortByWorthPerUtilDesc(wpu []float64, ks []int) {
 	sort.Slice(ks, func(a, b int) bool {
-		wa, wb := WorthPerUtil(sys, ks[a]), WorthPerUtil(sys, ks[b])
+		wa, wb := wpu[ks[a]], wpu[ks[b]]
 		if !feasibility.AlmostEqual(wa, wb) {
 			return wa > wb
 		}
 		return ks[a] < ks[b]
 	})
-}
-
-func allOnes(fs []float64) bool {
-	for _, f := range fs {
-		if f != 1 {
-			return false
-		}
-	}
-	return true
 }

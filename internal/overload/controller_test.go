@@ -10,6 +10,7 @@ import (
 	"repro/internal/feasibility"
 	"repro/internal/heuristics"
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 // oneMachineFixture builds a single-machine system of single-app strings with
@@ -244,8 +245,9 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 }
 
-// TestControllerDoesNotMutateInputs: the caller's allocation survives a run
-// untouched.
+// TestControllerDoesNotMutateInputs: the caller's allocation and system
+// survive a run untouched — the episode's scaled view shares the system's
+// bandwidth and utilization rows, and every demand float keeps its bits.
 func TestControllerDoesNotMutateInputs(t *testing.T) {
 	_, a := oneMachineFixture([]float64{100, 10, 10}, []float64{0.3, 0.3, 0.3})
 	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
@@ -257,6 +259,49 @@ func TestControllerDoesNotMutateInputs(t *testing.T) {
 			t.Errorf("input allocation changed for string %d", k)
 		}
 	}
+
+	cfg := workload.ScenarioConfig(workload.HighlyLoaded)
+	cfg.Strings = 40
+	sys := workload.MustGenerate(cfg, 2)
+	alloc := heuristics.MWF(sys).Alloc
+	sysBits, digest := catalogBits(sys), feasibility.StateDigest(alloc)
+	surge := &Scenario{Events: []Event{
+		{Kind: Step, At: 1, Duration: 3, Factor: 2.5},
+		{Kind: Ramp, At: 2, Factor: 1.7, Rise: 2, Strings: []int{0, 3, 5}},
+	}}
+	res, err := Run(alloc, surge, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shed == 0 {
+		t.Fatal("the surge shed nothing; the check is vacuous")
+	}
+	if !reflect.DeepEqual(catalogBits(sys), sysBits) {
+		t.Error("Run wrote the caller's system")
+	}
+	if got := feasibility.StateDigest(alloc); got != digest {
+		t.Errorf("Run changed the caller's allocation: digest %s, was %s", got, digest)
+	}
+}
+
+// catalogBits flattens every float of sys — bandwidths, then each
+// application's nominal times, utilizations and output size — into bits.
+func catalogBits(sys *model.System) []uint64 {
+	var out []uint64
+	for _, row := range sys.Bandwidth {
+		for _, w := range row {
+			out = append(out, math.Float64bits(w))
+		}
+	}
+	for k := range sys.Strings {
+		for _, app := range sys.Strings[k].Apps {
+			for j := range app.NominalTime {
+				out = append(out, math.Float64bits(app.NominalTime[j]), math.Float64bits(app.NominalUtil[j]))
+			}
+			out = append(out, math.Float64bits(app.OutputKB))
+		}
+	}
+	return out
 }
 
 // TestControllerValidation: bad configs and mismatched inputs error cleanly.
@@ -268,5 +313,37 @@ func TestControllerValidation(t *testing.T) {
 	bad := &Scenario{Events: []Event{{Kind: Step, At: 0, Factor: 2, Strings: []int{5}}}}
 	if _, err := Run(a, bad, Config{}); err == nil {
 		t.Error("out-of-range surge scenario accepted")
+	}
+}
+
+// TestReadmitNearTieChainDeterministic: a 2x surge sheds five strings whose
+// densities form a near-tie chain (each feasibility.AlmostEqual to its
+// neighbours, not to the ones two away), and re-admission takes them back in
+// the order its density sort gives them. Gathered in map order that sort
+// returned a different order from run to run; gathered in ascending ID every
+// run must log the same actions.
+func TestReadmitNearTieChainDeterministic(t *testing.T) {
+	worths, demands := []float64{100}, []float64{0.3}
+	for i := 0; i < 7; i++ {
+		worths, demands = append(worths, 1+float64(i)*0.6e-9), append(demands, 0.08)
+	}
+	sc := &Scenario{Events: []Event{{Kind: Step, At: 10, Duration: 10, Factor: 2}}}
+	var first []Action
+	for round := 0; round < 50; round++ {
+		_, a := oneMachineFixture(worths, demands)
+		res, err := Run(a, sc, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			first = res.Actions
+			if res.Shed != 5 || res.Readmitted != 5 {
+				t.Fatalf("shed %d, readmitted %d, want 5/5: %+v", res.Shed, res.Readmitted, res.Actions)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.Actions, first) {
+			t.Fatalf("round %d: actions %+v\nwant %+v", round, res.Actions, first)
+		}
 	}
 }

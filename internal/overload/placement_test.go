@@ -86,9 +86,14 @@ func TestPlacementSoundMatchesOracleUnderSurge(t *testing.T) {
 		}
 		ctl := Config{ShedBelow: 0.02, ReadmitAbove: 0.1}.WithDefaults()
 		da := feasibility.Track(a)
-		tried := make(map[int]bool)
+		n := len(sys.Strings)
+		wpu, implicated, tried := make([]float64, n), make([]bool, n), make([]bool, n)
+		invBW := sys.AvgInvBandwidth()
+		for k := range wpu {
+			wpu[k] = worthPerUtil(sys, k, invBW)
+		}
 		for !ctl.healthy(da) {
-			victim := ctl.pickVictim(da)
+			victim := ctl.pickVictim(da, wpu, implicated)
 			if victim < 0 {
 				t.Fatalf("seed %d: unhealthy with nothing implicated", seed)
 			}

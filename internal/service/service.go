@@ -113,10 +113,10 @@ func (c Config) Validate() error {
 type state struct {
 	cfg Config
 	// base is the catalog as loaded and is never written; sys is the working
-	// view the allocation is built over: string k's demand floats are
-	// base × scale[k], one multiply from the pristine float (the
-	// model.ScaleDemand definition). The view shares the slices a rescale
-	// never writes (Bandwidth, NominalUtil) with base.
+	// view the allocation is built over, model.ScaledView(base, scale):
+	// string k's demand floats are base × scale[k], one multiply from the
+	// pristine float. The view shares the slices a rescale never writes
+	// (Bandwidth, NominalUtil) with base.
 	base *model.System
 	sys  *model.System
 	// catalog names and hashes base's durable encoding; catalogAt records the
@@ -188,7 +188,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	scale := unitScales(len(cfg.System.Strings))
-	sys := scaledView(cfg.System, scale)
+	sys := model.ScaledView(cfg.System, scale)
 	st := &state{
 		cfg:    cfg,
 		base:   cfg.System,
@@ -571,28 +571,6 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 	return st.decide("remove", k, worthBefore, "", nil), nil
 }
 
-// scaledView builds the working catalog base × scale. Only the NominalTime
-// rows are fresh memory; Bandwidth and NominalUtil are base's own slices.
-func scaledView(base *model.System, scale []float64) *model.System {
-	view := &model.System{
-		Machines:  base.Machines,
-		Bandwidth: base.Bandwidth,
-		Strings:   make([]model.AppString, len(base.Strings)),
-	}
-	for k := range base.Strings {
-		src := base.Strings[k].Apps
-		apps := make([]model.Application, len(src))
-		for i := range src {
-			apps[i].NominalTime = make([]float64, len(src[i].NominalTime))
-			apps[i].NominalUtil = src[i].NominalUtil
-		}
-		model.ScaleDemand(apps, src, scale[k])
-		view.Strings[k] = base.Strings[k]
-		view.Strings[k].Apps = apps
-	}
-	return view
-}
-
 // setScale recomputes string k's view floats from base at scale g. Safe only
 // while string k is fully unassigned — the frozen-floats contract in package
 // feasibility's comment: no accumulator, roster term or memoised verdict is
@@ -692,9 +670,11 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 	if err != nil {
 		return Decision{}, Errorf(CodeBadRequest, nil, "%v", err)
 	}
-	// The controller works on a scaled clone; adopt its final mapping by
-	// re-placing it deterministically (string index order) on the live
-	// system. This is a control-plane rebuild, not part of the serve path.
+	// The controller works on its own scaled view and allocation; adopt its
+	// final mapping by re-placing it deterministically (string index order)
+	// on the live system. Journals embed state digests that replay verifies,
+	// so the post-surge state must be exactly this rebuild. It is a
+	// control-plane rebuild, not part of the serve path.
 	fresh, err := dynamic.TransferAllocation(res.FinalAlloc, st.sys)
 	if err != nil {
 		return Decision{}, Errorf(CodeInternal, nil, "adopt surge result: %v", err)

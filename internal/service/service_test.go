@@ -648,3 +648,40 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("out-of-range overload config accepted")
 	}
 }
+
+// TestPostSurgeDigest pins the live state after two surge episodes on the
+// scenario-1 ship (seed 1, MWF), by digest. String 0 is rescaled first, so
+// the controller sees demand (base × scale) × factor; the second surge is
+// permanent, so the episode ends on factors other than 1. The digest was
+// recorded from the controller that cloned the ship every tick and must not
+// move when the controller's working copy changes shape.
+func TestPostSurgeDigest(t *testing.T) {
+	svc, err := New(Config{System: paperSystem(150, 1), Heuristic: "MWF"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	if d, err := svc.Rescale(0, 1.15); err != nil || !d.Accepted {
+		t.Fatalf("rescale string 0: %v %+v", err, d)
+	}
+	battle, err := overload.LoadFile("../../examples/overload/surge.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lasting := &overload.Scenario{Events: []overload.Event{
+		{Kind: overload.Step, At: 5, Factor: 2.5, Strings: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+	}}
+	for _, sc := range []*overload.Scenario{battle, lasting} {
+		if d, err := svc.Surge(sc); err != nil || !d.Accepted {
+			t.Fatalf("surge %q: %v %+v", sc.Name, err, d)
+		}
+	}
+	st, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9f10564982c7c9d1"
+	if st.MappedCount != 52 || st.Digest != want {
+		t.Errorf("post-surge state: %d mapped, digest %s; want 52, %s", st.MappedCount, st.Digest, want)
+	}
+}

@@ -293,7 +293,7 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 			return nil, fmt.Errorf("service: snapshot %s: scale[%d] = %v, want finite positive", path, k, g)
 		}
 	}
-	sys := scaledView(base, file.Scale)
+	sys := model.ScaledView(base, file.Scale)
 	alloc, err := feasibility.FromSnapshot(sys, file.Alloc)
 	if err != nil {
 		return nil, fmt.Errorf("service: snapshot %s: %w", path, err)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/model"
@@ -84,14 +85,24 @@ func (a *Allocation) routeTerm(k, i, j1, j2 int) float64 {
 	return a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, j1, j2) / s.Period
 }
 
-// routeEntry is one active inter-machine route out of a machine: the peer
-// machine it leads to, its equation-(3) utilization, and the roster of
-// producing applications whose output traverses the route.
+// routeEntry is one active inter-machine route, from -> to: its equation-(3)
+// utilization and the roster of producing applications whose output traverses
+// it. Entries live in the allocation's route arena at a slot that stays fixed
+// while the route is active (see Allocation.routes).
 type routeEntry struct {
-	peer int
-	util float64
-	apps []rosterEntry
+	from, to int32
+	util     float64
+	apps     []rosterEntry
 }
+
+// routeRef is one entry of a machine's adjacency: the peer machine a route
+// leads to and the arena slot of its entry.
+type routeRef struct{ peer, slot int32 }
+
+// rosterPos locates an application's entry on a roster: the roster's slot —
+// the machine itself for a machine roster, the route's arena slot for a route
+// roster — and the entry's index on it.
+type rosterPos struct{ slot, idx int32 }
 
 // Allocation is a (possibly partial) application-to-machine mapping. It
 // maintains, incrementally under Assign/Unassign:
@@ -112,21 +123,28 @@ type Allocation struct {
 
 	perMachine [][]rosterEntry // machine j -> applications assigned to it
 
-	// posM[k][i] is the index of application i's entry on its machine's
-	// roster, posR[k][i] that of its output's on its route's (inter-machine
-	// transfers only); meaningless while the application is unassigned.
-	posM, posR [][]int
+	// posM[k][i] locates application i's entry on its machine's roster,
+	// posR[k][i] its output's on its route's (inter-machine transfers only),
+	// each as the roster's slot and the index (rosterPos), so a placed
+	// transfer's route is read without a search. Meaningless while the
+	// application is unassigned.
+	posM, posR [][]rosterPos
 
-	// routes is the sparse route state: routes[j1] holds one entry per active
-	// route out of machine j1, sorted by peer machine, so a route that carries
-	// no transfer costs nothing to store, copy, scan, or snapshot. An entry
-	// exists iff its roster is non-empty, and absent routes report exactly
-	// zero utilization — removing a route's last transfer drops the entry
-	// rather than leaving a float residue. The sorted order doubles as the
-	// canonical (j1, j2)-ascending iteration order of WriteState and Snapshot.
-	// Memory and full-scan cost are O(M + active routes), replacing the dense
-	// M×M matrices that made allocations quadratic in machines.
-	routes [][]routeEntry
+	// The sparse route state: a route that carries no transfer costs nothing
+	// to store, copy, scan, or snapshot. routes is the arena of active route
+	// entries, each at a slot fixed while its route is active; emptied slots
+	// wait on free for reuse. adj[j1] holds one ref per active route out of
+	// machine j1, sorted by peer — the only index by endpoints, searched only
+	// when a route is looked up by them, and the canonical (j1, j2)-ascending
+	// iteration order of WriteState and Snapshot. A route is active iff its
+	// roster is non-empty, and absent routes report exactly zero utilization —
+	// removing a route's last transfer frees its slot rather than leaving a
+	// float residue. Memory and full-scan cost are O(M + active routes),
+	// replacing the dense M×M matrices that made allocations quadratic in
+	// machines.
+	routes []routeEntry
+	free   []int32
+	adj    [][]routeRef
 
 	tightness []float64 // T[k] per equation (4); NaN until string k is complete
 
@@ -197,7 +215,7 @@ func New(sys *model.System) *Allocation {
 		perMachine:  make([][]rosterEntry, m),
 		posM:        newPositions(sys, nil),
 		posR:        newPositions(sys, nil),
-		routes:      make([][]routeEntry, m),
+		adj:         make([][]routeRef, m),
 		tightness:   make([]float64, len(sys.Strings)),
 		bind:        emptyBinding,
 		tel:         newAllocTelemetry(),
@@ -212,15 +230,15 @@ func New(sys *model.System) *Allocation {
 	return a
 }
 
-// newPositions returns a position table, one slot per application over one
+// newPositions returns a position table, one entry per application over one
 // backing array, copying from when it is not nil.
-func newPositions(sys *model.System, from [][]int) [][]int {
+func newPositions(sys *model.System, from [][]rosterPos) [][]rosterPos {
 	n := 0
 	for k := range sys.Strings {
 		n += len(sys.Strings[k].Apps)
 	}
-	buf := make([]int, n)
-	pos := make([][]int, len(sys.Strings))
+	buf := make([]rosterPos, n)
+	pos := make([][]rosterPos, len(sys.Strings))
 	for k := range pos {
 		n := len(sys.Strings[k].Apps)
 		pos[k], buf = buf[:n:n], buf[n:]
@@ -262,23 +280,24 @@ func (a *Allocation) MachineUtilization(j int) float64 { return a.machineUtil[j]
 // assignments. Intra-machine routes and routes carrying no transfer report
 // exactly zero.
 func (a *Allocation) RouteUtilization(j1, j2 int) float64 {
-	if idx, ok := a.routeIndex(j1, j2); ok {
-		return a.routes[j1][idx].util
+	if e := a.findRoute(j1, j2); e != nil {
+		return e.util
 	}
 	return 0
 }
 
 // routeIndex locates peer j2 in machine j1's sorted adjacency, returning its
-// position when present or the insertion point when absent. Short adjacencies
-// — the common case at paper-scale machine counts, where a machine talks to a
-// handful of peers — scan linearly, which beats binary search on its branch
-// mispredictions; long ones binary search.
+// position when present or the insertion point when absent: the search by
+// endpoints, which a placed transfer's route read (outRoute) does not make.
+// Short adjacencies — the common case at paper-scale machine counts, where a
+// machine talks to a handful of peers — scan linearly, which beats binary
+// search on its branch mispredictions; long ones binary search.
 func (a *Allocation) routeIndex(j1, j2 int) (int, bool) {
-	adj := a.routes[j1]
+	adj, peer := a.adj[j1], int32(j2)
 	if len(adj) <= 8 {
 		for idx := range adj {
-			if p := adj[idx].peer; p >= j2 {
-				return idx, p == j2
+			if p := adj[idx].peer; p >= peer {
+				return idx, p == peer
 			}
 		}
 		return len(adj), false
@@ -286,22 +305,34 @@ func (a *Allocation) routeIndex(j1, j2 int) (int, bool) {
 	lo, hi := 0, len(adj)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if adj[mid].peer < j2 {
+		if adj[mid].peer < peer {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(adj) && adj[lo].peer == j2
+	return lo, lo < len(adj) && adj[lo].peer == peer
+}
+
+// findRoute returns the entry of route (j1, j2), or nil when inactive.
+func (a *Allocation) findRoute(j1, j2 int) *routeEntry {
+	if idx, ok := a.routeIndex(j1, j2); ok {
+		return &a.routes[a.adj[j1][idx].slot]
+	}
+	return nil
 }
 
 // outRoute returns route (j1, j2), j1 != j2, and the index on its roster of
-// the output of application i of string k, which must travel it.
+// the output of application i of string k, which must travel it. The
+// transfer's position names the route's slot, so the read is O(1): no
+// adjacency is searched, and the entry's endpoints and the roster entry are
+// checked instead.
 func (a *Allocation) outRoute(k, i, j1, j2 int) (*routeEntry, int) {
-	if idx, ok := a.routeIndex(j1, j2); ok {
-		e := &a.routes[j1][idx]
-		if p := a.posR[k][i]; p < len(e.apps) && e.apps[p].appRef == (appRef{k, i}) {
-			return e, p
+	p := a.posR[k][i]
+	if s := int(p.slot); s < len(a.routes) {
+		e := &a.routes[s]
+		if idx := int(p.idx); idx < len(e.apps) && int(e.from) == j1 && int(e.to) == j2 && e.apps[idx].appRef == (appRef{k, i}) {
+			return e, idx
 		}
 	}
 	panic(fmt.Sprintf("feasibility: route %d->%d does not carry the output of application (%d,%d)", j1, j2, k, i))
@@ -309,42 +340,52 @@ func (a *Allocation) outRoute(k, i, j1, j2 int) (*routeEntry, int) {
 
 // routeRoster returns the roster of route (j1, j2), or nil when inactive.
 func (a *Allocation) routeRoster(j1, j2 int) []rosterEntry {
-	if idx, ok := a.routeIndex(j1, j2); ok {
-		return a.routes[j1][idx].apps
+	if e := a.findRoute(j1, j2); e != nil {
+		return e.apps
 	}
 	return nil
 }
 
-// insertRouteAt opens a fresh entry for peer j2 at position idx of machine
-// j1's adjacency and returns it. Growing within capacity recovers the apps
-// buffer of the retired entry sitting just past the tail (left there by
-// removeRouteAt or a Reset truncation), so the decode-Reset-decode hot path
-// of the heuristics stays allocation-free in steady state.
-func (a *Allocation) insertRouteAt(j1, idx, j2 int) *routeEntry {
-	adj := a.routes[j1]
-	var spare []rosterEntry
-	if n := len(adj); n < cap(adj) {
-		adj = adj[: n+1 : cap(adj)]
-		spare = adj[n].apps
+// openRoute activates route (j1, j2), whose ref belongs at position idx of
+// machine j1's adjacency, and returns its slot: the last one freed, else the
+// next past the arena's end. Either way the slot brings back the roster buffer
+// its previous route left (a removal and a Reset keep them), so the
+// decode-Reset-decode hot path of the heuristics stays allocation-free in
+// steady state.
+func (a *Allocation) openRoute(j1, idx, j2 int) int32 {
+	var slot int32
+	if n := len(a.free); n > 0 {
+		slot, a.free = a.free[n-1], a.free[:n-1]
 	} else {
-		adj = append(adj, routeEntry{})
+		slot = int32(len(a.routes))
+		if len(a.routes) < cap(a.routes) {
+			a.routes = a.routes[:slot+1]
+		} else {
+			a.routes = append(a.routes, routeEntry{})
+		}
 	}
-	copy(adj[idx+1:], adj[idx:len(adj)-1])
-	adj[idx] = routeEntry{peer: j2, apps: spare[:0]}
-	a.routes[j1] = adj
-	return &adj[idx]
+	e := &a.routes[slot]
+	*e = routeEntry{from: int32(j1), to: int32(j2), apps: e.apps[:0]}
+	a.adj[j1] = slices.Insert(a.adj[j1], idx, routeRef{peer: int32(j2), slot: slot})
+	return slot
 }
 
-// removeRouteAt deletes the entry at position idx of machine j1's adjacency,
-// parking its apps buffer in the vacated tail slot for insertRouteAt to
-// recover.
-func (a *Allocation) removeRouteAt(j1, idx int) {
-	adj := a.routes[j1]
-	buf := adj[idx].apps
-	last := len(adj) - 1
-	copy(adj[idx:], adj[idx+1:])
-	adj[last] = routeEntry{apps: buf}
-	a.routes[j1] = adj[:last]
+// routeSlot returns the slot of route (j1, j2), activating it if inactive.
+func (a *Allocation) routeSlot(j1, j2 int) int32 {
+	idx, ok := a.routeIndex(j1, j2)
+	if ok {
+		return a.adj[j1][idx].slot
+	}
+	return a.openRoute(j1, idx, j2)
+}
+
+// closeRoute deactivates the route at position idx of machine j1's adjacency:
+// its ref goes and its slot, roster buffer kept, joins the free list.
+func (a *Allocation) closeRoute(j1, idx int) {
+	slot := a.adj[j1][idx].slot
+	a.routes[slot].apps = a.routes[slot].apps[:0]
+	a.free = append(a.free, slot)
+	a.adj[j1] = slices.Delete(a.adj[j1], idx, idx+1)
 }
 
 // Assign maps application i of string k onto machine j, updating machine and
@@ -369,7 +410,7 @@ func (a *Allocation) Assign(k, i, j int) {
 	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
 	roster, p := a.enter(a.perMachine[j], rosterEntry{appRef: appRef{k, i}, wait: u})
 	a.perMachine[j] = roster
-	a.reprice(roster, p, a.posM)
+	a.reprice(roster, p, a.posM, int32(j))
 	if i > 0 && mo[i-1] != Unassigned {
 		a.addRoute(mo[i-1], j, k, i-1)
 	}
@@ -396,11 +437,11 @@ func (a *Allocation) Unassign(k, i int) {
 	if a.tracker != nil {
 		a.tracker.beforeMutation(k, i, j, uncompletes)
 	}
-	p := a.posM[k][i]
+	p := int(a.posM[k][i].idx)
 	a.machineUtil[j] -= a.perMachine[j][p].wait
 	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
 	a.perMachine[j] = leave(a.perMachine[j], p)
-	a.reprice(a.perMachine[j], p, a.posM)
+	a.reprice(a.perMachine[j], p, a.posM, int32(j))
 	if i > 0 && mo[i-1] != Unassigned {
 		a.removeRoute(mo[i-1], j, k, i-1)
 	}
@@ -452,16 +493,13 @@ func (a *Allocation) addRoute(j1, j2, k, i int) {
 		return
 	}
 	s := &a.sys.Strings[k]
-	idx, ok := a.routeIndex(j1, j2)
-	if !ok {
-		a.insertRouteAt(j1, idx, j2)
-	}
-	e := &a.routes[j1][idx]
+	slot := a.routeSlot(j1, j2)
+	e := &a.routes[slot]
 	e.util += a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
 	a.noteUtil(Resource{j1, j2}, e.util)
 	var p int
 	e.apps, p = a.enter(e.apps, rosterEntry{appRef: appRef{k, i}, wait: a.routeTerm(k, i, j1, j2)})
-	a.reprice(e.apps, p, a.posR)
+	a.reprice(e.apps, p, a.posR, slot)
 }
 
 // removeRoute takes the output of application i of string k off the route
@@ -475,7 +513,7 @@ func (a *Allocation) removeRoute(j1, j2, k, i int) {
 		// Dropping the entry is the sparse form of zeroing the float residue:
 		// an emptied route is exactly empty again.
 		idx, _ := a.routeIndex(j1, j2)
-		a.removeRouteAt(j1, idx)
+		a.closeRoute(j1, idx)
 		a.noteUtil(Resource{j1, j2}, math.NaN())
 		return
 	}
@@ -483,7 +521,7 @@ func (a *Allocation) removeRoute(j1, j2, k, i int) {
 	e.util -= a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
 	a.noteUtil(Resource{j1, j2}, e.util)
 	e.apps = leave(e.apps, p)
-	a.reprice(e.apps, p, a.posR)
+	a.reprice(e.apps, p, a.posR, a.posR[k][i].slot)
 }
 
 // ahead reports whether the entry of application x precedes that of y in
@@ -583,8 +621,8 @@ func (a *Allocation) reseatString(k int) {
 		if j == Unassigned {
 			continue
 		}
-		if roster, p := a.perMachine[j], a.posM[k][i]; p == 0 || roster[p-1].k != k {
-			a.reprice(roster, a.reseat(roster, p), a.posM)
+		if roster, p := a.perMachine[j], int(a.posM[k][i].idx); p == 0 || roster[p-1].k != k {
+			a.reprice(roster, a.reseat(roster, p), a.posM, int32(j))
 		}
 		if i == len(mo)-1 {
 			break
@@ -592,18 +630,18 @@ func (a *Allocation) reseatString(k int) {
 		if next := mo[i+1]; next != Unassigned && next != j {
 			e, p := a.outRoute(k, i, j, next)
 			if p == 0 || e.apps[p-1].k != k {
-				a.reprice(e.apps, a.reseat(e.apps, p), a.posR)
+				a.reprice(e.apps, a.reseat(e.apps, p), a.posR, a.posR[k][i].slot)
 			}
 		}
 	}
 }
 
 // reprice rewrites, from index from on, every entry's pre and its position in
-// pos. The sum of entries before from resumes from the
-// entry before it, so every pre is the in-order sum from +0 whatever from is.
-// Under a tracked allocation the additions are the analyzer's waiting-sum
-// upkeep, counted as its wait_terms.
-func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]int) {
+// pos, the roster's slot with the index. The sum of entries before from
+// resumes from the entry before it, so every pre is the in-order sum from +0
+// whatever from is. Under a tracked allocation the additions are the
+// analyzer's waiting-sum upkeep, counted as its wait_terms.
+func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]rosterPos, slot int32) {
 	run := 0.0
 	if from > 0 {
 		e := &roster[from-1]
@@ -613,17 +651,18 @@ func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]int) {
 		e := &roster[idx]
 		e.pre = run
 		run += e.wait
-		pos[e.k][e.i] = idx
+		pos[e.k][e.i] = rosterPos{slot, int32(idx)}
 	}
 	if a.tracker != nil {
 		a.tracker.tel.waitTerms.Add(int64(len(roster) - from))
 	}
 }
 
-// setPositions writes every entry's index on roster into pos.
-func setPositions(roster []rosterEntry, pos [][]int) {
+// setPositions writes every entry's position on roster, the roster's slot
+// with the index, into pos.
+func setPositions(roster []rosterEntry, pos [][]rosterPos, slot int32) {
 	for idx := range roster {
-		pos[roster[idx].k][roster[idx].i] = idx
+		pos[roster[idx].k][roster[idx].i] = rosterPos{slot, int32(idx)}
 	}
 }
 
@@ -637,24 +676,22 @@ func headPre(roster []rosterEntry, p int) float64 {
 }
 
 // setRouteState restores route (j1, j2) wholesale to a snapshot state:
-// inserting, overwriting, or removing its adjacency entry as the restored
-// roster requires (DeltaAnalyzer.Undo, FromSnapshot).
+// activating, overwriting, or closing it as the restored roster requires
+// (DeltaAnalyzer.Undo). A re-activated route may get another slot than it had;
+// every restored entry's position is rewritten with the one it has now.
 func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntry) {
-	idx, ok := a.routeIndex(j1, j2)
 	if len(roster) == 0 {
-		if ok {
-			a.removeRouteAt(j1, idx)
+		if idx, ok := a.routeIndex(j1, j2); ok {
+			a.closeRoute(j1, idx)
 			a.noteUtil(Resource{j1, j2}, math.NaN())
 		}
 		return
 	}
-	if !ok {
-		a.insertRouteAt(j1, idx, j2)
-	}
-	e := &a.routes[j1][idx]
+	slot := a.routeSlot(j1, j2)
+	e := &a.routes[slot]
 	e.util = util
 	e.apps = append(e.apps[:0], roster...)
-	setPositions(e.apps, a.posR)
+	setPositions(e.apps, a.posR, slot)
 	a.noteUtil(Resource{j1, j2}, util)
 }
 
@@ -666,10 +703,9 @@ func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntr
 // makes the O(M + active) walk behind Slackness and the degradation
 // controller's loops equivalent to dense O(M^2) sweeps.
 func (a *Allocation) ActiveRoutes(f func(j1, j2 int, util float64)) {
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			e := &a.routes[j1][idx]
-			f(j1, e.peer, e.util)
+	for j1, adj := range a.adj {
+		for _, r := range adj {
+			f(j1, int(r.peer), a.routes[r.slot].util)
 		}
 	}
 }
@@ -678,9 +714,8 @@ func (a *Allocation) ActiveRoutes(f func(j1, j2 int, util float64)) {
 // ascending peer order — the per-source slice of ActiveRoutes, for consumers
 // that group route scans by origin.
 func (a *Allocation) ActiveRoutesFrom(j1 int, f func(j2 int, util float64)) {
-	for idx := range a.routes[j1] {
-		e := &a.routes[j1][idx]
-		f(e.peer, e.util)
+	for _, r := range a.adj[j1] {
+		f(int(r.peer), a.routes[r.slot].util)
 	}
 }
 
@@ -721,9 +756,9 @@ func (a *Allocation) StringsOverLimit(limit float64, f func(k int)) {
 			a.completeOn(a.perMachine[j], f)
 		}
 	}
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			if e := &a.routes[j1][idx]; e.util > limit {
+	for _, adj := range a.adj {
+		for _, r := range adj {
+			if e := &a.routes[r.slot]; e.util > limit {
 				a.completeOn(e.apps, f)
 			}
 		}
@@ -816,8 +851,8 @@ func (a *Allocation) PlacementScan(k, i, nb int, machineOK func(j int) bool, rou
 }
 
 // Reset clears every assignment in place, returning the allocation to the
-// state New produces while keeping the adjacency and roster backing arrays
-// for reuse. Heuristics that decode thousands of permutations keep one
+// state New produces while keeping the adjacency, arena and roster backing
+// arrays for reuse. Heuristics that decode thousands of permutations keep one
 // scratch allocation per worker and Reset it between decodes instead of
 // rebuilding. Cost: O(K + M + active).
 func (a *Allocation) Reset() {
@@ -833,11 +868,13 @@ func (a *Allocation) Reset() {
 		a.machineUtil[j] = 0
 		a.perMachine[j] = a.perMachine[j][:0]
 	}
-	// Truncating an adjacency retires its entries in place; their apps
-	// buffers stay in the backing array for insertRouteAt to recover.
-	for j := range a.routes {
-		a.routes[j] = a.routes[j][:0]
+	// Truncating the arena retires every slot, free ones included; the
+	// roster buffers stay in the backing array for openRoute to recover.
+	for j := range a.adj {
+		a.adj[j] = a.adj[j][:0]
 	}
+	a.routes = a.routes[:0]
+	a.free = a.free[:0]
 	a.bind = emptyBinding
 	if a.tracker != nil {
 		a.tracker.rebaseEmpty()
@@ -846,10 +883,11 @@ func (a *Allocation) Reset() {
 
 // Clone returns an independent deep copy of the allocation sharing the same
 // (immutable) system. Cost is O(total applications + M + active routes): the
-// assignment vectors and the position table hold a slot per application, while
-// machines with no assigned applications and routes with no transfers
-// contribute no backing allocations. A DeltaAnalyzer attached to the receiver is not carried over;
-// the clone starts untracked.
+// assignment vectors and the position tables hold an entry per application,
+// the arena is copied slot for slot with the free list — so every position
+// still names its route — and machines with no assigned applications and free
+// slots contribute no backing allocations. A DeltaAnalyzer attached to the
+// receiver is not carried over; the clone starts untracked.
 func (a *Allocation) Clone() *Allocation {
 	cp := &Allocation{
 		sys:         a.sys,
@@ -859,7 +897,9 @@ func (a *Allocation) Clone() *Allocation {
 		perMachine:  make([][]rosterEntry, len(a.perMachine)),
 		posM:        newPositions(a.sys, a.posM),
 		posR:        newPositions(a.sys, a.posR),
-		routes:      make([][]routeEntry, len(a.routes)),
+		routes:      append([]routeEntry(nil), a.routes...),
+		free:        append([]int32(nil), a.free...),
+		adj:         make([][]routeRef, len(a.adj)),
 		tightness:   append([]float64(nil), a.tightness...),
 		bind:        a.bind,
 		tel:         a.tel,
@@ -870,16 +910,13 @@ func (a *Allocation) Clone() *Allocation {
 	for j := range a.perMachine {
 		cp.perMachine[j] = append([]rosterEntry(nil), a.perMachine[j]...)
 	}
-	for j, adj := range a.routes {
-		if len(adj) == 0 {
-			continue
+	for slot := range cp.routes {
+		cp.routes[slot].apps = append([]rosterEntry(nil), cp.routes[slot].apps...)
+	}
+	for j, adj := range a.adj {
+		if len(adj) > 0 {
+			cp.adj[j] = append([]routeRef(nil), adj...)
 		}
-		cadj := make([]routeEntry, len(adj))
-		copy(cadj, adj)
-		for idx := range cadj {
-			cadj[idx].apps = append([]rosterEntry(nil), cadj[idx].apps...)
-		}
-		cp.routes[j] = cadj
 	}
 	return cp
 }
@@ -912,7 +949,7 @@ func (a *Allocation) appendState(buf []byte) []byte {
 	for j := range a.machineUtil {
 		buf = a.appendMachineLine(buf, j)
 	}
-	for j1 := range a.routes {
+	for j1 := range a.adj {
 		buf = a.appendRoutesFrom(buf, j1)
 	}
 	return buf
@@ -946,12 +983,12 @@ func (a *Allocation) appendMachineLine(buf []byte, j int) []byte {
 // appendRoutesFrom appends one "r<j1>,<j2> u<bits> [<roster>]\n" line per
 // active route out of machine j1, in ascending j2 order; nothing if none.
 func (a *Allocation) appendRoutesFrom(buf []byte, j1 int) []byte {
-	for idx := range a.routes[j1] {
-		e := &a.routes[j1][idx]
+	for _, r := range a.adj[j1] {
+		e := &a.routes[r.slot]
 		buf = append(buf, 'r')
 		buf = strconv.AppendInt(buf, int64(j1), 10)
 		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(e.peer), 10)
+		buf = strconv.AppendInt(buf, int64(r.peer), 10)
 		buf = appendResource(buf, e.util, e.apps)
 	}
 	return buf

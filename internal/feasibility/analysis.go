@@ -172,7 +172,7 @@ func (a *Allocation) checkString(k int, prefix bool) *Violation {
 	for i, m := range mo {
 		var wait float64
 		if prefix {
-			wait = headPre(a.perMachine[m], a.posM[k][i])
+			wait = headPre(a.perMachine[m], int(a.posM[k][i].idx))
 		} else {
 			wait = a.waitAhead(k, a.perMachine[m])
 		}
@@ -215,9 +215,9 @@ func (a *Allocation) Stage1Feasible() bool {
 			return false
 		}
 	}
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			if overCapacity(a.routes[j1][idx].util) {
+	for _, adj := range a.adj {
+		for _, r := range adj {
+			if overCapacity(a.routes[r.slot].util) {
 				return false
 			}
 		}
@@ -333,6 +333,7 @@ func (a *Allocation) Metric() Metric {
 // function of the mapping — hold the same entries in the same order as what
 // assigning the same mapping into a fresh allocation builds. The utilization
 // accumulators are path-dependent and are held to the rebuild within 1e-6.
+// The route arena must be sound (checkRoutes).
 func (a *Allocation) checkInvariants() error {
 	fresh := New(a.sys)
 	for k := range a.machineOf {
@@ -361,6 +362,9 @@ func (a *Allocation) checkInvariants() error {
 			return fmt.Errorf("string %d is incomplete but caches tightness %v (want NaN)", k, a.tightness[k])
 		}
 	}
+	if err := a.checkRoutes(); err != nil {
+		return err
+	}
 	// Every roster entry carries exactly the waiting term its catalog floats
 	// price on the resource it sits on — bit-identical, since the term is only
 	// ever written from MachineDemandUtil/routeTerm. A stale term (floats
@@ -372,66 +376,105 @@ func (a *Allocation) checkInvariants() error {
 				return fmt.Errorf("machine %d roster entry (%d,%d) carries waiting term %v, catalog prices %v", j, e.k, e.i, e.wait, want)
 			}
 		}
-		for _, r := range a.routes[j] {
-			for _, e := range r.apps {
-				if want := a.routeTerm(e.k, e.i, j, r.peer); math.Float64bits(e.wait) != math.Float64bits(want) {
+		for _, r := range a.adj[j] {
+			for _, e := range a.routes[r.slot].apps {
+				if want := a.routeTerm(e.k, e.i, j, int(r.peer)); math.Float64bits(e.wait) != math.Float64bits(want) {
 					return fmt.Errorf("route (%d,%d) roster entry (%d,%d) carries waiting term %v, catalog prices %v", j, r.peer, e.k, e.i, e.wait, want)
 				}
 			}
 		}
 	}
 	for j := 0; j < a.sys.Machines; j++ {
-		err := a.checkRoster(a.perMachine[j], a.posM)
+		err := a.checkRoster(a.perMachine[j], a.posM, int32(j))
 		if err == nil {
 			err = sameAs(a.perMachine[j], a.machineUtil[j], fresh.perMachine[j], fresh.machineUtil[j])
 		}
 		if err != nil {
 			return fmt.Errorf("machine %d: %w", j, err)
 		}
-		// Route state must agree in both directions: every incremental entry
+		// Route state must agree in both directions: every incremental route
 		// matches the fresh rebuild, and the rebuild activates no route the
 		// incremental adjacency is missing.
-		for _, e := range a.routes[j] {
-			err := a.checkRoster(e.apps, a.posR)
-			if err == nil {
-				err = sameAs(e.apps, e.util, fresh.routeRoster(j, e.peer), fresh.RouteUtilization(j, e.peer))
-			}
-			if err != nil {
-				return fmt.Errorf("route (%d,%d): %w", j, e.peer, err)
+		for _, r := range a.adj[j] {
+			e, peer := &a.routes[r.slot], int(r.peer)
+			if err := sameAs(e.apps, e.util, fresh.routeRoster(j, peer), fresh.RouteUtilization(j, peer)); err != nil {
+				return fmt.Errorf("route (%d,%d): %w", j, peer, err)
 			}
 		}
-		for _, e := range fresh.routes[j] {
-			if _, ok := a.routeIndex(j, e.peer); !ok {
-				return fmt.Errorf("route (%d,%d) carries %d transfers but is missing from the incremental adjacency", j, e.peer, len(e.apps))
-			}
-		}
-	}
-	// Adjacency structural invariants: each machine's entries are strictly
-	// ascending by peer (binary search and canonical iteration depend on it),
-	// peers are valid and never self-loops, and every entry carries at least
-	// one transfer — an emptied route must drop its entry, which is how
-	// absent routes report exactly zero utilization.
-	for j1 := range a.routes {
-		prev := -1
-		for _, e := range a.routes[j1] {
-			if e.peer <= prev {
-				return fmt.Errorf("machine %d adjacency out of order: peer %d after %d", j1, e.peer, prev)
-			}
-			prev = e.peer
-			if e.peer == j1 || e.peer < 0 || e.peer >= a.sys.Machines {
-				return fmt.Errorf("machine %d adjacency holds invalid peer %d", j1, e.peer)
-			}
-			if len(e.apps) == 0 {
-				return fmt.Errorf("route (%d,%d) is active with an empty roster", j1, e.peer)
+		for _, r := range fresh.adj[j] {
+			if _, ok := a.routeIndex(j, int(r.peer)); !ok {
+				return fmt.Errorf("route (%d,%d) carries %d transfers but is missing from the incremental adjacency", j, r.peer, len(fresh.routes[r.slot].apps))
 			}
 		}
 	}
 	return a.checkBinding()
 }
 
+// checkRoutes checks the route state's structure. Each machine's adjacency is
+// strictly ascending by peer (the search and canonical iteration depend on
+// it), its peers valid and never self-loops; each ref names a slot whose entry
+// has these endpoints and a non-empty roster — an emptied route must free its
+// slot, which is how absent routes report exactly zero utilization — and that
+// roster passes checkRoster with every entry's position naming this slot and
+// its index. The live slots and the free list are disjoint and together cover
+// the arena, every free slot with an empty roster.
+func (a *Allocation) checkRoutes() error {
+	const live, freed = 1, 2
+	state := make([]int, len(a.routes))
+	for j1, adj := range a.adj {
+		prev := int32(-1)
+		for _, r := range adj {
+			if r.peer <= prev {
+				return fmt.Errorf("machine %d adjacency out of order: peer %d after %d", j1, r.peer, prev)
+			}
+			prev = r.peer
+			if int(r.peer) == j1 || int(r.peer) >= a.sys.Machines {
+				return fmt.Errorf("machine %d adjacency holds invalid peer %d", j1, r.peer)
+			}
+			if r.slot < 0 || int(r.slot) >= len(a.routes) {
+				return fmt.Errorf("route (%d,%d) names slot %d outside the arena of %d", j1, r.peer, r.slot, len(a.routes))
+			}
+			if state[r.slot] != 0 {
+				return fmt.Errorf("route (%d,%d) names slot %d, already live", j1, r.peer, r.slot)
+			}
+			state[r.slot] = live
+			e := &a.routes[r.slot]
+			if int(e.from) != j1 || e.to != r.peer {
+				return fmt.Errorf("route (%d,%d) names slot %d, which holds route (%d,%d)", j1, r.peer, r.slot, e.from, e.to)
+			}
+			if len(e.apps) == 0 {
+				return fmt.Errorf("route (%d,%d) is active with an empty roster", j1, r.peer)
+			}
+			if err := a.checkRoster(e.apps, a.posR, r.slot); err != nil {
+				return fmt.Errorf("route (%d,%d): %w", j1, r.peer, err)
+			}
+		}
+	}
+	for _, slot := range a.free {
+		if slot < 0 || int(slot) >= len(a.routes) {
+			return fmt.Errorf("free slot %d outside the arena of %d", slot, len(a.routes))
+		}
+		switch state[slot] {
+		case live:
+			return fmt.Errorf("slot %d is both live and free", slot)
+		case freed:
+			return fmt.Errorf("slot %d is on the free list twice", slot)
+		}
+		state[slot] = freed
+		if n := len(a.routes[slot].apps); n != 0 {
+			return fmt.Errorf("free slot %d holds a roster of %d", slot, n)
+		}
+	}
+	if slot := slices.Index(state, 0); slot >= 0 {
+		return fmt.Errorf("slot %d is neither live nor free", slot)
+	}
+	return nil
+}
+
 // checkRoster checks one roster: canonical order, and every entry's pre the
-// in-order sum of the waits before it and its index the one pos records.
-func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]int) error {
+// in-order sum of the waits before it and its position the roster's slot and
+// its index.
+func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]rosterPos, slot int32) error {
 	if err := a.canonical(roster); err != nil {
 		return err
 	}
@@ -441,8 +484,8 @@ func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]int) error {
 			return fmt.Errorf("entry (%d,%d) at %d carries pre %v, the in-order sum before it is %v", e.k, e.i, idx, e.pre, run)
 		}
 		run += e.wait
-		if pos[e.k][e.i] != idx {
-			return fmt.Errorf("entry (%d,%d) at %d is recorded at position %d", e.k, e.i, idx, pos[e.k][e.i])
+		if got := pos[e.k][e.i]; got != (rosterPos{slot, int32(idx)}) {
+			return fmt.Errorf("entry (%d,%d) at %d of slot %d is recorded at %d of slot %d", e.k, e.i, idx, slot, got.idx, got.slot)
 		}
 	}
 	return nil

@@ -229,11 +229,7 @@ func (da *DeltaAnalyzer) Rebase() {
 	for _, u := range a.machineUtil {
 		da.nOver += overCount(u)
 	}
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			da.nOver += overCount(a.routes[j1][idx].util)
-		}
-	}
+	a.ActiveRoutes(func(_, _ int, u float64) { da.nOver += overCount(u) })
 }
 
 // overCount is overCapacity as a count of one resource.
@@ -341,7 +337,7 @@ func (da *DeltaAnalyzer) snapRoute(j1, j2 int) {
 		da.dirtyRouteSrc = append(da.dirtyRouteSrc, j1)
 	}
 	// Growing within capacity recovers the roster buffer of the snapshot a
-	// window clear retired in that slot (insertRouteAt's trick).
+	// window clear truncated away, as openRoute recovers a retired slot's.
 	var spare []rosterEntry
 	if n := len(snaps); n < cap(snaps) {
 		snaps = snaps[:n+1]
@@ -350,8 +346,7 @@ func (da *DeltaAnalyzer) snapRoute(j1, j2 int) {
 		snaps = append(snaps, routeSnap{})
 	}
 	snap := routeSnap{peer: j2, roster: spare[:0]}
-	if idx, ok := da.a.routeIndex(j1, j2); ok {
-		e := &da.a.routes[j1][idx]
+	if e := da.a.findRoute(j1, j2); e != nil {
 		snap.util = e.util
 		snap.roster = append(snap.roster, e.apps...)
 	}
@@ -602,7 +597,7 @@ func (da *DeltaAnalyzer) Undo() {
 		snap := &da.machSnaps[j]
 		a.machineUtil[j] = snap.util
 		a.perMachine[j] = append(a.perMachine[j][:0], snap.roster...)
-		setPositions(a.perMachine[j], a.posM)
+		setPositions(a.perMachine[j], a.posM, int32(j))
 	}
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {

@@ -118,33 +118,33 @@ func auditOver(t *testing.T, label string, da *DeltaAnalyzer) {
 
 // auditPrefix is what makes "bit-identical" a test for the sums the analyzer
 // reads: every roster is in canonical order with every entry at its recorded
-// position, and for every complete string the prefix sum headPre reads on each
-// of its machine and route rosters equals, by math.Float64bits, waitAhead over
-// the roster as it stands — the oracle, which relies on no order.
+// position — a route roster's entries naming its slot, the route arena sound
+// (checkRoutes) — and for every complete string the prefix sum headPre reads
+// on each of its machine and route rosters equals, by math.Float64bits,
+// waitAhead over the roster as it stands — the oracle, which relies on no
+// order.
 func auditPrefix(a *Allocation) error {
 	for j := range a.perMachine {
-		if err := a.checkRoster(a.perMachine[j], a.posM); err != nil {
+		if err := a.checkRoster(a.perMachine[j], a.posM, int32(j)); err != nil {
 			return fmt.Errorf("machine %d: %w", j, err)
 		}
-		for _, e := range a.routes[j] {
-			if err := a.checkRoster(e.apps, a.posR); err != nil {
-				return fmt.Errorf("route (%d,%d): %w", j, e.peer, err)
-			}
-		}
+	}
+	if err := a.checkRoutes(); err != nil {
+		return err
 	}
 	for k, mo := range a.machineOf {
 		if !a.Complete(k) {
 			continue
 		}
 		for i, m := range mo {
-			roster, p, what := a.perMachine[m], a.posM[k][i], "machine"
+			roster, p, what := a.perMachine[m], int(a.posM[k][i].idx), "machine"
 			if got, want := headPre(roster, p), a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Errorf("string %d application %d reads %s sum %v, waitAhead over the roster is %v", k, i, what, got, want)
 			}
 			if i+1 == len(mo) || mo[i+1] == m {
 				continue
 			}
-			roster, p, what = a.routeRoster(m, mo[i+1]), a.posR[k][i], "route"
+			roster, p, what = a.routeRoster(m, mo[i+1]), int(a.posR[k][i].idx), "route"
 			if got, want := headPre(roster, p), a.waitAhead(k, roster); math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Errorf("string %d application %d reads %s sum %v, waitAhead over the roster is %v", k, i, what, got, want)
 			}
@@ -873,7 +873,7 @@ func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	a.AssignString(1, []int{0})
 	da.Commit()
 	checkSettled(t, "before the move", da)
-	if got := headPre(a.perMachine[0], a.posM[1][0]); !(a.Tightness(0) < a.Tightness(1)) || got != 0 {
+	if got := headPre(a.perMachine[0], int(a.posM[1][0].idx)); !(a.Tightness(0) < a.Tightness(1)) || got != 0 {
 		t.Fatalf("before the move string 1 (T=%v) should outrank string 0 (T=%v) and wait for nothing, reads %v",
 			a.Tightness(1), a.Tightness(0), got)
 	}
@@ -889,7 +889,7 @@ func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	queryWindow(t, "single-application move", da, true, true)
 	da.Commit()
 	checkSettled(t, "single-application move", da)
-	if got, want := headPre(a.perMachine[0], a.posM[1][0]), sys.MachineDemandUtil(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := headPre(a.perMachine[0], int(a.posM[1][0].idx)), sys.MachineDemandUtil(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("string 1 reads %v on machine 0 after the move, want string 0's term %v", got, want)
 	}
 }

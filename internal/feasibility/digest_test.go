@@ -32,10 +32,10 @@ func writeStateFmt(w io.Writer, a *Allocation) {
 	for j := range a.machineUtil {
 		fmt.Fprintf(w, "m%d u%016x %v\n", j, math.Float64bits(a.machineUtil[j]), refs(a.perMachine[j]))
 	}
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			e := &a.routes[j1][idx]
-			fmt.Fprintf(w, "r%d,%d u%016x %v\n", j1, e.peer, math.Float64bits(e.util), refs(e.apps))
+	for j1, adj := range a.adj {
+		for _, r := range adj {
+			e := &a.routes[r.slot]
+			fmt.Fprintf(w, "r%d,%d u%016x %v\n", j1, r.peer, math.Float64bits(e.util), refs(e.apps))
 		}
 	}
 }
@@ -301,10 +301,10 @@ func rosterText(a *Allocation) string {
 		fmt.Fprintf(&b, "m%d", j)
 		entries(a.perMachine[j])
 	}
-	for j1 := range a.routes {
-		for _, e := range a.routes[j1] {
-			fmt.Fprintf(&b, "r%d,%d", j1, e.peer)
-			entries(e.apps)
+	for j1, adj := range a.adj {
+		for _, r := range adj {
+			fmt.Fprintf(&b, "r%d,%d", j1, r.peer)
+			entries(a.routes[r.slot].apps)
 		}
 	}
 	return b.String()

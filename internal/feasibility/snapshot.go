@@ -145,12 +145,12 @@ func (a *Allocation) Snapshot() *AllocationSnapshot {
 	// The adjacency stores active routes in canonical (from, to) order
 	// already, so equal states produce equal snapshot files regardless of
 	// activation history.
-	for j1 := range a.routes {
-		for idx := range a.routes[j1] {
-			e := &a.routes[j1][idx]
+	for j1, adj := range a.adj {
+		for _, r := range adj {
+			e := &a.routes[r.slot]
 			snap.Routes = append(snap.Routes, RouteState{
 				From:   j1,
-				To:     e.peer,
+				To:     int(r.peer),
 				Util:   encBits(e.util),
 				Roster: rosterPairs(e.apps),
 			})
@@ -242,7 +242,7 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 			return nil, fmt.Errorf("feasibility: snapshot machine %d roster: %w", j, err)
 		}
 		a.machineUtil[j] = u
-		a.reprice(a.perMachine[j], 0, a.posM)
+		a.reprice(a.perMachine[j], 0, a.posM, int32(j))
 		rostered += len(ms.Roster)
 	}
 	if rostered != totalAssigned {
@@ -276,7 +276,8 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 		if err != nil {
 			return nil, fmt.Errorf("feasibility: snapshot route %d->%d util: %w", rs.From, rs.To, err)
 		}
-		e := a.insertRouteAt(rs.From, idx, rs.To)
+		slot := a.openRoute(rs.From, idx, rs.To)
+		e := &a.routes[slot]
 		for _, ref := range rs.Roster {
 			k, i := ref[0], ref[1]
 			if k < 0 || k >= len(sys.Strings) || i < 0 || i+1 >= len(sys.Strings[k].Apps) {
@@ -296,7 +297,7 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 			return nil, fmt.Errorf("feasibility: snapshot route %d->%d roster: %w", rs.From, rs.To, err)
 		}
 		e.util = u
-		a.reprice(e.apps, 0, a.posR)
+		a.reprice(e.apps, 0, a.posR, slot)
 		routed += len(rs.Roster)
 	}
 	if routed != wantRouted {

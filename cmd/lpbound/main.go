@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -42,17 +43,35 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, err := workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
-	fatal(err)
-
 	obj := lp.MaximizeWorth
-	if *objective == "slackness" || (*objective == "" && *scenario == 3 && *inFile == "") {
+	switch *objective {
+	case "worth":
+	case "slackness":
 		obj = lp.MaximizeSlackness
+	case "":
+		if *scenario == 3 && *inFile == "" {
+			obj = lp.MaximizeSlackness
+		}
+	default:
+		refuse("unknown -objective %q (want worth or slackness)", *objective)
 	}
 	formulation := lp.Relaxed
-	if *form == "full" {
+	switch *form {
+	case "relaxed":
+	case "full":
 		formulation = lp.Full
+	default:
+		refuse("unknown -form %q (want full or relaxed)", *form)
 	}
+	if *rescale < 0 || math.IsNaN(*rescale) || math.IsInf(*rescale, 0) {
+		refuse("-rescale %v: want a positive demand factor, or 0 for no re-solve", *rescale)
+	}
+	if *warm && *rescale == 0 {
+		refuse("-warm needs -rescale: it warm-starts the re-solve at a positive demand factor")
+	}
+
+	sys, err := workload.LoadSystem(*inFile, *scenario, *seed, *strings_)
+	fatal(err)
 
 	start := time.Now()
 	b, err := lp.UpperBound(sys, lp.Config{
@@ -119,6 +138,13 @@ func main() {
 			fmt.Printf("warm start saved %d of the base solve's %d pivots\n", b.Iterations-rb.Iterations, b.Iterations)
 		}
 	}
+}
+
+// refuse reports a flag value lpbound cannot act on and exits 2, as the flag
+// package does for a malformed one.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "lpbound: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -360,7 +360,8 @@ func TestRelaxedBoundMatchesDenseAt40(t *testing.T) {
 
 // TestFleetScaleBound: the relaxed worth bound of an M=256 fleet ship (1 100
 // rows, 220 000 columns) is feasible to 1e-6 and dominates what MWF actually
-// maps. 6.4 s with a dense basis inverse and full pricing, 0.12 s without.
+// maps. 6.4 s with a dense basis inverse and full pricing, 0.12 s without,
+// 0.08 s from the crash basis.
 func TestFleetScaleBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("M=256 LP")
@@ -379,6 +380,30 @@ func TestFleetScaleBound(t *testing.T) {
 	}
 	if mwf := heuristics.MWF(sys).Metric.Worth; sol.Objective < mwf {
 		t.Errorf("bound %v below MWF's worth %v", sol.Objective, mwf)
+	}
+}
+
+// TestRelaxedWorthPivotCeiling holds the cold relaxed worth solve of both
+// benchmark ships to its measured pivot count plus a tenth. The crash basis
+// (simplex standard.go) is what keeps them there: without it the solve runs a
+// phase 1 and reads 4 148 pivots on scenario 1 and 1 337 on the fleet ship,
+// so a change that loses the crash fails here and not only in a benchmark.
+func TestRelaxedWorthPivotCeiling(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		cfg      workload.Config
+		measured int
+	}{
+		{"scenario 1", workload.ScenarioConfig(workload.HighlyLoaded), 1181},
+		{"FleetConfig(128,2)", workload.FleetConfig(128, 2), 323},
+	} {
+		b, err := UpperBound(workload.MustGenerate(c.cfg, 1), Config{Formulation: Relaxed, Objective: MaximizeWorth})
+		if err != nil || b.Status != simplex.Optimal {
+			t.Fatalf("%s: %v %v", c.name, err, b)
+		}
+		if ceiling := c.measured + c.measured/10; b.Iterations > ceiling {
+			t.Errorf("%s: %d pivots, ceiling %d (measured %d)", c.name, b.Iterations, ceiling, c.measured)
+		}
 	}
 }
 

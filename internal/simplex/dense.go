@@ -26,7 +26,7 @@ func (p *Problem) SolveDense() (*Solution, error) {
 	s := standardize(p)
 	t := newTableau(s)
 	sol := &Solution{}
-	if s.hasArtificials() {
+	if s.artificialBasic() {
 		if err := t.run(s.phase1Cost(), true, &sol.Iterations); err != nil {
 			return nil, err
 		}

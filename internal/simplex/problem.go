@@ -7,9 +7,13 @@
 //     flat column-major sparse storage whose basis inverse is a sparse LU
 //     factorisation plus a product-form eta file, refactorised every 64
 //     pivots, priced partially over a cyclic window of m columns (m the row
-//     count) with a fall-back to Bland's rule when the objective stalls;
+//     count) with a fall-back to Bland's rule when the objective stalls. A
+//     cold solve starts from a triangular crash basis that puts a structural
+//     column in each zero-right-side equality or ≥ row, so phase 1 runs only
+//     for the artificials the crash could not replace;
 //   - SolveDense, a dense-tableau solver simple enough to audit by hand, the
-//     reference the tests cross-validate the revised solver against.
+//     reference the tests cross-validate the revised solver against. It
+//     starts from the slack/artificial basis, without the crash.
 //
 // Problems are stated as: maximize cᵀx subject to linear constraints with
 // relations ≤, ≥, =, and x ≥ 0. Minimization is achieved by negating the

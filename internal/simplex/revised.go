@@ -6,10 +6,14 @@ import (
 )
 
 // Revised simplex over sparse column storage: the production solver for the
-// upper-bound LPs. The basis inverse is never formed; BTRAN and FTRAN solve
-// against a sparse LU of the basis plus one eta per pivot since (factor.go),
-// and the factorisation is rebuilt from the basis columns every refactorEvery
-// pivots, which both bounds the eta file and flushes numerical drift.
+// upper-bound LPs. A cold solve starts from the crash basis (standard.go):
+// every zero-right-side row that can have a structural column basic at 0 gets
+// one, so the bound LPs' (b) rows need no phase 1, and phase 1 runs only while
+// an artificial is still basic. The basis inverse is never formed; BTRAN and
+// FTRAN solve against a sparse LU of the basis plus one eta per pivot since
+// (factor.go), and the factorisation is rebuilt from the basis columns every
+// refactorEvery pivots, which both bounds the eta file and flushes numerical
+// drift.
 //
 // Pricing is partial: each pivot prices only the next m columns (m the row
 // count) after the ones the previous pivot priced, cyclically, and takes
@@ -23,18 +27,20 @@ import (
 // basis: the eta file never holds more than this many updates.
 const refactorEvery = 64
 
-// Solve solves the problem with the two-phase revised simplex.
+// Solve solves the problem with the two-phase revised simplex from the crash
+// basis, skipping phase 1 when the crash left no artificial basic.
 func (p *Problem) Solve() (*Solution, error) {
 	if len(p.cons) == 0 {
 		return trivialSolution(p), nil
 	}
 	s := standardize(p)
+	s.crash()
 	r := newRevised(s, s.basis)
 	if err := r.refactorize(); err != nil {
 		return nil, err
 	}
 	sol := &Solution{}
-	if s.hasArtificials() {
+	if s.artificialBasic() {
 		if err := r.run(s.phase1Cost(), true, &sol.Iterations); err != nil {
 			return nil, err
 		}
@@ -64,12 +70,12 @@ func (p *Problem) Solve() (*Solution, error) {
 // standard-form column numbering, which that structural identity keeps
 // stable.
 //
-// Skipping phase 1 is the entire payoff: the previous optimum is typically
+// Starting at the previous optimum is the entire payoff: it is typically
 // primal feasible (or a few pivots away) after a small data change, so the
-// solve reduces to a short phase-2 cleanup. When the basis cannot seed this
-// problem the solver falls back to the cold two-phase Solve; Solution.Warm
-// reports which path produced the result and Solution.Refusal why the basis
-// was turned down.
+// solve reduces to a short phase-2 cleanup, where a cold solve starts over
+// from the crash basis. When the basis cannot seed this problem the solver
+// falls back to the cold two-phase Solve; Solution.Warm reports which path
+// produced the result and Solution.Refusal why the basis was turned down.
 func (p *Problem) SolveWithBasis(basis []int) (*Solution, error) {
 	if len(p.cons) == 0 {
 		return trivialSolution(p), nil
@@ -85,8 +91,7 @@ func (p *Problem) SolveWithBasis(basis []int) (*Solution, error) {
 			sol.Status = Unbounded
 			return sol, nil
 		}
-		// The cold path starts from a clean slack/artificial basis and may
-		// still succeed.
+		// The cold path starts from the crash basis and may still succeed.
 		refusal = WarmNumerical
 	}
 	sol, err := p.Solve()

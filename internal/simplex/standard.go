@@ -1,5 +1,10 @@
 package simplex
 
+import (
+	"math"
+	"slices"
+)
+
 // Conversion to standard computational form: A x = b with b ≥ 0 and x ≥ 0,
 // where A gains slack, surplus, and artificial columns. Both solvers consume
 // this representation; the revised solver prices and factorises straight off
@@ -22,7 +27,7 @@ type standard struct {
 	cost []float64 // phase-2 objective (maximize), zero for non-structural
 
 	artStart int   // columns >= artStart are artificial
-	basis    []int // initial basis, one column per row (slacks/artificials)
+	basis    []int // initial basis, one column per row: slacks and artificials, until crash
 
 	// Dual bookkeeping: flip[i] records that original constraint i was
 	// negated to make b non-negative (its dual changes sign); rowAux[i] is
@@ -139,9 +144,52 @@ func standardize(p *Problem) *standard {
 	return s
 }
 
-// hasArtificials reports whether any artificial columns exist (phase 1 is a
-// no-op otherwise).
-func (s *standard) hasArtificials() bool { return s.artStart < s.n }
+// crash replaces the artificial basic in each row whose right side is 0 by a
+// structural column, so the revised solver starts closer to an optimum and,
+// when every artificial goes, skips phase 1. A column qualifies for row r
+// when r is its only nonzero in a row with an artificial basic and all its
+// other nonzeros sit in rows with a slack basic; among a row's candidates it
+// takes the one with the smallest Σ|a| outside r, ties to the lowest index.
+// On the bound LPs the zero rows are the (b) rows and the pick is the
+// application's lightest machine.
+//
+// The result needs no threshold test. Each crashed column has one nonzero
+// among the artificial rows, in its own row, so that block of the basis is
+// diagonal and the rest is the slack identity: the basis is nonsingular and
+// triangular. Its rows' right sides are 0, so each crashed column is basic at
+// 0 and the slacks keep their values: the basis is primal feasible. The one
+// bound is pivotTol on |a|, below which the ratio test would never have
+// pivoted the column into that row either.
+//
+// The dense solver does not crash: its tableau is the raw A, canonical only
+// for the slack/artificial basis.
+func (s *standard) crash() {
+	mass := make([]float64, s.m) // off-row mass of row i's pick so far
+	for j := 0; j < s.nStruct; j++ {
+		rows, vals := s.col(j)
+		r, off := -1, 0.0
+		for idx, i := range rows {
+			if s.rowArt[i] < 0 {
+				off += math.Abs(vals[idx])
+				continue
+			}
+			if r >= 0 || s.b[i] != 0 || math.Abs(vals[idx]) < pivotTol {
+				r = -1
+				break
+			}
+			r = int(i)
+		}
+		if r >= 0 && (s.basis[r] >= s.artStart || off < mass[r]) {
+			s.basis[r], mass[r] = j, off
+		}
+	}
+}
+
+// artificialBasic reports whether the initial basis holds an artificial
+// column, which only phase 1 can drive to zero.
+func (s *standard) artificialBasic() bool {
+	return slices.ContainsFunc(s.basis, func(j int) bool { return j >= s.artStart })
+}
 
 // phase1Cost returns the phase-1 objective: maximize -(sum of artificials).
 func (s *standard) phase1Cost() []float64 {

@@ -30,7 +30,7 @@
 // -restore resumes bit-identically: the catalog must hash to the pinned
 // value and the restored state's digest must match the recorded one.
 //
-// With -journal the daemon write-ahead logs every accepted mutation before
+// With -journal the daemon write-ahead logs every decided mutation before
 // replying; after a crash, restarting with the same -journal recovers the
 // acknowledged history bit-identically (snapshot restore + journal replay,
 // verified record by record). Journal compaction writes the same small state
@@ -157,8 +157,8 @@ func main() {
 		var rep *service.RecoveryReport
 		svc, rep, err = service.Recover(*journalPath, cfg)
 		fatal(err)
-		fmt.Printf("shipd: recovered from journal %s: snapshot seq %d (digest %s), %d ops replayed, %d skipped, state seq %d, digest %s (catalog load %s, replay %s)\n",
-			*journalPath, rep.SnapshotSeq, rep.SnapshotDigest, rep.Replayed, rep.Skipped, rep.FinalSeq, rep.Digest,
+		fmt.Printf("shipd: recovered from journal %s: snapshot seq %d (digest %s), %d ops replayed (rejections trusted: %d), %d skipped, state seq %d, digest %s (catalog load %s, replay %s)\n",
+			*journalPath, rep.SnapshotSeq, rep.SnapshotDigest, rep.Replayed, rep.Rejected, rep.Skipped, rep.FinalSeq, rep.Digest,
 			rep.CatalogLoad.Round(time.Microsecond), rep.Replay.Round(time.Microsecond))
 		if rep.Torn {
 			fmt.Printf("shipd: journal had a torn tail (%d bytes) from an interrupted append; discarded\n", rep.TornBytes)

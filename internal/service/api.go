@@ -151,7 +151,10 @@ type Decision struct {
 	Accepted bool `json:"accepted"`
 	// StringID is the subject string, or -1 for system-wide operations.
 	StringID int `json:"stringId"`
-	// Reason explains a rejection in one line.
+	// Reason explains a rejection in one line. A rejection replayed from the
+	// journal reads "rejected before the restart; replayed from the journal
+	// without re-deciding" and carries no Violations: the journal records
+	// neither.
 	Reason string `json:"reason,omitempty"`
 	// WorthBefore/WorthAfter bracket the operation; WorthRetained is their
 	// ratio (1 when nothing was mapped before; above 1 for admissions).

@@ -154,11 +154,12 @@ func BenchmarkCompact(b *testing.B) {
 // mixed-op records (drawn like BenchmarkCompact's, written once, outside the
 // timer) over the benchmark's fleet ship: state file, the 2.4 MB pinned
 // catalog, then every record decoded, replayed and chain-checked. ns/record
-// is the whole restart spread over its records, catalog load included.
-// rescans/record is an exact count from one more restart with telemetry on,
-// outside the timer: the replayed decisions whose Λ read found the kept
-// binding resource stale and walked every machine and route. A jump toward 1
-// means the kept maximum stopped engaging.
+// is the whole restart spread over its records, catalog load included;
+// rejected/record is the share of them that were rejections, folded in
+// without being decided again. rescans/record is an exact count from one
+// more restart with telemetry on, outside the timer: the replayed decisions
+// whose Λ read found the kept binding resource stale and walked every
+// machine and route. A jump toward 1 means the kept maximum stopped engaging.
 func BenchmarkRecoverFleet(b *testing.B) {
 	sys := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
 	journalPath := filepath.Join(b.TempDir(), "bench.wal")
@@ -173,20 +174,22 @@ func BenchmarkRecoverFleet(b *testing.B) {
 	}
 	svc.Close()
 	b.ResetTimer()
-	records := 0
+	var rep *RecoveryReport
 	for n := 0; n < b.N; n++ {
-		rec, rep, err := Recover(journalPath, Config{CompactEvery: -1})
+		rec, r, err := Recover(journalPath, Config{CompactEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		records = rep.Replayed
+		rep = r
 		b.StopTimer()
 		rec.Close()
 		b.StartTimer()
 	}
 	b.StopTimer()
+	records := rep.Replayed
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 	b.ReportMetric(float64(records), "records")
+	b.ReportMetric(float64(rep.Rejected)/float64(records), "rejected/record")
 	prev := telemetry.Active()
 	reg := telemetry.Enable()
 	rec, _, err := Recover(journalPath, Config{CompactEvery: -1})
@@ -198,26 +201,30 @@ func BenchmarkRecoverFleet(b *testing.B) {
 	b.ReportMetric(float64(reg.Counter("feasibility.slackness_rescans").Value())/float64(records), "rescans/record")
 }
 
-// BenchmarkRecoverPaper is BenchmarkRecoverFleet on the benchmark's `paper`
-// ship (scenario 1, seed 1), over a journal of about 12 000 records drawn the
-// way shipbench draws its stream: a uniform string, admitted if unmapped,
-// otherwise removed or rescaled on a fair coin, a rescale aiming at a demand
-// level drawn from U[0.7, 1.3]. Replay, not the 60 KB catalog, is the restart
-// here, and the analyzer's decisions are most of replay.
-func BenchmarkRecoverPaper(b *testing.B) {
+// paperJournal serves the benchmark's `paper` ship (scenario 1, seed 1) a
+// stream of steps ops drawn the way shipbench draws its stream — a uniform
+// string, admitted if unmapped, otherwise removed or rescaled on a fair coin,
+// a rescale aiming at a demand level drawn from U[0.7, 1.3] — with the
+// journal at path and compaction off, and returns the decisions in order and
+// the digest of the state they end on. No draw is an envelope error, so there
+// is one record per step; the ship is loaded heavily enough that about two in
+// five are rejections.
+func paperJournal(tb testing.TB, path string, steps int) (decisions []Decision, digest string) {
+	tb.Helper()
 	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
-	journalPath := filepath.Join(b.TempDir(), "bench.wal")
-	svc, err := New(Config{System: sys, Journal: journalPath, Fsync: journal.FsyncNone, CompactEvery: -1})
+	svc, err := New(Config{System: sys, Journal: path, Fsync: journal.FsyncNone, CompactEvery: -1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	defer svc.Close()
 	r := rng.NewRand(1, "service/bench", 2)
 	mapped := make([]bool, len(sys.Strings))
 	scale := make([]float64, len(sys.Strings))
 	for k := range scale {
 		scale[k] = 1
 	}
-	for step := 0; step < 12000; step++ {
+	decisions = make([]Decision, 0, steps)
+	for step := 0; step < steps; step++ {
 		k := r.Intn(len(sys.Strings))
 		var d Decision
 		switch {
@@ -236,25 +243,41 @@ func BenchmarkRecoverPaper(b *testing.B) {
 			}
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		decisions = append(decisions, d)
 	}
-	svc.Close()
+	st, err := svc.State()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return decisions, st.Digest
+}
+
+// BenchmarkRecoverPaper is BenchmarkRecoverFleet on the benchmark's `paper`
+// ship over paperJournal's 12 000 records. Replay, not the 60 KB catalog, is
+// the restart here: the accepted records' decisions are most of it, since
+// the rejected ones (rejected/record, about 0.38) are folded in from the
+// state as it stands rather than decided again.
+func BenchmarkRecoverPaper(b *testing.B) {
+	journalPath := filepath.Join(b.TempDir(), "bench.wal")
+	paperJournal(b, journalPath, 12000)
 	b.ResetTimer()
-	records := 0
+	var rep *RecoveryReport
 	for n := 0; n < b.N; n++ {
-		rec, rep, err := Recover(journalPath, Config{CompactEvery: -1})
+		rec, r, err := Recover(journalPath, Config{CompactEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		records = rep.Replayed
+		rep = r
 		b.StopTimer()
 		rec.Close()
 		b.StartTimer()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
-	b.ReportMetric(float64(records), "records")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rep.Replayed), "ns/record")
+	b.ReportMetric(float64(rep.Replayed), "records")
+	b.ReportMetric(float64(rep.Rejected)/float64(rep.Replayed), "rejected/record")
 }
 
 // paperHandler is where the wire path was profiled: the benchmark's `paper`

@@ -1,8 +1,8 @@
-// Write-ahead op journal: every mutation the daemon accepts (admit, remove,
-// rescale, faults, surge — anything that advances the decision sequence) is
-// appended to a crash-safe journal before the reply goes out, so a killed
-// daemon restarted with Recover replays exactly the acknowledged history and
-// lands on a bit-identical allocation.
+// Write-ahead op journal: every mutation the daemon decides, accepted or
+// rejected (admit, remove, rescale, faults, surge — anything that advances
+// the decision sequence), is appended to a crash-safe journal before the
+// reply goes out, so a killed daemon restarted with Recover replays exactly
+// the acknowledged history and lands on a bit-identical allocation.
 //
 // The durability contract, layer by layer:
 //
@@ -17,11 +17,15 @@
 //     replay divergence is caught within a bounded window without paying the
 //     O(state) digest on every append.
 //   - Replay goes through the same applyOp dispatch as live serving, on the
-//     mutation the journaled payload parses back to. There is no separate
-//     "recovery interpreter" to drift out of sync: a journaled admit is
-//     re-admitted by st.admit, a journaled rejection is re-rejected, and the
-//     chain check fails loudly if the outcome differs in any bit the decision
-//     exposes.
+//     mutation the journaled payload parses back to: a journaled admit is
+//     re-admitted by st.admit, and the chain check fails loudly if the
+//     outcome differs in any bit the decision exposes. The one exception is a
+//     journaled rejection of an admit or a rescale, which live serving rolled
+//     back bit-identically: replay runs the op's envelope checks and folds
+//     the rejection into the chain from the unchanged state, without placing
+//     or analysing anything (replayOp). So a binary that would now accept a
+//     journaled rejection recovers without noticing; the test oracle that
+//     re-decides every record is where that is checked.
 //
 // Compaction: every CompactEvery appended records the daemon writes an atomic
 // sidecar snapshot (<journal>.snap.json), truncates the journal, and writes a
@@ -67,7 +71,7 @@ const (
 	opHeader  = "header"
 )
 
-// opRecord is one journal record: the wire payload of an accepted mutation
+// opRecord is one journal record: the wire payload of a decided mutation
 // plus enough verification state to catch replay divergence.
 type opRecord struct {
 	V   int    `json:"v"`
@@ -142,9 +146,11 @@ type RecoveryReport struct {
 	SnapshotDigest string `json:"snapshotDigest"`
 	// Replayed counts records applied; Skipped counts records at or below the
 	// snapshot seq (present only after a crash between compaction snapshot
-	// and truncate).
+	// and truncate). Rejected counts the replayed rejections folded in
+	// without being re-decided (see replayOp); they are in Replayed too.
 	Replayed int `json:"replayed"`
 	Skipped  int `json:"skipped"`
+	Rejected int `json:"rejected"`
 	// Torn reports a discarded torn tail of TornBytes bytes — expected debris
 	// after a crash mid-append, not an error.
 	Torn      bool  `json:"torn"`
@@ -179,9 +185,10 @@ func journaledMutation(op string, payload []byte) (m mutation, err error) {
 	return m, nil
 }
 
-// applyOp dispatches one mutation. It is the single entry point for both live
-// mutations and journal replay, which is what guarantees replay reproduces
-// the live path decision for decision.
+// applyOp dispatches one mutation. It is the entry point of every live
+// mutation, and of every replayed record but a rejected admit or rescale
+// (replayOp), which is what guarantees replay reproduces the live path's
+// state decision for decision.
 func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
 	switch m.op {
 	case opAdmit:
@@ -196,6 +203,39 @@ func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
 		return st.applySurge(m.surge)
 	}
 	return Decision{}, Errorf(CodeBadRequest, nil, "unknown op %q", m.op)
+}
+
+// replayedRejection is the reason of a rejection replayOp folds in; the
+// journal does not record the reason it was first decided with.
+const replayedRejection = "rejected before the restart; replayed from the journal without re-deciding"
+
+// replayOp is applyOp for a journaled record that says whether the op was
+// accepted. A rejected admit or rescale left the state bit-identical when it
+// was decided, so it is folded in from the state as it stands: the op's
+// envelope checks, then the decision decide builds with the worth unchanged
+// — no placement, no analysis, no Undo. The caller still checks the chain,
+// which covers every field of that decision, and the embedded digests.
+func (st *state) replayOp(m *mutation, accepted bool) (Decision, *ErrorEnvelope) {
+	var e *ErrorEnvelope
+	switch {
+	case accepted:
+		return st.applyOp(m)
+	case m.op == opAdmit:
+		e = st.admitEnvelope(m.k)
+	case m.op == opRescale:
+		if _, e = st.rescaleEnvelope(m.k, m.factor); e == nil && !st.alloc.Complete(m.k) {
+			// Live serving accepts a rescale of an unmapped string whatever
+			// the load, so this binary did not journal the rejection: decide
+			// it, and the caller reports the divergence.
+			return st.rescale(m.k, m.factor)
+		}
+	default:
+		return st.applyOp(m)
+	}
+	if e != nil {
+		return Decision{}, e
+	}
+	return st.decide(m.op, m.k, st.worth, replayedRejection, nil), nil
 }
 
 // mutateOp runs one mutation on the state loop: apply, then journal before
@@ -341,9 +381,10 @@ func (st *state) bootstrapJournal() error {
 }
 
 // Recover rebuilds a Service from a journal and its sidecar snapshot: restore
-// the snapshot, replay the journal tail through the normal op dispatch, and
-// verify every record's chain check (plus the periodic full state digests)
-// along the way.
+// the snapshot, replay the journal tail through the normal op dispatch (a
+// rejected admit or rescale folded in without being re-decided, see
+// replayOp), and verify every record's chain check (plus the periodic full
+// state digests) along the way.
 //
 // A torn tail — the debris of a crash mid-append — is truncated and reported
 // in the RecoveryReport. Mid-log corruption surfaces as *journal.CorruptError,
@@ -388,6 +429,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		w.Close()
 		return nil, nil, &ReplayError{Path: journalPath, Index: i, Seq: seq, Op: op, Reason: reason}
 	}
+	sinceDigest := 0
 	replayStart := time.Now()
 	for i, raw := range scan.Payloads {
 		rec, err := decodeOpRecord(raw)
@@ -402,6 +444,10 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		if rec.Op == opHeader {
 			continue
 		}
+		sinceDigest++
+		if rec.StateDigest != "" {
+			sinceDigest = 0
+		}
 		if rec.Seq <= file.Seq {
 			// Already folded into the snapshot (crash between compaction
 			// snapshot and truncate leaves such a prefix).
@@ -415,7 +461,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		if err != nil {
 			return fail(i, rec.Seq, rec.Op, err.Error())
 		}
-		d, e := st.applyOp(&m)
+		d, e := st.replayOp(&m, rec.Accepted)
 		if e != nil {
 			return fail(i, rec.Seq, rec.Op, fmt.Sprintf("journaled op failed on replay: %v", e))
 		}
@@ -432,8 +478,17 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 			}
 		}
 		rep.Replayed++
+		if !rec.Accepted && (rec.Op == opAdmit || rec.Op == opRescale) {
+			rep.Rejected++
+		}
 	}
 	rep.Replay = time.Since(replayStart)
+	// The cadence counters resume where the crashed daemon left them, as far
+	// as the journal shows: every record after the header counts toward the
+	// next compaction, and those after the last embedded digest toward the
+	// next digest.
+	st.sinceCompact = rep.Replayed + rep.Skipped
+	st.sinceDigest = sinceDigest
 	// A journal truncated right before the header (or torn down to empty)
 	// needs its header back before new ops ride on it.
 	if w.Size() == 0 {
@@ -445,6 +500,7 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 	rep.FinalSeq = st.seq
 	rep.Digest = st.digest()
 	telemetry.C("service.journal.replayed").Add(int64(rep.Replayed))
+	telemetry.C("service.journal.replayed_rejections").Add(int64(rep.Rejected))
 	telemetry.C("service.journal.torn_bytes").Add(rep.TornBytes)
 	telemetry.G("service.recover.catalog_load_s").Set(rep.CatalogLoad.Seconds())
 	telemetry.G("service.recover.replay_s").Set(rep.Replay.Seconds())

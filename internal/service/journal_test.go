@@ -694,7 +694,7 @@ func TestLPBoundFollowsRescales(t *testing.T) {
 // of fault, surge and repair records — a name and an ID that need escapes,
 // and a surge of no events, whose payload carries "events":null — recovers to
 // the same seq, digest and chain, and carries each request as json.Marshal
-// wrote it.
+// wrote it; the re-deciding oracle (redecide) holds on it too.
 func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
 	svc, path := journaledService(t, 6, Config{})
 	for k := 0; k < 6; k++ {
@@ -749,6 +749,9 @@ func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
 		}
 	}
 
+	if _, digest, err := redecide(t, path, Config{}); err != nil || digest != want.Digest {
+		t.Fatalf("oracle ends on digest %s (%v), want %s", digest, err, want.Digest)
+	}
 	rec, rep, err := Recover(path, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,9 @@ type Config struct {
 	LPBound bool
 	// SnapshotPath is the default target of POST /v1/snapshot.
 	SnapshotPath string
-	// Journal enables the write-ahead op journal at this path; every accepted
-	// mutation is appended (and, per Fsync, synced) before the reply.
+	// Journal enables the write-ahead op journal at this path; every decided
+	// mutation, accepted or rejected, is appended (and, per Fsync, synced)
+	// before the reply.
 	Journal string
 	// Fsync is the journal durability policy: journal.FsyncAlways,
 	// FsyncBatch (default), or FsyncNone.
@@ -532,12 +533,22 @@ func (st *state) decide(op string, k int, worthBefore float64, reason string, vi
 	return st.finish(&d)
 }
 
-func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
+// admitEnvelope is the admit's envelope check: an unknown or already mapped
+// string is an error, never a decision. Replay runs it on a journaled
+// rejection too, which it folds in without deciding it again (replayOp).
+func (st *state) admitEnvelope(k int) *ErrorEnvelope {
 	if e := st.checkString(k); e != nil {
-		return Decision{}, e
+		return e
 	}
 	if st.alloc.Complete(k) {
-		return Decision{}, Errorf(CodeConflict, nil, "string %d is already mapped", k)
+		return Errorf(CodeConflict, nil, "string %d is already mapped", k)
+	}
+	return nil
+}
+
+func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
+	if e := st.admitEnvelope(k); e != nil {
+		return Decision{}, e
 	}
 	worthBefore := st.worth
 	if !st.place(k) {
@@ -580,17 +591,28 @@ func (st *state) setScale(k int, g float64) {
 	model.ScaleDemand(st.sys.Strings[k].Apps, st.base.Strings[k].Apps, g)
 }
 
-func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
+// rescaleEnvelope is the rescale's envelope check — a known string, a finite
+// positive factor and a finite positive scale after it — and returns that
+// scale. Replay runs it on a journaled rejection too (replayOp).
+func (st *state) rescaleEnvelope(k int, factor float64) (float64, *ErrorEnvelope) {
 	if e := st.checkString(k); e != nil {
-		return Decision{}, e
+		return 0, e
 	}
 	if !(factor > 0) || math.IsInf(factor, 0) {
-		return Decision{}, Errorf(CodeBadRequest, nil, "rescale factor = %v, want finite positive", factor)
+		return 0, Errorf(CodeBadRequest, nil, "rescale factor = %v, want finite positive", factor)
 	}
 	scaled := st.scale[k] * factor
 	if !(scaled > 0) || math.IsInf(scaled, 0) {
-		return Decision{}, Errorf(CodeBadRequest, nil,
+		return 0, Errorf(CodeBadRequest, nil,
 			"rescale factor = %v takes string %d's scale from %v to %v, want finite positive", factor, k, st.scale[k], scaled)
+	}
+	return scaled, nil
+}
+
+func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
+	scaled, e := st.rescaleEnvelope(k, factor)
+	if e != nil {
+		return Decision{}, e
 	}
 	worthBefore := st.worth
 	if !st.alloc.Complete(k) {

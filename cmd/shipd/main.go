@@ -23,8 +23,8 @@
 //	GET  /v1/healthz                                liveness (500 = broken journal)
 //	GET  /v1/readyz                                 readiness (503 = recovering/draining)
 //
-// A snapshot is two files: a small state file (allocation as exact IEEE-754
-// accumulator bits, demand scale per string, outages, seq, digest) and, written
+// A snapshot is two files: a small state file (allocation as assignments and
+// canonical rosters, demand scale per string, outages, seq, digest) and, written
 // once per directory, the immutable catalog it pins by sha256
 // (catalog-<hash>.json beside it) — copy both. A daemon restarted with
 // -restore resumes bit-identically: the catalog must hash to the pinned

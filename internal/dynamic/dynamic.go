@@ -69,7 +69,7 @@ func uniformScales(n int, gamma float64) []float64 {
 // TransferAllocation rebuilds an allocation's machine assignments on another
 // system with the same shape (same strings and application counts), e.g. a
 // scaled view. Only completely mapped strings are transferred, in ascending
-// string order, so the result's rosters and accumulators depend on src's
+// string order, so the result's rosters and utilizations depend on src's
 // placements alone.
 func TransferAllocation(src *feasibility.Allocation, dst *model.System) (*feasibility.Allocation, error) {
 	srcSys := src.System()

@@ -12,8 +12,9 @@
 //
 // Rosters are kept in canonical priority order (see rosterEntry), so every
 // roster and waiting sum is a function of the mapping alone, whatever history
-// reached it. The utilizations are not: they are float64 accumulators, and
-// (x+u)-u is not x (snapshot.go).
+// reached it, and so is every utilization: it is its roster's total, the
+// equation-(2) or -(3) summands added in roster order from +0, rewritten
+// whenever the roster changes rather than kept as a running balance.
 //
 // Frozen floats: a string's catalog floats (NominalTime, NominalUtil,
 // OutputKB, Period, MaxLatency) may change only while the string is fully
@@ -59,9 +60,11 @@ type appRef struct{ k, i int }
 // the waiting term it contributes to every lower-priority sharer of that
 // resource: on a machine (equation (5)) t[i,j]*u[i,j]/P[k], the application's
 // equation-(2) summand, model.MachineDemandUtil; on a route (equation (6))
-// routeTerm. It is priced when the entry is created and travels with it
-// through Clone, Undo and every move; the frozen-floats contract keeps it
-// current. pre is the in-order sum of the wait of every entry before it.
+// its transferEntry term. It is priced when the entry is created and travels
+// with it through Clone, Undo and every move; the frozen-floats contract keeps
+// it current. pre is the in-order sum of the wait of every entry before it, so
+// a machine's utilization is its last entry's pre plus wait. demand, on a
+// route only, is the entry's equation-(3) summand, priced with wait.
 //
 // Every roster is in canonical order (ahead): the complete strings first,
 // tightest first by tighter — equal tightness by string ID — then the
@@ -73,21 +76,23 @@ type appRef struct{ k, i int }
 // (headPre). The order, and so every pre, is a function of the mapping.
 type rosterEntry struct {
 	appRef
-	wait, pre float64
+	wait, pre, demand float64
 }
 
-// routeTerm is the equation-(6) summand the output of application i of string
-// k induces on route (j1, j2): its nominal transfer time over P[k]. (Not the
-// equation-(3) summand RouteDemandUtil, which divides in another order and
-// rounds differently.)
-func (a *Allocation) routeTerm(k, i, j1, j2 int) float64 {
+// transferEntry prices the roster entry of the output of application i of
+// string k on route (j1, j2): wait is its equation-(6) summand, the nominal
+// transfer time over P[k]; demand its equation-(3) summand, RouteDemandUtil,
+// which divides in another order and rounds differently.
+func (a *Allocation) transferEntry(k, i, j1, j2 int) rosterEntry {
 	s := &a.sys.Strings[k]
-	return a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, j1, j2) / s.Period
+	kb := s.Apps[i].OutputKB
+	return rosterEntry{appRef: appRef{k, i}, wait: a.sys.RouteTransferSeconds(kb, j1, j2) / s.Period,
+		demand: a.sys.RouteDemandUtil(kb, s.Period, j1, j2)}
 }
 
 // routeEntry is one active inter-machine route, from -> to: its equation-(3)
-// utilization and the roster of producing applications whose output traverses
-// it. Entries live in the allocation's route arena at a slot that stays fixed
+// utilization, the total of its roster's demand terms, and the roster of
+// producing applications whose output traverses it. Entries live in the allocation's route arena at a slot that stays fixed
 // while the route is active (see Allocation.routes).
 type routeEntry struct {
 	from, to int32
@@ -105,7 +110,7 @@ type routeRef struct{ peer, slot int32 }
 type rosterPos struct{ slot, idx int32 }
 
 // Allocation is a (possibly partial) application-to-machine mapping. It
-// maintains, incrementally under Assign/Unassign:
+// maintains, under Assign/Unassign:
 //
 //   - per-machine overall utilization (equation (2)),
 //   - per-route overall utilization (equation (3)),
@@ -119,7 +124,7 @@ type Allocation struct {
 	machineOf [][]int // [k][i] -> machine index or Unassigned
 	nAssigned []int   // per string, how many of its apps are assigned
 
-	machineUtil []float64 // U_machine[j], equation (2)
+	machineUtil []float64 // U_machine[j], equation (2): perMachine[j]'s total
 
 	perMachine [][]rosterEntry // machine j -> applications assigned to it
 
@@ -138,8 +143,8 @@ type Allocation struct {
 	// when a route is looked up by them, and the canonical (j1, j2)-ascending
 	// iteration order of WriteState and Snapshot. A route is active iff its
 	// roster is non-empty, and absent routes report exactly zero utilization —
-	// removing a route's last transfer frees its slot rather than leaving a
-	// float residue. Memory and full-scan cost are O(M + active routes),
+	// removing a route's last transfer frees its slot. Memory and full-scan
+	// cost are O(M + active routes),
 	// replacing the dense M×M matrices that made allocations quadratic in
 	// machines.
 	routes []routeEntry
@@ -405,12 +410,10 @@ func (a *Allocation) Assign(k, i, j int) {
 	}
 	mo[i] = j
 	a.nAssigned[k]++
-	u := a.sys.MachineDemandUtil(k, i, j)
-	a.machineUtil[j] += u
-	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
-	roster, p := a.enter(a.perMachine[j], rosterEntry{appRef: appRef{k, i}, wait: u})
+	roster, p := a.enter(a.perMachine[j], rosterEntry{appRef: appRef{k, i}, wait: a.sys.MachineDemandUtil(k, i, j)})
 	a.perMachine[j] = roster
 	a.reprice(roster, p, a.posM, int32(j))
+	a.setMachineUtil(j)
 	if i > 0 && mo[i-1] != Unassigned {
 		a.addRoute(mo[i-1], j, k, i-1)
 	}
@@ -438,10 +441,9 @@ func (a *Allocation) Unassign(k, i int) {
 		a.tracker.beforeMutation(k, i, j, uncompletes)
 	}
 	p := int(a.posM[k][i].idx)
-	a.machineUtil[j] -= a.perMachine[j][p].wait
-	a.noteUtil(Resource{j, Unassigned}, a.machineUtil[j])
 	a.perMachine[j] = leave(a.perMachine[j], p)
 	a.reprice(a.perMachine[j], p, a.posM, int32(j))
+	a.setMachineUtil(j)
 	if i > 0 && mo[i-1] != Unassigned {
 		a.removeRoute(mo[i-1], j, k, i-1)
 	}
@@ -485,21 +487,17 @@ func (a *Allocation) StringMachines(k int) []int {
 }
 
 // addRoute records that the output of application i of string k traverses the
-// route j1 -> j2. Intra-machine transfers use no modeled route. A fresh entry
-// starts its accumulator at exactly zero, so the float64 accumulation path is
-// identical to a dense cell that was zeroed when the route last emptied.
+// route j1 -> j2. Intra-machine transfers use no modeled route.
 func (a *Allocation) addRoute(j1, j2, k, i int) {
 	if j1 == j2 {
 		return
 	}
-	s := &a.sys.Strings[k]
 	slot := a.routeSlot(j1, j2)
 	e := &a.routes[slot]
-	e.util += a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
-	a.noteUtil(Resource{j1, j2}, e.util)
 	var p int
-	e.apps, p = a.enter(e.apps, rosterEntry{appRef: appRef{k, i}, wait: a.routeTerm(k, i, j1, j2)})
+	e.apps, p = a.enter(e.apps, a.transferEntry(k, i, j1, j2))
 	a.reprice(e.apps, p, a.posR, slot)
+	a.setRouteUtil(e)
 }
 
 // removeRoute takes the output of application i of string k off the route
@@ -510,18 +508,39 @@ func (a *Allocation) removeRoute(j1, j2, k, i int) {
 	}
 	e, p := a.outRoute(k, i, j1, j2)
 	if len(e.apps) == 1 {
-		// Dropping the entry is the sparse form of zeroing the float residue:
-		// an emptied route is exactly empty again.
+		// An emptied route is absent: its slot is freed, and its utilization
+		// reads exactly zero.
 		idx, _ := a.routeIndex(j1, j2)
 		a.closeRoute(j1, idx)
-		a.noteUtil(Resource{j1, j2}, math.NaN())
+		a.noteUtil(Resource{j1, j2}, 0)
 		return
 	}
-	s := &a.sys.Strings[k]
-	e.util -= a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
-	a.noteUtil(Resource{j1, j2}, e.util)
 	e.apps = leave(e.apps, p)
 	a.reprice(e.apps, p, a.posR, a.posR[k][i].slot)
+	a.setRouteUtil(e)
+}
+
+// setMachineUtil sets machine j's utilization to its roster's total, equation
+// (2) summed in roster order from +0: the last entry's pre plus its wait.
+func (a *Allocation) setMachineUtil(j int) {
+	u := 0.0
+	if roster := a.perMachine[j]; len(roster) > 0 {
+		last := &roster[len(roster)-1]
+		u = last.pre + last.wait
+	}
+	a.machineUtil[j] = u
+	a.noteUtil(Resource{j, Unassigned}, u)
+}
+
+// setRouteUtil sets route e's utilization to its roster's total, the demand
+// terms of equation (3) summed in roster order from +0.
+func (a *Allocation) setRouteUtil(e *routeEntry) {
+	u := 0.0
+	for idx := range e.apps {
+		u += e.apps[idx].demand
+	}
+	e.util = u
+	a.noteUtil(Resource{int(e.from), int(e.to)}, u)
 }
 
 // ahead reports whether the entry of application x precedes that of y in
@@ -614,7 +633,7 @@ func (a *Allocation) reseat(roster []rosterEntry, p int) int {
 // reseatString moves string k's block on every roster it uses after its
 // tightness changed — it became complete, or stopped being complete. Each
 // roster is reseated from the head of k's block, the string's first
-// application on it. Utilizations do not change.
+// application on it, and its total rewritten in the new order.
 func (a *Allocation) reseatString(k int) {
 	mo := a.machineOf[k]
 	for i, j := range mo {
@@ -623,6 +642,7 @@ func (a *Allocation) reseatString(k int) {
 		}
 		if roster, p := a.perMachine[j], int(a.posM[k][i].idx); p == 0 || roster[p-1].k != k {
 			a.reprice(roster, a.reseat(roster, p), a.posM, int32(j))
+			a.setMachineUtil(j)
 		}
 		if i == len(mo)-1 {
 			break
@@ -631,6 +651,7 @@ func (a *Allocation) reseatString(k int) {
 			e, p := a.outRoute(k, i, j, next)
 			if p == 0 || e.apps[p-1].k != k {
 				a.reprice(e.apps, a.reseat(e.apps, p), a.posR, a.posR[k][i].slot)
+				a.setRouteUtil(e)
 			}
 		}
 	}
@@ -677,13 +698,13 @@ func headPre(roster []rosterEntry, p int) float64 {
 
 // setRouteState restores route (j1, j2) wholesale to a snapshot state:
 // activating, overwriting, or closing it as the restored roster requires
-// (DeltaAnalyzer.Undo). A re-activated route may get another slot than it had;
-// every restored entry's position is rewritten with the one it has now.
+// (DeltaAnalyzer.Undo, which restores Λ's binding resource after). A
+// re-activated route may get another slot than it had; every restored entry's
+// position is rewritten with the one it has now.
 func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntry) {
 	if len(roster) == 0 {
 		if idx, ok := a.routeIndex(j1, j2); ok {
 			a.closeRoute(j1, idx)
-			a.noteUtil(Resource{j1, j2}, math.NaN())
 		}
 		return
 	}
@@ -692,7 +713,6 @@ func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntr
 	e.util = util
 	e.apps = append(e.apps[:0], roster...)
 	setPositions(e.apps, a.posR, slot)
-	a.noteUtil(Resource{j1, j2}, util)
 }
 
 // ActiveRoutes calls f for every inter-machine route currently carrying at
@@ -924,10 +944,10 @@ func (a *Allocation) Clone() *Allocation {
 // WriteState writes a canonical textual fingerprint of the observable
 // allocation state to w: assignments, utilizations (exact IEEE-754 bit
 // patterns), roster contents in roster order, and cached tightness values.
-// Rosters are in canonical priority order, a function of the mapping; the
-// utilization bits are path-dependent accumulators, so two histories reaching
-// one mapping can still print different text. Routes appear in ascending
-// (j1, j2) order, the adjacency's storage order.
+// Rosters are in canonical priority order and utilizations are their totals,
+// so the text is a function of the mapping: two histories reaching one
+// mapping print the same bytes. Routes appear in ascending (j1, j2) order, the
+// adjacency's storage order.
 func (a *Allocation) WriteState(w io.Writer) error {
 	_, err := w.Write(a.appendState(nil))
 	return err

@@ -264,14 +264,14 @@ func (a *Allocation) Violations() []Violation {
 // Λ is kept, not walked: every utilization write updates the maximum
 // utilization and its holder (noteUtil), and only a read that finds them stale
 // walks the machines and the active routes (a route with no transfers has
-// slack exactly 1 and is not stored). min(1, 1 − maxU) is the walk's minimum
-// over 1 − u bit for bit: u ↦ fl(1 − u) is monotone non-increasing under
+// slack exactly 1 and is not stored). 1 − maxU is the walk's minimum over
+// 1 − u bit for bit: u ↦ fl(1 − u) is monotone non-increasing under
 // round-to-nearest, so the least rounded slack is the rounding of 1 minus the
-// greatest u; 1 − u is never −0; a NaN wins neither the walk's < nor the
-// maximum's >; and the walk's start at 1 is the min with 1, which caps a
-// drifted-negative utilization.
+// greatest u, and 1 − u is never −0. Every utilization is a sum of
+// non-negative terms from +0, so maxU is at least +0 and the walk's start at
+// 1 needs no min.
 func (a *Allocation) Slackness() float64 {
-	return min(1, 1-a.current().maxU)
+	return 1 - a.current().maxU
 }
 
 // Metric is the two-component performance measure of Section 4: total worth
@@ -331,9 +331,9 @@ func (a *Allocation) Metric() Metric {
 // the incremental state; used by tests. Every roster must be in canonical
 // order with exact running sums and positions, and — since the order is a
 // function of the mapping — hold the same entries in the same order as what
-// assigning the same mapping into a fresh allocation builds. The utilization
-// accumulators are path-dependent and are held to the rebuild within 1e-6.
-// The route arena must be sound (checkRoutes).
+// assigning the same mapping into a fresh allocation builds, and every
+// utilization, a roster total, must be the rebuild's bit for bit. The route
+// arena must be sound (checkRoutes).
 func (a *Allocation) checkInvariants() error {
 	fresh := New(a.sys)
 	for k := range a.machineOf {
@@ -365,11 +365,11 @@ func (a *Allocation) checkInvariants() error {
 	if err := a.checkRoutes(); err != nil {
 		return err
 	}
-	// Every roster entry carries exactly the waiting term its catalog floats
-	// price on the resource it sits on — bit-identical, since the term is only
-	// ever written from MachineDemandUtil/routeTerm. A stale term (floats
+	// Every roster entry carries exactly the terms its catalog floats price
+	// on the resource it sits on — bit-identical, since they are only ever
+	// written from MachineDemandUtil/transferEntry. A stale term (floats
 	// changed under a placed string) corrupts every lower-priority sharer's
-	// estimate.
+	// estimate, or the resource's utilization.
 	for j := range a.perMachine {
 		for _, e := range a.perMachine[j] {
 			if want := a.sys.MachineDemandUtil(e.k, e.i, j); math.Float64bits(e.wait) != math.Float64bits(want) {
@@ -378,8 +378,9 @@ func (a *Allocation) checkInvariants() error {
 		}
 		for _, r := range a.adj[j] {
 			for _, e := range a.routes[r.slot].apps {
-				if want := a.routeTerm(e.k, e.i, j, int(r.peer)); math.Float64bits(e.wait) != math.Float64bits(want) {
-					return fmt.Errorf("route (%d,%d) roster entry (%d,%d) carries waiting term %v, catalog prices %v", j, r.peer, e.k, e.i, e.wait, want)
+				want := a.transferEntry(e.k, e.i, j, int(r.peer))
+				if math.Float64bits(e.wait) != math.Float64bits(want.wait) || math.Float64bits(e.demand) != math.Float64bits(want.demand) {
+					return fmt.Errorf("route (%d,%d) roster entry (%d,%d) carries terms %v/%v, catalog prices %v/%v", j, r.peer, e.k, e.i, e.wait, e.demand, want.wait, want.demand)
 				}
 			}
 		}
@@ -492,13 +493,13 @@ func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]rosterPos, slot i
 }
 
 // sameAs holds a roster to a fresh rebuild's — the same entries in the same
-// order — and its utilization to the rebuild's within 1e-6.
+// order — and its utilization to the rebuild's by bits.
 func sameAs(roster []rosterEntry, util float64, fresh []rosterEntry, freshUtil float64) error {
 	if !slices.EqualFunc(roster, fresh, func(x, y rosterEntry) bool { return x.appRef == y.appRef }) {
 		return fmt.Errorf("roster %v, a fresh rebuild's %v", roster, fresh)
 	}
-	if math.Abs(freshUtil-util) > 1e-6 {
-		return fmt.Errorf("utilization drifted: incremental %v, fresh %v", util, freshUtil)
+	if math.Float64bits(freshUtil) != math.Float64bits(util) {
+		return fmt.Errorf("utilization %v, a fresh rebuild's %v", util, freshUtil)
 	}
 	return nil
 }

@@ -33,15 +33,16 @@ var emptyBinding = binding{res: Resource{0, Unassigned}}
 // noteUtil keeps the binding resource across a write of utilization u to r. A
 // write above the maximum takes over, stale or not (a stale maxU still bounds
 // every other utilization); a write equal to it from a resource earlier in walk
-// order takes over; a write that lowers the holder or makes it NaN — a route
-// dropped to absent is written as NaN — leaves the state stale.
+// order takes over; a write that lowers the holder leaves the state stale. A
+// route dropped to absent is written as 0: it lowers a holder, and it takes
+// over nothing, since machine 0 at +0 or more precedes every route.
 func (a *Allocation) noteUtil(r Resource, u float64) {
 	b := &a.bind
 	switch {
 	case u > b.maxU:
 		*b = binding{maxU: u, res: r}
 	case r == b.res:
-		if !(u >= b.maxU) {
+		if u < b.maxU {
 			b.stale = true
 		}
 	case u == b.maxU && r.before(b.res):
@@ -50,7 +51,7 @@ func (a *Allocation) noteUtil(r Resource, u float64) {
 }
 
 // walkBinding finds the binding resource by walking the machines and the active
-// routes: a strict > keeps the first holder, and a NaN wins nothing.
+// routes: a strict > keeps the first holder.
 func (a *Allocation) walkBinding() binding {
 	b := binding{maxU: math.Inf(-1), res: Resource{0, Unassigned}}
 	for j, u := range a.machineUtil {

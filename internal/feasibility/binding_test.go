@@ -104,20 +104,6 @@ func TestBindingResourceEdges(t *testing.T) {
 			a.Unassign(0, 0)
 			return a
 		}, machine(2)},
-		{"drifted-negative utilizations: Λ is capped at 1", func() *Allocation {
-			snap := New(sys).Snapshot()
-			for j, u := range []float64{-3e-15, -1e-15, -2e-15, -1e-15} {
-				snap.Machines = append(snap.Machines, MachineState{Machine: j, Util: encBits(u)})
-			}
-			a, err := FromSnapshot(sys, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := a.Slackness(); got != 1 {
-				t.Fatalf("slackness %v over negative utilizations, want 1", got)
-			}
-			return a
-		}, machine(1)},
 		{"Reset", func() *Allocation {
 			a := loaded()
 			a.Reset()

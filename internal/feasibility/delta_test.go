@@ -318,9 +318,10 @@ func restoreDemand(s *model.AppString, old []float64) {
 
 // The audit behind the frozen-floats contract: a float moved under a placed
 // application leaves its roster entry carrying a term the catalog no longer
-// prices, and checkInvariants says so even when the move is far below every
-// drift tolerance. NominalUtil is the one float only the term (and the
-// tolerance-checked utilization) depends on, which isolates the term audit.
+// prices, and checkInvariants says so even when the move is a few ulps.
+// NominalUtil is the one float only the term (and the machine's utilization,
+// its roster's total, audited after the terms) depends on, which isolates the
+// term audit.
 func TestCheckInvariantsCatchesStaleTerm(t *testing.T) {
 	r := rng.NewRand(3, rng.SubsystemDelta, 6)
 	sys := randomSystem(r, 3, 2, 3)

@@ -42,7 +42,7 @@ func writeStateFmt(w io.Writer, a *Allocation) {
 
 // Property: WriteState is byte for byte the fmt encoder's text — on churned
 // random allocations (empty rosters, Unassigned entries, NaN tightness of
-// incomplete strings, float residue) and on a 2048-machine system whose loaded machines and routes carry four-digit
+// incomplete strings) and on a 2048-machine system whose loaded machines and routes carry four-digit
 // indices.
 func TestWriteStateMatchesFmtOracle(t *testing.T) {
 	check := func(label string, a *Allocation) {
@@ -194,14 +194,14 @@ func TestStateDigestLineCacheProperty(t *testing.T) {
 	}
 }
 
-// Property: rosters are a function of the mapping. Random op histories —
-// detours through other machines, whole strings placed and lifted, windows
-// committed, undone and reset under a tracker, or no tracker at all — that end
-// on the same mapping leave every roster in the order, with the running sums,
-// that assigning that mapping into a fresh allocation in (string, application)
-// order builds. The utilizations are path-dependent accumulators and are not
-// compared: they are what still keeps a StateDigest from being a function of
-// the mapping.
+// Property: rosters, and with them the whole state, are a function of the
+// mapping. Random op histories — detours through other machines, whole strings
+// placed and lifted, windows committed, undone and reset under a tracker, or
+// no tracker at all — that end on the same mapping leave every roster in the
+// order, with the running sums, that assigning that mapping into a fresh
+// allocation in (string, application) order builds, and reach that
+// allocation's StateDigest and Slackness bits: every utilization is its
+// roster's total.
 func TestRostersAreFunctionOfMapping(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 7)
@@ -224,7 +224,7 @@ func TestRostersAreFunctionOfMapping(t *testing.T) {
 				}
 			}
 		}
-		wantText := rosterText(want)
+		wantText, wantDigest, wantSlack := rosterText(want), StateDigest(want), math.Float64bits(want.Slackness())
 		for history := 0; history < 4; history++ {
 			label := fmt.Sprintf("trial %d history %d", trial, history)
 			a := New(sys)
@@ -274,6 +274,12 @@ func TestRostersAreFunctionOfMapping(t *testing.T) {
 			}
 			if got := rosterText(a); got != wantText {
 				t.Fatalf("%s: rosters\n%s\nthe mapping assigned fresh builds\n%s", label, got, wantText)
+			}
+			if got := StateDigest(a); got != wantDigest {
+				t.Fatalf("%s: state digest %s, the mapping assigned fresh gives %s", label, got, wantDigest)
+			}
+			if got := math.Float64bits(a.Slackness()); got != wantSlack {
+				t.Fatalf("%s: slackness bits %016x, the mapping assigned fresh gives %016x", label, got, wantSlack)
 			}
 			if da != nil {
 				da.Close()

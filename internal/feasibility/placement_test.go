@@ -167,7 +167,7 @@ func TestPlacementScanMatchesNaive(t *testing.T) {
 				machineOK, routeOK := randomMasks(rng, m)
 				if round >= 3 {
 					// The rescale pattern: the string is out of every
-					// accumulator while its floats move.
+					// roster while its floats move.
 					s := &sys.Strings[0]
 					scaleDemand(s, 0.5+rng.Float64())
 					s.Period *= 0.5 + rng.Float64()

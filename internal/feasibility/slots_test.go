@@ -13,9 +13,8 @@ type placement struct{ k, i, j int }
 
 // slotShip is an allocation under test with the committed mutations that
 // reached its state since it was last empty: replaying them into New is the
-// fresh rebuild it is held to. Utilizations are path-dependent accumulators,
-// so the rebuild replays the same additions in the same order and must match
-// the allocation bit for bit — which Undo, a restore and a copy all promise.
+// fresh rebuild it is held to, and it must match the allocation bit for bit —
+// which Undo, a restore and a copy all promise.
 type slotShip struct {
 	a   *Allocation
 	da  *DeltaAnalyzer

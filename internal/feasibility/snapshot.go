@@ -1,21 +1,18 @@
-// Allocation snapshots: exact-bit serialization for daemon restarts. The
-// utilization accumulators are path-dependent float64 sums — (x+u)-u is not
-// x — so replaying the current assignments into a fresh Allocation cannot in
-// general reproduce a live allocation's floats, and a restarted daemon would
-// drift from the state its clients observed. A snapshot therefore captures
-// the raw accumulator bit patterns (hex-encoded IEEE-754, NaN-safe for the
-// tightness of incomplete strings) together with every roster in canonical
-// order. The order, the running sums and the tightness are functions of the
-// mapping, so FromSnapshot recomputes them and refuses a snapshot whose
-// recorded tightness or roster order disagrees; what it restores has the
-// original's WriteState fingerprint byte for byte.
+// Allocation snapshots: serialization for daemon restarts. A snapshot records
+// the assignment vectors, every string's tightness bits (hex-encoded
+// IEEE-754, NaN-safe for incomplete strings) and every roster in canonical
+// order. The order, the running sums, the tightness and the utilizations —
+// each a roster's total — are functions of the mapping, so FromSnapshot
+// recomputes them and refuses a snapshot whose recorded tightness or roster
+// order disagrees; what it restores has the original's WriteState
+// fingerprint byte for byte.
 //
-// The format is versioned. Version 3, the only one read or written, lists
-// machines sparsely — only machines carrying state, each tagged with its
-// index — so a fleet-scale snapshot is O(loaded) rather than O(M), and its
-// rosters are in canonical order (version 2's were in history order). Any
-// other version is rejected with a typed SnapshotVersionError before any
-// content is interpreted.
+// The format is versioned. Version 4, the only one read or written, lists
+// machines sparsely — only machines with a non-empty roster, each tagged with
+// its index — so a fleet-scale snapshot is O(loaded) rather than O(M), and
+// records no utilization (version 3 recorded each one's bits; version 2's
+// rosters were in history order). Any other version is rejected with a typed
+// SnapshotVersionError before any content is interpreted.
 
 package feasibility
 
@@ -29,7 +26,7 @@ import (
 
 // SnapshotVersion is the format version Snapshot writes and the only one
 // FromSnapshot reads.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // SnapshotVersionError reports a snapshot written in a format this build does
 // not understand — typically a newer daemon's file fed to an older binary.
@@ -58,20 +55,16 @@ type StringState struct {
 type MachineState struct {
 	// Machine is the machine index; snapshots list machines sparsely.
 	Machine int `json:"machine,omitempty"`
-	// Util is the hex-encoded bit pattern of U_machine[j] (equation (2)).
-	Util string `json:"util"`
 	// Roster lists the assigned applications as (string, app) pairs in
 	// canonical roster order.
 	Roster [][2]int `json:"roster,omitempty"`
 }
 
 // RouteState is one active route of an AllocationSnapshot; routes with an
-// empty roster hold exactly zero utilization and are omitted.
+// empty roster are omitted.
 type RouteState struct {
 	From int `json:"from"`
 	To   int `json:"to"`
-	// Util is the hex-encoded bit pattern of U_route[from,to] (equation (3)).
-	Util string `json:"util"`
 	// Roster lists the producing applications whose output uses the route,
 	// as (string, app) pairs in canonical roster order.
 	Roster [][2]int `json:"roster"`
@@ -129,31 +122,18 @@ func (a *Allocation) Snapshot() *AllocationSnapshot {
 		}
 	}
 	// Machines sparsely, ascending: a machine omitted here restores to an
-	// empty roster and an accumulator of exactly +0. The accumulator is not
-	// residue-zeroed when a machine empties, so the bit pattern — not ==0,
-	// which would also match -0 — decides whether a machine can be omitted.
-	for j := range a.machineUtil {
-		if math.Float64bits(a.machineUtil[j]) == 0 && len(a.perMachine[j]) == 0 {
-			continue
+	// empty roster.
+	for j := range a.perMachine {
+		if len(a.perMachine[j]) > 0 {
+			snap.Machines = append(snap.Machines, MachineState{Machine: j, Roster: rosterPairs(a.perMachine[j])})
 		}
-		snap.Machines = append(snap.Machines, MachineState{
-			Machine: j,
-			Util:    encBits(a.machineUtil[j]),
-			Roster:  rosterPairs(a.perMachine[j]),
-		})
 	}
 	// The adjacency stores active routes in canonical (from, to) order
 	// already, so equal states produce equal snapshot files regardless of
 	// activation history.
 	for j1, adj := range a.adj {
 		for _, r := range adj {
-			e := &a.routes[r.slot]
-			snap.Routes = append(snap.Routes, RouteState{
-				From:   j1,
-				To:     int(r.peer),
-				Util:   encBits(e.util),
-				Roster: rosterPairs(e.apps),
-			})
+			snap.Routes = append(snap.Routes, RouteState{From: j1, To: int(r.peer), Roster: rosterPairs(a.routes[r.slot].apps)})
 		}
 	}
 	return snap
@@ -209,7 +189,7 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 	rostered := 0
 	seen := make(map[appRef]bool, totalAssigned)
 	// Sparse machine entries: strictly ascending indices, each in range;
-	// machines not listed keep the fresh allocation's exact zero.
+	// machines not listed keep the fresh allocation's empty roster.
 	prev := -1
 	for idx := range snap.Machines {
 		ms := &snap.Machines[idx]
@@ -219,10 +199,6 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				idx, j, sys.Machines)
 		}
 		prev = j
-		u, err := decBits(ms.Util)
-		if err != nil {
-			return nil, fmt.Errorf("feasibility: snapshot machine %d util: %w", j, err)
-		}
 		for _, ref := range ms.Roster {
 			k, i := ref[0], ref[1]
 			if k < 0 || k >= len(sys.Strings) || i < 0 || i >= len(sys.Strings[k].Apps) {
@@ -241,8 +217,8 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 		if err := a.canonical(a.perMachine[j]); err != nil {
 			return nil, fmt.Errorf("feasibility: snapshot machine %d roster: %w", j, err)
 		}
-		a.machineUtil[j] = u
 		a.reprice(a.perMachine[j], 0, a.posM, int32(j))
+		a.setMachineUtil(j)
 		rostered += len(ms.Roster)
 	}
 	if rostered != totalAssigned {
@@ -272,10 +248,6 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 		if ok {
 			return nil, fmt.Errorf("feasibility: snapshot lists route %d->%d twice", rs.From, rs.To)
 		}
-		u, err := decBits(rs.Util)
-		if err != nil {
-			return nil, fmt.Errorf("feasibility: snapshot route %d->%d util: %w", rs.From, rs.To, err)
-		}
 		slot := a.openRoute(rs.From, idx, rs.To)
 		e := &a.routes[slot]
 		for _, ref := range rs.Roster {
@@ -291,19 +263,18 @@ func FromSnapshot(sys *model.System, snap *AllocationSnapshot) (*Allocation, err
 				return nil, fmt.Errorf("feasibility: snapshot route rosters list producer (%d,%d) twice", k, i)
 			}
 			seenRoute[appRef{k, i}] = true
-			e.apps = append(e.apps, rosterEntry{appRef: appRef{k, i}, wait: a.routeTerm(k, i, rs.From, rs.To)})
+			e.apps = append(e.apps, a.transferEntry(k, i, rs.From, rs.To))
 		}
 		if err := a.canonical(e.apps); err != nil {
 			return nil, fmt.Errorf("feasibility: snapshot route %d->%d roster: %w", rs.From, rs.To, err)
 		}
-		e.util = u
 		a.reprice(e.apps, 0, a.posR, slot)
+		a.setRouteUtil(e)
 		routed += len(rs.Roster)
 	}
 	if routed != wantRouted {
 		return nil, fmt.Errorf("feasibility: snapshot route rosters hold %d transfers, assignments imply %d", routed, wantRouted)
 	}
-	a.bind = a.walkBinding() // the accumulators were written above without noteUtil
 	return a, nil
 }
 

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// churn runs random assign/unassign cycles so the utilization accumulators
-// carry float residue a replay could not reproduce.
+// churn runs random assign/unassign cycles, so a snapshot is taken of a state
+// reached by a long history rather than a single build.
 func churn(rng *rand.Rand, a *Allocation, steps int) {
 	sys := a.System()
 	type slot struct{ k, i int }
@@ -35,7 +35,7 @@ func churn(rng *rand.Rand, a *Allocation, steps int) {
 }
 
 // Property: Snapshot -> JSON -> FromSnapshot reproduces the WriteState
-// fingerprint byte for byte, including float residue from churn.
+// fingerprint byte for byte after churn.
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -167,7 +167,7 @@ func TestFromSnapshotRejectsCorrupt(t *testing.T) {
 		{"string count", func(s *AllocationSnapshot) { s.Strings = s.Strings[:len(s.Strings)-1] }},
 		{"machine count", func(s *AllocationSnapshot) { s.Machines = s.Machines[:len(s.Machines)-1] }},
 		{"machine range", func(s *AllocationSnapshot) { s.Strings[0].Machines[0] = 99 }},
-		{"bad bits", func(s *AllocationSnapshot) { s.Machines[0].Util = "zz" }},
+		{"bad bits", func(s *AllocationSnapshot) { s.Strings[0].Tightness = "zz" }},
 		{"roster mismatch", func(s *AllocationSnapshot) {
 			for j := range s.Machines {
 				if len(s.Machines[j].Roster) > 0 {

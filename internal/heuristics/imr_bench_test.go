@@ -14,10 +14,10 @@ import (
 // decode of every string of the ship in index order on a recycled scratch, as a
 // decoder lane runs it. Besides ns/op it reports three exact counts (equal at
 // 1x and at any -benchtime): scans/op, machines_read/op — scans × M, the scan
-// reads every accumulator once — and routes_priced/op, the candidates that
-// survived the bound and had a route looked up and priced. routes_priced ÷
-// scans is ≈ ln M (2.4 at M=12, 3.3 at M=128, 4.1 at M=512) while the bound
-// prunes and ≈ M − 1 when it does not.
+// reads every machine utilization once — and routes_priced/op, the
+// candidates that survived the bound and had a route looked up and priced.
+// routes_priced ÷ scans is ≈ ln M (2.4 at M=12, 3.3 at M=128, 4.1 at M=512)
+// while the bound prunes and ≈ M − 1 when it does not.
 func BenchmarkPlacementScan(b *testing.B) {
 	prev := telemetry.Active()
 	defer telemetry.EnableRegistry(prev)

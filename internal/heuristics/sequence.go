@@ -73,9 +73,9 @@ func mapSequence(sys *model.System, order []int, skip bool, place func(a *feasib
 
 // mapOrder is the one sequential mapper: place each string of order in turn
 // on the allocation da tracks, evaluate the placement incrementally against
-// the delta it introduced, and Commit it or Undo it bit-identically — so later
-// strings see the exact committed prefix rather than float residue from
-// subtracting a rejected string's demands. After a failure it stops
+// the delta it introduced, and Commit it or Undo it bit-identically — a
+// window must end in one of the two, and Undo takes a rejected string back
+// off in O(window). After a failure it stops
 // (stop-on-failure, the paper's semantics) or, with skip, carries on with the
 // rest. It returns how many order entries it consumed — the mapped prefix plus
 // the string that failed, if any — and how many strings it mapped. The order

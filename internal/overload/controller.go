@@ -358,9 +358,9 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 				}
 				// The window is clean here (healthy committed, and each
 				// attempt below ends in Commit or Undo), so the analyzer sees
-				// exactly the candidate's placement as the delta and a
-				// rejected candidate is rolled back bit-identically instead
-				// of leaving float residue from an unassign.
+				// exactly the candidate's placement as the delta, and a
+				// rejected candidate is rolled back by Undo: the window must
+				// end in Commit or Undo, and Undo costs O(window).
 				if !heuristics.MapStringIMRMasked(a, k, machineOK, routeOK) {
 					da.Undo()
 					continue

@@ -27,8 +27,10 @@ import (
 // file; clients reject versions newer than they understand. Version 2 took
 // the catalog out of the snapshot file (see snapshot.go); version 3 keeps
 // every roster in canonical priority order, which changes every state digest
-// (feasibility.SnapshotVersion 3).
-const SchemaVersion = 3
+// (feasibility.SnapshotVersion 3); version 4 makes every utilization its
+// roster's total, which moves state digests and slackness bits, and leaves
+// the utilizations out of the snapshot (feasibility.SnapshotVersion 4).
+const SchemaVersion = 4
 
 // Error codes carried by the error envelope. The HTTP layer maps them to
 // status codes; programmatic clients switch on the code, not the message.

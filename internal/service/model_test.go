@@ -95,7 +95,7 @@ func (r *refService) rescale(k int, factor float64) refOutcome {
 		return refOutcome{accepted: true}
 	}
 	without := r.alloc.Clone()
-	without.UnassignString(k) // demand leaves the accumulators at the old scale
+	without.UnassignString(k) // demand leaves the rosters at the old scale
 	r.setScale(k, g)
 	out := r.place(k, without)
 	if out.accepted {

@@ -552,7 +552,8 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 	}
 	worthBefore := st.worth
 	if !st.place(k) {
-		// Partial placements leave float residue; roll the window back.
+		// The window must end in Commit or Undo; Undo drops the partial
+		// placement in O(window).
 		st.da.Undo()
 		return st.decide("admit", k, worthBefore, "no feasible placement on surviving resources", nil), nil
 	}
@@ -584,7 +585,7 @@ func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
 
 // setScale recomputes string k's view floats from base at scale g. Safe only
 // while string k is fully unassigned — the frozen-floats contract in package
-// feasibility's comment: no accumulator, roster term or memoised verdict is
+// feasibility's comment: no utilization, roster term or memoised verdict is
 // then derived from them. Recomputing at the scale already in force is a
 // bit-identical no-op, which is how a rejected rescale rolls the catalog back.
 func (st *state) setScale(k int, g float64) {

@@ -653,8 +653,10 @@ func TestConfigValidate(t *testing.T) {
 // scenario-1 ship (seed 1, MWF), by digest. String 0 is rescaled first, so
 // the controller sees demand (base × scale) × factor; the second surge is
 // permanent, so the episode ends on factors other than 1. The digest was
-// recorded from the controller that cloned the ship every tick and must not
-// move when the controller's working copy changes shape.
+// first recorded from the controller that cloned the ship every tick and must
+// not move when the controller's working copy changes shape. It was
+// re-recorded once, when utilizations became their rosters' totals
+// (9f10564982c7c9d1 before); the 52 mapped strings stayed the same.
 func TestPostSurgeDigest(t *testing.T) {
 	svc, err := New(Config{System: paperSystem(150, 1), Heuristic: "MWF"})
 	if err != nil {
@@ -680,7 +682,7 @@ func TestPostSurgeDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "9f10564982c7c9d1"
+	const want = "c9c186d44d493b62"
 	if st.MappedCount != 52 || st.Digest != want {
 		t.Errorf("post-surge state: %d mapped, digest %s; want 52, %s", st.MappedCount, st.Digest, want)
 	}

@@ -5,8 +5,9 @@
 // directory as compact JSON under a content-addressed name,
 // catalog-<sha256 prefix>.json. The snapshot file beside it pins that catalog
 // by base name and sha256 and carries what moves: the allocation as a
-// feasibility.AllocationSnapshot (exact IEEE-754 bit patterns; it is the
-// mapped set — a string is admitted iff the allocation places all of it), the
+// feasibility.AllocationSnapshot (assignments, canonical rosters, tightness
+// bits; it is the mapped set — a string is admitted iff the allocation places
+// all of it), the
 // demand multiplier per string (live demand is base × scale[k]), standing
 // outages, the sequence number, the journal chain value, and the
 // feasibility.StateDigest of the live allocation: kilobytes, whatever the ship.

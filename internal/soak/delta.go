@@ -43,7 +43,7 @@ func deltaStage(alloc *feasibility.Allocation, seed int64) (string, error) {
 				a.UnassignString(k)
 				continue
 			}
-			a.UnassignString(k) // clear any partial residue first
+			a.UnassignString(k) // clear any partial placement first
 			machines := make([]int, len(sys.Strings[k].Apps))
 			for i := range machines {
 				machines[i] = r.Intn(sys.Machines)

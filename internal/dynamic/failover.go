@@ -200,7 +200,7 @@ func (r *repairer) reclaim() {
 		progressed := false
 		for _, k := range cands {
 			if !heuristics.MapStringIMRMasked(r.alloc, k, r.machineOK, r.routeOK) {
-				r.da.Undo() // end the window; Undo drops a partial placement in O(window)
+				r.da.Undo() // end the window; Undo unassigns a partial placement, repricing roster tails
 				continue
 			}
 			if r.da.FeasibleAfterDelta() {

@@ -23,7 +23,8 @@
 // entry carries, the cached tightness, a DeltaAnalyzer's memoised verdicts —
 // and a fully unassigned string sits in no roster or cache, while re-placing
 // it bumps the analyzer's generation. A rescale is therefore UnassignString,
-// change the floats, re-place (and on rejection: floats back, then Undo).
+// change the floats, re-place, and on rejection floats back, then Undo: Undo
+// re-places the string and prices it at the floats it finds.
 package feasibility
 
 import (
@@ -61,8 +62,8 @@ type appRef struct{ k, i int }
 // resource: on a machine (equation (5)) t[i,j]*u[i,j]/P[k], the application's
 // equation-(2) summand, model.MachineDemandUtil; on a route (equation (6))
 // its transferEntry term. It is priced when the entry is created and travels
-// with it through Clone, Undo and every move; the frozen-floats contract keeps
-// it current. pre is the in-order sum of the wait of every entry before it, so
+// with it through Clone and every move; the frozen-floats contract keeps it
+// current. pre is the in-order sum of the wait of every entry before it, so
 // a machine's utilization is its last entry's pre plus wait. demand, on a
 // route only, is the entry's equation-(3) summand, priced with wait.
 //
@@ -155,7 +156,8 @@ type Allocation struct {
 
 	bind binding // Λ's binding resource, kept by every utilization write
 
-	tracker *DeltaAnalyzer // attached change tracker, nil when untracked
+	tracker *DeltaAnalyzer     // attached change tracker, nil when untracked
+	terms   *telemetry.Counter // the tracker's wait_terms, kept through Undo; nil when untracked
 
 	tel allocTelemetry // shared hot-path counters; nil fields when disabled
 }
@@ -319,10 +321,18 @@ func (a *Allocation) routeIndex(j1, j2 int) (int, bool) {
 	return lo, lo < len(adj) && adj[lo].peer == peer
 }
 
+// findSlot returns the arena slot of route (j1, j2), or -1 when inactive.
+func (a *Allocation) findSlot(j1, j2 int) int32 {
+	if idx, ok := a.routeIndex(j1, j2); ok {
+		return a.adj[j1][idx].slot
+	}
+	return -1
+}
+
 // findRoute returns the entry of route (j1, j2), or nil when inactive.
 func (a *Allocation) findRoute(j1, j2 int) *routeEntry {
-	if idx, ok := a.routeIndex(j1, j2); ok {
-		return &a.routes[a.adj[j1][idx].slot]
+	if s := a.findSlot(j1, j2); s >= 0 {
+		return &a.routes[s]
 	}
 	return nil
 }
@@ -661,7 +671,7 @@ func (a *Allocation) reseatString(k int) {
 // pos, the roster's slot with the index. The sum of entries before from
 // resumes from the entry before it, so every pre is the in-order sum from +0
 // whatever from is. Under a tracked allocation the additions are the
-// analyzer's waiting-sum upkeep, counted as its wait_terms.
+// analyzer's waiting-sum upkeep, Undo's included, counted as its wait_terms.
 func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]rosterPos, slot int32) {
 	run := 0.0
 	if from > 0 {
@@ -674,17 +684,7 @@ func (a *Allocation) reprice(roster []rosterEntry, from int, pos [][]rosterPos, 
 		run += e.wait
 		pos[e.k][e.i] = rosterPos{slot, int32(idx)}
 	}
-	if a.tracker != nil {
-		a.tracker.tel.waitTerms.Add(int64(len(roster) - from))
-	}
-}
-
-// setPositions writes every entry's position on roster, the roster's slot
-// with the index, into pos.
-func setPositions(roster []rosterEntry, pos [][]rosterPos, slot int32) {
-	for idx := range roster {
-		pos[roster[idx].k][roster[idx].i] = rosterPos{slot, int32(idx)}
-	}
+	a.terms.Add(int64(len(roster) - from))
 }
 
 // headPre returns the pre of the first entry of the string whose entry sits at
@@ -694,25 +694,6 @@ func headPre(roster []rosterEntry, p int) float64 {
 		p--
 	}
 	return roster[p].pre
-}
-
-// setRouteState restores route (j1, j2) wholesale to a snapshot state:
-// activating, overwriting, or closing it as the restored roster requires
-// (DeltaAnalyzer.Undo, which restores Λ's binding resource after). A
-// re-activated route may get another slot than it had; every restored entry's
-// position is rewritten with the one it has now.
-func (a *Allocation) setRouteState(j1, j2 int, util float64, roster []rosterEntry) {
-	if len(roster) == 0 {
-		if idx, ok := a.routeIndex(j1, j2); ok {
-			a.closeRoute(j1, idx)
-		}
-		return
-	}
-	slot := a.routeSlot(j1, j2)
-	e := &a.routes[slot]
-	e.util = util
-	e.apps = append(e.apps[:0], roster...)
-	setPositions(e.apps, a.posR, slot)
 }
 
 // ActiveRoutes calls f for every inter-machine route currently carrying at

@@ -38,14 +38,16 @@ import (
 //
 // A string's tightness changes only when it becomes complete or stops being
 // complete, and that moves its entries on every roster it uses (reseatString).
-// The Assign or Unassign that does it snapshots all of those rosters first, so
-// every resource a touched string uses, or used when the window opened, is a
-// dirty one.
+// The Assign or Unassign that does it marks all of those resources dirty
+// first, so every resource a touched string uses, or used when the window
+// opened, is a dirty one.
 //
-// Undo restores the allocation to the last committed state bit-identically —
-// rosters with their running sums and positions, utilizations, tightness —
-// from whole-value snapshots taken on first touch, in O(dirty) rather than by
-// replaying inverse operations.
+// A snapshot holds what the mapping does not determine once the window has
+// moved it: a touched string's assignment vector and tightness, a dirty
+// resource's committed utilization. No roster is copied. The allocation state
+// is a function of the mapping (package comment), so Undo re-places every
+// touched string whole at its snapshot vector — each Unassign and Assign
+// repricing its roster tails — and lands on the committed state bit for bit.
 //
 // Every answer is computed once per allocation state. The analyzer numbers the
 // states it has seen with a generation, bumped by every tracked mutation and
@@ -83,8 +85,8 @@ type DeltaAnalyzer struct {
 	// live iff its win stamp is the current window; routes are one short list
 	// per source machine (a window touches at most two routes per re-placed
 	// application, so nothing here is O(M^2)). The dirty lists hold the live
-	// indices in first-touch order. Snapshot buffers stay with their slot and
-	// are overwritten by the next window that touches it.
+	// indices in first-touch order. A string snapshot's vector buffer stays
+	// with its slot and is overwritten by the next window that touches it.
 	strSnaps      []stringSnap  // [k]
 	machSnaps     []machineSnap // [j]
 	routeSnaps    [][]routeSnap // [j1] -> snapshotted routes out of j1
@@ -112,28 +114,28 @@ type DeltaAnalyzer struct {
 	tel deltaTelemetry
 }
 
-// stringSnap is the pre-window state of a touched string.
+// stringSnap is the pre-window state of a touched string: the vector Undo
+// re-places it at, and the tightness buildRecheck's threshold counts.
 type stringSnap struct {
 	win       uint64
-	machines  []int // copy of machineOf[k]
-	nAssigned int
+	machines  []int   // copy of machineOf[k]
 	tightness float64 // NaN if the string was incomplete
 }
 
-// machineSnap is the pre-window state of a touched machine.
+// machineSnap is a touched machine's committed utilization, which stage 1 and
+// Commit count the committed overloads by.
 type machineSnap struct {
-	win    uint64
-	util   float64
-	roster []rosterEntry // copy, with its running sums
+	win  uint64
+	util float64
 }
 
-// routeSnap is the pre-window state of a touched route to peer; an inactive
-// route snapshots as exactly empty so Undo knows to drop any entry the window
-// creates.
+// routeSnap is a touched route to peer: its committed utilization (exactly 0
+// if it was inactive) and the arena slot it was last found at (-1 while
+// inactive), which route reads first.
 type routeSnap struct {
-	peer   int
-	util   float64
-	roster []rosterEntry
+	peer int
+	slot int32
+	util float64
 }
 
 type deltaTelemetry struct {
@@ -191,6 +193,7 @@ func Track(a *Allocation) *DeltaAnalyzer {
 		tel:        newDeltaTelemetry(),
 	}
 	a.tracker = da
+	a.terms = da.tel.waitTerms
 	da.Rebase()
 	return da
 }
@@ -208,7 +211,7 @@ func (da *DeltaAnalyzer) Close() {
 		return
 	}
 	if da.a.tracker == da {
-		da.a.tracker = nil
+		da.a.tracker, da.a.terms = nil, nil
 	}
 	da.a = nil
 }
@@ -252,7 +255,7 @@ func (da *DeltaAnalyzer) rebaseEmpty() {
 }
 
 // beforeMutation opens a new generation and snapshots everything Assign(k, i,
-// j), or Unassign(k, i) from machine j, is about to mutate: the string, the
+// j), or Unassign(k, i) from machine j, is about to change: the string, the
 // machine, and the routes to the application's placed neighbours — and, when
 // the operation makes the string complete or incomplete (reseat), every
 // machine and route the string uses, whose rosters reseatString rewrites.
@@ -297,7 +300,6 @@ func (da *DeltaAnalyzer) snapString(k int) {
 	}
 	snap.win = da.win
 	snap.machines = append(snap.machines[:0], da.a.machineOf[k]...)
-	snap.nAssigned = da.a.nAssigned[k]
 	snap.tightness = da.a.tightness[k]
 	da.dirtyStr = append(da.dirtyStr, k)
 }
@@ -309,7 +311,6 @@ func (da *DeltaAnalyzer) snapMachine(j int) {
 	}
 	snap.win = da.win
 	snap.util = da.a.machineUtil[j]
-	snap.roster = append(snap.roster[:0], da.a.perMachine[j]...)
 	da.dirtyMach = append(da.dirtyMach, j)
 }
 
@@ -332,27 +333,42 @@ func (da *DeltaAnalyzer) snapRoute(j1, j2 int) {
 	if da.routeSnapped(j1, j2) {
 		return
 	}
-	snaps := da.routeSnaps[j1]
-	if len(snaps) == 0 {
+	if len(da.routeSnaps[j1]) == 0 {
 		da.dirtyRouteSrc = append(da.dirtyRouteSrc, j1)
 	}
-	// Growing within capacity recovers the roster buffer of the snapshot a
-	// window clear truncated away, as openRoute recovers a retired slot's.
-	var spare []rosterEntry
-	if n := len(snaps); n < cap(snaps) {
-		snaps = snaps[:n+1]
-		spare = snaps[n].roster
-	} else {
-		snaps = append(snaps, routeSnap{})
+	snap := routeSnap{peer: j2, slot: da.a.findSlot(j1, j2)}
+	if snap.slot >= 0 {
+		snap.util = da.a.routes[snap.slot].util
 	}
-	snap := routeSnap{peer: j2, roster: spare[:0]}
-	if e := da.a.findRoute(j1, j2); e != nil {
-		snap.util = e.util
-		snap.roster = append(snap.roster, e.apps...)
-	}
-	snaps[len(snaps)-1] = snap
-	da.routeSnaps[j1] = snaps
+	da.routeSnaps[j1] = append(da.routeSnaps[j1], snap)
 	da.nDirtyRoutes++
+}
+
+// route returns the entry snapshotted route (j1, snap.peer) has now, or nil
+// while it is inactive. The slot it was last found at is read first: that is
+// still the route's if it holds a live entry — a non-empty roster — with these
+// endpoints, the test outRoute makes. Otherwise the adjacency is searched once
+// and the slot updated.
+func (da *DeltaAnalyzer) route(j1 int, snap *routeSnap) *routeEntry {
+	a := da.a
+	if s := int(snap.slot); s >= 0 && s < len(a.routes) {
+		if e := &a.routes[s]; len(e.apps) > 0 && int(e.from) == j1 && int(e.to) == snap.peer {
+			return e
+		}
+	}
+	if snap.slot = a.findSlot(j1, snap.peer); snap.slot < 0 {
+		return nil
+	}
+	return &a.routes[snap.slot]
+}
+
+// routeUtil is the utilization snapshotted route (j1, snap.peer) has now:
+// exactly 0 while it is inactive.
+func (da *DeltaAnalyzer) routeUtil(j1 int, snap *routeSnap) float64 {
+	if e := da.route(j1, snap); e != nil {
+		return e.util
+	}
+	return 0
 }
 
 // clearWindow drops every snapshot and opens a new window and generation.
@@ -432,7 +448,9 @@ func (da *DeltaAnalyzer) buildRecheck() {
 	}
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {
-			da.recheckSharers(a.routeRoster(j1, da.routeSnaps[j1][idx].peer), threshold)
+			if e := da.route(j1, &da.routeSnaps[j1][idx]); e != nil {
+				da.recheckSharers(e.apps, threshold)
+			}
 		}
 	}
 }
@@ -475,7 +493,7 @@ func (da *DeltaAnalyzer) stage1AfterDelta() bool {
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {
 			snap := &da.routeSnaps[j1][idx]
-			if overCapacity(a.RouteUtilization(j1, snap.peer)) {
+			if overCapacity(da.routeUtil(j1, snap)) {
 				return false
 			}
 			untouched -= overCount(snap.util)
@@ -561,7 +579,7 @@ func (da *DeltaAnalyzer) Commit() {
 	for _, j1 := range da.dirtyRouteSrc {
 		for idx := range da.routeSnaps[j1] {
 			snap := &da.routeSnaps[j1][idx]
-			da.nOver += overCount(a.RouteUtilization(j1, snap.peer)) - overCount(snap.util)
+			da.nOver += overCount(da.routeUtil(j1, snap)) - overCount(snap.util)
 		}
 	}
 	da.buildRecheck()
@@ -577,9 +595,12 @@ func (da *DeltaAnalyzer) Commit() {
 }
 
 // Undo rolls the allocation back to the last committed state, bit-identically
-// (utilization floats, rosters with their terms, running sums and positions,
-// cached tightness — everything the fingerprint in WriteState covers — and
-// Λ's binding resource, exact again because the floats are). The window is
+// (everything the fingerprint in WriteState covers, and Λ's binding resource,
+// exact again because the utilizations are). It re-places every touched string
+// whole at its pre-window vector, untracked: an application put back alone
+// would keep a roster entry priced at whatever floats its string had when the
+// window placed it, so a window that changed catalog floats must put them back
+// first (package comment). The reprices count as wait_terms. The window is
 // cleared.
 func (da *DeltaAnalyzer) Undo() {
 	if da.clean() {
@@ -587,24 +608,16 @@ func (da *DeltaAnalyzer) Undo() {
 	}
 	da.tel.undos.Inc()
 	a := da.a
+	a.tracker = nil
 	for _, k := range da.dirtyStr {
-		snap := &da.strSnaps[k]
-		copy(a.machineOf[k], snap.machines)
-		a.nAssigned[k] = snap.nAssigned
-		a.tightness[k] = snap.tightness
-	}
-	for _, j := range da.dirtyMach {
-		snap := &da.machSnaps[j]
-		a.machineUtil[j] = snap.util
-		a.perMachine[j] = append(a.perMachine[j][:0], snap.roster...)
-		setPositions(a.perMachine[j], a.posM, int32(j))
-	}
-	for _, j1 := range da.dirtyRouteSrc {
-		for idx := range da.routeSnaps[j1] {
-			snap := &da.routeSnaps[j1][idx]
-			a.setRouteState(j1, snap.peer, snap.util, snap.roster)
+		a.UnassignString(k)
+		for i, j := range da.strSnaps[k].machines {
+			if j != Unassigned {
+				a.Assign(k, i, j)
+			}
 		}
 	}
+	a.tracker = da
 	a.bind = da.bind
 	da.clearWindow()
 }

@@ -963,6 +963,47 @@ func TestDeltaUndoBitIdentical(t *testing.T) {
 	}
 }
 
+// Undo re-places every touched string whole, not only the applications the
+// window moved: a rescale-shaped window puts string k back on the very
+// machines it left, priced at scaled floats, so nothing moved, yet every entry
+// of k carries a term the restored floats no longer price. With the floats
+// back, Undo must land on the committed digest with every term current.
+func TestUndoReplacesTouchedStringsWhole(t *testing.T) {
+	a, da := loadedScenario1(t)
+	defer da.Close()
+	want := StateDigest(a)
+	k := 0
+	for !a.Complete(k) {
+		k++
+	}
+	machines := a.StringMachines(k)
+	s := &a.System().Strings[k]
+	var old [][]float64
+	a.UnassignString(k)
+	for i := range s.Apps {
+		times := s.Apps[i].NominalTime
+		old = append(old, slices.Clone(times))
+		for j := range times {
+			times[j] *= 1.1
+		}
+	}
+	a.AssignString(k, machines)
+	da.FeasibleAfterDelta()
+	for i := range s.Apps {
+		copy(s.Apps[i].NominalTime, old[i])
+	}
+	da.Undo()
+	// A clone is digested from its whole text, not from the line cache, which
+	// an Undo leaves as it is.
+	if got := StateDigest(a.Clone()); got != want {
+		t.Fatalf("string %d rescaled in place and undone: digest %s, committed %s", k, got, want)
+	}
+	if err := a.checkInvariants(); err != nil {
+		t.Fatalf("string %d rescaled in place and undone: %v", k, err)
+	}
+	checkSettled(t, "rescale in place undone", da)
+}
+
 // Undo with an empty window is a no-op, and Reset rebases the tracker so the
 // next window evaluates against the cleared state.
 func TestDeltaResetAndEmptyWindow(t *testing.T) {

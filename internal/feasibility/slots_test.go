@@ -1,9 +1,11 @@
 package feasibility
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -181,8 +183,8 @@ func TestRouteSlotLifecycle(t *testing.T) {
 
 	// A window empties a route and opens routes out of the same machine until
 	// one holds its slot, then is undone: the route comes back before that
-	// one closes (Undo walks a machine's routes in first-touch order), so in
-	// another slot.
+	// one closes (Undo re-places the touched strings in first-touch order,
+	// the emptied route's first), so in another slot.
 	j1, j2, slot, roster := sparsestRoute(t, a)
 	s.emptyRoute(t, j1, j2, roster)
 	for s.openFreshRoute(t, j1) != slot {
@@ -253,6 +255,94 @@ func TestRouteSlotLifecycle(t *testing.T) {
 	sc.same(t, "clone")
 	s.da.Close()
 	sc.da.Close()
+}
+
+// slotReuseShip is a tracked four-machine ship on 1 Mbps routes whose four
+// strings have two light applications each: strings 0 and 3 send a light
+// transfer (0.08 of a route), strings 1 and 2 a heavy one (0.8 each), so the
+// two heavy transfers overload the route they share. Strings 0 and 3 are
+// committed across routes 0->1 and 1->2; strings 1 and 2 are unplaced.
+func slotReuseShip(t *testing.T) *slotShip {
+	t.Helper()
+	sys := model.NewUniformSystem(4, 1)
+	for _, kb := range []float64{100, 1000, 1000, 100} {
+		app := model.UniformApp(4, 0.1, 0.1, kb)
+		sys.AddString(model.AppString{Worth: 1, Period: 10, MaxLatency: 100, Apps: []model.Application{app, app}})
+	}
+	a := New(sys)
+	s := &slotShip{a: a, da: Track(a)}
+	s.assign(0, 0, 0)
+	s.assign(0, 1, 1)
+	s.assign(3, 0, 1)
+	s.assign(3, 1, 2)
+	s.commit()
+	checkSettled(t, "set-up", s.da)
+	return s
+}
+
+// judge runs the window ops makes twice: evaluated and undone, which must
+// give back the committed fingerprint, then evaluated and committed. Every
+// evaluation is held to the full analysis, every settle to the analyzer's
+// committed overload count (checkSettled) and the last to a fresh rebuild.
+func (s *slotShip) judge(t *testing.T, label string, ops func()) {
+	t.Helper()
+	want := fingerprint(t, s.a)
+	ops()
+	queryWindow(t, label, s.da, true, true)
+	s.undo()
+	if got := fingerprint(t, s.a); !bytes.Equal(got, want) {
+		t.Fatalf("%s: undone, the state is not the committed one:\ngot:\n%s\nwant:\n%s", label, got, want)
+	}
+	checkSettled(t, label+", undone", s.da)
+	ops()
+	queryWindow(t, label, s.da, true, true)
+	s.commit()
+	checkSettled(t, label+", committed", s.da)
+	s.same(t, label+", committed")
+}
+
+// TestDirtyRouteSlotReuse: the analyzer reads a dirty route through the slot
+// it last found it at only while that slot holds a live entry with the
+// route's endpoints. Each of two windows needs one half of that test: one
+// frees a route's slot and opens another route into it (a read without the
+// endpoint check counts the new route's overload twice), one closes a route
+// and re-opens it overloaded in another slot (a read without the non-empty
+// check sees the old slot's stale utilization and misses the overload).
+func TestDirtyRouteSlotReuse(t *testing.T) {
+	s := slotReuseShip(t)
+	s.judge(t, "a route opens in an emptied one's slot", func() {
+		slot := s.a.adj[0][mustRouteIndex(t, s.a, 0, 1)].slot
+		s.unassign(0, 1)
+		s.assign(1, 0, 2)
+		s.assign(1, 1, 3)
+		if got := s.a.adj[2][mustRouteIndex(t, s.a, 2, 3)].slot; got != slot {
+			t.Fatalf("route 2->3 opened in slot %d, not route 0->1's freed slot %d; the window meant to reuse it", got, slot)
+		}
+		s.assign(2, 0, 2)
+		s.assign(2, 1, 3)
+	})
+	if u := s.a.RouteUtilization(2, 3); !overCapacity(u) {
+		t.Fatalf("route 2->3 ends at utilization %v; the window meant to overload it", u)
+	}
+	s.da.Close()
+
+	s = slotReuseShip(t)
+	s.judge(t, "a route re-opens in another slot", func() {
+		slot := s.a.adj[0][mustRouteIndex(t, s.a, 0, 1)].slot
+		s.unassign(0, 1)
+		s.unassign(3, 1) // freed last, route 1->2's slot is the next one reused
+		s.assign(1, 0, 0)
+		s.assign(1, 1, 1)
+		if got := s.a.adj[0][mustRouteIndex(t, s.a, 0, 1)].slot; got == slot {
+			t.Fatalf("route 0->1 re-opened in its old slot %d; the window meant to move it", slot)
+		}
+		s.assign(2, 0, 0)
+		s.assign(2, 1, 1)
+	})
+	if u := s.a.RouteUtilization(0, 1); !overCapacity(u) {
+		t.Fatalf("route 0->1 ends at utilization %v; the window meant to overload it", u)
+	}
+	s.da.Close()
 }
 
 // TestPrefixCheckSearchesNoAdjacency: the analyzer's route read names the

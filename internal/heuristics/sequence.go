@@ -75,7 +75,9 @@ func mapSequence(sys *model.System, order []int, skip bool, place func(a *feasib
 // on the allocation da tracks, evaluate the placement incrementally against
 // the delta it introduced, and Commit it or Undo it bit-identically — a
 // window must end in one of the two, and Undo takes a rejected string back
-// off in O(window). After a failure it stops
+// off by re-placing the strings the window touched at their pre-window
+// vectors, here unassigning the one string, each Unassign repricing its
+// roster tails. After a failure it stops
 // (stop-on-failure, the paper's semantics) or, with skip, carries on with the
 // rest. It returns how many order entries it consumed — the mapped prefix plus
 // the string that failed, if any — and how many strings it mapped. The order

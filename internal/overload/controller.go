@@ -360,7 +360,8 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 				// attempt below ends in Commit or Undo), so the analyzer sees
 				// exactly the candidate's placement as the delta, and a
 				// rejected candidate is rolled back by Undo: the window must
-				// end in Commit or Undo, and Undo costs O(window).
+				// end in Commit or Undo, and Undo costs the candidate's
+				// unassignment, each Unassign repricing its roster tails.
 				if !heuristics.MapStringIMRMasked(a, k, machineOK, routeOK) {
 					da.Undo()
 					continue

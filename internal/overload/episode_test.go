@@ -35,13 +35,13 @@ func BenchmarkSurgeEpisode(b *testing.B) {
 	}
 }
 
-// An episode allocates what it did when the controller stopped rebuilding
-// the ship every tick, plus a tenth: a per-tick System clone or Allocation
-// creeping back costs thousands of allocations and fails here.
+// An episode allocates what it did once the analyzer stopped copying rosters
+// into its window snapshots, plus a tenth: a per-tick System clone or
+// Allocation creeping back costs thousands of allocations and fails here.
 func TestSurgeEpisodeAllocs(t *testing.T) {
 	skipUnderRace(t)
 	a, sc := surgeEpisode(t)
-	const measured = 14780
+	const measured = 12188
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := Run(a, sc, Config{}); err != nil {
 			t.Fatal(err)

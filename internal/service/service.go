@@ -552,8 +552,8 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 	}
 	worthBefore := st.worth
 	if !st.place(k) {
-		// The window must end in Commit or Undo; Undo drops the partial
-		// placement in O(window).
+		// The window must end in Commit or Undo; Undo unassigns the partial
+		// placement again, each Unassign repricing its roster tails.
 		st.da.Undo()
 		return st.decide("admit", k, worthBefore, "no feasible placement on surviving resources", nil), nil
 	}
@@ -642,9 +642,9 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 		viol = st.da.ViolationsAfterDelta()
 		reason = "rescaled placement violates QoS"
 	}
-	// Put the view back at the scale in force first so the system the
-	// rolled-back allocation describes is the pre-rescale one, then roll the
-	// allocation back bit-identically.
+	// Put the view back at the scale in force first, then roll the allocation
+	// back bit-identically: Undo re-places the string on its pre-rescale
+	// machines and prices it at the floats it finds, so the order matters.
 	st.setScale(k, st.scale[k])
 	st.da.Undo()
 	return st.decide("rescale", k, worthBefore, reason, viol), nil

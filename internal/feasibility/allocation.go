@@ -417,6 +417,7 @@ func (a *Allocation) Assign(k, i, j int) {
 	completes := a.nAssigned[k] == len(mo)-1
 	if a.tracker != nil {
 		a.tracker.beforeMutation(k, i, j, completes)
+		a.tracker.assigned = true
 	}
 	mo[i] = j
 	a.nAssigned[k]++

@@ -31,6 +31,18 @@ import (
 //     the same entries in the same order before and after the window, so the
 //     float itself is unchanged, not only the terms it adds up.
 //
+// A window that only removes (no tracked Assign since it opened) rechecks
+// only committed violators. Equations (2)–(3) and (5)–(6) add non-negative
+// terms, and a string a removal leaves complete keeps its tightness, so the
+// entries ahead of it on every roster are a subsequence, in the same order, of
+// those ahead of it when the window opened. Rounding is monotone: a prefix sum
+// that skips a non-negative term is never larger than one that adds it, so no
+// waiting sum, latency or utilization grows and a string that passed still
+// passes. What a removal can change is a committed violator's verdict: the
+// recheck set is the touched strings (incomplete now, so a removed violator
+// leaves the committed set) plus the committed violators the rule above would
+// recheck, and it is empty on a state that violates nothing.
+//
 // The analyzer does not require the committed state to be feasible: a full
 // scan at Track/Rebase records the committed violations and counts the
 // over-capacity resources, and Commit folds the dirty results into both, so
@@ -79,6 +91,10 @@ type DeltaAnalyzer struct {
 
 	gen uint64 // allocation-state generation, see above; starts at 1
 	win uint64 // delta-window number, bumped at every window clear; starts at 1
+
+	// assigned is set by every tracked Assign and cleared with the window: a
+	// window that holds it clear has only removed (buildRecheck).
+	assigned bool
 
 	// Delta window: first-touch snapshots of everything mutated since the
 	// last commit point. Strings and machines are dense slices whose entry is
@@ -380,6 +396,7 @@ func (da *DeltaAnalyzer) clearWindow() {
 	da.dirtyMach = da.dirtyMach[:0]
 	da.dirtyRouteSrc = da.dirtyRouteSrc[:0]
 	da.nDirtyRoutes = 0
+	da.assigned = false
 	da.win++
 	da.gen++
 }
@@ -422,14 +439,19 @@ func (da *DeltaAnalyzer) inRecheck(k int) bool { return da.recheckAt[k] == da.ge
 // holds after the window). Equal tightness is included: the ID tie-break in
 // tighter means an equal-tightness string's priority relative to a touched
 // string can flip. Every resource whose waiting terms a touched string's
-// tightness change moved is dirty (beforeMutation). A set already built for
-// this generation is kept.
+// tightness change moved is dirty (beforeMutation). In a window that only
+// removed, a passing string cannot fail (the DeltaAnalyzer comment), so of the
+// sharers only committed violators are added, and on a state that violates
+// nothing the set is empty. A set already built for this generation is kept.
 func (da *DeltaAnalyzer) buildRecheck() {
 	if da.recheckGen == da.gen {
 		return
 	}
 	da.recheckGen = da.gen
 	da.recheck = da.recheck[:0]
+	if !da.assigned && len(da.baseViol) == 0 {
+		return
+	}
 	// NaN tightness (incomplete before/after) fails every > comparison, so
 	// incomplete endpoints contribute nothing to the threshold.
 	threshold := math.Inf(-1)
@@ -456,11 +478,12 @@ func (da *DeltaAnalyzer) buildRecheck() {
 }
 
 // recheckSharers adds to the recheck set every string on the roster whose
-// tightness is at or below the threshold. Incomplete strings hold NaN, which
-// fails the comparison.
+// tightness is at or below the threshold — in a window that only removed,
+// every such committed violator. Incomplete strings hold NaN, which fails the
+// comparison.
 func (da *DeltaAnalyzer) recheckSharers(roster []rosterEntry, threshold float64) {
 	for idx := range roster {
-		if k := roster[idx].k; da.a.tightness[k] <= threshold {
+		if k := roster[idx].k; da.a.tightness[k] <= threshold && (da.assigned || da.baseViol[k]) {
 			da.addRecheck(k)
 		}
 	}

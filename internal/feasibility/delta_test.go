@@ -3,6 +3,7 @@ package feasibility
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -419,6 +420,127 @@ func TestDeltaRescaleWindowProperty(t *testing.T) {
 	}
 }
 
+// auditBaseViol asserts the analyzer's committed violation set is exactly the
+// strings the full analysis finds failing equation (1) in the settled state:
+// checkSettled's FeasibleAfterDelta cannot tell a stale member from a real one
+// while another string still violates.
+func auditBaseViol(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	want := map[int]bool{}
+	for _, v := range da.Allocation().Violations() {
+		want[v.StringID] = true
+	}
+	if !maps.Equal(da.baseViol, want) {
+		t.Fatalf("%s: committed violation set %v, the settled state violates %v", label, da.baseViol, want)
+	}
+}
+
+// removalWindow applies 1..3 removals to a tracked allocation — whole
+// UnassignStrings and single Unassigns, each on a committed violator half the
+// time — and returns the strings it touched.
+func removalWindow(r *rand.Rand, a *Allocation, violators []int) map[int]bool {
+	sys := a.System()
+	touched := map[int]bool{}
+	for op, nOps := 0, 1+r.Intn(3); op < nOps; op++ {
+		k := r.Intn(len(sys.Strings))
+		if len(violators) > 0 && r.Intn(2) == 0 {
+			k = violators[r.Intn(len(violators))]
+		}
+		if a.nAssigned[k] == 0 {
+			continue
+		}
+		touched[k] = true
+		if r.Intn(2) == 0 {
+			a.UnassignString(k)
+			continue
+		}
+		for {
+			if i := r.Intn(len(sys.Strings[k].Apps)); a.Machine(k, i) != Unassigned {
+				a.Unassign(k, i)
+				break
+			}
+		}
+	}
+	return touched
+}
+
+// Property: a window that only removes — the windows that recheck only
+// committed violators — answers FeasibleAfterDelta, ViolationsAfterDelta and
+// Commit as the full analysis does, on committed states that violate. The
+// systems are latency-tightened, every third one heated as well (heatUp), and
+// each removal window is drawn on a state a random fill committed regardless
+// of its verdict. The streams must cure committed violators both ways: by
+// lifting a sharer off them (an untouched violator passes after the window)
+// and by removing them (a touched violator leaves the committed set).
+func TestRemovalWindowProperty(t *testing.T) {
+	var windows, curedUntouched, removedViolators int
+	for trial := 0; trial < 30; trial++ {
+		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 8)
+		sys := randomSystem(r, 2+r.Intn(4), 3+r.Intn(6), 4)
+		tightenLatency(r, sys)
+		if trial%3 == 2 {
+			heatUp(sys, 3, 40)
+		}
+		a := New(sys)
+		da := Track(a)
+		for step := 0; step < 80; step++ {
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			if len(da.baseViol) == 0 || r.Intn(3) == 0 {
+				// Fill: place a few applications and commit whatever results.
+				for n := 1 + r.Intn(4); n > 0; n-- {
+					k := r.Intn(len(sys.Strings))
+					if i := r.Intn(len(sys.Strings[k].Apps)); a.Machine(k, i) == Unassigned {
+						a.Assign(k, i, r.Intn(sys.Machines))
+					}
+				}
+				da.Commit()
+				checkSettled(t, label+" fill", da)
+				auditBaseViol(t, label+" fill", da)
+				continue
+			}
+			windows++
+			var violators []int
+			for k := range da.baseViol {
+				violators = append(violators, k)
+			}
+			slices.Sort(violators)
+			touched := removalWindow(r, a, violators)
+			if da.assigned {
+				t.Fatalf("%s: a window of removals holds the assigned bit", label)
+			}
+			switch r.Intn(4) {
+			case 0: // Commit with no evaluation, as a service remove does
+			case 1:
+				queryWindow(t, label, da, true, false)
+			case 2:
+				queryWindow(t, label, da, false, true)
+			default:
+				queryWindow(t, label, da, true, true)
+			}
+			da.Commit()
+			checkSettled(t, label, da)
+			auditBaseViol(t, label, da)
+			for _, k := range violators {
+				switch {
+				case da.baseViol[k]:
+				case touched[k]:
+					removedViolators++
+				default:
+					curedUntouched++
+				}
+			}
+		}
+		if err := a.checkInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		da.Close()
+	}
+	t.Logf("%d removal windows on violating states: %d untouched violators cured, %d violators removed", windows, curedUntouched, removedViolators)
+	if curedUntouched < 10 || removedViolators < 10 {
+		t.Fatalf("the streams cured %d untouched violators and removed %d over %d removal windows; want at least 10 of each", curedUntouched, removedViolators, windows)
+	}
+}
+
 // leastLoaded places every application of string k on the machine it loads
 // least — a stand-in for the IMR, which this package cannot import.
 func leastLoaded(a *Allocation, k int) []int {
@@ -467,11 +589,16 @@ var paperScaleRuns int64
 // Property at paper scale: 2 000 admit-, remove- and rescale-shaped windows on
 // the loaded scenario-1 state, delta equal to full at every step. The random
 // systems above top out at 5 machines x 7 strings x 4 applications; this is
-// where a roster is 30 entries long and a recheck set a dozen strings.
+// where a roster is 30 entries long and a recheck set a dozen strings. A
+// remove on a committed state with no violation and no overload runs no
+// checkString.
 func TestDeltaEquivalencePaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale delta equivalence skipped in -short mode")
 	}
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
 	stream := 100 + paperScaleRuns
 	paperScaleRuns++
 	r := rng.NewRand(1, rng.SubsystemDelta, stream)
@@ -501,8 +628,13 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 			checkSettled(t, label+" admit", da)
 		case r.Intn(2) == 0: // remove: Commit with no evaluation
 			removes++
+			feasible := len(da.baseViol) == 0 && da.nOver == 0
+			c0 := stringChecks(da)
 			a.UnassignString(k)
 			da.Commit()
+			if c1 := stringChecks(da); feasible && c1 != c0 {
+				t.Fatalf("%s: a remove on a feasible committed state ran checkString %d times, want 0", label, c1-c0)
+			}
 			checkSettled(t, label+" remove", da)
 		default:
 			rescales++
@@ -650,6 +782,54 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 	}
 	if !rejected {
 		t.Fatal("no stage-2 rejection found; the rejected path ran nowhere")
+	}
+}
+
+// On a committed state that violates nothing, a window that only removes
+// checks no string: not in Commit, not in a FeasibleAfterDelta asked before it
+// or after it. Every mapped string of the loaded scenario-1 state is removed
+// and admitted again in turn; each re-admission's Assign opens the rechecking
+// of its sharers, which the next remove must not inherit.
+func TestRemovalOnFeasibleStateChecksNothing(t *testing.T) {
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	a, da := loadedScenario1(t)
+	defer da.Close()
+	sys := a.System()
+	removed := 0
+	for k := range sys.Strings {
+		if !a.Complete(k) {
+			continue
+		}
+		label := fmt.Sprintf("string %d", k)
+		if len(da.baseViol) != 0 || da.nOver != 0 {
+			t.Fatalf("%s: the committed state violates (%d strings, %d overloads)", label, len(da.baseViol), da.nOver)
+		}
+		placement := a.StringMachines(k)
+		c0 := stringChecks(da)
+		a.UnassignString(k)
+		if removed%2 == 0 && !da.FeasibleAfterDelta() {
+			t.Fatalf("%s: removing a string from a feasible state made it infeasible", label)
+		}
+		da.Commit()
+		if !da.FeasibleAfterDelta() {
+			t.Fatalf("%s: the committed removal is infeasible", label)
+		}
+		if c1 := stringChecks(da); c1 != c0 {
+			t.Fatalf("%s: the removal ran checkString %d times, want 0", label, c1-c0)
+		}
+		checkSettled(t, label+" removed", da)
+		removed++
+		a.AssignString(k, placement)
+		if !da.FeasibleAfterDelta() {
+			t.Fatalf("%s: re-admitting it where it was is infeasible", label)
+		}
+		da.Commit()
+		checkSettled(t, label+" re-admitted", da)
+	}
+	if removed < 40 {
+		t.Fatalf("only %d strings were removed; the state is not loaded", removed)
 	}
 }
 
@@ -1131,7 +1311,9 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 //   - reject: an unmappable string is placed, FeasibleAfterDelta,
 //     ViolationsAfterDelta, Undo;
 //   - remove: UnassignString and Commit with no evaluation, then the string
-//     put back the same way so the state holds (two unevaluated commits per op).
+//     put back the same way so the state holds (two unevaluated commits per op;
+//     on this feasible state the remove's checks nothing, so the count is the
+//     put-back's).
 func BenchmarkAnalyzerDecision(b *testing.B) {
 	prev := telemetry.Active()
 	telemetry.Enable()

@@ -258,7 +258,11 @@ func paperJournal(tb testing.TB, path string, steps int) (decisions []Decision, 
 // ship over paperJournal's 12 000 records. Replay, not the 60 KB catalog, is
 // the restart here: the accepted records' decisions are most of it, since
 // the rejected ones (rejected/record, about 0.38) are folded in from the
-// state as it stands rather than decided again.
+// state as it stands rather than decided again. string_checks/record is an
+// exact count from one more restart with telemetry on, outside the timer: the
+// equation-(1) checks the replayed decisions ran (10.31; 15.10 while a
+// replayed remove rechecked the sharers of the string it lifted off a
+// feasible ship).
 func BenchmarkRecoverPaper(b *testing.B) {
 	journalPath := filepath.Join(b.TempDir(), "bench.wal")
 	paperJournal(b, journalPath, 12000)
@@ -278,6 +282,15 @@ func BenchmarkRecoverPaper(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rep.Replayed), "ns/record")
 	b.ReportMetric(float64(rep.Replayed), "records")
 	b.ReportMetric(float64(rep.Rejected)/float64(rep.Replayed), "rejected/record")
+	prev := telemetry.Active()
+	reg := telemetry.Enable()
+	rec, _, err := Recover(journalPath, Config{CompactEvery: -1})
+	telemetry.EnableRegistry(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec.Close()
+	b.ReportMetric(float64(reg.Counter("feasibility.delta.string_checks").Value())/float64(rep.Replayed), "string_checks/record")
 }
 
 // paperHandler is where the wire path was profiled: the benchmark's `paper`

@@ -431,7 +431,7 @@ func BenchmarkDynamicRepair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc, err := dynamic.TransferAllocation(base.Alloc, scaled)
+		alloc, err := feasibility.FromSnapshot(scaled, base.Alloc.Snapshot())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dynamic"
+	"repro/internal/feasibility"
 	"repro/internal/heuristics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -39,7 +40,7 @@ func main() {
 	fmt.Printf("initial allocation: %d/%d strings, worth %.0f, slackness %.3f\n",
 		r.NumMapped, len(sys.Strings), r.Metric.Worth, r.Metric.Slackness)
 
-	moves, slack := dynamic.Rebalance(r.Alloc, 20)
+	moves, slack := Rebalance(r.Alloc, 20)
 	fmt.Printf("rebalance: %d migrations, slackness %.3f -> %.3f\n", moves, r.Metric.Slackness, slack)
 
 	// Non-uniform surge: a random third of the strings more than triple, the rest +30%.
@@ -59,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alloc, err := dynamic.TransferAllocation(r.Alloc, scaled)
+	alloc, err := feasibility.FromSnapshot(scaled, r.Alloc.Snapshot())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,19 +16,12 @@
 //     re-place it with the IMR on the now-current utilization state;
 //  2. evict — if no placement restores feasibility, drop the string
 //     (lowest-worth victims first), freeing capacity for the rest.
-//
-// A separate Rebalance pass performs slackness hill climbing: it repeatedly
-// re-places the strings that pin the bottleneck resource, accepting only
-// moves that increase system slackness — a maintenance action that buys
-// headroom before the next workload surge (experiment E16).
 package dynamic
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/feasibility"
-	"repro/internal/heuristics"
 	"repro/internal/model"
 )
 
@@ -46,6 +39,8 @@ func ScaleWorkload(sys *model.System, gamma float64) (*model.System, error) {
 // workload change (some sensors surge while others idle). The result is
 // model.ScaledView(sys, gammas): fresh demand floats over sys's own bandwidth
 // and utilization rows, which neither side may write; sys is left unchanged.
+// An allocation over sys carries onto the view as
+// feasibility.FromSnapshot(view, alloc.Snapshot()).
 func ScaleStrings(sys *model.System, gammas []float64) (*model.System, error) {
 	if len(gammas) != len(sys.Strings) {
 		return nil, fmt.Errorf("dynamic: %d scale factors for %d strings", len(gammas), len(sys.Strings))
@@ -64,32 +59,6 @@ func uniformScales(n int, gamma float64) []float64 {
 		out[i] = gamma
 	}
 	return out
-}
-
-// TransferAllocation rebuilds an allocation's machine assignments on another
-// system with the same shape (same strings and application counts), e.g. a
-// scaled view. Only completely mapped strings are transferred, in ascending
-// string order, so the result's rosters and utilizations depend on src's
-// placements alone.
-func TransferAllocation(src *feasibility.Allocation, dst *model.System) (*feasibility.Allocation, error) {
-	srcSys := src.System()
-	if srcSys.Machines != dst.Machines {
-		return nil, fmt.Errorf("dynamic: systems differ: %d vs %d machines", srcSys.Machines, dst.Machines)
-	}
-	if len(srcSys.Strings) != len(dst.Strings) {
-		return nil, fmt.Errorf("dynamic: systems differ: %d vs %d strings", len(srcSys.Strings), len(dst.Strings))
-	}
-	out := feasibility.New(dst)
-	for k := range dst.Strings {
-		if len(srcSys.Strings[k].Apps) != len(dst.Strings[k].Apps) {
-			return nil, fmt.Errorf("dynamic: string %d differs: %d vs %d applications",
-				k, len(srcSys.Strings[k].Apps), len(dst.Strings[k].Apps))
-		}
-		if src.Complete(k) {
-			out.AssignString(k, src.StringMachines(k))
-		}
-	}
-	return out, nil
 }
 
 // ActionKind classifies a repair action.
@@ -235,69 +204,4 @@ func movedApps(before, after []int) int {
 		}
 	}
 	return n
-}
-
-// Rebalance performs slackness hill climbing on a feasible allocation: up to
-// maxMoves times, it re-places one string that uses the bottleneck resource
-// and keeps the move only if system slackness strictly improves and the
-// mapping stays feasible. It returns the accepted move count and the final
-// slackness. The allocation must be two-stage feasible on entry. Each trial
-// move is one analyzer window, so a rejected move is undone bit-identically;
-// an analyzer the caller already attached is reused and left attached.
-func Rebalance(alloc *feasibility.Allocation, maxMoves int) (moves int, slackness float64) {
-	sys := alloc.System()
-	da := alloc.Tracker()
-	if da == nil {
-		da = feasibility.Track(alloc)
-		defer da.Close()
-	}
-	da.Commit()
-	for moves < maxMoves {
-		improved := false
-		base := alloc.Slackness()
-		// Candidate strings on the bottleneck resource, cheapest first so
-		// small strings move before whole pipelines.
-		cands := bottleneckStrings(alloc)
-		sort.Slice(cands, func(a, b int) bool {
-			na, nb := len(sys.Strings[cands[a]].Apps), len(sys.Strings[cands[b]].Apps)
-			if na != nb {
-				return na < nb
-			}
-			return cands[a] < cands[b]
-		})
-		for _, k := range cands {
-			alloc.UnassignString(k)
-			heuristics.MapStringIMR(alloc, k)
-			if da.FeasibleAfterDelta() && alloc.Slackness() > base+1e-12 {
-				da.Commit()
-				moves++
-				improved = true
-				break
-			}
-			da.Undo()
-		}
-		if !improved {
-			break
-		}
-	}
-	return moves, alloc.Slackness()
-}
-
-// bottleneckStrings returns the mapped strings using the single most
-// utilized resource, the allocation's binding resource of Λ.
-func bottleneckStrings(alloc *feasibility.Allocation) []int {
-	on := make([]bool, len(alloc.System().Strings))
-	mark := func(k int) { on[k] = true }
-	if r := alloc.BindingResource(); r.IsRoute() {
-		alloc.StringsOnRoute(r.From, r.To, mark)
-	} else {
-		alloc.StringsOnMachine(r.From, mark)
-	}
-	var out []int
-	for k, ok := range on {
-		if ok && alloc.Complete(k) {
-			out = append(out, k)
-		}
-	}
-	return out
 }

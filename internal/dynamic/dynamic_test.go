@@ -93,6 +93,10 @@ func TestScaleStringsMatchesCloneOracle(t *testing.T) {
 	}
 }
 
+// TestTransferAllocation: a mapping carries onto a scaled view of its
+// system through a snapshot, the way every caller moves one onto a surged
+// workload, and is priced there at the scaled demand; a system of another
+// shape is refused.
 func TestTransferAllocation(t *testing.T) {
 	sys := model.NewUniformSystem(2, 5)
 	for k := 0; k < 2; k++ {
@@ -106,15 +110,15 @@ func TestTransferAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TransferAllocation(a, scaled)
+	b, err := feasibility.FromSnapshot(scaled, a.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Complete(0) || b.Complete(1) {
-		t.Error("want string 0 transferred and string 1 left unmapped")
+		t.Error("want string 0 carried and string 1 left unmapped")
 	}
 	if b.Machine(0, 0) != 0 || b.Machine(0, 1) != 1 {
-		t.Error("assignments not transferred")
+		t.Error("assignments not carried")
 	}
 	// Utilization reflects the scaled workload: 2*1.2*0.4/20 = 0.048.
 	if got := b.MachineUtilization(0); !approx(got, 0.048, 1e-12) {
@@ -122,7 +126,7 @@ func TestTransferAllocation(t *testing.T) {
 	}
 	// Shape mismatch rejected.
 	other := model.NewUniformSystem(2, 5)
-	if _, err := TransferAllocation(a, other); err == nil {
+	if _, err := feasibility.FromSnapshot(other, a.Snapshot()); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
@@ -210,7 +214,7 @@ func TestRepairAfterGrowthPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc, err := TransferAllocation(r.Alloc, scaled)
+		alloc, err := feasibility.FromSnapshot(scaled, r.Alloc.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,52 +228,6 @@ func TestRepairAfterGrowthPipeline(t *testing.T) {
 		if got := alloc.Metric().Worth; got != res.WorthAfter {
 			t.Fatalf("seed %d: WorthAfter %v, allocation holds %v", seed, res.WorthAfter, got)
 		}
-	}
-}
-
-// TestRebalanceImprovesSlackness: a deliberately lopsided feasible mapping
-// must gain slackness from rebalancing.
-func TestRebalanceImprovesSlackness(t *testing.T) {
-	sys := model.NewUniformSystem(2, 10)
-	for k := 0; k < 4; k++ {
-		sys.AddString(model.AppString{Worth: 10, Period: 20, MaxLatency: 200,
-			Apps: []model.Application{model.UniformApp(2, 4, 0.5, 1)}})
-	}
-	a := feasibility.New(sys)
-	for k := 0; k < 4; k++ {
-		a.Assign(k, 0, 0) // all on machine 0: U = 0.4 vs 0
-	}
-	if !a.TwoStageFeasible() {
-		t.Fatal("premise: lopsided mapping should still be feasible")
-	}
-	before := a.Slackness()
-	moves, after := Rebalance(a, 10)
-	if moves == 0 || after <= before {
-		t.Errorf("rebalance made %d moves, slackness %v -> %v", moves, before, after)
-	}
-	if !a.TwoStageFeasible() {
-		t.Error("rebalance broke feasibility")
-	}
-	// Balanced: two strings per machine -> slackness 0.8.
-	if !approx(after, 0.8, 1e-9) {
-		t.Errorf("slackness %v, want 0.8", after)
-	}
-}
-
-// TestRebalanceRespectsMoveBudget and terminates at local optima.
-func TestRebalanceStopsAtOptimum(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
-	cfg.Strings = 10
-	sys := workload.MustGenerate(cfg, rng.Int63())
-	r := heuristics.MWF(sys)
-	moves1, s1 := Rebalance(r.Alloc, 100)
-	moves2, s2 := Rebalance(r.Alloc, 100)
-	if moves2 != 0 || s2 != s1 {
-		t.Errorf("second rebalance moved %d (slackness %v -> %v): not at a fixed point", moves2, s1, s2)
-	}
-	if moves1 > 100 {
-		t.Errorf("move budget exceeded: %d", moves1)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestRepairSurviveGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc, err := TransferAllocation(r.Alloc, scaled)
+		alloc, err := feasibility.FromSnapshot(scaled, r.Alloc.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

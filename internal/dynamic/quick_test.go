@@ -51,7 +51,7 @@ func (c chaosCase) build(t *testing.T) (*feasibility.Allocation, *faults.Set) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := TransferAllocation(r.Alloc, scaled)
+	a, err := feasibility.FromSnapshot(scaled, r.Alloc.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

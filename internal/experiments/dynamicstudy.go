@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/dynamic"
+	"repro/internal/feasibility"
 	"repro/internal/heuristics"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -54,7 +55,7 @@ func RunDynamicStudy(ctx context.Context, opts Options, scales []float64) (*Dyna
 				if err != nil {
 					return err
 				}
-				alloc, err := dynamic.TransferAllocation(initial[name].Alloc, scaled)
+				alloc, err := feasibility.FromSnapshot(scaled, initial[name].Alloc.Snapshot())
 				if err != nil {
 					return err
 				}

@@ -492,6 +492,17 @@ func (a *Allocation) checkRoster(roster []rosterEntry, pos [][]rosterPos, slot i
 	return nil
 }
 
+// canonical reports the first adjacent pair of roster entries out of canonical
+// order, as an error.
+func (a *Allocation) canonical(roster []rosterEntry) error {
+	for idx := 1; idx < len(roster); idx++ {
+		if x, y := roster[idx-1].appRef, roster[idx].appRef; !a.ahead(x, y) {
+			return fmt.Errorf("(%d,%d) is listed before (%d,%d), out of canonical order", x.k, x.i, y.k, y.i)
+		}
+	}
+	return nil
+}
+
 // sameAs holds a roster to a fresh rebuild's — the same entries in the same
 // order — and its utilization to the rebuild's by bits.
 func sameAs(roster []rosterEntry, util float64, fresh []rosterEntry, freshUtil float64) error {

@@ -20,9 +20,9 @@ import (
 // applyRandomDelta applies 1..4 random primitive mutations to a tracked
 // allocation: single-app toggles plus occasional whole-string assigns and
 // unassigns, so every tracked entry point is exercised. The prefix sums and
-// the kept binding resource are audited after each, inside the window:
-// dynamic.Rebalance and the overload controller read Λ there, and every
-// evaluation reads the sums.
+// the kept binding resource are audited after each, inside the window: the
+// dynamicreallocation example's Rebalance and the overload controller read Λ
+// there, and every evaluation reads the sums.
 func applyRandomDelta(tb testing.TB, r *rand.Rand, a *Allocation) {
 	tb.Helper()
 	sys := a.System()
@@ -1075,9 +1075,9 @@ func TestSingleApplicationMoveResumsScannedRoster(t *testing.T) {
 	}
 }
 
-// FromSnapshot sums every roster as it restores it, whatever built the
-// allocation: a restored snapshot is tracked with every prefix sum exact, and
-// windows over it read them.
+// FromSnapshot assigns the mapping, so every roster is summed as Assign
+// builds it, whatever history built the original: a restored snapshot is
+// tracked with every prefix sum exact, and windows over it read them.
 func TestTrackAfterFromSnapshotFillsSums(t *testing.T) {
 	orig, origDA := loadedScenario1(t)
 	origDA.Close()

@@ -193,7 +193,7 @@ func snapshotGoldenSystem() *feasibility.Allocation {
 // from the dense implementation (no version field, positional machines): the
 // format is no longer read, so it must be refused with the typed version
 // error rather than misread as sparse — as must version 2's history-ordered
-// rosters and a future version. The digest beside it (re-recorded with the
+// rosters, versions 3 and 4's recorded rosters and a future version. The digest beside it (re-recorded with the
 // canonical roster order) pins the live replay of the same deterministic
 // state, through a current-format round trip.
 func TestSnapshotV1Golden(t *testing.T) {
@@ -206,7 +206,7 @@ func TestSnapshotV1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := snapshotGoldenSystem()
-	for _, version := range []int{0, 2, 3, feasibility.SnapshotVersion + 1} {
+	for _, version := range []int{0, 2, 3, 4, feasibility.SnapshotVersion + 1} {
 		file.Snap.Version = version // 0 is the file as written
 		_, err := feasibility.FromSnapshot(live.System(), file.Snap)
 		var verr *feasibility.SnapshotVersionError

@@ -80,7 +80,7 @@ func TestPlacementSoundMatchesOracleUnderSurge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := dynamic.TransferAllocation(heuristics.MWF(base).Alloc, sys)
+		a, err := feasibility.FromSnapshot(sys, heuristics.MWF(base).Alloc.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,10 @@ import (
 // every roster in canonical priority order, which changes every state digest
 // (feasibility.SnapshotVersion 3); version 4 makes every utilization its
 // roster's total, which moves state digests and slackness bits, and leaves
-// the utilizations out of the snapshot (feasibility.SnapshotVersion 4).
+// the utilizations out of the snapshot (feasibility.SnapshotVersion 4). The
+// alloc section going to the assignment vectors alone
+// (feasibility.SnapshotVersion 5) left the schema at 4: a version-4 file is
+// refused by the alloc section's own version.
 const SchemaVersion = 4
 
 // Error codes carried by the error envelope. The HTTP layer maps them to

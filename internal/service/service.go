@@ -694,11 +694,11 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 		return Decision{}, Errorf(CodeBadRequest, nil, "%v", err)
 	}
 	// The controller works on its own scaled view and allocation; adopt its
-	// final mapping by re-placing it deterministically (string index order)
-	// on the live system. Journals embed state digests that replay verifies,
-	// so the post-surge state must be exactly this rebuild. It is a
-	// control-plane rebuild, not part of the serve path.
-	fresh, err := dynamic.TransferAllocation(res.FinalAlloc, st.sys)
+	// final mapping by re-placing it on the live system. The state is a
+	// function of the mapping, so the rebuild has the digest journals embed
+	// and replay verifies. It is a control-plane rebuild, not part of the
+	// serve path.
+	fresh, err := feasibility.FromSnapshot(st.sys, res.FinalAlloc.Snapshot())
 	if err != nil {
 		return Decision{}, Errorf(CodeInternal, nil, "adopt surge result: %v", err)
 	}

@@ -559,6 +559,50 @@ func TestRestoreRejectsPartiallyPlacedString(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesMovedApplication: the allocation section is the mapping
+// alone, so a file whose mapping is not the state it records — one application
+// of a mapped string moved, the recorded digest kept — is refused by the
+// digest, and the error names the recorded value. The same file re-encoded
+// without the move restores.
+func TestRestoreRefusesMovedApplication(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.json")
+	svc := newTestService(t, 4, Config{})
+	mustAdmit(t, svc, 0)
+	mustAdmit(t, svc, 1)
+	if _, err := svc.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := loadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string) string {
+		t.Helper()
+		data, err := json.Marshal(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	restored, err := Restore(write("same.json"), Config{})
+	if err != nil {
+		t.Fatalf("restore of the re-encoded snapshot: %v", err)
+	}
+	restored.Close()
+
+	machines := file.Alloc.Strings[1].Machines
+	machines[1] = (machines[1] + 1) % 4
+	_, err = Restore(write("moved.json"), Config{})
+	if err == nil || !strings.Contains(err.Error(), "does not match recorded "+file.Digest) {
+		t.Fatalf("restore of a snapshot with string 1's application 1 moved: error %v, want a refusal naming digest %s", err, file.Digest)
+	}
+}
+
 func replaceOnce(s, old, repl string) string {
 	for i := 0; i+len(old) <= len(s); i++ {
 		if s[i:i+len(old)] == old {

@@ -5,18 +5,19 @@
 // directory as compact JSON under a content-addressed name,
 // catalog-<sha256 prefix>.json. The snapshot file beside it pins that catalog
 // by base name and sha256 and carries what moves: the allocation as a
-// feasibility.AllocationSnapshot (assignments, canonical rosters, tightness
-// bits; it is the mapped set — a string is admitted iff the allocation places
-// all of it), the
-// demand multiplier per string (live demand is base × scale[k]), standing
-// outages, the sequence number, the journal chain value, and the
+// feasibility.AllocationSnapshot (the assignment vectors alone; the allocation
+// is the mapped set — a string is admitted iff the allocation places all of
+// it), the demand multiplier per string (live demand is base × scale[k]),
+// standing outages, the sequence number, the journal chain value, and the
 // feasibility.StateDigest of the live allocation: kilobytes, whatever the ship.
 //
 // On restore the catalog's bytes must hash to the pinned sha256 and pass
 // Validate, the scale vector must be finite and positive, and the allocation
 // rebuilt over base × scale must reproduce the recorded digest — a snapshot
 // that cannot reproduce the exact state is rejected rather than silently
-// drifting, as is one that places only part of a string. Every file is written
+// drifting, as is one that places only part of a string. The digest is the one
+// check that the vectors are the state the file records: the rosters and
+// tightness it covers are not in the file. Every file is written
 // atomically (temp file in the target directory, fsync, rename, directory
 // fsync), so a crash mid-write never clobbers the previous snapshot — which is
 // what lets journal compaction treat the sidecar snapshot as its durable base.

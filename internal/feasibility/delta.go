@@ -560,6 +560,19 @@ func (da *DeltaAnalyzer) FeasibleAfterDelta() bool {
 	return true
 }
 
+// CommittedFeasible reports whether the committed state passes the two-stage
+// analysis: no machine or route past capacity and no string failing equation
+// (1). It is FeasibleAfterDelta on a clean window, read off the committed
+// caches without counting an evaluation, so a reader between operations
+// (GET /v1/state) leaves the feasibility.delta counters as they were. It
+// panics if the window holds uncommitted mutations.
+func (da *DeltaAnalyzer) CommittedFeasible() bool {
+	if !da.clean() {
+		panic("feasibility: CommittedFeasible on an open delta window; Commit or Undo first")
+	}
+	return da.nOver == 0 && len(da.baseViol) == 0
+}
+
 // ViolationsAfterDelta returns every equation-(1) violation under the
 // current state, in ascending string order — the same result Violations
 // produces, computed from the dirty set plus the surviving committed

@@ -65,6 +65,9 @@ func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 	if s, m, r := da.Dirty(); s != 0 || m != 0 || r != 0 {
 		t.Fatalf("%s: settled window still dirty: %d strings, %d machines, %d routes", label, s, m, r)
 	}
+	if got, want := da.CommittedFeasible(), da.Allocation().TwoStageFeasible(); got != want {
+		t.Fatalf("%s: CommittedFeasible %v, TwoStageFeasible %v", label, got, want)
+	}
 	queryWindow(t, label+" (clean)", da, true, true)
 	if err := auditPrefix(da.Allocation()); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -1207,6 +1210,7 @@ func TestDeltaResetAndEmptyWindow(t *testing.T) {
 	if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want {
 		t.Fatalf("first window after Reset: FeasibleAfterDelta %v, TwoStageFeasible %v", got, want)
 	}
+	mustPanic(t, "CommittedFeasible on an open window", func() { da.CommittedFeasible() })
 	da.Undo()
 	if a.NumComplete() != 0 {
 		t.Fatal("Undo after Reset must restore the empty mapping")

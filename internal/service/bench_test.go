@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -366,10 +367,11 @@ func BenchmarkHandlerState(b *testing.B) {
 	b.ReportMetric(float64(size), "body-bytes")
 }
 
-// BenchmarkHandlerStateAfterOps times the read cmd/shipbench times: a
-// GET /v1/state after the state moved, so the digest memo misses and the
-// analyzer's line cache re-formats what the untimed remove + admit before it
-// changed.
+// BenchmarkHandlerStateAfterOps times a GET /v1/state after one op: the
+// untimed remove + admit before it moves the state, so the digest memo misses
+// and the analyzer's line cache re-formats what that pair changed. The read
+// cmd/shipbench times follows a round of ops; that is
+// BenchmarkHandlerStateAfterRound.
 func BenchmarkHandlerStateAfterOps(b *testing.B) {
 	h, k := paperHandler(b)
 	var size int
@@ -382,6 +384,47 @@ func BenchmarkHandlerStateAfterOps(b *testing.B) {
 		size = readState(b, h)
 	}
 	b.ReportMetric(float64(size), "body-bytes")
+}
+
+// BenchmarkHandlerStateAfterRound times the read cmd/shipbench times, one
+// after a round of ops (it reads once every 50). The untimed round is fixed:
+// it rescales every fifth string of the paper ship by 1.1, or by 1/1.1 on
+// odd rounds, which changes about as many rows as a shipbench read finds
+// changed (27 of 150 measured). One warm read before the timer fills the
+// kept rows. rows_encoded/read is the exact count of rows the timed reads
+// re-encoded (service.state.rows_encoded); 150 means the kept rows stopped
+// engaging.
+func BenchmarkHandlerStateAfterRound(b *testing.B) {
+	h, _ := paperHandler(b)
+	n := workload.ScenarioConfig(workload.HighlyLoaded).Strings
+	var round [2][]string
+	for k := 0; k < n; k += 5 {
+		for parity, factor := range []float64{1.1, 1 / 1.1} {
+			round[parity] = append(round[parity], fmt.Sprintf(`{"stringId":%d,"factor":%s}`, k, strconv.FormatFloat(factor, 'g', -1, 64)))
+		}
+	}
+	prev := telemetry.Active()
+	reg := telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	rows := reg.Counter("service.state.rows_encoded")
+	readState(b, h)
+	rows0 := rows.Value()
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, body := range round[i%2] {
+			if rec := serve(h, "POST", "/v1/rescale", body); rec.Code != http.StatusOK && rec.Code != http.StatusUnprocessableEntity {
+				b.Fatalf("POST /v1/rescale %s: status %d: %s", body, rec.Code, rec.Body)
+			}
+		}
+		b.StartTimer()
+		size = readState(b, h)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(size), "body-bytes")
+	b.ReportMetric(float64(rows.Value()-rows0)/float64(b.N), "rows_encoded/read")
 }
 
 // readState is one GET /v1/state through h; it returns the reply's size.

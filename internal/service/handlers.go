@@ -174,6 +174,12 @@ func reply(w http.ResponseWriter, status int, contentType string, encode func(*w
 	buf := getWbuf()
 	defer putWbuf(buf)
 	encode(buf)
+	send(w, status, contentType, buf)
+}
+
+// send writes what buf holds as the whole response body, or the 500
+// envelope if encoding it latched an error.
+func send(w http.ResponseWriter, status int, contentType string, buf *wbuf) {
 	if buf.err != nil {
 		writeErr(w, Errorf(CodeInternal, nil, "encode response: %v", buf.err))
 		return
@@ -267,16 +273,18 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleState has the state loop append the reply into a pooled buffer: the
+// header, then the loop's kept rows (state.appendState). No StateResponse is
+// built for a read.
 func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.State()
-	if err != nil {
+	buf := getWbuf()
+	defer putWbuf(buf)
+	if err := s.exec(func(st *state) { st.appendState(buf) }); err != nil {
 		writeErr(w, err)
 		return
 	}
-	reply(w, http.StatusOK, "application/json", func(buf *wbuf) {
-		buf.state(&resp)
-		buf.lit("\n")
-	})
+	buf.lit("\n")
+	send(w, http.StatusOK, "application/json", buf)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

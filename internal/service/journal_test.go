@@ -700,6 +700,7 @@ func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		mustAdmit(t, svc, k)
 	}
+	requireStateRead(t, svc, "admitted")
 	reqs := []any{
 		FaultsRequest{Fail: []faults.Resource{faults.Machine(1), faults.Route(2, 3)}},
 		&overload.Scenario{Name: "swell \"<&>\"   é", Seed: 7, Events: []overload.Event{
@@ -718,6 +719,7 @@ func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
+		requireStateRead(t, svc, fmt.Sprintf("%+v", req))
 	}
 	want := stateOf(t, svc)
 	var chain string
@@ -757,6 +759,7 @@ func TestFaultsAndSurgeRecordsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	requireStateRead(t, rec, "recovered")
 	var gotChain string
 	if err := rec.exec(func(st *state) { gotChain = st.chain }); err != nil {
 		t.Fatal(err)

@@ -231,6 +231,7 @@ func TestLockstepAgainstReferenceModel(t *testing.T) {
 				if want := ref.alloc.TwoStageFeasible(); state.Feasible != want {
 					t.Fatalf("%s: Feasible = %v, full analysis says %v", label, state.Feasible, want)
 				}
+				requireStateRead(t, svc, label)
 				// The digest is memoised on seq; that key is sound only while
 				// every mutating path advances seq, conflicts included.
 				if memo, fresh := memoAndFreshDigest(t, svc); memo != fresh {

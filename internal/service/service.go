@@ -143,6 +143,9 @@ type state struct {
 	// digestMemo is StateDigest(alloc) as of digestSeq; see digest.
 	digestMemo string
 	digestSeq  uint64
+	// rows are GET /v1/state's kept stringStates elements, one per string,
+	// each checked against the live state when read (appendState).
+	rows []stateRow
 	// bound is the current LP worth upper bound (nil when disabled or the
 	// solve failed); boundWarm records whether the last re-solve reused the
 	// previous simplex basis.
@@ -710,7 +713,10 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 	return st.finish(&d), nil
 }
 
-func (st *state) stateResponse() StateResponse {
+// stateHeader is the live state's StateResponse without its stringStates:
+// the fields GET /v1/state writes before its rows, which stateResponse fills
+// in. Feasible is the committed verdict, so a read counts no evaluation.
+func (st *state) stateHeader() StateResponse {
 	m := st.alloc.Metric()
 	resp := StateResponse{
 		SchemaVersion: SchemaVersion,
@@ -720,11 +726,23 @@ func (st *state) stateResponse() StateResponse {
 		MappedCount:   st.nMapped,
 		Worth:         m.Worth,
 		Slackness:     m.Slackness,
-		Feasible:      st.da.FeasibleAfterDelta(),
+		Feasible:      st.da.CommittedFeasible(),
 		Digest:        st.digest(),
 		MachinesDown:  st.down.MachinesDown(),
 		RoutesDown:    st.down.RoutesDown(),
 	}
+	for k := range st.sys.Strings {
+		resp.TotalWorth += st.sys.Strings[k].Worth
+	}
+	if st.bound != nil {
+		resp.WorthBound = st.bound.Objective
+	}
+	return resp
+}
+
+// stateResponse is the live state as a value, for Service.State.
+func (st *state) stateResponse() StateResponse {
+	resp := st.stateHeader()
 	// Every mapped string's machines are copied into one backing array.
 	apps := 0
 	for k := range st.sys.Strings {
@@ -738,7 +756,6 @@ func (st *state) stateResponse() StateResponse {
 	}
 	for k := range st.sys.Strings {
 		s := &st.sys.Strings[k]
-		resp.TotalWorth += s.Worth
 		ss := StringStatus{ID: k, Mapped: st.alloc.Complete(k), Worth: s.Worth, Scale: st.scale[k]}
 		if ss.Mapped {
 			from := len(machines)
@@ -749,10 +766,90 @@ func (st *state) stateResponse() StateResponse {
 		}
 		resp.StringStates[k] = ss
 	}
-	if st.bound != nil {
-		resp.WorthBound = st.bound.Objective
-	}
 	return resp
+}
+
+// stateRow is string k's kept stringStates element: its encoding, the
+// bracket or comma before it included, and the inputs it was encoded from.
+// A read compares the inputs with the live state and re-encodes on a
+// mismatch, so a row needs no stale mark: no op, fault, surge or rebuild has
+// to know the rows exist.
+type stateRow struct {
+	b        []byte // empty until encoded, and after a refused float
+	mapped   bool   // alloc.Complete(k)
+	worth    uint64 // bits of the catalog worth
+	scale    uint64 // bits of scale[k]
+	machines []int  // the assignment vector while mapped
+}
+
+// fresh reports whether r still encodes string k of the live state.
+func (st *state) fresh(r *stateRow, k int) bool {
+	s := &st.sys.Strings[k]
+	if len(r.b) == 0 || r.mapped != st.alloc.Complete(k) ||
+		r.worth != math.Float64bits(s.Worth) || r.scale != math.Float64bits(st.scale[k]) {
+		return false
+	}
+	if r.mapped {
+		if len(r.machines) != len(s.Apps) {
+			return false
+		}
+		for i, j := range r.machines {
+			if st.alloc.Machine(k, i) != j {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// encodeRow re-encodes r from string k of the live state. A float JSON cannot
+// carry is returned and leaves the row empty, so the next read tries again.
+func (st *state) encodeRow(r *stateRow, k int) error {
+	s := &st.sys.Strings[k]
+	r.mapped = st.alloc.Complete(k)
+	r.worth, r.scale = math.Float64bits(s.Worth), math.Float64bits(st.scale[k])
+	r.machines = r.machines[:0]
+	if r.mapped {
+		for i := range s.Apps {
+			r.machines = append(r.machines, st.alloc.Machine(k, i))
+		}
+	}
+	rw := wbuf{b: r.b[:0]}
+	rw.stringStatus(k, &StringStatus{ID: k, Mapped: r.mapped, Worth: s.Worth, Scale: st.scale[k], Machines: r.machines})
+	r.b = rw.b
+	if rw.err != nil {
+		r.b = r.b[:0]
+	}
+	return rw.err
+}
+
+// appendState appends the body of GET /v1/state, the newline excluded: the
+// bytes json.Marshal writes for stateResponse(). The header is encoded fresh
+// and each row is the kept one, re-encoded only where its inputs changed.
+func (st *state) appendState(w *wbuf) {
+	h := st.stateHeader()
+	w.stateHeader(&h)
+	n := len(st.sys.Strings)
+	if n == 0 {
+		w.lit("null}")
+		return
+	}
+	if len(st.rows) != n {
+		st.rows = make([]stateRow, n)
+	}
+	encoded := 0
+	for k := range st.rows {
+		r := &st.rows[k]
+		if !st.fresh(r, k) {
+			encoded++
+			if err := st.encodeRow(r, k); err != nil && w.err == nil {
+				w.err = err
+			}
+		}
+		w.b = append(w.b, r.b...)
+	}
+	w.lit("]}")
+	telemetry.C("service.state.rows_encoded").Add(int64(encoded))
 }
 
 // --- event ring ---

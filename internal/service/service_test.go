@@ -307,7 +307,8 @@ func TestSurgeEpisode(t *testing.T) {
 
 // The acceptance criterion: the serve path runs zero full re-analyses. The
 // analyzer rebases exactly once, when the service attaches it at startup;
-// admits, removes, rescales, and state reads are all incremental evaluations.
+// admits, removes and rescales are incremental evaluations, and a state read
+// is none (TestStateReadCountsNoEvaluation).
 func TestServePathNeverRebases(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()

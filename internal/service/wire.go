@@ -1,9 +1,10 @@
 // The wire codec. Every hot wire type has exactly one encoder and one decoder,
 // all of them here: Decision (every mutation's reply and every /v1/events
-// line) and StateResponse (GET /v1/state), which the daemon only writes; the
-// journal record, written per op and read back on replay; and the
-// {"stringId":N[,"factor":F]} body of admit, remove and rescale — as a request
-// body and as a journaled payload alike.
+// line) and StateResponse (GET /v1/state: a header, then rows the state loop
+// keeps encoded), which the daemon only writes; the journal record, written
+// per op and read back on replay; and the {"stringId":N[,"factor":F]} body of
+// admit, remove and rescale — as a request body and as a journaled payload
+// alike.
 //
 // The contract is encoding/json's bytes: each encoder appends exactly what
 // json.Marshal writes for the same value (compact, struct field order, the
@@ -235,8 +236,10 @@ func (w *wbuf) decision(d *Decision) {
 	w.lit("}")
 }
 
-// state appends s; the only encoder of a StateResponse.
-func (w *wbuf) state(s *StateResponse) {
+// stateHeader appends every field of s up to its stringStates, and that
+// field's name; stringStatus appends the rows that follow (state.appendState
+// composes a reply from the two).
+func (w *wbuf) stateHeader(s *StateResponse) {
 	w.int(`{"schemaVersion":`, s.SchemaVersion)
 	w.uint(`,"seq":`, s.Seq)
 	w.int(`,"machines":`, s.Machines)
@@ -253,28 +256,20 @@ func (w *wbuf) state(s *StateResponse) {
 	w.int(`,"machinesDown":`, s.MachinesDown)
 	w.int(`,"routesDown":`, s.RoutesDown)
 	w.lit(`,"stringStates":`)
-	if len(s.StringStates) == 0 {
-		// encoding/json tells a nil slice from an empty one.
-		if s.StringStates == nil {
-			w.lit("null}")
-		} else {
-			w.lit("[]}")
-		}
-		return
+}
+
+// stringStatus appends ss as element i of a stringStates array, the bracket
+// or comma before it included; the only encoder of a StringStatus.
+func (w *wbuf) stringStatus(i int, ss *StringStatus) {
+	w.lit(sep(i))
+	w.int(`{"id":`, ss.ID)
+	w.bool(`,"mapped":`, ss.Mapped)
+	w.float(`,"worth":`, ss.Worth)
+	w.float(`,"scale":`, ss.Scale)
+	if len(ss.Machines) > 0 {
+		w.ints(`,"machines":`, ss.Machines)
 	}
-	for i := range s.StringStates {
-		ss := &s.StringStates[i]
-		w.lit(sep(i))
-		w.int(`{"id":`, ss.ID)
-		w.bool(`,"mapped":`, ss.Mapped)
-		w.float(`,"worth":`, ss.Worth)
-		w.float(`,"scale":`, ss.Scale)
-		if len(ss.Machines) > 0 {
-			w.ints(`,"machines":`, ss.Machines)
-		}
-		w.lit("}")
-	}
-	w.lit("]}")
+	w.lit("}")
 }
 
 // opRecord appends rec, header records included; the only encoder of a

@@ -11,12 +11,14 @@
 // correctly rounded value, an integer token goes to strconv, a string value
 // with an escape or invalid UTF-8 goes to encoding/json as that one token;
 // names match by their exact bytes, at most once; null is no typed reader's
-// value.
+// value. AppendFloat is the writers' side of the number grammar: a float64 as
+// encoding/json writes it.
 package jsonscan
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -405,4 +407,31 @@ func (c *Cursor) skip() (err error) {
 	}
 	c.I = end
 	return nil
+}
+
+// AppendFloat appends f the way encoding/json writes a float64: shortest
+// round-trip digits, in ES6 form (exponent iff |f| < 1e-6 or |f| >= 1e21,
+// two-digit negative exponents trimmed of their leading zero). An integral
+// |f| < 2^53 is exact in an int64 and its shortest digits are the integer's
+// own, so it skips the float formatter; -0 does not, encoding/json writes it
+// "-0". NaN and ±Inf have no JSON form: it appends nothing and reports false.
+func AppendFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	if f > -1<<53 && f < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			return strconv.AppendInt(dst, i, 10), true
+		}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 to e-9
+		dst = dst[:n-1]
+	}
+	return dst, true
 }

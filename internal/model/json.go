@@ -1,22 +1,157 @@
 package model
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"repro/internal/jsonscan"
 )
 
-// WriteJSON serializes the system as indented JSON to w.
+// WriteJSON serializes the system as indented JSON to w: the bytes
+// encoding/json's Encoder writes with SetIndent("", "  "), the trailing
+// newline included, appended in one pass by indentWriter rather than
+// marshalled and then re-indented, which took twice as long.
 func (sys *System) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sys); err != nil {
+	iw := indentWriter{b: make([]byte, 0, sys.indentedSize())}
+	iw.system(sys)
+	if iw.err != nil {
+		return fmt.Errorf("model: encoding system: %w", iw.err)
+	}
+	if _, err := w.Write(append(iw.b, '\n')); err != nil {
 		return fmt.Errorf("model: encoding system: %w", err)
 	}
 	return nil
+}
+
+// indentedSize is a capacity for WriteJSON's buffer that the document rarely
+// outgrows: a float line is at most 12 spaces of indent, 24 characters and
+// ",\n".
+func (sys *System) indentedSize() int {
+	n := 64 + 40*len(sys.Bandwidth)*len(sys.Bandwidth)
+	for k := range sys.Strings {
+		n += 128
+		for i := range sys.Strings[k].Apps {
+			a := &sys.Strings[k].Apps[i]
+			n += 128 + 40*(len(a.NominalTime)+len(a.NominalUtil))
+		}
+	}
+	return n
+}
+
+// indentWriter appends a document in encoding/json's indented layout, two
+// spaces a level: an element or field on its own line, "[]" for an empty
+// array and null for a nil one. err is the first float JSON has no form for.
+type indentWriter struct {
+	b     []byte
+	depth int
+	err   error
+}
+
+func (w *indentWriter) newline() {
+	w.b = append(w.b, '\n')
+	for i := 0; i < w.depth; i++ {
+		w.b = append(w.b, ' ', ' ')
+	}
+}
+
+func (w *indentWriter) float(f float64) {
+	var ok bool
+	if w.b, ok = jsonscan.AppendFloat(w.b, f); !ok && w.err == nil {
+		w.err = fmt.Errorf("unsupported value: %v", f)
+	}
+}
+
+// object appends an object whose field names[f] is written by value(f).
+func (w *indentWriter) object(names []string, value func(f int)) {
+	w.b = append(w.b, '{')
+	w.depth++
+	for f, name := range names {
+		if f > 0 {
+			w.b = append(w.b, ',')
+		}
+		w.newline()
+		w.b = append(append(append(w.b, '"'), name...), '"', ':', ' ')
+		value(f)
+	}
+	w.depth--
+	w.newline()
+	w.b = append(w.b, '}')
+}
+
+// array appends n elements written by elem, or null when the slice is nil.
+func (w *indentWriter) array(isNil bool, n int, elem func(i int)) {
+	switch {
+	case isNil:
+		w.b = append(w.b, "null"...)
+		return
+	case n == 0:
+		w.b = append(w.b, '[', ']')
+		return
+	}
+	w.b = append(w.b, '[')
+	w.depth++
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			w.b = append(w.b, ',')
+		}
+		w.newline()
+		elem(i)
+	}
+	w.depth--
+	w.newline()
+	w.b = append(w.b, ']')
+}
+
+func (w *indentWriter) floats(v []float64) {
+	w.array(v == nil, len(v), func(i int) { w.float(v[i]) })
+}
+
+// system appends sys with the fields of System, AppString and Application in
+// declaration order under their json tags (systemFields, stringFields,
+// appFields).
+func (w *indentWriter) system(sys *System) {
+	w.object(systemFields, func(f int) {
+		switch f {
+		case 0:
+			w.b = strconv.AppendInt(w.b, int64(sys.Machines), 10)
+		case 1:
+			w.array(sys.Bandwidth == nil, len(sys.Bandwidth), func(j int) { w.floats(sys.Bandwidth[j]) })
+		case 2:
+			w.array(sys.Strings == nil, len(sys.Strings), func(k int) { w.appString(&sys.Strings[k]) })
+		}
+	})
+}
+
+func (w *indentWriter) appString(s *AppString) {
+	w.object(stringFields, func(f int) {
+		switch f {
+		case 0:
+			w.b = strconv.AppendInt(w.b, int64(s.ID), 10)
+		case 1:
+			w.float(s.Worth)
+		case 2:
+			w.float(s.Period)
+		case 3:
+			w.float(s.MaxLatency)
+		case 4:
+			w.array(s.Apps == nil, len(s.Apps), func(i int) { w.application(&s.Apps[i]) })
+		}
+	})
+}
+
+func (w *indentWriter) application(a *Application) {
+	w.object(appFields, func(f int) {
+		switch f {
+		case 0:
+			w.floats(a.NominalTime)
+		case 1:
+			w.floats(a.NominalUtil)
+		case 2:
+			w.float(a.OutputKB)
+		}
+	})
 }
 
 // The system document's grammar: a table of field names per object (the json

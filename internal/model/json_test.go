@@ -188,9 +188,67 @@ func TestParseSystemReadsWhatTheWritersWrite(t *testing.T) {
 	}
 }
 
+// indentedReference is what WriteJSON wrote while it was encoding/json's
+// Encoder with a two-space indent.
+func indentedReference(tb testing.TB, sys *model.System) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(sys); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// WriteJSON writes the bytes encoding/json's indented Encoder writes: on the
+// scenario and fleet ships, on the benchmark's fleet ship, and on a system of
+// the layout's edge cases — nil and empty arrays, -0, the smallest
+// subnormal, the ES6 exponent thresholds, integral floats on both sides of
+// 2^53. A float JSON cannot carry is refused.
+func TestWriteJSONIsEncodingJSON(t *testing.T) {
+	app := func(times ...float64) model.Application {
+		return model.Application{NominalTime: times, NominalUtil: []float64{}, OutputKB: -0.0}
+	}
+	edges := &model.System{
+		Machines:  2,
+		Bandwidth: [][]float64{{0, math.Copysign(0, -1)}, {}, nil, {5e-324, math.MaxFloat64}},
+		Strings: []model.AppString{
+			{ID: 0, Worth: 1e-6, Period: 9.99999e-7, MaxLatency: 1e21, Apps: []model.Application{
+				app(1e20, 123456789e30, -1.5e-9, 1<<53, 1<<53+2, -(1 << 52), 0.1, 1.0/3),
+				{NominalTime: nil, NominalUtil: nil, OutputKB: 4},
+			}},
+			{ID: 7, Worth: 100, Period: 0.25, MaxLatency: 2, Apps: []model.Application{}},
+			{ID: 8, Apps: nil},
+		},
+	}
+	systems := append(smallSystems(), model.NewUniformSystem(3, 10), &model.System{},
+		workload.MustGenerate(workload.FleetConfig(128, 2), 1), edges)
+	for i, sys := range systems {
+		var got bytes.Buffer
+		if err := sys.WriteJSON(&got); err != nil {
+			t.Fatalf("system %d: %v", i, err)
+		}
+		if want := indentedReference(t, sys); !bytes.Equal(got.Bytes(), want) {
+			n := 0
+			for n < len(want) && n < got.Len() && want[n] == got.Bytes()[n] {
+				n++
+			}
+			t.Errorf("system %d: WriteJSON differs from encoding/json at byte %d of %d:\n%q\nwant\n%q",
+				i, n, len(want), got.Bytes()[n:min(n+40, got.Len())], want[n:min(n+40, len(want))])
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		edges.Strings[1].Worth = f
+		var got bytes.Buffer
+		if err := edges.WriteJSON(&got); err == nil || !strings.Contains(err.Error(), "unsupported value") || got.Len() != 0 {
+			t.Errorf("worth %v: error %v, %d bytes written; want an unsupported-value error and nothing written", f, err, got.Len())
+		}
+	}
+}
+
 // FuzzParseSystem holds the system reader inside encoding/json's language:
 // whatever it accepts, a strict json.Decoder decodes to the same System, every
-// float by its bits.
+// float by its bits, and WriteJSON writes it back as encoding/json does.
 func FuzzParseSystem(f *testing.F) {
 	for _, sys := range smallSystems() {
 		for _, doc := range writings(f, sys) {
@@ -214,6 +272,13 @@ func FuzzParseSystem(f *testing.F) {
 		if !sameSystem(got, want) {
 			t.Fatalf("ParseSystem(%q) = %+v; encoding/json reads %+v", doc, got, want)
 		}
+		var written bytes.Buffer
+		if err := got.WriteJSON(&written); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written.Bytes(), indentedReference(t, got)) {
+			t.Fatalf("WriteJSON of ParseSystem(%q) differs from encoding/json's", doc)
+		}
 	})
 }
 
@@ -231,5 +296,17 @@ func BenchmarkLoadSystemFleet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWriteSystemFleet prices WriteJSON of the benchmark's fleet ship:
+// the indented -in file every cmd/shipbench set-up writes.
+func BenchmarkWriteSystemFleet(b *testing.B) {
+	sys := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		if err := sys.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/journal"
@@ -299,6 +302,13 @@ func BenchmarkRecoverPaper(b *testing.B) {
 // loaded by admitting every string in index order. It returns the handler and
 // the last string admitted, which the callers remove and re-admit.
 func paperHandler(tb testing.TB) (http.Handler, int) {
+	svc, admitted := paperService(tb)
+	return svc.Handler(), admitted[len(admitted)-1]
+}
+
+// paperService is paperHandler's service and the strings it admitted, in
+// index order.
+func paperService(tb testing.TB) (*Service, []int) {
 	tb.Helper()
 	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
 	svc, err := New(Config{System: sys, Journal: filepath.Join(tb.TempDir(), "bench.wal"), CompactEvery: -1})
@@ -306,20 +316,90 @@ func paperHandler(tb testing.TB) (http.Handler, int) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(svc.Close)
-	last := -1
+	var admitted []int
 	for k := range sys.Strings {
 		d, err := svc.Admit(k)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if d.Accepted {
-			last = k
+			admitted = append(admitted, k)
 		}
 	}
-	if last < 0 {
+	if len(admitted) == 0 {
 		tb.Fatal("the paper ship admitted nothing")
 	}
-	return svc.Handler(), last
+	return svc, admitted
+}
+
+// BenchmarkServiceContended times remove + admit pairs through the Go API
+// from four callers at once, each on its own admitted string of the paper
+// ship, while a fifth goroutine reads State() throughout. ns/op is wall time
+// per pair across all callers; reads/pair is how many state reads completed
+// meanwhile, so a reader the writers starve reads near 0, and admitted/pair
+// the share of admits accepted, which the interleaving moves. The callers are
+// goroutines of their own rather than b.RunParallel's, whose count is a
+// multiple of GOMAXPROCS. A remove of a string whose last admit was rejected
+// is a conflict and counts as the pair's first op all the same.
+func BenchmarkServiceContended(b *testing.B) {
+	const callers = 4
+	svc, admitted := paperService(b)
+	if len(admitted) < callers {
+		b.Fatalf("the paper ship admitted %d strings, want at least %d", len(admitted), callers)
+	}
+	stop := make(chan struct{})
+	reads := 0
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := svc.State(); err != nil {
+				b.Error(err)
+				return
+			}
+			reads++
+		}
+	}()
+	var writers sync.WaitGroup
+	var accepted atomic.Int64
+	b.ResetTimer()
+	for c, k := range admitted[len(admitted)-callers:] {
+		pairs := b.N / callers
+		if c < b.N%callers {
+			pairs++
+		}
+		writers.Add(1)
+		go func(k, pairs int) {
+			defer writers.Done()
+			for i := 0; i < pairs; i++ {
+				var env *ErrorEnvelope
+				if _, err := svc.Remove(k); err != nil && !(errors.As(err, &env) && env.Err.Code == CodeConflict) {
+					b.Error(err)
+					return
+				}
+				d, err := svc.Admit(k)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if d.Accepted {
+					accepted.Add(1)
+				}
+			}
+		}(k, pairs)
+	}
+	writers.Wait()
+	b.StopTimer()
+	close(stop)
+	reader.Wait()
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/pair")
+	b.ReportMetric(float64(accepted.Load())/float64(b.N), "admitted/pair")
 }
 
 // serve sends one request through h the way cmd/shipbench's handler rung
@@ -342,7 +422,7 @@ func removeAdmit(tb testing.TB, h http.Handler, k int) {
 }
 
 // BenchmarkHandlerAdmitRemove times an accepted admit + remove pair through
-// Handler().ServeHTTP on the paper ship: request parse, loop round trip,
+// Handler().ServeHTTP on the paper ship: request parse, locked state op,
 // placement and evaluation, journal record, reply encode — everything of an
 // op but the socket. The allocation column includes httptest's own.
 func BenchmarkHandlerAdmitRemove(b *testing.B) {

@@ -273,9 +273,9 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleState has the state loop append the reply into a pooled buffer: the
-// header, then the loop's kept rows (state.appendState). No StateResponse is
-// built for a read.
+// handleState has the state append the reply into a pooled buffer, under the
+// mutex: the header, then the state's kept rows (state.appendState). No
+// StateResponse is built for a read.
 func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
 	buf := getWbuf()
 	defer putWbuf(buf)

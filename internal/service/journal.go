@@ -10,7 +10,7 @@
 //     tails cleanly discarded, mid-log corruption a typed hard error.
 //   - This file owns semantics: each record carries the op name, the request
 //     in its wire form (for admit, remove and rescale appended from the typed
-//     request the loop applied, byte for byte what json.Marshal wrote there
+//     request the state applied, byte for byte what json.Marshal wrote there
 //     before the codec in wire.go), the decision seq, whether it was accepted,
 //     and a running O(1) chain check over the decision outcomes. Every
 //     DigestEvery records the full feasibility.StateDigest is embedded too, so
@@ -166,7 +166,7 @@ type RecoveryReport struct {
 }
 
 // journaledMutation is the one place an op's wire form becomes the typed
-// mutation the loop applies: on replay, from the journaled payload, and live
+// mutation the state applies: on replay, from the journaled payload, and live
 // for faults and surge, from the json.Marshal of the request (mutateEncoded)
 // — so the live daemon applies exactly what a replay of its journal will.
 func journaledMutation(op string, payload []byte) (m mutation, err error) {
@@ -238,7 +238,7 @@ func (st *state) replayOp(m *mutation, accepted bool) (Decision, *ErrorEnvelope)
 	return st.decide(m.op, m.k, st.worth, replayedRejection, nil), nil
 }
 
-// mutateOp runs one mutation on the state loop: apply, then journal before
+// mutateOp runs one mutation under the state mutex: apply, then journal before
 // the reply. Envelope errors (conflict, unknown string, bad request) never
 // advance the sequence number and are not journaled; every Decision —
 // accepted or rejected — is.
@@ -266,7 +266,7 @@ func (st *state) mutateOp(m *mutation) (Decision, *ErrorEnvelope) {
 
 // journalAppend records one decided op, advancing the chain check and
 // triggering periodic state digests and compaction. The record is encoded
-// into the loop's own buffers, which is safe to reuse because
+// into the state's own buffers, which is safe to reuse because
 // journal.Writer.Append copies the record into its frame.
 func (st *state) journalAppend(m *mutation, d *Decision) error {
 	st.chain = chainNext(st.chain, d)

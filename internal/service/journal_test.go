@@ -689,7 +689,7 @@ func TestLPBoundFollowsRescales(t *testing.T) {
 	}
 }
 
-// A faults or surge request is journaled as its json.Marshal, and the loop
+// A faults or surge request is journaled as its json.Marshal, and the state
 // applies what those bytes parse back to, live and on replay alike. A journal
 // of fault, surge and repair records — a name and an ID that need escapes,
 // and a surge of no events, whose payload carries "events":null — recovers to

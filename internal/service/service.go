@@ -1,12 +1,12 @@
-// The service state loop. One goroutine owns the live allocation and its
-// DeltaAnalyzer; HTTP handlers and embedding callers submit closures that the
-// loop runs one at a time. Single-writer ordering is what makes the delta
-// path safe: every operation mutates the allocation inside an open analyzer
-// window and then either Commits (accepted) or Undoes (rejected,
-// bit-identical rollback), so the next operation always starts from a settled
-// base. The serve path never runs a full two-stage re-analysis and never
-// rebases the analyzer; the full analysis is the oracle the lockstep test in
-// model_test.go re-runs from scratch beside it.
+// The service state. One mutex guards the live allocation and its
+// DeltaAnalyzer; HTTP handlers and embedding callers run their operation on
+// their own goroutine while holding it, one at a time. Single-writer ordering
+// is what makes the delta path safe: every operation mutates the allocation
+// inside an open analyzer window and then either Commits (accepted) or Undoes
+// (rejected, bit-identical rollback), so the next operation always starts from
+// a settled base. The serve path never runs a full two-stage re-analysis and
+// never rebases the analyzer; the full analysis is the oracle the lockstep
+// test in model_test.go re-runs from scratch beside it.
 package service
 
 import (
@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,7 +111,8 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// state is the single-writer daemon state; only the loop goroutine touches it.
+// state is the single-writer daemon state; only a function exec runs, holding
+// Service.mu, touches it.
 type state struct {
 	cfg Config
 	// base is the catalog as loaded and is never written; sys is the working
@@ -165,27 +167,21 @@ type state struct {
 	onBroken     func(error)
 }
 
-// Service owns a live allocation and serializes all operations through one
-// state-loop goroutine. All exported methods are safe for concurrent use.
+// Service owns a live allocation and serializes all operations on it with one
+// mutex: an operation runs on its caller's goroutine. All exported methods are
+// safe for concurrent use.
 type Service struct {
-	st   *state // owned by the loop goroutine after New returns
-	reqs chan request
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
+	mu     sync.Mutex
+	st     *state // guarded by mu after New returns
+	closed bool   // guarded by mu
 	// phase drives GET /v1/readyz; journalErr holds the append failure that
 	// broke the journal (a string, set at most once) for GET /v1/healthz.
 	phase      atomic.Int32
 	journalErr atomic.Value
 }
 
-type request struct {
-	fn   func(*state)
-	done chan struct{}
-}
-
 // New builds the initial state (optionally running a mapping heuristic),
-// attaches the delta analyzer, and starts the state loop.
+// attaches the delta analyzer, and starts serving.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -214,9 +210,9 @@ func New(cfg Config) (*Service, error) {
 }
 
 // startService attaches the analyzer (the one startup rebase), bootstraps the
-// journal when configured, solves the initial LP bound, and launches the
-// loop. Shared by New, Restore, and Recover (which arrives with the analyzer
-// and journal writer already attached).
+// journal when configured, and solves the initial LP bound. Shared by New,
+// Restore, and Recover (which arrives with the analyzer and journal writer
+// already attached).
 func startService(st *state) (*Service, error) {
 	if st.da = st.alloc.Tracker(); st.da == nil {
 		st.da = feasibility.Track(st.alloc)
@@ -230,15 +226,9 @@ func startService(st *state) (*Service, error) {
 	if st.cfg.LPBound {
 		st.solveBound()
 	}
-	s := &Service{
-		st:   st,
-		reqs: make(chan request),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	s := &Service{st: st}
 	s.phase.Store(int32(PhaseReady))
 	st.onBroken = func(err error) { s.journalErr.Store(err.Error()) }
-	go s.loop()
 	return s, nil
 }
 
@@ -248,26 +238,6 @@ func unitScales(n int) []float64 {
 		out[i] = 1
 	}
 	return out
-}
-
-func (s *Service) loop() {
-	defer close(s.done)
-	// The loop goroutine owns the journal writer; close (flushing any batched
-	// fsync) once no further op can run.
-	defer func() {
-		if s.st.jw != nil {
-			s.st.jw.Close()
-		}
-	}()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case req := <-s.reqs:
-			req.fn(s.st)
-			close(req.done)
-		}
-	}
 }
 
 // Phase reports the lifecycle phase (ready/draining) for readiness checks.
@@ -289,46 +259,61 @@ func (s *Service) JournalBroken() (string, bool) {
 	return v.(string), true
 }
 
-// Close stops the state loop; pending and later calls fail with
-// CodeUnavailable. Safe to call more than once.
+// Close waits for the operation in progress, then closes the journal
+// (flushing any batched fsync); later calls fail with CodeUnavailable. Safe to
+// call more than once.
 func (s *Service) Close() {
-	s.once.Do(func() {
-		s.phase.Store(int32(PhaseDraining))
-		close(s.quit)
-	})
-	<-s.done
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	s.phase.Store(int32(PhaseDraining))
+	if s.st.jw != nil {
+		s.st.jw.Close()
+	}
 }
 
 var errUnavailable = Errorf(CodeUnavailable, nil, "service is shut down")
 
-// exec runs fn on the state loop and waits for it.
+// exec runs fn on the state under the mutex, on the caller's goroutine. A
+// panic in fn never releases the mutex: the allocation may be left inside an
+// open window, so crash ends the process rather than let the next op see it.
 func (s *Service) exec(fn func(*state)) error {
-	req := request{fn: fn, done: make(chan struct{})}
-	select {
-	case s.reqs <- req:
-	case <-s.quit:
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return errUnavailable
 	}
-	select {
-	case <-req.done:
-		return nil
-	case <-s.done:
-		// The loop may have finished this very request before exiting.
-		select {
-		case <-req.done:
-			return nil
-		default:
+	returned := false
+	defer func() {
+		if !returned {
+			crash(recover())
 		}
-		return errUnavailable
-	}
+	}()
+	fn(s.st)
+	returned = true
+	s.mu.Unlock()
+	return nil
 }
 
-// mutation is one state-changing request in the form the state loop applies
-// it, live and on replay alike. Admit, remove and rescale are parsed once at
-// the edge (or built by the Go methods below) and journaled by appending their
+// crash re-raises a state function's panic value v, with the stack it was
+// raised on, on a new goroutine: the caller's may be a net/http handler's,
+// which recovers panics and would keep the daemon serving. The caller, still
+// holding the mutex, waits for the process to end.
+func crash(v any) {
+	msg := fmt.Sprintf("service: state function panicked: %v\n\n%s", v, debug.Stack())
+	go func() { panic(msg) }()
+	select {}
+}
+
+// mutation is one state-changing request in the form the state applies it,
+// live and on replay alike. Admit, remove and rescale are parsed once at the
+// edge (or built by the Go methods below) and journaled by appending their
 // wire form from k and factor. Faults and surge carry the json.Marshal of
 // their request as payload, which the journal records as is, and what that
-// payload parses back to (journaledMutation), which the loop applies.
+// payload parses back to (journaledMutation), which the state applies.
 type mutation struct {
 	op      string
 	k       int     // admit, remove, rescale: the subject string
@@ -355,7 +340,7 @@ func (s *Service) mutate(m mutation) (Decision, error) {
 }
 
 // mutateEncoded is mutate for the ops whose request travels as its JSON: the
-// loop applies what that JSON parses back to, as a replay of it will.
+// state applies what that JSON parses back to, as a replay of it will.
 func (s *Service) mutateEncoded(op string, req any) (Decision, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
@@ -425,7 +410,7 @@ func (s *Service) Events(since uint64) ([]Decision, error) {
 }
 
 // Metrics returns the telemetry snapshot plus derived ratios. It does not
-// touch allocation state and needs no loop round trip.
+// touch allocation state and takes no lock.
 func (s *Service) Metrics() MetricsResponse {
 	snap := telemetry.Capture()
 	return MetricsResponse{
@@ -435,7 +420,7 @@ func (s *Service) Metrics() MetricsResponse {
 	}
 }
 
-// --- state-loop operations ---
+// --- state operations, run by exec ---
 
 // checkString validates a string index.
 func (st *state) checkString(k int) *ErrorEnvelope {

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -613,12 +617,15 @@ func replaceOnce(s, old, repl string) string {
 	return s
 }
 
-// Concurrency hammer for the single-writer loop; run with -race. Writers
+// Concurrency hammer for the single-writer state; run with -race. Writers
 // fight over admissions and removals while readers poll state, events, and
-// metrics; afterwards the state must still be consistent and feasible.
+// metrics; afterwards the state must still be consistent and feasible, and
+// the journal — compacted and digest-checked along the way — must replay to
+// the last state read: journal order is apply order.
 func TestConcurrentHammer(t *testing.T) {
 	const m = 8
-	svc := newTestService(t, m, Config{})
+	path := filepath.Join(t.TempDir(), "hammer.wal")
+	svc := newTestService(t, m, Config{Journal: path, CompactEvery: 40, DigestEvery: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -649,12 +656,20 @@ func TestConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// String 0 is mapped from here on, so the late callers below only draw
+	// conflicts, which are not journaled, and the next read is the last state.
+	if _, err := svc.Admit(0); err != nil && !strings.Contains(err.Error(), "already mapped") {
+		t.Fatal(err)
+	}
 	st, err := svc.State()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Feasible {
 		t.Fatal("state infeasible after hammer")
+	}
+	if !st.StringStates[0].Mapped {
+		t.Fatal("string 0 not mapped after admitting it")
 	}
 	mapped := 0
 	for _, ss := range st.StringStates {
@@ -681,6 +696,57 @@ func TestConcurrentHammer(t *testing.T) {
 	close(done)
 	if _, err := svc.State(); err == nil {
 		t.Fatal("State succeeded after Close")
+	}
+	rec, rep, err := Recover(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
+	t.Logf("%d decisions, %d replayed after the last compaction", rep.FinalSeq, rep.Replayed)
+	if rep.FinalSeq != st.Seq || rep.Digest != st.Digest {
+		t.Fatalf("journal replays to seq %d digest %s, the last state read was seq %d digest %s",
+			rep.FinalSeq, rep.Digest, st.Seq, st.Digest)
+	}
+}
+
+// A panic in a state function ends the process even when its caller is a
+// net/http handler, which recovers handler panics: the allocation may be left
+// half mutated, and the mutex is never released. The test re-runs itself in
+// a subprocess that serves a service whose event ring is gone, so the first
+// admit panics inside the state, after its Commit.
+func TestStatePanicEndsProcess(t *testing.T) {
+	if os.Getenv("SERVICE_PANIC_CHILD") == "1" {
+		svc := newTestService(t, 4, Config{})
+		if err := svc.exec(func(st *state) { st.events = nil }); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(svc.Handler())
+		resp, err := http.Post(srv.URL+"/v1/admit", "application/json", strings.NewReader(`{"stringId":0}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+		fmt.Printf("the process survived a panicking admit (reply error %v)\n", err)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStatePanicEndsProcess$", "-test.timeout=60s")
+	cmd.Env = append(os.Environ(), "SERVICE_PANIC_CHILD=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("subprocess: %v, want a non-zero exit\nstdout:\n%s\nstderr:\n%s", err, stdout.Bytes(), stderr.Bytes())
+	}
+	for _, want := range []string{
+		"panic: service: state function panicked: runtime error: invalid memory address or nil pointer dereference",
+		"(*eventLog).append",
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("subprocess stderr lacks %q:\n%s", want, stderr.Bytes())
+		}
+	}
+	if strings.Contains(stdout.String(), "survived") {
+		t.Errorf("subprocess stdout: %s", stdout.Bytes())
 	}
 }
 

@@ -165,7 +165,7 @@ func (st *state) writeCatalog(dir string) error {
 }
 
 // snapshotTo writes the current state to path, and the catalog beside it if
-// the directory does not hold it yet. Runs on the state loop; journal
+// the directory does not hold it yet. Runs under the state mutex; journal
 // compaction, the journal's base snapshot and POST /v1/snapshot all come
 // through here.
 func (st *state) snapshotTo(path string) (SnapshotResponse, *ErrorEnvelope) {

@@ -17,7 +17,7 @@ import (
 )
 
 // requireStateRead requires GET /v1/state's body to be json.Marshal of
-// svc.State() and a newline, byte for byte: the loop's kept rows against rows
+// svc.State() and a newline, byte for byte: the state's kept rows against rows
 // built fresh from the live state. It returns the body.
 func requireStateRead(t testing.TB, svc *Service, label string) []byte {
 	t.Helper()

@@ -1,7 +1,7 @@
 // The wire codec. Every hot wire type has exactly one encoder and one decoder,
 // all of them here: Decision (every mutation's reply and every /v1/events
-// line) and StateResponse (GET /v1/state: a header, then rows the state loop
-// keeps encoded), which the daemon only writes; the journal record, written
+// line) and StateResponse (GET /v1/state: a header, then rows the state keeps
+// encoded), which the daemon only writes; the journal record, written
 // per op and read back on replay; and the {"stringId":N[,"factor":F]} body of
 // admit, remove and rescale — as a request body and as a journaled payload
 // alike.
@@ -23,7 +23,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -71,33 +70,17 @@ func (w *wbuf) int(pre string, v int)     { w.b = strconv.AppendInt(append(w.b, 
 func (w *wbuf) uint(pre string, v uint64) { w.b = strconv.AppendUint(append(w.b, pre...), v, 10) }
 func (w *wbuf) bool(pre string, v bool)   { w.b = strconv.AppendBool(append(w.b, pre...), v) }
 
-// float appends f the way encoding/json does: shortest round-trip digits, in
-// ES6 form (exponent iff |f| < 1e-6 or |f| >= 1e21, two-digit negative
-// exponents trimmed of their leading zero). An integral |f| < 2^53 is exact in
-// an int64 and its shortest digits are the integer's own, so it skips the
-// float formatter; -0 does not, encoding/json writes it "-0".
+// float appends f the way encoding/json does (jsonscan.AppendFloat). A float
+// JSON has no form for sets the error and appends 0 in its place.
 func (w *wbuf) float(pre string, f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	b, ok := jsonscan.AppendFloat(append(w.b, pre...), f)
+	if !ok {
 		if w.err == nil {
 			w.err = fmt.Errorf("unsupported value: %v", f)
 		}
-		f = 0
+		b = append(b, '0')
 	}
-	if f > -1<<53 && f < 1<<53 {
-		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
-			w.b = strconv.AppendInt(append(w.b, pre...), i, 10)
-			return
-		}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(append(w.b, pre...), f, format, -1, 64)
-	if n := len(w.b); format == 'e' && n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1] // e-09 to e-9
-		w.b = w.b[:n-1]
-	}
+	w.b = b
 }
 
 const hexDigits = "0123456789abcdef"

@@ -720,14 +720,16 @@ func skipUnderRace(t *testing.T) {
 }
 
 // An accepted admit + remove pair through the handler allocates what it did
-// when the wire codec went in, plus a tenth: a reflective Marshal or a second
-// parse creeping back in costs a dozen allocations and fails here rather than
-// in a benchmark nobody reads. The count includes httptest's own request and
+// once its op ran under the state mutex, plus a tenth: a reflective Marshal or
+// a second parse creeping back in costs a dozen allocations and fails here
+// rather than in a benchmark nobody reads, and so does a state function that
+// escapes to the heap again (57 when each op was a closure and a done channel
+// sent to a loop goroutine). The count includes httptest's own request and
 // recorder (about 40 of it).
 func TestHandlerOpAllocs(t *testing.T) {
 	skipUnderRace(t)
 	h, k := paperHandler(t)
-	const measured = 57
+	const measured = 47
 	got := testing.AllocsPerRun(200, func() { removeAdmit(t, h, k) })
 	t.Logf("admit + remove pair: %.0f allocations", got)
 	if got > measured*1.1 {
@@ -736,14 +738,15 @@ func TestHandlerOpAllocs(t *testing.T) {
 }
 
 // A GET /v1/state that follows an op — a digest memo miss — allocates what it
-// did when the reply started keeping its encoded rows, plus a tenth: a digest
-// that re-formats the whole state text, or a read that builds its rows as a
-// []StringStatus again (29 allocations), fails here. The count includes
+// did once the read ran under the state mutex, plus a tenth: a digest that
+// re-formats the whole state text, or a read that builds its rows as a
+// []StringStatus again, fails here (26 when the read was sent to a loop
+// goroutine). The count includes
 // httptest's own request and recorder.
 func TestHandlerStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	h, k := paperHandler(t)
-	const measured = 26
+	const measured = 24
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 100
 	var total uint64

@@ -51,7 +51,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 				tv += d
 			}
 		}
-		return math.Abs(OffDiagonalMass(y)-tv) <= 1e-9
+		return math.Abs(offDiagonalMass(y)-tv) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -79,20 +79,6 @@ func Plan(a, b []float64) ([][]float64, error) {
 	return y, nil
 }
 
-// OffDiagonalMass returns the total inter-machine flow of a plan: the amount
-// that must traverse real communication routes.
-func OffDiagonalMass(y [][]float64) float64 {
-	total := 0.0
-	for i := range y {
-		for j, v := range y[i] {
-			if i != j {
-				total += v
-			}
-		}
-	}
-	return total
-}
-
 // Check verifies a plan against its marginals, returning the worst deviation.
 func Check(y [][]float64, a, b []float64) float64 {
 	worst := 0.0

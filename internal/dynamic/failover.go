@@ -309,21 +309,6 @@ func Survive(alloc *feasibility.Allocation, down *faults.Set) (*Result, error) {
 	return res, nil
 }
 
-// SurviveScenario validates a failure scenario against the allocation's
-// system and runs Survive against the collapsed outage set of every resource
-// the scenario ever fails (the static planning view). Scenario events naming
-// a machine or route outside the suite are reported with ErrUnknownResource.
-func SurviveScenario(alloc *feasibility.Allocation, sc *faults.Scenario) (*Result, error) {
-	sys := alloc.System()
-	if err := sc.Validate(sys.Machines); err != nil {
-		if errors.Is(err, faults.ErrOutOfRange) {
-			return nil, fmt.Errorf("dynamic: %w: %w", ErrUnknownResource, err)
-		}
-		return nil, fmt.Errorf("dynamic: %w", err)
-	}
-	return Survive(alloc, faults.SetFromScenario(sc, sys.Machines))
-}
-
 // StringUsesFailed reports whether completely mapped string k touches a
 // failed resource: any application on a failed machine, or any
 // inter-machine transfer over a failed route.

@@ -15,7 +15,7 @@ import (
 
 // TestRepairSurviveGolden pins the repair controllers' decisions — which
 // string is migrated, evicted or reclaimed, in what order, at what cost, and
-// the exact final allocation — on scenario-1 systems, where cmd/soak's
+// the exact final allocation — on scenario-1 systems, where the soak test's
 // control stage never evicts and so cannot see a changed victim. The golden
 // file was recorded from the controllers that still took a mapped []bool
 // beside the allocation; regenerate it with

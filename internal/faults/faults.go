@@ -61,9 +61,9 @@ func (r Resource) String() string {
 }
 
 // ErrOutOfRange is the sentinel wrapped by resource validation errors when a
-// scenario names a machine or route outside the suite; callers (e.g.
-// dynamic.SurviveScenario) test it with errors.Is. It aliases the shared
-// scenario.ErrOutOfRange, so either spelling matches.
+// scenario names a machine or route outside the suite; callers test it with
+// errors.Is. It aliases the shared scenario.ErrOutOfRange, so either spelling
+// matches.
 var ErrOutOfRange = scenario.ErrOutOfRange
 
 // Validate checks the resource against a suite of m machines: a known kind,

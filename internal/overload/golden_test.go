@@ -16,7 +16,7 @@ import (
 // TestControllerGolden pins the degradation controller's timeline — every
 // shed, migration and re-admission, each tick's sample, and the exact final
 // allocation — on scenario-1 systems under a 2.5x fleet-wide step surge that
-// overlaps one machine outage. cmd/soak's surge stage never sheds, so its
+// overlaps one machine outage. The soak test's surge stage never sheds, so its
 // fingerprints cannot see a changed victim or re-admission order. The golden
 // file was recorded from the controller that still carried mapped flags and
 // a placement table from tick to tick; regenerate it with

@@ -26,7 +26,7 @@ const MaxVersion = 1
 
 // ErrOutOfRange is the sentinel wrapped by range-validation errors when a
 // scenario names a machine, route, or string outside the system it is applied
-// to; callers (e.g. dynamic.SurviveScenario) test it with errors.Is. The
+// to; callers (e.g. the service's surge op) test it with errors.Is. The
 // faults package aliases it, so faults.ErrOutOfRange and scenario.ErrOutOfRange
 // are the same value.
 var ErrOutOfRange = errors.New("resource out of range")

@@ -1,12 +1,157 @@
 package soak
 
 import (
+	"flag"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
+
+// TestSoak's flags, which go after the package path:
+//
+//	go test -count=1 -run '^TestSoak$' -v ./internal/soak -soak.seeds 5
+//
+// logs five seeds' keys and fingerprints; -soak.verify adds the determinism
+// matrix (workers 1/4/8 + checkpoint/resume), -soak.isolation the
+// per-subsystem isolation matrix, and -soak.key 42/soak/0 reproduces one run
+// from its printed key. With neither -soak.seeds nor -soak.key TestSoak
+// skips, so a plain go test runs only the fixed tests below.
+var (
+	flagSeeds     = flag.Int("soak.seeds", 0, "number of root seeds to soak (seed0, seed0+1, ...); 0 with no -soak.key skips TestSoak")
+	flagSeed0     = flag.Int64("soak.seed0", 1, "first root seed")
+	flagKey       = flag.String("soak.key", "", "reproduce a single run from a printed SimulationKey (root/soak/0); overrides -soak.seeds")
+	flagScenario  = flag.Int("soak.scenario", 1, "workload scenario (1, 2, or 3)")
+	flagStrings   = flag.Int("soak.strings", 15, "strings per generated instance")
+	flagPSGIters  = flag.Int("soak.psg-iters", 80, "GENITOR iteration budget")
+	flagPSGTrials = flag.Int("soak.psg-trials", 2, "independent GENITOR trials")
+	flagPeriods   = flag.Int("soak.periods", 4, "data sets per string in the replay")
+	flagVerify    = flag.Bool("soak.verify", false, "run the determinism matrix (workers 1/4/8 + checkpoint/resume) per seed")
+	flagIsolation = flag.Bool("soak.isolation", false, "run the per-subsystem isolation matrix on the first seed")
+	flagStages    = flag.Bool("soak.stages", false, "log per-stage digests")
+)
+
+// soakRoots turns the seed flags into the root seeds TestSoak runs: the key's
+// root alone when a key is given, else seeds roots from seed0. No roots means
+// nothing was asked for.
+func soakRoots(key string, seeds int, seed0 int64) ([]int64, error) {
+	if key != "" {
+		k, err := rng.ParseKey(key)
+		if err != nil {
+			return nil, err
+		}
+		if k.Subsystem != Label {
+			return nil, fmt.Errorf("key %q is a %q key, want subsystem %q", key, k.Subsystem, Label)
+		}
+		return []int64{k.Root}, nil
+	}
+	if seeds < 0 {
+		return nil, fmt.Errorf("%d seeds, want >= 0", seeds)
+	}
+	var roots []int64
+	for i := 0; i < seeds; i++ {
+		roots = append(roots, seed0+int64(i))
+	}
+	return roots, nil
+}
+
+// TestSoak runs the pipeline on the seeds its flags name and logs each run's
+// key and fingerprint; -soak.verify and -soak.isolation add the determinism
+// and isolation matrices.
+func TestSoak(t *testing.T) {
+	roots, err := soakRoots(*flagKey, *flagSeeds, *flagSeed0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roots) == 0 {
+		t.Skip("no -soak.seeds or -soak.key")
+	}
+	cfg := Config{
+		Scenario:  workload.Scenario(*flagScenario),
+		Strings:   *flagStrings,
+		PSGIters:  *flagPSGIters,
+		PSGTrials: *flagPSGTrials,
+		Periods:   *flagPeriods,
+	}
+	if *flagVerify {
+		results, err := VerifyDeterminism(cfg, roots)
+		for _, r := range results {
+			report(t, r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("determinism: %d seed(s) x %v workers + checkpoint/resume: all fingerprints identical",
+			len(roots), DeterminismWorkers)
+	} else {
+		for _, root := range roots {
+			r, err := Run(cfg, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report(t, r)
+		}
+	}
+	if *flagIsolation {
+		if _, err := VerifyIsolation(cfg, roots[0]); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("isolation: perturbing each subsystem left every sibling stage digest bit-identical (key %v)",
+			rng.Key(roots[0], Label, 0))
+	}
+}
+
+// report logs one run's key, fingerprint and headline metrics, and with
+// -soak.stages its stage digests.
+func report(t *testing.T, r *Result) {
+	t.Helper()
+	line := fmt.Sprintf("key %-14v fingerprint %s  worth %.0f  mapped %d  fault-retained %.2f  surge-retained %.2f  qos %d",
+		r.Key, r.Fingerprint, r.Worth, r.NumMapped, r.FaultRetained, r.SurgeRetained, r.QoSViolations)
+	if r.SearchResumes > 0 {
+		line += fmt.Sprintf("  resumes %d", r.SearchResumes)
+	}
+	t.Log(line)
+	if *flagStages {
+		for _, st := range r.Stages() {
+			t.Logf("  %-8s %s", st.Name, st.Digest)
+		}
+	}
+}
+
+// TestSoakRoots: the flags TestSoak reads become root seeds, a key of another
+// subsystem or a malformed key is refused, and no flags mean no seeds.
+func TestSoakRoots(t *testing.T) {
+	cases := []struct {
+		name  string
+		key   string
+		seeds int
+		seed0 int64
+		want  []int64
+		err   string
+	}{
+		{name: "no flags", seed0: 1},
+		{name: "seeds", seeds: 3, seed0: 100, want: []int64{100, 101, 102}},
+		{name: "key", key: "42/soak/0", seeds: 3, seed0: 1, want: []int64{42}},
+		{name: "malformed key", key: "42/soak", seed0: 1, err: "want root/subsystem/stream"},
+		{name: "key of another subsystem", key: "1/faults/0", seed0: 1, err: `want subsystem "soak"`},
+		{name: "negative seeds", seeds: -1, seed0: 1, err: "seeds"},
+	}
+	for _, c := range cases {
+		got, err := soakRoots(c.key, c.seeds, c.seed0)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: roots %v, err %v; want an error containing %q", c.name, got, err, c.err)
+			}
+			continue
+		}
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: roots %v, err %v; want %v", c.name, got, err, c.want)
+		}
+	}
+}
 
 // small returns a fast soak configuration for tests.
 func small() Config {
@@ -146,7 +291,6 @@ func TestIsolationDirect(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Strings: -1},
-		{Heuristic: "nope"},
 		{TrialDeadline: -time.Second},
 		{Periods: -1},
 	}

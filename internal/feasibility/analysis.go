@@ -149,7 +149,7 @@ func (a *Allocation) CheckString(k int) *Violation {
 		panic(fmt.Sprintf("feasibility: equation (1) check of incompletely mapped string %d", k))
 	}
 	a.tel.checks.Inc()
-	v := a.checkString(k, false)
+	v, _ := a.checkString(k, false)
 	if v != nil {
 		a.tel.countViolation(v.Kind)
 	}
@@ -164,11 +164,16 @@ func (a *Allocation) CheckString(k int) *Violation {
 // stays the oracle. The estimates are EstimatedCompTime's and
 // EstimatedTranTime's expressions term for term, so a target that fuses
 // multiply-adds rounds all of them alike.
-func (a *Allocation) checkString(k int, prefix bool) *Violation {
+//
+// When k passes, budget is how far every waiting sum k reads may rise before
+// an inequality fails, in waiting-sum units: the least of (P(1+ε) − t)/P over
+// its computation and inter-machine transfer terms t, and (L(1+ε) −
+// latency)/(P·c), c the number of those terms. It is 0 when k fails.
+func (a *Allocation) checkString(k int, prefix bool) (v *Violation, budget float64) {
 	s := &a.sys.Strings[k]
 	mo := a.machineOf[k]
 	n := len(mo)
-	latency := 0.0
+	latency, maxTerm, terms := 0.0, 0.0, 0
 	for i, m := range mo {
 		var wait float64
 		if prefix {
@@ -178,9 +183,11 @@ func (a *Allocation) checkString(k int, prefix bool) *Violation {
 		}
 		tc := s.Apps[i].NominalTime[m] + s.Period*wait
 		if tc > s.Period*(1+utilEps) {
-			return &Violation{StringID: k, Kind: KindThroughputComp, App: i, Value: tc, Bound: s.Period}
+			return &Violation{StringID: k, Kind: KindThroughputComp, App: i, Value: tc, Bound: s.Period}, 0
 		}
 		latency += tc
+		maxTerm = max(maxTerm, tc)
+		terms++
 		if i < n-1 {
 			tt := 0.0
 			if next := mo[i+1]; next != m {
@@ -192,17 +199,19 @@ func (a *Allocation) checkString(k int, prefix bool) *Violation {
 				}
 				t := a.sys.RouteTransferSeconds(s.Apps[i].OutputKB, m, next)
 				tt = t + s.Period*wait
+				maxTerm = max(maxTerm, tt)
+				terms++
 			}
 			if tt > s.Period*(1+utilEps) {
-				return &Violation{StringID: k, Kind: KindThroughputTran, App: i, Value: tt, Bound: s.Period}
+				return &Violation{StringID: k, Kind: KindThroughputTran, App: i, Value: tt, Bound: s.Period}, 0
 			}
 			latency += tt
 		}
 	}
 	if latency > s.MaxLatency*(1+utilEps) {
-		return &Violation{StringID: k, Kind: KindLatency, App: -1, Value: latency, Bound: s.MaxLatency}
+		return &Violation{StringID: k, Kind: KindLatency, App: -1, Value: latency, Bound: s.MaxLatency}, 0
 	}
-	return nil
+	return nil, min((s.Period*(1+utilEps)-maxTerm)/s.Period, (s.MaxLatency*(1+utilEps)-latency)/(s.Period*float64(terms)))
 }
 
 // Stage1Feasible runs the first-stage analysis of Section 3: every machine

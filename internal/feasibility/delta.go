@@ -77,6 +77,41 @@ import (
 // the additions are made where a roster changes (reprice), counted as
 // wait_terms.
 //
+// A sharer whose slack covers the window is not rechecked. When checkString
+// passes a string it also returns the string's budget b, in waiting-sum units
+// (fractions of its period): the least of (P(1+ε) − t)/P over its computation
+// and inter-machine transfer terms t, and (L(1+ε) − latency)/(P·c), c the
+// number of those terms. Commit keeps the b of each string it rechecked as
+// the string's committed budget. In a window that assigned, let Δ be the
+// largest sum, over the machines and routes, of the waiting terms of the
+// touched strings that are complete now. Then b − Δ at or above slackMargin
+// lets check pass an untouched string without running checkString, and the
+// verdict is the full analysis's:
+//
+//   - Only the recheck set can see a waiting sum rise. A string off the dirty
+//     resources keeps every roster it reads, and a sharer strictly tighter
+//     than every touched string keeps its sums bit for bit (above).
+//   - An untouched member's waiting sum on resource r is the terms of the
+//     untouched strictly tighter sharers — the same entries as when the
+//     window opened, since no untouched string moved or changed tightness —
+//     plus those of the touched strings now complete and ahead of it. The
+//     first part is unchanged and the second is at most r's touched total,
+//     so the sum rises by at most Δ.
+//   - So each computation or transfer term rises by at most P·Δ and the
+//     latency, a sum of c of them, by at most P·c·Δ: every inequality of
+//     equation (1) that held with b to spare holds with b − Δ to spare.
+//   - Commit decays the budget of a string it passed this way by Δ, so b
+//     stays a lower bound on the string's true margin: at the next window
+//     with Δ' the same step holds for b − Δ. A string whose budget runs out
+//     is checked again, and a checked string's budget is fresh.
+//
+// The sums are floats, added in another order than the real sums they bound:
+// their rounding is a few ulps of waiting sums, terms and latencies, which in
+// waiting-sum units is of the order of 1e-16 times L/P, many orders of
+// magnitude under slackMargin. A window that only removes lowers
+// every waiting sum and decays no budget; Undo folds nothing, Rebase takes
+// every budget fresh from its full scan, and after rebaseEmpty none is known.
+//
 // A DeltaAnalyzer is single-goroutine, like the Allocation it tracks.
 type DeltaAnalyzer struct {
 	a *Allocation
@@ -118,10 +153,13 @@ type DeltaAnalyzer struct {
 	recheckGen uint64
 	recheckAt  []uint64 // [k]
 
-	// Verdict memo: verdict[k] is checkString(k) (nil for an incomplete
-	// string) as of generation verdictAt[k].
-	verdict   []*Violation // [k]
-	verdictAt []uint64     // [k]
+	// Per-string verdict memo and slack budget (stringMemo).
+	memo []stringMemo // [k]
+
+	// Δ of generation deltaAt: the largest touched-and-complete waiting total
+	// on one resource (windowDelta).
+	delta   float64
+	deltaAt uint64
 
 	keyBuf []int // ViolationsAfterDelta's sorted key scratch
 
@@ -139,20 +177,43 @@ type stringSnap struct {
 }
 
 // machineSnap is a touched machine's committed utilization, which stage 1 and
-// Commit count the committed overloads by.
+// Commit count the committed overloads by, and windowDelta's running total of
+// the touched strings' waiting terms on it.
 type machineSnap struct {
-	win  uint64
-	util float64
+	win     uint64
+	util    float64
+	touched float64
 }
 
 // routeSnap is a touched route to peer: its committed utilization (exactly 0
-// if it was inactive) and the arena slot it was last found at (-1 while
-// inactive), which route reads first.
+// if it was inactive), the arena slot it was last found at (-1 while
+// inactive), which route reads first, and windowDelta's running total.
 type routeSnap struct {
-	peer int
-	slot int32
-	util float64
+	peer    int
+	slot    int32
+	util    float64
+	touched float64
 }
+
+// stringMemo is what the analyzer remembers of one string: its verdict of
+// generation at — checkString's, or a pass its budget gave — with the budget
+// that verdict leaves, and the budget of the committed state, which
+// Commit sets to margin for every string it rechecks. A budget is in
+// waiting-sum units and 0 while unknown. Only a complete string's is read, and
+// it is never stale: a string completes only in a window that assigned, whose
+// Commit rechecks every touched string, and Undo takes it back to incomplete.
+type stringMemo struct {
+	at      uint64
+	verdict *Violation // nil when the string passes or is incomplete
+	margin  float64    // the budget as of generation at
+	budget  float64    // the committed budget
+}
+
+// slackMargin is how much of a string's budget a window must leave for check
+// to pass the string without checkString. It absorbs the rounding of the
+// waiting sums and the budget arithmetic, which is smaller by orders of
+// magnitude (see the DeltaAnalyzer comment).
+const slackMargin = 1e-9
 
 type deltaTelemetry struct {
 	evals        *telemetry.Counter // FeasibleAfterDelta/ViolationsAfterDelta calls
@@ -165,6 +226,7 @@ type deltaTelemetry struct {
 	recheckStr   *telemetry.Counter // summed recheck-set sizes per evaluation
 	stringChecks *telemetry.Counter // checkString runs
 	verdictReuse *telemetry.Counter // verdicts served from the memo instead
+	slackSkips   *telemetry.Counter // passes a string's budget gave instead
 	waitTerms    *telemetry.Counter // waiting-sum additions reprice made under this analyzer
 	stage1Fails  *telemetry.Counter
 }
@@ -181,6 +243,7 @@ func newDeltaTelemetry() deltaTelemetry {
 		recheckStr:   telemetry.C("feasibility.delta.recheck_strings"),
 		stringChecks: telemetry.C("feasibility.delta.string_checks"),
 		verdictReuse: telemetry.C("feasibility.delta.verdict_reuse"),
+		slackSkips:   telemetry.C("feasibility.delta.slack_skips"),
 		waitTerms:    telemetry.C("feasibility.delta.wait_terms"),
 		stage1Fails:  telemetry.C("feasibility.delta.stage1_fail"),
 	}
@@ -204,8 +267,7 @@ func Track(a *Allocation) *DeltaAnalyzer {
 		machSnaps:  make([]machineSnap, nMach),
 		routeSnaps: make([][]routeSnap, nMach),
 		recheckAt:  make([]uint64, nStr),
-		verdict:    make([]*Violation, nStr),
-		verdictAt:  make([]uint64, nStr),
+		memo:       make([]stringMemo, nStr),
 		tel:        newDeltaTelemetry(),
 	}
 	a.tracker = da
@@ -233,9 +295,9 @@ func (da *DeltaAnalyzer) Close() {
 }
 
 // Rebase discards the delta window, treats the allocation's current state as
-// committed, and recomputes the committed violation set and over-capacity
-// count with one full two-stage scan. Cost: one TwoStageFeasible-equivalent
-// pass.
+// committed, and recomputes the committed violation set, the over-capacity
+// count and every string's budget with one full two-stage scan. Cost: one
+// TwoStageFeasible-equivalent pass.
 func (da *DeltaAnalyzer) Rebase() {
 	da.tel.rebases.Inc()
 	da.rebaseEmpty()
@@ -244,6 +306,7 @@ func (da *DeltaAnalyzer) Rebase() {
 		if da.check(k) != nil {
 			da.baseViol[k] = true
 		}
+		da.memo[k].budget = da.memo[k].margin
 	}
 	for _, u := range a.machineUtil {
 		da.nOver += overCount(u)
@@ -260,7 +323,8 @@ func overCount(u float64) int {
 }
 
 // rebaseEmpty is the O(1) Rebase for Allocation.Reset: the cleared allocation
-// has no violations and no load by construction.
+// has no violations and no load by construction, and no budget is known —
+// no string is complete (stringMemo).
 func (da *DeltaAnalyzer) rebaseEmpty() {
 	da.clearWindow()
 	clear(da.baseViol)
@@ -413,19 +477,71 @@ func (da *DeltaAnalyzer) Dirty() (strings, machines, routes int) {
 
 // check returns string k's equation-(1) verdict under the current state —
 // nil when k passes or is not completely mapped — running checkString, on the
-// rosters' prefix sums, only if this generation has not judged k yet.
+// rosters' prefix sums, only if this generation has not judged k yet and k's
+// committed budget does not cover the window. The budget covers it when the
+// window has assigned, k is untouched, and b − Δ is at least slackMargin
+// (the DeltaAnalyzer comment): then k passes, with b − Δ as its margin.
+// Otherwise the margin is checkString's fresh budget, 0 unless k passes.
 func (da *DeltaAnalyzer) check(k int) *Violation {
-	if da.verdictAt[k] == da.gen {
+	m := &da.memo[k]
+	if m.at == da.gen {
 		da.tel.verdictReuse.Inc()
-		return da.verdict[k]
+		return m.verdict
 	}
-	var v *Violation
-	if da.a.Complete(k) {
-		da.tel.stringChecks.Inc()
-		v = da.a.checkString(k, true)
+	m.at, m.verdict, m.margin = da.gen, nil, 0
+	if !da.a.Complete(k) {
+		return nil
 	}
-	da.verdict[k], da.verdictAt[k] = v, da.gen
-	return v
+	if da.assigned && m.budget >= slackMargin && da.strSnaps[k].win != da.win {
+		if b := m.budget - da.windowDelta(); b >= slackMargin {
+			da.tel.slackSkips.Inc()
+			m.margin = b
+			return nil
+		}
+	}
+	da.tel.stringChecks.Inc()
+	m.verdict, m.margin = da.a.checkString(k, true)
+	return m.verdict
+}
+
+// windowDelta returns Δ, the most the current window can have added to any
+// untouched string's waiting sum on one resource: over the dirty machines and
+// routes — every resource a touched string uses is one — the largest total of
+// the waiting terms of the touched strings that are complete now. Computed
+// once per generation, on the first check that needs it.
+func (da *DeltaAnalyzer) windowDelta() float64 {
+	if da.deltaAt == da.gen {
+		return da.delta
+	}
+	for _, j := range da.dirtyMach {
+		da.machSnaps[j].touched = 0
+	}
+	for _, j1 := range da.dirtyRouteSrc {
+		for idx := range da.routeSnaps[j1] {
+			da.routeSnaps[j1][idx].touched = 0
+		}
+	}
+	a := da.a
+	d := 0.0
+	for _, k := range da.dirtyStr {
+		if !a.Complete(k) {
+			continue
+		}
+		mo := a.machineOf[k]
+		for i, m := range mo {
+			snap := &da.machSnaps[m]
+			snap.touched += a.perMachine[m][a.posM[k][i].idx].wait
+			d = max(d, snap.touched)
+			if i+1 < len(mo) && mo[i+1] != m {
+				e, p := a.outRoute(k, i, m, mo[i+1])
+				snap := da.snapOfRoute(m, mo[i+1])
+				snap.touched += e.apps[p].wait
+				d = max(d, snap.touched)
+			}
+		}
+	}
+	da.delta, da.deltaAt = d, da.gen
+	return d
 }
 
 // inRecheck reports whether k belongs to the current generation's recheck
@@ -477,13 +593,29 @@ func (da *DeltaAnalyzer) buildRecheck() {
 	}
 }
 
-// recheckSharers adds to the recheck set every string on the roster whose
-// tightness is at or below the threshold — in a window that only removed,
-// every such committed violator. Incomplete strings hold NaN, which fails the
-// comparison.
+// recheckSharers adds to the recheck set every complete string on the roster
+// whose tightness is at or below the threshold — in a window that only
+// removed, every such committed violator. The roster is canonical, complete
+// strings tightest first and incomplete ones (NaN) last, so those strings are
+// one run of entries: a binary search finds its first, and the first
+// incomplete string ends it.
 func (da *DeltaAnalyzer) recheckSharers(roster []rosterEntry, threshold float64) {
-	for idx := range roster {
-		if k := roster[idx].k; da.a.tightness[k] <= threshold && (da.assigned || da.baseViol[k]) {
+	t := da.a.tightness
+	lo, hi := 0, len(roster)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t[roster[mid].k] > threshold {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for idx := lo; idx < len(roster); idx++ {
+		k := roster[idx].k
+		if t[k] != t[k] {
+			return
+		}
+		if da.assigned || da.baseViol[k] {
 			da.addRecheck(k)
 		}
 	}
@@ -600,9 +732,13 @@ func (da *DeltaAnalyzer) ViolationsAfterDelta() []Violation {
 }
 
 // Commit makes the current state the committed state: the dirty results are
-// folded into the committed violation set and over-capacity count and the
-// window is cleared. Verdicts an evaluation of this state already reached are
-// folded as remembered, not recomputed. A clean window commits in O(1).
+// folded into the committed violation set and over-capacity count, each
+// rechecked string's margin becomes its committed budget — fresh where
+// checkString ran, decayed by Δ where the budget passed it, unknown where it
+// fails or is incomplete — and the window is cleared. Verdicts an evaluation
+// of this state already reached are folded as remembered, not recomputed. A
+// string outside the recheck set keeps its budget: its waiting sums did not
+// rise. A clean window commits in O(1).
 func (da *DeltaAnalyzer) Commit() {
 	if da.clean() {
 		return
@@ -625,6 +761,7 @@ func (da *DeltaAnalyzer) Commit() {
 		} else if len(da.baseViol) > 0 {
 			delete(da.baseViol, k)
 		}
+		da.memo[k].budget = da.memo[k].margin
 	}
 	da.markLines()
 	da.clearWindow()

@@ -73,6 +73,7 @@ func checkSettled(t *testing.T, label string, da *DeltaAnalyzer) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	auditOver(t, label, da)
+	auditBudgets(t, label, da)
 	if err := auditSlackness(da.Allocation()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -159,20 +160,51 @@ func auditPrefix(a *Allocation) error {
 
 // auditMemo asserts every verdict the analyzer holds for the current
 // generation is what a fresh checkString returns now: a verdict that outlived
-// the state it judged would show here.
+// the state it judged would show here, and so would a string the slack rule
+// passed without a check that fails. The margin a verdict leaves may not
+// exceed the string's fresh budget.
 func auditMemo(t *testing.T, label string, da *DeltaAnalyzer) {
 	t.Helper()
 	a := da.Allocation()
-	for k := range da.verdict {
-		if da.verdictAt[k] != da.gen {
+	for k := range da.memo {
+		m := &da.memo[k]
+		if m.at != da.gen {
 			continue
 		}
 		var fresh *Violation
+		budget := 0.0
 		if a.Complete(k) {
-			fresh = a.checkString(k, false)
+			fresh, budget = a.checkString(k, false)
 		}
-		if !reflect.DeepEqual(da.verdict[k], fresh) {
-			t.Fatalf("%s: memoised verdict for string %d is %v, checkString now says %v", label, k, da.verdict[k], fresh)
+		if !reflect.DeepEqual(m.verdict, fresh) {
+			t.Fatalf("%s: memoised verdict for string %d is %v, checkString now says %v", label, k, m.verdict, fresh)
+		}
+		if m.margin > budget+budgetSlop {
+			t.Fatalf("%s: string %d holds margin %v, its fresh budget is %v", label, k, m.margin, budget)
+		}
+	}
+}
+
+// budgetSlop is how far a budget the analyzer keeps may sit above a fresh
+// one and still count as a lower bound: the rounding of the sums both are
+// read from, far under slackMargin.
+const budgetSlop = 1e-12
+
+// auditBudgets asserts, on a settled analyzer, that every complete string's
+// committed budget is a lower bound on its fresh one: a budget is only ever
+// taken from a passing check, and a Commit that let a window raise a string's
+// waiting sums without decaying its budget would leave it above. An
+// incomplete string's budget is never read.
+func auditBudgets(t *testing.T, label string, da *DeltaAnalyzer) {
+	t.Helper()
+	a := da.Allocation()
+	for k := range da.memo {
+		b := da.memo[k].budget
+		if b == 0 || !a.Complete(k) {
+			continue
+		}
+		if v, fresh := a.checkString(k, false); v != nil || b > fresh+budgetSlop {
+			t.Fatalf("%s: string %d holds budget %v, its fresh budget is %v (verdict %v)", label, k, b, fresh, v)
 		}
 	}
 }
@@ -665,11 +697,15 @@ func TestDeltaEquivalencePaperScale(t *testing.T) {
 // have been enabled before Track.
 func stringChecks(da *DeltaAnalyzer) int64 { return da.tel.stringChecks.Value() }
 
+// slackSkips reads the analyzer's count of strings its slack budgets passed
+// without a checkString run.
+func slackSkips(da *DeltaAnalyzer) int64 { return da.tel.slackSkips.Value() }
+
 // judged counts the strings holding a verdict of the current generation.
 func judged(da *DeltaAnalyzer) int64 {
 	n := int64(0)
-	for k := range da.verdictAt {
-		if da.verdictAt[k] == da.gen && da.a.Complete(k) {
+	for k := range da.memo {
+		if da.memo[k].at == da.gen && da.a.Complete(k) {
 			n++
 		}
 	}
@@ -691,14 +727,15 @@ func rosterSpan(a *Allocation, k int) int64 {
 	return int64(n)
 }
 
-// "Once" as a reading: on the loaded scenario-1 state an accepted admit runs
-// checkString exactly once per string of its recheck set across
+// "Once" as a reading: on the loaded scenario-1 state an accepted admit
+// judges each string of its recheck set exactly once across
 // FeasibleAfterDelta + Commit — all of them in the evaluation, none in the
-// Commit — and the decision adds nothing up: the placement kept the prefix
-// sums, in at most two passes over each roster the string joined (entering
-// behind the complete strings, then reseated when it completed), and every
-// check reads them. A rejected one (FeasibleAfterDelta, ViolationsAfterDelta,
-// Undo) checks no string twice.
+// Commit — by a checkString run or by the string's slack budget, so runs plus
+// slack skips are the recheck set; and the decision adds nothing up: the
+// placement kept the prefix sums, in at most two passes over each roster the
+// string joined (entering behind the complete strings, then reseated when it
+// completed), and every check reads them. A rejected one
+// (FeasibleAfterDelta, ViolationsAfterDelta, Undo) judges no string twice.
 func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 	prev := telemetry.Active()
 	telemetry.Enable()
@@ -717,20 +754,23 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		da.Commit()
 		w0 := da.tel.waitTerms.Value()
 		leastLoaded(a, k)
-		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
+		c0, r0, s0 := stringChecks(da), da.tel.verdictReuse.Value(), slackSkips(da)
 		w1 := da.tel.waitTerms.Value()
 		if !da.FeasibleAfterDelta() {
 			da.Undo()
 			continue
 		}
 		accepted = true
-		c1 := stringChecks(da)
+		c1, s1 := stringChecks(da), slackSkips(da)
 		recheck := int64(len(da.recheck))
 		if recheck < 2 {
 			t.Fatalf("admit of string %d rechecks %d strings; the state is not loaded", k, recheck)
 		}
-		if c1-c0 != recheck {
-			t.Errorf("accepted admit of string %d: FeasibleAfterDelta ran checkString %d times for a recheck set of %d", k, c1-c0, recheck)
+		if c1-c0+s1-s0 != recheck {
+			t.Errorf("accepted admit of string %d: FeasibleAfterDelta ran checkString %d times and skipped %d strings for a recheck set of %d", k, c1-c0, s1-s0, recheck)
+		}
+		if s1 == s0 {
+			t.Errorf("accepted admit of string %d: no sharer's budget covered the window", k)
 		}
 		if terms, bound := w1-w0, 2*rosterSpan(a, k); terms == 0 || terms > bound {
 			t.Errorf("placing string %d made %d waiting-sum additions; two passes over its rosters hold %d", k, terms, bound)
@@ -739,8 +779,8 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		if w2 := da.tel.waitTerms.Value(); w2 != w1 {
 			t.Errorf("the decision on string %d made %d waiting-sum additions; it should read every sum", k, w2-w1)
 		}
-		if c2 := stringChecks(da); c2 != c1 {
-			t.Errorf("Commit after the evaluation ran checkString %d times, want 0", c2-c1)
+		if c2, s2 := stringChecks(da), slackSkips(da); c2 != c1 || s2 != s1 {
+			t.Errorf("Commit after the evaluation ran checkString %d times and skipped %d strings, want 0 and 0", c2-c1, s2-s1)
 		}
 		if r1 := da.tel.verdictReuse.Value(); r1-r0 != recheck {
 			t.Errorf("Commit reused %d verdicts, want the recheck set's %d", r1-r0, recheck)
@@ -762,7 +802,7 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 			continue
 		}
 		rejected = true
-		c0, r0 := stringChecks(da), da.tel.verdictReuse.Value()
+		c0, r0, s0 := stringChecks(da), da.tel.verdictReuse.Value(), slackSkips(da)
 		if da.FeasibleAfterDelta() {
 			t.Fatalf("string %d was rejected while loading and is accepted now", k)
 		}
@@ -770,21 +810,149 @@ func TestAcceptedWindowChecksEachStringOnce(t *testing.T) {
 		if len(da.ViolationsAfterDelta()) == 0 {
 			t.Fatalf("rejected admit of string %d lists no violation", k)
 		}
-		c2 := stringChecks(da)
+		c2, s2 := stringChecks(da), slackSkips(da)
 		if c1 == c0 || da.tel.verdictReuse.Value() == r0 {
 			t.Errorf("rejected admit of string %d: evaluation ran %d checks and the listing reused %d; want both positive",
 				k, c1-c0, da.tel.verdictReuse.Value()-r0)
 		}
-		if got, want := c2-c0, judged(da); got != want {
-			t.Errorf("rejected admit of string %d: %d checkString runs for %d judged strings — a string was checked twice", k, got, want)
+		if got, want := c2-c0+s2-s0, judged(da); got != want {
+			t.Errorf("rejected admit of string %d: %d checkString runs and %d slack skips for %d judged strings — a string was judged twice", k, c2-c0, s2-s0, want)
 		}
 		da.Undo()
-		if c3 := stringChecks(da); c3 != c2 {
-			t.Errorf("Undo ran checkString %d times", c3-c2)
+		if c3, s3 := stringChecks(da), slackSkips(da); c3 != c2 || s3 != s2 {
+			t.Errorf("Undo ran checkString %d times and skipped %d strings", c3-c2, s3-s2)
 		}
 	}
 	if !rejected {
 		t.Fatal("no stage-2 rejection found; the rejected path ran nowhere")
+	}
+}
+
+// slackStream drives admit-, move- and remove-shaped windows over a tracked
+// allocation of sys, asking and checking every window's answers against the
+// full analysis (queryWindow, whose auditMemo holds every string the slack
+// rule passed to a fresh checkString) and auditing every settle
+// (checkSettled, whose auditBudgets holds each committed budget under the
+// string's fresh one). It returns how many strings the rule passed and how
+// many it sent to checkString although their budget was known: refreshes, a
+// budget Δ used up. Telemetry must be enabled.
+func slackStream(t *testing.T, label string, sys *model.System, r *rand.Rand, steps int) (skips, refreshes int) {
+	t.Helper()
+	a := New(sys)
+	da := Track(a)
+	defer da.Close()
+	for step := 0; step < steps; step++ {
+		label := fmt.Sprintf("%s step %d", label, step)
+		k := r.Intn(len(sys.Strings))
+		budgets := make([]float64, len(sys.Strings))
+		for x := range budgets {
+			budgets[x] = da.memo[x].budget
+		}
+		switch {
+		case !a.Complete(k) && a.nAssigned[k] == 0: // admit
+			for i := range sys.Strings[k].Apps {
+				a.Assign(k, i, r.Intn(sys.Machines))
+			}
+		case !a.Complete(k) || r.Intn(3) == 0: // remove
+			a.UnassignString(k)
+		default: // move one application
+			i := r.Intn(len(sys.Strings[k].Apps))
+			a.Unassign(k, i)
+			a.Assign(k, i, r.Intn(sys.Machines))
+		}
+		s0 := slackSkips(da)
+		queryWindow(t, label, da, true, true)
+		// A string judged with its budget known in a window that assigned is
+		// either passed by the budget or, Δ having used it up, refreshed.
+		known := 0
+		for x := range da.memo {
+			if da.memo[x].at == da.gen && a.Complete(x) && da.assigned && budgets[x] >= slackMargin && da.strSnaps[x].win != da.win {
+				known++
+			}
+		}
+		skipped := int(slackSkips(da) - s0)
+		skips += skipped
+		refreshes += known - skipped
+		if da.FeasibleAfterDelta() || r.Intn(8) == 0 {
+			da.Commit()
+		} else {
+			da.Undo()
+		}
+		checkSettled(t, label, da)
+	}
+	if err := a.checkInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return skips, refreshes
+}
+
+// Property: the slack rule never changes an answer. On random systems with
+// latency bounds tightened and periods shortened (heatUp), where budgets run
+// near zero and a window's Δ often uses one up, every answer equals the full
+// analysis, every string the rule passes passes checkString, and every
+// committed budget stays under the fresh one. The streams must both skip and
+// refresh, or the rule was only ever tested on one side of its threshold.
+func TestSlackBudgetProperty(t *testing.T) {
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	var skips, refreshes int
+	for trial := 0; trial < 30; trial++ {
+		r := rng.NewRand(int64(trial), rng.SubsystemDelta, 2)
+		sys := randomSystem(r, 2+r.Intn(4), 6+r.Intn(8), 4)
+		tightenLatency(r, sys)
+		heatUp(sys, 1+r.Float64(), 1+4*r.Float64())
+		s, f := slackStream(t, fmt.Sprintf("trial %d", trial), sys, r, 80)
+		skips += s
+		refreshes += f
+	}
+	t.Logf("%d strings passed by their budget, %d budgets refreshed after a window used them up", skips, refreshes)
+	if skips < 200 || refreshes < 200 {
+		t.Fatalf("the streams passed %d strings by their budget and refreshed %d; want at least 200 of each", skips, refreshes)
+	}
+}
+
+// Δ is a per-resource total, not a per-entry maximum: a touched string with
+// two applications on one machine adds both of their terms to the waiting
+// sum of every sharer it is ahead of. Sharer S alone on machine 0 has a
+// budget of 0.4 periods; string T, tighter, puts two applications of 0.25
+// each there. Either alone would leave S 0.15 to spare; together they fail it
+// (6 + 10·0.5 = 11 s against its 10 s period). With terms of 0.15 S keeps
+// 0.1 and the rule passes it.
+func TestWindowDeltaSumsAStringsEntries(t *testing.T) {
+	prev := telemetry.Active()
+	telemetry.Enable()
+	defer telemetry.EnableRegistry(prev)
+	for _, tc := range []struct {
+		work     float64 // each of T's two applications: seconds at utilization 1 over a 10 s period
+		feasible bool
+	}{{2.5, false}, {1.5, true}} {
+		sys := model.NewUniformSystem(1, 1)
+		sharer := sys.AddString(model.AppString{Worth: 1, Period: 10, MaxLatency: 100,
+			Apps: []model.Application{model.UniformApp(1, 6, 0.1, 10)}})
+		touched := sys.AddString(model.AppString{Worth: 1, Period: 10, MaxLatency: 20,
+			Apps: []model.Application{model.UniformApp(1, tc.work, 1, 10), model.UniformApp(1, tc.work, 1, 10)}})
+		a := New(sys)
+		a.AssignString(sharer, []int{0})
+		da := Track(a)
+		if b := da.memo[sharer].budget; math.Abs(b-0.4) > 1e-6 {
+			t.Fatalf("the sharer's budget is %v, want 0.4", b)
+		}
+		s0 := slackSkips(da)
+		a.AssignString(touched, []int{0, 0})
+		if !tighter(a.Tightness(touched), touched, a.Tightness(sharer), sharer) {
+			t.Fatal("the touched string is not ahead of the sharer")
+		}
+		if got, want := da.FeasibleAfterDelta(), a.TwoStageFeasible(); got != want || got != tc.feasible {
+			t.Fatalf("terms of %v: FeasibleAfterDelta %v, TwoStageFeasible %v, want %v", tc.work/10, got, want, tc.feasible)
+		}
+		if skipped := slackSkips(da) > s0; skipped != tc.feasible {
+			t.Fatalf("terms of %v: the sharer skipped %v, want %v", tc.work/10, skipped, tc.feasible)
+		}
+		if d := da.windowDelta(); math.Abs(d-2*tc.work/10) > 1e-12 {
+			t.Fatalf("terms of %v: Δ is %v, want their sum %v", tc.work/10, d, 2*tc.work/10)
+		}
+		da.Close()
 	}
 }
 
@@ -1305,10 +1473,11 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 }
 
 // BenchmarkAnalyzerDecision times the three decision shapes of the serve path
-// on the loaded scenario-1 state and reports checkString runs per decision —
-// the number a second evaluation of the same window would double — and the
+// on the loaded scenario-1 state and reports checkString runs per decision
+// and the rechecked strings their slack budget passed instead — together the
+// number a second evaluation of the same window would double — and the
 // waiting-sum additions reprice made keeping the rosters' prefix sums, the
-// checks themselves reading them (both exact at -benchtime=1x):
+// checks themselves reading them (all exact at -benchtime=1x):
 //
 //   - accept: a string is lifted and placed back in one window,
 //     FeasibleAfterDelta, Commit;
@@ -1341,12 +1510,13 @@ func BenchmarkAnalyzerDecision(b *testing.B) {
 	run := func(name string, op func(b *testing.B, n int)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			c0, w0 := stringChecks(da), da.tel.waitTerms.Value()
+			c0, s0, w0 := stringChecks(da), slackSkips(da), da.tel.waitTerms.Value()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				op(b, n)
 			}
 			b.ReportMetric(float64(stringChecks(da)-c0)/float64(b.N), "string_checks/op")
+			b.ReportMetric(float64(slackSkips(da)-s0)/float64(b.N), "slack_skips/op")
 			b.ReportMetric(float64(da.tel.waitTerms.Value()-w0)/float64(b.N), "wait_terms/op")
 		})
 	}

@@ -2,6 +2,7 @@ package feasibility
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -90,8 +91,10 @@ func (s *slotShip) same(t *testing.T, step string) {
 		if !fresh.Complete(k) {
 			continue
 		}
-		if got, want := s.a.checkString(k, true), fresh.checkString(k, false); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: string %d verdict %v, the fresh rebuild's %v", step, k, got, want)
+		got, gotBudget := s.a.checkString(k, true)
+		want, wantBudget := fresh.checkString(k, false)
+		if !reflect.DeepEqual(got, want) || math.Float64bits(gotBudget) != math.Float64bits(wantBudget) {
+			t.Fatalf("%s: string %d verdict %v with budget %v, the fresh rebuild's %v with %v", step, k, got, gotBudget, want, wantBudget)
 		}
 	}
 	if got, want := s.da.FeasibleAfterDelta(), fresh.TwoStageFeasible(); got != want {
@@ -375,7 +378,7 @@ func TestPrefixCheckSearchesNoAdjacency(t *testing.T) {
 				transfers++
 			}
 		}
-		want := a.checkString(k, true)
+		want, _ := a.checkString(k, true)
 		if want != nil {
 			violating++
 		}
@@ -386,7 +389,7 @@ func TestPrefixCheckSearchesNoAdjacency(t *testing.T) {
 					t.Fatalf("string %d: the prefix check searched the emptied adjacency: %v", k, r)
 				}
 			}()
-			got = cp.checkString(k, true)
+			got, _ = cp.checkString(k, true)
 		}()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("string %d: verdict %v without the adjacency, %v with it", k, got, want)

@@ -8,9 +8,9 @@
 // — only once slackness recovers above the separate, higher re-admit
 // threshold; the gap between the two thresholds is the hysteresis band that
 // keeps the controller from flapping at the boundary. An episode works on
-// one scaled view of the ship and one allocation over it: each tick rescales
-// the view in place to the tick's demand and re-places the previous tick's
-// complete strings on it in string index order.
+// one scaled view of the ship and one tracked allocation over it: each tick
+// rescales in place only the strings whose demand factor changed, re-placing
+// a mapped one on the machines it held.
 
 package overload
 
@@ -145,9 +145,9 @@ type Result struct {
 	// Feasible reports whether the final allocation passes the two-stage
 	// analysis.
 	Feasible bool
-	// FinalAlloc is the end-of-timeline allocation, on a view of the caller's
-	// system scaled to the final tick's demand; its complete strings are the
-	// surviving mapped set.
+	// FinalAlloc is the episode's allocation as the last tick left it,
+	// untracked, on a view of the caller's system scaled to the final tick's
+	// demand; its complete strings are the surviving mapped set.
 	FinalAlloc *feasibility.Allocation
 }
 
@@ -175,15 +175,17 @@ func newControllerTelemetry() controllerTelemetry {
 // validates it, and walks the surge scenario on the control grid, keeping the
 // allocation feasible by worth-per-utilization shedding and hysteresis-gated
 // re-admission. Neither the input allocation nor its system is written: the
-// episode builds one model.ScaledView of the system and one allocation over
-// it, and each tick Resets that allocation, rescales the view in place to the
-// tick's demand, and re-places the previous tick's complete strings (on the
-// first tick, alloc's) in string index order. Reset leaves the allocation
-// indistinguishable from a fresh one, so a tick's state is a function of the
-// carried placements and the tick's demand alone. The last tick's allocation
-// is returned in the result. The run is fully deterministic: the controller
-// consumes no randomness, iterates strings in index order, and breaks every
-// ordering tie by string ID.
+// episode builds one model.ScaledView of the system, places alloc's complete
+// strings on one allocation over it, and tracks that allocation with one
+// DeltaAnalyzer for the whole run. A tick first handles the strings whose
+// factor differs from the previous tick's: a mapped one is unassigned, its
+// view demand rewritten and re-assigned on the machines it held; an unmapped
+// one only has its demand rewritten. The allocation state is a function of
+// the mapping, so a tick's state is what re-placing its mapping at the tick's
+// demand would give. The allocation is returned in the result, detached from
+// the analyzer. The run is fully deterministic: the controller consumes no
+// randomness, iterates strings in index order, and breaks every ordering tie
+// by string ID.
 func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -219,54 +221,51 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 	shed := make([]bool, n)
 	res := &Result{WorthBefore: alloc.Metric().Worth, MinRetained: 1}
 
-	// The episode's one view and one allocation; see Run's comment.
-	view := model.ScaledView(base, sc.FactorsAt(0, n))
-	a := feasibility.New(view)
-	// carried[k] is string k's placement as the previous tick left it, nil
-	// unless complete; place is its backing, one slot per application.
-	carried := make([][]int, n)
-	place := make([][]int, n)
-	for k := range place {
-		place[k] = make([]int, len(base.Strings[k].Apps))
-	}
+	// The episode's one view and one tracked allocation; see Run's comment.
 	// Bandwidth never scales, so every density shares the episode's average
 	// inverse bandwidth; wpu[k] is string k's density at the tick's demand.
+	last := sc.FactorsAt(0, n)
+	view := model.ScaledView(base, last)
 	invBW := base.AvgInvBandwidth()
+	a := feasibility.New(view)
 	wpu := make([]float64, n)
-	tried := make([]bool, n)
-	implicated := make([]bool, n)
+	for k := range wpu {
+		if alloc.Complete(k) {
+			a.AssignString(k, alloc.StringMachines(k))
+		}
+		wpu[k] = worthPerUtil(view, k, invBW)
+	}
+	da := feasibility.Track(a)
+	// Detach so FinalAlloc escapes untracked and a later consumer can attach
+	// its own analyzer.
+	defer da.Close()
+	tried, implicated := make([]bool, n), make([]bool, n)
 	var cands []int
 
-	src := alloc
 	for i := 0; i < ticks; i++ {
 		t := float64(i) * interval
 		tel.ticks.Inc()
-		for k := range carried {
-			carried[k] = nil
-			if src.Complete(k) {
-				for x := range place[k] {
-					place[k][x] = src.Machine(k, x)
-				}
-				carried[k] = place[k]
+		// Re-place only the strings whose factor moved. The frozen-floats
+		// contract lets the view's demand be rewritten from base while the
+		// string is unassigned; it goes back on the machines it held.
+		g := sc.FactorsAt(t, n)
+		for k := range g {
+			if g[k] == last[k] {
+				continue
 			}
-		}
-		src = a
-		// Every string is unassigned after Reset, so the frozen-floats
-		// contract lets the view's demand be rewritten from base.
-		a.Reset()
-		for k, g := range sc.FactorsAt(t, n) {
-			model.ScaleDemand(view.Strings[k].Apps, base.Strings[k].Apps, g)
+			var held []int
+			if a.Complete(k) {
+				held = a.StringMachines(k)
+				a.UnassignString(k)
+			}
+			model.ScaleDemand(view.Strings[k].Apps, base.Strings[k].Apps, g[k])
 			wpu[k] = worthPerUtil(view, k, invBW)
-		}
-		for k, m := range carried {
-			if m != nil {
-				a.AssignString(k, m)
+			if held != nil {
+				a.AssignString(k, held)
 			}
 		}
-		// Track after the bulk assignment: Track's one full rebase scan
-		// replaces the full two-stage analysis the loop below used to run per
-		// shed iteration; every subsequent check this tick is incremental.
-		da := feasibility.Track(a)
+		last = g
+		da.Commit()
 		// The tick's active outages and the IMR masks over them, all nil while
 		// nothing is down.
 		var down *faults.Set
@@ -392,9 +391,6 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 				res.MinRetained = ratio
 			}
 		}
-		// Detach so FinalAlloc escapes untracked and a later consumer can
-		// attach its own analyzer.
-		da.Close()
 	}
 
 	m := a.Metric()
@@ -403,7 +399,9 @@ func Run(alloc *feasibility.Allocation, sc *Scenario, cfg Config) (*Result, erro
 	if res.WorthBefore > 0 {
 		res.Retained = res.WorthAfter / res.WorthBefore
 	}
-	res.Feasible = a.TwoStageFeasible()
+	// Every tick ends on a clean window (healthy commits, and each
+	// re-admission attempt ends in Commit or Undo).
+	res.Feasible = da.CommittedFeasible()
 	res.FinalAlloc = a
 	span.End(
 		telemetry.F("ticks", float64(len(res.Samples))),

@@ -343,24 +343,6 @@ func BenchmarkSimplexRevised(b *testing.B) {
 	}
 }
 
-func BenchmarkSimplexDenseSmall(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	p := simplex.NewProblem(40)
-	for j := 0; j < 40; j++ {
-		p.SetObjective(j, rng.Float64())
-		p.MustAddConstraint([]int{j}, []float64{1}, simplex.LE, 1+rng.Float64())
-	}
-	for i := 0; i < 39; i++ {
-		p.MustAddConstraint([]int{i, i + 1}, []float64{1, 1}, simplex.LE, 1.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveDense(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTransportPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	a := make([]float64, 12)

@@ -1,9 +1,11 @@
 package lp
 
 import (
+	"flag"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/heuristics"
 	"repro/internal/model"
@@ -303,65 +305,102 @@ func TestFullSolutionRealizable(t *testing.T) {
 	}
 }
 
-// TestDenseSolverOption: the dense-tableau reference solver agrees with
-// the shipped revised simplex on the built LP of a small bound.
-func TestDenseSolverOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	sys := randomSmallSystem(rng, 2, 3, 2)
-	cfg := Config{Formulation: Full, Objective: MaximizeWorth}
-	fast, err := UpperBound(sys, cfg)
+// certified solves the LP b built and fails t unless the optimum carries its
+// certificate (simplex.Problem.Certify); it returns the solution mapped back
+// onto the system and the certificate's worst term.
+func certified(t *testing.T, b *builder) (*Bound, float64) {
+	t.Helper()
+	sol, err := b.prob.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := b.prob.Certify(sol)
+	if c > 1e-9 {
+		t.Fatalf("%d × %d LP: %v, certificate term %g", b.prob.NumRows(), b.prob.NumCols(), sol.Status, c)
 	}
-	sol, err := b.prob.SolveDense()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := b.bound(sol)
-	if !approx(fast.Objective, slow.Objective, 1e-6*(1+fast.Objective)) {
-		t.Errorf("revised %v vs dense %v", fast.Objective, slow.Objective)
-	}
-	if fast.Variables != slow.Variables || fast.Constraints != slow.Constraints {
-		t.Error("size accounting differs between solver paths")
+	return b.bound(sol), c
+}
+
+// TestFullLPCertified: the full formulation of a small system, both
+// objectives, solves to a certified optimum, and UpperBound reports exactly
+// that optimum.
+func TestFullLPCertified(t *testing.T) {
+	sys := randomSmallSystem(rand.New(rand.NewSource(40)), 2, 3, 2)
+	for _, obj := range []Objective{MaximizeWorth, MaximizeSlackness} {
+		cfg := Config{Formulation: Full, Objective: obj}
+		b, err := build(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := certified(t, b)
+		got, err := UpperBound(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != simplex.Optimal || got.Objective != want.Objective {
+			t.Errorf("%v: UpperBound %v %v, certified optimum %v", obj, got.Status, got.Objective, want.Objective)
+		}
 	}
 }
 
-// TestRelaxedBoundMatchesDenseAt40: the relaxed worth bound of a 40-string
-// scenario-1 system (about 2 400 columns over 220 rows, so a pricing window is
-// a tenth of the columns and the basis refactorises several times) agrees
-// with the dense-tableau reference on the same built LP to 1e-9 relative.
-func TestRelaxedBoundMatchesDenseAt40(t *testing.T) {
-	cfg := workload.ScenarioConfig(workload.HighlyLoaded)
-	cfg.Strings = 40
+// TestServedBoundsCertified: the relaxed bound LPs the benchmark ships serve,
+// at full size, solve to certified optima: the paper ship's worth bound
+// (scenario 1, 871 rows × 10 308 columns) and the fleet ship's worth and
+// slackness bounds (FleetConfig(128, 2), 569 × 56 448, and λ under
+// slackness). The fleet slackness solve is the slow one, about 1.4 s.
+func TestServedBoundsCertified(t *testing.T) {
+	paper := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	fleet := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
+	for _, c := range []struct {
+		name string
+		sys  *model.System
+		obj  Objective
+	}{
+		{"paper worth", paper, MaximizeWorth},
+		{"fleet worth", fleet, MaximizeWorth},
+		{"fleet slackness", fleet, MaximizeSlackness},
+	} {
+		b, err := build(c.sys, Config{Formulation: Relaxed, Objective: c.obj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		bound, term := certified(t, b)
+		t.Logf("%s: %d × %d, bound %.6f, %d pivots, %v, worst term %.1e", c.name, bound.Constraints, bound.Variables,
+			bound.Objective, bound.Iterations, time.Since(start).Round(time.Millisecond), term)
+	}
+}
+
+var fullStrings = flag.Int("lp.full-strings", 0,
+	"certify the full formulation of scenario 3 at this many strings, both objectives (0 skips TestFullBoundCertifiedAtScale)")
+
+// TestFullBoundCertifiedAtScale: the full formulation of scenario 3 at
+// -lp.full-strings strings solves to a certified optimum under both
+// objectives. At 30 strings (3 399 rows × 20 484 columns) a solve takes about
+// 30 s, too long for every push, so CI runs it nightly.
+func TestFullBoundCertifiedAtScale(t *testing.T) {
+	if *fullStrings <= 0 {
+		t.Skip("set -lp.full-strings")
+	}
+	cfg := workload.ScenarioConfig(workload.LightlyLoaded)
+	cfg.Strings = *fullStrings
 	sys := workload.MustGenerate(cfg, 1)
-	b, err := build(sys, Config{Formulation: Relaxed, Objective: MaximizeWorth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := b.prob.Solve()
-	if err != nil || fast.Status != simplex.Optimal {
-		t.Fatalf("revised: %v %v", err, fast)
-	}
-	slow, err := b.prob.SolveDense()
-	if err != nil || slow.Status != simplex.Optimal {
-		t.Fatalf("dense: %v %v", err, slow)
-	}
-	if !approx(fast.Objective, slow.Objective, 1e-9*slow.Objective) {
-		t.Errorf("revised %.12f vs dense %.12f", fast.Objective, slow.Objective)
-	}
-	if res := b.prob.Residual(fast.X); res > 1e-9 {
-		t.Errorf("revised optimum residual %v", res)
+	for _, obj := range []Objective{MaximizeWorth, MaximizeSlackness} {
+		b, err := build(sys, Config{Formulation: Full, Objective: obj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		bound, term := certified(t, b)
+		t.Logf("%v: %d × %d, bound %.6f, %d pivots, %v, worst term %.1e", obj, bound.Constraints, bound.Variables,
+			bound.Objective, bound.Iterations, time.Since(start).Round(time.Millisecond), term)
 	}
 }
 
 // TestFleetScaleBound: the relaxed worth bound of an M=256 fleet ship (1 100
-// rows, 220 000 columns) is feasible to 1e-6 and dominates what MWF actually
-// maps. 6.4 s with a dense basis inverse and full pricing, 0.12 s without,
-// 0.08 s from the crash basis.
+// rows, 220 000 columns) is a certified optimum and dominates what MWF
+// actually maps. 6.4 s with a dense basis inverse and full pricing, 0.12 s
+// without, 0.08 s from the crash basis.
 func TestFleetScaleBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("M=256 LP")
@@ -371,15 +410,9 @@ func TestFleetScaleBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := b.prob.Solve()
-	if err != nil || sol.Status != simplex.Optimal {
-		t.Fatalf("solve: %v %v", err, sol)
-	}
-	if res := b.prob.Residual(sol.X); res > 1e-6 {
-		t.Errorf("residual %v", res)
-	}
-	if mwf := heuristics.MWF(sys).Metric.Worth; sol.Objective < mwf {
-		t.Errorf("bound %v below MWF's worth %v", sol.Objective, mwf)
+	bound, _ := certified(t, b)
+	if mwf := heuristics.MWF(sys).Metric.Worth; bound.Objective < mwf {
+		t.Errorf("bound %v below MWF's worth %v", bound.Objective, mwf)
 	}
 }
 

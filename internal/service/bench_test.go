@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -437,6 +438,40 @@ func BenchmarkHandlerAdmitRemove(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		removeAdmit(b, h, k)
 	}
+}
+
+// BenchmarkHTTPLoopback times an accepted remove + admit pair over a real
+// socket: paperHandler behind httptest.NewServer, driven by one keep-alive
+// client, so a pair pays for the client, two round trips on one loopback TCP
+// connection and net/http's server on top of what BenchmarkHandlerAdmitRemove
+// times. µs/op is wall time per pair; allocs/op counts both ends, which share
+// the process. A CPU profile on one CPU splits a paper op between the
+// allocator, net/http's server and client, syscalls and allocation:
+//
+//	go test -run '^$' -bench HTTPLoopback -benchtime 20000x -cpu 1 -cpuprofile loopback.prof ./internal/service/
+//	go tool pprof -top loopback.prof
+func BenchmarkHTTPLoopback(b *testing.B) {
+	h, k := paperHandler(b)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	client := srv.Client()
+	body := fmt.Sprintf(`{"stringId":%d}`, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, path := range []string{"/v1/remove", "/v1/admit"} {
+			resp, err := client.Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				b.Fatalf("POST %s %s: status %d, %v", path, body, resp.StatusCode, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
 }
 
 // BenchmarkHandlerState times GET /v1/state on the loaded paper ship and

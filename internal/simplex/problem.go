@@ -1,19 +1,18 @@
 // Package simplex is a self-contained linear-programming solver used to
 // compute the upper bounds of Section 7 of Shestak et al. (IPPS 2005), which
-// the paper obtained from the commercial package Lingo 9.0. It implements the
-// two-phase primal simplex method (Dantzig 1963) twice:
+// the paper obtained from the commercial package Lingo 9.0. Solve and
+// SolveWithBasis run the two-phase primal simplex method (Dantzig 1963) as a
+// revised simplex over flat column-major sparse storage whose basis inverse is
+// a sparse LU factorisation plus a product-form eta file, refactorised every
+// 64 pivots, priced partially over a cyclic window of m columns (m the row
+// count) with a fall-back to Bland's rule when the objective stalls. A cold
+// solve starts from a triangular crash basis that puts a structural column in
+// each zero-right-side equality or ≥ row, so phase 1 runs only for the
+// artificials the crash could not replace.
 //
-//   - Solve / SolveWithBasis, the production path: a revised simplex over
-//     flat column-major sparse storage whose basis inverse is a sparse LU
-//     factorisation plus a product-form eta file, refactorised every 64
-//     pivots, priced partially over a cyclic window of m columns (m the row
-//     count) with a fall-back to Bland's rule when the objective stalls. A
-//     cold solve starts from a triangular crash basis that puts a structural
-//     column in each zero-right-side equality or ≥ row, so phase 1 runs only
-//     for the artificials the crash could not replace;
-//   - SolveDense, a dense-tableau solver simple enough to audit by hand, the
-//     reference the tests cross-validate the revised solver against. It
-//     starts from the slack/artificial basis, without the crash.
+// Certify checks an optimal answer against the problem as stated, sharing no
+// code with the solver: primal feasibility, dual signs, reduced costs and
+// strong duality. It is the reference the tests hold the solver to.
 //
 // Problems are stated as: maximize cᵀx subject to linear constraints with
 // relations ≤, ≥, =, and x ≥ 0. Minimization is achieved by negating the
@@ -252,8 +251,7 @@ type Solution struct {
 	Iterations int
 	// Basis is the optimal basis in standard-form column numbering, one
 	// column per constraint row: the warm-start seed for SolveWithBasis on a
-	// problem with identical structure. Populated by the revised simplex on
-	// Optimal; nil from the dense solver.
+	// problem with identical structure. Nil unless Optimal.
 	Basis []int
 	// Warm reports that the solution came from a warm-started solve that
 	// actually used the supplied basis (false when SolveWithBasis had to fall
@@ -262,30 +260,75 @@ type Solution struct {
 	Refusal WarmRefusal
 }
 
-// Residual returns the worst constraint violation of the solution against
-// the problem (0 for a perfectly feasible point): positive slack shortfalls
-// for inequalities and absolute mismatch for equalities, plus any negative
-// variable magnitude.
-func (p *Problem) Residual(x []float64) float64 {
+// Certify checks sol against the problem as stated and returns the worst
+// term of its optimality certificate, each term relative to 1 + the
+// magnitudes it sums: 0 when the certificate holds exactly, +Inf when sol is
+// not an optimum with one X per column and one dual per row. The four parts
+// are
+//
+//   - primal feasibility: x ≥ 0 and every row holds;
+//   - dual signs: y ≥ 0 on ≤ rows and y ≤ 0 on ≥ rows (this is a
+//     maximization);
+//   - dual feasibility: every reduced cost c_j − Σ_i y_i a_ij ≤ 0;
+//   - strong duality: yᵀb = cᵀx, and the reported objective is cᵀx.
+//
+// When all four hold, x is optimal and y proves it, whichever code produced
+// them: Certify shares nothing with the solver but the Problem.
+func (p *Problem) Certify(sol *Solution) float64 {
+	if sol.Status != Optimal || len(sol.X) != p.numCols || len(sol.Duals) != len(p.cons) {
+		return math.Inf(1)
+	}
+	worst := p.residual(sol.X)
+	red := slices.Clone(p.obj)        // c_j − Σ_i y_i a_ij
+	mag := make([]float64, p.numCols) // Σ_i |y_i a_ij|
+	yb, ybMag := 0.0, 0.0
+	for i, con := range p.cons {
+		y := sol.Duals[i]
+		if (con.Rel == LE && y < 0) || (con.Rel == GE && y > 0) {
+			worst = math.Max(worst, math.Abs(y)/(1+math.Abs(y)))
+		}
+		yb += y * con.RHS
+		ybMag += math.Abs(y * con.RHS)
+		for idx, c := range con.Cols {
+			t := y * con.Vals[idx]
+			red[c] -= t
+			mag[c] += math.Abs(t)
+		}
+	}
+	cx, cxMag := 0.0, 0.0
+	for j, c := range p.obj {
+		worst = math.Max(worst, red[j]/(1+math.Abs(c)+mag[j]))
+		cx += c * sol.X[j]
+		cxMag += math.Abs(c * sol.X[j])
+	}
+	gap := math.Max(math.Abs(yb-cx), math.Abs(sol.Objective-cx))
+	return math.Max(worst, gap/(1+ybMag+cxMag))
+}
+
+// residual is Certify's primal part: the worst of a negative variable's
+// |x_j| / (1 + |x_j|) and a row's violation / (1 + |b_i| + Σ_j |a_ij x_j|).
+func (p *Problem) residual(x []float64) float64 {
 	worst := 0.0
 	for _, v := range x {
 		if v < 0 {
-			worst = math.Max(worst, -v)
+			worst = math.Max(worst, -v/(1-v))
 		}
 	}
 	for _, con := range p.cons {
-		lhs := 0.0
+		lhs, mag := 0.0, 1+math.Abs(con.RHS)
 		for idx, c := range con.Cols {
-			lhs += con.Vals[idx] * x[c]
+			t := con.Vals[idx] * x[c]
+			lhs += t
+			mag += math.Abs(t)
 		}
+		viol := lhs - con.RHS
 		switch con.Rel {
-		case LE:
-			worst = math.Max(worst, lhs-con.RHS)
 		case GE:
-			worst = math.Max(worst, con.RHS-lhs)
+			viol = -viol
 		case EQ:
-			worst = math.Max(worst, math.Abs(lhs-con.RHS))
+			viol = math.Abs(viol)
 		}
+		worst = math.Max(worst, viol/mag)
 	}
 	return worst
 }

@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// Revised simplex over sparse column storage: the production solver for the
-// upper-bound LPs. A cold solve starts from the crash basis (standard.go):
-// every zero-right-side row that can have a structural column basic at 0 gets
-// one, so the bound LPs' (b) rows need no phase 1, and phase 1 runs only while
-// an artificial is still basic. The basis inverse is never formed; BTRAN and
+// Revised simplex over sparse column storage: the solver for the upper-bound
+// LPs. A cold solve starts from the crash basis (standard.go): every
+// zero-right-side row that can have a structural column basic at 0 gets one,
+// so the bound LPs' (b) rows need no phase 1, and phase 1 runs only while an
+// artificial is still basic. The basis inverse is never formed; BTRAN and
 // FTRAN solve against a sparse LU of the basis plus one eta per pivot since
 // (factor.go), and the factorisation is rebuilt from the basis columns every
 // refactorEvery pivots, which both bounds the eta file and flushes numerical
@@ -23,9 +23,35 @@ import (
 // optimality is declared only after one full lap under the same duals finds
 // nothing.
 
-// refactorEvery is the number of pivots between refactorizations of the
-// basis: the eta file never holds more than this many updates.
-const refactorEvery = 64
+const (
+	// refactorEvery is the number of pivots between refactorizations of the
+	// basis: the eta file never holds more than this many updates.
+	refactorEvery = 64
+	// costTol is the reduced-cost tolerance: columns below it are treated as
+	// non-improving.
+	costTol = 1e-9
+	// pivotTol is the minimum magnitude accepted for a pivot element.
+	pivotTol = 1e-9
+	// feasTol is the residual tolerance for declaring phase-1 success.
+	feasTol = 1e-7
+)
+
+var errUnbounded = fmt.Errorf("simplex: unbounded")
+
+// errIterationLimit is returned when a solve exceeds its pivot budget, which
+// indicates cycling not broken by Bland's rule or a pathological instance.
+var errIterationLimit = fmt.Errorf("simplex: iteration limit exceeded")
+
+// trivialSolution handles the constraint-free case: every variable with a
+// positive objective coefficient is unbounded; otherwise x = 0 is optimal.
+func trivialSolution(p *Problem) *Solution {
+	for _, c := range p.obj {
+		if c > costTol {
+			return &Solution{Status: Unbounded}
+		}
+	}
+	return &Solution{Status: Optimal, X: make([]float64, p.numCols)}
+}
 
 // Solve solves the problem with the two-phase revised simplex from the crash
 // basis, skipping phase 1 when the crash left no artificial basic.

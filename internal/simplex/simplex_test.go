@@ -7,27 +7,7 @@ import (
 	"testing"
 )
 
-// solvers lets every test run against both implementations.
-var solvers = []struct {
-	name  string
-	solve func(*Problem) (*Solution, error)
-}{
-	{"dense", (*Problem).SolveDense},
-	{"revised", (*Problem).Solve},
-}
-
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func solveBoth(t *testing.T, p *Problem, check func(name string, sol *Solution)) {
-	t.Helper()
-	for _, s := range solvers {
-		sol, err := s.solve(p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		check(s.name, sol)
-	}
-}
 
 // Classic production LP: max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18;
 // optimum 36 at (2, 6).
@@ -38,20 +18,19 @@ func TestTextbookLP(t *testing.T) {
 	p.MustAddConstraint([]int{0}, []float64{1}, LE, 4)
 	p.MustAddConstraint([]int{1}, []float64{2}, LE, 12)
 	p.MustAddConstraint([]int{0, 1}, []float64{3, 2}, LE, 18)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal {
-			t.Fatalf("%s: status %v", name, sol.Status)
-		}
-		if !approx(sol.Objective, 36, 1e-8) {
-			t.Errorf("%s: objective %v, want 36", name, sol.Objective)
-		}
-		if !approx(sol.X[0], 2, 1e-8) || !approx(sol.X[1], 6, 1e-8) {
-			t.Errorf("%s: x = %v, want (2, 6)", name, sol.X)
-		}
-		if sol.Iterations == 0 {
-			t.Errorf("%s: zero iterations reported", name)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	if !approx(sol.Objective, 36, 1e-8) {
+		t.Errorf("objective %v, want 36", sol.Objective)
+	}
+	if !approx(sol.X[0], 2, 1e-8) || !approx(sol.X[1], 6, 1e-8) {
+		t.Errorf("x = %v, want (2, 6)", sol.X)
+	}
+	if sol.Iterations == 0 {
+		t.Errorf("zero iterations reported")
+	}
 }
 
 // Minimization via negated objective with a >= constraint (phase 1 path):
@@ -61,14 +40,13 @@ func TestMinimizationWithGE(t *testing.T) {
 	p.SetObjective(0, -2)
 	p.SetObjective(1, -3)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, GE, 10)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal {
-			t.Fatalf("%s: status %v", name, sol.Status)
-		}
-		if !approx(sol.Objective, -20, 1e-8) {
-			t.Errorf("%s: objective %v, want -20", name, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	if !approx(sol.Objective, -20, 1e-8) {
+		t.Errorf("objective %v, want -20", sol.Objective)
+	}
 }
 
 func TestEqualityConstraint(t *testing.T) {
@@ -78,11 +56,10 @@ func TestEqualityConstraint(t *testing.T) {
 	p.SetObjective(1, 2)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 5)
 	p.MustAddConstraint([]int{1}, []float64{1}, LE, 3)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || !approx(sol.Objective, 8, 1e-8) {
-			t.Errorf("%s: %v objective %v, want optimal 8", name, sol.Status, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || !approx(sol.Objective, 8, 1e-8) {
+		t.Errorf("%v objective %v, want optimal 8", sol.Status, sol.Objective)
+	}
 }
 
 func TestInfeasible(t *testing.T) {
@@ -90,37 +67,33 @@ func TestInfeasible(t *testing.T) {
 	p.SetObjective(0, 1)
 	p.MustAddConstraint([]int{0}, []float64{1}, LE, 1)
 	p.MustAddConstraint([]int{0}, []float64{1}, GE, 2)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Infeasible {
-			t.Errorf("%s: status %v, want infeasible", name, sol.Status)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Infeasible {
+		t.Errorf("status %v, want infeasible", sol.Status)
+	}
 }
 
 func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	p.MustAddConstraint([]int{0}, []float64{1}, GE, 1)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Unbounded {
-			t.Errorf("%s: status %v, want unbounded", name, sol.Status)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Unbounded {
+		t.Errorf("status %v, want unbounded", sol.Status)
+	}
 }
 
 func TestNoConstraints(t *testing.T) {
 	p := NewProblem(2)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || sol.Objective != 0 {
-			t.Errorf("%s: %v %v, want optimal 0", name, sol.Status, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || sol.Objective != 0 {
+		t.Errorf("%v %v, want optimal 0", sol.Status, sol.Objective)
+	}
 	p.SetObjective(1, 2)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Unbounded {
-			t.Errorf("%s: status %v, want unbounded", name, sol.Status)
-		}
-	})
+	sol = solve(t, p)
+	if sol.Status != Unbounded {
+		t.Errorf("status %v, want unbounded", sol.Status)
+	}
 }
 
 // TestNegativeRHS exercises the row-flipping path: max -x s.t. -x <= -3 means
@@ -129,11 +102,10 @@ func TestNegativeRHS(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective(0, -1)
 	p.MustAddConstraint([]int{0}, []float64{-1}, LE, -3)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || !approx(sol.Objective, -3, 1e-8) {
-			t.Errorf("%s: %v objective %v, want optimal -3", name, sol.Status, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || !approx(sol.Objective, -3, 1e-8) {
+		t.Errorf("%v objective %v, want optimal -3", sol.Status, sol.Objective)
+	}
 }
 
 // TestBealeCycling runs Beale's classic cycling example; without
@@ -147,11 +119,10 @@ func TestBealeCycling(t *testing.T) {
 	p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.5, -90, -0.02, 3}, LE, 0)
 	p.MustAddConstraint([]int{2}, []float64{1}, LE, 1)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || !approx(sol.Objective, 0.05, 1e-8) {
-			t.Errorf("%s: %v objective %v, want optimal 0.05", name, sol.Status, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || !approx(sol.Objective, 0.05, 1e-8) {
+		t.Errorf("%v objective %v, want optimal 0.05", sol.Status, sol.Objective)
+	}
 }
 
 // TestRedundantEquality forces an artificial variable to stay basic at zero
@@ -163,14 +134,10 @@ func TestRedundantEquality(t *testing.T) {
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 5)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 5)
 	p.MustAddConstraint([]int{0, 1}, []float64{2, 2}, EQ, 10)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || !approx(sol.Objective, 5, 1e-8) {
-			t.Errorf("%s: %v objective %v, want optimal 5", name, sol.Status, sol.Objective)
-		}
-		if res := p.Residual(sol.X); res > 1e-7 {
-			t.Errorf("%s: residual %v", name, res)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || !approx(sol.Objective, 5, 1e-8) {
+		t.Errorf("%v objective %v, want optimal 5", sol.Status, sol.Objective)
+	}
 }
 
 func TestDegenerateRHS(t *testing.T) {
@@ -181,11 +148,10 @@ func TestDegenerateRHS(t *testing.T) {
 	p.MustAddConstraint([]int{0, 1}, []float64{1, -1}, LE, 0)
 	p.MustAddConstraint([]int{0, 1}, []float64{-1, 1}, LE, 0)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, LE, 4)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if sol.Status != Optimal || !approx(sol.Objective, 4, 1e-8) {
-			t.Errorf("%s: %v objective %v, want optimal 4", name, sol.Status, sol.Objective)
-		}
-	})
+	sol := solve(t, p)
+	if sol.Status != Optimal || !approx(sol.Objective, 4, 1e-8) {
+		t.Errorf("%v objective %v, want optimal 4", sol.Status, sol.Objective)
+	}
 }
 
 func TestAddConstraintValidation(t *testing.T) {
@@ -309,45 +275,31 @@ func randomFeasibleLP(rng *rand.Rand, n, m int) (*Problem, []float64) {
 	return p, x0
 }
 
-// TestCrossValidation: on random feasible bounded LPs the two solvers must
-// agree on the optimal objective, produce feasible optima, and never fall
-// below the known feasible point's value.
+// TestCrossValidation: on random feasible bounded LPs the solver's optimum
+// carries its certificate and never falls below the known feasible point's
+// value.
 func TestCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 120; trial++ {
 		n := 1 + rng.Intn(8)
 		m := 1 + rng.Intn(8)
 		p, x0 := randomFeasibleLP(rng, n, m)
-		dense, err := p.SolveDense()
+		sol, err := p.Solve()
 		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		revised, err := p.Solve()
-		if err != nil {
-			t.Fatalf("trial %d revised: %v", trial, err)
+		if c := p.Certify(sol); c > certTol {
+			t.Fatalf("trial %d: %v, certificate term %g, for a feasible bounded LP", trial, sol.Status, c)
 		}
-		if dense.Status != Optimal || revised.Status != Optimal {
-			t.Fatalf("trial %d: statuses %v / %v for a feasible bounded LP", trial, dense.Status, revised.Status)
-		}
-		if !approx(dense.Objective, revised.Objective, 1e-6*(1+math.Abs(dense.Objective))) {
-			t.Fatalf("trial %d: dense %v vs revised %v", trial, dense.Objective, revised.Objective)
-		}
-		for name, sol := range map[string]*Solution{"dense": dense, "revised": revised} {
-			if res := p.Residual(sol.X); res > 1e-6 {
-				t.Fatalf("trial %d %s: optimum infeasible, residual %v", trial, name, res)
-			}
-			if sol.Objective < p.Value(x0)-1e-6 {
-				t.Fatalf("trial %d %s: optimum %v below feasible value %v", trial, name, sol.Objective, p.Value(x0))
-			}
-			if !approx(p.Value(sol.X), sol.Objective, 1e-7*(1+math.Abs(sol.Objective))) {
-				t.Fatalf("trial %d %s: objective/value mismatch", trial, name)
-			}
+		if sol.Objective < p.Value(x0)-1e-6 {
+			t.Fatalf("trial %d: optimum %v below feasible value %v", trial, sol.Objective, p.Value(x0))
 		}
 	}
 }
 
-// TestRefactorization forces the revised solver through at least one
-// refactorization by solving a problem needing many pivots.
+// TestRefactorizationPath forces the revised solver through at least one
+// refactorization by solving a problem needing many pivots, and certifies
+// the optimum it reaches.
 func TestRefactorizationPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 120
@@ -360,22 +312,17 @@ func TestRefactorizationPath(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		p.MustAddConstraint([]int{i, i + 1}, []float64{1, 1}, LE, 1.5)
 	}
-	dense, err := p.SolveDense()
-	if err != nil {
-		t.Fatal(err)
+	sol := solve(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
 	}
-	revised, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Status != Optimal || revised.Status != Optimal {
-		t.Fatalf("statuses %v / %v", dense.Status, revised.Status)
-	}
-	if !approx(dense.Objective, revised.Objective, 1e-6*(1+dense.Objective)) {
-		t.Fatalf("dense %v vs revised %v", dense.Objective, revised.Objective)
+	if sol.Iterations <= refactorEvery {
+		t.Errorf("only %d pivots: the solve never refactorised", sol.Iterations)
 	}
 }
 
+// TestResidualAndValue: Certify's primal part, each violation relative to
+// 1 + the magnitudes its row sums.
 func TestResidualAndValue(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 2)
@@ -383,17 +330,19 @@ func TestResidualAndValue(t *testing.T) {
 	p.MustAddConstraint([]int{0}, []float64{1}, GE, 1)
 	p.MustAddConstraint([]int{1}, []float64{1}, EQ, 2)
 	x := []float64{1, 2}
-	if res := p.Residual(x); res != 0 {
+	if res := p.residual(x); res != 0 {
 		t.Errorf("residual of feasible point = %v", res)
 	}
 	if v := p.Value(x); v != 2 {
 		t.Errorf("value = %v, want 2", v)
 	}
-	if res := p.Residual([]float64{0, 5}); !approx(res, 3, 1e-12) {
-		t.Errorf("residual = %v, want 3 (equality violated by 3, LE by 2, GE by 1)", res)
+	// LE short by 2 of 1+3+5, GE by 1 of 1+1+0, EQ by 3 of 1+2+5.
+	if res := p.residual([]float64{0, 5}); !approx(res, 0.5, 1e-12) {
+		t.Errorf("residual = %v, want 1/2 (the GE row)", res)
 	}
-	if res := p.Residual([]float64{-2, 2}); !approx(res, 3, 1e-12) {
-		t.Errorf("residual with negative variable = %v, want 3", res)
+	// x0 = −2 is 2 of 1+2, and GE is short by 3 of 1+1+2.
+	if res := p.residual([]float64{-2, 2}); !approx(res, 0.75, 1e-12) {
+		t.Errorf("residual with negative variable = %v, want 3/4 (the GE row)", res)
 	}
 }
 
@@ -407,61 +356,43 @@ func TestDualsTextbook(t *testing.T) {
 	p.MustAddConstraint([]int{0}, []float64{1}, LE, 4)
 	p.MustAddConstraint([]int{1}, []float64{2}, LE, 12)
 	p.MustAddConstraint([]int{0, 1}, []float64{3, 2}, LE, 18)
-	solveBoth(t, p, func(name string, sol *Solution) {
-		if len(sol.Duals) != 3 {
-			t.Fatalf("%s: %d duals", name, len(sol.Duals))
+	sol := solve(t, p)
+	if len(sol.Duals) != 3 {
+		t.Fatalf("%d duals", len(sol.Duals))
+	}
+	want := []float64{0, 1.5, 1}
+	for i := range want {
+		if !approx(sol.Duals[i], want[i], 1e-8) {
+			t.Errorf("dual[%d] = %v, want %v", i, sol.Duals[i], want[i])
 		}
-		want := []float64{0, 1.5, 1}
-		for i := range want {
-			if !approx(sol.Duals[i], want[i], 1e-8) {
-				t.Errorf("%s: dual[%d] = %v, want %v", name, i, sol.Duals[i], want[i])
-			}
-		}
-	})
+	}
 }
 
-// TestDualsStrongDualityAndSlackness: on random feasible bounded LPs both
-// solvers' duals satisfy strong duality (c'x = y'b) and complementary
-// slackness (y_i = 0 on slack rows).
+// TestDualsStrongDualityAndSlackness: on random feasible bounded LPs the
+// duals complete the certificate (dual signs, every reduced cost ≤ 0,
+// yᵀb = cᵀx), and so, as the certificate implies, y_i = 0 on every row with
+// slack.
 func TestDualsStrongDualityAndSlackness(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(6)
 		m := 1 + rng.Intn(6)
 		p, _ := randomFeasibleLP(rng, n, m)
-		for _, s := range solvers {
-			sol, err := s.solve(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Status != Optimal {
+		sol := solve(t, p)
+		if sol.Status != Optimal {
+			t.Fatalf("trial %d: %v for a feasible bounded LP", trial, sol.Status)
+		}
+		for i, con := range p.cons {
+			if con.Rel == EQ {
 				continue
 			}
-			yb := 0.0
-			for i, con := range p.cons {
-				yb += sol.Duals[i] * con.RHS
-				lhs := 0.0
-				for idx, c := range con.Cols {
-					lhs += con.Vals[idx] * sol.X[c]
-				}
-				slack := con.RHS - lhs
-				if con.Rel == GE {
-					slack = lhs - con.RHS
-				}
-				if con.Rel != EQ && math.Abs(sol.Duals[i]*slack) > 1e-5*(1+math.Abs(con.RHS)) {
-					t.Fatalf("trial %d %s: complementary slackness violated at row %d: y=%v slack=%v",
-						trial, s.name, i, sol.Duals[i], slack)
-				}
-				// Sign convention for maximization: LE duals >= 0, GE <= 0.
-				if con.Rel == LE && sol.Duals[i] < -1e-7 {
-					t.Fatalf("trial %d %s: negative LE dual %v", trial, s.name, sol.Duals[i])
-				}
-				if con.Rel == GE && sol.Duals[i] > 1e-7 {
-					t.Fatalf("trial %d %s: positive GE dual %v", trial, s.name, sol.Duals[i])
-				}
+			lhs := 0.0
+			for idx, c := range con.Cols {
+				lhs += con.Vals[idx] * sol.X[c]
 			}
-			if !approx(yb, sol.Objective, 1e-5*(1+math.Abs(sol.Objective))) {
-				t.Fatalf("trial %d %s: strong duality broken: y'b=%v, c'x=%v", trial, s.name, yb, sol.Objective)
+			if slack := math.Abs(con.RHS - lhs); math.Abs(sol.Duals[i]*slack) > 1e-5*(1+math.Abs(con.RHS)) {
+				t.Fatalf("trial %d: complementary slackness violated at row %d: y=%v slack=%v",
+					trial, i, sol.Duals[i], slack)
 			}
 		}
 	}

@@ -6,9 +6,8 @@ import (
 )
 
 // Conversion to standard computational form: A x = b with b ≥ 0 and x ≥ 0,
-// where A gains slack, surplus, and artificial columns. Both solvers consume
-// this representation; the revised solver prices and factorises straight off
-// its sparse column storage.
+// where A gains slack, surplus, and artificial columns. The revised solver
+// prices and factorises straight off its sparse column storage.
 
 // standard is a problem in equality standard form.
 type standard struct {
@@ -29,12 +28,10 @@ type standard struct {
 	artStart int   // columns >= artStart are artificial
 	basis    []int // initial basis, one column per row: slacks and artificials, until crash
 
-	// Dual bookkeeping: flip[i] records that original constraint i was
-	// negated to make b non-negative (its dual changes sign); rowAux[i] is
-	// the slack (LE) or surplus (GE) column of row i, -1 for EQ; rowArt[i]
-	// is the artificial column of row i, -1 for LE.
+	// flip[i] records that original constraint i was negated to make b
+	// non-negative (its dual changes sign); rowArt[i] is the artificial
+	// column of row i, -1 for LE.
 	flip   []bool
-	rowAux []int
 	rowArt []int
 }
 
@@ -58,7 +55,6 @@ func standardize(p *Problem) *standard {
 		b:       make([]float64, m),
 		basis:   make([]int, m),
 		flip:    make([]bool, m),
-		rowAux:  make([]int, m),
 		rowArt:  make([]int, m),
 	}
 	rel := make([]Relation, m)
@@ -123,14 +119,13 @@ func standardize(p *Problem) *standard {
 	}
 	aux, art := s.nStruct, s.artStart
 	for i := range rel {
-		s.rowAux[i], s.rowArt[i] = -1, -1
+		s.rowArt[i] = -1
 		switch rel[i] {
 		case LE:
-			s.rowAux[i] = single(aux, i, 1)
-			s.basis[i] = aux
+			s.basis[i] = single(aux, i, 1)
 			aux++
 		case GE:
-			s.rowAux[i] = single(aux, i, -1)
+			single(aux, i, -1)
 			aux++
 		}
 		if rel[i] != LE {
@@ -160,9 +155,6 @@ func standardize(p *Problem) *standard {
 // 0 and the slacks keep their values: the basis is primal feasible. The one
 // bound is pivotTol on |a|, below which the ratio test would never have
 // pivoted the column into that row either.
-//
-// The dense solver does not crash: its tableau is the raw A, canonical only
-// for the slack/artificial basis.
 func (s *standard) crash() {
 	mass := make([]float64, s.m) // off-row mass of row i's pick so far
 	for j := 0; j < s.nStruct; j++ {

@@ -77,7 +77,8 @@ func relClose(a, b, tol float64) bool {
 
 // TestWarmStartSameProblem: re-solving the identical problem from its own
 // optimal basis must use the warm path, pivot no more than the cold solve,
-// and reproduce the optimum.
+// and reproduce the optimum with a certificate: the duals are what
+// lp.Bound.MachineShadowPrice reports.
 func TestWarmStartSameProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -92,12 +93,13 @@ func TestWarmStartSameProblem(t *testing.T) {
 		if cold.Basis == nil {
 			t.Fatalf("trial %d: optimal revised solve returned no basis", trial)
 		}
-		warm, err := s.at(1).SolveWithBasis(cold.Basis)
+		p := s.at(1)
+		warm, err := p.SolveWithBasis(cold.Basis)
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
-		if warm.Status != Optimal {
-			t.Fatalf("trial %d: warm status %v", trial, warm.Status)
+		if c := p.Certify(warm); c > certTol {
+			t.Fatalf("trial %d: warm %v, certificate term %g", trial, warm.Status, c)
 		}
 		if !warm.Warm {
 			t.Errorf("trial %d: optimal basis of the identical problem fell back to the cold path", trial)
@@ -112,9 +114,10 @@ func TestWarmStartSameProblem(t *testing.T) {
 }
 
 // TestWarmStartRescaled: warm-starting the rescaled instantiation from the
-// base optimum must match the rescaled problem's cold optimum whichever path
-// the solver ends up taking, and the warm path must actually engage on a
-// non-trivial fraction of trials (otherwise the test is vacuous).
+// base optimum must match the rescaled problem's cold optimum, with a
+// certificate, whichever path the solver ends up taking, and the warm path
+// must actually engage on a non-trivial fraction of trials (otherwise the
+// test is vacuous).
 func TestWarmStartRescaled(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	warmUsed := 0
@@ -129,18 +132,16 @@ func TestWarmStartRescaled(t *testing.T) {
 		if err != nil || cold.Status != Optimal {
 			t.Fatalf("trial %d cold rescaled: %v status %v", trial, err, cold.Status)
 		}
-		warm, err := s.at(g).SolveWithBasis(base.Basis)
+		p := s.at(g)
+		warm, err := p.SolveWithBasis(base.Basis)
 		if err != nil {
 			t.Fatalf("trial %d warm rescaled: %v", trial, err)
 		}
-		if warm.Status != Optimal {
-			t.Fatalf("trial %d: warm status %v, cold optimal", trial, warm.Status)
+		if c := p.Certify(warm); c > certTol {
+			t.Fatalf("trial %d: warm %v, certificate term %g, cold optimal", trial, warm.Status, c)
 		}
 		if !relClose(warm.Objective, cold.Objective, 1e-6) {
 			t.Errorf("trial %d: warm objective %v, cold %v", trial, warm.Objective, cold.Objective)
-		}
-		if r := s.at(g).Residual(warm.X); r > 1e-6 {
-			t.Errorf("trial %d: warm solution residual %v", trial, r)
 		}
 		if warm.Warm {
 			warmUsed++
@@ -155,7 +156,7 @@ func TestWarmStartRescaled(t *testing.T) {
 }
 
 // TestWarmStartBadBasis: structurally unusable bases must fall back to the
-// cold solve and still find the optimum.
+// cold solve and still find the certified optimum.
 func TestWarmStartBadBasis(t *testing.T) {
 	s := randomShape(rand.New(rand.NewSource(9)), 5, 5)
 	cold, err := s.at(1).Solve()
@@ -171,9 +172,13 @@ func TestWarmStartBadBasis(t *testing.T) {
 		append([]int{cold.Basis[1]}, cold.Basis[1:]...), // duplicate
 	}
 	for i, basis := range bad {
-		sol, err := s.at(1).SolveWithBasis(basis)
+		p := s.at(1)
+		sol, err := p.SolveWithBasis(basis)
 		if err != nil {
 			t.Fatalf("bad basis %d: %v", i, err)
+		}
+		if c := p.Certify(sol); c > certTol {
+			t.Errorf("bad basis %d: %v, certificate term %g", i, sol.Status, c)
 		}
 		if sol.Status != Optimal || sol.Warm || sol.Refusal != WarmShape {
 			t.Errorf("bad basis %d: status %v warm %v refusal %v, want cold-path optimal refused for shape",

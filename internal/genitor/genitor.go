@@ -147,6 +147,7 @@ type Engine struct {
 	src   *rng.Stream
 	rng   *rand.Rand
 	pop   []member // sorted best-first
+	inTop []bool   // crossover's scratch, one per gene (reorderTop)
 	stats Stats
 	stall int
 	tel   engineTelemetry
@@ -327,19 +328,31 @@ func (e *Engine) crossover(a, b []int) ([]int, []int) {
 		return append([]int(nil), a...), append([]int(nil), b...)
 	}
 	cut := 1 + e.rng.Intn(e.n-1) // top part is [0, cut)
-	return reorderTop(a, b, cut), reorderTop(b, a, cut)
+	if e.inTop == nil {
+		e.inTop = make([]bool, e.n)
+	}
+	return reorderTop(a, b, cut, e.inTop), reorderTop(b, a, cut, e.inTop)
 }
 
 // reorderTop returns a copy of parent with its first cut genes reordered to
-// match their relative order in other.
-func reorderTop(parent, other []int, cut int) []int {
+// match their relative order in other. The genes are distinct, so that order
+// is unique: mark the top genes, then take them in other's order. inTop holds
+// one false per gene and is left that way.
+func reorderTop(parent, other []int, cut int, inTop []bool) []int {
 	child := append([]int(nil), parent...)
-	pos := make(map[int]int, len(other))
-	for idx, gene := range other {
-		pos[gene] = idx
+	for _, g := range parent[:cut] {
+		inTop[g] = true
 	}
-	top := child[:cut]
-	sort.SliceStable(top, func(x, y int) bool { return pos[top[x]] < pos[top[y]] })
+	i := 0
+	for _, g := range other {
+		if inTop[g] {
+			inTop[g] = false
+			child[i] = g
+			if i++; i == cut {
+				break
+			}
+		}
+	}
 	return child
 }
 

@@ -2,6 +2,8 @@ package genitor
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -76,7 +78,7 @@ func TestReorderTop(t *testing.T) {
 	// Parent A top = [3 1 4], parent B order positions: 4 before 3 before 1.
 	a := []int{3, 1, 4, 0, 2}
 	b := []int{4, 3, 2, 1, 0}
-	child := reorderTop(a, b, 3)
+	child := reorderTop(a, b, 3, make([]bool, 5))
 	want := []int{4, 3, 1, 0, 2}
 	for i := range want {
 		if child[i] != want[i] {
@@ -86,6 +88,37 @@ func TestReorderTop(t *testing.T) {
 	// Original parent untouched.
 	if a[0] != 3 {
 		t.Error("reorderTop mutated the parent")
+	}
+}
+
+// reorderTopSorted is reorderTop as a stable sort of the top part by each
+// gene's position in other, the oracle for the marking walk.
+func reorderTopSorted(parent, other []int, cut int) []int {
+	child := append([]int(nil), parent...)
+	pos := make(map[int]int, len(other))
+	for idx, gene := range other {
+		pos[gene] = idx
+	}
+	top := child[:cut]
+	sort.SliceStable(top, func(x, y int) bool { return pos[top[x]] < pos[top[y]] })
+	return child
+}
+
+// The marking walk returns the sort's child over random permutations and
+// cuts, and hands its scratch back all false, as the next crossover needs it.
+func TestReorderTopMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(150)
+		a, b, cut := r.Perm(n), r.Perm(n), 1+r.Intn(n-1)
+		inTop := make([]bool, n)
+		got, want := reorderTop(a, b, cut, inTop), reorderTopSorted(a, b, cut)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d cut=%d: reorderTop(%v, %v) = %v, the sort gives %v", n, cut, a, b, got, want)
+		}
+		if slices.Contains(inTop, true) {
+			t.Fatalf("n=%d cut=%d: scratch left marked: %v", n, cut, inTop)
+		}
 	}
 }
 

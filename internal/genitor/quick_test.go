@@ -30,7 +30,7 @@ func (permPair) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickReorderTop(t *testing.T) {
 	f := func(p permPair) bool {
 		n := len(p.A)
-		child := reorderTop(p.A, p.B, p.Cut)
+		child := reorderTop(p.A, p.B, p.Cut, make([]bool, n))
 		if !IsPermutation(child, n) {
 			return false
 		}

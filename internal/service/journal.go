@@ -16,16 +16,19 @@
 //     DigestEvery records the full feasibility.StateDigest is embedded too, so
 //     replay divergence is caught within a bounded window without paying the
 //     O(state) digest on every append.
-//   - Replay goes through the same applyOp dispatch as live serving, on the
-//     mutation the journaled payload parses back to: a journaled admit is
-//     re-admitted by st.admit, and the chain check fails loudly if the
-//     outcome differs in any bit the decision exposes. The one exception is a
-//     journaled rejection of an admit or a rescale, which live serving rolled
-//     back bit-identically: replay runs the op's envelope checks and folds
-//     the rejection into the chain from the unchanged state, without placing
-//     or analysing anything (replayOp). So a binary that would now accept a
-//     journaled rejection recovers without noticing; the test oracle that
-//     re-decides every record is where that is checked.
+//   - Replay applies the mutation the journaled payload parses back to,
+//     trusting the journaled verdict (replayOp): the loop runs with no
+//     analyzer attached. A journaled acceptance of an admit, remove or
+//     rescale runs the live op's envelope check, placement and bookkeeping,
+//     but not the two-stage judgement; a journaled rejection of an admit or
+//     rescale, which live serving rolled back bit-identically, is folded into
+//     the chain from the unchanged state without placing anything. Faults and
+//     surge records go through the live applyOp. The chain check fails loudly
+//     if an outcome differs in any bit the decision exposes, and the embedded
+//     digests bound state drift. So a binary that would now decide a
+//     journaled op the other way recovers without noticing (a wrongly
+//     trusted acceptance then reads "feasible":false in GET /v1/state); the
+//     test oracle that re-decides every record is where that is checked.
 //
 // Compaction: every CompactEvery appended records the daemon writes an atomic
 // sidecar snapshot (<journal>.snap.json), truncates the journal, and writes a
@@ -146,8 +149,9 @@ type RecoveryReport struct {
 	SnapshotDigest string `json:"snapshotDigest"`
 	// Replayed counts records applied; Skipped counts records at or below the
 	// snapshot seq (present only after a crash between compaction snapshot
-	// and truncate). Rejected counts the replayed rejections folded in
-	// without being re-decided (see replayOp); they are in Replayed too.
+	// and truncate). Rejected counts the replayed rejections of an admit or a
+	// rescale, folded in without being re-decided (see replayOp); they are in
+	// Replayed too.
 	Replayed int `json:"replayed"`
 	Skipped  int `json:"skipped"`
 	Rejected int `json:"rejected"`
@@ -185,10 +189,9 @@ func journaledMutation(op string, payload []byte) (m mutation, err error) {
 	return m, nil
 }
 
-// applyOp dispatches one mutation. It is the entry point of every live
-// mutation, and of every replayed record but a rejected admit or rescale
-// (replayOp), which is what guarantees replay reproduces the live path's
-// state decision for decision.
+// applyOp dispatches one mutation: the entry point of every live mutation,
+// and of every replayed faults or surge record (replayOp), which is what
+// guarantees those replay the live path's state decision for decision.
 func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
 	switch m.op {
 	case opAdmit:
@@ -209,33 +212,64 @@ func (st *state) applyOp(m *mutation) (Decision, *ErrorEnvelope) {
 // journal does not record the reason it was first decided with.
 const replayedRejection = "rejected before the restart; replayed from the journal without re-deciding"
 
+// unplaceableAcceptance is the reason replayOp rejects a journaled acceptance
+// with when this binary's IMR finds no placement for it; Recover then fails
+// on the accepted bit.
+const unplaceableAcceptance = "accepted before the restart; this binary finds no placement on replay"
+
 // replayOp is applyOp for a journaled record that says whether the op was
-// accepted. A rejected admit or rescale left the state bit-identical when it
-// was decided, so it is folded in from the state as it stands: the op's
-// envelope checks, then the decision decide builds with the worth unchanged
-// — no placement, no analysis, no Undo. The caller still checks the chain,
-// which covers every field of that decision, and the embedded digests.
+// accepted, run with no analyzer attached: an admit, remove or rescale is
+// re-placed or folded in on the journal's verdict instead of being judged
+// again. Each runs the live op's envelope check, then
+//
+//   - a rejected admit or rescale, which live serving rolled back
+//     bit-identically, is folded in from the state as it stands: the
+//     decision decide builds with the worth unchanged, no placement;
+//   - an accepted one is placed (a rescale first lifts the string and
+//     recomputes its floats) and booked as the live op books it after
+//     Commit, with neither FeasibleAfterDelta nor Commit;
+//   - a remove, which live serving never rejects, is lifted and decided.
+//
+// A rejected rescale of an unmapped string, which live serving accepts
+// whatever the load, and a rejected remove are replayed as accepted, and an
+// acceptance this binary cannot place comes back rejected: the caller fails
+// on the accepted bit. Otherwise it checks the chain, which covers every
+// field of the decision, and the embedded digests. Faults and surge records
+// go through applyOp.
 func (st *state) replayOp(m *mutation, accepted bool) (Decision, *ErrorEnvelope) {
-	var e *ErrorEnvelope
-	switch {
-	case accepted:
-		return st.applyOp(m)
-	case m.op == opAdmit:
-		e = st.admitEnvelope(m.k)
-	case m.op == opRescale:
-		if _, e = st.rescaleEnvelope(m.k, m.factor); e == nil && !st.alloc.Complete(m.k) {
-			// Live serving accepts a rescale of an unmapped string whatever
-			// the load, so this binary did not journal the rejection: decide
-			// it, and the caller reports the divergence.
-			return st.rescale(m.k, m.factor)
+	switch m.op {
+	case opAdmit:
+		if e := st.admitEnvelope(m.k); e != nil {
+			return Decision{}, e
 		}
-	default:
-		return st.applyOp(m)
+		switch {
+		case !accepted:
+			return st.decide(opAdmit, m.k, st.worth, replayedRejection, nil), nil
+		case !st.place(m.k):
+			return st.decide(opAdmit, m.k, st.worth, unplaceableAcceptance, nil), nil
+		}
+		return st.admitted(m.k), nil
+	case opRemove:
+		worthBefore, e := st.lift(m.k)
+		if e != nil {
+			return Decision{}, e
+		}
+		return st.decide(opRemove, m.k, worthBefore, "", nil), nil
+	case opRescale:
+		scaled, e := st.rescaleEnvelope(m.k, m.factor)
+		switch {
+		case e != nil:
+			return Decision{}, e
+		case !st.alloc.Complete(m.k):
+			st.setScale(m.k, scaled)
+		case !accepted:
+			return st.decide(opRescale, m.k, st.worth, replayedRejection, nil), nil
+		case !st.replace(m.k, scaled):
+			return st.decide(opRescale, m.k, st.worth, unplaceableAcceptance, nil), nil
+		}
+		return st.rescaled(m.k, scaled), nil
 	}
-	if e != nil {
-		return Decision{}, e
-	}
-	return st.decide(m.op, m.k, st.worth, replayedRejection, nil), nil
+	return st.applyOp(m)
 }
 
 // mutateOp runs one mutation under the state mutex: apply, then journal before
@@ -381,10 +415,11 @@ func (st *state) bootstrapJournal() error {
 }
 
 // Recover rebuilds a Service from a journal and its sidecar snapshot: restore
-// the snapshot, replay the journal tail through the normal op dispatch (a
-// rejected admit or rescale folded in without being re-decided, see
-// replayOp), and verify every record's chain check (plus the periodic full
-// state digests) along the way.
+// the snapshot, replay the journal tail on the journaled verdicts with no
+// analyzer attached (an accepted admit, remove or rescale re-placed and a
+// rejected one folded in, neither judged again; see replayOp), and verify
+// every record's chain check (plus the periodic full state digests) along the
+// way. The analyzer is attached once, after the loop.
 //
 // A torn tail — the debris of a crash mid-append — is truncated and reported
 // in the RecoveryReport. Mid-log corruption surfaces as *journal.CorruptError,
@@ -409,9 +444,9 @@ func Recover(journalPath string, cfg Config) (*Service, *RecoveryReport, error) 
 		return nil, nil, fmt.Errorf("service: recover: %w", err)
 	}
 	st.chain = file.Chain
-	// Replay drives the real op methods, which need the analyzer and the
-	// worth mirrors that startService would otherwise attach after the fact.
-	st.da = feasibility.Track(st.alloc)
+	// Replay books into the worth mirrors as the live ops do. It runs with no
+	// analyzer attached (replayOp); startService attaches one after the loop,
+	// the one Rebase a restart pays.
 	st.recount()
 	w, scan, err := journal.Open(journalPath, st.journalOptions())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,19 +13,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/feasibility"
 	"repro/internal/journal"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// redecide is the oracle for Recover's trust in a journaled rejection. It
-// restores the sidecar and sends every record through applyOp — a rejected
-// admit or rescale decided again, as Recover did before it folded them in —
-// and requires after each record the journaled accepted bit, chain value and
-// embedded digest, and after each rejected admit or rescale an allocation
-// whose whole-text digest did not move. It returns how many such rejections
-// it re-decided and the digest it ends on.
+var paperRecords = flag.Int("service.paper-records", 3000,
+	"records in TestReplayTrustsPaperRejections's `paper` journal (CI runs 20 000 nightly)")
+
+// redecide is the oracle for Recover's trust in the journal's verdicts. It
+// restores the sidecar, attaches the analyzer, and sends every record through
+// applyOp, so every admit, remove and rescale is judged again, and requires
+// after each record the journaled accepted bit, chain value and embedded
+// digest, and after each rejected admit or rescale an allocation whose
+// whole-text digest did not move. It returns how many such rejections it
+// re-decided and the digest it ends on.
 func redecide(t *testing.T, journalPath string, cfg Config) (rejected int, digest string, err error) {
 	t.Helper()
 	snapPath := JournalSnapshotPath(journalPath)
@@ -86,10 +92,14 @@ func redecide(t *testing.T, journalPath string, cfg Config) (rejected int, diges
 }
 
 // checkReplays recovers the journal at path and re-decides it with the
-// oracle, and requires both to land on want's seq and digest with the same
-// number of rejections. It returns the recovered service.
-func checkReplays(t *testing.T, path string, cfg Config, want StateResponse) (*Service, *RecoveryReport) {
+// oracle, and requires both to land on the seq and digest of live, the live
+// daemon's GET /v1/state body, with the same number of rejections, and the
+// recovered daemon's GET /v1/state to read live byte for byte — its
+// committed verdict ("feasible") included, which the analyzer attached after
+// replay computes afresh. It returns the recovered service.
+func checkReplays(t *testing.T, path string, cfg Config, live []byte) (*Service, *RecoveryReport) {
 	t.Helper()
+	want := decodeState(t, live)
 	rejected, digest, err := redecide(t, path, cfg)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
@@ -106,17 +116,21 @@ func checkReplays(t *testing.T, path string, cfg Config, want StateResponse) (*S
 		t.Fatalf("recovered to seq %d digest %s with %d rejections trusted; want seq %d digest %s, %d re-decided",
 			rep.FinalSeq, rep.Digest, rep.Rejected, want.Seq, want.Digest, rejected)
 	}
+	if got := requireStateRead(t, svc, "recovered"); !bytes.Equal(got, live) {
+		t.Fatalf("recovered GET /v1/state\n got %s\nwant %s", got, live)
+	}
 	return svc, rep
 }
 
-// On shipbench's `paper` stream the oracle re-decides every trusted
-// rejection to the journaled outcome, Recover lands where the live daemon
-// stood, counting every record in Replayed and the rejections in Rejected
-// too, and GET /v1/events then shows each replayed rejection under its seq and
-// string with the documented reason and no violations.
+// On shipbench's `paper` stream the oracle re-decides every trusted verdict
+// to the journaled outcome, Recover lands where the live daemon stood,
+// counting every record in Replayed and the rejections in Rejected too, and
+// GET /v1/events then shows each replayed rejection under its seq and string
+// with the documented reason and no violations. -service.paper-records sizes
+// the journal.
 func TestReplayTrustsPaperRejections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "paper.wal")
-	decisions, digest := paperJournal(t, path, 3000)
+	decisions, live := paperJournal(t, path, *paperRecords)
 	rejections := 0
 	for _, d := range decisions {
 		if !d.Accepted {
@@ -126,7 +140,7 @@ func TestReplayTrustsPaperRejections(t *testing.T) {
 	if rejections < len(decisions)/4 {
 		t.Fatalf("%d of %d decisions rejected: too few to exercise the fold", rejections, len(decisions))
 	}
-	svc, rep := checkReplays(t, path, Config{}, StateResponse{Seq: uint64(len(decisions)), Digest: digest})
+	svc, rep := checkReplays(t, path, Config{}, live)
 	if rep.Replayed != len(decisions) || rep.Rejected != rejections {
 		t.Fatalf("report: %d replayed, %d rejected; want %d and %d", rep.Replayed, rep.Rejected, len(decisions), rejections)
 	}
@@ -183,9 +197,9 @@ func TestReplayTrustsModelStreamRejections(t *testing.T) {
 	if admits == 0 || rescales == 0 {
 		t.Fatalf("%d rejected admits, %d rejected rescales: the stream must reject both", admits, rescales)
 	}
-	want := stateOf(t, svc)
+	live := requireStateRead(t, svc, "model stream")
 	svc.Close()
-	_, rep := checkReplays(t, path, Config{DigestEvery: 16}, want)
+	_, rep := checkReplays(t, path, Config{DigestEvery: 16}, live)
 	if rep.Rejected != admits+rescales {
 		t.Fatalf("%d rejections trusted, want %d", rep.Rejected, admits+rescales)
 	}
@@ -240,6 +254,132 @@ func TestOracleCatchesARejectionThisBinaryWouldAccept(t *testing.T) {
 	}
 	if _, _, err := redecide(t, path, Config{}); err == nil || !strings.Contains(err.Error(), "re-decided accepted=true, journal accepted=false") {
 		t.Fatalf("oracle on the forged rejection: %v, want the accepted bits to differ", err)
+	}
+}
+
+// What trusting an acceptance gives up, pinned: an admit this binary rejects
+// for QoS, journaled as accepted and chained as replay reads it, recovers to
+// a state whose committed verdict reads infeasible — and the oracle is what
+// fails on it.
+func TestOracleCatchesAnAcceptanceThisBinaryWouldReject(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "paper.wal")
+	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
+	svc, err := New(Config{System: sys, Journal: path, Fsync: journal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, rejections := -1, 0
+	for j := 0; j < len(sys.Strings) && k < 0; j++ {
+		d, err := svc.Admit(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Accepted {
+			rejections++
+			if len(d.Violations) > 0 {
+				k = j
+			}
+		}
+	}
+	if k < 0 {
+		t.Fatal("the paper ship rejected no admit for QoS")
+	}
+	var d Decision
+	var prev string
+	if err := svc.exec(func(st *state) {
+		prev = st.chain
+		if !st.place(k) || st.da.FeasibleAfterDelta() {
+			t.Errorf("string %d placed feasibly on the second try", k)
+		}
+		st.da.Commit()
+		d = st.admitted(k)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	forgeRecord(t, path, opAdmit, fmt.Sprintf(`{"stringId":%d}`, k), &d, prev)
+
+	rec, rep, err := Recover(path, Config{})
+	if err != nil {
+		t.Fatalf("recover the forged acceptance: %v", err)
+	}
+	defer rec.Close()
+	if rep.FinalSeq != d.Seq || rep.Rejected != rejections {
+		t.Fatalf("report %+v, want seq %d with %d rejections trusted", rep, d.Seq, rejections)
+	}
+	if got := decodeState(t, requireStateRead(t, rec, "recovered")); got.Feasible || got.MappedCount != d.Mapped {
+		t.Fatalf("recovered state reads feasible=%v with %d mapped, want infeasible with %d", got.Feasible, got.MappedCount, d.Mapped)
+	}
+	if _, _, err := redecide(t, path, Config{}); err == nil || !strings.Contains(err.Error(), "re-decided accepted=false, journal accepted=true") {
+		t.Fatalf("oracle on the forged acceptance: %v, want the accepted bits to differ", err)
+	}
+}
+
+// An acceptance this binary cannot place is not trusted: with every machine
+// down the IMR finds no placement, replay yields the rejection, and Recover
+// fails on the accepted bit.
+func TestRecoverRefusesAnUnplaceableAcceptance(t *testing.T) {
+	svc, path := journaledService(t, 4, Config{})
+	mustAdmit(t, svc, 0)
+	var down FaultsRequest
+	for j := 0; j < 4; j++ {
+		down.Fail = append(down.Fail, faults.Machine(j))
+	}
+	d, err := svc.Faults(down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	forgeRecord(t, path, opAdmit, `{"stringId":1}`, &Decision{Seq: d.Seq + 1, Op: opAdmit, Accepted: true, StringID: 1}, "")
+	_, _, err = Recover(path, Config{})
+	var re *ReplayError
+	if !errors.As(err, &re) || !strings.Contains(re.Reason, "decision diverged: replay accepted=false, journal accepted=true") {
+		t.Fatalf("error = %v, want a *ReplayError on the accepted bit", err)
+	}
+}
+
+// Replay judges nothing: over the `paper` stream a restart runs no delta
+// evaluation and one rebase, startService's attach after the loop. A faults
+// record adds one, the analyzer dynamic.Survive attaches to the untracked
+// allocation; live, Survive reused the daemon's.
+func TestReplayRunsNoEvaluation(t *testing.T) {
+	recoverCounts := func(path string) (evals, rebases int64) {
+		t.Helper()
+		prev := telemetry.Active()
+		reg := telemetry.Enable()
+		rec, _, err := Recover(path, Config{})
+		telemetry.EnableRegistry(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Close()
+		return reg.Counter("feasibility.delta.evals").Value(), reg.Counter("feasibility.delta.rebases").Value()
+	}
+	path := filepath.Join(t.TempDir(), "paper.wal")
+	decisions, _ := paperJournal(t, path, 600)
+	accepted := 0
+	for _, d := range decisions {
+		if d.Accepted {
+			accepted++
+		}
+	}
+	if evals, rebases := recoverCounts(path); evals != 0 || rebases != 1 || accepted == 0 {
+		t.Fatalf("replaying %d accepted records ran %d evaluations and %d rebases, want 0 and 1", accepted, evals, rebases)
+	}
+
+	svc, path := journaledService(t, 6, Config{})
+	for k := 0; k < 4; k++ {
+		mustAdmit(t, svc, k)
+	}
+	for _, req := range []FaultsRequest{{Fail: []faults.Resource{faults.Machine(1)}}, {Repair: []faults.Resource{faults.Machine(1)}}} {
+		if _, err := svc.Faults(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAdmit(t, svc, 4)
+	svc.Close()
+	if _, rebases := recoverCounts(path); rebases != 3 {
+		t.Fatalf("replaying two faults records ran %d rebases, want 3", rebases)
 	}
 }
 

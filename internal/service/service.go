@@ -6,7 +6,9 @@
 // (rejected, bit-identical rollback), so the next operation always starts from
 // a settled base. The serve path never runs a full two-stage re-analysis and
 // never rebases the analyzer; the full analysis is the oracle the lockstep
-// test in model_test.go re-runs from scratch beside it.
+// test in model_test.go re-runs from scratch beside it. Journal replay is the
+// one place the state runs without an analyzer (st.da nil): it applies the
+// journaled verdicts instead of judging again (replayOp in journal.go).
 package service
 
 import (
@@ -211,8 +213,8 @@ func New(cfg Config) (*Service, error) {
 
 // startService attaches the analyzer (the one startup rebase), bootstraps the
 // journal when configured, and solves the initial LP bound. Shared by New,
-// Restore, and Recover (which arrives with the analyzer and journal writer
-// already attached).
+// Restore, and Recover (which arrives with the journal writer already
+// attached and the journal replayed).
 func startService(st *state) (*Service, error) {
 	if st.da = st.alloc.Tracker(); st.da == nil {
 		st.da = feasibility.Track(st.alloc)
@@ -522,8 +524,8 @@ func (st *state) decide(op string, k int, worthBefore float64, reason string, vi
 }
 
 // admitEnvelope is the admit's envelope check: an unknown or already mapped
-// string is an error, never a decision. Replay runs it on a journaled
-// rejection too, which it folds in without deciding it again (replayOp).
+// string is an error, never a decision. Replay runs it on every journaled
+// admit, which it places or folds in without deciding it again (replayOp).
 func (st *state) admitEnvelope(k int) *ErrorEnvelope {
 	if e := st.checkString(k); e != nil {
 		return e
@@ -538,37 +540,56 @@ func (st *state) admit(k int) (Decision, *ErrorEnvelope) {
 	if e := st.admitEnvelope(k); e != nil {
 		return Decision{}, e
 	}
-	worthBefore := st.worth
 	if !st.place(k) {
 		// The window must end in Commit or Undo; Undo unassigns the partial
 		// placement again, each Unassign repricing its roster tails.
 		st.da.Undo()
-		return st.decide("admit", k, worthBefore, "no feasible placement on surviving resources", nil), nil
+		return st.decide(opAdmit, k, st.worth, "no feasible placement on surviving resources", nil), nil
 	}
 	if !st.da.FeasibleAfterDelta() {
 		viol := st.da.ViolationsAfterDelta()
 		st.da.Undo()
-		return st.decide("admit", k, worthBefore, "placement violates QoS of co-resident strings", viol), nil
+		return st.decide(opAdmit, k, st.worth, "placement violates QoS of co-resident strings", viol), nil
 	}
 	st.da.Commit()
+	return st.admitted(k), nil
+}
+
+// admitted books string k, placed by an accepted admit, into the worth
+// mirrors and decides the admit. The live admit reaches it after Commit,
+// replay straight after the placement (replayOp).
+func (st *state) admitted(k int) Decision {
+	worthBefore := st.worth
 	st.worth += st.sys.Strings[k].Worth
 	st.nMapped++
-	return st.decide("admit", k, worthBefore, "", nil), nil
+	return st.decide(opAdmit, k, worthBefore, "", nil)
 }
 
 func (st *state) remove(k int) (Decision, *ErrorEnvelope) {
-	if e := st.checkString(k); e != nil {
+	worthBefore, e := st.lift(k)
+	if e != nil {
 		return Decision{}, e
 	}
+	st.da.Commit()
+	return st.decide(opRemove, k, worthBefore, "", nil), nil
+}
+
+// lift is the remove's envelope check — a known, mapped string — and its
+// mutation: string k unassigned and taken out of the worth mirrors. It
+// returns the worth before. Replay lifts a journaled remove the same way and
+// commits nothing (replayOp).
+func (st *state) lift(k int) (float64, *ErrorEnvelope) {
+	if e := st.checkString(k); e != nil {
+		return 0, e
+	}
 	if !st.alloc.Complete(k) {
-		return Decision{}, Errorf(CodeConflict, nil, "string %d is not mapped", k)
+		return 0, Errorf(CodeConflict, nil, "string %d is not mapped", k)
 	}
 	worthBefore := st.worth
 	st.alloc.UnassignString(k)
 	st.worth -= st.sys.Strings[k].Worth
 	st.nMapped--
-	st.da.Commit()
-	return st.decide("remove", k, worthBefore, "", nil), nil
+	return worthBefore, nil
 }
 
 // setScale recomputes string k's view floats from base at scale g. Safe only
@@ -582,7 +603,7 @@ func (st *state) setScale(k int, g float64) {
 
 // rescaleEnvelope is the rescale's envelope check — a known string, a finite
 // positive factor and a finite positive scale after it — and returns that
-// scale. Replay runs it on a journaled rejection too (replayOp).
+// scale. Replay runs it on every journaled rescale (replayOp).
 func (st *state) rescaleEnvelope(k int, factor float64) (float64, *ErrorEnvelope) {
 	if e := st.checkString(k); e != nil {
 		return 0, e
@@ -603,26 +624,15 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	if e != nil {
 		return Decision{}, e
 	}
-	worthBefore := st.worth
 	if !st.alloc.Complete(k) {
 		// Catalog-only change; nothing placed, nothing to evaluate.
 		st.setScale(k, scaled)
-		st.scale[k] = scaled
-		if st.cfg.LPBound {
-			st.solveBound()
-		}
-		return st.decide("rescale", k, worthBefore, "", nil), nil
+		return st.rescaled(k, scaled), nil
 	}
-	st.alloc.UnassignString(k)
-	st.setScale(k, scaled)
-	placed := st.place(k)
+	placed := st.replace(k, scaled)
 	if placed && st.da.FeasibleAfterDelta() {
 		st.da.Commit()
-		st.scale[k] = scaled
-		if st.cfg.LPBound {
-			st.solveBound()
-		}
-		return st.decide("rescale", k, worthBefore, "", nil), nil
+		return st.rescaled(k, scaled), nil
 	}
 	var viol []feasibility.Violation
 	reason := "no feasible placement for rescaled demand"
@@ -635,7 +645,27 @@ func (st *state) rescale(k int, factor float64) (Decision, *ErrorEnvelope) {
 	// machines and prices it at the floats it finds, so the order matters.
 	st.setScale(k, st.scale[k])
 	st.da.Undo()
-	return st.decide("rescale", k, worthBefore, reason, viol), nil
+	return st.decide(opRescale, k, st.worth, reason, viol), nil
+}
+
+// replace is a mapped string's rescale: string k lifted off its machines, its
+// view floats recomputed at scale g, and the IMR run on it again. It reports
+// whether the IMR placed it.
+func (st *state) replace(k int, g float64) bool {
+	st.alloc.UnassignString(k)
+	st.setScale(k, g)
+	return st.place(k)
+}
+
+// rescaled puts scale g, which string k's view floats already read, in force
+// and decides the accepted rescale. The live rescale reaches it after Commit
+// (or with nothing placed), replay straight after the placement (replayOp).
+func (st *state) rescaled(k int, g float64) Decision {
+	st.scale[k] = g
+	if st.cfg.LPBound {
+		st.solveBound()
+	}
+	return st.decide(opRescale, k, st.worth, "", nil)
 }
 
 func (st *state) applyFaults(req *FaultsRequest) (Decision, *ErrorEnvelope) {
@@ -652,9 +682,11 @@ func (st *state) applyFaults(req *FaultsRequest) (Decision, *ErrorEnvelope) {
 	for _, r := range req.Repair {
 		st.down.Repair(r)
 	}
-	// Survive reuses the already-attached analyzer, so the fault path does
-	// not rebase; repaired resources become placeable again but previously
-	// shed strings are only re-admitted via explicit /v1/admit calls.
+	// Live, Survive reuses the attached analyzer, so the fault path does not
+	// rebase; on replay none is attached, and Survive attaches its own (one
+	// Rebase) and closes it again. Repaired resources become placeable again
+	// but previously shed strings are only re-admitted via explicit
+	// /v1/admit calls.
 	res, err := dynamic.Survive(st.alloc, st.down)
 	if err != nil {
 		if errors.Is(err, dynamic.ErrUnknownResource) {
@@ -690,9 +722,11 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 	if err != nil {
 		return Decision{}, Errorf(CodeInternal, nil, "adopt surge result: %v", err)
 	}
-	st.da.Close()
+	if st.da != nil { // nil in Recover's loop, which attaches one after it
+		st.da.Close()
+		st.da = feasibility.Track(fresh)
+	}
 	st.alloc = fresh
-	st.da = feasibility.Track(fresh)
 	st.recount()
 	d := FromOverload("surge", res)
 	return st.finish(&d), nil

@@ -240,7 +240,9 @@ func BenchmarkUpperBoundFull(b *testing.B) {
 // the sub-benchmarks — only wall clock changes — so worth/op doubles as a
 // determinism check. On a multi-core host the workersN variants spread the
 // trials over N goroutines; worker counts beyond the trial count add batched
-// candidate evaluation inside each trial.
+// candidate evaluation inside each trial. The fleet row is shipbench's plan
+// phase on its fleet ship in process: FleetConfig(128, 2), 40 iterations,
+// one trial, one worker, the search's tables built inside every op.
 func BenchmarkPSG(b *testing.B) {
 	sys := workload.MustGenerate(workload.ScenarioConfig(workload.HighlyLoaded), 1)
 	for _, workers := range []int{1, 2, 4} {
@@ -255,6 +257,19 @@ func BenchmarkPSG(b *testing.B) {
 			b.ReportMetric(total/float64(b.N), "worth/op")
 		})
 	}
+	fleet := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
+	b.Run("fleet", func(b *testing.B) {
+		total := 0.0
+		for i := 0; i < b.N; i++ {
+			cfg := heuristics.DefaultPSGConfig()
+			cfg.MaxIterations = 40
+			cfg.Trials = 1
+			cfg.Workers = 1
+			cfg.Seed = int64(i)
+			total += heuristics.Run("PSG", fleet, cfg).Metric.Worth
+		}
+		b.ReportMetric(total/float64(b.N), "worth/op")
+	})
 }
 
 // BenchmarkMapSequence contrasts the fresh-allocation decode path with the

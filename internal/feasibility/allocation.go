@@ -160,6 +160,10 @@ type Allocation struct {
 	terms   *telemetry.Counter // the tracker's wait_terms, kept through Undo; nil when untracked
 
 	tel allocTelemetry // shared hot-path counters; nil fields when disabled
+
+	// ident is the machines in index order, 0..M-1: the order PlacementScan
+	// visits them in without a scan order. Read-only; clones share it.
+	ident []int32
 }
 
 // allocTelemetry caches the feasibility counters once per Allocation so the
@@ -174,7 +178,8 @@ type allocTelemetry struct {
 
 	// PlacementScan's tallies, named for the routine that scans (the IMR of
 	// package heuristics): routesPriced / scans is how many candidates the
-	// bound lets through, machinesRead / scans is M.
+	// bound lets through; machinesRead counts the machine terms computed,
+	// M a scan in index order and fewer in a scan order that stops early.
 	imrScans        *telemetry.Counter
 	imrMachinesRead *telemetry.Counter
 	imrRoutesPriced *telemetry.Counter
@@ -226,6 +231,10 @@ func New(sys *model.System) *Allocation {
 		tightness:   make([]float64, len(sys.Strings)),
 		bind:        emptyBinding,
 		tel:         newAllocTelemetry(),
+		ident:       make([]int32, m),
+	}
+	for j := range a.ident {
+		a.ident[j] = int32(j)
 	}
 	for k := range sys.Strings {
 		a.machineOf[k] = make([]int, len(sys.Strings[k].Apps))
@@ -799,26 +808,52 @@ func (a *Allocation) RouteUtilizationIf(j1, j2, k, i int) float64 {
 // Every value is the one MachineUtilizationIf and RouteUtilizationIf return,
 // computed by the same floating-point operations in the same order with the
 // period, the producer's transfer demand and the neighbour's machine read
-// once. A machine whose own term already ties or exceeds the incumbent is
-// passed over before its masks and its route are looked at: max(mu, ru) >= mu
-// >= best cannot beat an incumbent that wins ties (nor can max with a NaN
-// route term, which is NaN), and >= is false on a NaN mu or best, so exactly
-// the machines that could never be selected are skipped. The scan allocates
+// once. A machine whose own term mu loses to the incumbent — exceeds it, or
+// ties it at a higher index — is passed over before its masks and its route
+// are looked at: max(mu, ru) >= mu cannot beat it (nor can max with a NaN
+// route term, which is NaN), and the comparisons are false on a NaN mu or
+// best, so exactly the machines that could never be selected are skipped.
+//
+// A nil order visits the machines in index order. A scan order (built over
+// this allocation's system, valid while its floats stand) visits them
+// cheapest own work first and stops at the first machine whose term
+// c = t·u/P alone exceeds the incumbent: c never decreases along the order,
+// and u >= 0 makes every later mu = fl(u + c) >= c, so no later machine can
+// win or tie. The choice is the same either way; heuristics.imr.machines_read
+// counts the machine terms computed, M in index order. The scan allocates
 // nothing.
-func (a *Allocation) PlacementScan(k, i, nb int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
+func (a *Allocation) PlacementScan(k, i, nb int, order *ScanOrder, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
 	s := &a.sys.Strings[k]
 	period := s.Period
 	util := a.machineUtil
-	times, utils := s.Apps[i].NominalTime[:len(util)], s.Apps[i].NominalUtil[:len(util)]
+	m := len(util)
+	times, utils := s.Apps[i].NominalTime[:m], s.Apps[i].NominalUtil[:m]
+	// The scan stops at a term above stop: the incumbent plus lim, which is
+	// +Inf in index order, where no term ends the scan.
+	row, lim := a.ident, math.Inf(1)
+	if order != nil {
+		if order.sys != a.sys {
+			panic("feasibility: PlacementScan given a scan order built over another system")
+		}
+		row, lim = order.Row(k, i), 0
+	}
 	nbJ, demand := Unassigned, 0.0
 	if nb >= 0 {
 		nbJ = a.machineOf[k][nb]
 		demand = model.DemandMbps(s.Apps[min(i, nb)].OutputKB, period)
 	}
-	bestJ, best, priced := -1, 0.0, 0
-	for j, u := range util {
-		mu := u + times[j]*utils[j]/period
-		if bestJ >= 0 && mu >= best {
+	// bestJ == m while there is no incumbent: every machine beats best = +Inf
+	// or ties it at a lower index, a NaN term included.
+	bestJ, best, stop, priced, read := m, math.Inf(1), math.Inf(1), 0, m
+	for n, j32 := range row[:m] {
+		j := int(j32)
+		c := times[j] * utils[j] / period
+		if c > stop {
+			read = n + 1
+			break
+		}
+		mu := util[j] + c
+		if mu > best || mu == best && j > bestJ {
 			continue
 		}
 		if machineOK != nil && !machineOK(j) {
@@ -842,13 +877,16 @@ func (a *Allocation) PlacementScan(k, i, nb int, machineOK func(j int) bool, rou
 				v = ru
 			}
 		}
-		if bestJ < 0 || v < best {
-			bestJ, best = j, v
+		if bestJ == m || v < best || v == best && j < bestJ {
+			bestJ, best, stop = j, v, v+lim
 		}
 	}
 	a.tel.imrScans.Inc()
-	a.tel.imrMachinesRead.Add(int64(len(util)))
+	a.tel.imrMachinesRead.Add(int64(read))
 	a.tel.imrRoutesPriced.Add(int64(priced))
+	if bestJ == m {
+		return -1
+	}
 	return bestJ
 }
 
@@ -905,6 +943,7 @@ func (a *Allocation) Clone() *Allocation {
 		tightness:   append([]float64(nil), a.tightness...),
 		bind:        a.bind,
 		tel:         a.tel,
+		ident:       a.ident,
 	}
 	for k := range a.machineOf {
 		cp.machineOf[k] = append([]int(nil), a.machineOf[k]...)

@@ -106,13 +106,13 @@ func (m *decodeMemo) store(key []byte, fit genitor.Fitness) {
 // the other lanes of its trial. A seqDecoder must only be used by one
 // goroutine at a time (the engine guarantees this per lane).
 type seqDecoder struct {
-	sys       *model.System
-	scratch   *feasibility.Allocation
-	delta     *feasibility.DeltaAnalyzer // persistent tracker over scratch
-	intensity [][]float64                // imrIntensities(sys), shared by the bank's lanes
-	score     scoreFunc
-	memo      *decodeMemo
-	key       []byte // reusable memo-key encoding buffer
+	sys     *model.System
+	scratch *feasibility.Allocation
+	delta   *feasibility.DeltaAnalyzer // persistent tracker over scratch
+	tables  searchTables               // the search's, shared by every trial and lane
+	score   scoreFunc
+	memo    *decodeMemo
+	key     []byte // reusable memo-key encoding buffer
 
 	// Shared memo counters; nil (no-op) when telemetry is disabled, so the
 	// per-decode overhead is a nil check — pinned by
@@ -122,30 +122,31 @@ type seqDecoder struct {
 }
 
 // newDecoderBank builds the evaluator lanes for one GENITOR trial: each lane
-// gets its own scratch allocation, all lanes share one memo and one table of
-// IMR intensities (read-only once built).
-func newDecoderBank(sys *model.System, score scoreFunc, lanes int) []genitor.Evaluator {
+// gets its own scratch allocation, all lanes share one memo, and every trial
+// of the search reads the same tables (read-only once built).
+func newDecoderBank(sys *model.System, score scoreFunc, lanes int, tables searchTables) []genitor.Evaluator {
 	memo := newDecodeMemo(len(sys.Strings))
-	intensity := imrIntensities(sys)
-	hit := telemetry.C("heuristics.decode.memo_hit")
-	miss := telemetry.C("heuristics.decode.memo_miss")
 	evals := make([]genitor.Evaluator, lanes)
 	for i := range evals {
-		scratch := feasibility.New(sys)
-		d := &seqDecoder{
-			sys:       sys,
-			scratch:   scratch,
-			delta:     feasibility.Track(scratch),
-			intensity: intensity,
-			score:     score,
-			memo:      memo,
-			key:       make([]byte, 0, memo.width*len(sys.Strings)),
-			memoHit:   hit,
-			memoMiss:  miss,
-		}
-		evals[i] = d.fitness
+		evals[i] = newSeqDecoder(sys, score, memo, tables).fitness
 	}
 	return evals
+}
+
+// newSeqDecoder builds one lane over a fresh tracked scratch allocation.
+func newSeqDecoder(sys *model.System, score scoreFunc, memo *decodeMemo, tables searchTables) *seqDecoder {
+	scratch := feasibility.New(sys)
+	return &seqDecoder{
+		sys:      sys,
+		scratch:  scratch,
+		delta:    feasibility.Track(scratch),
+		tables:   tables,
+		score:    score,
+		memo:     memo,
+		key:      make([]byte, 0, memo.width*len(sys.Strings)),
+		memoHit:  telemetry.C("heuristics.decode.memo_hit"),
+		memoMiss: telemetry.C("heuristics.decode.memo_miss"),
+	}
 }
 
 // fitness decodes the permutation with the stop-on-failure semantics of
@@ -159,7 +160,7 @@ func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
 		return fit
 	}
 	d.memoMiss.Inc()
-	consumed := decodeDelta(d.delta, d.scratch, perm, d.intensity)
+	consumed := decodeDelta(d.delta, d.scratch, perm, d.tables)
 	fit := d.score(d.scratch)
 	d.memo.store(d.key[:d.memo.width*consumed], fit)
 	return fit
@@ -168,18 +169,12 @@ func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
 // decodeDelta is the stop-on-failure mapOrder over the tracked scratch
 // allocation, Reset first (which rebases the analyzer onto the empty committed
 // state); it returns how many order entries were consumed. After the call,
-// exactly the feasibly mapped strings are Complete in the scratch. intensity
-// is imrIntensities of the system, or nil to have each placement average its
-// own.
-func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int, intensity [][]float64) int {
+// exactly the feasibly mapped strings are Complete in the scratch. tables are
+// the search's, or the zero value to have each placement average its own
+// intensities and scan in index order.
+func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int, tables searchTables) int {
 	a.Reset()
-	consumed, _ := mapOrder(da, order, false, func(k int) {
-		var row []float64
-		if intensity != nil {
-			row = intensity[k]
-		}
-		mapStringIMR(a, k, row, nil, nil)
-	})
+	consumed, _ := mapOrder(da, order, false, func(k int) { tables.place(a, k) })
 	return consumed
 }
 
@@ -198,6 +193,6 @@ func MapSequenceInto(scratch *feasibility.Allocation, order []int) feasibility.M
 		da = feasibility.Track(scratch)
 		defer da.Close()
 	}
-	decodeDelta(da, scratch, order, nil)
+	decodeDelta(da, scratch, order, searchTables{})
 	return scratch.Metric()
 }

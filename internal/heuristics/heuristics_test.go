@@ -114,12 +114,13 @@ func TestIMRAssignsEveryApplication(t *testing.T) {
 		if got, want := a.StringMachines(0), sliceIMR(feasibility.New(sys), 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: IMR placed %v, slice oracle %v", trial, got, want)
 		}
-		// A decoder bank's precomputed row places exactly as the routine that
-		// averages for itself.
+		// A decoder bank's tables — a precomputed intensity row and a scan
+		// order — place exactly as the routine that averages for itself and
+		// scans in index order.
 		b := feasibility.New(sys)
-		mapStringIMR(b, 0, imrIntensities(sys)[0], nil, nil)
+		newSearchTables(sys).place(b, 0)
 		if got, want := b.StringMachines(0), a.StringMachines(0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: IMR over a precomputed intensity row placed %v, MapStringIMR %v", trial, got, want)
+			t.Fatalf("trial %d: IMR over a search's tables placed %v, MapStringIMR %v", trial, got, want)
 		}
 		// A mask that allows no machine fails the first scan; one that closes
 		// every machine once application 0 or n-1 is placed fails the

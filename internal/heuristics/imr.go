@@ -36,15 +36,16 @@ func MapStringIMR(a *feasibility.Allocation, k int) {
 // was found; on failure the string is left completely unassigned. With nil
 // masks it never fails and is exactly MapStringIMR.
 func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
-	return mapStringIMR(a, k, nil, machineOK, routeOK)
+	return mapStringIMR(a, k, nil, nil, machineOK, routeOK)
 }
 
 // mapStringIMR is MapStringIMRMasked given string k's row of imrIntensities,
-// or nil to average over the machines here: the walk with the flat chooser,
-// Allocation.PlacementScan under the masks.
-func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
+// or nil to average over the machines here, and a scan order over the
+// allocation's system, or nil to scan in index order: the walk with the flat
+// chooser, Allocation.PlacementScan under the masks.
+func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, order *feasibility.ScanOrder, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
 	return walkIMR(a, k, intensity, func(i, nb int) int {
-		return a.PlacementScan(k, i, nb, machineOK, routeOK)
+		return a.PlacementScan(k, i, nb, order, machineOK, routeOK)
 	})
 }
 
@@ -59,10 +60,24 @@ func MapStringWith(a *feasibility.Allocation, k int, choose func(i, nb int) int)
 	return walkIMR(a, k, nil, choose)
 }
 
+// searchTables are the IMR's constants of a catalog for as long as its floats
+// stand: every application's machine-averaged intensity, row k holding string
+// k's, and the order its PlacementScans visit machines in. A search places the
+// same strings thousands of times over a catalog that does not change, so it
+// builds them once and every trial and lane reads them; the service cannot,
+// since a rescale moves the floats. The zero value has neither: each placement
+// averages its own intensities and scans in index order.
+type searchTables struct {
+	intensity [][]float64
+	order     *feasibility.ScanOrder
+}
+
+func newSearchTables(sys *model.System) searchTables {
+	return searchTables{intensity: imrIntensities(sys), order: feasibility.NewScanOrder(sys)}
+}
+
 // imrIntensities returns every application's machine-averaged intensity, row
-// k holding string k's: constants of the system for as long as its catalog
-// floats stand, so a search that places the same strings thousands of times
-// (a decoder bank) computes them once. The service cannot: a rescale moves them.
+// k holding string k's.
 func imrIntensities(sys *model.System) [][]float64 {
 	rows := make([][]float64, len(sys.Strings))
 	for k := range rows {
@@ -72,6 +87,15 @@ func imrIntensities(sys *model.System) [][]float64 {
 		}
 	}
 	return rows
+}
+
+// place is mapStringIMR of string k with the tables' rows.
+func (t searchTables) place(a *feasibility.Allocation, k int) {
+	var row []float64
+	if t.intensity != nil {
+		row = t.intensity[k]
+	}
+	mapStringIMR(a, k, row, t.order, nil, nil)
 }
 
 // walkIMR is the one IMR walk; intensity is string k's row of imrIntensities,

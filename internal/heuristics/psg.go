@@ -162,6 +162,7 @@ func psgRun(ctx context.Context, sys *model.System, cfg PSGConfig, name string, 
 		cp    *genitor.Checkpoint // non-nil when the trial stopped resumably
 	}
 	outs := make([]trialOut, cfg.Trials)
+	tables := newSearchTables(sys)
 	mapErr := workers.Map(n, cfg.Trials, func(trial int) {
 		if prior != nil && trial < len(prior.Trials) && prior.Trials[trial].Done {
 			t := prior.Trials[trial]
@@ -172,14 +173,14 @@ func psgRun(ctx context.Context, sys *model.System, cfg PSGConfig, name string, 
 		var eng *genitor.Engine
 		var err error
 		if prior != nil && trial < len(prior.Trials) && prior.Trials[trial].Engine != nil {
-			eng, err = genitor.Restore(prior.Trials[trial].Engine, newDecoderBank(sys, score, lanes))
+			eng, err = genitor.Restore(prior.Trials[trial].Engine, newDecoderBank(sys, score, lanes, tables))
 		} else {
 			gcfg := cfg.Config
 			// Keyed derivation (root seed, psg-trial subsystem, trial index)
 			// gives every trial an independent stream; the engine re-keys the
 			// scalar under its own genitor label.
 			gcfg.Seed = rng.Key(cfg.Seed, rng.SubsystemPSGTrial, int64(trial)).Seed64()
-			eng, err = genitor.NewBatch(gcfg, len(sys.Strings), seeds, newDecoderBank(sys, score, lanes))
+			eng, err = genitor.NewBatch(gcfg, len(sys.Strings), seeds, newDecoderBank(sys, score, lanes, tables))
 		}
 		if err != nil {
 			// Configuration bugs and corrupt checkpoints that slipped past

@@ -66,11 +66,25 @@ func TestPSGMatchesWithTelemetryEnabled(t *testing.T) {
 				return
 			}
 			// The permutation-space heuristics place through the IMR, whose scan
-			// reads each machine once and prices a route for some of them.
+			// computes machine terms and prices a route for some of them. The
+			// final decode of the best order (MapSequence) scans in index order,
+			// M terms a scan, as a decode of the same order under a fresh
+			// registry reads back; the search's lanes scan in its scan order
+			// and stop early, at least one term a scan and fewer than M.
 			scans, read := snap.Counter("heuristics.imr.scans"), snap.Counter("heuristics.imr.machines_read")
 			priced := snap.Counter("heuristics.imr.routes_priced")
-			if scans == 0 || read != scans*int64(sys.Machines) || priced == 0 || priced > read {
-				t.Errorf("imr counters: %d scans read %d machines (M=%d) and priced %d routes", scans, read, sys.Machines, priced)
+			if scans == 0 || priced == 0 || priced > read {
+				t.Errorf("imr counters: %d scans computed %d machine terms (M=%d) and priced %d routes", scans, read, sys.Machines, priced)
+			}
+			final := telemetry.Enable()
+			MapSequence(sys, live.Order)
+			telemetry.EnableRegistry(reg)
+			fScans, fRead := final.Counter("heuristics.imr.scans").Value(), final.Counter("heuristics.imr.machines_read").Value()
+			if fScans == 0 || fRead != fScans*int64(sys.Machines) {
+				t.Errorf("final decode in index order: %d scans computed %d machine terms, want %d (M=%d)", fScans, fRead, fScans*int64(sys.Machines), sys.Machines)
+			}
+			if lScans, lRead := scans-fScans, read-fRead; lScans <= 0 || lRead < lScans || lRead >= lScans*int64(sys.Machines) {
+				t.Errorf("lanes in scan order: %d scans computed %d machine terms, want at least one and fewer than M=%d a scan", lScans, lRead, sys.Machines)
 			}
 			if got := snap.Counter("heuristics.psg.trials"); got != 2 {
 				t.Errorf("psg.trials counter = %d, want 2", got)
@@ -191,7 +205,7 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 	prev := telemetry.Active()
 	t.Cleanup(func() { telemetry.EnableRegistry(prev) })
 	check := func(label string) {
-		eval := newDecoderBank(sys, metricScore, 1)[0]
+		eval := newDecoderBank(sys, metricScore, 1, newSearchTables(sys))[0]
 		eval(perm) // warm the memo
 		if allocs := testing.AllocsPerRun(100, func() { eval(perm) }); allocs != 0 {
 			t.Errorf("%s: memo-hit decode costs %v allocations, want 0", label, allocs)
@@ -214,8 +228,8 @@ func TestDecodeMissAllocations(t *testing.T) {
 	scratch := feasibility.New(easySystem())
 	da := feasibility.Track(scratch)
 	perm := []int{0, 1, 2, 3}
-	decodeDelta(da, scratch, perm, nil) // grow the scratch and window buffers
-	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, nil) }); allocs != 0 {
+	decodeDelta(da, scratch, perm, searchTables{}) // grow the scratch and window buffers
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, searchTables{}) }); allocs != 0 {
 		t.Errorf("decode mapping every string costs %v allocations, want 0", allocs)
 	}
 	if scratch.NumComplete() != len(perm) {
@@ -229,9 +243,9 @@ func TestDecodeMissAllocations(t *testing.T) {
 	scratch = feasibility.New(hard)
 	da = feasibility.Track(scratch)
 	perm = []int{0, 1, 2, 3, 4}
-	intensity := imrIntensities(hard) // a decoder bank's form of the call
-	decodeDelta(da, scratch, perm, intensity)
-	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, intensity) }); allocs > 1 {
+	tables := newSearchTables(hard) // a decoder bank's form of the call
+	decodeDelta(da, scratch, perm, tables)
+	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, tables) }); allocs > 1 {
 		t.Errorf("decode stopping at an unmappable string costs %v allocations, want at most 1", allocs)
 	}
 	if scratch.NumComplete() != 4 {
@@ -245,7 +259,7 @@ func BenchmarkDecodeTelemetry(b *testing.B) {
 	sys := easySystem()
 	perm := []int{0, 1, 2, 3}
 	run := func(b *testing.B) {
-		eval := newDecoderBank(sys, metricScore, 1)[0]
+		eval := newDecoderBank(sys, metricScore, 1, newSearchTables(sys))[0]
 		eval(perm)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -164,6 +164,9 @@ type Allocation struct {
 	// ident is the machines in index order, 0..M-1: the order PlacementScan
 	// visits them in without a scan order. Read-only; clones share it.
 	ident []int32
+	// order is the scan order PlacementScan visits machines in, nil for index
+	// order (AttachScanOrder). Read-only; clones share it.
+	order *ScanOrder
 }
 
 // allocTelemetry caches the feasibility counters once per Allocation so the
@@ -795,6 +798,25 @@ func (a *Allocation) RouteUtilizationIf(j1, j2, k, i int) float64 {
 	return a.RouteUtilization(j1, j2) + a.sys.RouteDemandUtil(s.Apps[i].OutputKB, s.Period, j1, j2)
 }
 
+// AttachScanOrder makes o the order this allocation's PlacementScans visit
+// machines in, or restores index order when o is nil. o must have been built
+// over a.System(), or over the catalog a.System() is a model.ScaledView of
+// (the same shape, every NominalUtil row shared); AttachScanOrder panics
+// otherwise. The check walks every application once: attach an order once
+// per allocation, not per scan. Reset keeps the order and clones share it.
+func (a *Allocation) AttachScanOrder(o *ScanOrder) {
+	if o != nil && !o.fits(a.sys) {
+		panic("feasibility: AttachScanOrder given a scan order built over another catalog")
+	}
+	a.order = o
+}
+
+// scanMargin is the relative margin by which a machine's own term must exceed
+// the incumbent for a PlacementScan along a scan order to stop: 2⁻⁴⁷, eight
+// times the 2⁻⁵⁰ that the roundings between key order and scan term can
+// take away (see PlacementScan).
+const scanMargin = 0x1p-47
+
 // PlacementScan is the IMR's candidate selection (Section 5): the allowed
 // machine j minimizing max(U_machine[j, i, k], U_route) for application i of
 // string k, lowest index on ties, or -1 when the masks allow none. The route
@@ -814,28 +836,39 @@ func (a *Allocation) RouteUtilizationIf(j1, j2, k, i int) float64 {
 // route term, which is NaN), and the comparisons are false on a NaN mu or
 // best, so exactly the machines that could never be selected are skipped.
 //
-// A nil order visits the machines in index order. A scan order (built over
-// this allocation's system, valid while its floats stand) visits them
-// cheapest own work first and stops at the first machine whose term
-// c = t·u/P alone exceeds the incumbent: c never decreases along the order,
-// and u >= 0 makes every later mu = fl(u + c) >= c, so no later machine can
-// win or tie. The choice is the same either way; heuristics.imr.machines_read
-// counts the machine terms computed, M in index order. The scan allocates
-// nothing.
-func (a *Allocation) PlacementScan(k, i, nb int, order *ScanOrder, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
+// Without an attached scan order the machines are visited in index order.
+// Along one (AttachScanOrder) they are visited cheapest own work first, and
+// the scan stops at the first machine s whose term c = fl(fl(t'·u)/P) exceeds
+// the incumbent v by the margin, c > fl(v + fl(v·2⁻⁴⁷)), provided t'·u and c
+// are finite normal floats (t' >= t'·u is then normal too, u being in
+// (0, 1]). t' is the time the scan reads: t itself over the order's catalog,
+// fl(t·g) over a view of it at scale g. No later machine j can then win or
+// tie. The key order and the scan terms are eight roundings apart, each
+// within the unit roundoff ε = 2⁻⁵³ while its operands stay normal:
+// κ = fl(t·u) for s and for j (NewScanOrder holds keys normal), and t', t'·u
+// and c for s and for j, whose real values κ_j >= κ_s keeps at or above s's
+// normal ones (u <= 1), or +Inf when they overflow. So
+// c_j >= c_s·((1−ε)/(1+ε))⁴ > c_s·(1 − 2⁻⁵⁰), and c_s past the margin puts
+// c_s·(1 − 2⁻⁵⁰) above v — v·2⁻⁴⁷ rounds by under 2⁻⁶ of itself even below
+// the normal range, and a v below 2⁻¹⁰²²·(1 − 2⁻⁵⁰) is under every normal
+// c_s·(1 − 2⁻⁵⁰) — while a utilization U_j >= 0 makes mu_j = fl(U_j + c_j) >=
+// c_j, strictly above v. Where the guard fails (a scale overflowed t'·u to
+// +Inf, or pushed t'·u or c below the normal range, where rounding is
+// absolute) the scan goes on. The choice is the same in either order;
+// heuristics.imr.machines_read counts the machine terms computed, M in index
+// order. The scan allocates nothing.
+func (a *Allocation) PlacementScan(k, i, nb int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
 	s := &a.sys.Strings[k]
 	period := s.Period
 	util := a.machineUtil
 	m := len(util)
 	times, utils := s.Apps[i].NominalTime[:m], s.Apps[i].NominalUtil[:m]
-	// The scan stops at a term above stop: the incumbent plus lim, which is
-	// +Inf in index order, where no term ends the scan.
+	// The scan stops at a term above stop = v + v·lim, v the incumbent: lim is
+	// the margin along a scan order and +Inf in index order, where stop is
+	// +Inf or NaN and no term ends the scan.
 	row, lim := a.ident, math.Inf(1)
-	if order != nil {
-		if order.sys != a.sys {
-			panic("feasibility: PlacementScan given a scan order built over another system")
-		}
-		row, lim = order.Row(k, i), 0
+	if a.order != nil {
+		row, lim = a.order.Row(k, i), scanMargin
 	}
 	nbJ, demand := Unassigned, 0.0
 	if nb >= 0 {
@@ -847,8 +880,9 @@ func (a *Allocation) PlacementScan(k, i, nb int, order *ScanOrder, machineOK fun
 	bestJ, best, stop, priced, read := m, math.Inf(1), math.Inf(1), 0, m
 	for n, j32 := range row[:m] {
 		j := int(j32)
-		c := times[j] * utils[j] / period
-		if c > stop {
+		w := times[j] * utils[j]
+		c := w / period
+		if c > stop && normal(w) && normal(c) {
 			read = n + 1
 			break
 		}
@@ -878,7 +912,7 @@ func (a *Allocation) PlacementScan(k, i, nb int, order *ScanOrder, machineOK fun
 			}
 		}
 		if bestJ == m || v < best || v == best && j < bestJ {
-			bestJ, best, stop = j, v, v+lim
+			bestJ, best, stop = j, v, v+v*lim
 		}
 	}
 	a.tel.imrScans.Inc()
@@ -944,6 +978,7 @@ func (a *Allocation) Clone() *Allocation {
 		bind:        a.bind,
 		tel:         a.tel,
 		ident:       a.ident,
+		order:       a.order,
 	}
 	for k := range a.machineOf {
 		cp.machineOf[k] = append([]int(nil), a.machineOf[k]...)

@@ -69,6 +69,30 @@ func quantize(sys *model.System) {
 	}
 }
 
+// quantizeWork snaps every application's own work t·u to a coarse grid while
+// drawing its utilization from a few values, so that equal work comes from
+// different (t, u) pairs: keys within an ulp or two of each other, whose
+// order a scaled view's terms may not keep — the near ties the stop's margin
+// must absorb.
+func quantizeWork(rng *rand.Rand, sys *model.System) {
+	utils := []float64{1, 0.75, 0.6, 0.35}
+	for k := range sys.Strings {
+		for i := range sys.Strings[k].Apps {
+			app := &sys.Strings[k].Apps[i]
+			for j := range app.NominalTime {
+				u := utils[rng.Intn(len(utils))]
+				app.NominalTime[j] = (1 + math.Floor(app.NominalTime[j]/4)) / u
+				app.NominalUtil[j] = u
+			}
+		}
+	}
+}
+
+// isNormal reports whether x is a finite normal float, by magnitude.
+func isNormal(x float64) bool {
+	return math.Abs(x) >= 0x1p-1022 && math.Abs(x) <= math.MaxFloat64
+}
+
 // randomMasks draws a machine and a route mask: nil, or a fixed random subset
 // of the given density (0 masks everything).
 func randomMasks(rng *rand.Rand, m int) (func(j int) bool, func(j1, j2 int) bool) {
@@ -95,8 +119,10 @@ func randomMasks(rng *rand.Rand, m int) (func(j int) bool, func(j1, j2 int) bool
 // termsComputed is what a scan that chose winner must have added to
 // heuristics.imr.machines_read: every machine's term in index order (a nil
 // row), and along a scan order one past the first machine whose own term
-// t·u/P exceeds the winner's value — the first the scan stops at — or every
-// machine when none does or the masks left no winner.
+// c = t'·u/P, read from the allocation's floats, exceeds the winner's value v
+// by the margin, c > v + v·2⁻⁴⁷, with t'·u and c finite normal floats —
+// the first machine the scan stops at, whose incumbent is then v or above it
+// — or every machine when none does or the masks left no winner.
 func termsComputed(a *Allocation, k, i, nb int, row []int32, winner int) int64 {
 	m := a.System().Machines
 	if row == nil || winner < 0 {
@@ -115,7 +141,8 @@ func termsComputed(a *Allocation, k, i, nb int, row []int32, winner int) int64 {
 		}
 	}
 	for n, j := range row {
-		if app.NominalTime[j]*app.NominalUtil[j]/s.Period > v {
+		w := app.NominalTime[j] * app.NominalUtil[j]
+		if c := w / s.Period; c > v+v*0x1p-47 && isNormal(w) && isNormal(c) {
 			return int64(n + 1)
 		}
 	}
@@ -125,8 +152,8 @@ func termsComputed(a *Allocation, k, i, nb int, row []int32, winner int) int64 {
 // walkString places string k the way the IMR does — a first application, then
 // the contiguous region grown one application at a time to the left or the
 // right, here in random order — and holds every scan to the oracle, in index
-// order and in the given scan order, and its machines_read tally to
-// termsComputed. It stops, as the IMR does, at the first scan the masks leave
+// order and along the given scan order attached, and its machines_read tally
+// to termsComputed. It stops, as the IMR does, at the first scan the masks leave
 // without a machine, and reports how many scans it compared.
 func walkString(t *testing.T, label string, rng *rand.Rand, a *Allocation, k int, order *ScanOrder, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) int {
 	t.Helper()
@@ -140,8 +167,9 @@ func walkString(t *testing.T, label string, rng *rand.Rand, a *Allocation, k int
 			if o != nil {
 				path = "scan order"
 			}
+			a.AttachScanOrder(o)
 			before := read.Value()
-			if got := a.PlacementScan(k, i, nb, o, machineOK, routeOK); got != want {
+			if got := a.PlacementScan(k, i, nb, machineOK, routeOK); got != want {
 				t.Fatalf("%s, %s: string %d application %d (neighbour %d): PlacementScan chose machine %d, the naive scan %d",
 					label, path, k, i, nb, got, want)
 			}
@@ -177,42 +205,63 @@ func walkString(t *testing.T, label string, rng *rand.Rand, a *Allocation, k int
 	return scans
 }
 
-// TestPlacementScanMatchesNaive holds the bounded scan, in index order and in
-// a scan order, to the naive one on keyed-random ships of every size the
-// repository runs (a single machine, a pair, the paper's 12, the fleet's
+// TestPlacementScanMatchesNaive holds the bounded scan, in index order and
+// along a scan order, to the naive one on keyed-random ships of every size
+// the repository runs (a single machine, a pair, the paper's 12, the fleet's
 // 128): over partial allocations, first applications and both neighbour
 // directions, random machine and route masks down to all-masked (-1),
-// continuous and tie-heavy floats, and again after a fully unassigned
-// string's catalog floats were edited in place, the way a service rescale
-// does between UnassignString and the re-placement, the scan order rebuilt
-// after the edit.
+// continuous, tie-heavy and near-tie floats. Even trials scan over the
+// catalog the order was built from, as a decoder lane does, and again after
+// a fully unassigned string's floats were edited in place and the order
+// rebuilt. Odd trials scan over a model.ScaledView of it at scales in
+// [0.7, 3], as the service does, along the order over the catalog, and again
+// after the view's string was rescaled the way a service rescale does — to a
+// new scale in that range, to one that overflows its larger times to +Inf,
+// to one that pushes every t·u below the normal range with a period that
+// brings the terms back into it, and with a period that pushes the terms
+// below it — the order kept.
 func TestPlacementScanMatchesNaive(t *testing.T) {
 	prev := telemetry.Active()
 	telemetry.Enable() // before New: an allocation caches its counters
 	defer telemetry.EnableRegistry(prev)
+	read := telemetry.C("heuristics.imr.machines_read")
 	rng := rand.New(rand.NewSource(22))
 	for _, m := range []int{1, 2, 12, 128} {
-		scans, refused, stopped := 0, 0, int64(0)
-		for trial := 0; trial < 36; trial++ {
-			sys := randomSystem(rng, m, 10, 6)
+		scans, refused := 0, 0
+		var stopped [2]int64 // machine terms the stops saved, over the catalog and over views
+		for trial := 0; trial < 48; trial++ {
+			base := randomSystem(rng, m, 10, 6)
 			label := "continuous"
-			if trial%2 == 1 {
-				quantize(sys)
+			switch trial % 3 {
+			case 1:
+				quantize(base)
 				label = "quantized"
+			case 2:
+				quantizeWork(rng, base)
+				label = "quantized work"
 			}
-			if trial < 24 {
+			if trial < 32 {
 				// Routes as loaded as machines, so the route term decides
-				// often; past trial 24 machine terms decide, and the
+				// often; past trial 32 machine terms decide, and the
 				// ties between them a scan order visits out of index order.
-				heatUp(sys, 1, 30)
+				heatUp(base, 1, 30)
 			} else {
 				label += ", light routes"
 			}
-			a := New(sys)
-			order := NewScanOrder(sys)
+			order := NewScanOrder(base)
 			if order == nil {
 				t.Fatalf("M=%d: no scan order built over a valid ship", m)
 			}
+			sys, view := base, trial%2
+			if view == 1 {
+				scale := make([]float64, len(base.Strings))
+				for k := range scale {
+					scale[k] = 0.7 + 2.3*rng.Float64()
+				}
+				sys = model.ScaledView(base, scale)
+				label += ", scaled view"
+			}
+			a := New(sys)
 			// A partial allocation: most strings placed at random, some of
 			// them only in part.
 			for k := 1; k < len(sys.Strings); k++ {
@@ -222,20 +271,38 @@ func TestPlacementScanMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			for round := 0; round < 6; round++ {
+			for round := 0; round < 7; round++ {
 				machineOK, routeOK := randomMasks(rng, m)
-				if round >= 3 {
+				s := &sys.Strings[0]
+				switch {
+				case round < 3:
+				case view == 0:
 					// The rescale pattern: the string is out of every
 					// roster while its floats move.
-					s := &sys.Strings[0]
 					scaleDemand(s, 0.5+rng.Float64())
 					s.Period *= 0.5 + rng.Float64()
 					order = NewScanOrder(sys)
+				case round == 3:
+					model.ScaleDemand(s.Apps, base.Strings[0].Apps, 0.7+2.3*rng.Float64())
+				case round == 4:
+					// Times above 5 overflow to +Inf, smaller ones stay
+					// finite within a factor of 5 of MaxFloat64.
+					model.ScaleDemand(s.Apps, base.Strings[0].Apps, math.MaxFloat64/5)
+				case round == 5:
+					// Every t' and t'·u subnormal, rounded to a few bits;
+					// the period lifts the terms c back to normal floats.
+					model.ScaleDemand(s.Apps, base.Strings[0].Apps, 0x1p-1070)
+					s.Period = 0x1p-60
+				default:
+					// Normal times and t'·u, and terms c below the normal
+					// range.
+					model.ScaleDemand(s.Apps, base.Strings[0].Apps, (0.7+2.3*rng.Float64())*0x1p-30)
+					s.Period = 0x1p1000
 				}
-				read := telemetry.C("heuristics.imr.machines_read").Value()
+				before := read.Value()
 				n := walkString(t, label, rng, a, 0, order, machineOK, routeOK)
 				// Each scan ran twice, M terms in index order.
-				stopped += int64(2*n*m) - (telemetry.C("heuristics.imr.machines_read").Value() - read)
+				stopped[view] += int64(2*n*m) - (read.Value() - before)
 				scans += n
 				if !a.Complete(0) {
 					refused++
@@ -246,8 +313,8 @@ func TestPlacementScanMatchesNaive(t *testing.T) {
 		if scans < 200 || refused < 10 {
 			t.Errorf("M=%d: compared %d scans and saw %d placements refused by masks; want at least 200 and 10", m, scans, refused)
 		}
-		if m >= 12 && stopped == 0 {
-			t.Errorf("M=%d: no scan order stopped before its last machine", m)
+		if m >= 12 && (stopped[0] == 0 || stopped[1] == 0) {
+			t.Errorf("M=%d: scan orders saved %d machine terms over the catalog and %d over views; want some of both", m, stopped[0], stopped[1])
 		}
 	}
 }
@@ -277,7 +344,7 @@ func TestPlacementScanPinnedCases(t *testing.T) {
 	}
 	check := func(name string, a *Allocation, want int) {
 		t.Helper()
-		checkPinned(t, name, a, 0, 1, 0, nil, want)
+		checkPinned(t, name, a, a.System(), 0, 1, 0, nil, want)
 	}
 
 	// Equal max on two machines, machine 0's set by its route (0.8/2 = 0.4)
@@ -315,7 +382,7 @@ func TestPlacementScanPinnedCases(t *testing.T) {
 	// The first machine of the scan order masked: the scan goes on to the
 	// next, which takes the tie the masked machine would have won.
 	a = pinSystem([3]float64{1, 4, 9}, [2]float64{2, 8})
-	checkPinned(t, "first machine of the order masked", a, 0, 1, 0, func(j int) bool { return j != 0 }, 1)
+	checkPinned(t, "first machine of the order masked", a, a.System(), 0, 1, 0, func(j int) bool { return j != 0 }, 1)
 
 	// The stop is on a machine term that exceeds the incumbent, not one that
 	// equals it. The scan order is 2, 0, 1: machine 2 sets the incumbent at
@@ -335,20 +402,78 @@ func TestPlacementScanPinnedCases(t *testing.T) {
 	if c0 := a.System().MachineDemandUtil(0, 0, 0); !(mu[2] == c0 && mu[0] > mu[2] && mu[1] == mu[2]) {
 		t.Fatalf("stop premise broken: machine terms %v, machine 0's own %v", mu, c0)
 	}
-	checkPinned(t, "stop machine's own term equals the incumbent", a, 0, 0, Unassigned, nil, 1)
+	checkPinned(t, "stop machine's own term equals the incumbent", a, a.System(), 0, 0, Unassigned, nil, 1)
+
+	// The same three machines over a scaled view, scanned along the order
+	// over the catalog, each case a first application (no route term) whose
+	// keys put machines 1, 2, 0 in that order: machine 1 the incumbent,
+	// machine 2 where a scan may stop, machine 0 the winner behind it. A
+	// second string puts load on machine loadOn.
+	viewCase := func(name string, times, utils [3]float64, period, g float64, load float64, loadOn int, terms func(c [3]float64) bool) {
+		t.Helper()
+		base := model.NewUniformSystem(3, 1)
+		base.AddString(model.AppString{Worth: 1, Period: period, MaxLatency: 100, Apps: []model.Application{
+			{NominalTime: times[:], NominalUtil: utils[:], OutputKB: 1},
+		}})
+		base.AddString(model.AppString{Worth: 1, Period: 1, MaxLatency: 100, Apps: []model.Application{
+			{NominalTime: []float64{load, load, load}, NominalUtil: []float64{1, 1, 1}, OutputKB: 1},
+		}})
+		a := New(model.ScaledView(base, []float64{g, 1}))
+		a.Assign(1, 0, loadOn)
+		order := NewScanOrder(base)
+		if row := order.Row(0, 0); row[0] != 1 || row[1] != 2 || row[2] != 0 {
+			t.Fatalf("%s premise broken: scan order %v, want [1 2 0]", name, row)
+		}
+		var c [3]float64
+		for j := range c {
+			c[j] = a.System().MachineDemandUtil(0, 0, j)
+		}
+		if !terms(c) {
+			t.Fatalf("%s premise broken: view terms %v", name, c)
+		}
+		checkPinned(t, name, a, base, 0, 0, Unassigned, nil, 0)
+	}
+
+	// A near tie the view reorders: keys 1 < 2 < 0 by an ulp each, terms
+	// c1 = c0 < c2 by an ulp. Machine 2's term exceeds the incumbent but not
+	// by the margin, so the scan goes on to machine 0, which ties at the
+	// lower index and wins; a stop at machine 2 returns machine 1.
+	viewCase("near tie reordered by the scale",
+		[3]float64{46.01356937900662, 17.284169370398686, 14.406630796122249},
+		[3]float64{0.16112102701492792, 0.42893316977471707, 0.5146070347664982},
+		25.63223985740467, 2.523397350065227, 1e-30, 2,
+		func(c [3]float64) bool { return c[0] == c[1] && c[1] < c[2] && c[2] <= c[1]+c[1]*0x1p-47 })
+
+	// A scale that overflows machine 2's time to +Inf: its term is +Inf, yet
+	// machine 0, with a larger key and a finite term, wins against the
+	// loaded incumbent. The guard keeps the +Inf term from stopping the scan.
+	viewCase("time overflowed to +Inf",
+		[3]float64{100, 1, 1e10}, [3]float64{1, 1, 1e-9}, 10, 1e300, 1e303, 1,
+		func(c [3]float64) bool { return c[0] == 1e301 && c[1] == 1e299 && math.IsInf(c[2], 1) })
+
+	// A scale that pushes t'·u below the normal range, where rounding is
+	// absolute: machines 1 and 0 round to a zero term, machine 2 to the
+	// smallest subnormal. It exceeds the incumbent 0 by any margin, but is
+	// not a normal float, so the scan goes on to machine 0's tie at the lower
+	// index.
+	viewCase("t·u below the normal range",
+		[3]float64{1.2, 1.4, 1.6}, [3]float64{0.45, 0.3, 0.3}, 1, 0x1p-1074, 1, 2,
+		func(c [3]float64) bool { return c[0] == 0 && c[1] == 0 && c[2] == 0x1p-1074 })
 }
 
 // checkPinned holds one scan of application i of string k, in index order and
-// in the ship's scan order, to want and to the naive scan.
-func checkPinned(t *testing.T, name string, a *Allocation, k, i, nb int, machineOK func(j int) bool, want int) {
+// along the scan order of over (a.System() or the catalog it is a view of),
+// to want and to the naive scan.
+func checkPinned(t *testing.T, name string, a *Allocation, over *model.System, k, i, nb int, machineOK func(j int) bool, want int) {
 	t.Helper()
-	order := NewScanOrder(a.System())
+	order := NewScanOrder(over)
 	if order == nil {
 		t.Fatalf("%s: no scan order built over a valid ship", name)
 	}
 	naive := naiveScan(a, k, i, nb, machineOK, nil)
 	for _, o := range []*ScanOrder{nil, order} {
-		if got := a.PlacementScan(k, i, nb, o, machineOK, nil); got != want || naive != want {
+		a.AttachScanOrder(o)
+		if got := a.PlacementScan(k, i, nb, machineOK, nil); got != want || naive != want {
 			t.Errorf("%s (scan order %v): PlacementScan chose machine %d, the naive scan %d, want %d", name, o.Row(k, i), got, naive, want)
 		}
 	}
@@ -378,15 +503,16 @@ func TestPlacementScanZeroAlloc(t *testing.T) {
 	order := NewScanOrder(a.System())
 	machineOK := func(j int) bool { return j != 1 }
 	routeOK := func(j1, j2 int) bool { return j2 != 0 }
-	for name, scan := range map[string]func(){
-		"first application": func() { a.PlacementScan(0, 1, Unassigned, nil, nil, nil) },
-		"unmasked":          func() { a.PlacementScan(0, 1, 0, nil, nil, nil) },
-		"masked":            func() { a.PlacementScan(0, 1, 0, nil, machineOK, routeOK) },
-		"ordered":           func() { a.PlacementScan(0, 1, 0, order, nil, nil) },
-		"ordered, masked":   func() { a.PlacementScan(0, 1, 0, order, machineOK, routeOK) },
-	} {
-		if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
-			t.Errorf("%s scan allocated %.1f times, want 0", name, allocs)
+	for _, o := range []*ScanOrder{nil, order} {
+		a.AttachScanOrder(o)
+		for name, scan := range map[string]func(){
+			"first application": func() { a.PlacementScan(0, 1, Unassigned, nil, nil) },
+			"unmasked":          func() { a.PlacementScan(0, 1, 0, nil, nil) },
+			"masked":            func() { a.PlacementScan(0, 1, 0, machineOK, routeOK) },
+		} {
+			if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+				t.Errorf("%s scan (scan order %v) allocated %.1f times, want 0", name, o.Row(0, 1), allocs)
+			}
 		}
 	}
 }
@@ -395,7 +521,8 @@ func TestPlacementScanZeroAlloc(t *testing.T) {
 // NominalTime·NominalUtil compared by bits, ties by index: over random floats,
 // equal keys, and keys that differ only in their last bits, descending with
 // the index (the low bits the row sort packs the index into). A catalog that
-// fails model.Validate gets no order, and a nil order no rows.
+// fails model.Validate gets no order, nor does one with a work key that is not
+// a normal float, and a nil order has no rows.
 func TestScanOrderRows(t *testing.T) {
 	const m = 300
 	rng := rand.New(rand.NewSource(48))
@@ -436,11 +563,48 @@ func TestScanOrderRows(t *testing.T) {
 	if row := order.Row(last, 1); row[0] != m-1 || row[m-1] != 0 {
 		t.Errorf("keys descending in their last bits: row starts %d and ends %d, want %d and 0", row[0], row[m-1], m-1)
 	}
+	tiny := &sys.Strings[0].Apps[0]
+	tiny.NominalTime[7], tiny.NominalUtil[7] = 1e-300, 1e-10
+	if err := sys.Validate(); err != nil || isNormal(tiny.Work(7)) {
+		t.Fatalf("subnormal-key premise broken: Validate %v, key %v", err, tiny.Work(7))
+	}
+	if NewScanOrder(sys) != nil {
+		t.Error("a scan order built over a catalog with a subnormal work key")
+	}
 	sys.Strings[0].Apps[0].NominalUtil[7] = 0
 	if NewScanOrder(sys) != nil {
 		t.Error("a scan order built over a catalog that fails model.Validate")
 	}
 	if (*ScanOrder)(nil).Row(0, 0) != nil {
 		t.Error("a nil scan order has rows")
+	}
+}
+
+// An order attaches to an allocation over the catalog it was built from or
+// over a model.ScaledView of it, and to nothing else: a copy of the catalog,
+// a view of a copy, or a ship of another shape panics.
+func TestAttachScanOrderRefusesAnotherCatalog(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	base := randomSystem(rng, 4, 3, 3)
+	order := NewScanOrder(base)
+	view := model.ScaledView(base, []float64{2, 0.5, 3})
+	for _, sys := range []*model.System{base, view} {
+		a := New(sys)
+		a.AttachScanOrder(order)
+		a.AttachScanOrder(nil)
+	}
+	for name, sys := range map[string]*model.System{
+		"a copy of the catalog": base.Clone(),
+		"a view of a copy":      model.ScaledView(base.Clone(), []float64{2, 0.5, 3}),
+		"another shape":         randomSystem(rng, 4, 2, 3),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: attaching an order over another catalog did not panic", name)
+				}
+			}()
+			New(sys).AttachScanOrder(order)
+		}()
 	}
 }

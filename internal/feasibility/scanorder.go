@@ -8,20 +8,23 @@ import (
 	"repro/internal/model"
 )
 
-// ScanOrder is the order a search's PlacementScans visit machines in: for
-// every application (k, i) of a catalog, the machine indices ascending by the
-// application's own work NominalTime[j]*NominalUtil[j] — the product the scan
-// computes, compared by its bits — ties broken by index. Along a row the
-// scan's own machine term t·u/P never decreases (P is the string's, common to
-// the row), so the scan stops at the first machine whose term alone exceeds
-// the incumbent (see PlacementScan).
+// ScanOrder is the order PlacementScans visit machines in: for every
+// application (k, i) of a catalog, the machine indices ascending by the
+// application's own work key NominalTime[j]*NominalUtil[j], compared by its
+// bits, ties broken by index. Along a row the scan's own machine term t·u/P
+// never decreases (P is the string's, common to the row) — exactly over the
+// floats the order was built from, and within eight roundings over a
+// model.ScaledView of them, whose times are those times one factor per
+// string — so the scan stops at the first machine whose term alone exceeds
+// the incumbent by a margin (see PlacementScan).
 //
 // The table holds indices, not prices: it does not depend on a string's
-// Period, and costs one int32 per (application, machine), a quarter of the
-// catalog's NominalTime and NominalUtil bytes. It is valid only while the
-// floats it was built from stand: a search whose catalog is immutable for
-// its whole run builds one and shares it read-only between its lanes; the
-// service, whose rescales move the floats, scans in index order.
+// Period or scale, and costs one int32 per (application, machine), a quarter
+// of the catalog's NominalTime and NominalUtil bytes. An allocation scans
+// along the order attached to it (Allocation.AttachScanOrder): a search builds
+// one over its immutable catalog and its lanes share it read-only; the
+// service builds one over its pristine catalog and scans its rescaled view
+// along it.
 type ScanOrder struct {
 	sys  *model.System
 	base []int   // base[k]: offset in idx of string k's application 0
@@ -29,12 +32,24 @@ type ScanOrder struct {
 }
 
 // NewScanOrder builds the scan order of every application of sys, or returns
-// nil when sys fails model.Validate: the stop is exact only on the finite,
-// positive times, periods and bandwidths and the utilizations in (0, 1] it
-// checks, and a nil order scans in index order.
+// nil when sys fails model.Validate or has a work key that is not a finite
+// normal float: the stop is exact only on the finite, positive times, periods
+// and bandwidths and the utilizations in (0, 1] Validate checks, and only on
+// keys rounded within half an ulp of their product. A nil order scans in
+// index order.
 func NewScanOrder(sys *model.System) *ScanOrder {
 	if sys.Validate() != nil {
 		return nil
+	}
+	for k := range sys.Strings {
+		for i := range sys.Strings[k].Apps {
+			app := &sys.Strings[k].Apps[i]
+			for j, t := range app.NominalTime {
+				if !normal(t * app.NominalUtil[j]) {
+					return nil
+				}
+			}
+		}
 	}
 	m, apps := sys.Machines, 0
 	base := make([]int, len(sys.Strings))
@@ -78,4 +93,37 @@ func (o *ScanOrder) Row(k, i int) []int32 {
 	m := o.sys.Machines
 	off := o.base[k] + i*m
 	return o.idx[off : off+m : off+m]
+}
+
+// fits reports whether o may order the scans of an allocation over sys: o
+// was built over sys itself, or over the catalog sys is a model.ScaledView
+// of — the same machines and strings, each application's NominalUtil row the
+// catalog's own slice.
+func (o *ScanOrder) fits(sys *model.System) bool {
+	if o.sys == sys {
+		return true
+	}
+	if sys.Machines != o.sys.Machines || len(sys.Strings) != len(o.sys.Strings) {
+		return false
+	}
+	for k := range sys.Strings {
+		apps, base := sys.Strings[k].Apps, o.sys.Strings[k].Apps
+		if len(apps) != len(base) {
+			return false
+		}
+		for i := range apps {
+			u, b := apps[i].NominalUtil, base[i].NominalUtil
+			if len(u) != len(b) || len(apps[i].NominalTime) != len(b) || &u[0] != &b[0] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// normal reports whether x is a finite normal float: its exponent field is
+// neither all zeros (zero, subnormal) nor all ones (infinity, NaN).
+func normal(x float64) bool {
+	e := math.Float64bits(x) >> 52 & 0x7ff
+	return e != 0 && e != 0x7ff
 }

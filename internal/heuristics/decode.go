@@ -133,9 +133,11 @@ func newDecoderBank(sys *model.System, score scoreFunc, lanes int, tables search
 	return evals
 }
 
-// newSeqDecoder builds one lane over a fresh tracked scratch allocation.
+// newSeqDecoder builds one lane over a fresh tracked scratch allocation that
+// scans along the tables' order.
 func newSeqDecoder(sys *model.System, score scoreFunc, memo *decodeMemo, tables searchTables) *seqDecoder {
 	scratch := feasibility.New(sys)
+	scratch.AttachScanOrder(tables.order)
 	return &seqDecoder{
 		sys:      sys,
 		scratch:  scratch,
@@ -171,7 +173,7 @@ func (d *seqDecoder) fitness(perm []int) genitor.Fitness {
 // state); it returns how many order entries were consumed. After the call,
 // exactly the feasibly mapped strings are Complete in the scratch. tables are
 // the search's, or the zero value to have each placement average its own
-// intensities and scan in index order.
+// intensities; every scan runs along the scratch's attached order, if any.
 func decodeDelta(da *feasibility.DeltaAnalyzer, a *feasibility.Allocation, order []int, tables searchTables) int {
 	a.Reset()
 	consumed, _ := mapOrder(da, order, false, func(k int) { tables.place(a, k) })

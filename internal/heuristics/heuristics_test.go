@@ -115,10 +115,11 @@ func TestIMRAssignsEveryApplication(t *testing.T) {
 			t.Fatalf("trial %d: IMR placed %v, slice oracle %v", trial, got, want)
 		}
 		// A decoder bank's tables — a precomputed intensity row and a scan
-		// order — place exactly as the routine that averages for itself and
-		// scans in index order.
-		b := feasibility.New(sys)
-		newSearchTables(sys).place(b, 0)
+		// order attached to the allocation — place exactly as the routine
+		// that averages for itself and scans in index order.
+		b, tables := feasibility.New(sys), newSearchTables(sys)
+		b.AttachScanOrder(tables.order)
+		tables.place(b, 0)
 		if got, want := b.StringMachines(0), a.StringMachines(0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: IMR over a search's tables placed %v, MapStringIMR %v", trial, got, want)
 		}

@@ -36,16 +36,16 @@ func MapStringIMR(a *feasibility.Allocation, k int) {
 // was found; on failure the string is left completely unassigned. With nil
 // masks it never fails and is exactly MapStringIMR.
 func MapStringIMRMasked(a *feasibility.Allocation, k int, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
-	return mapStringIMR(a, k, nil, nil, machineOK, routeOK)
+	return mapStringIMR(a, k, nil, machineOK, routeOK)
 }
 
 // mapStringIMR is MapStringIMRMasked given string k's row of imrIntensities,
-// or nil to average over the machines here, and a scan order over the
-// allocation's system, or nil to scan in index order: the walk with the flat
-// chooser, Allocation.PlacementScan under the masks.
-func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, order *feasibility.ScanOrder, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
+// or nil to average over the machines here: the walk with the flat chooser,
+// Allocation.PlacementScan under the masks, which visits machines along the
+// scan order attached to the allocation, or in index order without one.
+func mapStringIMR(a *feasibility.Allocation, k int, intensity []float64, machineOK func(j int) bool, routeOK func(j1, j2 int) bool) bool {
 	return walkIMR(a, k, intensity, func(i, nb int) int {
-		return a.PlacementScan(k, i, nb, order, machineOK, routeOK)
+		return a.PlacementScan(k, i, nb, machineOK, routeOK)
 	})
 }
 
@@ -62,11 +62,12 @@ func MapStringWith(a *feasibility.Allocation, k int, choose func(i, nb int) int)
 
 // searchTables are the IMR's constants of a catalog for as long as its floats
 // stand: every application's machine-averaged intensity, row k holding string
-// k's, and the order its PlacementScans visit machines in. A search places the
-// same strings thousands of times over a catalog that does not change, so it
-// builds them once and every trial and lane reads them; the service cannot,
-// since a rescale moves the floats. The zero value has neither: each placement
-// averages its own intensities and scans in index order.
+// k's, and the scan order of its PlacementScans. A search places the same
+// strings thousands of times over a catalog that does not change, so it
+// builds them once and every trial and lane reads them: a lane attaches the
+// order to its scratch allocation once (newSeqDecoder), and place reads the
+// intensities. The zero value has neither: each placement averages its own
+// intensities, and a scratch with no order attached scans in index order.
 type searchTables struct {
 	intensity [][]float64
 	order     *feasibility.ScanOrder
@@ -89,13 +90,14 @@ func imrIntensities(sys *model.System) [][]float64 {
 	return rows
 }
 
-// place is mapStringIMR of string k with the tables' rows.
+// place is mapStringIMR of string k with the tables' intensity row, along
+// whatever scan order a carries.
 func (t searchTables) place(a *feasibility.Allocation, k int) {
 	var row []float64
 	if t.intensity != nil {
 		row = t.intensity[k]
 	}
-	mapStringIMR(a, k, row, t.order, nil, nil)
+	mapStringIMR(a, k, row, nil, nil)
 }
 
 // walkIMR is the one IMR walk; intensity is string k's row of imrIntensities,

@@ -244,6 +244,7 @@ func TestDecodeMissAllocations(t *testing.T) {
 	da = feasibility.Track(scratch)
 	perm = []int{0, 1, 2, 3, 4}
 	tables := newSearchTables(hard) // a decoder bank's form of the call
+	scratch.AttachScanOrder(tables.order)
 	decodeDelta(da, scratch, perm, tables)
 	if allocs := testing.AllocsPerRun(100, func() { decodeDelta(da, scratch, perm, tables) }); allocs > 1 {
 		t.Errorf("decode stopping at an unmappable string costs %v allocations, want at most 1", allocs)

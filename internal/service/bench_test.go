@@ -167,6 +167,9 @@ func BenchmarkCompact(b *testing.B) {
 // more restart with telemetry on, outside the timer: the replayed decisions
 // whose Λ read found the kept binding resource stale and walked every
 // machine and route. A jump toward 1 means the kept maximum stopped engaging.
+// machines_read/record and routes_priced/record are exact counts from the
+// same restart (recoveryScans): the machine terms and routes replay's IMR
+// scans computed and priced, per record.
 func BenchmarkRecoverFleet(b *testing.B) {
 	sys := workload.MustGenerate(workload.FleetConfig(128, 2), 1)
 	journalPath := filepath.Join(b.TempDir(), "bench.wal")
@@ -206,6 +209,19 @@ func BenchmarkRecoverFleet(b *testing.B) {
 	}
 	rec.Close()
 	b.ReportMetric(float64(reg.Counter("feasibility.slackness_rescans").Value())/float64(records), "rescans/record")
+	recoveryScans(b, reg, records)
+}
+
+// recoveryScans reports the IMR scan counts a telemetry restart recorded in
+// reg, per replayed record: machines_read/record, the machine terms the scans
+// computed, and routes_priced/record, the candidates that survived the bound
+// and had a route priced. Replay scans along the order over the pinned
+// catalog, stopping at the first machine that cannot win; machines_read
+// jumping back toward M terms a scan (records × scans a record × M) means the
+// order is no longer attached on restart, or its stop no longer fires.
+func recoveryScans(b *testing.B, reg *telemetry.Registry, records int) {
+	b.ReportMetric(float64(reg.Counter("heuristics.imr.machines_read").Value())/float64(records), "machines_read/record")
+	b.ReportMetric(float64(reg.Counter("heuristics.imr.routes_priced").Value())/float64(records), "routes_priced/record")
 }
 
 // paperJournal serves the benchmark's `paper` ship (scenario 1, seed 1) a
@@ -270,6 +286,8 @@ func paperJournal(tb testing.TB, path string, steps int) (decisions []Decision, 
 // while a replayed remove rechecked the sharers of the string it lifted off a
 // feasible ship) and the rechecked sharers whose slack budget covered a
 // window instead (0; 5.429 while accepted records were judged).
+// machines_read/record and routes_priced/record are recoveryScans' counts
+// from the same restart.
 func BenchmarkRecoverPaper(b *testing.B) {
 	journalPath := filepath.Join(b.TempDir(), "bench.wal")
 	paperJournal(b, journalPath, 12000)
@@ -299,6 +317,7 @@ func BenchmarkRecoverPaper(b *testing.B) {
 	rec.Close()
 	b.ReportMetric(float64(reg.Counter("feasibility.delta.string_checks").Value())/float64(rep.Replayed), "string_checks/record")
 	b.ReportMetric(float64(reg.Counter("feasibility.delta.slack_skips").Value())/float64(rep.Replayed), "slack_skips/record")
+	recoveryScans(b, reg, rep.Replayed)
 }
 
 // paperHandler is where the wire path was profiled: the benchmark's `paper`

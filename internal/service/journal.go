@@ -227,7 +227,8 @@ const unplaceableAcceptance = "accepted before the restart; this binary finds no
 //     decision decide builds with the worth unchanged, no placement;
 //   - an accepted one is placed (a rescale first lifts the string and
 //     recomputes its floats) and booked as the live op books it after
-//     Commit, with neither FeasibleAfterDelta nor Commit;
+//     Commit, with neither FeasibleAfterDelta nor Commit; its scans run
+//     along the scan order stateFromSnapshot attached, as the live op's do;
 //   - a remove, which live serving never rejects, is lifted and decided.
 //
 // A rejected rescale of an unmapped string, which live serving accepts
@@ -419,7 +420,8 @@ func (st *state) bootstrapJournal() error {
 // analyzer attached (an accepted admit, remove or rescale re-placed and a
 // rejected one folded in, neither judged again; see replayOp), and verify
 // every record's chain check (plus the periodic full state digests) along the
-// way. The analyzer is attached once, after the loop.
+// way. The analyzer is attached once, after the loop; the scan order over the
+// pinned catalog is built and attached once, before it.
 //
 // A torn tail — the debris of a crash mid-append — is truncated and reported
 // in the RecoveryReport. Mid-log corruption surfaces as *journal.CorruptError,

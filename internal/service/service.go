@@ -124,6 +124,12 @@ type state struct {
 	// (Bandwidth, NominalUtil) with base.
 	base *model.System
 	sys  *model.System
+	// order is the scan order over base, built once per state and attached
+	// to every allocation the state serves (attach): admits, rescales,
+	// replay and failover re-placements scan machines cheapest own work
+	// first along it, on any scale in force. nil when base has a work key
+	// NewScanOrder refuses; the scans then run in index order.
+	order *feasibility.ScanOrder
 	// catalog names and hashes base's durable encoding; catalogAt records the
 	// catalog files this process has written or verified (see writeCatalog).
 	catalog     CatalogRef
@@ -195,6 +201,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		base:   cfg.System,
 		sys:    sys,
+		order:  feasibility.NewScanOrder(cfg.System),
 		down:   faults.NewSet(sys.Machines),
 		scale:  scale,
 		events: newEventLog(),
@@ -204,9 +211,9 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: initial mapping: %w", err)
 		}
-		st.alloc = r.Alloc
+		st.attach(r.Alloc)
 	} else {
-		st.alloc = feasibility.New(sys)
+		st.attach(feasibility.New(sys))
 	}
 	return startService(st)
 }
@@ -232,6 +239,12 @@ func startService(st *state) (*Service, error) {
 	s.phase.Store(int32(PhaseReady))
 	st.onBroken = func(err error) { s.journalErr.Store(err.Error()) }
 	return s, nil
+}
+
+// attach makes a the live allocation, scanning along the state's order.
+func (st *state) attach(a *feasibility.Allocation) {
+	a.AttachScanOrder(st.order)
+	st.alloc = a
 }
 
 func unitScales(n int) []float64 {
@@ -726,7 +739,7 @@ func (st *state) applySurge(sc *overload.Scenario) (Decision, *ErrorEnvelope) {
 		st.da.Close()
 		st.da = feasibility.Track(fresh)
 	}
-	st.alloc = fresh
+	st.attach(fresh)
 	st.recount()
 	d := FromOverload("surge", res)
 	return st.finish(&d), nil

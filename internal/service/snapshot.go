@@ -261,8 +261,9 @@ func loadCatalog(dir string, ref *CatalogRef) (*model.System, error) {
 
 // stateFromSnapshot validates a loaded snapshot and rebuilds the daemon
 // state: the pinned catalog is loaded and hash-checked, the working view is
-// rebuilt as catalog × scale, and the allocation restored over it must
-// reproduce the recorded digest. Shared by Restore (which starts serving
+// rebuilt as catalog × scale, the allocation restored over it must
+// reproduce the recorded digest, and it scans along one order built over the
+// catalog. Shared by Restore (which starts serving
 // immediately) and Recover (which replays the journal tail on the state
 // first).
 func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, error) {
@@ -332,21 +333,23 @@ func stateFromSnapshot(path string, file *SnapshotFile, cfg Config) (*state, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &state{
+	st := &state{
 		cfg:         cfg,
 		base:        base,
 		sys:         sys,
+		order:       feasibility.NewScanOrder(base),
 		catalog:     *file.Catalog,
 		catalogAt:   map[string]bool{filepath.Join(dir, file.Catalog.File): true},
 		catalogLoad: catalogLoad,
-		alloc:       alloc,
 		scale:       file.Scale,
 		down:        down,
 		seq:         file.Seq,
 		digestMemo:  digest,
 		digestSeq:   file.Seq,
 		events:      newEventLog(),
-	}, nil
+	}
+	st.attach(alloc)
+	return st, nil
 }
 
 // Restore builds a Service from a snapshot file and the catalog file it pins
